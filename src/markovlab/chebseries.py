@@ -50,17 +50,6 @@ class ChebSeries:
             return ChebSeries([0.0])
         return ChebSeries(nch.chebder(self.coef, k))
 
-    def deriv_stack(self, kmax: int) -> np.ndarray:
-        """Coefficients of p, p', ..., p^(kmax) as rows of one padded matrix."""
-        width = max(self.coef.size, 1)
-        out = np.zeros((kmax + 1, width))
-        c = self.coef.copy()
-        for k in range(kmax + 1):
-            if c.size:
-                out[k, : c.size] = c
-                c = nch.chebder(c) if c.size > 1 else np.zeros(0)
-        return out
-
     def __add__(self, other):
         if not isinstance(other, ChebSeries):
             return NotImplemented
@@ -174,11 +163,6 @@ class ChebSeries2D:
             return np.zeros_like(np.asarray(xs, dtype=float))
         return nch.chebval2d(xs, ys, self.coef)
 
-    def grid_values(self, x1d, y1d) -> np.ndarray:
-        if self.is_zero:
-            return np.zeros((len(x1d), len(y1d)))
-        return nch.chebgrid2d(x1d, y1d, self.coef)
-
     def deriv(self, kx: int = 0, ky: int = 0) -> "ChebSeries2D":
         c = self.coef
         if kx:
@@ -215,6 +199,12 @@ def product_2d(cx: ChebSeries, cy: ChebSeries) -> ChebSeries2D:
     a = cx.coef if not cx.is_zero else np.zeros(1)
     b = cy.coef if not cy.is_zero else np.zeros(1)
     return ChebSeries2D(np.outer(a, b))
+
+
+def deriv_matrix(n: int, k: int) -> np.ndarray:
+    """Matrix of d^k/dx^k from Chebyshev coefficients of degree <= n to those
+    of the derivative (max(n - k, 0) + 1 rows)."""
+    return nch.chebder(np.eye(n + 1), k, axis=0)
 
 
 def lobatto_points(npts: int) -> np.ndarray:

@@ -89,6 +89,8 @@ def _parse_poly(desc, mode: str):
                 n = int(arg)
             except ValueError:
                 raise ConfigError("poly", f"bad degree in {desc!r}")
+            if n < 0:
+                raise ConfigError("poly", f"negative degree in {desc!r}")
             if mode == "exact":
                 if name != "monomial":
                     raise ConfigError(
@@ -151,6 +153,13 @@ def cmd_norm(args) -> int:
     return EXIT_OK
 
 
+def _is_degree(n) -> bool:
+    """A JSON integer >= 0 (4.0 counts as 4)."""
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    return type(n) is int and n >= 0
+
+
 def cmd_factor_table(args) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_SEED))
@@ -166,12 +175,15 @@ def cmd_factor_table(args) -> int:
     degrees = _require(cfg, "degrees")
     if not isinstance(degrees, list) or not degrees:
         raise ConfigError("degrees", "must be a nonempty list")
+    if not all(_is_degree(n) for n in degrees):
+        raise ConfigError("degrees", "must be nonnegative integers")
+    degrees = [int(n) for n in degrees]
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ConfigError("degrees", "must be strictly increasing")
     out_path = args.out or cfg.get("output")
     if not out_path:
         raise ConfigError("output", "give an output path (config 'output' or --out)")
-    table = factor_table(spec, op, [int(n) for n in degrees], seed=seed,
+    table = factor_table(spec, op, degrees, seed=seed,
                          budget=int(cfg.get("budget", 1)))
     table.write_csv(out_path, meta=_meta(cfg, seed, mode))
     print(out_path)

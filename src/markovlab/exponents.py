@@ -21,6 +21,7 @@ from .chebseries import (
     ChebSeries2D,
     chebyshev_t,
     chebyshev_u,
+    deriv_matrix,
     legendre_orthonormal,
     monomial,
     product_2d,
@@ -34,6 +35,7 @@ from .norms import (
     NormSpec,
     evaluate_norm,
     qms_log_norm,
+    sampled_norm,
     sup_norm,
     schur_norm,
 )
@@ -43,6 +45,7 @@ from .polynomials import MultiPoly, UniPoly
 DEFAULT_SEED = 1729
 _ASCENT_ROUNDS = 200
 _N_RANDOM_CANDIDATES = 64
+_SCREEN_ENTRIES = 1 << 15  # sampled values per screening product (256 kB)
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +58,17 @@ class DerivOp:
 
     k: int
 
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError("derivative order k must be >= 0")
+
     @property
     def label(self) -> str:
         return f"deriv:{self.k}"
+
+    def coef_matrix(self, n: int) -> np.ndarray:
+        """The univariate operator on Chebyshev coefficients of degree <= n."""
+        return deriv_matrix(n, self.k)
 
     def apply_all(self, p):
         if self.k == 0:
@@ -86,6 +97,10 @@ class DirDerivOp:
     @property
     def label(self) -> str:
         return "dirop:" + ",".join(repr(float(c)) for c in self.v)
+
+    def coef_matrix(self, n: int) -> Optional[np.ndarray]:
+        """v*D on Chebyshev coefficients of degree <= n; None unless univariate."""
+        return self.v[0] * deriv_matrix(n, 1) if len(self.v) == 1 else None
 
     def apply_all(self, p):
         if isinstance(p, (ChebSeries, UniPoly)):
@@ -118,6 +133,11 @@ class HomOp:
     def label(self) -> str:
         body = "+".join(f"{c}*D^{list(a)}" for a, c in self.terms)
         return f"hop:{body}"
+
+    def coef_matrix(self, n: int) -> Optional[np.ndarray]:
+        """c*D^a on Chebyshev coefficients of degree <= n; None unless one univariate term."""
+        (alpha, c), *rest = self.terms
+        return None if rest or len(alpha) != 1 else c * deriv_matrix(n, alpha[0])
 
     def apply_all(self, p):
         if isinstance(p, ChebSeries2D):
@@ -225,13 +245,6 @@ class L2Factor:
     witness_coeffs: np.ndarray
     system: OrthoSystem
 
-    def witness_poly(self) -> UniPoly:
-        out = UniPoly.zero()
-        for c, q in zip(self.witness_coeffs, self.system.polys):
-            if c:
-                out = out + float(c) * q
-        return out
-
 
 def _system_for_measure(mu: Measure, nmax: int) -> OrthoSystem:
     nmax = max(nmax, 1)
@@ -309,6 +322,90 @@ def _ratio(op: OperatorSpec, q: NormSpec, p, refine: bool) -> float:
     return best / denom
 
 
+class _PolyRatio:
+    """Coarse ratios ``_ratio(op, q, p, refine=False)``, one polynomial at a time."""
+
+    def __init__(self, op: OperatorSpec, q: NormSpec):
+        self.op, self.q = op, q
+
+    def screen(self, polys) -> list:
+        return [_ratio(self.op, self.q, p, refine=False) for p in polys]
+
+    def values(self, coef):
+        return None
+
+    def trial(self, coef: np.ndarray, vals, i: int, step: float):
+        """coef with ``step`` added to entry i, and its ratio; vals = values(coef)."""
+        trial = coef.copy()
+        trial[i] += step
+        return trial, self._trial_ratio(trial, coef, vals, i)
+
+    def _trial_ratio(self, trial, coef, vals, i) -> float:
+        return _ratio(self.op, self.q, ChebSeries(trial), refine=False)
+
+
+class _BatchedRatio(_PolyRatio):
+    """The same ratios for real series of exact degree n, through one matrix.
+
+    The matrix stacks the denominator's sampling matrix over the numerator's
+    times the operator's coefficient matrix, so screening is a matrix product
+    (in column chunks of at most ``_SCREEN_ENTRIES`` values, which bounds the
+    memory for any budget) and an ascent trial that moves coefficient i is
+    the rank-1 update ``vals + step * matrix[:, i]`` of the current values
+    ``vals = matrix @ coef``.  A trial whose top coefficient is exactly 0 has
+    lower degree and other grids; it takes the per-polynomial path.
+    """
+
+    def __init__(self, op: OperatorSpec, q: NormSpec, den, num, A: np.ndarray):
+        super().__init__(op, q)
+        self.den, self.num = den, num
+        self.split = den.matrix.shape[0]
+        # column-major: the ascent reads one column per trial
+        self.matrix = np.empty((self.split + num.matrix.shape[0], A.shape[1]), order="F")
+        self.matrix[: self.split] = den.matrix
+        self.matrix[self.split :] = num.matrix @ A
+
+    def ratios(self, vals: np.ndarray) -> np.ndarray:
+        denom = self.den.reduce(vals[: self.split])
+        image = self.num.reduce(vals[self.split :])
+        best = np.where(image > 0.0, image, 0.0)  # max(0.0, image) as in _ratio
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(denom == 0.0, -math.inf, best / denom)
+
+    def screen(self, polys) -> list:
+        size = self.matrix.shape[1]
+        full = [i for i, p in enumerate(polys) if p.coef.size == size]
+        out = [None if p.coef.size == size else _ratio(self.op, self.q, p, refine=False)
+               for p in polys]
+        width = max(1, _SCREEN_ENTRIES // self.matrix.shape[0])
+        for j in range(0, len(full), width):
+            chunk = full[j : j + width]
+            C = np.stack([polys[i].coef for i in chunk], axis=1)
+            for i, r in zip(chunk, self.ratios(self.values(C)).tolist()):
+                out[i] = r
+        return out
+
+    def values(self, coef: np.ndarray) -> np.ndarray:
+        return self.matrix @ coef
+
+    def _trial_ratio(self, trial, coef, vals, i) -> float:
+        if trial[-1] == 0.0:
+            return super()._trial_ratio(trial, coef, vals, i)
+        col = vals + (trial[i] - coef[i]) * self.matrix[:, i]
+        return float(self.ratios(col[:, None])[0])
+
+
+def _coarse_ratio(op: OperatorSpec, q: NormSpec, n: int) -> _PolyRatio:
+    """The batched evaluator where both the operator and the norm have
+    matrices at degree n, the per-polynomial one elsewhere."""
+    A = op.coef_matrix(n)
+    den = sampled_norm(q, n) if A is not None else None
+    num = sampled_norm(q, A.shape[0] - 1) if den is not None else None
+    if num is None:
+        return _PolyRatio(op, q)
+    return _BatchedRatio(op, q, den, num, A)
+
+
 def markov_factor_search(
     n: int,
     op: OperatorSpec,
@@ -322,6 +419,15 @@ def markov_factor_search(
     Legendre, random unit coefficient vectors); the best candidate is refined
     by coordinate-wise ascent with step halving.  Results are lower bounds by
     construction.
+
+    Screening and ascent use the coarse (``refine=False``) ratio.  Where the
+    norm is sampled on fixed points of an interval or a Gauss rule, and the
+    operator is univariate, it comes from matrices built once per call
+    (``norms.sampled_norm`` and the operator's ``coef_matrix``): matrix
+    products screen the candidates and each ascent trial is a rank-1 update.
+    2D, complex, union, qms and odd or non-integer L^p searches evaluate one
+    polynomial at a time.  Either way the finalists are certified with the
+    refined ratio.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -332,9 +438,9 @@ def markov_factor_search(
         q.set, "as_complex", False
     )
     cands = _candidates_2d(n, rng, budget) if two_dim else _candidates_1d(n, rng, budget)
+    coarse = _PolyRatio(op, q) if two_dim else _coarse_ratio(op, q, n)
     best_name, best_poly, best_ratio = "", None, -math.inf
-    for name, p in cands:
-        r = _ratio(op, q, p, refine=False)
+    for (name, p), r in zip(cands, coarse.screen([p for _, p in cands])):
         if r > best_ratio:
             best_name, best_poly, best_ratio = name, p, r
     if best_poly is None or best_ratio == -math.inf:
@@ -346,6 +452,7 @@ def markov_factor_search(
             coef = np.concatenate([coef, np.zeros(n + 1 - coef.size)])
         steps = np.full(coef.size, 0.25 * max(np.max(np.abs(coef)), 1e-6))
         cur_ratio = best_ratio
+        vals = coarse.values(coef)
         improved = False
         for it in range(_ASCENT_ROUNDS * budget):
             i = it % coef.size
@@ -353,11 +460,10 @@ def markov_factor_search(
                 continue
             gained = False
             for sgn in (1.0, -1.0):
-                trial = coef.copy()
-                trial[i] += sgn * steps[i]
-                r = _ratio(op, q, ChebSeries(trial), refine=False)
+                trial, r = coarse.trial(coef, vals, i, sgn * steps[i])
                 if r > cur_ratio * (1 + 1e-14):
                     coef, cur_ratio, gained, improved = trial, r, True, True
+                    vals = coarse.values(coef)
                     break
             if not gained:
                 steps[i] /= 2.0

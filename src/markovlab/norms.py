@@ -3,7 +3,10 @@
 Sup norms on intervals are sampled at 8*(deg+1) Chebyshev-Lobatto points and
 locally refined by golden-section iterations, so every reported sup value is a
 certified under-estimate; certificates built from them are lower bounds.
-``refine=False`` skips the local refinement for hot search loops.
+``refine=False`` skips the local refinement: it is the per-polynomial coarse
+evaluation.  The Markov search screens candidates and runs its ascent on the
+same samples through ``sampled_norm`` (one matrix per norm and degree) and
+keeps this path for the inputs ``sampled_norm`` does not cover.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 from scipy.integrate import quad as _quad
 
-from .chebseries import ChebSeries, ChebSeries2D, lobatto_points
+from .chebseries import ChebSeries, ChebSeries2D, deriv_matrix, lobatto_points
 from .domains import (
     CompactSet,
     Interval,
@@ -72,6 +75,14 @@ def _golden_max_multi(g, lo: np.ndarray, hi: np.ndarray):
     return xs, vals
 
 
+def _interval_grid(a: float, b: float, deg: int) -> np.ndarray:
+    """The 8*(deg+1) Chebyshev-Lobatto sample points of [a, b], ascending."""
+    pts = lobatto_points(8 * (deg + 1))
+    if (a, b) == (-1.0, 1.0):
+        return pts
+    return (a + b) / 2 + (b - a) / 2 * pts
+
+
 def _weighted_sup_on_interval(p, a, b, weight=None, refine=True):
     """max of |p(x)|*weight(x) over [a, b]; ties report the smallest abscissa.
 
@@ -79,12 +90,7 @@ def _weighted_sup_on_interval(p, a, b, weight=None, refine=True):
     (not just the best one): under-refining a competing local maximum is what
     would let ratio estimates drift above true extremal ratios.
     """
-    deg = _degree_int(p)
-    npts = 8 * (deg + 1)
-    if (a, b) == (-1.0, 1.0):
-        pts = lobatto_points(npts)
-    else:
-        pts = (a + b) / 2 + (b - a) / 2 * lobatto_points(npts)
+    pts = _interval_grid(a, b, _degree_int(p))
     vals = np.abs(p(pts))
     if weight is not None:
         vals = vals * weight(pts)
@@ -386,14 +392,6 @@ def taylor_disk_norm(p, E: CompactSet, r: float, refine: bool = True) -> float:
     """sum_k sup|p^(k)|_E * r^k / k! (finite: terms vanish past deg p)."""
     if r <= 0:
         raise ValueError("disk radius must be positive")
-    if isinstance(p, ChebSeries) and isinstance(E, Interval) and not refine:
-        deg = _degree_int(p)
-        stack = p.deriv_stack(deg)
-        pts = (E.a + E.b) / 2 + (E.b - E.a) / 2 * lobatto_points(8 * (deg + 1))
-        vals = np.polynomial.chebyshev.chebval(pts, stack.T)
-        sups = np.max(np.abs(vals), axis=1)
-        weights = np.array([r**k / math.factorial(k) for k in range(deg + 1)])
-        return float(np.dot(sups, weights))
     deg = _degree_int(p)
     total = 0.0
     for k in range(deg + 1):
@@ -435,8 +433,8 @@ class LpSpec:
     kind: str = field(default="lp", init=False)
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("lp order s must be >= 1")
+        if not math.isfinite(self.s) or self.s < 1:
+            raise ValueError("lp order s must be a finite number >= 1")
 
 
 @dataclass(frozen=True)
@@ -447,8 +445,8 @@ class SupPlusLpSpec:
     kind: str = field(default="sup_plus_lp", init=False)
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("lp order s must be >= 1")
+        if not math.isfinite(self.s) or self.s < 1:
+            raise ValueError("lp order s must be a finite number >= 1")
 
 
 @dataclass(frozen=True)
@@ -514,6 +512,103 @@ def evaluate_norm(spec: NormSpec, p, refine: bool = True) -> float:
     if isinstance(spec, MixedDerivSpec):
         return mixed_deriv_norm(p, spec.set, spec.axis, refine=refine)
     raise TypeError(f"unknown norm spec {spec!r}")
+
+
+# ---------------------------------------------------------------------------
+# Sampled norms: the refine=False evaluation of a whole batch at once
+
+# Largest sampling matrix built (entries, 8 MB).  Only taylor_disk, whose matrix
+# grows like 4*deg^3, passes it (past degree 62); it then keeps the
+# per-polynomial path, which needs no memory beyond one polynomial's samples.
+_SAMPLED_MAX_ENTRIES = 1 << 20
+
+
+@dataclass(frozen=True)
+class SampledNorm:
+    """A norm on Chebyshev series of one fixed degree, as a matrix and a reduction.
+
+    ``matrix`` takes coefficient vectors (as columns) to exactly the values
+    ``evaluate_norm(spec, p, refine=False)`` samples: one block of sup samples
+    per derivative order, then the Gauss nodes of an L^p part.  ``reduce``
+    turns the sampled values of k columns into their k norm values: the block
+    maxima (times ``row_weight``, the Schur weight) summed with ``coeffs``,
+    plus the L^p power sum.
+    """
+
+    matrix: np.ndarray
+    starts: np.ndarray  # first row of each sup block
+    coeffs: np.ndarray  # weight of each block maximum in the sum
+    row_weight: Optional[np.ndarray] = None
+    lp_weights: Optional[np.ndarray] = None
+    s: int = 0
+
+    def reduce(self, vals: np.ndarray) -> np.ndarray:
+        nsup = self.matrix.shape[0] - (0 if self.lp_weights is None else self.lp_weights.size)
+        total = 0.0
+        if nsup:
+            sup = np.abs(vals[:nsup])
+            if self.row_weight is not None:
+                sup *= self.row_weight[:, None]
+            total = self.coeffs @ np.maximum.reduceat(sup, self.starts, axis=0)
+        if self.lp_weights is not None:
+            total = total + (self.lp_weights @ np.abs(vals[nsup:]) ** self.s) ** (1.0 / self.s)
+        return total
+
+
+def sampled_norm(spec: NormSpec, deg: int) -> Optional[SampledNorm]:
+    """``evaluate_norm(spec, ., refine=False)`` on real series of exact degree ``deg``.
+
+    Covers every norm sampled on fixed points: sup, schur, mixed_deriv and
+    taylor_disk on an interval, and L^p and sup+L^p with even s.  Returns
+    None for the rest (unions, 2D and complex sets, qms, odd or non-integer
+    s), and past ``_SAMPLED_MAX_ENTRIES``; those keep the per-polynomial path.
+    """
+    E = getattr(spec, "set", None)
+    orders, coeffs, weight, lp = [0], [1.0], None, None
+    if isinstance(spec, SchurSpec):
+        E = E if E is not None else Interval(-1.0, 1.0)
+        if not isinstance(E, Interval) or (E.a, E.b) != (-1.0, 1.0):
+            return None
+        x = _interval_grid(-1.0, 1.0, deg)
+        weight = np.maximum(1.0 - x * x, 0.0) ** spec.alpha
+    elif isinstance(spec, MixedDerivSpec):
+        orders, coeffs = [0, 1], [1.0, 1.0]
+    elif isinstance(spec, TaylorDiskSpec):
+        orders = list(range(deg + 1))
+        coeffs = [spec.r**k / math.factorial(k) for k in orders]
+    elif isinstance(spec, (LpSpec, SupPlusLpSpec)):
+        s = float(spec.s)
+        if not s.is_integer() or int(s) % 2:
+            return None
+        lp = spec.measure.rule_for_degree(deg * int(s))
+        if isinstance(spec, LpSpec):
+            orders, coeffs = [], []
+    elif not isinstance(spec, SupSpec):
+        return None
+    if orders and not isinstance(E, Interval):
+        return None
+    sizes = [8 * (max(deg - k, 0) + 1) for k in orders]
+    if (sum(sizes) + (lp[0].size if lp else 0)) * (deg + 1) > _SAMPLED_MAX_ENTRIES:
+        return None
+    blocks, power = [], np.eye(deg + 1)
+    step = np.zeros((deg + 1, deg + 1))  # d/dx, padded to a square
+    if len(orders) > 1:
+        step[:deg] = deriv_matrix(deg, 1)[:deg]
+    for k in orders:  # orders run 0, 1, 2, ...: power is D^k
+        dk = max(deg - k, 0)
+        vander = np.polynomial.chebyshev.chebvander(_interval_grid(E.a, E.b, dk), dk)
+        blocks.append(vander @ power[: dk + 1] if k else vander)
+        power = step @ power
+    if lp:
+        blocks.append(np.polynomial.chebyshev.chebvander(lp[0], deg))
+    return SampledNorm(
+        matrix=np.vstack(blocks),
+        starts=np.cumsum([0] + sizes[:-1]),
+        coeffs=np.asarray(coeffs, dtype=float),
+        row_weight=weight,
+        lp_weights=None if lp is None else lp[1],
+        s=int(spec.s) if lp else 0,
+    )
 
 
 def spec_to_json(spec: NormSpec) -> dict:

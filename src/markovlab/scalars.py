@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 
 class RationalComplex:
@@ -99,8 +98,6 @@ class RationalComplex:
         return f"RationalComplex({self.re!r}, {self.im!r})"
 
 
-Scalar = Union[int, float, complex, Fraction, RationalComplex]
-
 EXACT_TYPES = (int, Fraction, RationalComplex)
 
 
@@ -108,16 +105,8 @@ def is_exact(x) -> bool:
     return isinstance(x, EXACT_TYPES)
 
 
-def scalar_zero_like(x) -> Scalar:
-    return RationalComplex() if isinstance(x, RationalComplex) else type(x)(0)
-
-
 def magnitude(x) -> float:
     """|x| as a float, for residual and scale measurements."""
     if isinstance(x, RationalComplex):
         return math.sqrt(float(x.abs2()))
     return abs(float(x.real)) if isinstance(x, (int, Fraction)) else abs(x)
-
-
-def to_complex(x) -> complex:
-    return complex(x)

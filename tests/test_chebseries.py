@@ -51,16 +51,6 @@ def test_mul_and_pow_agree_with_unipoly():
     assert np.allclose((a**3)(xs), a(xs) ** 3, atol=1e-12)
 
 
-def test_deriv_stack_rows_are_derivatives():
-    p = ChebSeries.from_unipoly(UniPoly((0.0, 1.0, 0.0, -2.0)))
-    stack = p.deriv_stack(3)
-    xs = np.linspace(-1, 1, 9)
-    for k in range(4):
-        assert np.allclose(
-            np.polynomial.chebyshev.chebval(xs, stack[k]), p.deriv(k)(xs), atol=1e-13
-        )
-
-
 def test_random_unit_degree_and_norm(rng):
     p = random_unit(12, rng)
     assert p.degree == 12

@@ -215,3 +215,26 @@ class TestOrthoExportCommand:
 
 def test_missing_config_file(tmp_path, capsys):
     assert main(["norm", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+LP_SPEC = {"kind": "lp", "measure": {"kind": "lebesgue", "a": -1, "b": 1}, "s": 2}
+TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees": [2, 4]}
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("factor-table", {**TABLE, "degrees": ["a"]}, "degrees"),
+        ("factor-table", {**TABLE, "operator": {"kind": "deriv", "k": -1}}, "operator"),
+        ("norm", {"normspec": SUP_SPEC, "poly": "chebyshev:-3"}, "poly"),
+        ("norm", {"normspec": {**LP_SPEC, "s": math.nan}, "poly": "chebyshev:4"}, "normspec"),
+    ],
+    ids=["degree-string", "negative-k", "negative-poly-degree", "nan-lp-order"],
+)
+def test_malformed_config_names_field(tmp_path, capsys, command, config, field):
+    cfg = write_config(tmp_path, "bad.json", {**config, "output": str(tmp_path / "x.csv")})
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert f"config field '{field}'" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

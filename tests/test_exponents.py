@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 
 from markovlab import (
+    ChebSeries,
     DerivOp,
     DirDerivOp,
     HomOp,
     Interval,
     LpSpec,
+    MixedDerivSpec,
+    SchurSpec,
     SpectralityError,
+    SupPlusLpSpec,
     SupSpec,
+    TaylorDiskSpec,
     asymptotic_exponent,
     bernstein_schur_check,
     disk_boundary,
@@ -27,8 +32,19 @@ from markovlab import (
     qms_exact_exponent,
     spectral_exponent_floor,
 )
-from markovlab.exponents import derivative_operator_matrix, operator_from_json, read_table_csv
+from markovlab.exponents import (
+    DEFAULT_SEED,
+    _BatchedRatio,
+    _PolyRatio,
+    _candidates_1d,
+    _coarse_ratio,
+    _ratio,
+    derivative_operator_matrix,
+    operator_from_json,
+    read_table_csv,
+)
 from markovlab.fitting import max_pairwise_slope
+from markovlab.norms import sampled_norm
 
 from conftest import legendre_derivative_at_one
 
@@ -103,6 +119,77 @@ class TestMarkovFactorSearch:
     def test_directional_operator_univariate(self):
         res = markov_factor_search(2, DirDerivOp((2.0,)), SupSpec(E))
         assert res.factor == pytest.approx(8.0, rel=1e-9)
+        # the ascent runs here, and scaling by 2 is exact in binary
+        one = markov_factor_search(16, DerivOp(1), SchurSpec(0.5))
+        two = markov_factor_search(16, DirDerivOp((2.0,)), SchurSpec(0.5))
+        assert one.witness_id.endswith("+ascent")
+        assert two.factor == 2.0 * one.factor
+        assert two.witness_id == one.witness_id
+        assert np.array_equal(two.witness.coef, one.witness.coef)
+
+
+F03 = Interval(0.0, 3.0)
+PARITY_SPECS = {
+    "sup[-1,1]": SupSpec(E),
+    "sup[0,3]": SupSpec(F03),
+    "mixed_deriv[-1,1]": MixedDerivSpec(E),
+    "mixed_deriv[0,3]": MixedDerivSpec(F03),
+    "taylor_disk[-1,1]": TaylorDiskSpec(E, 1e-6),
+    "taylor_disk[0,3]": TaylorDiskSpec(F03, 1e-6),
+    "schur": SchurSpec(0.5),
+    "sup+l2": SupPlusLpSpec(E, MU, 2.0),
+    "l4": LpSpec(MU, 4.0),
+}
+
+
+class TestBatchedSearch:
+    """The search's matrix path against the per-polynomial coarse ratio."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
+    def test_screen_matches_per_polynomial(self, name, k):
+        q, op, n = PARITY_SPECS[name], DerivOp(k), 12
+        cands = [p for _, p in _candidates_1d(n, np.random.default_rng(5), 1)]
+        coarse = _coarse_ratio(op, q, n)
+        assert isinstance(coarse, _BatchedRatio)
+        want = [_ratio(op, q, p, refine=False) for p in cands]
+        np.testing.assert_allclose(coarse.screen(cands), want, rtol=1e-12, atol=0)
+
+    def test_large_taylor_disk_matrix_not_built(self):
+        # its sampling matrix grows like 4*deg^3; past degree 62 the search
+        # keeps the per-polynomial path
+        q = TaylorDiskSpec(E, 1e-6)
+        assert sampled_norm(q, 62) is not None
+        assert sampled_norm(q, 63) is None
+        assert type(_coarse_ratio(DerivOp(1), q, 63)) is _PolyRatio
+
+    def test_degree_drop_takes_per_polynomial_path(self, rng):
+        op, q, n = DerivOp(1), SupSpec(F03), 10
+        coarse = _coarse_ratio(op, q, n)
+        coef = rng.standard_normal(n + 1)
+        coef[n] = 0.5
+        trial, r = coarse.trial(coef, coarse.values(coef), n, -0.5)
+        assert trial[n] == 0.0 and ChebSeries(trial).degree == n - 1
+        assert r == _ratio(op, q, ChebSeries(trial), refine=False)
+        # from a vector whose top entry is 0, every trial stays on that path
+        again, r2 = coarse.trial(trial, coarse.values(trial), 3, 0.25)
+        assert r2 == _ratio(op, q, ChebSeries(again), refine=False)
+
+    @pytest.mark.parametrize(
+        "n, op, q, factor, witness",
+        [
+            (8, DerivOp(1), SupPlusLpSpec(E, MU, 2.0), 45.7357463188062, "chebyshev:8+ascent"),
+            (16, DerivOp(1), SchurSpec(0.5), 99.5712200869218, "legendre:16+ascent"),
+            (14, DerivOp(2), TaylorDiskSpec(E, 1e-6), 12737.9924948635, "chebyshev:14"),
+            # far below V. Markov's 170.67 on [0, 3]: pinned only to show the row is unchanged
+            (16, DerivOp(1), SupSpec(F03), 24.6195556806635, "random:4+ascent"),
+        ],
+        ids=["sup+l2", "schur", "taylor_disk", "sup[0,3]"],
+    )
+    def test_rows_unchanged(self, n, op, q, factor, witness):
+        res = markov_factor_search(n, op, q, seed=DEFAULT_SEED)
+        assert res.factor == pytest.approx(factor, rel=1e-12)
+        assert res.witness_id == witness
 
 
 class TestFactorTable:
