@@ -93,9 +93,7 @@ from .polynomials import (
     DirOp,
     MultiPoly,
     UniPoly,
-    derivative,
     dir_derivative,
-    evaluate,
     hdop_apply,
     power,
     power_identity_residual,

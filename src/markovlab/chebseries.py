@@ -19,6 +19,7 @@ class ChebSeries:
     """Polynomial represented by Chebyshev-T coefficients (domain [-1, 1])."""
 
     __slots__ = ("coef",)
+    nvars = 1
 
     def __init__(self, coef):
         c = np.atleast_1d(np.asarray(coef))
@@ -49,6 +50,11 @@ class ChebSeries:
         if self.is_zero or k > self.degree:
             return ChebSeries([0.0])
         return ChebSeries(nch.chebder(self.coef, k))
+
+    def partial_multi(self, alpha) -> "ChebSeries":
+        """D^alpha p for a one-entry multi-index alpha = (k,); p itself when k = 0."""
+        (k,) = alpha
+        return self.deriv(k) if k else self
 
     def __add__(self, other):
         if not isinstance(other, ChebSeries):
@@ -138,6 +144,7 @@ class ChebSeries2D:
     """Two-variable polynomial as a 2D Chebyshev coefficient array."""
 
     __slots__ = ("coef",)
+    nvars = 2
 
     def __init__(self, coef):
         c = np.atleast_2d(np.asarray(coef, dtype=float))
@@ -174,6 +181,11 @@ class ChebSeries2D:
                 return ChebSeries2D(np.zeros((1, 1)))
             c = nch.chebder(c, ky, axis=1)
         return ChebSeries2D(c)
+
+    def partial_multi(self, alpha) -> "ChebSeries2D":
+        """D^alpha p for alpha = (kx, ky); p itself when both are 0."""
+        kx, ky = alpha
+        return self.deriv(kx, ky) if kx or ky else self
 
     def __add__(self, other):
         if not isinstance(other, ChebSeries2D):

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .chebseries import ChebSeries, chebyshev_t, chebyshev_u, legendre_orthonormal, monomial
+from .chebseries import chebyshev_t, chebyshev_u, legendre_orthonormal, monomial
 from .domains import measure_from_json, set_from_json
 from .errors import ConfigError, MarkovLabError
 from .exponents import (
@@ -61,6 +61,21 @@ def _require(cfg: dict, name: str):
 def _config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+
+
+def _is_count(n) -> bool:
+    """A JSON integer >= 0 (4.0 counts as 4; true does not)."""
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    return type(n) is int and n >= 0
+
+
+def _seed_and_mode(args, cfg: dict) -> tuple:
+    """The effective seed (flag over config) and the config's mode."""
+    seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
+    if not _is_count(seed):
+        raise ConfigError("seed", f"must be a nonnegative integer, got {seed!r}")
+    return int(seed), cfg.get("mode", "float")
 
 
 def _meta(cfg: dict, seed: int, mode: str) -> dict:
@@ -122,8 +137,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 def cmd_norm(args) -> int:
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_SEED))
-    mode = cfg.get("mode", "float")
+    seed, mode = _seed_and_mode(args, cfg)
     spec_json = _require(cfg, "normspec")
     try:
         spec = spec_from_json(spec_json)
@@ -139,8 +153,6 @@ def cmd_norm(args) -> int:
         printed = f"{value.numerator}/{value.denominator}"
         payload_value: object = printed
     else:
-        if isinstance(poly, ChebSeries) and isinstance(spec, QmsSpec):
-            poly = poly.to_unipoly()
         value = evaluate_norm(spec, poly)
         printed = repr(float(value))
         payload_value = float(value)
@@ -153,17 +165,9 @@ def cmd_norm(args) -> int:
     return EXIT_OK
 
 
-def _is_degree(n) -> bool:
-    """A JSON integer >= 0 (4.0 counts as 4)."""
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    return type(n) is int and n >= 0
-
-
 def cmd_factor_table(args) -> int:
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_SEED))
-    mode = cfg.get("mode", "float")
+    seed, mode = _seed_and_mode(args, cfg)
     try:
         spec = spec_from_json(_require(cfg, "normspec"))
     except (KeyError, ValueError, TypeError) as exc:
@@ -175,7 +179,7 @@ def cmd_factor_table(args) -> int:
     degrees = _require(cfg, "degrees")
     if not isinstance(degrees, list) or not degrees:
         raise ConfigError("degrees", "must be a nonempty list")
-    if not all(_is_degree(n) for n in degrees):
+    if not all(_is_count(n) for n in degrees):
         raise ConfigError("degrees", "must be nonnegative integers")
     degrees = [int(n) for n in degrees]
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
@@ -183,8 +187,10 @@ def cmd_factor_table(args) -> int:
     out_path = args.out or cfg.get("output")
     if not out_path:
         raise ConfigError("output", "give an output path (config 'output' or --out)")
-    table = factor_table(spec, op, degrees, seed=seed,
-                         budget=int(cfg.get("budget", 1)))
+    budget = cfg.get("budget", 1)
+    if not _is_count(budget) or budget < 1:
+        raise ConfigError("budget", f"must be an integer >= 1, got {budget!r}")
+    table = factor_table(spec, op, degrees, seed=seed, budget=int(budget))
     table.write_csv(out_path, meta=_meta(cfg, seed, mode))
     print(out_path)
     return EXIT_OK
@@ -192,8 +198,7 @@ def cmd_factor_table(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_SEED))
-    mode = cfg.get("mode", "float")
+    seed, mode = _seed_and_mode(args, cfg)
     table_path = args.table or cfg.get("table")
     if not table_path:
         raise ConfigError("table", "give a table CSV (config 'table' or --table)")
@@ -221,8 +226,7 @@ def cmd_fit(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_SEED))
-    mode = cfg.get("mode", "float")
+    seed, mode = _seed_and_mode(args, cfg)
     suite = args.suite or cfg.get("suite", "all")
     try:
         report = run_suite(suite, seed=seed, mode=mode)
@@ -239,8 +243,7 @@ def cmd_verify(args) -> int:
 
 def cmd_ortho_export(args) -> int:
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_SEED))
-    mode = cfg.get("mode", "float")
+    seed, mode = _seed_and_mode(args, cfg)
     family = _require(cfg, "family")
     nmax = int(cfg.get("nmax", 64))
     kind = family.get("kind")

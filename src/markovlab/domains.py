@@ -21,6 +21,7 @@ from .errors import QuadratureBudgetError
 class Interval:
     a: float
     b: float
+    nvars = 1  # variables of the polynomials a set takes
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -37,6 +38,7 @@ class UnionSet:
 
     intervals: tuple
     points: tuple = ()
+    nvars = 1
 
     def __post_init__(self):
         ivs = tuple(self.intervals)
@@ -70,6 +72,11 @@ class SampledRegion2D:
         self.points = pts
         self.descriptor = dict(descriptor)
         self.as_complex = bool(as_complex)
+
+    @property
+    def nvars(self) -> int:
+        """1 for a complex point set, 2 for a plane region."""
+        return 1 if self.as_complex else 2
 
     @property
     def complex_points(self) -> np.ndarray:

@@ -28,11 +28,12 @@ from .chebseries import (
     random_unit,
 )
 from .domains import Interval, Measure, SampledRegion2D, box_region
-from .errors import SpectralityError
+from .errors import DimensionMismatchError, SpectralityError
 from .fitting import AsymptoticTrend, ExponentFit, asymptotic_trend, fit_power_law
 from .norms import (
     LpSpec,
     NormSpec,
+    SupSpec,
     evaluate_norm,
     qms_log_norm,
     sampled_norm,
@@ -40,7 +41,7 @@ from .norms import (
     schur_norm,
 )
 from .orthopoly import OrthoSystem, jacobi_system, stieltjes_orthonormalize
-from .polynomials import MultiPoly, UniPoly
+from .polynomials import UniPoly
 
 DEFAULT_SEED = 1729
 _ASCENT_ROUNDS = 200
@@ -52,8 +53,42 @@ _SCREEN_ENTRIES = 1 << 15  # sampled values per screening product (256 kB)
 # Operator descriptors
 
 
+def _unit(j: int, k: int, nvars: int) -> tuple:
+    """The multi-index of D_j^k in nvars variables."""
+    return tuple(k if i == j else 0 for i in range(nvars))
+
+
+def _lincomb(pairs):
+    """The sum of c*x over (c, x) pairs; x itself where c == 1."""
+    acc = None
+    for c, x in pairs:
+        x = x if c == 1 else c * x
+        acc = x if acc is None else acc + x
+    return acc
+
+
+class _Operator:
+    """A constant-coefficient operator given by ``images(nvars)``: one or more
+    sums c*D^alpha, each a tuple of (c, alpha) pairs, for polynomials in
+    ``nvars`` variables.  A dimension mismatch raises ValueError there."""
+
+    def apply_all(self, p) -> list:
+        """The images of p, through the polynomial's ``partial_multi``."""
+        return [_lincomb((c, p.partial_multi(alpha)) for c, alpha in image)
+                for image in self.images(p.nvars)]
+
+    def coef_matrix(self, n: int) -> Optional[np.ndarray]:
+        """The operator on Chebyshev coefficients of degree <= n; None unless univariate."""
+        try:
+            (image,) = self.images(1)
+        except ValueError:
+            return None
+        # homogeneous in one variable: every term has the same k, hence one shape
+        return _lincomb((c, deriv_matrix(n, k)) for c, (k,) in image)
+
+
 @dataclass(frozen=True)
-class DerivOp:
+class DerivOp(_Operator):
     """d^k/dx^k in one variable; per-axis k-th partials in two."""
 
     k: int
@@ -66,30 +101,12 @@ class DerivOp:
     def label(self) -> str:
         return f"deriv:{self.k}"
 
-    def coef_matrix(self, n: int) -> np.ndarray:
-        """The univariate operator on Chebyshev coefficients of degree <= n."""
-        return deriv_matrix(n, self.k)
-
-    def apply_all(self, p):
-        if self.k == 0:
-            return [p]
-        if isinstance(p, (ChebSeries, UniPoly)):
-            return [p.deriv(self.k)]
-        if isinstance(p, ChebSeries2D):
-            return [p.deriv(kx=self.k), p.deriv(ky=self.k)]
-        if isinstance(p, MultiPoly):
-            out = []
-            for j in range(p.nvars):
-                q = p
-                for _ in range(self.k):
-                    q = q.partial(j)
-                out.append(q)
-            return out
-        raise TypeError(f"unsupported polynomial {p!r}")
+    def images(self, nvars: int) -> list:
+        return [((1, _unit(j, self.k, nvars)),) for j in range(nvars)]
 
 
 @dataclass(frozen=True)
-class DirDerivOp:
+class DirDerivOp(_Operator):
     """Single application of v1*D1 + ... + vN*DN."""
 
     v: tuple
@@ -98,24 +115,16 @@ class DirDerivOp:
     def label(self) -> str:
         return "dirop:" + ",".join(repr(float(c)) for c in self.v)
 
-    def coef_matrix(self, n: int) -> Optional[np.ndarray]:
-        """v*D on Chebyshev coefficients of degree <= n; None unless univariate."""
-        return self.v[0] * deriv_matrix(n, 1) if len(self.v) == 1 else None
-
-    def apply_all(self, p):
-        if isinstance(p, (ChebSeries, UniPoly)):
-            if len(self.v) != 1:
-                raise ValueError("univariate polynomial with multi-component direction")
-            return [self.v[0] * p.deriv(1)]
-        if isinstance(p, ChebSeries2D):
-            if len(self.v) != 2:
-                raise ValueError("direction length must be 2")
-            return [self.v[0] * p.deriv(kx=1) + self.v[1] * p.deriv(ky=1)]
-        raise TypeError(f"unsupported polynomial {p!r}")
+    def images(self, nvars: int) -> list:
+        if len(self.v) != nvars:
+            raise DimensionMismatchError(
+                f"direction has {len(self.v)} components, polynomial has {nvars} variables"
+            )
+        return [tuple((c, _unit(j, 1, nvars)) for j, c in enumerate(self.v))]
 
 
 @dataclass(frozen=True)
-class HomOp:
+class HomOp(_Operator):
     """H(D1, ..., DN) for a homogeneous H given as exponent/coefficient terms."""
 
     terms: tuple  # ((alpha tuple, coeff), ...)
@@ -134,28 +143,12 @@ class HomOp:
         body = "+".join(f"{c}*D^{list(a)}" for a, c in self.terms)
         return f"hop:{body}"
 
-    def coef_matrix(self, n: int) -> Optional[np.ndarray]:
-        """c*D^a on Chebyshev coefficients of degree <= n; None unless one univariate term."""
-        (alpha, c), *rest = self.terms
-        return None if rest or len(alpha) != 1 else c * deriv_matrix(n, alpha[0])
-
-    def apply_all(self, p):
-        if isinstance(p, ChebSeries2D):
-            acc = ChebSeries2D(np.zeros((1, 1)))
-            for alpha, c in self.terms:
-                acc = acc + c * p.deriv(kx=alpha[0], ky=alpha[1])
-            return [acc]
-        if isinstance(p, MultiPoly):
-            h = MultiPoly._raw({tuple(a): c for a, c in self.terms}, p.nvars)
-            from .polynomials import hdop_apply
-
-            return [hdop_apply(h, p)]
-        if isinstance(p, (ChebSeries, UniPoly)):
-            (alpha, c), *rest = self.terms
-            if rest or len(alpha) != 1:
-                raise ValueError("univariate polynomial with multivariate operator")
-            return [c * p.deriv(alpha[0])]
-        raise TypeError(f"unsupported polynomial {p!r}")
+    def images(self, nvars: int) -> list:
+        if any(len(alpha) != nvars for alpha, _ in self.terms):
+            raise DimensionMismatchError(
+                f"operator terms are not all in {nvars} variable(s): {self.label}"
+            )
+        return [tuple((c, tuple(alpha)) for alpha, c in self.terms)]
 
 
 OperatorSpec = Union[DerivOp, DirDerivOp, HomOp]
@@ -434,9 +427,7 @@ def markov_factor_search(
     if isinstance(op, DerivOp) and op.k == 0:
         return SearchResult(1.0, "identity", None)
     rng = np.random.default_rng(seed + 7919 * n)
-    two_dim = isinstance(getattr(q, "set", None), SampledRegion2D) and not getattr(
-        q.set, "as_complex", False
-    )
+    two_dim = getattr(getattr(q, "set", None), "nvars", 1) == 2
     cands = _candidates_2d(n, rng, budget) if two_dim else _candidates_1d(n, rng, budget)
     coarse = _PolyRatio(op, q) if two_dim else _coarse_ratio(op, q, n)
     best_name, best_poly, best_ratio = "", None, -math.inf
@@ -652,23 +643,14 @@ def laplacian_vs_gradient_check(
     if l < 1:
         raise ValueError("l must be >= 1")
     E = E if E is not None else box_region()
-    xs, ys = E.points[:, 0], E.points[:, 1]
-    grad_rows, op_rows, ns = [], [], []
-    for n in range(1, degmax + 1):
-        best_grad, best_op = 0.0, 0.0
-        for i in range(n + 1):
-            p = product_2d(chebyshev_t(i), chebyshev_t(n - i))
-            denom = float(np.max(np.abs(p.values(xs, ys))))
-            if denom == 0.0:
-                continue
-            gx = float(np.max(np.abs(p.deriv(kx=1).values(xs, ys))))
-            gy = float(np.max(np.abs(p.deriv(ky=1).values(xs, ys))))
-            best_grad = max(best_grad, max(gx, gy) / denom)
-            op_img = p.deriv(kx=2 * l) + p.deriv(ky=2 * l)
-            best_op = max(best_op, float(np.max(np.abs(op_img.values(xs, ys)))) / denom)
-        ns.append(n)
-        grad_rows.append(best_grad)
-        op_rows.append(best_op)
+    q = SupSpec(E)
+    grad, lap = DerivOp(1), HomOp((((2 * l, 0), 1.0), ((0, 2 * l), 1.0)))
+    ns = list(range(1, degmax + 1))
+    grad_rows, op_rows = [], []
+    for n in ns:
+        corpus = [product_2d(chebyshev_t(i), chebyshev_t(n - i)) for i in range(n + 1)]
+        grad_rows.append(max(0.0, *(_ratio(grad, q, p, refine=False) for p in corpus)))
+        op_rows.append(max(0.0, *(_ratio(lap, q, p, refine=False) for p in corpus)))
     grad_fit = fit_power_law(ns, grad_rows)
     op_fit = fit_power_law(ns, op_rows)
     return LaplacianReport(

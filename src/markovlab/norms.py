@@ -1,20 +1,26 @@
 """Norm families on polynomial spaces, their evaluators, and equivalence fits.
 
+Each norm except qms is defined once, by its spec's ``terms(deg)`` table
+(``NormTerms``): sups of derivatives over a set with their weights, an
+optional Schur weight on the samples, and an optional L^p part.
+``evaluate_norm`` sums that table for one polynomial; ``sampled_norm`` turns
+the same table into one sampling matrix for a batch of Chebyshev series.
+
 Sup norms on intervals are sampled at 8*(deg+1) Chebyshev-Lobatto points and
 locally refined by golden-section iterations, so every reported sup value is a
 certified under-estimate; certificates built from them are lower bounds.
 ``refine=False`` skips the local refinement: it is the per-polynomial coarse
 evaluation.  The Markov search screens candidates and runs its ascent on the
-same samples through ``sampled_norm`` (one matrix per norm and degree) and
-keeps this path for the inputs ``sampled_norm`` does not cover.
+same samples through ``sampled_norm`` and keeps the per-polynomial path for
+the inputs ``sampled_norm`` does not cover.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union, get_args
 
 import numpy as np
 from scipy.integrate import quad as _quad
@@ -24,7 +30,6 @@ from .domains import (
     CompactSet,
     Interval,
     Measure,
-    SampledRegion2D,
     UnionSet,
     measure_from_json,
     measure_to_json,
@@ -33,20 +38,10 @@ from .domains import (
 )
 from .errors import DimensionMismatchError, PrecisionOverflowError
 from .fitting import max_pairwise_slope
-from .polynomials import NEG_INF, UniPoly, multipoly_grid_values, MultiPoly
+from .polynomials import NEG_INF, UniPoly, multipoly_grid_values
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-12
-
-
-def _poly_dim(p) -> int:
-    if isinstance(p, (UniPoly, ChebSeries)):
-        return 1
-    if isinstance(p, ChebSeries2D):
-        return 2
-    if isinstance(p, MultiPoly):
-        return p.nvars
-    raise TypeError(f"not a polynomial object: {p!r}")
 
 
 def _degree_int(p) -> int:
@@ -119,34 +114,37 @@ def _weighted_sup_on_interval(p, a, b, weight=None, refine=True):
     return best, best_x
 
 
-def sup_norm(p, E: CompactSet, refine: bool = True) -> float:
-    """Supremum norm of p over E (sampled lower estimate, see module note)."""
-    dim = _poly_dim(p)
+def _sup(p, E: CompactSet, refine: bool, alpha: float = 0.0) -> float:
+    """max over E of |p|, times the Schur weight (1 - |x|^2)^alpha when alpha > 0."""
+    if p.nvars != E.nvars:
+        raise DimensionMismatchError(
+            f"a set in {E.nvars} variable(s) takes polynomials in as many, not {p.nvars}"
+        )
     if isinstance(E, Interval):
-        if dim != 1:
-            raise DimensionMismatchError("interval sets take univariate polynomials")
-        return _weighted_sup_on_interval(p, E.a, E.b, refine=refine)[0]
+        weight = (lambda x: np.maximum(1.0 - x * x, 0.0) ** alpha) if alpha else None
+        return _weighted_sup_on_interval(p, E.a, E.b, weight=weight, refine=refine)[0]
     if isinstance(E, UnionSet):
-        if dim != 1:
-            raise DimensionMismatchError("union sets take univariate polynomials")
         best = 0.0
         for iv in E.intervals:
             best = max(best, _weighted_sup_on_interval(p, iv.a, iv.b, refine=refine)[0])
         for z in E.points:
             best = max(best, abs(p(z) if z.imag else p(z.real)))
         return float(best)
-    if isinstance(E, SampledRegion2D):
-        if E.as_complex:
-            if dim != 1:
-                raise DimensionMismatchError("complex point sets take univariate polynomials")
-            return float(np.max(np.abs(p(E.complex_points))))
-        if dim != 2:
-            raise DimensionMismatchError("2D regions take two-variable polynomials")
-        xs, ys = E.points[:, 0], E.points[:, 1]
-        if isinstance(p, ChebSeries2D):
-            return float(np.max(np.abs(p.values(xs, ys))))
-        return float(np.max(np.abs(multipoly_grid_values(p, xs, ys))))
-    raise TypeError(f"unknown compact set {E!r}")
+    if E.as_complex:
+        return float(np.max(np.abs(p(E.complex_points))))
+    xs, ys = E.points[:, 0], E.points[:, 1]
+    if isinstance(p, ChebSeries2D):
+        vals = np.abs(p.values(xs, ys))
+    else:
+        vals = np.abs(multipoly_grid_values(p, xs, ys))
+    if alpha:
+        vals = vals * np.maximum(1.0 - xs * xs - ys * ys, 0.0) ** alpha
+    return float(np.max(vals))
+
+
+def sup_norm(p, E: CompactSet, refine: bool = True) -> float:
+    """Supremum norm of p over E (sampled lower estimate, see module note)."""
+    return _sup(p, E, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +206,7 @@ def lp_norm(p, mu: Measure, s: float) -> float:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    if _poly_dim(p) != 1:
+    if p.nvars != 1:
         raise DimensionMismatchError("lp_norm takes univariate polynomials")
     deg = _degree_int(p)
     a, b = mu.support.a, mu.support.b
@@ -241,36 +239,6 @@ def lp_norm(p, mu: Measure, s: float) -> float:
         epsrel=1e-10,
     )
     return float(val ** (1.0 / s))
-
-
-# ---------------------------------------------------------------------------
-# Weighted sup (Schur) norms
-
-
-def schur_norm(p, alpha: float, E: Optional[CompactSet] = None, refine: bool = True) -> float:
-    """sup of |p(x)| * (1 - x^2)^alpha over [-1, 1] (or (1-|x|^2)^alpha on a ball)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if E is None:
-        E = Interval(-1.0, 1.0)
-    if isinstance(E, Interval):
-        if (E.a, E.b) != (-1.0, 1.0):
-            raise ValueError("the weighted sup norm is defined on [-1, 1]")
-        if _poly_dim(p) != 1:
-            raise DimensionMismatchError("interval weighted sup takes univariate p")
-        weight = lambda x: np.maximum(1.0 - x * x, 0.0) ** alpha
-        return _weighted_sup_on_interval(p, -1.0, 1.0, weight=weight, refine=refine)[0]
-    if isinstance(E, SampledRegion2D) and not E.as_complex:
-        if _poly_dim(p) != 2:
-            raise DimensionMismatchError("ball weighted sup takes two-variable p")
-        xs, ys = E.points[:, 0], E.points[:, 1]
-        w = np.maximum(1.0 - xs * xs - ys * ys, 0.0) ** alpha
-        if isinstance(p, ChebSeries2D):
-            vals = np.abs(p.values(xs, ys))
-        else:
-            vals = np.abs(multipoly_grid_values(p, xs, ys))
-        return float(np.max(vals * w))
-    raise TypeError("weighted sup norm needs [-1, 1] or a ball point cloud")
 
 
 # ---------------------------------------------------------------------------
@@ -385,45 +353,34 @@ def qms_norm_exact(p: UniPoly, m: int, s: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Composite norms
+# Norm specifications: each one a table of terms (wire format below)
 
 
-def taylor_disk_norm(p, E: CompactSet, r: float, refine: bool = True) -> float:
-    """sum_k sup|p^(k)|_E * r^k / k! (finite: terms vanish past deg p)."""
-    if r <= 0:
-        raise ValueError("disk radius must be positive")
-    deg = _degree_int(p)
-    total = 0.0
-    for k in range(deg + 1):
-        total += sup_norm(p.deriv(k), E, refine=refine) * r**k / math.factorial(k)
-    return float(total)
+@dataclass(frozen=True)
+class NormTerms:
+    """A norm as a sum of terms: the one definition both evaluation paths read.
 
+    Each entry ``(k, scale, divisor)`` of ``sups`` adds
+    ``sup|D^k p| * scale / divisor`` over ``set`` (the two factors apart, so
+    a term rounds as sup * r^k / k!), D differentiating along variable
+    ``axis``; with ``alpha > 0`` the sup samples carry the Schur weight
+    (1 - |x|^2)^alpha.  ``lp = (mu, s)`` adds the L^s(mu) norm of p.
+    """
 
-def mixed_deriv_norm(p, E: CompactSet, axis: int = 0, refine: bool = True) -> float:
-    """sup|p|_E + sup|d p / d x_axis|_E."""
-    if isinstance(p, (UniPoly, ChebSeries)):
-        dp = p.deriv(1)
-    elif isinstance(p, MultiPoly):
-        dp = p.partial(axis)
-    elif isinstance(p, ChebSeries2D):
-        dp = p.deriv(kx=1) if axis == 0 else p.deriv(ky=1)
-    else:
-        raise TypeError(f"unsupported polynomial {p!r}")
-    return sup_norm(p, E, refine=refine) + sup_norm(dp, E, refine=refine)
-
-
-def sup_plus_lp_norm(p, E: CompactSet, mu: Measure, s: float, refine: bool = True) -> float:
-    return sup_norm(p, E, refine=refine) + lp_norm(p, mu, s)
-
-
-# ---------------------------------------------------------------------------
-# Norm specifications (wire format) and dispatch
+    set: Optional[CompactSet] = None
+    sups: tuple = ((0, 1.0, 1),)
+    alpha: float = 0.0
+    axis: int = 0
+    lp: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
 class SupSpec:
     set: CompactSet
     kind: str = field(default="sup", init=False)
+
+    def terms(self, deg: int) -> NormTerms:
+        return NormTerms(self.set)
 
 
 @dataclass(frozen=True)
@@ -435,6 +392,9 @@ class LpSpec:
     def __post_init__(self):
         if not math.isfinite(self.s) or self.s < 1:
             raise ValueError("lp order s must be a finite number >= 1")
+
+    def terms(self, deg: int) -> NormTerms:
+        return NormTerms(sups=(), lp=(self.measure, self.s))
 
 
 @dataclass(frozen=True)
@@ -448,9 +408,14 @@ class SupPlusLpSpec:
         if not math.isfinite(self.s) or self.s < 1:
             raise ValueError("lp order s must be a finite number >= 1")
 
+    def terms(self, deg: int) -> NormTerms:
+        return NormTerms(self.set, lp=(self.measure, self.s))
+
 
 @dataclass(frozen=True)
 class SchurSpec:
+    """Weighted sup on [-1, 1] (the default set) or on a plane region."""
+
     alpha: float
     set: Optional[CompactSet] = None
     kind: str = field(default="schur", init=False)
@@ -458,10 +423,18 @@ class SchurSpec:
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("weight exponent alpha must be positive")
+        E = self.set
+        if E is not None and E.nvars == 1 and E != Interval(-1.0, 1.0):
+            raise ValueError("the weighted sup norm is defined on [-1, 1] or a plane region")
+
+    def terms(self, deg: int) -> NormTerms:
+        return NormTerms(Interval(-1.0, 1.0) if self.set is None else self.set, alpha=self.alpha)
 
 
 @dataclass(frozen=True)
 class QmsSpec:
+    """Factorial-weighted jet norm: no sup terms, evaluated by ``qms_norm``."""
+
     m: float
     s: int
     kind: str = field(default="qms", init=False)
@@ -481,12 +454,25 @@ class TaylorDiskSpec:
         if self.r <= 0:
             raise ValueError("disk radius must be positive")
 
+    def terms(self, deg: int) -> NormTerms:
+        """sup|p^(k)| * r^k / k! for k = 0..deg (the rest vanish)."""
+        return NormTerms(
+            self.set, sups=tuple((k, self.r**k, math.factorial(k)) for k in range(deg + 1))
+        )
+
 
 @dataclass(frozen=True)
 class MixedDerivSpec:
     set: CompactSet
     axis: int = 0
     kind: str = field(default="mixed_deriv", init=False)
+
+    def __post_init__(self):
+        if not 0 <= self.axis < self.set.nvars:
+            raise ValueError(f"axis {self.axis} is not a variable of the set")
+
+    def terms(self, deg: int) -> NormTerms:
+        return NormTerms(self.set, sups=((0, 1.0, 1), (1, 1.0, 1)), axis=self.axis)
 
 
 NormSpec = Union[
@@ -495,23 +481,37 @@ NormSpec = Union[
 
 
 def evaluate_norm(spec: NormSpec, p, refine: bool = True) -> float:
-    if isinstance(spec, SupSpec):
-        return sup_norm(p, spec.set, refine=refine)
-    if isinstance(spec, LpSpec):
-        return lp_norm(p, spec.measure, spec.s)
-    if isinstance(spec, SupPlusLpSpec):
-        return sup_plus_lp_norm(p, spec.set, spec.measure, spec.s, refine=refine)
-    if isinstance(spec, SchurSpec):
-        return schur_norm(p, spec.alpha, spec.set, refine=refine)
+    """q(p): the sum of the spec's ``terms`` table (qms: ``qms_norm``)."""
     if isinstance(spec, QmsSpec):
-        if isinstance(p, ChebSeries):
-            p = p.to_unipoly()
-        return qms_norm(p, spec.m, spec.s)
-    if isinstance(spec, TaylorDiskSpec):
-        return taylor_disk_norm(p, spec.set, spec.r, refine=refine)
-    if isinstance(spec, MixedDerivSpec):
-        return mixed_deriv_norm(p, spec.set, spec.axis, refine=refine)
-    raise TypeError(f"unknown norm spec {spec!r}")
+        return qms_norm(p.to_unipoly() if isinstance(p, ChebSeries) else p, spec.m, spec.s)
+    t = spec.terms(_degree_int(p))
+    total = 0.0
+    for k, scale, divisor in t.sups:
+        dp = p.partial_multi(tuple(k if j == t.axis else 0 for j in range(p.nvars))) if k else p
+        v = _sup(dp, t.set, refine, t.alpha) if t.alpha else sup_norm(dp, t.set, refine=refine)
+        total += v * scale / divisor
+    if t.lp is not None:
+        total += lp_norm(p, *t.lp)
+    return float(total)
+
+
+def schur_norm(p, alpha: float, E: Optional[CompactSet] = None, refine: bool = True) -> float:
+    """sup of |p(x)| * (1 - x^2)^alpha over [-1, 1] (or (1-|x|^2)^alpha on a ball)."""
+    return evaluate_norm(SchurSpec(alpha, E), p, refine=refine)
+
+
+def taylor_disk_norm(p, E: CompactSet, r: float, refine: bool = True) -> float:
+    """sum_k sup|p^(k)|_E * r^k / k! (finite: terms vanish past deg p)."""
+    return evaluate_norm(TaylorDiskSpec(E, r), p, refine=refine)
+
+
+def mixed_deriv_norm(p, E: CompactSet, axis: int = 0, refine: bool = True) -> float:
+    """sup|p|_E + sup|d p / d x_axis|_E."""
+    return evaluate_norm(MixedDerivSpec(E, axis), p, refine=refine)
+
+
+def sup_plus_lp_norm(p, E: CompactSet, mu: Measure, s: float, refine: bool = True) -> float:
+    return evaluate_norm(SupPlusLpSpec(E, mu, s), p, refine=refine)
 
 
 # ---------------------------------------------------------------------------
@@ -558,105 +558,86 @@ class SampledNorm:
 def sampled_norm(spec: NormSpec, deg: int) -> Optional[SampledNorm]:
     """``evaluate_norm(spec, ., refine=False)`` on real series of exact degree ``deg``.
 
-    Covers every norm sampled on fixed points: sup, schur, mixed_deriv and
-    taylor_disk on an interval, and L^p and sup+L^p with even s.  Returns
-    None for the rest (unions, 2D and complex sets, qms, odd or non-integer
-    s), and past ``_SAMPLED_MAX_ENTRIES``; those keep the per-polynomial path.
+    Built from the same ``terms`` table: one Chebyshev-Vandermonde block per
+    sup term, on the grid the per-polynomial path samples, then the Gauss
+    nodes of an even-s L^p part.  Returns None where the samples are not
+    fixed points of an interval (unions, 2D and complex sets), for qms and
+    odd or non-integer s, and past ``_SAMPLED_MAX_ENTRIES``; those keep the
+    per-polynomial path.
     """
-    E = getattr(spec, "set", None)
-    orders, coeffs, weight, lp = [0], [1.0], None, None
-    if isinstance(spec, SchurSpec):
-        E = E if E is not None else Interval(-1.0, 1.0)
-        if not isinstance(E, Interval) or (E.a, E.b) != (-1.0, 1.0):
-            return None
-        x = _interval_grid(-1.0, 1.0, deg)
-        weight = np.maximum(1.0 - x * x, 0.0) ** spec.alpha
-    elif isinstance(spec, MixedDerivSpec):
-        orders, coeffs = [0, 1], [1.0, 1.0]
-    elif isinstance(spec, TaylorDiskSpec):
-        orders = list(range(deg + 1))
-        coeffs = [spec.r**k / math.factorial(k) for k in orders]
-    elif isinstance(spec, (LpSpec, SupPlusLpSpec)):
-        s = float(spec.s)
-        if not s.is_integer() or int(s) % 2:
-            return None
-        lp = spec.measure.rule_for_degree(deg * int(s))
-        if isinstance(spec, LpSpec):
-            orders, coeffs = [], []
-    elif not isinstance(spec, SupSpec):
+    if isinstance(spec, QmsSpec):
         return None
-    if orders and not isinstance(E, Interval):
+    t = spec.terms(deg)
+    E, rule = t.set, None
+    if t.sups and not isinstance(E, Interval):
         return None
+    if t.lp is not None:
+        mu, s = t.lp
+        if not float(s).is_integer() or int(s) % 2:
+            return None
+        rule = mu.rule_for_degree(deg * int(s))
+    orders = [k for k, _, _ in t.sups]
     sizes = [8 * (max(deg - k, 0) + 1) for k in orders]
-    if (sum(sizes) + (lp[0].size if lp else 0)) * (deg + 1) > _SAMPLED_MAX_ENTRIES:
+    if (sum(sizes) + (rule[0].size if rule else 0)) * (deg + 1) > _SAMPLED_MAX_ENTRIES:
         return None
-    blocks, power = [], np.eye(deg + 1)
+    blocks, grids, power = [], [], np.eye(deg + 1)
     step = np.zeros((deg + 1, deg + 1))  # d/dx, padded to a square
     if len(orders) > 1:
         step[:deg] = deriv_matrix(deg, 1)[:deg]
     for k in orders:  # orders run 0, 1, 2, ...: power is D^k
         dk = max(deg - k, 0)
-        vander = np.polynomial.chebyshev.chebvander(_interval_grid(E.a, E.b, dk), dk)
+        grids.append(_interval_grid(E.a, E.b, dk))
+        vander = np.polynomial.chebyshev.chebvander(grids[-1], dk)
         blocks.append(vander @ power[: dk + 1] if k else vander)
         power = step @ power
-    if lp:
-        blocks.append(np.polynomial.chebyshev.chebvander(lp[0], deg))
+    weight = None
+    if t.alpha:
+        x = np.concatenate(grids)
+        weight = np.maximum(1.0 - x * x, 0.0) ** t.alpha
+    if rule:
+        blocks.append(np.polynomial.chebyshev.chebvander(rule[0], deg))
     return SampledNorm(
         matrix=np.vstack(blocks),
         starts=np.cumsum([0] + sizes[:-1]),
-        coeffs=np.asarray(coeffs, dtype=float),
+        coeffs=np.asarray([scale / divisor for _, scale, divisor in t.sups], dtype=float),
         row_weight=weight,
-        lp_weights=None if lp is None else lp[1],
-        s=int(spec.s) if lp else 0,
+        lp_weights=None if rule is None else rule[1],
+        s=int(t.lp[1]) if rule else 0,
     )
 
 
+# ---------------------------------------------------------------------------
+# Wire format: one JSON key per init field of the spec dataclass
+
+_SPEC_KINDS = {cls.kind: cls for cls in get_args(NormSpec)}
+_CODECS = {  # field -> (to JSON, from JSON); other fields are numbers of their annotated type
+    "set": (set_to_json, set_from_json),
+    "measure": (measure_to_json, measure_from_json),
+}
+_NUMBERS = {"float": float, "int": int}
+
+
 def spec_to_json(spec: NormSpec) -> dict:
-    if isinstance(spec, SupSpec):
-        return {"kind": "sup", "set": set_to_json(spec.set)}
-    if isinstance(spec, LpSpec):
-        return {"kind": "lp", "measure": measure_to_json(spec.measure), "s": spec.s}
-    if isinstance(spec, SupPlusLpSpec):
-        return {
-            "kind": "sup_plus_lp",
-            "set": set_to_json(spec.set),
-            "measure": measure_to_json(spec.measure),
-            "s": spec.s,
-        }
-    if isinstance(spec, SchurSpec):
-        out = {"kind": "schur", "alpha": spec.alpha}
-        if spec.set is not None:
-            out["set"] = set_to_json(spec.set)
-        return out
-    if isinstance(spec, QmsSpec):
-        return {"kind": "qms", "m": spec.m, "s": spec.s}
-    if isinstance(spec, TaylorDiskSpec):
-        return {"kind": "taylor_disk", "set": set_to_json(spec.set), "r": spec.r}
-    if isinstance(spec, MixedDerivSpec):
-        return {"kind": "mixed_deriv", "set": set_to_json(spec.set), "axis": spec.axis}
-    raise TypeError(f"unknown norm spec {spec!r}")
+    out = {"kind": spec.kind}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.init and value is not None:
+            out[f.name] = _CODECS[f.name][0](value) if f.name in _CODECS else value
+    return out
 
 
 def spec_from_json(obj: dict) -> NormSpec:
+    """The spec a ``spec_to_json`` object describes; KeyError names a missing field."""
     kind = obj.get("kind")
-    if kind == "sup":
-        return SupSpec(set_from_json(obj["set"]))
-    if kind == "lp":
-        return LpSpec(measure_from_json(obj["measure"]), float(obj["s"]))
-    if kind == "sup_plus_lp":
-        return SupPlusLpSpec(
-            set_from_json(obj["set"]), measure_from_json(obj["measure"]), float(obj["s"])
-        )
-    if kind == "schur":
-        E = set_from_json(obj["set"]) if "set" in obj else None
-        return SchurSpec(float(obj["alpha"]), E)
-    if kind == "qms":
-        return QmsSpec(float(obj["m"]), int(obj["s"]))
-    if kind == "taylor_disk":
-        return TaylorDiskSpec(set_from_json(obj["set"]), float(obj["r"]))
-    if kind == "mixed_deriv":
-        return MixedDerivSpec(set_from_json(obj["set"]), int(obj.get("axis", 0)))
-    raise ValueError(f"unknown norm kind {kind!r}")
+    if kind not in _SPEC_KINDS:
+        raise ValueError(f"unknown norm kind {kind!r}")
+    cls, args = _SPEC_KINDS[kind], {}
+    for f in fields(cls):
+        if not f.init or (f.name not in obj and f.default is not MISSING):
+            continue
+        decode = _CODECS[f.name][1] if f.name in _CODECS else _NUMBERS[f.type]
+        args[f.name] = decode(obj[f.name])
+    return cls(**args)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ class UniPoly:
     """Dense univariate polynomial; ``coeffs[j]`` is the coefficient of x^j."""
 
     __slots__ = ("coeffs",)
+    nvars = 1
 
     def __init__(self, coeffs: Iterable):
         cs = list(coeffs)
@@ -102,6 +103,11 @@ class UniPoly:
             cs = tuple(j * cs[j] for j in range(1, len(cs)))
         return UniPoly(cs)
 
+    def partial_multi(self, alpha: Sequence[int]) -> "UniPoly":
+        """D^alpha p for a one-entry multi-index alpha = (k,); p itself when k = 0."""
+        (k,) = alpha
+        return self.deriv(k) if k else self
+
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -146,15 +152,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
-
-
-def evaluate(p: UniPoly, x):
-    """Value of p at x (Horner).  Works for scalars of either backend."""
-    return p(x)
-
-
-def derivative(p: UniPoly, k: int = 1) -> UniPoly:
-    return p.deriv(k)
 
 
 def power(p: UniPoly, s: int) -> UniPoly:

@@ -228,8 +228,16 @@ TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees":
         ("factor-table", {**TABLE, "operator": {"kind": "deriv", "k": -1}}, "operator"),
         ("norm", {"normspec": SUP_SPEC, "poly": "chebyshev:-3"}, "poly"),
         ("norm", {"normspec": {**LP_SPEC, "s": math.nan}, "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": SUP_SPEC, "poly": "chebyshev:4", "seed": "abc"}, "seed"),
+        ("norm", {"normspec": SUP_SPEC, "poly": "chebyshev:4", "seed": 1.5}, "seed"),
+        ("factor-table", {**TABLE, "seed": True}, "seed"),
+        ("factor-table", {**TABLE, "budget": 0}, "budget"),
+        ("factor-table", {**TABLE, "budget": 1.5}, "budget"),
+        ("norm", {"normspec": {"kind": "schur", "alpha": 0.5, "set": {"kind": "interval", "a": 0, "b": 1}},
+                  "poly": "chebyshev:4"}, "normspec"),
     ],
-    ids=["degree-string", "negative-k", "negative-poly-degree", "nan-lp-order"],
+    ids=["degree-string", "negative-k", "negative-poly-degree", "nan-lp-order", "seed-string",
+         "seed-float", "seed-bool", "budget-zero", "budget-float", "schur-off-unit-interval"],
 )
 def test_malformed_config_names_field(tmp_path, capsys, command, config, field):
     cfg = write_config(tmp_path, "bad.json", {**config, "output": str(tmp_path / "x.csv")})

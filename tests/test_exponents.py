@@ -6,17 +6,20 @@ import pytest
 
 from markovlab import (
     ChebSeries,
+    ChebSeries2D,
     DerivOp,
     DirDerivOp,
     HomOp,
     Interval,
     LpSpec,
     MixedDerivSpec,
+    MultiPoly,
     SchurSpec,
     SpectralityError,
     SupPlusLpSpec,
     SupSpec,
     TaylorDiskSpec,
+    UniPoly,
     asymptotic_exponent,
     bernstein_schur_check,
     disk_boundary,
@@ -24,6 +27,7 @@ from markovlab import (
     family_exponent,
     fit_exponent,
     fit_power_law,
+    hdop_apply,
     jacobi_system,
     laplacian_vs_gradient_check,
     lebesgue_measure,
@@ -32,6 +36,7 @@ from markovlab import (
     qms_exact_exponent,
     spectral_exponent_floor,
 )
+from markovlab.chebseries import deriv_matrix
 from markovlab.exponents import (
     DEFAULT_SEED,
     _BatchedRatio,
@@ -381,6 +386,52 @@ class TestBernsteinSchur:
         assert rep.total_violations == 0
         assert rep.chebyshev_equality_defect <= 1e-8
         assert rep.corpus_size == 20 * 4
+
+
+class TestApplyAll:
+    """Operator images against hand-written derivatives."""
+
+    LAPLACIAN = HomOp((((2, 0), 1.0), ((0, 2), 1.0)))
+
+    def test_chebseries2d(self, rng):
+        p = ChebSeries2D(rng.standard_normal((5, 4)))
+        dxx, dyy = DerivOp(2).apply_all(p)
+        np.testing.assert_array_equal(dxx.coef, p.deriv(kx=2).coef)
+        np.testing.assert_array_equal(dyy.coef, p.deriv(ky=2).coef)
+        (dv,) = DirDerivOp((1.0, 2.0)).apply_all(p)
+        np.testing.assert_array_equal(dv.coef, (p.deriv(kx=1) + 2.0 * p.deriv(ky=1)).coef)
+        (lap,) = self.LAPLACIAN.apply_all(p)
+        np.testing.assert_array_equal(lap.coef, (p.deriv(kx=2) + p.deriv(ky=2)).coef)
+
+    def test_multipoly(self):
+        f = MultiPoly({(3, 1): 2, (1, 2): -3, (0, 4): 1, (2, 0): 1}, 2)  # 2x^3y - 3xy^2 + y^4 + x^2
+        assert DerivOp(2).apply_all(f) == [
+            MultiPoly({(1, 1): 12, (0, 0): 2}, 2),
+            MultiPoly({(1, 0): -6, (0, 2): 12}, 2),
+        ]
+        assert DirDerivOp((1.0, 2.0)).apply_all(f) == [
+            MultiPoly({(2, 1): 6, (0, 2): -3, (1, 0): 2, (3, 0): 4, (1, 1): -12, (0, 3): 8}, 2)
+        ]
+        (lap,) = self.LAPLACIAN.apply_all(f)
+        assert lap == hdop_apply(MultiPoly({(2, 0): 1, (0, 2): 1}, 2), f)
+        assert lap == MultiPoly({(1, 1): 12, (0, 0): 2, (1, 0): -6, (0, 2): 12}, 2)
+
+    def test_coef_matrix(self):
+        n = 7
+        np.testing.assert_array_equal(DerivOp(2).coef_matrix(n), deriv_matrix(n, 2))
+        np.testing.assert_array_equal(DirDerivOp((1.5,)).coef_matrix(n), 1.5 * deriv_matrix(n, 1))
+        hop = HomOp((((3,), -2.0),))
+        np.testing.assert_array_equal(hop.coef_matrix(n), -2.0 * deriv_matrix(n, 3))
+        assert DirDerivOp((1.0, 2.0)).coef_matrix(n) is None
+        assert self.LAPLACIAN.coef_matrix(n) is None
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            DirDerivOp((1.0, 2.0)).apply_all(ChebSeries([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            DirDerivOp((1.0,)).apply_all(ChebSeries2D(np.ones((2, 2))))
+        with pytest.raises(ValueError):
+            self.LAPLACIAN.apply_all(UniPoly((0.0, 0.0, 1.0)))
 
 
 class TestOperatorJson:

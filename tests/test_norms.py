@@ -220,11 +220,11 @@ class TestTaylorDiskNorm:
             assert q_sigma <= q * (1 + 1e-9)
             assert q <= (n + 1) * q_sigma * (1 + 1e-9)
 
-    def test_fast_path_matches_generic(self):
+    def test_coarse_matches_refined(self):
         p = chebyshev_t(9)
-        fast = taylor_disk_norm(p, E, 0.3, refine=False)
-        slow = taylor_disk_norm(p, E, 0.3, refine=True)
-        assert fast == pytest.approx(slow, rel=1e-6)
+        coarse = taylor_disk_norm(p, E, 0.3, refine=False)
+        refined = taylor_disk_norm(p, E, 0.3, refine=True)
+        assert coarse == pytest.approx(refined, rel=1e-6)
 
 
 class TestMixedDerivNorm:
@@ -360,6 +360,16 @@ class TestNormSpecJson:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             spec_from_json({"kind": "sobolev"})
+
+    def test_missing_required_field(self):
+        with pytest.raises(KeyError, match="'r'"):
+            spec_from_json({"kind": "taylor_disk", "set": spec_to_json(SupSpec(E))["set"]})
+
+    def test_omitted_default_axis(self):
+        blob = {"kind": "mixed_deriv", "set": spec_to_json(SupSpec(E))["set"]}
+        spec = spec_from_json(blob)
+        assert spec == MixedDerivSpec(E, 0)
+        assert spec_to_json(spec) == {**blob, "axis": 0}
 
     @pytest.mark.parametrize(
         "bad",

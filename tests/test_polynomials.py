@@ -12,9 +12,7 @@ from markovlab import (
     PrecisionOverflowError,
     RationalComplex,
     UniPoly,
-    derivative,
     dir_derivative,
-    evaluate,
     hdop_apply,
     power,
     power_identity_residual,
@@ -32,15 +30,15 @@ def term_by_term(coeffs, x):
 
 class TestUniPolyBasics:
     def test_eval_constant(self):
-        assert evaluate(UniPoly((1,)), 5 + 2j) == 1
+        assert UniPoly((1,))(5 + 2j) == 1
 
     def test_eval_identity(self):
-        assert evaluate(UniPoly((0, 1)), 2 + 1j) == 2 + 1j
+        assert UniPoly((0, 1))(2 + 1j) == 2 + 1j
 
     def test_eval_chebyshev3(self):
         t3 = UniPoly(cheb_t_coeffs(3))
-        assert evaluate(t3, 0.5) == pytest.approx(-1.0, abs=1e-15)
-        assert evaluate(t3, 0.5) == pytest.approx(term_by_term(cheb_t_coeffs(3), 0.5))
+        assert t3(0.5) == pytest.approx(-1.0, abs=1e-15)
+        assert t3(0.5) == pytest.approx(term_by_term(cheb_t_coeffs(3), 0.5))
 
     def test_zero_degree_sentinel(self):
         assert UniPoly(()).degree == NEG_INF
@@ -60,21 +58,21 @@ class TestUniPolyBasics:
 
 class TestDerivative:
     def test_power_rule(self):
-        assert derivative(UniPoly((0, 0, 0, 1))) == UniPoly((0, 0, 3))
+        assert UniPoly((0, 0, 0, 1)).deriv(1) == UniPoly((0, 0, 3))
 
     def test_order_zero_is_identity(self):
         p = UniPoly((2, 3, 5))
-        assert derivative(p, 0) == p
+        assert p.deriv(0) == p
 
     def test_chebyshev5_derivative_at_one(self):
         # T_n'(1) = n^2, with T_5 built by the recurrence oracle
         t5 = UniPoly(cheb_t_coeffs(5))
-        assert evaluate(derivative(t5), 1) == 25
+        assert t5.deriv(1)(1) == 25
 
     def test_degree_drop(self):
         p = UniPoly((1, 1, 1, 1))
-        assert derivative(p, 2).degree == 1
-        assert derivative(p, 4).degree == NEG_INF
+        assert p.deriv(2).degree == 1
+        assert p.deriv(4).degree == NEG_INF
 
 
 class TestPower:
@@ -268,7 +266,7 @@ def test_unipoly_product_degree_additive(a, b):
 )
 def test_derivative_linear_exact(a, b, c, k):
     p, q = UniPoly([Fraction(x) for x in a]), UniPoly([Fraction(x) for x in b])
-    assert derivative(p + c * q, k) == derivative(p, k) + c * derivative(q, k)
+    assert (p + c * q).deriv(k) == p.deriv(k) + c * q.deriv(k)
 
 
 def test_rational_complex_arithmetic():
