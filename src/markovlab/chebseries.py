@@ -219,6 +219,15 @@ def deriv_matrix(n: int, k: int) -> np.ndarray:
     return nch.chebder(np.eye(n + 1), k, axis=0)
 
 
+def chebval_columns(x: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The series in column i of C at x[i], for every i, by one Clenshaw pass.
+
+    Zero rows at the bottom of C (padding to a common length) leave every
+    value bitwise as the unpadded series gives it.
+    """
+    return nch.chebval(x, C, tensor=False)
+
+
 def lobatto_points(npts: int) -> np.ndarray:
     """Chebyshev-Lobatto points in ascending order, endpoints included."""
     if npts < 2:

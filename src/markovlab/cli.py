@@ -27,8 +27,8 @@ from .exponents import (
     read_table_csv,
 )
 from .fitting import fit_power_law
-from .norms import QmsSpec, evaluate_norm, qms_norm_exact, spec_from_json
-from .orthopoly import jacobi_system, stieltjes_orthonormalize
+from .norms import LpSpec, QmsSpec, evaluate_norm, qms_norm_exact, spec_from_json
+from .orthopoly import NMAX_HARD_CAP, jacobi_system, stieltjes_orthonormalize
 from .polynomials import UniPoly
 from .verify import run_suite
 
@@ -75,7 +75,10 @@ def _seed_and_mode(args, cfg: dict) -> tuple:
     seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
     if not _is_count(seed):
         raise ConfigError("seed", f"must be a nonnegative integer, got {seed!r}")
-    return int(seed), cfg.get("mode", "float")
+    mode = cfg.get("mode", "float")
+    if mode not in ("float", "exact"):
+        raise ConfigError("mode", f"must be 'float' or 'exact', got {mode!r}")
+    return int(seed), mode
 
 
 def _meta(cfg: dict, seed: int, mode: str) -> dict:
@@ -184,6 +187,8 @@ def cmd_factor_table(args) -> int:
     degrees = [int(n) for n in degrees]
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ConfigError("degrees", "must be strictly increasing")
+    if isinstance(spec, LpSpec) and spec.s == 2 and degrees[-1] > NMAX_HARD_CAP:
+        raise ConfigError("degrees", f"L2 factor tables stop at degree {NMAX_HARD_CAP}")
     out_path = args.out or cfg.get("output")
     if not out_path:
         raise ConfigError("output", "give an output path (config 'output' or --out)")

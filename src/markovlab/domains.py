@@ -169,15 +169,18 @@ def set_to_json(E: CompactSet) -> dict:
 
 
 def set_from_json(obj: dict) -> CompactSet:
+    if not isinstance(obj, dict):
+        raise TypeError(f"a set is a JSON object, not {obj!r}")
     kind = obj.get("kind")
     if kind == "interval":
         return Interval(float(obj["a"]), float(obj["b"]))
     if kind == "union":
         intervals, points = [], []
         for part in obj["parts"]:
-            if part.get("kind") == "interval":
+            part_kind = part.get("kind") if isinstance(part, dict) else None
+            if part_kind == "interval":
                 intervals.append(Interval(float(part["a"]), float(part["b"])))
-            elif part.get("kind") == "point":
+            elif part_kind == "point":
                 points.append(complex(float(part.get("re", 0.0)), float(part.get("im", 0.0))))
             else:
                 raise ValueError(f"unknown union part {part!r}")
@@ -308,6 +311,8 @@ def measure_to_json(mu: Measure) -> dict:
 
 
 def measure_from_json(obj: dict) -> Measure:
+    if not isinstance(obj, dict):
+        raise TypeError(f"a measure is a JSON object, not {obj!r}")
     kind = obj.get("kind")
     if kind == "lebesgue":
         return lebesgue_measure(float(obj.get("a", -1.0)), float(obj.get("b", 1.0)))

@@ -34,6 +34,7 @@ from .norms import (
     LpSpec,
     NormSpec,
     SupSpec,
+    _evaluate_norms,
     evaluate_norm,
     qms_log_norm,
     sampled_norm,
@@ -305,14 +306,21 @@ def _candidates_2d(n: int, rng: np.random.Generator, budget: int):
     return cands
 
 
+def _ratios(op: OperatorSpec, q: NormSpec, polys, refine: bool) -> list:
+    """max over the images of q(image) / q(p) for each p in polys (-inf where
+    q(p) = 0); the norms of every p and every image in one evaluation."""
+    images = [op.apply_all(p) for p in polys]
+    vals = iter(_evaluate_norms(q, [*polys, *(im for ims in images for im in ims)], refine))
+    denoms = [next(vals) for _ in polys]
+    out = []
+    for denom, ims in zip(denoms, images):
+        best = max([0.0] + [next(vals) for _ in ims])
+        out.append(-math.inf if denom == 0.0 else best / denom)
+    return out
+
+
 def _ratio(op: OperatorSpec, q: NormSpec, p, refine: bool) -> float:
-    denom = evaluate_norm(q, p, refine=refine)
-    if denom == 0.0:
-        return -math.inf
-    best = 0.0
-    for image in op.apply_all(p):
-        best = max(best, evaluate_norm(q, image, refine=refine))
-    return best / denom
+    return _ratios(op, q, [p], refine)[0]
 
 
 class _PolyRatio:
@@ -419,8 +427,10 @@ def markov_factor_search(
     (``norms.sampled_norm`` and the operator's ``coef_matrix``): matrix
     products screen the candidates and each ascent trial is a rank-1 update.
     2D, complex, union, qms and odd or non-integer L^p searches evaluate one
-    polynomial at a time.  Either way the finalists are certified with the
-    refined ratio.
+    polynomial at a time.  Either way the finalists (the best candidate and
+    its ascent) are certified with the refined ratio, all in one refined
+    pass: ``_ratios`` evaluates every finalist's norm and operator images
+    together, with one golden-section loop over all their sup terms.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -462,8 +472,8 @@ def markov_factor_search(
             finalists.append((best_name + "+ascent", ChebSeries(coef)))
     # the ascent can overfit grid-only sup estimates; certify with refinement
     final_name, final_poly, final = "", None, -math.inf
-    for name, p in finalists:
-        r = _ratio(op, q, p, refine=True)
+    certified = _ratios(op, q, [p for _, p in finalists], refine=True)
+    for (name, p), r in zip(finalists, certified):
         if r > final:
             final_name, final_poly, final = name, p, r
     return SearchResult(float(max(final, 0.0)), final_name, final_poly)
@@ -649,8 +659,8 @@ def laplacian_vs_gradient_check(
     grad_rows, op_rows = [], []
     for n in ns:
         corpus = [product_2d(chebyshev_t(i), chebyshev_t(n - i)) for i in range(n + 1)]
-        grad_rows.append(max(0.0, *(_ratio(grad, q, p, refine=False) for p in corpus)))
-        op_rows.append(max(0.0, *(_ratio(lap, q, p, refine=False) for p in corpus)))
+        grad_rows.append(max(0.0, *_ratios(grad, q, corpus, refine=False)))
+        op_rows.append(max(0.0, *_ratios(lap, q, corpus, refine=False)))
     grad_fit = fit_power_law(ns, grad_rows)
     op_fit = fit_power_law(ns, op_rows)
     return LaplacianReport(

@@ -9,10 +9,15 @@ the same table into one sampling matrix for a batch of Chebyshev series.
 Sup norms on intervals are sampled at 8*(deg+1) Chebyshev-Lobatto points and
 locally refined by golden-section iterations, so every reported sup value is a
 certified under-estimate; certificates built from them are lower bounds.
-``refine=False`` skips the local refinement: it is the per-polynomial coarse
-evaluation.  The Markov search screens candidates and runs its ascent on the
-same samples through ``sampled_norm`` and keeps the per-polynomial path for
-the inputs ``sampled_norm`` does not cover.
+The refinement works on a list of polynomials: each keeps its own grid and
+brackets, and the brackets of all of them go through one golden-section loop.
+``evaluate_norm`` refines every sup term of its table that way (all deg+1
+derivative orders of taylor_disk in one pass), and ``_evaluate_norms`` does
+the same for many polynomials, which is how the Markov search certifies all
+its finalists at once.  ``refine=False`` skips the local refinement: it is
+the per-polynomial coarse evaluation.  The Markov search screens candidates
+and runs its ascent on the same samples through ``sampled_norm`` and keeps
+the per-polynomial path for the inputs ``sampled_norm`` does not cover.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Mapping, Optional, Sequence, Union, get_args
 import numpy as np
 from scipy.integrate import quad as _quad
 
-from .chebseries import ChebSeries, ChebSeries2D, deriv_matrix, lobatto_points
+from .chebseries import ChebSeries, ChebSeries2D, chebval_columns, deriv_matrix, lobatto_points
 from .domains import (
     CompactSet,
     Interval,
@@ -49,25 +54,34 @@ def _degree_int(p) -> int:
     return 0 if d == NEG_INF else int(d)
 
 
-def _golden_max_multi(g, lo: np.ndarray, hi: np.ndarray):
-    """Vectorized golden-section maximization over several brackets at once."""
+def _golden_max_multi(g, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
+    """Golden-section maxima over many brackets at once.
+
+    Bracket i maximizes ``g(x, owner)[i]``, the function numbered ``owner[i]``
+    (nondecreasing).  Each owner's brackets stop moving once its own widest
+    bracket is at most ``_GOLDEN_TOL``, so every owner takes the iterations
+    it would take alone.
+    """
     lo = lo.astype(float).copy()
     hi = hi.astype(float).copy()
+    first = np.r_[True, owner[1:] != owner[:-1]]
+    starts, group = np.flatnonzero(first), np.cumsum(first) - 1
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = g(x1), g(x2)
+    f1, f2 = np.split(g(np.concatenate([x1, x2]), np.concatenate([owner, owner])), 2)
     for _ in range(100):
-        if np.max(hi - lo) <= _GOLDEN_TOL:
+        moving = (np.maximum.reduceat(hi - lo, starts) > _GOLDEN_TOL)[group]
+        if not moving.any():
             break
         move_lo = f1 < f2
-        lo = np.where(move_lo, x1, lo)
-        hi = np.where(move_lo, hi, x2)
-        x1 = hi - _INVPHI * (hi - lo)
+        lo = np.where(moving & move_lo, x1, lo)
+        hi = np.where(moving & ~move_lo, x2, hi)
+        x1 = hi - _INVPHI * (hi - lo)  # a bracket that stopped keeps its points
         x2 = lo + _INVPHI * (hi - lo)
-        f1, f2 = g(x1), g(x2)
-    vals = np.maximum(f1, f2)
-    xs = np.where(f1 >= f2, x1, x2)
-    return xs, vals
+        i = np.flatnonzero(moving)
+        both = np.concatenate([x1[i], x2[i]]), np.concatenate([owner[i], owner[i]])
+        f1[i], f2[i] = np.split(g(*both), 2)
+    return np.maximum(f1, f2)
 
 
 def _interval_grid(a: float, b: float, deg: int) -> np.ndarray:
@@ -78,58 +92,101 @@ def _interval_grid(a: float, b: float, deg: int) -> np.ndarray:
     return (a + b) / 2 + (b - a) / 2 * pts
 
 
-def _weighted_sup_on_interval(p, a, b, weight=None, refine=True):
-    """max of |p(x)|*weight(x) over [a, b]; ties report the smallest abscissa.
+def _bracket_values(polys, weight):
+    """g(x, owner) = |p(x)| * weight(x) with p = polys[owner], elementwise.
 
-    Refinement golden-sections every near-maximal bracket of the sample grid
-    (not just the best one): under-refining a competing local maximum is what
-    would let ratio estimates drift above true extremal ratios.
+    Chebyshev series are evaluated together from their zero-padded
+    coefficient columns, bitwise as ``p(x)`` gives each value; other
+    polynomial classes go through their own ``__call__``.
     """
-    pts = _interval_grid(a, b, _degree_int(p))
-    vals = np.abs(p(pts))
-    if weight is not None:
-        vals = vals * weight(pts)
-    i = int(np.argmax(vals))  # ascending grid: first max is the smallest abscissa
-    best_x, best = float(pts[i]), float(vals[i])
-    if refine and len(pts) > 2:
-        interior = np.arange(1, len(pts) - 1)
-        local_max = (vals[interior] >= vals[interior - 1]) & (
-            vals[interior] >= vals[interior + 1]
+    if all(isinstance(p, ChebSeries) for p in polys):
+        C = np.zeros(
+            (max(1, *(p.coef.size for p in polys)), len(polys)),
+            dtype=np.result_type(*(p.coef for p in polys)),
         )
-        near_top = vals[interior] >= 0.9 * best
-        idx = interior[local_max & near_top]
-        brackets = {(int(j - 1), int(j + 1)) for j in idx}
-        brackets.add((max(i - 1, 0), min(i + 1, len(pts) - 1)))
-        brackets = sorted(brackets)
-        lo = np.array([pts[j] for j, _ in brackets])
-        hi = np.array([pts[j] for _, j in brackets])
-        if weight is None:
-            g = lambda x: np.abs(p(x))
-        else:
-            g = lambda x: np.abs(p(x)) * weight(x)
-        xs, refined = _golden_max_multi(g, lo, hi)
-        j = int(np.argmax(refined))
-        if refined[j] > best or (refined[j] == best and xs[j] < best_x):
-            best_x, best = float(xs[j]), float(refined[j])
-    return best, best_x
+        for j, p in enumerate(polys):
+            C[: p.coef.size, j] = p.coef
+
+        def values(x, owner):
+            return np.abs(chebval_columns(x, C[:, owner]))
+    else:
+
+        def values(x, owner):
+            out = np.empty(x.shape)
+            for j in np.unique(owner):
+                at = owner == j
+                out[at] = np.abs(polys[j](x[at]))
+            return out
+
+    if weight is None:
+        return values
+    return lambda x, owner: values(x, owner) * weight(x)
 
 
-def _sup(p, E: CompactSet, refine: bool, alpha: float = 0.0) -> float:
-    """max over E of |p|, times the Schur weight (1 - |x|^2)^alpha when alpha > 0."""
-    if p.nvars != E.nvars:
-        raise DimensionMismatchError(
-            f"a set in {E.nvars} variable(s) takes polynomials in as many, not {p.nvars}"
+def _weighted_sup_on_interval(polys, a, b, weight=None, refine=True) -> list:
+    """max of |p(x)|*weight(x) over [a, b], for each p in polys.
+
+    Each p is sampled on its own 8*(deg+1)-point grid.  Refinement
+    golden-sections every near-maximal bracket of that grid (not just the
+    best one): under-refining a competing local maximum is what would let
+    ratio estimates drift above true extremal ratios.  The brackets of all
+    polys go through one ``_golden_max_multi`` loop.
+    """
+    best, lo, hi, counts = [], [], [], []
+    for p in polys:
+        pts = _interval_grid(a, b, _degree_int(p))
+        vals = np.abs(p(pts))
+        if weight is not None:
+            vals = vals * weight(pts)
+        i = int(np.argmax(vals))
+        best.append(float(vals[i]))
+        npts = len(pts)
+        if refine:
+            interior = np.arange(1, npts - 1)
+            local_max = (vals[interior] >= vals[interior - 1]) & (
+                vals[interior] >= vals[interior + 1]
+            )
+            near_top = vals[interior] >= 0.9 * best[-1]
+            idx = interior[local_max & near_top]
+            # brackets (left, right) of grid indices, sorted, as keys left*npts + right
+            top = max(i - 1, 0) * npts + min(i + 1, npts - 1)
+            keys = np.unique(np.r_[(idx - 1) * npts + idx + 1, top])
+            lo.append(pts[keys // npts])
+            hi.append(pts[keys % npts])
+            counts.append(keys.size)
+    if counts:
+        owner = np.repeat(np.arange(len(counts)), counts)
+        refined = _golden_max_multi(
+            _bracket_values(polys, weight), np.concatenate(lo), np.concatenate(hi), owner
         )
+        for j, seg in enumerate(np.split(refined, np.cumsum(counts)[:-1])):
+            best[j] = max(best[j], float(seg.max()))
+    return best
+
+
+def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
+    """max over E of |p| for each p in polys, times the Schur weight
+    (1 - |x|^2)^alpha when alpha > 0; on intervals, one refinement pass for all."""
+    for p in polys:
+        if p.nvars != E.nvars:
+            raise DimensionMismatchError(
+                f"a set in {E.nvars} variable(s) takes polynomials in as many, not {p.nvars}"
+            )
     if isinstance(E, Interval):
         weight = (lambda x: np.maximum(1.0 - x * x, 0.0) ** alpha) if alpha else None
-        return _weighted_sup_on_interval(p, E.a, E.b, weight=weight, refine=refine)[0]
+        return _weighted_sup_on_interval(polys, E.a, E.b, weight=weight, refine=refine)
     if isinstance(E, UnionSet):
-        best = 0.0
+        best = [0.0] * len(polys)
         for iv in E.intervals:
-            best = max(best, _weighted_sup_on_interval(p, iv.a, iv.b, refine=refine)[0])
+            best = list(map(max, best, _weighted_sup_on_interval(polys, iv.a, iv.b, refine=refine)))
         for z in E.points:
-            best = max(best, abs(p(z) if z.imag else p(z.real)))
-        return float(best)
+            best = [max(v, abs(p(z) if z.imag else p(z.real))) for v, p in zip(best, polys)]
+        return [float(v) for v in best]
+    return [_sampled_sup(p, E, alpha) for p in polys]
+
+
+def _sampled_sup(p, E: CompactSet, alpha: float) -> float:
+    """The sup over the sample points of a plane region or a complex set."""
     if E.as_complex:
         return float(np.max(np.abs(p(E.complex_points))))
     xs, ys = E.points[:, 0], E.points[:, 1]
@@ -144,7 +201,7 @@ def _sup(p, E: CompactSet, refine: bool, alpha: float = 0.0) -> float:
 
 def sup_norm(p, E: CompactSet, refine: bool = True) -> float:
     """Supremum norm of p over E (sampled lower estimate, see module note)."""
-    return _sup(p, E, refine)
+    return _sup([p], E, refine)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +539,35 @@ NormSpec = Union[
 
 def evaluate_norm(spec: NormSpec, p, refine: bool = True) -> float:
     """q(p): the sum of the spec's ``terms`` table (qms: ``qms_norm``)."""
+    return _evaluate_norms(spec, [p], refine)[0]
+
+
+def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
+    """``evaluate_norm`` of each of polys, with the sup terms of all of them
+    (every derivative order of every polynomial) in one ``_sup`` call."""
     if isinstance(spec, QmsSpec):
-        return qms_norm(p.to_unipoly() if isinstance(p, ChebSeries) else p, spec.m, spec.s)
-    t = spec.terms(_degree_int(p))
-    total = 0.0
-    for k, scale, divisor in t.sups:
-        dp = p.partial_multi(tuple(k if j == t.axis else 0 for j in range(p.nvars))) if k else p
-        v = _sup(dp, t.set, refine, t.alpha) if t.alpha else sup_norm(dp, t.set, refine=refine)
-        total += v * scale / divisor
-    if t.lp is not None:
-        total += lp_norm(p, *t.lp)
-    return float(total)
+        return [qms_norm(p.to_unipoly() if isinstance(p, ChebSeries) else p, spec.m, spec.s)
+                for p in polys]
+    tables = [spec.terms(_degree_int(p)) for p in polys]
+    images = [
+        p.partial_multi(tuple(k if j == t.axis else 0 for j in range(p.nvars))) if k else p
+        for p, t in zip(polys, tables)
+        for k, _, _ in t.sups
+    ]
+    if len(images) == 1 and not tables[0].alpha:
+        # one plain sup is sup_norm's value; bench/tracing.py times it there
+        sups = [sup_norm(images[0], tables[0].set, refine=refine)]
+    else:
+        sups = _sup(images, tables[0].set, refine, tables[0].alpha) if images else []
+    sups, out = iter(sups), []
+    for p, t in zip(polys, tables):
+        total = 0.0
+        for _, scale, divisor in t.sups:
+            total += next(sups) * scale / divisor
+        if t.lp is not None:
+            total += lp_norm(p, *t.lp)
+        out.append(float(total))
+    return out
 
 
 def schur_norm(p, alpha: float, E: Optional[CompactSet] = None, refine: bool = True) -> float:
@@ -628,6 +703,8 @@ def spec_to_json(spec: NormSpec) -> dict:
 
 def spec_from_json(obj: dict) -> NormSpec:
     """The spec a ``spec_to_json`` object describes; KeyError names a missing field."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"a norm spec is a JSON object, not {obj!r}")
     kind = obj.get("kind")
     if kind not in _SPEC_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}")

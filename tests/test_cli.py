@@ -235,9 +235,15 @@ TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees":
         ("factor-table", {**TABLE, "budget": 1.5}, "budget"),
         ("norm", {"normspec": {"kind": "schur", "alpha": 0.5, "set": {"kind": "interval", "a": 0, "b": 1}},
                   "poly": "chebyshev:4"}, "normspec"),
+        ("factor-table", {**TABLE, "normspec": LP_SPEC, "degrees": [300]}, "degrees"),
+        ("norm", {"normspec": "sup", "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": {"kind": "schur", "alpha": 0.5, "set": None}, "poly": "chebyshev:4"},
+         "normspec"),
+        ("norm", {"normspec": SUP_SPEC, "poly": "chebyshev:4", "mode": "fast"}, "mode"),
     ],
     ids=["degree-string", "negative-k", "negative-poly-degree", "nan-lp-order", "seed-string",
-         "seed-float", "seed-bool", "budget-zero", "budget-float", "schur-off-unit-interval"],
+         "seed-float", "seed-bool", "budget-zero", "budget-float", "schur-off-unit-interval",
+         "l2-degree-over-cap", "normspec-not-object", "null-set", "unknown-mode"],
 )
 def test_malformed_config_names_field(tmp_path, capsys, command, config, field):
     cfg = write_config(tmp_path, "bad.json", {**config, "output": str(tmp_path / "x.csv")})

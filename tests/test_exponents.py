@@ -36,7 +36,7 @@ from markovlab import (
     qms_exact_exponent,
     spectral_exponent_floor,
 )
-from markovlab.chebseries import deriv_matrix
+from markovlab.chebseries import chebyshev_t, deriv_matrix
 from markovlab.exponents import (
     DEFAULT_SEED,
     _BatchedRatio,
@@ -44,6 +44,7 @@ from markovlab.exponents import (
     _candidates_1d,
     _coarse_ratio,
     _ratio,
+    _ratios,
     derivative_operator_matrix,
     operator_from_json,
     read_table_csv,
@@ -179,6 +180,15 @@ class TestBatchedSearch:
         # from a vector whose top entry is 0, every trial stays on that path
         again, r2 = coarse.trial(trial, coarse.values(trial), 3, 0.25)
         assert r2 == _ratio(op, q, ChebSeries(again), refine=False)
+
+    @pytest.mark.parametrize("name", ["sup[-1,1]", "schur", "taylor_disk[-1,1]", "sup+l2"])
+    def test_certification_matches_one_at_a_time(self, name, rng):
+        # finalists of several degrees, certified in one refined pass
+        q, op = PARITY_SPECS[name], DerivOp(2)
+        finalists = [ChebSeries(rng.standard_normal(n + 1)) for n in (3, 12, 12, 20)]
+        finalists.append(chebyshev_t(12))
+        want = [_ratio(op, q, p, refine=True) for p in finalists]
+        assert _ratios(op, q, finalists, refine=True) == want
 
     @pytest.mark.parametrize(
         "n, op, q, factor, witness",

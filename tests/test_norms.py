@@ -40,11 +40,42 @@ from markovlab import (
     sup_plus_lp_norm,
     taylor_disk_norm,
 )
-from markovlab.chebseries import random_unit
-from markovlab.norms import qms_log_norm
+from markovlab.chebseries import ChebSeries, lobatto_points, random_unit
+from markovlab.norms import _sup, qms_log_norm
 
 E = Interval(-1.0, 1.0)
 MU = lebesgue_measure()
+
+
+def _one_at_a_time_sup(p, a, b, alpha):
+    """Reference: the refined sup of |p| (times (1 - x^2)^alpha) on [a, b] for
+    one polynomial alone, with its own grid, near-top brackets and
+    golden-section loop, stopping once its widest bracket is <= 1e-12."""
+
+    def g(x):
+        v = np.abs(p(x))
+        return v * np.maximum(1.0 - x * x, 0.0) ** alpha if alpha else v
+
+    pts = lobatto_points(8 * (max(p.degree, 0) + 1))
+    if (a, b) != (-1.0, 1.0):
+        pts = (a + b) / 2 + (b - a) / 2 * pts
+    vals = g(pts)
+    i, last = int(np.argmax(vals)), len(pts) - 1
+    peaks = [j for j in range(1, last)
+             if vals[j] >= max(vals[j - 1], vals[j + 1]) and vals[j] >= 0.9 * vals[i]]
+    brackets = sorted({(j - 1, j + 1) for j in peaks} | {(max(i - 1, 0), min(i + 1, last))})
+    lo, hi = pts[[l for l, _ in brackets]], pts[[r for _, r in brackets]]
+    c = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - c * (hi - lo), lo + c * (hi - lo)
+    f1, f2 = g(x1), g(x2)
+    for _ in range(100):
+        if np.max(hi - lo) <= 1e-12:
+            break
+        move = f1 < f2
+        lo, hi = np.where(move, x1, lo), np.where(move, hi, x2)
+        x1, x2 = hi - c * (hi - lo), lo + c * (hi - lo)
+        f1, f2 = g(x1), g(x2)
+    return max(float(vals[i]), float(np.max(np.maximum(f1, f2))))
 
 
 class TestSupNorm:
@@ -71,6 +102,18 @@ class TestSupNorm:
         p = UniPoly((1j, 1.0))
         # |x + i| on [-1, 1] peaks at the endpoints
         assert sup_norm(p, E) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("E", [E, Interval(0.0, 3.0)], ids=["[-1,1]", "[0,3]"])
+    def test_batched_refinement_matches_one_at_a_time(self, rng, E, alpha):
+        # one golden-section pass over all brackets gives each polynomial
+        # exactly the value it gets alone
+        polys = [ChebSeries(rng.standard_normal(n + 1)) for n in (0, 1, 8, 40)]
+        polys += [ChebSeries([0.0]), chebyshev_t(8), ChebSeries(rng.standard_normal(9))]
+        batched = _sup(polys, E, True, alpha)
+        assert batched == [_sup([p], E, True, alpha)[0] for p in polys]
+        assert batched == [_one_at_a_time_sup(p, E.a, E.b, alpha) for p in polys]
+        assert all(r >= c for r, c in zip(batched, _sup(polys, E, False, alpha)))
 
 
 class TestLpNorm:
