@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import __version__
 from .chebseries import chebyshev_t, chebyshev_u, legendre_orthonormal, monomial
 from .domains import measure_from_json, set_from_json
-from .errors import ConfigError, MarkovLabError
+from .errors import ConfigError, MarkovLabError, QuadratureBudgetError
 from .exponents import (
     DEFAULT_SEED,
     factor_table,
@@ -56,6 +56,14 @@ def _require(cfg: dict, name: str):
     if name not in cfg:
         raise ConfigError(name)
     return cfg[name]
+
+
+def _parsed(name: str, parse, *args):
+    """parse(*args), with a malformed value reported as config field ``name``."""
+    try:
+        return parse(*args)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(name, str(exc))
 
 
 def _config_hash(cfg: dict) -> str:
@@ -142,10 +150,7 @@ def cmd_norm(args) -> int:
     cfg = _load_config(args.config)
     seed, mode = _seed_and_mode(args, cfg)
     spec_json = _require(cfg, "normspec")
-    try:
-        spec = spec_from_json(spec_json)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError("normspec", str(exc))
+    spec = _parsed("normspec", spec_from_json, spec_json)
     poly = _parse_poly(_require(cfg, "poly"), mode)
     if mode == "exact":
         if not isinstance(spec, QmsSpec):
@@ -171,14 +176,8 @@ def cmd_norm(args) -> int:
 def cmd_factor_table(args) -> int:
     cfg = _load_config(args.config)
     seed, mode = _seed_and_mode(args, cfg)
-    try:
-        spec = spec_from_json(_require(cfg, "normspec"))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError("normspec", str(exc))
-    try:
-        op = operator_from_json(_require(cfg, "operator"))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError("operator", str(exc))
+    spec = _parsed("normspec", spec_from_json, _require(cfg, "normspec"))
+    op = _parsed("operator", operator_from_json, _require(cfg, "operator"))
     degrees = _require(cfg, "degrees")
     if not isinstance(degrees, list) or not degrees:
         raise ConfigError("degrees", "must be a nonempty list")
@@ -215,10 +214,7 @@ def cmd_fit(args) -> int:
         raise ConfigError("table", f"need at least 4 rows, found {len(rows)}")
     ns = [n for n, _ in rows]
     vals = [v for _, v in rows]
-    try:
-        fit = fit_power_law(ns, vals, window=tuple(window) if window else None)
-    except ValueError as exc:
-        raise ConfigError("window", str(exc))
+    fit = _parsed("window", fit_power_law, ns, vals, tuple(window) if window else None)
     payload = fit.to_json()
     payload["source"] = meta.get("config_hash", "")
     payload.update(_meta(cfg, seed, mode))
@@ -250,15 +246,22 @@ def cmd_ortho_export(args) -> int:
     cfg = _load_config(args.config)
     seed, mode = _seed_and_mode(args, cfg)
     family = _require(cfg, "family")
-    nmax = int(cfg.get("nmax", 64))
-    kind = family.get("kind")
-    if kind == "jacobi":
-        sys_ = jacobi_system(float(family["alpha"]), float(family["beta"]), nmax)
-    elif kind == "stieltjes":
-        sys_ = stieltjes_orthonormalize(measure_from_json(family["measure"]), nmax)
-    else:
-        raise ConfigError("family", f"unknown family kind {kind!r}")
-    E = set_from_json(cfg["set"]) if "set" in cfg else None
+    nmax = cfg.get("nmax", 64)
+    if not _is_count(nmax) or not 1 <= nmax <= NMAX_HARD_CAP:
+        raise ConfigError("nmax", f"must be an integer in [1, {NMAX_HARD_CAP}], got {nmax!r}")
+    kind = family.get("kind") if isinstance(family, dict) else None
+    if kind not in ("jacobi", "stieltjes"):
+        raise ConfigError("family", f"kind must be 'jacobi' or 'stieltjes', got {family!r}")
+    try:
+        if kind == "jacobi":
+            sys_ = jacobi_system(float(family["alpha"]), float(family["beta"]), int(nmax))
+        else:
+            sys_ = stieltjes_orthonormalize(measure_from_json(family["measure"]), int(nmax))
+    except QuadratureBudgetError as exc:
+        raise ConfigError("nmax", str(exc))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError("family", str(exc))
+    E = _parsed("set", set_from_json, cfg["set"]) if "set" in cfg else None
     out_path = args.out or cfg.get("output")
     if not out_path:
         raise ConfigError("output", "give an output path (config 'output' or --out)")

@@ -8,11 +8,12 @@ matched to their weight so polynomial integrands are integrated exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import QuadratureBudgetError
 
@@ -194,12 +195,70 @@ def set_from_json(obj: dict) -> CompactSet:
     raise ValueError(f"unknown set kind {kind!r}")
 
 
+def jacobi_monic_recurrence(alpha: float, beta: float, nmax: int):
+    """Monic Jacobi recurrence (a_k, b_k), b_0 set to 1 (probability measure)."""
+    a = np.zeros(nmax)
+    b = np.zeros(nmax + 1)
+    ab = alpha + beta
+    a[0] = (beta - alpha) / (ab + 2.0)
+    b[0] = 1.0
+    for k in range(1, nmax):
+        a[k] = (beta**2 - alpha**2) / ((2 * k + ab) * (2 * k + ab + 2.0))
+    if nmax >= 1:
+        b[1] = 4.0 * (alpha + 1) * (beta + 1) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    for k in range(2, nmax + 1):
+        b[k] = (
+            4.0 * k * (k + alpha) * (k + beta) * (k + ab)
+            / ((2 * k + ab) ** 2 * (2 * k + ab + 1.0) * (2 * k + ab - 1.0))
+        )
+    return a, b
+
+
+@lru_cache(maxsize=512)
+def gauss_jacobi(nnodes: int, alpha: float, beta: float):
+    """Nodes and probability weights of the Gauss rule for (1-x)^alpha (1+x)^beta.
+
+    Golub-Welsch: nodes are the Jacobi matrix's eigenvalues, weights 1/K(x),
+    K = sum_{k<n} q_k^2 over the orthonormal q_k.  K moves fast near +-1, so
+    it is taken at the Newton-corrected node, K + K' dx with dx = -q_n/q_n'.
+    Rules are read-only and shared by all measures.
+    """
+    a, b = jacobi_monic_recurrence(alpha, beta, nnodes)
+    off = np.sqrt(b[1:])
+    J = np.diag(a)
+    J[np.arange(1, nnodes), np.arange(nnodes - 1)] = off[:-1]
+    x = np.linalg.eigvalsh(J, UPLO="L")
+    q_prev, q, dq_prev, dq = np.zeros_like(x), np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+    K, dK = np.zeros_like(x), np.zeros_like(x)
+    for k in range(nnodes):
+        K += q * q
+        dK += 2.0 * q * dq
+        back = off[k - 1] if k else 0.0
+        q_prev, q, dq_prev, dq = (
+            q, ((x - a[k]) * q - back * q_prev) / off[k],
+            dq, (q + (x - a[k]) * dq - back * dq_prev) / off[k],
+        )
+    dx = -q / dq
+    weights = 1.0 / (K + dK * dx)
+    nodes, weights = x + dx, weights / weights.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def jacobi_log_mass(alpha: float, beta: float, width: float) -> float:
+    """log of the integral of (b - x)^alpha (x - a)^beta over [a, b], b - a = width."""
+    log_beta = math.lgamma(alpha + 1) + math.lgamma(beta + 1) - math.lgamma(alpha + beta + 2)
+    return (alpha + beta + 1) * math.log(width) + log_beta
+
+
 @dataclass
 class Measure:
     """Probability measure on an interval with cached Gauss rules.
 
     ``degree_budget`` is the largest polynomial degree whose square is still
     integrated exactly: rules are exact up to degree 2*degree_budget.
+    ``alpha`` and ``beta`` are the exponents of (b - x) and (x - a) in the
+    density; they are 0 but for Jacobi measures.
     """
 
     kind: str  # "lebesgue" | "jacobi" | "tabulated"
@@ -221,6 +280,13 @@ class Measure:
         if self.kind == "tabulated" and self.weight_fn is None:
             raise ValueError("tabulated measure needs a weight function")
 
+    def _tabulated_rule(self, nnodes: int):
+        """Gauss-Legendre nodes on the support; weights dx times the weight function."""
+        x, w = np.polynomial.legendre.leggauss(nnodes)
+        half = self.support.width / 2
+        nodes = (self.support.a + self.support.b) / 2 + half * x
+        return nodes, w * half * np.asarray(self.weight_fn(nodes), dtype=float)
+
     def gauss_rule(self, nnodes: int):
         """Nodes and weights of an n-point rule, normalized to total mass 1."""
         nnodes = max(int(nnodes), 1)
@@ -232,19 +298,12 @@ class Measure:
             half = self.support.width / 2
             nodes, weights = mid + half * x, w / 2.0
         elif self.kind == "jacobi":
-            nodes, weights = roots_jacobi(nnodes, self.alpha, self.beta)
-            weights = weights / weights.sum()
+            nodes, weights = gauss_jacobi(nnodes, self.alpha, self.beta)
         else:
-            x, w = np.polynomial.legendre.leggauss(nnodes)
-            mid = (self.support.a + self.support.b) / 2
-            half = self.support.width / 2
-            nodes = mid + half * x
-            weights = w * half * np.asarray(self.weight_fn(nodes), dtype=float)
+            nodes, weights = self._tabulated_rule(nnodes)
             total = weights.sum()
             # self-consistency: a doubled rule must agree to 1e-8 relative
-            x2, w2 = np.polynomial.legendre.leggauss(2 * nnodes)
-            n2 = mid + half * x2
-            total2 = (w2 * half * np.asarray(self.weight_fn(n2), dtype=float)).sum()
+            total2 = self._tabulated_rule(2 * nnodes)[1].sum()
             if abs(total - total2) > 1e-8 * abs(total2):
                 raise QuadratureBudgetError(
                     "tabulated weight fails quadrature self-consistency; "
@@ -270,9 +329,13 @@ class Measure:
             return self.gauss_rule(max(degree + 1, 64))
         return self.gauss_rule(degree // 2 + 1)
 
-    def integrate_values(self, values: np.ndarray, weights: np.ndarray) -> float:
-        # pairwise summation via np.dot keeps reductions deterministic
-        return float(np.dot(weights, values))
+    def density(self, x: np.ndarray) -> np.ndarray:
+        """d(mu)/dx over (b - x)^alpha (x - a)^beta (smooth); a tabulated weight is
+        normalised by the mass its 64-point rule gives it."""
+        if self.kind == "tabulated":
+            return np.asarray(self.weight_fn(x), dtype=float) / self._tabulated_rule(64)[1].sum()
+        mass = jacobi_log_mass(self.alpha, self.beta, self.support.width)
+        return np.full(np.shape(x), math.exp(-mass))
 
     def total_mass(self, nnodes: int = 64) -> float:
         _, w = self.gauss_rule(nnodes)

@@ -33,13 +33,13 @@ from .fitting import AsymptoticTrend, ExponentFit, asymptotic_trend, fit_power_l
 from .norms import (
     LpSpec,
     NormSpec,
+    SchurSpec,
     SupSpec,
     _evaluate_norms,
     evaluate_norm,
     qms_log_norm,
     sampled_norm,
     sup_norm,
-    schur_norm,
 )
 from .orthopoly import OrthoSystem, jacobi_system, stieltjes_orthonormalize
 from .polynomials import UniPoly
@@ -196,41 +196,25 @@ class MarkovTable:
                 fh.write(f"# {key}: {value}\n")
             writer = csv.writer(fh)
             writer.writerow(
-                ["op", "n", "factor", "certification", "witness_id", "log_n", "log_factor"]
-            )
+                ["op", "n", "factor", "certification", "witness_id", "log_n", "log_factor"])
             for row in self.rows:
+                log_n = repr(math.log(row.n)) if row.n > 0 else ""
                 log_f = repr(math.log(row.factor)) if row.factor > 0 else ""
-                writer.writerow(
-                    [
-                        self.op,
-                        row.n,
-                        repr(float(row.factor)),
-                        self.certification,
-                        row.witness,
-                        repr(math.log(row.n)) if row.n > 0 else "",
-                        log_f,
-                    ]
-                )
+                writer.writerow([self.op, row.n, repr(float(row.factor)), self.certification,
+                                 row.witness, log_n, log_f])
 
 
 def read_table_csv(path):
     """Rows (n, factor) plus leading '# key: value' metadata from a table CSV."""
-    meta, rows = {}, []
+    meta, data = {}, []
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh]
-    data_lines = []
-    for ln in lines:
-        if ln.startswith("#"):
-            body = ln[1:].strip()
-            if ":" in body:
-                key, value = body.split(":", 1)
+        for ln in fh:
+            key, colon, value = ln[1:].partition(":")
+            if not ln.startswith("#"):
+                data.append(ln)
+            elif colon:
                 meta[key.strip()] = value.strip()
-        else:
-            data_lines.append(ln)
-    reader = csv.DictReader(data_lines)
-    for rec in reader:
-        rows.append((int(rec["n"]), float(rec["factor"])))
-    return meta, rows
+    return meta, [(int(rec["n"]), float(rec["factor"])) for rec in csv.DictReader(data)]
 
 
 @dataclass(frozen=True)
@@ -747,33 +731,30 @@ def bernstein_schur_check(
     the fitted exponent land at 2.
     """
     rng = np.random.default_rng(seed)
+    corpus = []  # (n, name, p), in the order the seeded draws are made
+    for n in range(1, nmax + 1):
+        corpus += [(n, "T", chebyshev_t(n)), (n, "U", chebyshev_u(n))]
+        corpus += [(n, "rnd", random_unit(n, rng)) for _ in range(randoms_per_degree)]
+    polys = [p for _, _, p in corpus]
+    # one refined pass per norm; each polynomial still gets the value it gets alone
+    sups = _evaluate_norms(SupSpec(Interval(-1.0, 1.0)), polys)
+    weighted = _evaluate_norms(SchurSpec(0.5), polys + [p.deriv(1) for p in polys])
     slack = 1e-9
     b_viol = s_viol = c_viol = 0
-    table_ns, table_vals = [], []
+    table_ns, table_vals = list(range(1, nmax + 1)), [0.0] * nmax
     equality_defect = 0.0
-    count = 0
-    for n in range(1, nmax + 1):
-        corpus = [("T", chebyshev_t(n)), ("U", chebyshev_u(n))]
-        corpus += [("rnd", random_unit(n, rng)) for _ in range(randoms_per_degree)]
-        best_ratio = 0.0
-        for name, p in corpus:
-            count += 1
-            sup_p = sup_norm(p, Interval(-1.0, 1.0))
-            w_p = schur_norm(p, 0.5)
-            w_dp = schur_norm(p.deriv(1), 0.5) if n >= 1 else 0.0
-            if w_dp > n * sup_p * (1 + slack) + 1e-12:
-                b_viol += 1
-            if sup_p > (n + 1) * w_p * (1 + slack) + 1e-12:
-                s_viol += 1
-            if w_dp > n * (n + 1) * w_p * (1 + slack) + 1e-12:
-                c_viol += 1
-            if w_p > 0:
-                best_ratio = max(best_ratio, w_dp / w_p)
-            if name == "T":
-                # |T_n'| sqrt(1-x^2) attains n on the interior grid
-                equality_defect = max(equality_defect, abs(w_dp - n) / n)
-        table_ns.append(n)
-        table_vals.append(best_ratio)
+    for (n, name, _), sup_p, w_p, w_dp in zip(corpus, sups, weighted, weighted[len(polys):]):
+        if w_dp > n * sup_p * (1 + slack) + 1e-12:
+            b_viol += 1
+        if sup_p > (n + 1) * w_p * (1 + slack) + 1e-12:
+            s_viol += 1
+        if w_dp > n * (n + 1) * w_p * (1 + slack) + 1e-12:
+            c_viol += 1
+        if w_p > 0:
+            table_vals[n - 1] = max(table_vals[n - 1], w_dp / w_p)
+        if name == "T":
+            # |T_n'| sqrt(1-x^2) attains n on the interior grid
+            equality_defect = max(equality_defect, abs(w_dp - n) / n)
     fit = fit_power_law(table_ns, table_vals)
     return BernsteinSchurReport(
         bernstein_violations=b_viol,
@@ -781,5 +762,5 @@ def bernstein_schur_check(
         combined_violations=c_viol,
         chebyshev_equality_defect=equality_defect,
         markov_fit=fit,
-        corpus_size=count,
+        corpus_size=len(corpus),
     )

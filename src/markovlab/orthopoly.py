@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domains import CompactSet, Interval, Measure, jacobi_measure
+from .domains import CompactSet, Interval, Measure, jacobi_monic_recurrence, jacobi_measure
 from .errors import OrthogonalityLossError, QuadratureBudgetError
 from .fitting import ExponentFit, fit_power_law
 from .norms import sup_norm
@@ -144,30 +144,11 @@ class OrthoSystem:
                 writer.writerow([n, a_n, b_n, sup])
 
 
-def _jacobi_monic_recurrence(alpha: float, beta: float, nmax: int):
-    """Monic Jacobi recurrence (a_k, b_k), b_0 set to 1 (probability measure)."""
-    a = np.zeros(nmax)
-    b = np.zeros(nmax + 1)
-    ab = alpha + beta
-    a[0] = (beta - alpha) / (ab + 2.0)
-    b[0] = 1.0
-    for k in range(1, nmax):
-        a[k] = (beta**2 - alpha**2) / ((2 * k + ab) * (2 * k + ab + 2.0))
-    if nmax >= 1:
-        b[1] = 4.0 * (alpha + 1) * (beta + 1) / ((ab + 2.0) ** 2 * (ab + 3.0))
-    for k in range(2, nmax + 1):
-        b[k] = (
-            4.0 * k * (k + alpha) * (k + beta) * (k + ab)
-            / ((2 * k + ab) ** 2 * (2 * k + ab + 1.0) * (2 * k + ab - 1.0))
-        )
-    return a, b
-
-
 def jacobi_system(alpha: float, beta: float, nmax: int = 64) -> OrthoSystem:
     """Orthonormal system for the normalized Jacobi weight (1-x)^a (1+x)^b."""
     if alpha <= -1 or beta <= -1:
         raise ValueError("jacobi parameters must exceed -1")
-    a, b_monic = _jacobi_monic_recurrence(alpha, beta, nmax)
+    a, b_monic = jacobi_monic_recurrence(alpha, beta, nmax)
     betas = np.sqrt(b_monic)
     betas[0] = 0.0
     mu = jacobi_measure(alpha, beta, degree_budget=max(256, nmax))

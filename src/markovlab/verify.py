@@ -8,7 +8,7 @@ timestamps so reruns with the same seed are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List
 
@@ -50,13 +50,7 @@ class CheckResult:
         return self.status == "pass"
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "measured": self.measured,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -71,13 +65,7 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "mode": self.mode,
-            "passed": self.passed,
-            "checks": [c.to_json() for c in self.checks],
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _check_le(name: str, measured: float, bound: float, tolerance: float = 0.0) -> CheckResult:
@@ -154,9 +142,7 @@ def suite_power_identity(seed: int = DEFAULT_SEED, mode: str = "float", trials: 
         if power_identity_residual(f_exact, DirOp(v_exact), k) != 0.0:
             exact_nonzero += 1
     report = SuiteReport("di", seed, mode)
-    report.checks.append(
-        _check_le("float-relative-residual", worst_float, 1e-9)
-    )
+    report.checks.append(_check_le("float-relative-residual", worst_float, 1e-9))
     report.checks.append(_check_eq_count("exact-nonzero-residuals", exact_nonzero))
     return report
 
@@ -182,18 +168,12 @@ def suite_qms(seed: int = DEFAULT_SEED, mode: str = "exact") -> SuiteReport:
             for t in range(n):
                 for j in range(1, s):
                     deriv = base.deriv(s * t + j)
-                    want_d = {
-                        n - t - 1: Fraction(
-                            math.factorial(s * n), math.factorial(s - j)
-                        )
-                    }
-                    if qms_seminorm_terms(deriv, s) != want_d:
+                    top = Fraction(math.factorial(s * n), math.factorial(s - j))
+                    low = Fraction(math.factorial(s * (n - t - 1)))
+                    if qms_seminorm_terms(deriv, s) != {n - t - 1: top}:
                         term_failures += 1
                     for m in (1, 2, 3):
-                        expected = Fraction(
-                            math.factorial(s * n), math.factorial(s - j)
-                        ) / Fraction(math.factorial(s * (n - t - 1))) ** m
-                        if qms_norm_exact(deriv, m, s) != expected:
+                        if qms_norm_exact(deriv, m, s) != top / low**m:
                             value_failures += 1
     report.checks.append(_check_eq_count("golden-term-maps", term_failures))
     report.checks.append(_check_eq_count("golden-rational-values", value_failures))
@@ -209,15 +189,9 @@ def suite_qms(seed: int = DEFAULT_SEED, mode: str = "exact") -> SuiteReport:
     fits = {k: qms_exact_exponent(1, 3, k).fitted_slope for k in range(1, 13)}
     trend = asymptotic_exponent(fits)
     report.checks.append(_check_le("separation-limit-estimate", trend.limit_estimate, 1.1))
-    report.checks.append(
-        CheckResult(
-            "separation-max-ratio",
-            "pass" if max(trend.ratios) >= 2.5 else "fail",
-            float(max(trend.ratios)),
-            2.5,
-            0.0,
-        )
-    )
+    ratio = float(max(trend.ratios))
+    status = "pass" if ratio >= 2.5 else "fail"
+    report.checks.append(CheckResult("separation-max-ratio", status, ratio, 2.5, 0.0))
     return report
 
 

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import markovlab
 from markovlab.cli import main
 
 
@@ -218,6 +223,7 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 LP_SPEC = {"kind": "lp", "measure": {"kind": "lebesgue", "a": -1, "b": 1}, "s": 2}
+JACOBI_FAMILY = {"kind": "jacobi", "alpha": 0.5, "beta": 0.5}
 TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees": [2, 4]}
 
 
@@ -240,10 +246,20 @@ TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees":
         ("norm", {"normspec": {"kind": "schur", "alpha": 0.5, "set": None}, "poly": "chebyshev:4"},
          "normspec"),
         ("norm", {"normspec": SUP_SPEC, "poly": "chebyshev:4", "mode": "fast"}, "mode"),
+        ("ortho-export", {"family": "jacobi"}, "family"),
+        ("ortho-export", {"family": {"kind": "stieltjes"}}, "family"),
+        ("ortho-export", {"family": {**JACOBI_FAMILY, "alpha": -2}}, "family"),
+        ("ortho-export", {"family": JACOBI_FAMILY, "nmax": "abc"}, "nmax"),
+        ("ortho-export", {"family": JACOBI_FAMILY, "nmax": 1000}, "nmax"),
+        ("ortho-export", {"family": JACOBI_FAMILY, "set": {"kind": "blob"}}, "set"),
+        ("ortho-export", {"family": {"kind": "stieltjes", "measure": {"kind": "lebesgue"}}, "nmax": 200},
+         "nmax"),
     ],
     ids=["degree-string", "negative-k", "negative-poly-degree", "nan-lp-order", "seed-string",
          "seed-float", "seed-bool", "budget-zero", "budget-float", "schur-off-unit-interval",
-         "l2-degree-over-cap", "normspec-not-object", "null-set", "unknown-mode"],
+         "l2-degree-over-cap", "normspec-not-object", "null-set", "unknown-mode",
+         "ortho-family-string", "ortho-stieltjes-no-measure", "ortho-jacobi-alpha",
+         "ortho-nmax-string", "ortho-nmax-over-cap", "ortho-unknown-set", "ortho-stieltjes-over-budget"],
 )
 def test_malformed_config_names_field(tmp_path, capsys, command, config, field):
     cfg = write_config(tmp_path, "bad.json", {**config, "output": str(tmp_path / "x.csv")})
@@ -252,3 +268,12 @@ def test_malformed_config_names_field(tmp_path, capsys, command, config, field):
     assert f"config field '{field}'" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    code = "import sys, markovlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(markovlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -118,6 +118,14 @@ class TestMeasures:
             want = quad(lambda x: x**k * (1 - x) ** alpha * (1 + x) ** beta, -1, 1)[0] / m0
             assert got == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 2, 64, 257, 512])
+    def test_chebyshev_rule_matches_closed_form(self, n):
+        # Gauss-Chebyshev: nodes cos((2k - 1) pi / (2n)), all weights 1/n
+        nodes, weights = chebyshev_measure().gauss_rule(n)
+        want = np.cos((2 * np.arange(n, 0, -1) - 1) * np.pi / (2 * n))
+        np.testing.assert_allclose(nodes, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights * n, 1.0, rtol=1e-12)
+
     def test_budget_enforced(self):
         mu = lebesgue_measure(degree_budget=8)
         with pytest.raises(QuadratureBudgetError):

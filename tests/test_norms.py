@@ -20,11 +20,13 @@ from markovlab import (
     UnionSet,
     UniPoly,
     box_region,
+    chebyshev_measure,
     chebyshev_t,
     chebyshev_u,
     cusp_region,
     evaluate_norm,
     fit_nikolskii,
+    jacobi_measure,
     lebesgue_measure,
     lp_norm,
     mixed_deriv_norm,
@@ -150,6 +152,39 @@ class TestLpNorm:
                 assert lp <= sup * (1 + 1e-10)
                 factor = (2.0 * (s + 1) * n * n) ** (1.0 / s)
                 assert sup <= factor * lp * (1 + 1e-10)
+
+
+def _log_beta(a: float, b: float) -> float:
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+class TestLpOracles:
+    """Closed forms for the root-split path (s not an even integer), to 1e-12."""
+
+    @pytest.mark.parametrize("n", [1, 16, 64, 128])
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.5, 3.0])
+    def test_chebyshev_t_under_chebyshev_measure(self, n, s):
+        # x = cos(theta): ||T_n||_s^s is the mean of |cos(n theta)|^s, the same
+        # for every n >= 1; the n roots of T_n cluster at +-1
+        want = (math.gamma((s + 1) / 2) / (math.sqrt(math.pi) * math.gamma(s / 2 + 1))) ** (1 / s)
+        assert lp_norm(chebyshev_t(n), chebyshev_measure(), s) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 0.5, 1.5])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.5, 3.0])
+    def test_monomial_under_symmetric_jacobi(self, alpha, n, s):
+        # int |x|^(ns) (1-x^2)^alpha dx / int (1-x^2)^alpha dx = B((ns+1)/2, alpha+1) / B(1/2, alpha+1)
+        mu = lebesgue_measure() if alpha == 0.0 else jacobi_measure(alpha, alpha)
+        want = math.exp((_log_beta((n * s + 1) / 2, alpha + 1) - _log_beta(0.5, alpha + 1)) / s)
+        assert lp_norm(monomial(n), mu, s) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [0.99, -0.99, 1 - 1e-5, -(1 - 1e-5), 1 - 1e-8, -(1 - 1e-8), 1 - 1e-11])
+    def test_root_near_an_end_under_chebyshev_measure(self, c):
+        # c = cos(phi): ||x - c||_1 = (2 sin(phi) + c (pi - 2 phi)) / pi.  The piece
+        # from the far end to c carries (1 -+ x)^(-1/2), nearly singular at c
+        phi = math.acos(c)
+        want = (2 * math.sin(phi) + c * (math.pi - 2 * phi)) / math.pi
+        assert lp_norm(UniPoly((-c, 1.0)), chebyshev_measure(), 1) == pytest.approx(want, rel=1e-12)
 
 
 class TestSchurNorm:
