@@ -39,9 +39,6 @@ from .errors import (
     SpectralityError,
 )
 from .exponents import (
-    DerivOp,
-    DirDerivOp,
-    HomOp,
     MarkovTable,
     asymptotic_exponent,
     bernstein_schur_check,
@@ -90,11 +87,11 @@ from .orthopoly import (
     stieltjes_orthonormalize,
 )
 from .polynomials import (
+    DerivOp,
     DirOp,
+    HomOp,
     MultiPoly,
     UniPoly,
-    dir_derivative,
-    hdop_apply,
     power,
     power_identity_residual,
 )

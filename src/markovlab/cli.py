@@ -178,6 +178,7 @@ def cmd_factor_table(args) -> int:
     seed, mode = _seed_and_mode(args, cfg)
     spec = _parsed("normspec", spec_from_json, _require(cfg, "normspec"))
     op = _parsed("operator", operator_from_json, _require(cfg, "operator"))
+    _parsed("operator", op.images, getattr(getattr(spec, "set", None), "nvars", 1))
     degrees = _require(cfg, "degrees")
     if not isinstance(degrees, list) or not degrees:
         raise ConfigError("degrees", "must be a nonempty list")
@@ -265,7 +266,7 @@ def cmd_ortho_export(args) -> int:
     out_path = args.out or cfg.get("output")
     if not out_path:
         raise ConfigError("output", "give an output path (config 'output' or --out)")
-    sys_.export_csv(out_path, E=E, meta=_meta(cfg, seed, mode))
+    _parsed("set", sys_.export_csv, out_path, E, _meta(cfg, seed, mode))
     print(out_path)
     return EXIT_OK
 

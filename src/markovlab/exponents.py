@@ -28,7 +28,7 @@ from .chebseries import (
     random_unit,
 )
 from .domains import Interval, Measure, SampledRegion2D, box_region
-from .errors import DimensionMismatchError, SpectralityError
+from .errors import SpectralityError
 from .fitting import AsymptoticTrend, ExponentFit, asymptotic_trend, fit_power_law
 from .norms import (
     LpSpec,
@@ -42,7 +42,7 @@ from .norms import (
     sup_norm,
 )
 from .orthopoly import OrthoSystem, jacobi_system, stieltjes_orthonormalize
-from .polynomials import UniPoly
+from .polynomials import DerivOp, DirOp, HomOp, UniPoly, _lincomb
 
 DEFAULT_SEED = 1729
 _ASCENT_ROUNDS = 200
@@ -54,105 +54,7 @@ _SCREEN_ENTRIES = 1 << 15  # sampled values per screening product (256 kB)
 # Operator descriptors
 
 
-def _unit(j: int, k: int, nvars: int) -> tuple:
-    """The multi-index of D_j^k in nvars variables."""
-    return tuple(k if i == j else 0 for i in range(nvars))
-
-
-def _lincomb(pairs):
-    """The sum of c*x over (c, x) pairs; x itself where c == 1."""
-    acc = None
-    for c, x in pairs:
-        x = x if c == 1 else c * x
-        acc = x if acc is None else acc + x
-    return acc
-
-
-class _Operator:
-    """A constant-coefficient operator given by ``images(nvars)``: one or more
-    sums c*D^alpha, each a tuple of (c, alpha) pairs, for polynomials in
-    ``nvars`` variables.  A dimension mismatch raises ValueError there."""
-
-    def apply_all(self, p) -> list:
-        """The images of p, through the polynomial's ``partial_multi``."""
-        return [_lincomb((c, p.partial_multi(alpha)) for c, alpha in image)
-                for image in self.images(p.nvars)]
-
-    def coef_matrix(self, n: int) -> Optional[np.ndarray]:
-        """The operator on Chebyshev coefficients of degree <= n; None unless univariate."""
-        try:
-            (image,) = self.images(1)
-        except ValueError:
-            return None
-        # homogeneous in one variable: every term has the same k, hence one shape
-        return _lincomb((c, deriv_matrix(n, k)) for c, (k,) in image)
-
-
-@dataclass(frozen=True)
-class DerivOp(_Operator):
-    """d^k/dx^k in one variable; per-axis k-th partials in two."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("derivative order k must be >= 0")
-
-    @property
-    def label(self) -> str:
-        return f"deriv:{self.k}"
-
-    def images(self, nvars: int) -> list:
-        return [((1, _unit(j, self.k, nvars)),) for j in range(nvars)]
-
-
-@dataclass(frozen=True)
-class DirDerivOp(_Operator):
-    """Single application of v1*D1 + ... + vN*DN."""
-
-    v: tuple
-
-    @property
-    def label(self) -> str:
-        return "dirop:" + ",".join(repr(float(c)) for c in self.v)
-
-    def images(self, nvars: int) -> list:
-        if len(self.v) != nvars:
-            raise DimensionMismatchError(
-                f"direction has {len(self.v)} components, polynomial has {nvars} variables"
-            )
-        return [tuple((c, _unit(j, 1, nvars)) for j, c in enumerate(self.v))]
-
-
-@dataclass(frozen=True)
-class HomOp(_Operator):
-    """H(D1, ..., DN) for a homogeneous H given as exponent/coefficient terms."""
-
-    terms: tuple  # ((alpha tuple, coeff), ...)
-
-    def __post_init__(self):
-        degs = {sum(alpha) for alpha, _ in self.terms}
-        if len(degs) != 1 or degs == {0}:
-            raise ValueError("operator terms must be homogeneous of degree >= 1")
-
-    @property
-    def order(self) -> int:
-        return sum(self.terms[0][0])
-
-    @property
-    def label(self) -> str:
-        body = "+".join(f"{c}*D^{list(a)}" for a, c in self.terms)
-        return f"hop:{body}"
-
-    def images(self, nvars: int) -> list:
-        if any(len(alpha) != nvars for alpha, _ in self.terms):
-            raise DimensionMismatchError(
-                f"operator terms are not all in {nvars} variable(s): {self.label}"
-            )
-        return [tuple((c, tuple(alpha)) for alpha, c in self.terms)]
-
-
-OperatorSpec = Union[DerivOp, DirDerivOp, HomOp]
+OperatorSpec = Union[DerivOp, DirOp, HomOp]
 
 
 def operator_from_json(obj: dict) -> OperatorSpec:
@@ -160,7 +62,7 @@ def operator_from_json(obj: dict) -> OperatorSpec:
     if kind == "deriv":
         return DerivOp(int(obj["k"]))
     if kind == "dirop":
-        return DirDerivOp(tuple(float(c) for c in obj["v"]))
+        return DirOp(tuple(float(c) for c in obj["v"]))
     if kind == "hop":
         return HomOp(tuple((tuple(int(x) for x in a), float(c)) for a, c in obj["H"]))
     raise ValueError(f"unknown operator kind {kind!r}")
@@ -380,10 +282,20 @@ class _BatchedRatio(_PolyRatio):
         return float(self.ratios(col[:, None])[0])
 
 
+def _coef_matrix(op: OperatorSpec, n: int) -> Optional[np.ndarray]:
+    """op on Chebyshev coefficients of degree <= n; None unless univariate."""
+    try:
+        (image,) = op.images(1)
+    except ValueError:
+        return None
+    # homogeneous in one variable: every term has the same k, hence one shape
+    return _lincomb((c, deriv_matrix(n, k)) for c, (k,) in image)
+
+
 def _coarse_ratio(op: OperatorSpec, q: NormSpec, n: int) -> _PolyRatio:
     """The batched evaluator where both the operator and the norm have
     matrices at degree n, the per-polynomial one elsewhere."""
-    A = op.coef_matrix(n)
+    A = _coef_matrix(op, n)
     den = sampled_norm(q, n) if A is not None else None
     num = sampled_norm(q, A.shape[0] - 1) if den is not None else None
     if num is None:
@@ -408,7 +320,7 @@ def markov_factor_search(
     Screening and ascent use the coarse (``refine=False``) ratio.  Where the
     norm is sampled on fixed points of an interval or a Gauss rule, and the
     operator is univariate, it comes from matrices built once per call
-    (``norms.sampled_norm`` and the operator's ``coef_matrix``): matrix
+    (``norms.sampled_norm`` and ``_coef_matrix``): matrix
     products screen the candidates and each ascent trial is a rank-1 update.
     2D, complex, union, qms and odd or non-integer L^p searches evaluate one
     polynomial at a time.  Either way the finalists (the best candidate and
@@ -484,11 +396,8 @@ def factor_table(
         cert = "Exact"
     else:
         for n in degrees:
-            if isinstance(op, DerivOp) and op.k == 0:
-                rows.append(TableRow(n, 1.0, "identity"))
-            else:
-                res = markov_factor_search(n, op, q, budget=budget, seed=seed)
-                rows.append(TableRow(n, res.factor, res.witness_id))
+            res = markov_factor_search(n, op, q, budget=budget, seed=seed)
+            rows.append(TableRow(n, res.factor, res.witness_id))
         cert = "LowerBound"
     return MarkovTable(op.label, q, tuple(rows), cert)
 

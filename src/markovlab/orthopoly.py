@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domains import CompactSet, Interval, Measure, jacobi_monic_recurrence, jacobi_measure
+from .domains import CompactSet, Interval, Measure, UnionSet, jacobi_measure, jacobi_monic_recurrence
 from .errors import OrthogonalityLossError, QuadratureBudgetError
 from .fitting import ExponentFit, fit_power_law
-from .norms import sup_norm
+from .norms import _interval_grid
 from .polynomials import UniPoly
 
 NMAX_HARD_CAP = 256
@@ -117,17 +117,22 @@ class OrthoSystem:
     def sup_table(self, E: CompactSet, k: int = 0) -> np.ndarray:
         """sup |Q_n^(k)| over E for every n <= nmax (grid estimate).
 
-        Interval sets use a shared Chebyshev-Lobatto grid dense enough for the
-        largest degree, endpoints included, so endpoint extrema are exact.
+        E is an interval or a union of intervals and real points.  Each
+        interval is sampled on the Chebyshev-Lobatto grid the sup norm uses
+        at degree nmax, endpoints included, so endpoint extrema are exact.
         """
         if isinstance(E, Interval):
-            npts = 8 * (self.nmax + 1)
-            pts = (E.a + E.b) / 2 + (E.b - E.a) / 2 * np.cos(
-                np.linspace(np.pi, 0.0, npts)
-            )
-            vals = self.deriv_values(pts, k) if k else self.values(pts)
-            return np.max(np.abs(vals), axis=1)
-        raise TypeError("sup tables are supported on intervals")
+            pieces, points = (E,), ()
+        elif isinstance(E, UnionSet):
+            pieces, points = E.intervals, E.points
+        else:
+            raise ValueError(f"sup tables need an interval or a union, not {type(E).__name__}")
+        if any(z.imag for z in points):
+            raise ValueError("sup tables need real isolated points")
+        pts = np.concatenate([_interval_grid(iv.a, iv.b, self.nmax) for iv in pieces]
+                             + [np.array([z.real for z in points])])
+        vals = self.deriv_values(pts, k) if k else self.values(pts)
+        return np.max(np.abs(vals), axis=1)
 
     def export_csv(self, path, E: Optional[CompactSet] = None, meta: Optional[dict] = None):
         """Write rows n, a_n, b_n, supnorm_E (sup column empty without E)."""
@@ -229,11 +234,6 @@ def growth_exponent(
     """Fit of log sup|Q_n|_E against log n over the tail (default [nmax/4, nmax])."""
     if sys.nmax < 16:
         raise ValueError("growth fits need nmax >= 16")
-    if isinstance(E, Interval):
-        sups = sys.sup_table(E)
-    else:
-        sups = np.array([np.nan] * (sys.nmax + 1))
-        for n in range(sys.nmax + 1):
-            sups[n] = sup_norm(sys.polys[n], E)
+    sups = sys.sup_table(E)
     ns = np.arange(1, sys.nmax + 1)
     return fit_power_law(ns, sups[1:], window=window)

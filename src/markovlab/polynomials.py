@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, PrecisionOverflowError
-from .scalars import RationalComplex, is_exact, magnitude
+from .scalars import RationalComplex, is_exact, magnitude, power_by_squaring
 
 NEG_INF = float("-inf")
 
@@ -156,16 +156,7 @@ class UniPoly:
 
 def power(p: UniPoly, s: int) -> UniPoly:
     """p**s by repeated squaring; guards against float coefficient overflow."""
-    if not isinstance(s, int) or s < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    out = UniPoly((1,))
-    base = p
-    n = s
-    while n:
-        if n & 1:
-            out = out * base
-        base = base * base if n > 1 else base
-        n >>= 1
+    out = power_by_squaring(UniPoly((1,)), p, s)
     if not out.is_exact:
         if any(magnitude(c) > _COEFF_OVERFLOW for c in out.coeffs):
             raise PrecisionOverflowError(
@@ -276,17 +267,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, s: int) -> "MultiPoly":
-        if not isinstance(s, int) or s < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = MultiPoly.constant(1, self.nvars)
-        base = self
-        n = s
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power_by_squaring(MultiPoly.constant(1, self.nvars), self, s)
 
     def partial(self, j: int) -> "MultiPoly":
         if not 0 <= j < self.nvars:
@@ -319,9 +300,56 @@ class MultiPoly:
         return f"MultiPoly({self.terms!r}, nvars={self.nvars})"
 
 
+# ---------------------------------------------------------------------------
+# Constant-coefficient differential operators
+
+
+def _unit(j: int, k: int, nvars: int) -> tuple:
+    """The multi-index of D_j^k in nvars variables."""
+    return tuple(k if i == j else 0 for i in range(nvars))
+
+
+def _lincomb(pairs):
+    """The sum of c*x over (c, x) pairs; x itself where c == 1."""
+    acc = None
+    for c, x in pairs:
+        x = x if c == 1 else c * x
+        acc = x if acc is None else acc + x
+    return acc
+
+
+class _Operator:
+    """A constant-coefficient operator given by ``images(nvars)``: one or more
+    sums c*D^alpha, each a tuple of (c, alpha) pairs, for polynomials in
+    ``nvars`` variables.  A dimension mismatch raises ValueError there."""
+
+    def apply_all(self, p) -> list:
+        """The images of p, through the polynomial's ``partial_multi``."""
+        return [_lincomb((c, p.partial_multi(alpha)) for c, alpha in image)
+                for image in self.images(p.nvars)]
+
+
 @dataclass(frozen=True)
-class DirOp:
-    """Constant-coefficient directional derivative v1*D1 + ... + vN*DN."""
+class DerivOp(_Operator):
+    """d^k/dx^k in one variable; per-axis k-th partials in two."""
+
+    k: int
+
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError("derivative order k must be >= 0")
+
+    @property
+    def label(self) -> str:
+        return f"deriv:{self.k}"
+
+    def images(self, nvars: int) -> list:
+        return [((1, _unit(j, self.k, nvars)),) for j in range(nvars)]
+
+
+@dataclass(frozen=True)
+class DirOp(_Operator):
+    """The directional derivative v1*D1 + ... + vN*DN, for a nonzero v."""
 
     v: tuple
 
@@ -332,49 +360,48 @@ class DirOp:
         object.__setattr__(self, "v", v)
 
     @property
-    def nvars(self) -> int:
-        return len(self.v)
+    def label(self) -> str:
+        return "dirop:" + ",".join(repr(float(c)) for c in self.v)
 
-    def apply(self, f: MultiPoly) -> MultiPoly:
-        if f.nvars != self.nvars:
+    def images(self, nvars: int) -> list:
+        if len(self.v) != nvars:
             raise DimensionMismatchError(
-                f"operator has {self.nvars} components, polynomial has {f.nvars}"
+                f"direction has {len(self.v)} components, polynomial has {nvars} variables"
             )
-        out = MultiPoly.zero(f.nvars)
-        for j, vj in enumerate(self.v):
-            if _is_zero_coeff(vj):
-                continue
-            out = out + vj * f.partial(j)
-        return out
+        return [tuple((c, _unit(j, 1, nvars)) for j, c in enumerate(self.v))]
 
 
-def dir_derivative(f: MultiPoly, d: DirOp, k: int = 1) -> MultiPoly:
-    """k-fold application of the directional derivative d to f."""
-    if k < 0:
-        raise ValueError("derivative order must be nonnegative")
-    out = f
-    for _ in range(k):
-        out = d.apply(out)
-    return out
+@dataclass(frozen=True)
+class HomOp(_Operator):
+    """H(D1, ..., DN) for a homogeneous H given as exponent/coefficient terms.
 
-
-def hdop_apply(h: MultiPoly, f: MultiPoly) -> MultiPoly:
-    """Apply the constant-coefficient operator H(D1, ..., DN) to f.
-
-    H must be homogeneous of degree >= 1; each term c*x^alpha contributes
-    c * D^alpha f.  With H = x1^2 + ... + xN^2 this is the Laplacian.
+    With H = x1^2 + ... + xN^2 this is the Laplacian.
     """
-    if h.nvars != f.nvars:
-        raise DimensionMismatchError("operator and polynomial nvars differ")
-    if h.is_zero:
-        raise ValueError("operator polynomial must be nonzero")
-    degrees = {sum(a) for a in h.terms}
-    if len(degrees) != 1 or degrees == {0}:
-        raise ValueError("operator polynomial must be homogeneous of degree >= 1")
-    out = MultiPoly.zero(f.nvars)
-    for alpha, c in h.terms.items():
-        out = out + c * f.partial_multi(alpha)
-    return out
+
+    terms: tuple  # ((alpha tuple, coeff), ...)
+
+    def __post_init__(self):
+        degs = {sum(alpha) for alpha, _ in self.terms}
+        if len(degs) != 1 or degs == {0}:
+            raise ValueError("operator terms must be homogeneous of degree >= 1")
+        if all(_is_zero_coeff(c) for _, c in self.terms):
+            raise ValueError("operator terms must not all be zero")
+
+    @property
+    def order(self) -> int:
+        return sum(self.terms[0][0])
+
+    @property
+    def label(self) -> str:
+        body = "+".join(f"{c}*D^{list(a)}" for a, c in self.terms)
+        return f"hop:{body}"
+
+    def images(self, nvars: int) -> list:
+        if any(len(alpha) != nvars for alpha, _ in self.terms):
+            raise DimensionMismatchError(
+                f"operator terms are not all in {nvars} variable(s): {self.label}"
+            )
+        return [tuple((c, tuple(alpha)) for alpha, c in self.terms)]
 
 
 def power_identity_residual(f: MultiPoly, d: DirOp, k: int) -> float:
@@ -386,10 +413,14 @@ def power_identity_residual(f: MultiPoly, d: DirOp, k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    lhs = dir_derivative(f, d, 1) ** k
+    (df,) = d.apply_all(f)
+    lhs = df ** k
     acc = MultiPoly.zero(f.nvars)
     for j in range(k + 1):
-        term = (f ** j) * dir_derivative(f ** (k - j), d, k)
+        dk = f ** (k - j)
+        for _ in range(k):
+            (dk,) = d.apply_all(dk)
+        term = (f ** j) * dk
         coeff = (-1) ** j * math.comb(k, j)
         acc = acc + coeff * term
     if acc.is_exact and lhs.is_exact:

@@ -67,14 +67,7 @@ class RationalComplex:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = RationalComplex(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power_by_squaring(RationalComplex(1, 0), self, n)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -96,6 +89,21 @@ class RationalComplex:
 
     def __repr__(self):
         return f"RationalComplex({self.re!r}, {self.im!r})"
+
+
+def power_by_squaring(one, base, n: int):
+    """base**n as one times base**(2^i) over the set bits i of n, squaring
+    base only while higher bits remain."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 EXACT_TYPES = (int, Fraction, RationalComplex)

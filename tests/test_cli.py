@@ -213,6 +213,18 @@ class TestOrthoExportCommand:
         assert lines[header_idx] == "n,a_n,b_n,supnorm_E"
         assert len(lines) == header_idx + 1 + 9
 
+    def test_union_export(self, tmp_path, capsys):
+        union = {"kind": "union", "parts": [{"kind": "interval", "a": -1, "b": -0.5},
+                                            {"kind": "interval", "a": 0.5, "b": 1}]}
+        cfg = write_config(tmp_path, "o.json", {"family": {"kind": "jacobi", "alpha": 0.0, "beta": 0.0},
+                                                "nmax": 8, "set": union, "output": str(tmp_path / "sys.csv")})
+        assert main(["ortho-export", "--config", cfg]) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "sys.csv").read_text().splitlines()
+                if ln[:1].isdigit()]
+        # the union contains 1, where the orthonormal Legendre Q_n peaks at sqrt(2n+1)
+        assert [float(r[3]) for r in rows] == pytest.approx([math.sqrt(2 * n + 1) for n in range(9)],
+                                                            abs=1e-12)
+
     def test_unknown_family(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "o.json", {"family": {"kind": "fourier"}, "output": "x"})
         assert main(["ortho-export", "--config", cfg]) == 2
@@ -254,12 +266,20 @@ TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees":
         ("ortho-export", {"family": JACOBI_FAMILY, "set": {"kind": "blob"}}, "set"),
         ("ortho-export", {"family": {"kind": "stieltjes", "measure": {"kind": "lebesgue"}}, "nmax": 200},
          "nmax"),
+        ("ortho-export", {"family": JACOBI_FAMILY, "set": {"kind": "region2d", "predicate": "disk_boundary"}}, "set"),
+        ("ortho-export", {"family": JACOBI_FAMILY, "set": {"kind": "union", "parts": [{"kind": "point", "im": 1}]}},
+         "set"),
+        ("factor-table", {**TABLE, "operator": {"kind": "dirop", "v": [0.0]}}, "operator"),
+        ("factor-table", {**TABLE, "operator": {"kind": "dirop", "v": [1.0, 2.0]}}, "operator"),
+        ("factor-table", {**TABLE, "operator": {"kind": "hop", "H": [[[1], 0.0]]}}, "operator"),
     ],
     ids=["degree-string", "negative-k", "negative-poly-degree", "nan-lp-order", "seed-string",
          "seed-float", "seed-bool", "budget-zero", "budget-float", "schur-off-unit-interval",
          "l2-degree-over-cap", "normspec-not-object", "null-set", "unknown-mode",
          "ortho-family-string", "ortho-stieltjes-no-measure", "ortho-jacobi-alpha",
-         "ortho-nmax-string", "ortho-nmax-over-cap", "ortho-unknown-set", "ortho-stieltjes-over-budget"],
+         "ortho-nmax-string", "ortho-nmax-over-cap", "ortho-unknown-set", "ortho-stieltjes-over-budget",
+         "ortho-region-set", "ortho-complex-point", "dirop-zero-direction", "dirop-wrong-length",
+         "hop-zero"],
 )
 def test_malformed_config_names_field(tmp_path, capsys, command, config, field):
     cfg = write_config(tmp_path, "bad.json", {**config, "output": str(tmp_path / "x.csv")})

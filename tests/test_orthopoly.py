@@ -8,6 +8,7 @@ from markovlab import (
     OrthogonalityLossError,
     QuadratureBudgetError,
     UniPoly,
+    UnionSet,
     expand,
     growth_exponent,
     jacobi_system,
@@ -139,6 +140,15 @@ class TestGrowthExponent:
             assert sups[n] == pytest.approx(math.sqrt(2 * n + 1), rel=1e-10)
         fit = growth_exponent(legendre64, unit_interval)
         assert fit.slope_ls == pytest.approx(0.5, abs=0.05)
+
+    def test_union_sups_reach_the_endpoint_value(self, legendre64):
+        # both unions contain x = 1, where |Q_n| peaks at sqrt(2n+1)
+        gap = UnionSet((Interval(-1.0, -0.5), Interval(0.5, 1.0)))
+        point = UnionSet((Interval(-0.5, 0.5),), (1.0,))
+        for E in (gap, point):
+            sups = legendre64.sup_table(E)
+            np.testing.assert_allclose(sups, np.sqrt(2 * np.arange(65) + 1), rtol=0, atol=1e-12)
+        assert growth_exponent(legendre64, gap).slope_ls == pytest.approx(0.5, abs=0.05)
 
     def test_needs_tail(self):
         with pytest.raises(ValueError):

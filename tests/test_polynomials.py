@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from markovlab import (
     DimensionMismatchError,
     DirOp,
+    HomOp,
     MultiPoly,
     PrecisionOverflowError,
     RationalComplex,
     UniPoly,
-    dir_derivative,
-    hdop_apply,
     power,
     power_identity_residual,
     sup_norm,
@@ -21,6 +20,13 @@ from markovlab import (
 from markovlab.polynomials import NEG_INF
 
 from conftest import cheb_t_coeffs
+
+
+def dir_derivative(f, d, k):
+    # k-fold application of the directional derivative d
+    for _ in range(k):
+        (f,) = d.apply_all(f)
+    return f
 
 
 def term_by_term(coeffs, x):
@@ -134,25 +140,24 @@ class TestMultiPoly:
 
 
 class TestHdop:
+    LAPLACIAN = HomOp((((2, 0), 1), ((0, 2), 1)))
+
     def test_laplacian_of_product(self):
-        h = MultiPoly({(2, 0): 1, (0, 2): 1}, 2)
         f = MultiPoly({(2, 2): 1}, 2)
-        assert hdop_apply(h, f) == MultiPoly({(0, 2): 2, (2, 0): 2}, 2)
+        assert self.LAPLACIAN.apply_all(f) == [MultiPoly({(0, 2): 2, (2, 0): 2}, 2)]
 
     def test_second_partial(self):
-        h = MultiPoly({(2,): 1}, 1)
         f = MultiPoly({(3,): 1}, 1)
-        assert hdop_apply(h, f) == MultiPoly({(1,): 6}, 1)
+        assert HomOp((((2,), 1),)).apply_all(f) == [MultiPoly({(1,): 6}, 1)]
 
     def test_harmonic_polynomial(self):
-        h = MultiPoly({(2, 0): 1, (0, 2): 1}, 2)
         f = MultiPoly({(2, 0): 1, (0, 2): -1}, 2)
-        assert hdop_apply(h, f).is_zero
+        (lap,) = self.LAPLACIAN.apply_all(f)
+        assert lap.is_zero
 
     def test_non_homogeneous_rejected(self):
-        h = MultiPoly({(2, 0): 1, (1, 0): 1}, 2)
         with pytest.raises(ValueError):
-            hdop_apply(h, MultiPoly({(2, 0): 1}, 2))
+            HomOp((((2, 0), 1), ((1, 0), 1)))
 
 
 class TestPowerIdentity:
