@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .chebseries import (
     ChebSeries,
-    ChebSeries2D,
     chebyshev_t,
     chebyshev_u,
     legendre_orthonormal,

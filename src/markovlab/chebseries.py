@@ -1,9 +1,12 @@
-"""Chebyshev-basis polynomial arithmetic, stable at high degree on [-1, 1].
+"""The package's float polynomial type: Chebyshev series in one or two variables.
 
 Monomial coefficients of T_n grow like 2^n and make Horner evaluation useless
 past degree ~40; everything degree-heavy in this package (candidate searches,
 norm sweeps, family tables) therefore runs on Chebyshev coefficients with
-Clenshaw evaluation.
+Clenshaw evaluation.  A ``ChebSeries`` holds one coefficient array with one
+axis per variable, real or complex.  ``UniPoly`` and ``MultiPoly`` (exact or
+float power-basis coefficients) enter the float code through
+``as_chebseries``, the one conversion.
 """
 
 from __future__ import annotations
@@ -12,59 +15,92 @@ import numpy as np
 from numpy.polynomial import chebyshev as nch
 from numpy.polynomial import legendre as nleg
 
+from .errors import DimensionMismatchError
 from .polynomials import NEG_INF, UniPoly
 
 
 class ChebSeries:
-    """Polynomial represented by Chebyshev-T coefficients (domain [-1, 1])."""
+    """Polynomial in one or two variables by its Chebyshev-T coefficients.
+
+    ``coef[i]`` (one variable) or ``coef[i, j]`` (two) is the coefficient of
+    T_i(x) or T_i(x) T_j(y); trailing zero slices are trimmed, so the zero
+    polynomial has an empty array.  Coefficients stay complex when given so.
+    Sums, scalar multiples and derivatives take either rank; products, powers
+    and ``to_unipoly`` take one variable.
+    """
 
     __slots__ = ("coef",)
-    nvars = 1
 
     def __init__(self, coef):
-        c = np.atleast_1d(np.asarray(coef))
-        c = nch.chebtrim(c, tol=0)
-        if c.size == 1 and c[0] == 0:
-            c = np.zeros(0)
+        c = 1.0 * np.atleast_1d(np.asarray(coef))  # a float or complex copy
+        nz = np.argwhere(c)
+        if nz.size:
+            c = c[tuple(slice(m + 1) for m in nz.max(axis=0))]
+        else:
+            c = np.zeros((0,) * c.ndim)
         object.__setattr__(self, "coef", c)
 
     def __setattr__(self, *_):
         raise AttributeError("ChebSeries is immutable")
 
     @property
+    def nvars(self) -> int:
+        return self.coef.ndim
+
+    @property
     def degree(self):
-        return self.coef.size - 1 if self.coef.size else NEG_INF
+        """The total degree; -inf for the zero polynomial."""
+        if self.is_zero:
+            return NEG_INF
+        if self.coef.ndim == 1:
+            return self.coef.size - 1
+        return int(np.argwhere(self.coef).sum(axis=1).max())
 
     @property
     def is_zero(self) -> bool:
         return self.coef.size == 0
 
-    def __call__(self, x):
+    def __call__(self, *x):
+        """Values at x (one variable) or at the paired points (x[i], y[i])."""
+        if len(x) != self.nvars:
+            raise DimensionMismatchError(
+                f"point has {len(x)} coordinates, polynomial has {self.nvars}"
+            )
         if self.is_zero:
-            return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-        return nch.chebval(x, self.coef)
+            return np.zeros_like(np.asarray(x[0], dtype=float)) if np.ndim(x[0]) else 0.0
+        if self.nvars == 1:
+            return nch.chebval(x[0], self.coef)
+        return nch.chebval2d(*x, self.coef)
 
-    def deriv(self, k: int = 1) -> "ChebSeries":
+    def deriv(self, k: int = 1, axis: int = 0) -> "ChebSeries":
+        """The k-th partial derivative along variable ``axis``."""
         if k < 0:
             raise ValueError("derivative order must be nonnegative")
-        if self.is_zero or k > self.degree:
-            return ChebSeries([0.0])
-        return ChebSeries(nch.chebder(self.coef, k))
+        if self.coef.shape[axis] <= k:
+            return ChebSeries(np.zeros((1,) * self.nvars))
+        return ChebSeries(nch.chebder(self.coef, k, axis=axis))
 
     def partial_multi(self, alpha) -> "ChebSeries":
-        """D^alpha p for a one-entry multi-index alpha = (k,); p itself when k = 0."""
-        (k,) = alpha
-        return self.deriv(k) if k else self
+        """D^alpha p for a multi-index with one entry per variable; p itself when 0."""
+        out = self
+        for axis, k in enumerate(alpha):
+            if k:
+                out = out.deriv(k, axis)
+        return out
 
     def __add__(self, other):
         if not isinstance(other, ChebSeries):
             return NotImplemented
-        return ChebSeries(nch.chebadd(self.coef, other.coef))
+        a, b = self.coef, other.coef
+        out = np.zeros(np.maximum(a.shape, b.shape), dtype=np.result_type(a, b))
+        out[tuple(map(slice, a.shape))] += a
+        out[tuple(map(slice, b.shape))] += b
+        return ChebSeries(out)
 
     def __sub__(self, other):
         if not isinstance(other, ChebSeries):
             return NotImplemented
-        return ChebSeries(nch.chebsub(self.coef, other.coef))
+        return self + (-1.0) * other
 
     def __mul__(self, other):
         if isinstance(other, ChebSeries):
@@ -89,14 +125,32 @@ class ChebSeries:
             return UniPoly.zero()
         return UniPoly(nch.cheb2poly(self.coef))
 
-    @classmethod
-    def from_unipoly(cls, p: UniPoly) -> "ChebSeries":
-        if p.is_zero:
-            return cls([0.0])
-        return cls(nch.poly2cheb([complex(c).real for c in p.coeffs]))
-
     def __repr__(self):
-        return f"ChebSeries(deg={self.degree})"
+        return f"ChebSeries(deg={self.degree}, nvars={self.nvars})"
+
+
+def as_chebseries(p) -> ChebSeries:
+    """p as a ChebSeries: a ChebSeries itself, or the Chebyshev coefficients of
+    a ``UniPoly`` or of a ``MultiPoly`` in one or two variables, complex where
+    any coefficient has a nonzero imaginary part."""
+    if isinstance(p, ChebSeries):
+        return p
+    if isinstance(p, UniPoly):
+        terms, nvars = {(j,): c for j, c in enumerate(p.coeffs)}, 1
+    else:
+        terms, nvars = p.terms, p.nvars
+    if nvars > 2:
+        raise DimensionMismatchError(f"a ChebSeries has 1 or 2 variables, not {nvars}")
+    a = np.zeros([1 + max((alpha[i] for alpha in terms), default=0) for i in range(nvars)],
+                 dtype=complex)
+    for alpha, c in terms.items():
+        a[alpha] = complex(c)
+    if not a.imag.any():
+        a = a.real
+    # power basis to Chebyshev along each variable; poly2cheb trims, so pad back
+    for axis in range(nvars):
+        a = np.apply_along_axis(lambda v: np.pad(nch.poly2cheb(v), (0, v.size))[: v.size], axis, a)
+    return ChebSeries(a)
 
 
 def chebyshev_t(n: int) -> ChebSeries:
@@ -140,77 +194,9 @@ def random_unit(degree: int, rng: np.random.Generator) -> ChebSeries:
     return ChebSeries(c / np.linalg.norm(c))
 
 
-class ChebSeries2D:
-    """Two-variable polynomial as a 2D Chebyshev coefficient array."""
-
-    __slots__ = ("coef",)
-    nvars = 2
-
-    def __init__(self, coef):
-        c = np.atleast_2d(np.asarray(coef, dtype=float))
-        object.__setattr__(self, "coef", c)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ChebSeries2D is immutable")
-
-    @property
-    def total_degree(self) -> int:
-        nz = np.argwhere(self.coef != 0)
-        if nz.size == 0:
-            return 0
-        return int((nz[:, 0] + nz[:, 1]).max())
-
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.coef)
-
-    def values(self, xs, ys) -> np.ndarray:
-        """Values at paired points (xs[i], ys[i])."""
-        if self.is_zero:
-            return np.zeros_like(np.asarray(xs, dtype=float))
-        return nch.chebval2d(xs, ys, self.coef)
-
-    def deriv(self, kx: int = 0, ky: int = 0) -> "ChebSeries2D":
-        c = self.coef
-        if kx:
-            if c.shape[0] <= kx:
-                return ChebSeries2D(np.zeros((1, 1)))
-            c = nch.chebder(c, kx, axis=0)
-        if ky:
-            if c.shape[1] <= ky:
-                return ChebSeries2D(np.zeros((1, 1)))
-            c = nch.chebder(c, ky, axis=1)
-        return ChebSeries2D(c)
-
-    def partial_multi(self, alpha) -> "ChebSeries2D":
-        """D^alpha p for alpha = (kx, ky); p itself when both are 0."""
-        kx, ky = alpha
-        return self.deriv(kx, ky) if kx or ky else self
-
-    def __add__(self, other):
-        if not isinstance(other, ChebSeries2D):
-            return NotImplemented
-        a, b = self.coef, other.coef
-        rows = max(a.shape[0], b.shape[0])
-        cols = max(a.shape[1], b.shape[1])
-        out = np.zeros((rows, cols))
-        out[: a.shape[0], : a.shape[1]] += a
-        out[: b.shape[0], : b.shape[1]] += b
-        return ChebSeries2D(out)
-
-    def __mul__(self, other):
-        return ChebSeries2D(self.coef * other)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"ChebSeries2D(shape={self.coef.shape})"
-
-
-def product_2d(cx: ChebSeries, cy: ChebSeries) -> ChebSeries2D:
-    a = cx.coef if not cx.is_zero else np.zeros(1)
-    b = cy.coef if not cy.is_zero else np.zeros(1)
-    return ChebSeries2D(np.outer(a, b))
+def product_2d(cx: ChebSeries, cy: ChebSeries) -> ChebSeries:
+    """The two-variable series cx(x) * cy(y)."""
+    return ChebSeries(np.outer(cx.coef, cy.coef))
 
 
 def deriv_matrix(n: int, k: int) -> np.ndarray:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .chebseries import (
     ChebSeries,
-    ChebSeries2D,
     chebyshev_t,
     chebyshev_u,
     deriv_matrix,
@@ -188,7 +187,7 @@ def _candidates_2d(n: int, rng: np.random.Generator, budget: int):
         coef = np.zeros((n + 1, n + 1))
         for i in range(n + 1):
             coef[i, : n + 1 - i] = rng.standard_normal(n + 1 - i)
-        cands.append((f"random2d:{t}", ChebSeries2D(coef / np.linalg.norm(coef))))
+        cands.append((f"random2d:{t}", ChebSeries(coef / np.linalg.norm(coef))))
     return cands
 
 
@@ -247,8 +246,9 @@ class _BatchedRatio(_PolyRatio):
         super().__init__(op, q)
         self.den, self.num = den, num
         self.split = den.matrix.shape[0]
-        # column-major: the ascent reads one column per trial
-        self.matrix = np.empty((self.split + num.matrix.shape[0], A.shape[1]), order="F")
+        # column-major: the ascent reads one column per trial; complex where the operator is
+        self.matrix = np.empty((self.split + num.matrix.shape[0], A.shape[1]),
+                               dtype=np.result_type(den.matrix, A), order="F")
         self.matrix[: self.split] = den.matrix
         self.matrix[self.split :] = num.matrix @ A
 

@@ -1,5 +1,12 @@
 """Norm families on polynomial spaces, their evaluators, and equivalence fits.
 
+The public entry points (``evaluate_norm`` and ``_evaluate_norms``,
+``sup_norm``, ``lp_norm``, ``spectral_norm_estimate``) accept a ``ChebSeries``,
+a ``UniPoly`` or a ``MultiPoly`` and turn it into a ``ChebSeries`` once, by
+``as_chebseries``; everything below them evaluates Chebyshev series only.
+The qms norms are the exception: their exact path reads power-basis
+coefficients, so a ``ChebSeries`` goes to them as a ``UniPoly``.
+
 Each norm except qms is defined once, by its spec's ``terms(deg)`` table
 (``NormTerms``): sups of derivatives over a set with their weights, an
 optional Schur weight on the samples, and an optional L^p part.
@@ -29,7 +36,7 @@ from typing import Mapping, Optional, Sequence, Union, get_args
 
 import numpy as np
 
-from .chebseries import ChebSeries, ChebSeries2D, chebval_columns, deriv_matrix, lobatto_points
+from .chebseries import ChebSeries, as_chebseries, chebval_columns, deriv_matrix, lobatto_points
 from .domains import (
     CompactSet,
     Interval,
@@ -44,7 +51,7 @@ from .domains import (
 )
 from .errors import DimensionMismatchError, PrecisionOverflowError
 from .fitting import max_pairwise_slope
-from .polynomials import NEG_INF, UniPoly, multipoly_grid_values
+from .polynomials import NEG_INF, UniPoly
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-12
@@ -55,8 +62,7 @@ _LP_RTOL = 1e-13
 
 
 def _degree_int(p) -> int:
-    d = p.degree if hasattr(p, "degree") else p.total_degree
-    return 0 if d == NEG_INF else int(d)
+    return 0 if p.is_zero else int(p.degree)
 
 
 def _golden_max_multi(g, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
@@ -100,28 +106,18 @@ def _interval_grid(a: float, b: float, deg: int) -> np.ndarray:
 def _bracket_values(polys, weight):
     """g(x, owner) = |p(x)| * weight(x) with p = polys[owner], elementwise.
 
-    Chebyshev series are evaluated together from their zero-padded
-    coefficient columns, bitwise as ``p(x)`` gives each value; other
-    polynomial classes go through their own ``__call__``.
+    The series are evaluated together from their zero-padded coefficient
+    columns, bitwise as ``p(x)`` gives each value.
     """
-    if all(isinstance(p, ChebSeries) for p in polys):
-        C = np.zeros(
-            (max(1, *(p.coef.size for p in polys)), len(polys)),
-            dtype=np.result_type(*(p.coef for p in polys)),
-        )
-        for j, p in enumerate(polys):
-            C[: p.coef.size, j] = p.coef
+    C = np.zeros(
+        (max(1, *(p.coef.size for p in polys)), len(polys)),
+        dtype=np.result_type(*(p.coef for p in polys)),
+    )
+    for j, p in enumerate(polys):
+        C[: p.coef.size, j] = p.coef
 
-        def values(x, owner):
-            return np.abs(chebval_columns(x, C[:, owner]))
-    else:
-
-        def values(x, owner):
-            out = np.empty(x.shape)
-            for j in np.unique(owner):
-                at = owner == j
-                out[at] = np.abs(polys[j](x[at]))
-            return out
+    def values(x, owner):
+        return np.abs(chebval_columns(x, C[:, owner]))
 
     if weight is None:
         return values
@@ -192,39 +188,28 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
 
 def _sampled_sup(p, E: CompactSet, alpha: float) -> float:
     """The sup over the sample points of a plane region or a complex set."""
-    if E.as_complex:
-        return float(np.max(np.abs(p(E.complex_points))))
-    xs, ys = E.points[:, 0], E.points[:, 1]
-    if isinstance(p, ChebSeries2D):
-        vals = np.abs(p.values(xs, ys))
-    else:
-        vals = np.abs(multipoly_grid_values(p, xs, ys))
+    coords = (E.complex_points,) if E.as_complex else tuple(E.points.T)
+    vals = np.abs(p(*coords))
     if alpha:
+        xs, ys = coords
         vals = vals * np.maximum(1.0 - xs * xs - ys * ys, 0.0) ** alpha
     return float(np.max(vals))
 
 
 def sup_norm(p, E: CompactSet, refine: bool = True) -> float:
     """Supremum norm of p over E (sampled lower estimate, see module note)."""
-    return _sup([p], E, refine)[0]
+    return _sup([as_chebseries(p)], E, refine)[0]
 
 
 # ---------------------------------------------------------------------------
 # L^p norms
 
 
-def _poly_is_real(p) -> bool:
-    if isinstance(p, ChebSeries):
-        return not np.iscomplexobj(p.coef)
-    return all(complex(c).imag == 0 for c in p.coeffs)
-
-
-def _real_roots_inside(p, a: float, b: float) -> list:
+def _real_roots_inside(p: ChebSeries, a: float, b: float) -> list:
     """Sorted real roots of p in (a, b); one within 1e-12 of the last kept is dropped."""
-    cheb = ChebSeries.from_unipoly(p) if isinstance(p, UniPoly) else p
-    if cheb.degree in (NEG_INF, 0):
+    if p.degree in (NEG_INF, 0):
         return []
-    roots = np.atleast_1d(np.polynomial.chebyshev.chebroots(cheb.coef))
+    roots = np.atleast_1d(np.polynomial.chebyshev.chebroots(p.coef))
     merged = []
     for r in sorted(float(z.real) for z in roots if abs(z.imag) < 1e-9 and a < z.real < b):
         if not merged or r - merged[-1] > 1e-12:
@@ -286,6 +271,7 @@ def lp_norm(p, mu: Measure, s: float) -> float:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
+    p = as_chebseries(p)
     if p.nvars != 1:
         raise DimensionMismatchError("lp_norm takes univariate polynomials")
     deg = _degree_int(p)
@@ -297,7 +283,7 @@ def lp_norm(p, mu: Measure, s: float) -> float:
 
     roots = _real_roots_inside(p, mu.support.a, mu.support.b)
     cuts = _lp_cuts(roots, mu)
-    exact = s_int is not None and mu.kind == "lebesgue" and _poly_is_real(p)
+    exact = s_int is not None and mu.kind == "lebesgue" and np.isrealobj(p.coef)
     nnodes = 1 << (deg * math.ceil(s) // 2).bit_length()  # exact for a polynomial |p|^s
     if not exact:
         nnodes = min(nnodes, _LP_MAX_NODES)
@@ -373,7 +359,7 @@ def qms_log_norm(p: UniPoly, m, s: int) -> float:
         return NEG_INF
     mf = float(m)
     logs = []
-    exact = p.is_exact and _poly_is_real(p)
+    exact = p.is_exact and all(complex(c).imag == 0 for c in p.coeffs)
     for r in range(int(p.degree) // s + 1):
         if exact:
             v = _seminorm_block_exact(p, r, s)
@@ -558,8 +544,8 @@ def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
     """``evaluate_norm`` of each of polys, with the sup terms of all of them
     (every derivative order of every polynomial) in one ``_sup`` call."""
     if isinstance(spec, QmsSpec):
-        return [qms_norm(p.to_unipoly() if isinstance(p, ChebSeries) else p, spec.m, spec.s)
-                for p in polys]
+        return [qms_norm(_qms_poly(p), spec.m, spec.s) for p in polys]
+    polys = [as_chebseries(p) for p in polys]
     tables = [spec.terms(_degree_int(p)) for p in polys]
     images = [
         p.partial_multi(tuple(k if j == t.axis else 0 for j in range(p.nvars))) if k else p
@@ -580,6 +566,11 @@ def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
             total += lp_norm(p, *t.lp)
         out.append(float(total))
     return out
+
+
+def _qms_poly(p) -> UniPoly:
+    """The qms norms read power-basis coefficients: a ChebSeries as a UniPoly."""
+    return p.to_unipoly() if isinstance(p, ChebSeries) else p
 
 
 def schur_norm(p, alpha: float, E: Optional[CompactSet] = None, refine: bool = True) -> float:
@@ -752,15 +743,13 @@ def spectral_norm_estimate(p, spec: NormSpec, s_max: int) -> SpectralEstimate:
     if s_max < 4:
         raise ValueError("s_max must be at least 4")
     use_qms = isinstance(spec, QmsSpec)
-    if isinstance(p, UniPoly) and not use_qms and _poly_is_real(p):
-        p = ChebSeries.from_unipoly(p)
+    if not use_qms:
+        p = as_chebseries(p)
     vals = []
     for s in range(1, s_max + 1):
         ps = p**s
         if use_qms:
-            if isinstance(ps, ChebSeries):
-                ps = ps.to_unipoly()
-            lv = qms_log_norm(ps, spec.m, spec.s)
+            lv = qms_log_norm(_qms_poly(ps), spec.m, spec.s)
             vals.append(math.exp(lv / s) if lv != NEG_INF else 0.0)
         else:
             vals.append(evaluate_norm(spec, ps) ** (1.0 / s))

@@ -361,7 +361,8 @@ class DirOp(_Operator):
 
     @property
     def label(self) -> str:
-        return "dirop:" + ",".join(repr(float(c)) for c in self.v)
+        parts = (complex(c) for c in self.v)
+        return "dirop:" + ",".join(repr(z) if z.imag else repr(z.real) for z in parts)
 
     def images(self, nvars: int) -> list:
         if len(self.v) != nvars:
@@ -435,16 +436,3 @@ def power_identity_residual(f: MultiPoly, d: DirOp, k: int) -> float:
         return diff.max_coeff_magnitude()
     return diff.max_coeff_magnitude() / scale
 
-
-def multipoly_grid_values(f: MultiPoly, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Values of a 2-variable polynomial at paired points (float backend)."""
-    if f.nvars != 2:
-        raise DimensionMismatchError("grid evaluation requires nvars == 2")
-    from numpy.polynomial import polynomial as npoly
-
-    deg = int(f.total_degree) if not f.is_zero else 0
-    c = np.zeros((deg + 1, deg + 1), dtype=complex)
-    for (a, b), coeff in f.terms.items():
-        c[a, b] = complex(coeff)
-    vals = npoly.polyval2d(xs, ys, c)
-    return vals if np.iscomplexobj(list(f.terms.values())) else vals.real

@@ -6,7 +6,6 @@ import pytest
 
 from markovlab import (
     ChebSeries,
-    ChebSeries2D,
     DerivOp,
     DirOp,
     HomOp,
@@ -132,6 +131,15 @@ class TestMarkovFactorSearch:
         assert two.factor == 2.0 * one.factor
         assert two.witness_id == one.witness_id
         assert np.array_equal(two.witness.coef, one.witness.coef)
+
+    def test_complex_direction(self):
+        # |i p'| = |p'|: the factors of D_(i) are those of d/dx
+        for n in (2, 8):
+            table = factor_table(SupSpec(E), DirOp((1j,)), [n])
+            want = factor_table(SupSpec(E), DerivOp(1), [n]).factors()[0]
+            assert table.factors()[0] == pytest.approx(want, rel=1e-12)
+        assert table.op == "dirop:1j"
+        assert DirOp((1.0, -2.0)).label == "dirop:1.0,-2.0"
 
 
 F03 = Interval(0.0, 3.0)
@@ -404,14 +412,14 @@ class TestApplyAll:
     LAPLACIAN = HomOp((((2, 0), 1.0), ((0, 2), 1.0)))
 
     def test_chebseries2d(self, rng):
-        p = ChebSeries2D(rng.standard_normal((5, 4)))
+        p = ChebSeries(rng.standard_normal((5, 4)))
         dxx, dyy = DerivOp(2).apply_all(p)
-        np.testing.assert_array_equal(dxx.coef, p.deriv(kx=2).coef)
-        np.testing.assert_array_equal(dyy.coef, p.deriv(ky=2).coef)
+        np.testing.assert_array_equal(dxx.coef, p.deriv(2, axis=0).coef)
+        np.testing.assert_array_equal(dyy.coef, p.deriv(2, axis=1).coef)
         (dv,) = DirOp((1.0, 2.0)).apply_all(p)
-        np.testing.assert_array_equal(dv.coef, (p.deriv(kx=1) + 2.0 * p.deriv(ky=1)).coef)
+        np.testing.assert_array_equal(dv.coef, (p.deriv(1, axis=0) + 2.0 * p.deriv(1, axis=1)).coef)
         (lap,) = self.LAPLACIAN.apply_all(p)
-        np.testing.assert_array_equal(lap.coef, (p.deriv(kx=2) + p.deriv(ky=2)).coef)
+        np.testing.assert_array_equal(lap.coef, (p.deriv(2, axis=0) + p.deriv(2, axis=1)).coef)
 
     def test_multipoly(self):
         f = MultiPoly({(3, 1): 2, (1, 2): -3, (0, 4): 1, (2, 0): 1}, 2)  # 2x^3y - 3xy^2 + y^4 + x^2
@@ -438,7 +446,7 @@ class TestApplyAll:
         with pytest.raises(ValueError):
             DirOp((1.0, 2.0)).apply_all(ChebSeries([0.0, 1.0]))
         with pytest.raises(ValueError):
-            DirOp((1.0,)).apply_all(ChebSeries2D(np.ones((2, 2))))
+            DirOp((1.0,)).apply_all(ChebSeries(np.ones((2, 2))))
         with pytest.raises(ValueError):
             self.LAPLACIAN.apply_all(UniPoly((0.0, 0.0, 1.0)))
 

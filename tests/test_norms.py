@@ -24,6 +24,7 @@ from markovlab import (
     chebyshev_t,
     chebyshev_u,
     cusp_region,
+    disk_boundary,
     evaluate_norm,
     fit_nikolskii,
     jacobi_measure,
@@ -44,6 +45,8 @@ from markovlab import (
 )
 from markovlab.chebseries import ChebSeries, lobatto_points, random_unit
 from markovlab.norms import _sup, qms_log_norm
+
+from conftest import cheb_t_coeffs
 
 E = Interval(-1.0, 1.0)
 MU = lebesgue_measure()
@@ -137,6 +140,20 @@ class TestLpNorm:
         #                      = 1/12 + 1/6 = 1/4
         got = lp_norm(UniPoly((-0.25, 0.0, 1.0)), MU, 1)
         assert got == pytest.approx(0.25, rel=1e-12)
+
+    def test_complex_coefficients_closed_form(self):
+        # int |x + i| dx/2 over [-1, 1] = (sqrt(2) + asinh(1)) / 2
+        got = lp_norm(UniPoly((1j, 1.0)), MU, 1)
+        assert got == pytest.approx((math.sqrt(2.0) + math.asinh(1.0)) / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1.5, 3.0])
+    @pytest.mark.parametrize("coeffs", [(1j, 1.0), (0.3j, 0.0, 1.0)], ids=["x+i", "x^2+0.3i"])
+    def test_complex_coefficients_gauss_legendre(self, coeffs, s):
+        # |p|^s is analytic near [-1, 1], so 400 Gauss-Legendre nodes resolve it
+        x, w = np.polynomial.legendre.leggauss(400)
+        p = UniPoly(coeffs)
+        want = (np.sum(w * np.abs(p(x)) ** s) / 2) ** (1 / s)
+        assert lp_norm(p, MU, s) == pytest.approx(want, rel=1e-12)
 
     def test_non_integer_s(self):
         # pure quadrature path; constant polynomial keeps it exact
@@ -328,18 +345,15 @@ class TestMixedDerivNorm:
 
         for n in (1, 3, 6, 10):
             p = product_2d(chebyshev_t(n), chebyshev_t(0))
-            ratio = sup_norm(p.deriv(kx=1), cusp) / sup_norm(p, cusp)
+            ratio = sup_norm(p.deriv(1, axis=0), cusp) / sup_norm(p, cusp)
             assert ratio <= 2.0 * n * n * (1 + 1e-9)
         for _ in range(5):
-            coef = rng.standard_normal((5, 5))
-            from markovlab.chebseries import ChebSeries2D
-
-            p = ChebSeries2D(coef)
-            n = p.total_degree
+            p = ChebSeries(rng.standard_normal((5, 5)))
+            n = p.degree
             denom = sup_norm(p, cusp)
             if denom == 0.0:
                 continue
-            assert sup_norm(p.deriv(kx=1), cusp) / denom <= 2.0 * n * n * (1 + 1e-9)
+            assert sup_norm(p.deriv(1, axis=0), cusp) / denom <= 2.0 * n * n * (1 + 1e-9)
 
 
 class TestSupPlusLp:
@@ -558,3 +572,46 @@ def test_lp_nondecreasing_in_s(seed):
     vals = [lp_norm(p, MU, s) for s in (1, 2, 4, 8)]
     for lo, hi in zip(vals, vals[1:]):
         assert lo <= hi * (1 + 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# One conversion: every polynomial class gives the value of its ChebSeries
+
+_CHEB_1D = np.array([0.25, -1.5, 0.5, 0.75])  # dyadic, so the power basis is exact
+_UNION = UnionSet((Interval(-1.0, 0.0), Interval(0.5, 1.0)), (1.5,))
+_CONTRACT = {  # each public entry point that takes one polynomial
+    "sup[-1,1]": lambda p: sup_norm(p, E),
+    "sup[0,3]": lambda p: sup_norm(p, Interval(0.0, 3.0)),
+    "sup-union": lambda p: sup_norm(p, _UNION),
+    "sup-circle": lambda p: sup_norm(p, disk_boundary()),
+    "schur": lambda p: schur_norm(p, 0.5),
+    "taylor_disk": lambda p: taylor_disk_norm(p, E, 0.5),
+    "mixed_deriv": lambda p: mixed_deriv_norm(p, E),
+    "sup+L2": lambda p: sup_plus_lp_norm(p, E, MU, 2.0),
+    **{f"L^{s:g}": (lambda p, s=s: lp_norm(p, MU, s)) for s in (1.0, 1.5, 2.0, 3.0)},
+}
+
+
+@pytest.mark.parametrize("imag", [0.0, 0.5], ids=["real", "complex"])
+@pytest.mark.parametrize("norm", list(_CONTRACT.values()), ids=list(_CONTRACT))
+def test_conversion_contract_one_variable(norm, imag):
+    c = _CHEB_1D + imag * _CHEB_1D[::-1] * 1j if imag else _CHEB_1D
+    power = np.polynomial.chebyshev.cheb2poly(c)
+    want = norm(ChebSeries(c))
+    for p in (UniPoly(tuple(power)), MultiPoly({(j,): a for j, a in enumerate(power)}, 1)):
+        assert norm(p) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("imag", [0.0, 0.5], ids=["real", "complex"])
+@pytest.mark.parametrize("spec", [SupSpec(box_region()), MixedDerivSpec(box_region(), 1)],
+                         ids=["sup-box", "mixed_deriv-box"])
+def test_conversion_contract_box(spec, imag):
+    C = np.array([[0.5, -0.25, 0.75], [1.0, 0.5, 0.0], [-0.25, 0.0, 0.0]])
+    C = C + imag * C.T * 1j if imag else C
+    terms = {}
+    for (i, j), cij in np.ndenumerate(C):
+        for a, ta in enumerate(cheb_t_coeffs(i)):
+            for b, tb in enumerate(cheb_t_coeffs(j)):
+                terms[(a, b)] = terms.get((a, b), 0) + cij * ta * tb
+    got = evaluate_norm(spec, MultiPoly(terms, 2))
+    assert got == pytest.approx(evaluate_norm(spec, ChebSeries(C)), rel=1e-13)
