@@ -67,7 +67,7 @@ class ChebSeries:
                 f"point has {len(x)} coordinates, polynomial has {self.nvars}"
             )
         if self.is_zero:
-            return np.zeros_like(np.asarray(x[0], dtype=float)) if np.ndim(x[0]) else 0.0
+            return np.zeros(np.shape(x[0])) if np.ndim(x[0]) else 0.0
         if self.nvars == 1:
             return nch.chebval(x[0], self.coef)
         return nch.chebval2d(*x, self.coef)
@@ -104,6 +104,7 @@ class ChebSeries:
 
     def __mul__(self, other):
         if isinstance(other, ChebSeries):
+            _one_variable(self, other)
             if self.is_zero or other.is_zero:
                 return ChebSeries([0.0])
             return ChebSeries(nch.chebmul(self.coef, other.coef))
@@ -114,6 +115,7 @@ class ChebSeries:
     def __pow__(self, s: int) -> "ChebSeries":
         if not isinstance(s, int) or s < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        _one_variable(self)
         if s == 0:
             return ChebSeries([1.0])
         if self.is_zero:
@@ -127,6 +129,11 @@ class ChebSeries:
 
     def __repr__(self):
         return f"ChebSeries(deg={self.degree}, nvars={self.nvars})"
+
+
+def _one_variable(*series: ChebSeries) -> None:
+    if any(p.nvars != 1 for p in series):
+        raise DimensionMismatchError("products and powers take one-variable series")
 
 
 def as_chebseries(p) -> ChebSeries:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -59,11 +60,21 @@ def _require(cfg: dict, name: str):
 
 
 def _parsed(name: str, parse, *args):
-    """parse(*args), with a malformed value reported as config field ``name``."""
+    """parse(*args), with a malformed value or an unusable path reported as
+    config field ``name``."""
     try:
         return parse(*args)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, OSError) as exc:
         raise ConfigError(name, str(exc))
+
+
+def _path(flag, cfg: dict, name: str) -> str:
+    """The path a flag gives, else config field ``name``'s: a nonempty string
+    (``open`` would take an int or a bool for a file descriptor)."""
+    path = flag or cfg.get(name)
+    if not path or not isinstance(path, str):
+        raise ConfigError(name, f"give a path string (config '{name}' or its flag), got {path!r}")
+    return path
 
 
 def _config_hash(cfg: dict) -> str:
@@ -124,26 +135,35 @@ def _parse_poly(desc, mode: str):
                     )
                 return UniPoly.monomial(n, 1)
             return _FAMILIES[name](n)
-        try:
-            return UniPoly((Fraction(desc),)) if mode == "exact" else UniPoly((float(desc),))
-        except ValueError:
-            raise ConfigError("poly", f"unknown family {name!r}")
+        return UniPoly((_coefficient(desc, mode),))
     if isinstance(desc, dict):
         desc = desc.get("coeffs")
     if isinstance(desc, (list, tuple)):
-        if mode == "exact":
-            return UniPoly(tuple(Fraction(str(c)) for c in desc))
-        return UniPoly(tuple(float(c) for c in desc))
+        return UniPoly(tuple(_coefficient(c, mode) for c in desc))
     raise ConfigError("poly", "expected 'family:n', a list, or {'coeffs': [...]}")
+
+
+def _coefficient(c, mode: str):
+    """A coefficient of a 'poly' config: a rational in exact mode, else a finite float."""
+    try:
+        value = Fraction(str(c)) if mode == "exact" else float(c)
+    except (ValueError, TypeError):
+        raise ConfigError("poly", f"neither a known family nor a number: {c!r}")
+    if not math.isfinite(value):
+        raise ConfigError("poly", f"coefficient {c!r} is not finite")
+    return value
 
 
 def _write_json(path: str | None, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
-    if path:
+    if not path:
+        print(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise ConfigError("output", str(exc))
 
 
 def cmd_norm(args) -> int:
@@ -189,14 +209,12 @@ def cmd_factor_table(args) -> int:
         raise ConfigError("degrees", "must be strictly increasing")
     if isinstance(spec, LpSpec) and spec.s == 2 and degrees[-1] > NMAX_HARD_CAP:
         raise ConfigError("degrees", f"L2 factor tables stop at degree {NMAX_HARD_CAP}")
-    out_path = args.out or cfg.get("output")
-    if not out_path:
-        raise ConfigError("output", "give an output path (config 'output' or --out)")
+    out_path = _path(args.out, cfg, "output")
     budget = cfg.get("budget", 1)
     if not _is_count(budget) or budget < 1:
         raise ConfigError("budget", f"must be an integer >= 1, got {budget!r}")
     table = factor_table(spec, op, degrees, seed=seed, budget=int(budget))
-    table.write_csv(out_path, meta=_meta(cfg, seed, mode))
+    _parsed("output", table.write_csv, out_path, _meta(cfg, seed, mode))
     print(out_path)
     return EXIT_OK
 
@@ -204,18 +222,17 @@ def cmd_factor_table(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     seed, mode = _seed_and_mode(args, cfg)
-    table_path = args.table or cfg.get("table")
-    if not table_path:
-        raise ConfigError("table", "give a table CSV (config 'table' or --table)")
+    table_path = _path(args.table, cfg, "table")
     window = cfg.get("window")
     if args.window:
         window = args.window
-    meta, rows = read_table_csv(table_path)
+    meta, rows = _parsed("table", read_table_csv, table_path)
     if len(rows) < 4:
         raise ConfigError("table", f"need at least 4 rows, found {len(rows)}")
     ns = [n for n, _ in rows]
     vals = [v for _, v in rows]
-    fit = _parsed("window", fit_power_law, ns, vals, tuple(window) if window else None)
+    window = _parsed("window", tuple, window) if window else None
+    fit = _parsed("window", fit_power_law, ns, vals, window)
     payload = fit.to_json()
     payload["source"] = meta.get("config_hash", "")
     payload.update(_meta(cfg, seed, mode))
@@ -263,10 +280,13 @@ def cmd_ortho_export(args) -> int:
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError("family", str(exc))
     E = _parsed("set", set_from_json, cfg["set"]) if "set" in cfg else None
-    out_path = args.out or cfg.get("output")
-    if not out_path:
-        raise ConfigError("output", "give an output path (config 'output' or --out)")
-    _parsed("set", sys_.export_csv, out_path, E, _meta(cfg, seed, mode))
+    out_path = _path(args.out, cfg, "output")
+    try:
+        sys_.export_csv(out_path, E, _meta(cfg, seed, mode))
+    except OSError as exc:
+        raise ConfigError("output", str(exc))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError("set", str(exc))
     print(out_path)
     return EXIT_OK
 

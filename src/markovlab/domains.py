@@ -2,14 +2,16 @@
 
 Set variants: Interval, UnionSet (ordered disjoint intervals plus isolated
 real/complex points), and SampledRegion2D (a point cloud with the generating
-predicate recorded so runs are reproducible).  Measures carry Gauss rules
-matched to their weight so polynomial integrands are integrated exactly.
+predicate recorded so runs are reproducible).  Measures take Gauss rules
+matched to their weight, all from the one cached ``gauss_jacobi``, so
+polynomial integrands are integrated exactly.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
@@ -25,8 +27,8 @@ class Interval:
     nvars = 1  # variables of the polynomials a set takes
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+            raise ValueError(f"interval requires finite a < b, got [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:
@@ -46,6 +48,8 @@ class UnionSet:
         pts = tuple(complex(p) for p in self.points)
         if not ivs and not pts:
             raise ValueError("union set must be nonempty")
+        if not all(cmath.isfinite(p) for p in pts):
+            raise ValueError("union points must be finite")
         for iv in ivs:
             if not isinstance(iv, Interval):
                 raise TypeError("intervals must be Interval instances")
@@ -251,14 +255,20 @@ def jacobi_log_mass(alpha: float, beta: float, width: float) -> float:
     return (alpha + beta + 1) * math.log(width) + log_beta
 
 
-@dataclass
-class Measure:
-    """Probability measure on an interval with cached Gauss rules.
+# Largest polynomial degree whose square a rule integrates exactly: rules are
+# exact up to degree 2*DEGREE_BUDGET, and orthonormal systems built by
+# quadrature stop at degree DEGREE_BUDGET/2.
+DEGREE_BUDGET = 256
 
-    ``degree_budget`` is the largest polynomial degree whose square is still
-    integrated exactly: rules are exact up to degree 2*degree_budget.
+
+@dataclass(frozen=True)
+class Measure:
+    """Probability measure on an interval.
+
     ``alpha`` and ``beta`` are the exponents of (b - x) and (x - a) in the
-    density; they are 0 but for Jacobi measures.
+    density; they are 0 but for Jacobi measures.  Every rule is the cached
+    ``gauss_jacobi`` rule for (alpha, beta) mapped onto the support; a
+    tabulated measure multiplies the Legendre one by its weight function.
     """
 
     kind: str  # "lebesgue" | "jacobi" | "tabulated"
@@ -266,53 +276,47 @@ class Measure:
     alpha: float = 0.0
     beta: float = 0.0
     weight_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    degree_budget: int = 256
-    _rules: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("lebesgue", "jacobi", "tabulated"):
             raise ValueError(f"unknown measure kind {self.kind!r}")
         if self.kind == "jacobi":
-            if self.alpha <= -1 or self.beta <= -1:
-                raise ValueError("jacobi parameters must exceed -1")
+            if not (-1 < self.alpha < math.inf and -1 < self.beta < math.inf):
+                raise ValueError("jacobi parameters must be finite and exceed -1")
             if (self.support.a, self.support.b) != (-1.0, 1.0):
                 raise ValueError("jacobi measures are supported on [-1, 1]")
         if self.kind == "tabulated" and self.weight_fn is None:
             raise ValueError("tabulated measure needs a weight function")
 
+    def _mapped_rule(self, nnodes: int):
+        """gauss_jacobi(nnodes, alpha, beta) mapped affinely onto the support;
+        on [-1, 1], the cached read-only arrays themselves."""
+        x, w = gauss_jacobi(nnodes, self.alpha, self.beta)
+        a, b = self.support.a, self.support.b
+        if (a, b) == (-1.0, 1.0):
+            return x, w
+        return (a + b) / 2 + self.support.width / 2 * x, w
+
     def _tabulated_rule(self, nnodes: int):
         """Gauss-Legendre nodes on the support; weights dx times the weight function."""
-        x, w = np.polynomial.legendre.leggauss(nnodes)
-        half = self.support.width / 2
-        nodes = (self.support.a + self.support.b) / 2 + half * x
-        return nodes, w * half * np.asarray(self.weight_fn(nodes), dtype=float)
+        nodes, w = self._mapped_rule(nnodes)
+        return nodes, w * self.support.width * np.asarray(self.weight_fn(nodes), dtype=float)
 
     def gauss_rule(self, nnodes: int):
         """Nodes and weights of an n-point rule, normalized to total mass 1."""
         nnodes = max(int(nnodes), 1)
-        if nnodes in self._rules:
-            return self._rules[nnodes]
-        if self.kind == "lebesgue":
-            x, w = np.polynomial.legendre.leggauss(nnodes)
-            mid = (self.support.a + self.support.b) / 2
-            half = self.support.width / 2
-            nodes, weights = mid + half * x, w / 2.0
-        elif self.kind == "jacobi":
-            nodes, weights = gauss_jacobi(nnodes, self.alpha, self.beta)
-        else:
-            nodes, weights = self._tabulated_rule(nnodes)
-            total = weights.sum()
-            # self-consistency: a doubled rule must agree to 1e-8 relative
-            total2 = self._tabulated_rule(2 * nnodes)[1].sum()
-            if abs(total - total2) > 1e-8 * abs(total2):
-                raise QuadratureBudgetError(
-                    "tabulated weight fails quadrature self-consistency; "
-                    "increase the node count"
-                )
-            weights = weights / total
-        rule = (nodes, weights)
-        self._rules[nnodes] = rule
-        return rule
+        if self.kind != "tabulated":
+            return self._mapped_rule(nnodes)
+        nodes, weights = self._tabulated_rule(nnodes)
+        total = weights.sum()
+        # self-consistency: a doubled rule must agree to 1e-8 relative
+        total2 = self._tabulated_rule(2 * nnodes)[1].sum()
+        if abs(total - total2) > 1e-8 * abs(total2):
+            raise QuadratureBudgetError(
+                "tabulated weight fails quadrature self-consistency; "
+                "increase the node count"
+            )
+        return nodes, weights / total
 
     def rule_for_degree(self, degree: int):
         """Rule exact for polynomial integrands up to ``degree``.
@@ -321,9 +325,9 @@ class Measure:
         weight is part of the integrand, so that case oversamples (spectral
         accuracy for smooth weights) instead of claiming exactness.
         """
-        if degree > 2 * self.degree_budget:
+        if degree > 2 * DEGREE_BUDGET:
             raise QuadratureBudgetError(
-                f"integrand degree {degree} exceeds budget {2 * self.degree_budget}"
+                f"integrand degree {degree} exceeds budget {2 * DEGREE_BUDGET}"
             )
         if self.kind == "tabulated":
             return self.gauss_rule(max(degree + 1, 64))
@@ -337,32 +341,23 @@ class Measure:
         mass = jacobi_log_mass(self.alpha, self.beta, self.support.width)
         return np.full(np.shape(x), math.exp(-mass))
 
-    def total_mass(self, nnodes: int = 64) -> float:
-        _, w = self.gauss_rule(nnodes)
-        return float(w.sum())
+
+def lebesgue_measure(a: float = -1.0, b: float = 1.0) -> Measure:
+    return Measure("lebesgue", Interval(a, b))
 
 
-def lebesgue_measure(a: float = -1.0, b: float = 1.0, degree_budget: int = 256) -> Measure:
-    return Measure("lebesgue", Interval(a, b), degree_budget=degree_budget)
+def jacobi_measure(alpha: float, beta: float) -> Measure:
+    return Measure("jacobi", Interval(-1.0, 1.0), alpha=alpha, beta=beta)
 
 
-def jacobi_measure(alpha: float, beta: float, degree_budget: int = 256) -> Measure:
-    return Measure("jacobi", Interval(-1.0, 1.0), alpha=alpha, beta=beta, degree_budget=degree_budget)
-
-
-def chebyshev_measure(degree_budget: int = 256) -> Measure:
-    return jacobi_measure(-0.5, -0.5, degree_budget=degree_budget)
+def chebyshev_measure() -> Measure:
+    return jacobi_measure(-0.5, -0.5)
 
 
 def tabulated_measure(
-    weight_fn: Callable[[np.ndarray], np.ndarray],
-    a: float = -1.0,
-    b: float = 1.0,
-    degree_budget: int = 256,
+    weight_fn: Callable[[np.ndarray], np.ndarray], a: float = -1.0, b: float = 1.0
 ) -> Measure:
-    return Measure(
-        "tabulated", Interval(a, b), weight_fn=weight_fn, degree_budget=degree_budget
-    )
+    return Measure("tabulated", Interval(a, b), weight_fn=weight_fn)
 
 
 def measure_to_json(mu: Measure) -> dict:

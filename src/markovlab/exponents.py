@@ -57,6 +57,8 @@ OperatorSpec = Union[DerivOp, DirOp, HomOp]
 
 
 def operator_from_json(obj: dict) -> OperatorSpec:
+    if not isinstance(obj, dict):
+        raise TypeError(f"an operator is a JSON object, not {obj!r}")
     kind = obj.get("kind")
     if kind == "deriv":
         return DerivOp(int(obj["k"]))
@@ -575,7 +577,6 @@ class FloorReport:
 
 def spectral_exponent_floor(
     q: NormSpec,
-    j: int = 0,
     n_range: tuple = (2, 16),
     k: int = 1,
     seed: int = DEFAULT_SEED,

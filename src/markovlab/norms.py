@@ -5,7 +5,7 @@ The public entry points (``evaluate_norm`` and ``_evaluate_norms``,
 a ``UniPoly`` or a ``MultiPoly`` and turn it into a ``ChebSeries`` once, by
 ``as_chebseries``; everything below them evaluates Chebyshev series only.
 The qms norms are the exception: their exact path reads power-basis
-coefficients, so a ``ChebSeries`` goes to them as a ``UniPoly``.
+coefficients, so ``_qms_poly`` turns every input into a ``UniPoly``.
 
 Each norm except qms is defined once, by its spec's ``terms(deg)`` table
 (``NormTerms``): sups of derivatives over a set with their weights, an
@@ -51,7 +51,7 @@ from .domains import (
 )
 from .errors import DimensionMismatchError, PrecisionOverflowError
 from .fitting import max_pairwise_slope
-from .polynomials import NEG_INF, UniPoly
+from .polynomials import NEG_INF, MultiPoly, UniPoly
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-12
@@ -476,8 +476,8 @@ class SchurSpec:
     kind: str = field(default="schur", init=False)
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("weight exponent alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("weight exponent alpha must be finite and positive")
         E = self.set
         if E is not None and E.nvars == 1 and E != Interval(-1.0, 1.0):
             raise ValueError("the weighted sup norm is defined on [-1, 1] or a plane region")
@@ -495,8 +495,8 @@ class QmsSpec:
     kind: str = field(default="qms", init=False)
 
     def __post_init__(self):
-        if float(self.m) <= 0 or self.s < 1:
-            raise ValueError("qms needs m > 0 and a positive integer s")
+        if not 0 < float(self.m) < math.inf or self.s < 1:
+            raise ValueError("qms needs a finite m > 0 and a positive integer s")
 
 
 @dataclass(frozen=True)
@@ -506,13 +506,17 @@ class TaylorDiskSpec:
     kind: str = field(default="taylor_disk", init=False)
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("disk radius must be positive")
+        if not 0 < self.r < math.inf:
+            raise ValueError("disk radius must be finite and positive")
 
     def terms(self, deg: int) -> NormTerms:
         """sup|p^(k)| * r^k / k! for k = 0..deg (the rest vanish)."""
+        try:
+            weights = [self.r**k for k in range(deg + 1)]
+        except OverflowError:
+            raise PrecisionOverflowError(f"taylor_disk weight r^{deg} leaves the double range")
         return NormTerms(
-            self.set, sups=tuple((k, self.r**k, math.factorial(k)) for k in range(deg + 1))
+            self.set, sups=tuple((k, w, math.factorial(k)) for k, w in enumerate(weights))
         )
 
 
@@ -569,8 +573,17 @@ def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
 
 
 def _qms_poly(p) -> UniPoly:
-    """The qms norms read power-basis coefficients: a ChebSeries as a UniPoly."""
-    return p.to_unipoly() if isinstance(p, ChebSeries) else p
+    """The one qms conversion: the qms norms read power-basis coefficients, so a
+    ChebSeries or a one-variable MultiPoly becomes a UniPoly (exact coefficients
+    stay exact).  A polynomial in two variables raises DimensionMismatchError."""
+    if p.nvars != 1:
+        raise DimensionMismatchError(f"qms norms take one variable, not {p.nvars}")
+    if isinstance(p, ChebSeries):
+        return p.to_unipoly()
+    if isinstance(p, MultiPoly):
+        deg = max((alpha[0] for alpha in p.terms), default=-1)
+        return UniPoly(p.terms.get((j,), 0) for j in range(deg + 1))
+    return p
 
 
 def schur_norm(p, alpha: float, E: Optional[CompactSet] = None, refine: bool = True) -> float:

@@ -18,12 +18,21 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import chebyshev as nch
 
-from .domains import CompactSet, Interval, Measure, UnionSet, jacobi_measure, jacobi_monic_recurrence
+from .chebseries import ChebSeries
+from .domains import (
+    DEGREE_BUDGET,
+    CompactSet,
+    Interval,
+    Measure,
+    UnionSet,
+    jacobi_measure,
+    jacobi_monic_recurrence,
+)
 from .errors import OrthogonalityLossError, QuadratureBudgetError
 from .fitting import ExponentFit, fit_power_law
 from .norms import _interval_grid
-from .polynomials import UniPoly
 
 NMAX_HARD_CAP = 256
 _DRIFT_CHECK_STRIDE = 16
@@ -92,19 +101,16 @@ class OrthoSystem:
 
     @cached_property
     def polys(self) -> tuple:
-        """Monomial-coefficient copies of Q_0..Q_nmax.
-
-        Useful for exact low-degree work; unreliable for evaluation past
-        degree ~30 (coefficients grow like 2^n), use values() instead.
-        """
-        out = [UniPoly((1.0,))]
-        if self.nmax >= 1:
-            out.append(UniPoly((-self.alphas[0] / self.betas[1], 1.0 / self.betas[1])))
-        for n in range(1, self.nmax):
-            x_shift = UniPoly((-self.alphas[n], 1.0)) * out[n]
-            nxt = (1.0 / self.betas[n + 1]) * (x_shift - self.betas[n] * out[n - 1])
-            out.append(nxt)
-        return tuple(out)
+        """Q_0..Q_nmax as Chebyshev series, by the recurrence on their
+        Chebyshev coefficients (multiplication by x is ``chebmulx``)."""
+        out = [np.ones(1)]
+        for n in range(self.nmax):
+            nxt = nch.chebmulx(out[n])
+            nxt[: n + 1] -= self.alphas[n] * out[n]
+            if n:
+                nxt[:n] -= self.betas[n] * out[n - 1]
+            out.append(nxt / self.betas[n + 1])
+        return tuple(ChebSeries(c) for c in out)
 
     def gram_defect(self, upto: Optional[int] = None) -> float:
         """max |<Q_i, Q_j> - delta_ij| over i, j <= upto, by quadrature."""
@@ -151,12 +157,10 @@ class OrthoSystem:
 
 def jacobi_system(alpha: float, beta: float, nmax: int = 64) -> OrthoSystem:
     """Orthonormal system for the normalized Jacobi weight (1-x)^a (1+x)^b."""
-    if alpha <= -1 or beta <= -1:
-        raise ValueError("jacobi parameters must exceed -1")
+    mu = jacobi_measure(alpha, beta)  # checks alpha and beta
     a, b_monic = jacobi_monic_recurrence(alpha, beta, nmax)
     betas = np.sqrt(b_monic)
     betas[0] = 0.0
-    mu = jacobi_measure(alpha, beta, degree_budget=max(256, nmax))
     return OrthoSystem(a, betas, mu, nmax)
 
 
@@ -168,10 +172,10 @@ def stieltjes_orthonormalize(mu: Measure, nmax: int = 64) -> OrthoSystem:
     OrthogonalityLossError naming the failing degree once the Gram defect
     passes 1e-9.
     """
-    if mu.degree_budget < 2 * nmax:
+    if 2 * nmax > DEGREE_BUDGET:
         raise QuadratureBudgetError(
             f"stieltjes needs a quadrature budget >= 2*nmax = {2 * nmax}, "
-            f"got {mu.degree_budget}"
+            f"got {DEGREE_BUDGET}"
         )
     nodes, weights = mu.rule_for_degree(2 * nmax + 1)
     a = np.zeros(nmax)
@@ -214,14 +218,9 @@ def expand(p, sys: OrthoSystem) -> np.ndarray:
     return (V * weights) @ pv
 
 
-def reconstruct(coeffs: Sequence[float], sys: OrthoSystem) -> UniPoly:
-    """Linear combination sum_j coeffs[j] * Q_j as a monomial polynomial.
-
-    Monomial coefficients of Q_j grow like 2^j, so 1e-15-level expansion
-    noise at large j is amplified; truncate ``coeffs`` to the degree you
-    actually mean before reconstructing against a large system.
-    """
-    out = UniPoly.zero()
+def reconstruct(coeffs: Sequence[float], sys: OrthoSystem) -> ChebSeries:
+    """Linear combination sum_j coeffs[j] * Q_j as a Chebyshev series."""
+    out = ChebSeries([0.0])
     for c, q in zip(coeffs, sys.polys):
         if c:
             out = out + float(c) * q

@@ -312,6 +312,6 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, mode: str = "float") -> Suite
                     )
                 )
         return combined
-    if name not in SUITES:
+    if not isinstance(name, str) or name not in SUITES:
         raise ValueError(f"unknown suite name {name!r}")
     return SUITES[name](seed=seed, mode=mode)

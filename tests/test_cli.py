@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import markovlab
 from markovlab.cli import main
@@ -234,6 +238,12 @@ def test_missing_config_file(tmp_path, capsys):
     assert main(["norm", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+_HEADER = "op,n,factor,certification,witness_id,log_n,log_factor\n"
+_TABLES = {
+    "square.csv": _HEADER + "".join(f"deriv:1,{n},{float(n * n)!r},Exact,w,,\n" for n in range(1, 9)),
+    "n-float.csv": _HEADER + "".join(f"deriv:1,{n}.5,1.0,Exact,w,,\n" for n in range(1, 9)),
+    "no-factor.csv": "op,n,value\n" + "".join(f"deriv:1,{n},1.0\n" for n in range(1, 9)),
+}
 LP_SPEC = {"kind": "lp", "measure": {"kind": "lebesgue", "a": -1, "b": 1}, "s": 2}
 JACOBI_FAMILY = {"kind": "jacobi", "alpha": 0.5, "beta": 0.5}
 TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees": [2, 4]}
@@ -272,6 +282,34 @@ TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees":
         ("factor-table", {**TABLE, "operator": {"kind": "dirop", "v": [0.0]}}, "operator"),
         ("factor-table", {**TABLE, "operator": {"kind": "dirop", "v": [1.0, 2.0]}}, "operator"),
         ("factor-table", {**TABLE, "operator": {"kind": "hop", "H": [[[1], 0.0]]}}, "operator"),
+        ("norm", {"normspec": SUP_SPEC, "poly": {"coeffs": ["a"]}}, "poly"),
+        ("norm", {"normspec": SUP_SPEC, "poly": ["1", None]}, "poly"),
+        ("norm", {"normspec": SUP_SPEC, "poly": [1.0, math.inf]}, "poly"),
+        ("norm", {"normspec": {"kind": "qms", "m": 2, "s": 2}, "poly": ["1/2", "x"], "mode": "exact"},
+         "poly"),
+        ("fit", {"table": "missing.csv"}, "table"),
+        ("fit", {"table": "n-float.csv"}, "table"),
+        ("fit", {"table": "no-factor.csv"}, "table"),
+        ("fit", {"table": ["square.csv"]}, "table"),
+        ("fit", {"table": "square.csv", "window": 5}, "window"),
+        ("factor-table", {**TABLE, "output": ["x.csv"]}, "output"),
+        ("factor-table", {**TABLE, "output": "no-such-dir/x.csv"}, "output"),
+        ("ortho-export", {"family": JACOBI_FAMILY, "output": {"path": "x.csv"}}, "output"),
+        ("ortho-export", {"family": JACOBI_FAMILY, "output": "."}, "output"),
+        ("verify", {"suite": ["di"]}, "suite"),
+        ("norm", {"normspec": {"kind": "qms", "m": math.nan, "s": 2}, "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": {"kind": "qms", "m": 2, "s": math.inf}, "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": {"kind": "schur", "alpha": math.inf}, "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": {"kind": "taylor_disk", "set": SUP_SPEC["set"], "r": math.nan},
+                  "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": {"kind": "sup", "set": {"kind": "interval", "a": -1, "b": math.inf}},
+                  "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": {**LP_SPEC, "measure": {"kind": "lebesgue", "a": -1e308, "b": 1e308}},
+                  "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": {**LP_SPEC, "measure": {"kind": "jacobi", "alpha": math.nan, "beta": 0}},
+                  "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": {"kind": "sup", "set": {"kind": "union", "parts": [{"kind": "point", "re": math.nan}]}},
+                  "poly": "chebyshev:4"}, "normspec"),
     ],
     ids=["degree-string", "negative-k", "negative-poly-degree", "nan-lp-order", "seed-string",
          "seed-float", "seed-bool", "budget-zero", "budget-float", "schur-off-unit-interval",
@@ -279,10 +317,19 @@ TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees":
          "ortho-family-string", "ortho-stieltjes-no-measure", "ortho-jacobi-alpha",
          "ortho-nmax-string", "ortho-nmax-over-cap", "ortho-unknown-set", "ortho-stieltjes-over-budget",
          "ortho-region-set", "ortho-complex-point", "dirop-zero-direction", "dirop-wrong-length",
-         "hop-zero"],
+         "hop-zero", "coeff-string", "coeff-null", "coeff-infinite", "exact-coeff-string",
+         "fit-missing-table", "fit-n-not-integer", "fit-no-factor-column", "fit-table-list",
+         "fit-window-number", "output-list", "output-missing-dir", "ortho-output-object",
+         "ortho-output-directory", "verify-suite-list", "qms-m-nan", "qms-s-infinite",
+         "schur-alpha-infinite", "taylor-r-nan", "interval-infinite", "interval-width-overflow",
+         "jacobi-alpha-nan", "union-point-nan"],
 )
-def test_malformed_config_names_field(tmp_path, capsys, command, config, field):
-    cfg = write_config(tmp_path, "bad.json", {**config, "output": str(tmp_path / "x.csv")})
+def test_malformed_config_names_field(tmp_path, monkeypatch, capsys, command, config, field):
+    # relative paths in a case resolve in tmp_path, which holds the tables of _TABLES
+    monkeypatch.chdir(tmp_path)
+    for name, text in _TABLES.items():
+        (tmp_path / name).write_text(text)
+    cfg = write_config(tmp_path, "bad.json", {"output": str(tmp_path / "x.csv"), **config})
     assert main([command, "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert f"config field '{field}'" in captured.err
@@ -297,3 +344,156 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [("factor-table", {**TABLE, "output": True}, "output"), ("fit", {"table": 5}, "table")],
+    ids=["output-bool", "table-int"],
+)
+def test_descriptor_paths_rejected(tmp_path, command, config, field):
+    # open() takes an int or a bool for a file descriptor, so these run in a
+    # child process: before the check they wrote to or closed its own stdio
+    cfg = write_config(tmp_path, "bad.json", config)
+    src = str(Path(markovlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-m", "markovlab", command, "--config", cfg],
+                         env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert out.returncode == 2
+    assert f"config field '{field}'" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: any config, valid or not, ends in exit 0, 1 or 2 and no exception
+
+_ABSENT = object()
+_JUNK = [_ABSENT, None, True, -1, 1.5, 10**20, "abc", [], {}]
+_INTERVAL = {"kind": "interval", "a": -1, "b": 1}
+_UNION = {"kind": "union", "parts": [{"kind": "interval", "a": -1, "b": -0.5}, {"kind": "point", "re": 1.0}]}
+_BOX = {"kind": "region2d", "predicate": "box", "grid": 9}
+_SETS = ([_INTERVAL, {"kind": "interval", "a": 0, "b": 3}, _UNION],
+         [{"kind": "interval", "a": 1, "b": -1}, {"kind": "union", "parts": [{"kind": "point", "re": "x"}]},
+          _BOX, {"kind": "region2d", "predicate": "disk_boundary", "points": 128},
+          {"kind": "region2d", "predicate": "blob"}, {"kind": "interval", "a": "x", "b": 1},
+          {"kind": "interval", "a": -1, "b": math.inf}, {"kind": "union", "parts": [{"kind": "point", "im": math.nan}]},
+          *_JUNK])
+_MEASURES = ([{"kind": "lebesgue", "a": 0, "b": 3}, {"kind": "jacobi", "alpha": 0.5, "beta": -0.5}],
+             [{"kind": "lebesgue", "a": 2, "b": 2}, {"kind": "jacobi", "alpha": -2, "beta": 0},
+              {"kind": "jacobi", "alpha": math.nan, "beta": 0}, {"kind": "lebesgue", "a": -1e308, "b": 1e308},
+              {"kind": "jacobi"}, {"kind": "tabulated"}, *_JUNK])
+_NUMBERS = ([1, 2, 1.5, 3], [0, -1, 1e300, math.inf, math.nan, "2", None, True, _ABSENT])
+_LEBESGUE = {"kind": "lebesgue", "a": -1, "b": 1}
+_VALID_SPECS = [
+    {"kind": "sup", "set": _INTERVAL}, {"kind": "sup", "set": _UNION}, {"kind": "sup", "set": _BOX},
+    {"kind": "sup", "set": {"kind": "region2d", "predicate": "disk_boundary", "points": 128}},
+    {"kind": "lp", "measure": _LEBESGUE, "s": 2}, {"kind": "lp", "measure": _MEASURES[0][0], "s": 3},
+    {"kind": "lp", "measure": _MEASURES[0][1], "s": 1.5},
+    {"kind": "sup_plus_lp", "set": _INTERVAL, "measure": _LEBESGUE, "s": 2},
+    {"kind": "schur", "alpha": 0.5, "set": _INTERVAL}, {"kind": "qms", "m": 2, "s": 2},
+    {"kind": "taylor_disk", "set": _INTERVAL, "r": 0.5}, {"kind": "mixed_deriv", "set": _BOX, "axis": 1},
+]
+_POLYS = (["chebyshev:4", "legendre:3", "monomial:2", "chebyshev2:1", "1", "1/2", [1, 2], [0.5, -1.0, 0.25],
+           {"coeffs": [1, 0, 0, 1]}, ["1/2", "3"]],
+          ["chebyshev:-1", "chebyshev:x", "foo", "inf", ["a"], ["1", None], ["1/2", "x"], [1, math.nan],
+           {"coeffs": [0.5, "x"]},
+           {"coeffs": None}, [[1]], *_JUNK])
+_OPERATORS = ([{"kind": "deriv", "k": 1}, {"kind": "deriv", "k": 2}, {"kind": "dirop", "v": [1.0]},
+               {"kind": "dirop", "v": [0.6, 0.8]}, {"kind": "hop", "H": [[[2, 0], 1.0], [[0, 2], 1.0]]}],
+              [{"kind": "deriv", "k": k} for k in (-1, "a", None)]
+              + [{"kind": "dirop", "v": v} for v in ([0.0], [1, 2, 3], "a", [None])]
+              + [{"kind": "hop", "H": H} for H in ([[[1], 0.0]], [[[2, 0], 1.0], [[1], 1.0]], "a", [[1]])]
+              + [{"kind": "curl"}, *_JUNK])
+_FAMILIES = ([{"kind": "jacobi", "alpha": 0.0, "beta": 0.0}, {"kind": "jacobi", "alpha": 0.5, "beta": 1},
+              {"kind": "stieltjes", "measure": {"kind": "lebesgue", "a": 0, "b": 3}},
+              {"kind": "stieltjes", "measure": {"kind": "jacobi", "alpha": 0.5, "beta": 0.5}}],
+             [{"kind": "jacobi", "alpha": -2, "beta": 0}, {"kind": "jacobi", "alpha": "a", "beta": 0},
+              {"kind": "jacobi"}, {"kind": "stieltjes", "measure": {"kind": "lebesgue", "a": 1, "b": 0}},
+              {"kind": "stieltjes"}, {"kind": "fourier"}, "jacobi", *_JUNK])
+
+
+def _present(obj):
+    """obj with every _ABSENT dict value and list item left out."""
+    if isinstance(obj, dict):
+        return {k: _present(v) for k, v in obj.items() if v is not _ABSENT}
+    if isinstance(obj, list):
+        return [_present(v) for v in obj if v is not _ABSENT]
+    return obj
+
+
+def _either(pools, bad: bool):
+    """A value from the valid pool, or (bad) from the malformed one."""
+    return st.sampled_from(pools[1] if bad else pools[0])
+
+
+def _normspec(bad: bool):
+    if not bad:
+        return st.sampled_from(_VALID_SPECS)
+    # a known kind whose fields come from both pools, or no spec at all
+    sets, measures, numbers = (st.sampled_from(p[0] + p[1]) for p in (_SETS, _MEASURES, _NUMBERS))
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("sup"), "set": sets}),
+        st.fixed_dictionaries({"kind": st.just("lp"), "measure": measures, "s": numbers}),
+        st.fixed_dictionaries({"kind": st.just("sup_plus_lp"), "set": sets, "measure": measures, "s": numbers}),
+        st.fixed_dictionaries({"kind": st.just("schur"), "alpha": numbers, "set": sets}),
+        st.fixed_dictionaries({"kind": st.just("qms"), "m": numbers, "s": numbers}),
+        st.fixed_dictionaries({"kind": st.just("taylor_disk"), "set": sets, "r": numbers}),
+        st.fixed_dictionaries({"kind": st.just("mixed_deriv"), "set": sets, "axis": numbers}),
+        st.sampled_from([{"kind": "pentagon"}, {"kind": "sup"}, *_JUNK]),
+    )
+
+
+def _fuzz_fields(d: Path) -> dict:
+    """command -> field -> (valid values, malformed values), or a strategy
+    where the values are built from smaller pools.  Paths are strings under
+    ``d`` or non-path JSON; never an int or a bool, which open() would take for
+    one of this process's descriptors.  Degrees stay <= 4 and nmax <= 16 so
+    every run is quick; ``suite`` is always malformed (a valid one runs a
+    whole verification suite)."""
+    bad_paths = [str(d / "no-such-dir" / "out.csv"), str(d), str(d / "missing.csv"), "", ["out.csv"],
+                 {"path": "x"}, None, _ABSENT]
+    output = ([str(d / "out.csv")], bad_paths + [str(d / name) for name in _TABLES])
+    common = {"seed": ([1, 7, 10**20], [-1, 1.5, math.nan, "abc", None, True]),
+              "mode": (["float", "exact", _ABSENT], ["fast", None, 3])}
+    return {
+        "norm": {**common, "normspec": _normspec, "poly": _POLYS},
+        "factor-table": {**common, "normspec": _normspec, "operator": _OPERATORS,
+                         "degrees": ([[1, 2, 3, 4], [2, 4], [4], [0, 1, 2]],
+                                     [[], [3, 2], [-1, 2], [1.5], ["a"], [1, 1], *_JUNK]),
+                         "budget": ([1, 2, _ABSENT], [0, -1, 1.5, "a", None]), "output": output},
+        "fit": {**common, "table": ([str(d / "square.csv")], bad_paths + [str(d / "n-float.csv"),
+                                                                          str(d / "no-factor.csv")]),
+                "window": ([[1, 8], [2, 6], _ABSENT], [[8, 1], [1], [1, "a"], "ab", 5, None])},
+        "verify": {**common, "suite": ([], ["everything", "", None, ["di"], 5, {"di": 1}])},
+        "ortho-export": {**common, "family": _FAMILIES, "nmax": ([1, 8, 16], [0, -1, 1000, 10**20, "a", 1.5, None]),
+                         "set": (_SETS[0] + [_ABSENT], _SETS[1]), "output": output},
+    }
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, text in _TABLES.items():
+        (d / name).write_text(text)
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_configs_exit_cleanly(fuzz_dir, data):
+    fields = _fuzz_fields(fuzz_dir)
+    command = data.draw(st.sampled_from(sorted(fields)), label="command")
+    # most fields valid, so that the run gets past the early checks
+    broken = data.draw(st.sets(st.sampled_from(sorted(fields[command])), max_size=2), label="broken")
+    cfg = {}
+    for key, pools in fields[command].items():
+        bad = key in broken or key == "suite"
+        cfg[key] = data.draw(pools(bad) if callable(pools) else _either(pools, bad), label=key)
+    config = fuzz_dir / "config.json"
+    config.write_text(json.dumps(_present(cfg)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(config)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

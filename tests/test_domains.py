@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,13 @@ from markovlab import (
     set_from_json,
     set_to_json,
 )
-from markovlab.domains import measure_from_json, measure_to_json, tabulated_measure
+from markovlab.domains import (
+    DEGREE_BUDGET,
+    gauss_jacobi,
+    measure_from_json,
+    measure_to_json,
+    tabulated_measure,
+)
 
 
 def test_interval_orientation():
@@ -98,7 +105,8 @@ class TestMeasures:
         ],
     )
     def test_probability_mass(self, mu):
-        assert mu.total_mass(48) == pytest.approx(1.0, abs=1e-12)
+        _, weights = mu.gauss_rule(48)
+        assert float(weights.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_lebesgue_moments_exact(self):
         mu = lebesgue_measure()
@@ -127,9 +135,31 @@ class TestMeasures:
         np.testing.assert_allclose(weights * n, 1.0, rtol=1e-12)
 
     def test_budget_enforced(self):
-        mu = lebesgue_measure(degree_budget=8)
+        assert 2 * DEGREE_BUDGET == 512
+        lebesgue_measure().rule_for_degree(512)
         with pytest.raises(QuadratureBudgetError):
-            mu.rule_for_degree(17)
+            lebesgue_measure().rule_for_degree(513)
+
+    @pytest.mark.parametrize(
+        "mu", [lebesgue_measure(), jacobi_measure(0.0, 0.0), jacobi_measure(0.5, -0.25), chebyshev_measure()]
+    )
+    def test_unit_interval_rules_are_the_cached_arrays(self, mu):
+        nodes, weights = mu.gauss_rule(33)
+        cached = gauss_jacobi(33, mu.alpha, mu.beta)
+        assert nodes is cached[0] and weights is cached[1]
+        assert not nodes.flags.writeable and not weights.flags.writeable
+
+    @pytest.mark.parametrize("a, b", [(0.0, 3.0), (-2.0, 2.0), (1.0, 5.5)])
+    def test_shifted_lebesgue_rule_is_the_mapped_legendre_rule(self, a, b):
+        x, w = gauss_jacobi(40, 0.0, 0.0)
+        nodes, weights = lebesgue_measure(a, b).gauss_rule(40)
+        np.testing.assert_array_equal(nodes, (a + b) / 2 + (b - a) / 2 * x)
+        assert weights is w
+
+    def test_measures_are_frozen(self):
+        mu = lebesgue_measure()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mu.support = Interval(0.0, 1.0)
 
     def test_tabulated_self_consistency(self):
         mu = tabulated_measure(lambda x: 1.0 + 0.5 * np.cos(np.pi * x))

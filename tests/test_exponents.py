@@ -100,6 +100,15 @@ class TestMarkovFactorL2:
                     rhs *= markov_factor_l2(n - i, 1, MU).factor
                 assert lhs <= rhs * (1 + 1e-12)
 
+    @pytest.mark.parametrize("a, b", [(0.0, 3.0), (-2.0, 2.0), (0.0, 1.0), (1.0, 5.5)])
+    @pytest.mark.parametrize("n, k", [(32, 1), (64, 2), (128, 1), (128, 3)])
+    def test_shifted_interval_scales_the_unit_factor(self, a, b, n, k):
+        # x -> (2x - a - b)/(b - a) maps L2 of [a, b] isometrically onto L2 of
+        # [-1, 1] and scales the k-th derivative by (2/(b - a))^k
+        got = markov_factor_l2(n, k, lebesgue_measure(a, b)).factor
+        want = (2.0 / (b - a)) ** k * markov_factor_l2(n, k, MU).factor
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_degree_beyond_system(self):
         sys_ = jacobi_system(0.0, 0.0, 4)
         with pytest.raises(ValueError):

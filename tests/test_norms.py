@@ -12,6 +12,7 @@ from markovlab import (
     LpSpec,
     MixedDerivSpec,
     MultiPoly,
+    PrecisionOverflowError,
     QmsSpec,
     SchurSpec,
     SupPlusLpSpec,
@@ -44,7 +45,7 @@ from markovlab import (
     taylor_disk_norm,
 )
 from markovlab.chebseries import ChebSeries, lobatto_points, random_unit
-from markovlab.norms import _sup, qms_log_norm
+from markovlab.norms import _qms_poly, _sup, qms_log_norm
 
 from conftest import cheb_t_coeffs
 
@@ -176,7 +177,8 @@ def _log_beta(a: float, b: float) -> float:
 
 
 class TestLpOracles:
-    """Closed forms for the root-split path (s not an even integer), to 1e-12."""
+    """Closed forms for the root-split path (s not an even integer) to 1e-12,
+    and exact integrals for the one-rule path (even s) to 3e-15."""
 
     @pytest.mark.parametrize("n", [1, 16, 64, 128])
     @pytest.mark.parametrize("s", [1.0, 1.5, 2.5, 3.0])
@@ -194,6 +196,18 @@ class TestLpOracles:
         mu = lebesgue_measure() if alpha == 0.0 else jacobi_measure(alpha, alpha)
         want = math.exp((_log_beta((n * s + 1) / 2, alpha + 1) - _log_beta(0.5, alpha + 1)) / s)
         assert lp_norm(monomial(n), mu, s) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("s", [2, 4])
+    def test_even_s_under_lebesgue_measure(self, n, s):
+        # |p|^s = p^s is a Chebyshev series sum c_k T_k, and the integral of
+        # T_k over [-1, 1] is 2/(1 - k^2) for even k (0 for odd k)
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(10):
+            p = random_unit(n, rng)
+            c = np.polynomial.chebyshev.chebpow(p.coef, s)
+            mean = math.fsum(c[k] / (1 - k * k) for k in range(0, c.size, 2))
+            assert lp_norm(p, MU, s) == pytest.approx(mean ** (1 / s), rel=3e-15, abs=0)
 
     @pytest.mark.parametrize("c", [0.99, -0.99, 1 - 1e-5, -(1 - 1e-5), 1 - 1e-8, -(1 - 1e-8), 1 - 1e-11])
     def test_root_near_an_end_under_chebyshev_measure(self, c):
@@ -472,11 +486,24 @@ class TestNormSpecJson:
             lambda: QmsSpec(1.0, 0),
             lambda: TaylorDiskSpec(E, 0.0),
             lambda: SupPlusLpSpec(E, MU, 0.0),
+            lambda: SchurSpec(math.inf),
+            lambda: QmsSpec(math.nan, 2),
+            lambda: QmsSpec(math.inf, 2),
+            lambda: TaylorDiskSpec(E, math.nan),
+            lambda: Interval(-1.0, math.inf),
+            lambda: Interval(-1e308, 1e308),
+            lambda: UnionSet((E,), (complex(math.nan, 0.0),)),
+            lambda: jacobi_measure(math.nan, 0.0),
+            lambda: jacobi_measure(0.0, math.inf),
         ],
     )
     def test_parameter_ranges_enforced(self, bad):
         with pytest.raises(ValueError):
             bad()
+
+    def test_taylor_disk_weight_overflow(self):
+        with pytest.raises(PrecisionOverflowError):
+            taylor_disk_norm(chebyshev_t(4), E, 1e300)
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +616,8 @@ _CONTRACT = {  # each public entry point that takes one polynomial
     "mixed_deriv": lambda p: mixed_deriv_norm(p, E),
     "sup+L2": lambda p: sup_plus_lp_norm(p, E, MU, 2.0),
     **{f"L^{s:g}": (lambda p, s=s: lp_norm(p, MU, s)) for s in (1.0, 1.5, 2.0, 3.0)},
+    "qms(1,1)": lambda p: evaluate_norm(QmsSpec(1, 1), p),
+    "qms(2,2)": lambda p: evaluate_norm(QmsSpec(2, 2), p),
 }
 
 
@@ -598,8 +627,28 @@ def test_conversion_contract_one_variable(norm, imag):
     c = _CHEB_1D + imag * _CHEB_1D[::-1] * 1j if imag else _CHEB_1D
     power = np.polynomial.chebyshev.cheb2poly(c)
     want = norm(ChebSeries(c))
-    for p in (UniPoly(tuple(power)), MultiPoly({(j,): a for j, a in enumerate(power)}, 1)):
-        assert norm(p) == pytest.approx(want, rel=1e-13)
+    uni, multi = UniPoly(tuple(power)), MultiPoly({(j,): a for j, a in enumerate(power)}, 1)
+    assert norm(uni) == pytest.approx(want, rel=1e-13)
+    assert norm(multi) == norm(uni)
+
+
+@pytest.mark.parametrize("spec", [QmsSpec(1, 1), QmsSpec(2, 2)], ids=["qms(1,1)", "qms(2,2)"])
+def test_qms_exact_multipoly_stays_exact(spec):
+    coeffs = (Fraction(1, 3), 0, Fraction(-5, 7), Fraction(2, 9))
+    multi = MultiPoly({(j,): c for j, c in enumerate(coeffs) if c}, 1)
+    assert qms_norm_exact(_qms_poly(multi), spec.m, spec.s) == qms_norm_exact(UniPoly(coeffs), spec.m, spec.s)
+    assert evaluate_norm(spec, multi) == evaluate_norm(spec, UniPoly(coeffs))
+
+
+@pytest.mark.parametrize(
+    "p", [MultiPoly({(1, 1): 2.0, (0, 0): 1.0}, 2), ChebSeries([[1.0, 2.0], [3.0, 0.0]])],
+    ids=["MultiPoly", "ChebSeries"],
+)
+def test_qms_rejects_two_variables(p):
+    with pytest.raises(DimensionMismatchError):
+        evaluate_norm(QmsSpec(1, 1), p)
+    with pytest.raises(DimensionMismatchError):
+        spectral_norm_estimate(p, QmsSpec(1, 1), 4)
 
 
 @pytest.mark.parametrize("imag", [0.0, 0.5], ids=["real", "complex"])

@@ -17,6 +17,7 @@ from markovlab import (
     reconstruct,
     stieltjes_orthonormalize,
 )
+from markovlab.chebseries import as_chebseries
 from markovlab.domains import jacobi_measure, tabulated_measure
 
 from conftest import cheb_t_coeffs
@@ -85,7 +86,7 @@ class TestStieltjes:
 
     def test_budget_guard(self):
         with pytest.raises(QuadratureBudgetError):
-            stieltjes_orthonormalize(lebesgue_measure(degree_budget=8), 16)
+            stieltjes_orthonormalize(lebesgue_measure(), 129)
 
     def test_orthogonality_loss_names_degree(self):
         # a sign-changing weight is not a measure; some pi_k gets a
@@ -121,7 +122,18 @@ class TestExpand:
         p = UniPoly(tuple(rng.uniform(-1, 1, 9)))
         coeffs = expand(p, legendre64)[: int(p.degree) + 1]
         rec = reconstruct(coeffs, legendre64)
-        assert max(abs(a - b) for a, b in zip(rec.coeffs, p.coeffs)) <= 1e-8
+        want = as_chebseries(p)
+        assert rec.degree == want.degree
+        assert max(abs(a - b) for a, b in zip(rec.coef, want.coef)) <= 1e-8
+
+    def test_reconstructed_basis_matches_the_recurrence(self, legendre64):
+        # the power basis lost Q_40(1) = 9 to 9.0993; Chebyshev coefficients keep it
+        xs = np.linspace(-1.0, 1.0, 201)
+        V = legendre64.values(xs)
+        for n in range(legendre64.nmax + 1):
+            e = np.zeros(n + 1)
+            e[n] = 1.0
+            np.testing.assert_allclose(reconstruct(e, legendre64)(xs), V[n], rtol=0, atol=1e-12)
 
     def test_degree_guard(self, legendre64):
         with pytest.raises(ValueError):
