@@ -91,7 +91,6 @@ from .polynomials import (
     HomOp,
     MultiPoly,
     UniPoly,
-    power,
     power_identity_residual,
 )
 from .scalars import RationalComplex

@@ -4,9 +4,9 @@ Monomial coefficients of T_n grow like 2^n and make Horner evaluation useless
 past degree ~40; everything degree-heavy in this package (candidate searches,
 norm sweeps, family tables) therefore runs on Chebyshev coefficients with
 Clenshaw evaluation.  A ``ChebSeries`` holds one coefficient array with one
-axis per variable, real or complex.  ``UniPoly`` and ``MultiPoly`` (exact or
-float power-basis coefficients) enter the float code through
-``as_chebseries``, the one conversion.
+axis per variable, real or complex.  A ``MultiPoly`` (exact or float
+power-basis coefficients, ``UniPoly`` included) enters the float code through
+``as_chebseries``, the one conversion; both types answer the same calls.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class ChebSeries:
 
     def to_unipoly(self) -> UniPoly:
         if self.is_zero:
-            return UniPoly.zero()
+            return UniPoly(())
         return UniPoly(nch.cheb2poly(self.coef))
 
     def __repr__(self):
@@ -138,14 +138,11 @@ def _one_variable(*series: ChebSeries) -> None:
 
 def as_chebseries(p) -> ChebSeries:
     """p as a ChebSeries: a ChebSeries itself, or the Chebyshev coefficients of
-    a ``UniPoly`` or of a ``MultiPoly`` in one or two variables, complex where
-    any coefficient has a nonzero imaginary part."""
+    a ``MultiPoly`` in one or two variables, complex where any coefficient has
+    a nonzero imaginary part."""
     if isinstance(p, ChebSeries):
         return p
-    if isinstance(p, UniPoly):
-        terms, nvars = {(j,): c for j, c in enumerate(p.coeffs)}, 1
-    else:
-        terms, nvars = p.terms, p.nvars
+    terms, nvars = p.terms, p.nvars
     if nvars > 2:
         raise DimensionMismatchError(f"a ChebSeries has 1 or 2 variables, not {nvars}")
     a = np.zeros([1 + max((alpha[i] for alpha in terms), default=0) for i in range(nvars)],

@@ -5,7 +5,8 @@ the seed, or redirect output.  Every artifact embeds the effective config
 hash, seed, mode, and tool version (never a timestamp), so identical configs
 produce byte-identical files.
 
-Exit codes: 0 success, 1 check failure, 2 configuration error.
+Exit codes: 0 success, 1 check failure or a result that left the double
+range, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from . import __version__
 from .chebseries import chebyshev_t, chebyshev_u, legendre_orthonormal, monomial
 from .domains import measure_from_json, set_from_json
-from .errors import ConfigError, MarkovLabError, QuadratureBudgetError
+from .errors import ConfigError, MarkovLabError, PrecisionOverflowError, QuadratureBudgetError
 from .exponents import (
     DEFAULT_SEED,
     factor_table,
@@ -144,7 +145,10 @@ def _parse_poly(desc, mode: str):
 
 
 def _coefficient(c, mode: str):
-    """A coefficient of a 'poly' config: a rational in exact mode, else a finite float."""
+    """A coefficient of a 'poly' config: a rational in exact mode, else a finite
+    float; never a boolean (``float(True)`` is 1.0)."""
+    if isinstance(c, bool):
+        raise ConfigError("poly", f"a coefficient must be a number, not {c!r}")
     try:
         value = Fraction(str(c)) if mode == "exact" else float(c)
     except (ValueError, TypeError):
@@ -182,6 +186,8 @@ def cmd_norm(args) -> int:
         payload_value: object = printed
     else:
         value = evaluate_norm(spec, poly)
+        if not math.isfinite(value):
+            raise PrecisionOverflowError(f"norm value {value!r}: a magnitude left the double range")
         printed = repr(float(value))
         payload_value = float(value)
     print(printed)

@@ -27,7 +27,7 @@ from .chebseries import (
     random_unit,
 )
 from .domains import Interval, Measure, SampledRegion2D, box_region
-from .errors import SpectralityError
+from .errors import PrecisionOverflowError, SpectralityError
 from .fitting import AsymptoticTrend, ExponentFit, asymptotic_trend, fit_power_law
 from .norms import (
     LpSpec,
@@ -305,6 +305,14 @@ def _coarse_ratio(op: OperatorSpec, q: NormSpec, n: int) -> _PolyRatio:
     return _BatchedRatio(op, q, den, num, A)
 
 
+def _no_nan(ratios, n: int) -> None:
+    """Raise where NaN ratios (a norm that overflowed) left no finite one."""
+    if any(math.isnan(r) for r in ratios):
+        raise PrecisionOverflowError(
+            f"no finite Markov ratio at degree {n}: a norm left the double range"
+        )
+
+
 def markov_factor_search(
     n: int,
     op: OperatorSpec,
@@ -329,6 +337,8 @@ def markov_factor_search(
     its ascent) are certified with the refined ratio, all in one refined
     pass: ``_ratios`` evaluates every finalist's norm and operator images
     together, with one golden-section loop over all their sup terms.
+    Where NaN ratios (a norm that overflowed) leave no finite one, at the
+    screen or at the certification, it raises ``PrecisionOverflowError``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -339,10 +349,12 @@ def markov_factor_search(
     cands = _candidates_2d(n, rng, budget) if two_dim else _candidates_1d(n, rng, budget)
     coarse = _PolyRatio(op, q) if two_dim else _coarse_ratio(op, q, n)
     best_name, best_poly, best_ratio = "", None, -math.inf
-    for (name, p), r in zip(cands, coarse.screen([p for _, p in cands])):
+    screened = coarse.screen([p for _, p in cands])
+    for (name, p), r in zip(cands, screened):
         if r > best_ratio:
             best_name, best_poly, best_ratio = name, p, r
-    if best_poly is None or best_ratio == -math.inf:
+    if best_poly is None:
+        _no_nan(screened, n)
         return SearchResult(0.0, "none", None)
     finalists = [(best_name, best_poly)]
     if not two_dim:
@@ -374,6 +386,8 @@ def markov_factor_search(
     for (name, p), r in zip(finalists, certified):
         if r > final:
             final_name, final_poly, final = name, p, r
+    if final_poly is None:
+        _no_nan(certified, n)
     return SearchResult(float(max(final, 0.0)), final_name, final_poly)
 
 

@@ -1,11 +1,11 @@
 """Norm families on polynomial spaces, their evaluators, and equivalence fits.
 
 The public entry points (``evaluate_norm`` and ``_evaluate_norms``,
-``sup_norm``, ``lp_norm``, ``spectral_norm_estimate``) accept a ``ChebSeries``,
-a ``UniPoly`` or a ``MultiPoly`` and turn it into a ``ChebSeries`` once, by
+``sup_norm``, ``lp_norm``, ``spectral_norm_estimate``) accept a ``ChebSeries``
+or a ``MultiPoly`` and turn it into a ``ChebSeries`` once, by
 ``as_chebseries``; everything below them evaluates Chebyshev series only.
-The qms norms are the exception: their exact path reads power-basis
-coefficients, so ``_qms_poly`` turns every input into a ``UniPoly``.
+The qms norms are the exception: they read power-basis terms, so
+``_qms_poly`` turns a ``ChebSeries`` into a ``MultiPoly``.
 
 Each norm except qms is defined once, by its spec's ``terms(deg)`` table
 (``NormTerms``): sups of derivatives over a set with their weights, an
@@ -51,7 +51,7 @@ from .domains import (
 )
 from .errors import DimensionMismatchError, PrecisionOverflowError
 from .fitting import max_pairwise_slope
-from .polynomials import NEG_INF, MultiPoly, UniPoly
+from .polynomials import NEG_INF, MultiPoly
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-12
@@ -300,39 +300,38 @@ def lp_norm(p, mu: Measure, s: float) -> float:
 # Factorial-weighted jet norms qms(m, s)
 
 
-def _seminorm_block_exact(p: UniPoly, r: int, s: int) -> Fraction:
-    """Sum over l < s of |p^(rs+l)(0)| / l! for exact real coefficients."""
+def _qms_blocks(p: MultiPoly, s: int) -> dict:
+    """The terms of p by block: r -> [(i, c_i) for r*s <= i < (r+1)*s], over
+    the nonzero c_i, in ascending r and i."""
+    if s < 1:
+        raise ValueError("s must be a positive integer")
+    if p.nvars != 1:
+        raise DimensionMismatchError(f"qms norms take one variable, not {p.nvars}")
+    blocks: dict = {}
+    for (i,), c in sorted(p.terms.items()):
+        blocks.setdefault(i // s, []).append((i, c))
+    return blocks
+
+
+def _seminorm_block_exact(block, s: int) -> Fraction:
+    """Sum over the block's terms c_i x^i of |p^(i)(0)| / (i mod s)! =
+    |c_i| i! / (i mod s)!, for exact real coefficients."""
     total = Fraction(0)
-    for l in range(s):
-        i = r * s + l
-        if i >= len(p.coeffs):
-            break
-        c = p.coeffs[i]
-        if not c:
-            continue
+    for i, c in block:
         if not isinstance(c, (Fraction, int)):
             raise TypeError("exact qms evaluation needs int/Fraction coefficients")
-        total += abs(Fraction(c)) * Fraction(math.factorial(i), math.factorial(l))
+        total += abs(Fraction(c)) * Fraction(math.factorial(i), math.factorial(i % s))
     return total
 
 
-def qms_seminorm_terms(p: UniPoly, s: int) -> dict:
+def qms_seminorm_terms(p: MultiPoly, s: int) -> dict:
     """Exact map r -> seminorm of p^(rs), the m-independent part of the norm.
 
     The norm value for any exponent m is sum_r terms[r] * ((r*s)!)^(-m), so
     equality of these maps certifies the norm equality for every rational m
     at once, without evaluating irrational factorial powers.
     """
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    if p.is_zero:
-        return {}
-    out = {}
-    for r in range(int(p.degree) // s + 1):
-        v = _seminorm_block_exact(p, r, s)
-        if v:
-            out[r] = v
-    return out
+    return {r: _seminorm_block_exact(block, s) for r, block in _qms_blocks(p, s).items()}
 
 
 def _log_fraction(q: Fraction) -> float:
@@ -347,36 +346,28 @@ def _logsumexp(vals) -> float:
     return top + math.log(sum(math.exp(v - top) for v in vals))
 
 
-def qms_log_norm(p: UniPoly, m, s: int) -> float:
+def qms_log_norm(p: MultiPoly, m, s: int) -> float:
     """log of the qms norm, safe for factorial-sized magnitudes.
 
-    Exact coefficients contribute exact big-integer logs; float coefficients
-    go through lgamma.  Returns -inf for the zero polynomial.
+    Int and Fraction coefficients contribute exact big-integer logs; any other
+    coefficient (float, complex) puts every block through lgamma.  Returns
+    -inf for the zero polynomial.
     """
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    if p.is_zero:
-        return NEG_INF
+    blocks = _qms_blocks(p, s)
     mf = float(m)
     logs = []
-    exact = p.is_exact and all(complex(c).imag == 0 for c in p.coeffs)
-    for r in range(int(p.degree) // s + 1):
+    exact = all(isinstance(c, (int, Fraction)) for c in p.terms.values())
+    for r, block in blocks.items():
         if exact:
-            v = _seminorm_block_exact(p, r, s)
-            if not v:
-                continue
-            log_term = _log_fraction(v)
+            log_term = _log_fraction(_seminorm_block_exact(block, s))
             log_fact = math.log(math.factorial(r * s)) if r * s else 0.0
         else:
             pieces = []
-            for l in range(s):
-                i = r * s + l
-                if i >= len(p.coeffs):
-                    break
-                mag = abs(complex(p.coeffs[i]))
+            for i, c in block:
+                mag = abs(complex(c))
                 if mag == 0.0:
                     continue
-                pieces.append(math.log(mag) + math.lgamma(i + 1) - math.lgamma(l + 1))
+                pieces.append(math.log(mag) + math.lgamma(i + 1) - math.lgamma(i % s + 1))
             if not pieces:
                 continue
             log_term = _logsumexp(pieces)
@@ -385,7 +376,7 @@ def qms_log_norm(p: UniPoly, m, s: int) -> float:
     return _logsumexp(logs)
 
 
-def qms_norm(p: UniPoly, m, s: int) -> float:
+def qms_norm(p: MultiPoly, m, s: int) -> float:
     """Factorial-weighted jet norm; raises on float overflow/underflow."""
     lv = qms_log_norm(p, m, s)
     if lv == NEG_INF:
@@ -397,7 +388,7 @@ def qms_norm(p: UniPoly, m, s: int) -> float:
     return math.exp(lv)
 
 
-def qms_norm_exact(p: UniPoly, m: int, s: int) -> Fraction:
+def qms_norm_exact(p: MultiPoly, m: int, s: int) -> Fraction:
     """Exact rational norm value; needs an integer exponent m >= 0."""
     if not isinstance(m, int) or m < 0:
         raise ValueError("exact qms values are rational only for integer m >= 0")
@@ -572,18 +563,13 @@ def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
     return out
 
 
-def _qms_poly(p) -> UniPoly:
-    """The one qms conversion: the qms norms read power-basis coefficients, so a
-    ChebSeries or a one-variable MultiPoly becomes a UniPoly (exact coefficients
-    stay exact).  A polynomial in two variables raises DimensionMismatchError."""
+def _qms_poly(p) -> MultiPoly:
+    """The one qms conversion: the qms norms read power-basis terms, so a
+    one-variable ChebSeries becomes the MultiPoly of its power coefficients.
+    A polynomial in two variables raises DimensionMismatchError."""
     if p.nvars != 1:
         raise DimensionMismatchError(f"qms norms take one variable, not {p.nvars}")
-    if isinstance(p, ChebSeries):
-        return p.to_unipoly()
-    if isinstance(p, MultiPoly):
-        deg = max((alpha[0] for alpha in p.terms), default=-1)
-        return UniPoly(p.terms.get((j,), 0) for j in range(deg + 1))
-    return p
+    return p.to_unipoly() if isinstance(p, ChebSeries) else p
 
 
 def schur_norm(p, alpha: float, E: Optional[CompactSet] = None, refine: bool = True) -> float:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as nch
 
-from .chebseries import ChebSeries
+from .chebseries import ChebSeries, as_chebseries
 from .domains import (
     DEGREE_BUDGET,
     CompactSet,
@@ -209,6 +209,7 @@ def stieltjes_orthonormalize(mu: Measure, nmax: int = 64) -> OrthoSystem:
 
 def expand(p, sys: OrthoSystem) -> np.ndarray:
     """Coefficients <p, Q_j> of p in the orthonormal basis, by quadrature."""
+    p = as_chebseries(p)
     deg = 0 if p.is_zero else int(p.degree)
     if deg > sys.nmax:
         raise ValueError(f"degree {deg} exceeds system nmax {sys.nmax}")

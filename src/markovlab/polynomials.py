@@ -1,7 +1,10 @@
-"""Univariate and multivariate polynomial arithmetic and differential operators.
+"""The power-basis polynomial type ``MultiPoly`` and differential operators.
 
+``MultiPoly`` holds sparse power-basis coefficients in 1 to 4 variables;
+``UniPoly`` only builds one-variable ones from dense coefficients.
 Coefficients may come from either backend in :mod:`markovlab.scalars`; every
-operation preserves the backend of its inputs (no silent float coercion).
+arithmetic operation preserves the backend of its inputs (no silent float
+coercion; evaluation at float points is in floats).
 The zero polynomial carries the degree sentinel ``-inf`` so that degree
 formulas like ``deg(p*q) = deg p + deg q`` and ``max(deg p - k, -inf)`` hold
 without special-casing -1.
@@ -14,159 +17,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import DimensionMismatchError, PrecisionOverflowError
-from .scalars import RationalComplex, is_exact, magnitude, power_by_squaring
+from .scalars import is_exact, magnitude, power_by_squaring
 
 NEG_INF = float("-inf")
 
 #: Construction-time caps for dense multivariate sweeps.  Arithmetic results
-#: (products, powers) are allowed to exceed the degree cap; only direct
-#: construction from user input is gated.
+#: (products, powers) and ``UniPoly`` are allowed to exceed the degree cap;
+#: only direct ``MultiPoly`` construction from user input is gated.
 NVARS_MAX = 4
 TOTAL_DEGREE_MAX = 32
 
 _COEFF_OVERFLOW = 1e300
 
 
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, RationalComplex):
-        return not c
-    return c == 0
-
-
-class UniPoly:
-    """Dense univariate polynomial; ``coeffs[j]`` is the coefficient of x^j."""
-
-    __slots__ = ("coeffs",)
-    nvars = 1
-
-    def __init__(self, coeffs: Iterable):
-        cs = list(coeffs)
-        while cs and _is_zero_coeff(cs[-1]):
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @classmethod
-    def monomial(cls, n: int, coeff=1) -> "UniPoly":
-        return cls((0,) * n + (coeff,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact(c) for c in self.coeffs)
-
-    def __call__(self, x):
-        """Evaluate by nested multiplication (Horner); vectorized for arrays."""
-        if isinstance(x, np.ndarray):
-            if not self.coeffs:
-                return np.zeros_like(x, dtype=float)
-            if self._has_complex() or np.iscomplexobj(x):
-                cs = [complex(c) for c in self.coeffs]
-                acc = np.zeros_like(x, dtype=complex)
-            else:
-                cs = [float(c) for c in self.coeffs]
-                acc = np.zeros_like(x, dtype=float)
-            for c in reversed(cs):
-                acc = acc * x + c
-            return acc
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def _has_complex(self) -> bool:
-        return any(isinstance(c, (complex, RationalComplex)) for c in self.coeffs)
-
-    def deriv(self, k: int = 1) -> "UniPoly":
-        if k < 0:
-            raise ValueError("derivative order must be nonnegative")
-        cs = self.coeffs
-        for _ in range(k):
-            if len(cs) <= 1:
-                return UniPoly.zero()
-            cs = tuple(j * cs[j] for j in range(1, len(cs)))
-        return UniPoly(cs)
-
-    def partial_multi(self, alpha: Sequence[int]) -> "UniPoly":
-        """D^alpha p for a one-entry multi-index alpha = (k,); p itself when k = 0."""
-        (k,) = alpha
-        return self.deriv(k) if k else self
-
-    def __add__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return UniPoly(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if self.is_zero or other.is_zero:
-                return UniPoly.zero()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if _is_zero_coeff(a):
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return UniPoly(out)
-        return UniPoly(tuple(other * c for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, s: int) -> "UniPoly":
-        return power(self, s)
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"UniPoly({list(self.coeffs)!r})"
-
-
-def power(p: UniPoly, s: int) -> UniPoly:
-    """p**s by repeated squaring; guards against float coefficient overflow."""
-    out = power_by_squaring(UniPoly((1,)), p, s)
-    if not out.is_exact:
-        if any(magnitude(c) > _COEFF_OVERFLOW for c in out.coeffs):
-            raise PrecisionOverflowError(
-                "coefficient magnitude overflow in power(); use exact or log mode"
-            )
-    return out
-
-
 class MultiPoly:
-    """Sparse multivariate polynomial: multi-index -> coefficient."""
+    """Power-basis polynomial in 1 to ``NVARS_MAX`` variables, exact or float.
+
+    ``terms`` maps each multi-index with a nonzero coefficient to that
+    coefficient.  The interface is ``ChebSeries``': ``degree`` (total, -inf
+    for zero), ``p(*x)``, ``deriv(k, axis)``, ``partial_multi`` and
+    ``+ - * **``.
+    """
 
     __slots__ = ("terms", "nvars")
 
@@ -180,7 +52,7 @@ class MultiPoly:
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != nvars or any(a < 0 for a in alpha):
                 raise ValueError(f"bad multi-index {alpha} for nvars={nvars}")
-            if not _is_zero_coeff(c):
+            if c:
                 clean[alpha] = c
         if not _unchecked:
             deg = max((sum(a) for a in clean), default=0)
@@ -194,9 +66,9 @@ class MultiPoly:
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
 
-    @classmethod
-    def _raw(cls, terms: dict, nvars: int) -> "MultiPoly":
-        return cls(terms, nvars, _unchecked=True)
+    @staticmethod
+    def _raw(terms: dict, nvars: int) -> "MultiPoly":
+        return MultiPoly(terms, nvars, _unchecked=True)
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -206,13 +78,9 @@ class MultiPoly:
     def constant(cls, c, nvars: int) -> "MultiPoly":
         return cls._raw({(0,) * nvars: c}, nvars)
 
-    @classmethod
-    def variable(cls, j: int, nvars: int) -> "MultiPoly":
-        alpha = tuple(1 if i == j else 0 for i in range(nvars))
-        return cls._raw({alpha: 1}, nvars)
-
     @property
-    def total_degree(self):
+    def degree(self):
+        """The total degree; -inf for the zero polynomial."""
         return max((sum(a) for a in self.terms), default=NEG_INF)
 
     @property
@@ -223,19 +91,43 @@ class MultiPoly:
     def is_exact(self) -> bool:
         return all(is_exact(c) for c in self.terms.values())
 
-    def __call__(self, point: Sequence):
-        if len(point) != self.nvars:
+    def __call__(self, *x):
+        """Values at the point x, one argument per variable: exact where every
+        coordinate is exact, else in floats (elementwise on arrays)."""
+        if len(x) != self.nvars:
             raise DimensionMismatchError(
-                f"point has {len(point)} coordinates, polynomial has {self.nvars}"
+                f"point has {len(x)} coordinates, polynomial has {self.nvars}"
             )
+        exact = all(is_exact(xi) for xi in x)
         acc = 0
         for alpha, c in self.terms.items():
-            term = c
-            for xi, ai in zip(point, alpha):
-                for _ in range(ai):
-                    term = term * xi
+            term = c if exact else _inexact(c)
+            for xi, a in zip(x, alpha):
+                if a:
+                    term = term * xi ** a
             acc = acc + term
         return acc
+
+    def deriv(self, k: int = 1, axis: int = 0) -> "MultiPoly":
+        """The k-th partial derivative along variable ``axis``."""
+        if k < 0:
+            raise ValueError("derivative order must be nonnegative")
+        if not 0 <= axis < self.nvars:
+            raise DimensionMismatchError(f"axis {axis} out of range for nvars={self.nvars}")
+        out = {}
+        for alpha, c in self.terms.items():
+            a = alpha[axis]
+            if a >= k:
+                out[alpha[:axis] + (a - k,) + alpha[axis + 1 :]] = math.perm(a, k) * c
+        return MultiPoly._raw(out, self.nvars)
+
+    def partial_multi(self, alpha: Sequence[int]) -> "MultiPoly":
+        """D^alpha p for a multi-index with one entry per variable; p itself when 0."""
+        out = self
+        for axis, k in enumerate(alpha):
+            if k:
+                out = out.deriv(k, axis)
+        return out
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
@@ -267,25 +159,12 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, s: int) -> "MultiPoly":
-        return power_by_squaring(MultiPoly.constant(1, self.nvars), self, s)
-
-    def partial(self, j: int) -> "MultiPoly":
-        if not 0 <= j < self.nvars:
-            raise DimensionMismatchError(f"axis {j} out of range for nvars={self.nvars}")
-        out = {}
-        for alpha, c in self.terms.items():
-            if alpha[j] == 0:
-                continue
-            beta = list(alpha)
-            beta[j] -= 1
-            out[tuple(beta)] = out.get(tuple(beta), 0) + alpha[j] * c
-        return MultiPoly._raw(out, self.nvars)
-
-    def partial_multi(self, alpha: Sequence[int]) -> "MultiPoly":
-        out = self
-        for j, a in enumerate(alpha):
-            for _ in range(a):
-                out = out.partial(j)
+        """p**s by repeated squaring; float coefficients past 1e300 raise."""
+        out = power_by_squaring(MultiPoly.constant(1, self.nvars), self, s)
+        if not out.is_exact and out.max_coeff_magnitude() > _COEFF_OVERFLOW:
+            raise PrecisionOverflowError(
+                "coefficient magnitude overflow in a power; use exact coefficients"
+            )
         return out
 
     def max_coeff_magnitude(self) -> float:
@@ -298,6 +177,26 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.terms!r}, nvars={self.nvars})"
+
+
+def _inexact(c):
+    """c as a float, or as a complex where its imaginary part is nonzero."""
+    z = complex(c)
+    return z if z.imag else z.real
+
+
+class UniPoly(MultiPoly):
+    """A one-variable MultiPoly from dense coefficients, ``coeffs[j]`` that of
+    x^j.  Like arithmetic results it skips the construction degree cap."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Iterable):
+        super().__init__({(j,): c for j, c in enumerate(coeffs)}, 1, _unchecked=True)
+
+    @staticmethod
+    def monomial(n: int, coeff=1) -> MultiPoly:
+        return MultiPoly._raw({(n,): coeff}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +254,7 @@ class DirOp(_Operator):
 
     def __post_init__(self):
         v = tuple(self.v)
-        if not v or all(_is_zero_coeff(c) for c in v):
+        if not any(v):
             raise ValueError("direction vector must be nonzero")
         object.__setattr__(self, "v", v)
 
@@ -385,7 +284,7 @@ class HomOp(_Operator):
         degs = {sum(alpha) for alpha, _ in self.terms}
         if len(degs) != 1 or degs == {0}:
             raise ValueError("operator terms must be homogeneous of degree >= 1")
-        if all(_is_zero_coeff(c) for _, c in self.terms):
+        if not any(c for _, c in self.terms):
             raise ValueError("operator terms must not all be zero")
 
     @property

@@ -287,6 +287,9 @@ TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees":
         ("norm", {"normspec": SUP_SPEC, "poly": [1.0, math.inf]}, "poly"),
         ("norm", {"normspec": {"kind": "qms", "m": 2, "s": 2}, "poly": ["1/2", "x"], "mode": "exact"},
          "poly"),
+        ("norm", {"normspec": SUP_SPEC, "poly": [True, False]}, "poly"),
+        ("norm", {"normspec": {"kind": "qms", "m": 2, "s": 2}, "poly": [False, True], "mode": "exact"},
+         "poly"),
         ("fit", {"table": "missing.csv"}, "table"),
         ("fit", {"table": "n-float.csv"}, "table"),
         ("fit", {"table": "no-factor.csv"}, "table"),
@@ -318,6 +321,7 @@ TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees":
          "ortho-nmax-string", "ortho-nmax-over-cap", "ortho-unknown-set", "ortho-stieltjes-over-budget",
          "ortho-region-set", "ortho-complex-point", "dirop-zero-direction", "dirop-wrong-length",
          "hop-zero", "coeff-string", "coeff-null", "coeff-infinite", "exact-coeff-string",
+         "coeff-bool", "exact-coeff-bool",
          "fit-missing-table", "fit-n-not-integer", "fit-no-factor-column", "fit-table-list",
          "fit-window-number", "output-list", "output-missing-dir", "ortho-output-object",
          "ortho-output-directory", "verify-suite-list", "qms-m-nan", "qms-s-infinite",
@@ -335,6 +339,31 @@ def test_malformed_config_names_field(tmp_path, monkeypatch, capsys, command, co
     assert f"config field '{field}'" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+HUGE_SET = {"kind": "interval", "a": 0, "b": 1e200}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("norm", {"normspec": {"kind": "sup", "set": HUGE_SET}, "poly": "chebyshev:4"}),
+        ("norm", {"normspec": {**LP_SPEC, "measure": {"kind": "lebesgue", "a": 0, "b": 1e300}},
+                  "poly": [1, 1e200]}),
+        ("factor-table", {**TABLE, "normspec": {"kind": "sup", "set": HUGE_SET}, "degrees": [2, 3]}),
+    ],
+    ids=["sup-nan", "l2-inf", "factor-table-nan"],
+)
+def test_non_finite_result_exits_1(tmp_path, capsys, command, config):
+    # a norm that overflows to nan or inf is an error, not a reported value
+    artifact = tmp_path / "out.file"
+    cfg = write_config(tmp_path, "c.json", {**config, "output": str(artifact)})
+    assert main([command, "--config", cfg, "--out", str(artifact)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not artifact.exists()
 
 
 def test_import_loads_no_scipy():

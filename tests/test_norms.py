@@ -265,11 +265,14 @@ class TestQmsNorm:
             base = UniPoly.monomial(s * n, 1)
             assert qms_norm_exact(base, m, s) == Fraction(math.factorial(s * n)) ** (1 - m)
 
-    def test_derivative_closed_form(self):
-        s, n, t, j, m = 3, 4, 1, 2, 2
+    @pytest.mark.parametrize("s, n, t, j, m", [(3, 4, 1, 2, 2), (4, 1024, 1, 1, 1)],
+                             ids=["s3-n4", "s4-n1024"])
+    def test_derivative_closed_form(self, s, n, t, j, m):
+        # x^(sn) differentiated s*t + j times keeps one term, in block n - t - 1
         p = UniPoly.monomial(s * n, 1).deriv(s * t + j)
-        want = Fraction(math.factorial(s * n), math.factorial(s - j))
-        want /= Fraction(math.factorial(s * (n - t - 1))) ** m
+        top = Fraction(math.factorial(s * n), math.factorial(s - j))
+        assert qms_seminorm_terms(p, s) == {n - t - 1: top}
+        want = top / Fraction(math.factorial(s * (n - t - 1))) ** m
         assert qms_norm_exact(p, m, s) == want
 
     def test_terms_match_brute_force_derivatives(self, rng):
@@ -543,7 +546,7 @@ def test_homogeneity_integral_norms(seed, c, spec_idx):
     spec = _SPECS_INTEGRAL[spec_idx]
     if isinstance(spec, QmsSpec):
         p = UniPoly(tuple(rng.uniform(-1, 1, 6)))
-        scaled = UniPoly(tuple(c * x for x in p.coeffs))
+        scaled = c * p
         assert qms_norm(scaled, spec.m, spec.s) == pytest.approx(
             c * qms_norm(p, spec.m, spec.s), rel=1e-12
         )

@@ -13,10 +13,10 @@ from markovlab import (
     PrecisionOverflowError,
     RationalComplex,
     UniPoly,
-    power,
     power_identity_residual,
     sup_norm,
 )
+from markovlab.chebseries import as_chebseries
 from markovlab.polynomials import NEG_INF
 
 from conftest import cheb_t_coeffs
@@ -52,7 +52,7 @@ class TestUniPolyBasics:
         assert UniPoly((0, 0, 3)).degree == 2
 
     def test_trailing_zero_trim(self):
-        assert UniPoly((1, 2, 0, 0)).coeffs == (1, 2)
+        assert UniPoly((1, 2, 0, 0)).terms == {(0,): 1, (1,): 2}
 
     def test_vectorized_eval_matches_scalar(self):
         p = UniPoly((1.0, -2.0, 0.5, 3.0))
@@ -83,16 +83,16 @@ class TestDerivative:
 
 class TestPower:
     def test_binomial_square(self):
-        assert power(UniPoly((1, 1)), 2) == UniPoly((1, 2, 1))
+        assert UniPoly((1, 1)) ** 2 == UniPoly((1, 2, 1))
 
     def test_zeroth_power(self):
-        assert power(UniPoly((5, 7)), 0) == UniPoly((1,))
-        assert power(UniPoly(()), 0) == UniPoly((1,))
+        assert UniPoly((5, 7)) ** 0 == UniPoly((1,))
+        assert UniPoly(()) ** 0 == UniPoly((1,))
 
     def test_sup_of_chebyshev_square_is_one(self, unit_interval):
         # sup norm is spectral; dense-sampling oracle for sup of T_3^2
         t3 = UniPoly([float(c) for c in cheb_t_coeffs(3)])
-        sq = power(t3, 2)
+        sq = t3 ** 2
         xs = np.linspace(-1, 1, 20001)
         oracle = np.max(np.abs(sq(xs)))
         val = sup_norm(sq, unit_interval)
@@ -101,11 +101,53 @@ class TestPower:
 
     def test_float_overflow_raises(self):
         with pytest.raises(PrecisionOverflowError):
-            power(UniPoly((1e50, 1e50)), 8)
+            UniPoly((1e50, 1e50)) ** 8
 
     def test_exact_never_overflows(self):
-        p = power(UniPoly((Fraction(10) ** 50, Fraction(1))), 8)
-        assert p.coeffs[0] == Fraction(10) ** 400
+        p = UniPoly((Fraction(10) ** 50, Fraction(1))) ** 8
+        assert p.terms[(0,)] == Fraction(10) ** 400
+
+
+def _seeded_multipoly(seed, nvars, kind):
+    # a random total degree <= 6 in nvars variables, Fraction or float-complex coefficients
+    rng = np.random.default_rng(seed)
+    deg = int(rng.integers(1, 7))
+    terms = {}
+    for alpha in np.ndindex(*(deg + 1,) * nvars):
+        if sum(alpha) <= deg and rng.random() < 0.6:
+            if kind == "fraction":
+                terms[alpha] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+            else:
+                terms[alpha] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return MultiPoly(terms, nvars)
+
+
+def _padded(*arrays):
+    shape = np.max([a.shape for a in arrays], axis=0)
+    out = []
+    for a in arrays:
+        b = np.zeros(shape, dtype=complex)
+        b[tuple(map(slice, a.shape))] = a
+        out.append(b)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["fraction", "complex"])
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_interface_matches_chebseries(nvars, kind):
+    # MultiPoly answers ChebSeries' calls: degree, p(*x) and deriv(k, axis)
+    rng = np.random.default_rng(2024)
+    for seed in range(8):
+        f = _seeded_multipoly([seed, nvars], nvars, kind)
+        cf = as_chebseries(f)
+        assert f.degree == cf.degree
+        pts = rng.uniform(-1, 1, (nvars, 50))
+        got, want = f(*pts), cf(*pts)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        for axis in range(nvars):
+            for k in range(4):
+                a, b = _padded(as_chebseries(f.deriv(k, axis)).coef, cf.deriv(k, axis).coef)
+                assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(b), initial=0.0))
 
 
 class TestMultiPoly:
@@ -136,7 +178,7 @@ class TestMultiPoly:
         with pytest.raises(ValueError):
             MultiPoly({(33, 0): 1}, 2)
         f = MultiPoly({(8, 0): 1}, 2)
-        assert (f ** 5).total_degree == 40  # products may exceed the cap
+        assert (f ** 5).degree == 40  # products may exceed the cap
 
 
 class TestHdop:
@@ -210,7 +252,7 @@ def test_directional_derivative_commutes(f, a, b):
 @settings(max_examples=20, deadline=None)
 @given(f=exact_multipolys())
 def test_mixed_partials_symmetric(f):
-    assert f.partial(0).partial(1) == f.partial(1).partial(0)
+    assert f.deriv(1, 0).deriv(1, 1) == f.deriv(1, 1).deriv(1, 0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -220,7 +262,7 @@ def test_mixed_partials_symmetric(f):
 )
 def test_product_degree_additive_exact(f, g):
     prod = f * g
-    assert prod.total_degree == f.total_degree + g.total_degree
+    assert prod.degree == f.degree + g.degree
 
 
 @settings(max_examples=15, deadline=None)
