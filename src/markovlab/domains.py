@@ -2,9 +2,12 @@
 
 Set variants: Interval, UnionSet (ordered disjoint intervals plus isolated
 real/complex points), and SampledRegion2D (a point cloud with the generating
-predicate recorded so runs are reproducible).  Measures take Gauss rules
-matched to their weight, all from the one cached ``gauss_jacobi``, so
-polynomial integrands are integrated exactly.
+predicate recorded so runs are reproducible).  Every set names where a sup
+over it is sampled: ``intervals``, the pieces that are gridded (``grid``) and
+refined, and ``samples``, its fixed points as one coordinate array per
+polynomial variable, so ``p(*E.samples)`` evaluates p at all of them.
+Measures take Gauss rules matched to their weight, all from the one cached
+``gauss_jacobi``, so polynomial integrands are integrated exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .chebseries import lobatto_points
 from .errors import QuadratureBudgetError
 
 
@@ -25,6 +29,7 @@ class Interval:
     a: float
     b: float
     nvars = 1  # variables of the polynomials a set takes
+    samples = (np.empty(0),)  # no fixed points: the grid covers the interval
 
     def __post_init__(self):
         if not (self.a < self.b and math.isfinite(self.b - self.a)):
@@ -34,10 +39,22 @@ class Interval:
     def width(self) -> float:
         return self.b - self.a
 
+    @property
+    def intervals(self) -> tuple:
+        return (self,)
+
+    def grid(self, deg: int) -> np.ndarray:
+        """The 8*(deg+1) Chebyshev-Lobatto points of [a, b] a degree-deg sup samples."""
+        pts = lobatto_points(8 * (deg + 1))
+        if (self.a, self.b) == (-1.0, 1.0):
+            return pts
+        return (self.a + self.b) / 2 + self.width / 2 * pts
+
 
 @dataclass(frozen=True)
 class UnionSet:
-    """Disjoint union of intervals and isolated points (real or complex)."""
+    """Disjoint union of intervals and isolated points (real or complex);
+    ``samples`` holds the points, in a real array if every point is real."""
 
     intervals: tuple
     points: tuple = ()
@@ -59,16 +76,20 @@ class UnionSet:
                 raise ValueError("intervals must be pairwise disjoint")
         object.__setattr__(self, "intervals", tuple(ordered))
         object.__setattr__(self, "points", pts)
+        real = not any(p.imag for p in pts)
+        object.__setattr__(self, "samples", (np.array([p.real for p in pts] if real else pts),))
 
 
 class SampledRegion2D:
     """Point cloud standing in for a 2D compact set (or a complex point set).
 
     ``as_complex`` interprets each (x, y) as the complex number x + iy, which
-    is how circle/disk sets for univariate polynomials are represented.
+    is how circle/disk sets for univariate polynomials are represented; the
+    samples are then ``(x + iy,)``, and ``(x, y)`` for a plane region.
     """
 
-    __slots__ = ("points", "descriptor", "as_complex")
+    __slots__ = ("points", "descriptor", "as_complex", "samples", "nvars")
+    intervals = ()
 
     def __init__(self, points: np.ndarray, descriptor: dict, as_complex: bool = False):
         pts = np.asarray(points, dtype=float)
@@ -77,11 +98,8 @@ class SampledRegion2D:
         self.points = pts
         self.descriptor = dict(descriptor)
         self.as_complex = bool(as_complex)
-
-    @property
-    def nvars(self) -> int:
-        """1 for a complex point set, 2 for a plane region."""
-        return 1 if self.as_complex else 2
+        self.samples = (self.complex_points,) if self.as_complex else tuple(pts.T)
+        self.nvars = len(self.samples)  # 1 for a complex point set, 2 for a plane region
 
     @property
     def complex_points(self) -> np.ndarray:
@@ -97,6 +115,12 @@ class SampledRegion2D:
 
 
 CompactSet = Union[Interval, UnionSet, SampledRegion2D]
+
+
+def sup_points(E: CompactSet, deg: int) -> np.ndarray:
+    """Every point an unrefined sup of degree deg samples on a set in one
+    variable: the grid of each piece, then the fixed samples."""
+    return np.concatenate([iv.grid(deg) for iv in E.intervals] + [E.samples[0]])
 
 
 def cusp_region(grid: int = 401) -> SampledRegion2D:
@@ -125,7 +149,7 @@ def box_region(
     grid: int = 65,
 ) -> SampledRegion2D:
     """Tensor Chebyshev-Lobatto grid over a rectangle (corners included)."""
-    tx = np.cos(np.linspace(np.pi, 0.0, grid))
+    tx = lobatto_points(grid)
     xs = (xmin + xmax) / 2 + (xmax - xmin) / 2 * tx
     ys = (ymin + ymax) / 2 + (ymax - ymin) / 2 * tx
     X, Y = np.meshgrid(xs, ys, indexing="ij")

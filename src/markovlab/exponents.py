@@ -193,17 +193,20 @@ def _candidates_2d(n: int, rng: np.random.Generator, budget: int):
     return cands
 
 
+def _quotient(best: float, denom: float) -> float:
+    """best / denom; -inf where denom = 0, NaN where it overflowed (not best / inf = 0)."""
+    if denom == 0.0:
+        return -math.inf
+    return best / denom if math.isfinite(denom) else math.nan
+
+
 def _ratios(op: OperatorSpec, q: NormSpec, polys, refine: bool) -> list:
-    """max over the images of q(image) / q(p) for each p in polys (-inf where
-    q(p) = 0); the norms of every p and every image in one evaluation."""
+    """max over the images of q(image) / q(p) for each p in polys, by
+    ``_quotient``; the norms of every p and every image in one evaluation."""
     images = [op.apply_all(p) for p in polys]
     vals = iter(_evaluate_norms(q, [*polys, *(im for ims in images for im in ims)], refine))
     denoms = [next(vals) for _ in polys]
-    out = []
-    for denom, ims in zip(denoms, images):
-        best = max([0.0] + [next(vals) for _ in ims])
-        out.append(-math.inf if denom == 0.0 else best / denom)
-    return out
+    return [_quotient(max([0.0] + [next(vals) for _ in ims]), d) for d, ims in zip(denoms, images)]
 
 
 def _ratio(op: OperatorSpec, q: NormSpec, p, refine: bool) -> float:
@@ -254,12 +257,11 @@ class _BatchedRatio(_PolyRatio):
         self.matrix[: self.split] = den.matrix
         self.matrix[self.split :] = num.matrix @ A
 
-    def ratios(self, vals: np.ndarray) -> np.ndarray:
-        denom = self.den.reduce(vals[: self.split])
-        image = self.num.reduce(vals[self.split :])
-        best = np.where(image > 0.0, image, 0.0)  # max(0.0, image) as in _ratio
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(denom == 0.0, -math.inf, best / denom)
+    def ratios(self, vals: np.ndarray) -> list:
+        """The ratios of the columns of vals = matrix @ coefs, as ``_ratios``."""
+        denoms = self.den.reduce(vals[: self.split]).tolist()
+        images = self.num.reduce(vals[self.split :]).tolist()
+        return [_quotient(max(0.0, im), d) for d, im in zip(denoms, images)]
 
     def screen(self, polys) -> list:
         size = self.matrix.shape[1]
@@ -270,7 +272,7 @@ class _BatchedRatio(_PolyRatio):
         for j in range(0, len(full), width):
             chunk = full[j : j + width]
             C = np.stack([polys[i].coef for i in chunk], axis=1)
-            for i, r in zip(chunk, self.ratios(self.values(C)).tolist()):
+            for i, r in zip(chunk, self.ratios(self.values(C))):
                 out[i] = r
         return out
 
@@ -281,7 +283,7 @@ class _BatchedRatio(_PolyRatio):
         if trial[-1] == 0.0:
             return super()._trial_ratio(trial, coef, vals, i)
         col = vals + (trial[i] - coef[i]) * self.matrix[:, i]
-        return float(self.ratios(col[:, None])[0])
+        return self.ratios(col[:, None])[0]
 
 
 def _coef_matrix(op: OperatorSpec, n: int) -> Optional[np.ndarray]:
@@ -327,18 +329,18 @@ def markov_factor_search(
     by coordinate-wise ascent with step halving.  Results are lower bounds by
     construction.
 
-    Screening and ascent use the coarse (``refine=False``) ratio.  Where the
-    norm is sampled on fixed points of an interval or a Gauss rule, and the
-    operator is univariate, it comes from matrices built once per call
-    (``norms.sampled_norm`` and ``_coef_matrix``): matrix
-    products screen the candidates and each ascent trial is a rank-1 update.
-    2D, complex, union, qms and odd or non-integer L^p searches evaluate one
-    polynomial at a time.  Either way the finalists (the best candidate and
-    its ascent) are certified with the refined ratio, all in one refined
-    pass: ``_ratios`` evaluates every finalist's norm and operator images
-    together, with one golden-section loop over all their sup terms.
-    Where NaN ratios (a norm that overflowed) leave no finite one, at the
-    screen or at the certification, it raises ``PrecisionOverflowError``.
+    Screening and ascent use the coarse (``refine=False``) ratio.  On a set
+    in one variable (interval, union or circle), with a univariate operator,
+    it comes from matrices built once per call (``norms.sampled_norm`` and
+    ``_coef_matrix``): matrix products screen the candidates and each ascent
+    trial is a rank-1 update.  2D, qms, odd or non-integer L^p, large
+    taylor_disk and multivariate-operator searches take one polynomial at a
+    time.  Either way the finalists (the best candidate and its ascent) are
+    certified in one refined pass: ``_ratios`` evaluates every finalist's
+    norm and operator images together, with one golden-section loop over all
+    their sup terms.  Where NaN ratios (a norm that overflowed) leave no
+    finite one, at the screen or at the certification, it raises
+    ``PrecisionOverflowError``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

@@ -32,22 +32,23 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Optional, Sequence, Union, get_args
 
 import numpy as np
 
-from .chebseries import ChebSeries, as_chebseries, chebval_columns, deriv_matrix, lobatto_points
+from .chebseries import ChebSeries, as_chebseries, chebval_columns, deriv_matrix
 from .domains import (
     CompactSet,
     Interval,
     Measure,
-    UnionSet,
     gauss_jacobi,
     jacobi_log_mass,
     measure_from_json,
     measure_to_json,
     set_from_json,
     set_to_json,
+    sup_points,
 )
 from .errors import DimensionMismatchError, PrecisionOverflowError
 from .fitting import max_pairwise_slope
@@ -95,12 +96,12 @@ def _golden_max_multi(g, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     return np.maximum(f1, f2)
 
 
-def _interval_grid(a: float, b: float, deg: int) -> np.ndarray:
-    """The 8*(deg+1) Chebyshev-Lobatto sample points of [a, b], ascending."""
-    pts = lobatto_points(8 * (deg + 1))
-    if (a, b) == (-1.0, 1.0):
-        return pts
-    return (a + b) / 2 + (b - a) / 2 * pts
+def _schur_weight(alpha: float, *coords) -> np.ndarray:
+    """max(1 - sum_j |x_j|^2, 0)^alpha at the points with these coordinates."""
+    rest = 1.0
+    for x in coords:
+        rest = rest - np.abs(x) ** 2
+    return np.maximum(rest, 0.0) ** alpha
 
 
 def _bracket_values(polys, weight):
@@ -124,8 +125,8 @@ def _bracket_values(polys, weight):
     return lambda x, owner: values(x, owner) * weight(x)
 
 
-def _weighted_sup_on_interval(polys, a, b, weight=None, refine=True) -> list:
-    """max of |p(x)|*weight(x) over [a, b], for each p in polys.
+def _weighted_sup_on_interval(polys, iv: Interval, weight=None, refine=True) -> list:
+    """max of |p(x)|*weight(x) over the interval iv, for each p in polys.
 
     Each p is sampled on its own 8*(deg+1)-point grid.  Refinement
     golden-sections every near-maximal bracket of that grid (not just the
@@ -135,7 +136,7 @@ def _weighted_sup_on_interval(polys, a, b, weight=None, refine=True) -> list:
     """
     best, lo, hi, counts = [], [], [], []
     for p in polys:
-        pts = _interval_grid(a, b, _degree_int(p))
+        pts = iv.grid(_degree_int(p))
         vals = np.abs(p(pts))
         if weight is not None:
             vals = vals * weight(pts)
@@ -166,34 +167,22 @@ def _weighted_sup_on_interval(polys, a, b, weight=None, refine=True) -> list:
 
 
 def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
-    """max over E of |p| for each p in polys, times the Schur weight
-    (1 - |x|^2)^alpha when alpha > 0; on intervals, one refinement pass for all."""
+    """max over E of |p| for each p in polys, times the Schur weight when
+    alpha > 0: every piece of ``E.intervals`` in one refinement pass for all
+    polys, then the fixed ``E.samples``.  A NaN anywhere is the result."""
     for p in polys:
         if p.nvars != E.nvars:
             raise DimensionMismatchError(
                 f"a set in {E.nvars} variable(s) takes polynomials in as many, not {p.nvars}"
             )
-    if isinstance(E, Interval):
-        weight = (lambda x: np.maximum(1.0 - x * x, 0.0) ** alpha) if alpha else None
-        return _weighted_sup_on_interval(polys, E.a, E.b, weight=weight, refine=refine)
-    if isinstance(E, UnionSet):
-        best = [0.0] * len(polys)
-        for iv in E.intervals:
-            best = list(map(max, best, _weighted_sup_on_interval(polys, iv.a, iv.b, refine=refine)))
-        for z in E.points:
-            best = [max(v, abs(p(z) if z.imag else p(z.real))) for v, p in zip(best, polys)]
-        return [float(v) for v in best]
-    return [_sampled_sup(p, E, alpha) for p in polys]
-
-
-def _sampled_sup(p, E: CompactSet, alpha: float) -> float:
-    """The sup over the sample points of a plane region or a complex set."""
-    coords = (E.complex_points,) if E.as_complex else tuple(E.points.T)
-    vals = np.abs(p(*coords))
-    if alpha:
-        xs, ys = coords
-        vals = vals * np.maximum(1.0 - xs * xs - ys * ys, 0.0) ** alpha
-    return float(np.max(vals))
+    weight = partial(_schur_weight, alpha) if alpha else None
+    best = np.full(len(polys), -np.inf)
+    for iv in E.intervals:
+        best = np.maximum(best, _weighted_sup_on_interval(polys, iv, weight, refine))
+    if E.samples[0].size:
+        w = weight(*E.samples) if weight else 1.0
+        best = np.maximum(best, [np.max(np.abs(p(*E.samples)) * w) for p in polys])
+    return best.tolist()
 
 
 def sup_norm(p, E: CompactSet, refine: bool = True) -> float:
@@ -636,17 +625,16 @@ def sampled_norm(spec: NormSpec, deg: int) -> Optional[SampledNorm]:
     """``evaluate_norm(spec, ., refine=False)`` on real series of exact degree ``deg``.
 
     Built from the same ``terms`` table: one Chebyshev-Vandermonde block per
-    sup term, on the grid the per-polynomial path samples, then the Gauss
-    nodes of an even-s L^p part.  Returns None where the samples are not
-    fixed points of an interval (unions, 2D and complex sets), for qms and
-    odd or non-integer s, and past ``_SAMPLED_MAX_ENTRIES``; those keep the
-    per-polynomial path.
+    sup term, on the points the per-polynomial path samples (the grids of
+    every piece of the set, then its fixed samples, real or complex), then
+    the Gauss nodes of an even-s L^p part.  Returns None for a set in two
+    variables, for qms and odd or non-integer s, and past
+    ``_SAMPLED_MAX_ENTRIES``; those keep the per-polynomial path.
     """
     if isinstance(spec, QmsSpec):
         return None
-    t = spec.terms(deg)
-    E, rule = t.set, None
-    if t.sups and not isinstance(E, Interval):
+    t, rule = spec.terms(deg), None
+    if t.sups and t.set.nvars != 1:
         return None
     if t.lp is not None:
         mu, s = t.lp
@@ -654,23 +642,20 @@ def sampled_norm(spec: NormSpec, deg: int) -> Optional[SampledNorm]:
             return None
         rule = mu.rule_for_degree(deg * int(s))
     orders = [k for k, _, _ in t.sups]
-    sizes = [8 * (max(deg - k, 0) + 1) for k in orders]
+    grids = [sup_points(t.set, max(deg - k, 0)) for k in orders]
+    sizes = [g.size for g in grids]
     if (sum(sizes) + (rule[0].size if rule else 0)) * (deg + 1) > _SAMPLED_MAX_ENTRIES:
         return None
-    blocks, grids, power = [], [], np.eye(deg + 1)
+    blocks, power = [], np.eye(deg + 1)
     step = np.zeros((deg + 1, deg + 1))  # d/dx, padded to a square
     if len(orders) > 1:
         step[:deg] = deriv_matrix(deg, 1)[:deg]
-    for k in orders:  # orders run 0, 1, 2, ...: power is D^k
+    for k, grid in zip(orders, grids):  # orders run 0, 1, 2, ...: power is D^k
         dk = max(deg - k, 0)
-        grids.append(_interval_grid(E.a, E.b, dk))
-        vander = np.polynomial.chebyshev.chebvander(grids[-1], dk)
+        vander = np.polynomial.chebyshev.chebvander(grid, dk)
         blocks.append(vander @ power[: dk + 1] if k else vander)
         power = step @ power
-    weight = None
-    if t.alpha:
-        x = np.concatenate(grids)
-        weight = np.maximum(1.0 - x * x, 0.0) ** t.alpha
+    weight = _schur_weight(t.alpha, np.concatenate(grids)) if t.alpha else None
     if rule:
         blocks.append(np.polynomial.chebyshev.chebvander(rule[0], deg))
     return SampledNorm(

@@ -24,15 +24,13 @@ from .chebseries import ChebSeries, as_chebseries
 from .domains import (
     DEGREE_BUDGET,
     CompactSet,
-    Interval,
     Measure,
-    UnionSet,
     jacobi_measure,
     jacobi_monic_recurrence,
+    sup_points,
 )
 from .errors import OrthogonalityLossError, QuadratureBudgetError
 from .fitting import ExponentFit, fit_power_law
-from .norms import _interval_grid
 
 NMAX_HARD_CAP = 256
 _DRIFT_CHECK_STRIDE = 16
@@ -121,22 +119,12 @@ class OrthoSystem:
         return float(np.max(np.abs(G - np.eye(upto + 1))))
 
     def sup_table(self, E: CompactSet, k: int = 0) -> np.ndarray:
-        """sup |Q_n^(k)| over E for every n <= nmax (grid estimate).
-
-        E is an interval or a union of intervals and real points.  Each
-        interval is sampled on the Chebyshev-Lobatto grid the sup norm uses
-        at degree nmax, endpoints included, so endpoint extrema are exact.
-        """
-        if isinstance(E, Interval):
-            pieces, points = (E,), ()
-        elif isinstance(E, UnionSet):
-            pieces, points = E.intervals, E.points
-        else:
-            raise ValueError(f"sup tables need an interval or a union, not {type(E).__name__}")
-        if any(z.imag for z in points):
-            raise ValueError("sup tables need real isolated points")
-        pts = np.concatenate([_interval_grid(iv.a, iv.b, self.nmax) for iv in pieces]
-                             + [np.array([z.real for z in points])])
+        """sup |Q_n^(k)| over E for every n <= nmax (grid estimate): E, a set of
+        real points in one variable, is sampled where an unrefined sup of
+        degree nmax samples it, endpoints included, so endpoint extrema are exact."""
+        if E.nvars != 1 or np.iscomplexobj(E.samples[0]):
+            raise ValueError(f"sup tables need a set of real points in one variable, not {E!r}")
+        pts = sup_points(E, self.nmax)
         vals = self.deriv_values(pts, k) if k else self.values(pts)
         return np.max(np.abs(vals), axis=1)
 

@@ -351,8 +351,12 @@ HUGE_SET = {"kind": "interval", "a": 0, "b": 1e200}
         ("norm", {"normspec": {**LP_SPEC, "measure": {"kind": "lebesgue", "a": 0, "b": 1e300}},
                   "poly": [1, 1e200]}),
         ("factor-table", {**TABLE, "normspec": {"kind": "sup", "set": HUGE_SET}, "degrees": [2, 3]}),
+        # every denominator overflows to inf while no numerator does
+        ("factor-table", {**TABLE, "normspec": {"kind": "sup", "set": HUGE_SET}, "degrees": [2]}),
+        ("norm", {"normspec": {"kind": "sup", "set": {"kind": "union", "parts": [
+            {"kind": "interval", "a": -2, "b": -1}, HUGE_SET]}}, "poly": "chebyshev:4"}),
     ],
-    ids=["sup-nan", "l2-inf", "factor-table-nan"],
+    ids=["sup-nan", "l2-inf", "factor-table-nan", "factor-table-inf", "union-nan"],
 )
 def test_non_finite_result_exits_1(tmp_path, capsys, command, config):
     # a norm that overflows to nan or inf is an error, not a reported value

@@ -18,11 +18,13 @@ from markovlab import (
     set_from_json,
     set_to_json,
 )
+from markovlab.chebseries import lobatto_points
 from markovlab.domains import (
     DEGREE_BUDGET,
     gauss_jacobi,
     measure_from_json,
     measure_to_json,
+    sup_points,
     tabulated_measure,
 )
 
@@ -66,6 +68,47 @@ class TestRegions:
         E = disk_boundary(512)
         assert E.as_complex
         assert np.allclose(np.abs(E.complex_points), 1.0)
+
+    @pytest.mark.parametrize("grid", [10, 33, 65, 101])
+    def test_box_region_points_unchanged(self, grid):
+        # the Lobatto generator of Interval.grid gives the cos(linspace) points bitwise
+        tx = np.cos(np.linspace(np.pi, 0.0, grid))
+        xs, ys = 0.5 + 1.5 * tx, -1.0 + 2.0 * tx
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        E = box_region(-1.0, 2.0, -3.0, 1.0, grid=grid)
+        assert np.array_equal(E.points, np.column_stack([X.ravel(), Y.ravel()]))
+
+
+class TestSamplePoints:
+    """Each set names its gridded pieces and its fixed sample points."""
+
+    def test_interval_grid(self):
+        assert np.array_equal(Interval(-1.0, 1.0).grid(3), lobatto_points(32))
+        np.testing.assert_array_equal(Interval(0.0, 3.0).grid(4), 1.5 + 1.5 * lobatto_points(40))
+
+    def test_interval(self):
+        E = Interval(0.0, 3.0)
+        assert E.intervals == (E,)
+        (pts,) = E.samples
+        assert pts.size == 0
+
+    def test_union_samples_real_or_complex(self):
+        iv = Interval(0.0, 1.0)
+        real = UnionSet((iv,), (4.0, -2.0 + 0j))
+        assert real.intervals == (iv,)
+        assert real.samples[0].dtype == float and real.samples[0].tolist() == [4.0, -2.0]
+        mixed = UnionSet((), (1.0, 1.5j))
+        assert mixed.intervals == ()
+        assert mixed.samples[0].dtype == complex and mixed.samples[0].tolist() == [1.0, 1.5j]
+        assert np.array_equal(sup_points(real, 0), np.r_[iv.grid(0), 4.0, -2.0])
+
+    def test_region_samples(self):
+        circle, box = disk_boundary(128), box_region(grid=11)
+        assert circle.intervals == box.intervals == ()
+        (z,) = circle.samples
+        assert np.array_equal(z, circle.complex_points)
+        x, y = box.samples
+        assert np.array_equal(x, box.points[:, 0]) and np.array_equal(y, box.points[:, 1])
 
 
 class TestSetJson:

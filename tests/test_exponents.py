@@ -13,12 +13,14 @@ from markovlab import (
     LpSpec,
     MixedDerivSpec,
     MultiPoly,
+    PrecisionOverflowError,
     SchurSpec,
     SpectralityError,
     SupPlusLpSpec,
     SupSpec,
     TaylorDiskSpec,
     UniPoly,
+    UnionSet,
     asymptotic_exponent,
     bernstein_schur_check,
     disk_boundary,
@@ -152,6 +154,7 @@ class TestMarkovFactorSearch:
 
 
 F03 = Interval(0.0, 3.0)
+GAP = UnionSet((Interval(-1.0, -0.5), Interval(0.5, 1.0)))
 PARITY_SPECS = {
     "sup[-1,1]": SupSpec(E),
     "sup[0,3]": SupSpec(F03),
@@ -162,6 +165,11 @@ PARITY_SPECS = {
     "schur": SchurSpec(0.5),
     "sup+l2": SupPlusLpSpec(E, MU, 2.0),
     "l4": LpSpec(MU, 4.0),
+    "sup-gap": SupSpec(GAP),
+    "sup[-1,0]+points": SupSpec(UnionSet((Interval(-1.0, 0.0),), (1.0, 1.5j))),
+    "sup-circle": SupSpec(disk_boundary()),
+    "taylor_disk-gap": TaylorDiskSpec(GAP, 1e-6),
+    "mixed_deriv-circle": MixedDerivSpec(disk_boundary()),
 }
 
 
@@ -185,6 +193,16 @@ class TestBatchedSearch:
         assert sampled_norm(q, 62) is not None
         assert sampled_norm(q, 63) is None
         assert type(_coarse_ratio(DerivOp(1), q, 63)) is _PolyRatio
+
+    @pytest.mark.parametrize("screen", [_coarse_ratio, _PolyRatio])
+    def test_overflowed_denominator_is_nan(self, screen):
+        # T_2 at 1e200 overflows: q(p) = inf is no ratio, not best / inf = 0
+        op, q = DerivOp(1), SupSpec(Interval(0.0, 1e200))
+        coarse = screen(op, q, 2) if screen is _coarse_ratio else screen(op, q)
+        assert all(math.isnan(r) for r in coarse.screen([chebyshev_t(2), ChebSeries([1.0, 1.0, 1.0])]))
+        assert math.isnan(_ratio(op, q, chebyshev_t(2), refine=True))
+        with pytest.raises(PrecisionOverflowError):
+            markov_factor_search(2, op, q)
 
     def test_degree_drop_takes_per_polynomial_path(self, rng):
         op, q, n = DerivOp(1), SupSpec(F03), 10
@@ -215,8 +233,14 @@ class TestBatchedSearch:
             (14, DerivOp(2), TaylorDiskSpec(E, 1e-6), 12737.9924948635, "chebyshev:14"),
             # far below V. Markov's 170.67 on [0, 3]: pinned only to show the row is unchanged
             (16, DerivOp(1), SupSpec(F03), 24.6195556806635, "random:4+ascent"),
+            (8, DerivOp(2), SupSpec(GAP), 1346.5586193833124, "chebyshev:8+ascent"),
+            (16, DerivOp(1), SupSpec(UnionSet((E,), (1.5j,))), 7140.1974176117465,
+             "monomial:16+ascent"),
+            (16, DerivOp(2), SupSpec(disk_boundary()), 239.99999999999775, "monomial:16"),
+            (8, DerivOp(1), MixedDerivSpec(GAP), 36.03662230255499, "random:19+ascent"),
         ],
-        ids=["sup+l2", "schur", "taylor_disk", "sup[0,3]"],
+        ids=["sup+l2", "schur", "taylor_disk", "sup[0,3]", "sup-gap", "sup[-1,1]+1.5i",
+             "sup-circle", "mixed_deriv-gap"],
     )
     def test_rows_unchanged(self, n, op, q, factor, witness):
         res = markov_factor_search(n, op, q, seed=DEFAULT_SEED)

@@ -93,6 +93,19 @@ class TestSupNorm:
         u = UnionSet((Interval(-1.0, 1.0),), (2.0,))
         assert sup_norm(UniPoly((0.0, 1.0)), u) == 2.0
 
+    def test_real_point_among_complex_ones(self):
+        # a real point sampled through a complex array keeps its real value's bits
+        p = ChebSeries([0.3, -1.7, 0.25, 2.0])
+        assert sup_norm(p, UnionSet((), (0.3,))) == abs(p(0.3))
+        assert sup_norm(p, UnionSet((), (0.3, 0.01j))) == abs(p(0.3))
+
+    def test_overflowing_piece_gives_nan(self):
+        # one NaN rule for every set: a union passes on the NaN of its piece
+        huge, t4 = Interval(0.0, 1e200), chebyshev_t(4)
+        assert math.isnan(sup_norm(t4, huge))
+        assert math.isnan(sup_norm(t4, UnionSet((huge,))))
+        assert math.isnan(sup_norm(t4, UnionSet((Interval(-2.0, -1.0), huge), (3.0,))))
+
     def test_chebyshev8_equioscillation(self):
         # oracle: |T_8| attains 1 exactly at the extrema cos(j*pi/8)
         t8 = chebyshev_t(8)
