@@ -287,30 +287,34 @@ DEGREE_BUDGET = 256
 
 @dataclass(frozen=True)
 class Measure:
-    """Probability measure on an interval.
-
-    ``alpha`` and ``beta`` are the exponents of (b - x) and (x - a) in the
-    density; they are 0 but for Jacobi measures.  Every rule is the cached
-    ``gauss_jacobi`` rule for (alpha, beta) mapped onto the support; a
-    tabulated measure multiplies the Legendre one by its weight function.
+    """Probability measure on an interval: its support, the exponents
+    ``alpha`` of (b - x) and ``beta`` of (x - a) in its density (nonzero on
+    [-1, 1] only), and an optional tabulated weight function (with zero
+    exponents only).  Every rule is the cached ``gauss_jacobi`` rule for
+    (alpha, beta) mapped onto the support; a tabulated measure multiplies the
+    Legendre one by its weight function.
     """
 
-    kind: str  # "lebesgue" | "jacobi" | "tabulated"
     support: Interval
     alpha: float = 0.0
     beta: float = 0.0
     weight_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.kind not in ("lebesgue", "jacobi", "tabulated"):
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.kind == "jacobi":
-            if not (-1 < self.alpha < math.inf and -1 < self.beta < math.inf):
-                raise ValueError("jacobi parameters must be finite and exceed -1")
+        if not (-1 < self.alpha < math.inf and -1 < self.beta < math.inf):
+            raise ValueError("jacobi parameters must be finite and exceed -1")
+        if self.alpha or self.beta:
+            if self.weight_fn is not None:
+                raise ValueError("a tabulated weight takes no jacobi exponents")
             if (self.support.a, self.support.b) != (-1.0, 1.0):
                 raise ValueError("jacobi measures are supported on [-1, 1]")
-        if self.kind == "tabulated" and self.weight_fn is None:
-            raise ValueError("tabulated measure needs a weight function")
+
+    @property
+    def kind(self) -> str:
+        """Read off the fields: "tabulated", else "jacobi" or (zero exponents) "lebesgue"."""
+        if self.weight_fn is not None:
+            return "tabulated"
+        return "jacobi" if self.alpha or self.beta else "lebesgue"
 
     def _mapped_rule(self, nnodes: int):
         """gauss_jacobi(nnodes, alpha, beta) mapped affinely onto the support;
@@ -329,7 +333,7 @@ class Measure:
     def gauss_rule(self, nnodes: int):
         """Nodes and weights of an n-point rule, normalized to total mass 1."""
         nnodes = max(int(nnodes), 1)
-        if self.kind != "tabulated":
+        if self.weight_fn is None:
             return self._mapped_rule(nnodes)
         nodes, weights = self._tabulated_rule(nnodes)
         total = weights.sum()
@@ -353,25 +357,25 @@ class Measure:
             raise QuadratureBudgetError(
                 f"integrand degree {degree} exceeds budget {2 * DEGREE_BUDGET}"
             )
-        if self.kind == "tabulated":
+        if self.weight_fn is not None:
             return self.gauss_rule(max(degree + 1, 64))
         return self.gauss_rule(degree // 2 + 1)
 
     def density(self, x: np.ndarray) -> np.ndarray:
         """d(mu)/dx over (b - x)^alpha (x - a)^beta (smooth); a tabulated weight is
         normalised by the mass its 64-point rule gives it."""
-        if self.kind == "tabulated":
+        if self.weight_fn is not None:
             return np.asarray(self.weight_fn(x), dtype=float) / self._tabulated_rule(64)[1].sum()
         mass = jacobi_log_mass(self.alpha, self.beta, self.support.width)
         return np.full(np.shape(x), math.exp(-mass))
 
 
 def lebesgue_measure(a: float = -1.0, b: float = 1.0) -> Measure:
-    return Measure("lebesgue", Interval(a, b))
+    return Measure(Interval(a, b))
 
 
 def jacobi_measure(alpha: float, beta: float) -> Measure:
-    return Measure("jacobi", Interval(-1.0, 1.0), alpha=alpha, beta=beta)
+    return Measure(Interval(-1.0, 1.0), alpha, beta)
 
 
 def chebyshev_measure() -> Measure:
@@ -381,7 +385,7 @@ def chebyshev_measure() -> Measure:
 def tabulated_measure(
     weight_fn: Callable[[np.ndarray], np.ndarray], a: float = -1.0, b: float = 1.0
 ) -> Measure:
-    return Measure("tabulated", Interval(a, b), weight_fn=weight_fn)
+    return Measure(Interval(a, b), weight_fn=weight_fn)
 
 
 def measure_to_json(mu: Measure) -> dict:

@@ -128,12 +128,11 @@ class L2Factor:
 
 
 def _system_for_measure(mu: Measure, nmax: int) -> OrthoSystem:
+    """Stieltjes for a tabulated weight, else the closed-form Jacobi system on [-1, 1]."""
     nmax = max(nmax, 1)
-    if mu.kind == "jacobi":
-        return jacobi_system(mu.alpha, mu.beta, nmax)
-    if mu.kind == "lebesgue" and (mu.support.a, mu.support.b) == (-1.0, 1.0):
-        return jacobi_system(0.0, 0.0, nmax)
-    return stieltjes_orthonormalize(mu, nmax)
+    if mu.weight_fn is not None:
+        return stieltjes_orthonormalize(mu, nmax)
+    return jacobi_system(mu.alpha, mu.beta, nmax)
 
 
 def derivative_operator_matrix(sys: OrthoSystem, n: int, k: int) -> np.ndarray:
@@ -148,7 +147,8 @@ def markov_factor_l2(n: int, k: int, mu: Measure, sys: Optional[OrthoSystem] = N
     """Exact max of ||p^(k)||_2 / ||p||_2 over deg p <= n, with its maximizer.
 
     The value is the largest singular value of the k-th derivative operator
-    restricted to degree <= n in the orthonormal basis of mu.
+    restricted to degree <= n in the orthonormal basis ``sys`` (by default
+    ``_system_for_measure``), scaled from sys's support to mu's.
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
@@ -160,7 +160,9 @@ def markov_factor_l2(n: int, k: int, mu: Measure, sys: Optional[OrthoSystem] = N
         return L2Factor(0.0, np.array([1.0]), sys)
     D = derivative_operator_matrix(sys, n, k)
     U, S, Vh = np.linalg.svd(D)
-    return L2Factor(float(S[0]), Vh[0].copy(), sys)
+    # the affine map between the supports is an L2 isometry; d^k/dx^k scales by (2/(b - a))^k
+    scale = (sys.measure.support.width / mu.support.width) ** k
+    return L2Factor(scale * float(S[0]), Vh[0].copy(), sys)
 
 
 @dataclass(frozen=True)
@@ -413,9 +415,15 @@ def factor_table(
             rows.append(TableRow(n, res.factor, "l2-extremal"))
         cert = "Exact"
     else:
+        # M_k(n) never decreases in n: a row below the best so far repeats that
+        best = (-math.inf, "")  # (factor, witness id prefixed by its degree)
         for n in degrees:
             res = markov_factor_search(n, op, q, budget=budget, seed=seed)
-            rows.append(TableRow(n, res.factor, res.witness_id))
+            if res.factor < best[0]:
+                rows.append(TableRow(n, *best))
+            else:
+                rows.append(TableRow(n, res.factor, res.witness_id))
+                best = (res.factor, f"n={n}:{res.witness_id}")
         cert = "LowerBound"
     return MarkovTable(op.label, q, tuple(rows), cert)
 

@@ -8,7 +8,7 @@ timestamps so reruns with the same seed are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, List
 
@@ -254,26 +254,11 @@ def suite_laplacian(seed: int = DEFAULT_SEED, mode: str = "float") -> SuiteRepor
 
 def suite_floor(seed: int = DEFAULT_SEED, mode: str = "float") -> SuiteReport:
     report = SuiteReport("floor", seed, mode)
-    interval_floor = spectral_exponent_floor(SupSpec(Interval(-1.0, 1.0)), seed=seed)
-    report.checks.append(
-        CheckResult(
-            "interval-sup-floor",
-            "pass" if interval_floor.passed else "fail",
-            interval_floor.slope,
-            interval_floor.floor,
-            0.0,
-        )
-    )
-    disk_floor = spectral_exponent_floor(SupSpec(disk_boundary()), seed=seed)
-    report.checks.append(
-        CheckResult(
-            "disk-sup-floor",
-            "pass" if disk_floor.passed else "fail",
-            disk_floor.slope,
-            disk_floor.floor,
-            0.0,
-        )
-    )
+    sets = (("interval-sup-floor", Interval(-1.0, 1.0)), ("disk-sup-floor", disk_boundary()))
+    for name, E in sets:
+        floor = spectral_exponent_floor(SupSpec(E), seed=seed)
+        status = "pass" if floor.passed else "fail"
+        report.checks.append(CheckResult(name, status, floor.slope, floor.floor, 0.0))
     try:
         spectral_exponent_floor(LpSpec(lebesgue_measure(), 2.0), seed=seed)
         rejected = 0
@@ -301,16 +286,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, mode: str = "float") -> Suite
         combined = SuiteReport("all", seed, mode)
         for sub in SUITES:
             rep = run_suite(sub, seed=seed, mode=mode)
-            for check in rep.checks:
-                combined.checks.append(
-                    CheckResult(
-                        f"{sub}/{check.name}",
-                        check.status,
-                        check.measured,
-                        check.expected,
-                        check.tolerance,
-                    )
-                )
+            combined.checks += [replace(check, name=f"{sub}/{check.name}") for check in rep.checks]
         return combined
     if not isinstance(name, str) or name not in SUITES:
         raise ValueError(f"unknown suite name {name!r}")

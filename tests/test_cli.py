@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -358,6 +359,7 @@ HUGE_SET = {"kind": "interval", "a": 0, "b": 1e200}
     ],
     ids=["sup-nan", "l2-inf", "factor-table-nan", "factor-table-inf", "union-nan"],
 )
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_result_exits_1(tmp_path, capsys, command, config):
     # a norm that overflows to nan or inf is an error, not a reported value
     artifact = tmp_path / "out.file"
@@ -368,6 +370,26 @@ def test_non_finite_result_exits_1(tmp_path, capsys, command, config):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not artifact.exists()
+
+
+@pytest.mark.parametrize(
+    "a, b, degrees",
+    [(0, 1, [8, 200]), (-1e6, 1e6, [8, 64]), (1e-3, 1.001e-3, [8, 64])],
+    ids=["unit", "wide", "narrow"],
+)
+def test_l2_table_is_exact_on_any_interval(tmp_path, capsys, a, b, degrees):
+    # every row is the [-1, 1] factor times 2/(b - a), for k = 1
+    out = tmp_path / "tab.csv"
+    normspec = {**LP_SPEC, "measure": {"kind": "lebesgue", "a": a, "b": b}}
+    cfg = write_config(tmp_path, "c.json",
+                       {**TABLE, "normspec": normspec, "degrees": degrees, "output": str(out)})
+    assert main(["factor-table", "--config", cfg]) == 0
+    rows = list(csv.DictReader(ln for ln in out.read_text().splitlines() if not ln.startswith("#")))
+    assert [int(row["n"]) for row in rows] == degrees
+    for row in rows:
+        unit = markovlab.markov_factor_l2(int(row["n"]), 1, markovlab.lebesgue_measure()).factor
+        assert row["certification"] == "Exact"
+        assert float(row["factor"]) == 2.0 / (b - a) * unit
 
 
 def test_import_loads_no_scipy():
@@ -512,6 +534,7 @@ def fuzz_dir(tmp_path_factory):
     return d
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # random configs may overflow
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_fuzzed_configs_exit_cleanly(fuzz_dir, data):

@@ -15,12 +15,14 @@ from markovlab import (
     disk_boundary,
     jacobi_measure,
     lebesgue_measure,
+    markov_factor_l2,
     set_from_json,
     set_to_json,
 )
 from markovlab.chebseries import lobatto_points
 from markovlab.domains import (
     DEGREE_BUDGET,
+    Measure,
     gauss_jacobi,
     measure_from_json,
     measure_to_json,
@@ -214,6 +216,19 @@ class TestMeasures:
             back = measure_from_json(measure_to_json(mu))
             assert back.kind == mu.kind
             assert back.support == mu.support
+
+    def test_lebesgue_is_jacobi_zero(self):
+        assert lebesgue_measure() == jacobi_measure(0, 0)
+        assert measure_to_json(jacobi_measure(0, 0)) == {"kind": "lebesgue", "a": -1.0, "b": 1.0}
+
+    def test_weight_with_exponent_rejected(self):
+        with pytest.raises(ValueError, match="no jacobi exponents"):
+            Measure(Interval(-1.0, 1.0), alpha=0.5, weight_fn=np.ones_like)
+
+    def test_exponents_alone_give_the_jacobi_l2_factor(self):
+        got = markov_factor_l2(8, 1, Measure(Interval(-1.0, 1.0), alpha=0.5)).factor
+        assert got == markov_factor_l2(8, 1, jacobi_measure(0.5, 0)).factor
+        assert got == pytest.approx(28.400, abs=1e-3)
 
     def test_tabulated_not_serializable(self):
         with pytest.raises(TypeError):

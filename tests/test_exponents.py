@@ -102,8 +102,9 @@ class TestMarkovFactorL2:
                     rhs *= markov_factor_l2(n - i, 1, MU).factor
                 assert lhs <= rhs * (1 + 1e-12)
 
-    @pytest.mark.parametrize("a, b", [(0.0, 3.0), (-2.0, 2.0), (0.0, 1.0), (1.0, 5.5)])
-    @pytest.mark.parametrize("n, k", [(32, 1), (64, 2), (128, 1), (128, 3)])
+    @pytest.mark.parametrize("a, b", [(0.0, 3.0), (-2.0, 2.0), (0.0, 1.0), (1.0, 5.5),
+                                      (100.0, 101.0), (1e-3, 1.001e-3), (-1e6, 1e6)])
+    @pytest.mark.parametrize("n, k", [(32, 1), (64, 2), (128, 1), (128, 3), (200, 1), (256, 3)])
     def test_shifted_interval_scales_the_unit_factor(self, a, b, n, k):
         # x -> (2x - a - b)/(b - a) maps L2 of [a, b] isometrically onto L2 of
         # [-1, 1] and scales the k-th derivative by (2/(b - a))^k
@@ -194,6 +195,7 @@ class TestBatchedSearch:
         assert sampled_norm(q, 63) is None
         assert type(_coarse_ratio(DerivOp(1), q, 63)) is _PolyRatio
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("screen", [_coarse_ratio, _PolyRatio])
     def test_overflowed_denominator_is_nan(self, screen):
         # T_2 at 1e200 overflows: q(p) = inf is no ratio, not best / inf = 0
@@ -266,9 +268,15 @@ class TestFactorTable:
         assert tab.certification == "LowerBound"
 
     def test_monotone_in_degree(self):
-        tab = factor_table(SupSpec(E), DerivOp(1), list(range(1, 9)))
-        fs = tab.factors()
-        assert all(a <= b * (1 + 1e-9) for a, b in zip(fs, fs[1:]))
+        union = SupSpec(UnionSet((Interval(-1.0, 0.0),), (1.0,)))
+        for q, degrees in ((SupSpec(E), list(range(1, 9))), (union, [4, 8])):
+            tab = factor_table(q, DerivOp(1), degrees)
+            fs = tab.factors()
+            assert all(a <= b * (1 + 1e-9) for a, b in zip(fs, fs[1:]))
+        # the search finds 64 at n = 8, below the n = 4 row: the row repeats it
+        low, high = tab.rows
+        assert high.factor == low.factor > 64.0
+        assert high.witness == "n=4:" + low.witness
 
     def test_deterministic_given_seed(self):
         t1 = factor_table(SupSpec(E), DerivOp(1), [2, 4, 6], seed=99)

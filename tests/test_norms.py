@@ -99,6 +99,7 @@ class TestSupNorm:
         assert sup_norm(p, UnionSet((), (0.3,))) == abs(p(0.3))
         assert sup_norm(p, UnionSet((), (0.3, 0.01j))) == abs(p(0.3))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_piece_gives_nan(self):
         # one NaN rule for every set: a union passes on the NaN of its piece
         huge, t4 = Interval(0.0, 1e200), chebyshev_t(4)
