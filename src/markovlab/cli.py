@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import __version__
 from .chebseries import chebyshev_t, chebyshev_u, legendre_orthonormal, monomial
-from .domains import measure_from_json, set_from_json
+from .domains import json_number, measure_from_json, set_from_json
 from .errors import ConfigError, MarkovLabError, PrecisionOverflowError, QuadratureBudgetError
 from .exponents import (
     DEFAULT_SEED,
@@ -32,7 +32,7 @@ from .fitting import fit_power_law
 from .norms import LpSpec, QmsSpec, evaluate_norm, qms_norm_exact, spec_from_json
 from .orthopoly import NMAX_HARD_CAP, jacobi_system, stieltjes_orthonormalize
 from .polynomials import UniPoly
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -85,9 +85,10 @@ def _config_hash(cfg: dict) -> str:
 
 def _is_count(n) -> bool:
     """A JSON integer >= 0 (4.0 counts as 4; true does not)."""
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    return type(n) is int and n >= 0
+    try:
+        return json_number(n, "count", integer=True) >= 0
+    except (TypeError, ValueError):
+        return False
 
 
 def _seed_and_mode(args, cfg: dict) -> tuple:
@@ -278,12 +279,13 @@ def cmd_ortho_export(args) -> int:
         raise ConfigError("family", f"kind must be 'jacobi' or 'stieltjes', got {family!r}")
     try:
         if kind == "jacobi":
-            sys_ = jacobi_system(float(family["alpha"]), float(family["beta"]), int(nmax))
+            sys_ = jacobi_system(json_number(family["alpha"], "alpha"),
+                                 json_number(family["beta"], "beta"), int(nmax))
         else:
             sys_ = stieltjes_orthonormalize(measure_from_json(family["measure"]), int(nmax))
     except QuadratureBudgetError as exc:
         raise ConfigError("nmax", str(exc))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError("family", str(exc))
     E = _parsed("set", set_from_json, cfg["set"]) if "set" in cfg else None
     out_path = _path(args.out, cfg, "output")
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument(
         "--suite",
-        choices=["di", "qms", "nikolskii", "bernstein-schur", "laplacian", "floor", "all"],
+        choices=[*SUITES, "all"],
         help="suite name (overrides config)",
     )
     p_verify.set_defaults(func=cmd_verify)

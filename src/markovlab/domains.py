@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
@@ -172,16 +173,26 @@ def disk_boundary(npoints: int = 2048) -> SampledRegion2D:
     return SampledRegion2D(pts, {"predicate": "disk_boundary", "points": npoints}, as_complex=True)
 
 
+def json_number(value, name: str, integer: bool = False):
+    """The JSON number of field ``name``: a float, or an int for an integer
+    field (4.0 counts as 4); a boolean, a string or a fractional count raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, not {value!r}")
+    if integer and value % 1:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value) if integer else float(value)
+
+
 _REGION_GENERATORS = {
-    "cusp_exp": lambda d: cusp_region(grid=int(d.get("grid", 401))),
+    "cusp_exp": lambda d: cusp_region(grid=json_number(d.get("grid", 401), "grid", True)),
     "box": lambda d: box_region(
-        xmin=float(d.get("xmin", -1.0)),
-        xmax=float(d.get("xmax", 1.0)),
-        ymin=float(d.get("ymin", -1.0)),
-        ymax=float(d.get("ymax", 1.0)),
-        grid=int(d.get("grid", 65)),
+        xmin=json_number(d.get("xmin", -1.0), "xmin"),
+        xmax=json_number(d.get("xmax", 1.0), "xmax"),
+        ymin=json_number(d.get("ymin", -1.0), "ymin"),
+        ymax=json_number(d.get("ymax", 1.0), "ymax"),
+        grid=json_number(d.get("grid", 65), "grid", True),
     ),
-    "disk_boundary": lambda d: disk_boundary(npoints=int(d.get("points", 2048))),
+    "disk_boundary": lambda d: disk_boundary(npoints=json_number(d.get("points", 2048), "points", True)),
 }
 
 
@@ -202,15 +213,16 @@ def set_from_json(obj: dict) -> CompactSet:
         raise TypeError(f"a set is a JSON object, not {obj!r}")
     kind = obj.get("kind")
     if kind == "interval":
-        return Interval(float(obj["a"]), float(obj["b"]))
+        return Interval(json_number(obj["a"], "a"), json_number(obj["b"], "b"))
     if kind == "union":
         intervals, points = [], []
         for part in obj["parts"]:
             part_kind = part.get("kind") if isinstance(part, dict) else None
             if part_kind == "interval":
-                intervals.append(Interval(float(part["a"]), float(part["b"])))
+                intervals.append(Interval(json_number(part["a"], "a"), json_number(part["b"], "b")))
             elif part_kind == "point":
-                points.append(complex(float(part.get("re", 0.0)), float(part.get("im", 0.0))))
+                points.append(complex(json_number(part.get("re", 0.0), "re"),
+                                      json_number(part.get("im", 0.0), "im")))
             else:
                 raise ValueError(f"unknown union part {part!r}")
         return UnionSet(tuple(intervals), tuple(points))
@@ -401,7 +413,7 @@ def measure_from_json(obj: dict) -> Measure:
         raise TypeError(f"a measure is a JSON object, not {obj!r}")
     kind = obj.get("kind")
     if kind == "lebesgue":
-        return lebesgue_measure(float(obj.get("a", -1.0)), float(obj.get("b", 1.0)))
+        return lebesgue_measure(json_number(obj.get("a", -1.0), "a"), json_number(obj.get("b", 1.0), "b"))
     if kind == "jacobi":
-        return jacobi_measure(float(obj["alpha"]), float(obj["beta"]))
+        return jacobi_measure(json_number(obj["alpha"], "alpha"), json_number(obj["beta"], "beta"))
     raise ValueError(f"unknown measure kind {kind!r}")

@@ -26,7 +26,7 @@ from .chebseries import (
     product_2d,
     random_unit,
 )
-from .domains import Interval, Measure, SampledRegion2D, box_region
+from .domains import Interval, Measure, SampledRegion2D, box_region, json_number
 from .errors import PrecisionOverflowError, SpectralityError
 from .fitting import AsymptoticTrend, ExponentFit, asymptotic_trend, fit_power_law
 from .norms import (
@@ -61,11 +61,12 @@ def operator_from_json(obj: dict) -> OperatorSpec:
         raise TypeError(f"an operator is a JSON object, not {obj!r}")
     kind = obj.get("kind")
     if kind == "deriv":
-        return DerivOp(int(obj["k"]))
+        return DerivOp(json_number(obj["k"], "k", integer=True))
     if kind == "dirop":
-        return DirOp(tuple(float(c) for c in obj["v"]))
+        return DirOp(tuple(json_number(c, "v") for c in obj["v"]))
     if kind == "hop":
-        return HomOp(tuple((tuple(int(x) for x in a), float(c)) for a, c in obj["H"]))
+        return HomOp(tuple((tuple(json_number(x, "H", integer=True) for x in a), json_number(c, "H"))
+                           for a, c in obj["H"]))
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
@@ -135,31 +136,19 @@ def _system_for_measure(mu: Measure, nmax: int) -> OrthoSystem:
     return jacobi_system(mu.alpha, mu.beta, nmax)
 
 
-def derivative_operator_matrix(sys: OrthoSystem, n: int, k: int) -> np.ndarray:
-    """Matrix of d^k/dx^k on span(Q_0..Q_n) in the orthonormal basis."""
-    nodes, weights = sys.measure.rule_for_degree(2 * n)
-    V = sys.values(nodes, n)
-    Vk = sys.deriv_values(nodes, k, n)
-    return (V * weights) @ Vk.T
-
-
 def markov_factor_l2(n: int, k: int, mu: Measure, sys: Optional[OrthoSystem] = None) -> L2Factor:
     """Exact max of ||p^(k)||_2 / ||p||_2 over deg p <= n, with its maximizer.
 
     The value is the largest singular value of the k-th derivative operator
     restricted to degree <= n in the orthonormal basis ``sys`` (by default
-    ``_system_for_measure``), scaled from sys's support to mu's.
+    ``_system_for_measure``), taken from its differentiation matrix and scaled
+    from sys's support to mu's.
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     if sys is None:
         sys = _system_for_measure(mu, max(n, 1))
-    if n > sys.nmax:
-        raise ValueError(f"degree {n} exceeds system nmax {sys.nmax}")
-    if n == 0:
-        return L2Factor(0.0, np.array([1.0]), sys)
-    D = derivative_operator_matrix(sys, n, k)
-    U, S, Vh = np.linalg.svd(D)
+    U, S, Vh = np.linalg.svd(sys.deriv_matrix(n, k))
     # the affine map between the supports is an L2 isometry; d^k/dx^k scales by (2/(b - a))^k
     scale = (sys.measure.support.width / mu.support.width) ** k
     return L2Factor(scale * float(S[0]), Vh[0].copy(), sys)
@@ -440,8 +429,9 @@ def fit_exponent(table: MarkovTable, window: Optional[tuple] = None) -> Exponent
 def family_exponent(family, E, k: int, n_range: tuple) -> ExponentFit:
     """Exponent of sup|Q_n^(k)|/sup|Q_n| growth for a degree-indexed family.
 
-    ``family`` is either an OrthoSystem (stable recurrence evaluation, the
-    only usable path at high degree) or a sequence of polynomials with
+    ``family`` is either an OrthoSystem (values by the recurrence, derivatives
+    by its differentiation matrix: the only usable path at high degree) or a
+    sequence of polynomials with
     deg family[n] = n.
     """
     lo, hi = int(n_range[0]), int(n_range[1])

@@ -44,6 +44,7 @@ from .domains import (
     Measure,
     gauss_jacobi,
     jacobi_log_mass,
+    json_number,
     measure_from_json,
     measure_to_json,
     set_from_json,
@@ -676,7 +677,6 @@ _CODECS = {  # field -> (to JSON, from JSON); other fields are numbers of their 
     "set": (set_to_json, set_from_json),
     "measure": (measure_to_json, measure_from_json),
 }
-_NUMBERS = {"float": float, "int": int}
 
 
 def spec_to_json(spec: NormSpec) -> dict:
@@ -699,8 +699,9 @@ def spec_from_json(obj: dict) -> NormSpec:
     for f in fields(cls):
         if not f.init or (f.name not in obj and f.default is not MISSING):
             continue
-        decode = _CODECS[f.name][1] if f.name in _CODECS else _NUMBERS[f.type]
-        args[f.name] = decode(obj[f.name])
+        value = obj[f.name]
+        args[f.name] = (_CODECS[f.name][1](value) if f.name in _CODECS
+                        else json_number(value, f.name, integer=f.type == "int"))
     return cls(**args)
 
 

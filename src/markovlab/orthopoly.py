@@ -4,11 +4,11 @@ Systems are defined by three-term recurrence coefficients in orthonormal form,
 
     b[n+1] * Q_{n+1}(x) = (x - a[n]) * Q_n(x) - b[n] * Q_{n-1}(x),
 
-with Q_0 = 1 for a probability measure.  Values and derivatives are always
-evaluated through the recurrence (stable far past the degrees where monomial
-coefficients become unusable); recurrence coefficients come either from the
-closed-form Jacobi formulas or from a discrete Stieltjes procedure against an
-arbitrary measure's quadrature rule.
+with Q_0 = 1 for a probability measure.  Values are evaluated through the
+recurrence (stable far past the degrees where monomial coefficients become
+unusable), derivatives by the differentiation matrix its coefficients give;
+the coefficients come from the closed-form Jacobi formulas or from a discrete
+Stieltjes procedure against an arbitrary measure's quadrature rule.
 """
 
 from __future__ import annotations
@@ -78,24 +78,31 @@ class OrthoSystem:
             ) / self.betas[n + 1]
         return out
 
-    def deriv_values(self, x, k: int, upto: Optional[int] = None) -> np.ndarray:
-        """Matrix of k-th derivative values Q_n^(k)(x), differentiated recurrence."""
-        upto = self.nmax if upto is None else int(upto)
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        prev = self.values(xs, upto)
-        for order in range(1, k + 1):
-            cur = np.zeros_like(prev)
-            if upto >= 1:
-                # prev[0] is Q_0^(order-1): 1 for order 1, 0 beyond
-                cur[1] = order * prev[0] / self.betas[1]
-            for n in range(1, upto):
-                cur[n + 1] = (
-                    (xs - self.alphas[n]) * cur[n]
-                    + order * prev[n]
-                    - self.betas[n] * cur[n - 1]
-                ) / self.betas[n + 1]
-            prev = cur
-        return prev
+    @cached_property
+    def _ddx(self) -> np.ndarray:
+        """d/dx on span(Q_0..Q_nmax), read-only: column j holds the coefficients
+        of Q_j'.  Differentiating the recurrence gives
+        b[n+1] Q_{n+1}' = Q_n + (x - a[n]) Q_n' - b[n] Q_{n-1}', and
+        x Q_i = b[i+1] Q_{i+1} + a[i] Q_i + b[i] Q_{i-1} expands x Q_n'."""
+        a, b = self.alphas, self.betas
+        D = np.zeros((self.nmax + 1, self.nmax + 1))
+        D[0, 1] = 1.0 / b[1]
+        for n in range(1, self.nmax):
+            q, col = D[:n, n], D[:, n + 1]  # Q_n' has degree n - 1
+            col[n] = 1.0
+            col[:n] += (a[:n] - a[n]) * q - b[n] * D[:n, n - 1]
+            col[1 : n + 1] += b[1 : n + 1] * q
+            col[: n - 1] += b[1:n] * q[1:]
+            col /= b[n + 1]
+        D.flags.writeable = False
+        return D
+
+    def deriv_matrix(self, n: int, k: int) -> np.ndarray:
+        """Matrix of d^k/dx^k on span(Q_0..Q_n): column j holds the coefficients
+        of Q_j^(k) in Q_0..Q_n (for k = 1, a read-only view of the cached d/dx)."""
+        if k < 0 or not 0 <= n <= self.nmax:
+            raise ValueError(f"need k >= 0 and 0 <= n <= nmax = {self.nmax}, got n={n}, k={k}")
+        return np.linalg.matrix_power(self._ddx[: n + 1, : n + 1], k)
 
     @cached_property
     def polys(self) -> tuple:
@@ -121,11 +128,12 @@ class OrthoSystem:
     def sup_table(self, E: CompactSet, k: int = 0) -> np.ndarray:
         """sup |Q_n^(k)| over E for every n <= nmax (grid estimate): E, a set of
         real points in one variable, is sampled where an unrefined sup of
-        degree nmax samples it, endpoints included, so endpoint extrema are exact."""
+        degree nmax samples it, endpoints included, so endpoint extrema are exact;
+        derivatives there are ``deriv_matrix(nmax, k)`` applied to the values."""
         if E.nvars != 1 or np.iscomplexobj(E.samples[0]):
             raise ValueError(f"sup tables need a set of real points in one variable, not {E!r}")
         pts = sup_points(E, self.nmax)
-        vals = self.deriv_values(pts, k) if k else self.values(pts)
+        vals = self.deriv_matrix(self.nmax, k).T @ self.values(pts) if k else self.values(pts)
         return np.max(np.abs(vals), axis=1)
 
     def export_csv(self, path, E: Optional[CompactSet] = None, meta: Optional[dict] = None):
@@ -209,6 +217,8 @@ def expand(p, sys: OrthoSystem) -> np.ndarray:
 
 def reconstruct(coeffs: Sequence[float], sys: OrthoSystem) -> ChebSeries:
     """Linear combination sum_j coeffs[j] * Q_j as a Chebyshev series."""
+    if len(coeffs) > sys.nmax + 1:
+        raise ValueError(f"{len(coeffs)} coefficients exceed system nmax {sys.nmax}")
     out = ChebSeries([0.0])
     for c, q in zip(coeffs, sys.polys):
         if c:

@@ -314,6 +314,25 @@ TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees":
                   "poly": "chebyshev:4"}, "normspec"),
         ("norm", {"normspec": {"kind": "sup", "set": {"kind": "union", "parts": [{"kind": "point", "re": math.nan}]}},
                   "poly": "chebyshev:4"}, "normspec"),
+        # a JSON number is never a boolean, and an integer field takes no fraction
+        ("factor-table", {**TABLE, "operator": {"kind": "deriv", "k": 1.7}}, "operator"),
+        ("factor-table", {**TABLE, "operator": {"kind": "hop", "H": [[[2.5], 1.0]]}}, "operator"),
+        ("factor-table", {**TABLE, "operator": {"kind": "dirop", "v": [True]}}, "operator"),
+        ("norm", {"normspec": {"kind": "qms", "m": 2, "s": 2.5}, "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": {**LP_SPEC, "s": True}, "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": {"kind": "sup", "set": {"kind": "interval", "a": False, "b": 1}},
+                  "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": {"kind": "sup", "set": {"kind": "union", "parts": [{"kind": "point", "im": True}]}},
+                  "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": {"kind": "sup", "set": {"kind": "region2d", "predicate": "disk_boundary",
+                                                       "points": 128.5}}, "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": {**LP_SPEC, "measure": {"kind": "jacobi", "alpha": True, "beta": 0}},
+                  "poly": "chebyshev:4"}, "normspec"),
+        ("norm", {"normspec": {**LP_SPEC, "measure": {"kind": "lebesgue", "a": "-1", "b": 1}},
+                  "poly": "chebyshev:4"}, "normspec"),
+        ("ortho-export", {"family": {**JACOBI_FAMILY, "alpha": True}}, "family"),
+        ("ortho-export", {"family": {**JACOBI_FAMILY, "beta": 10**400}}, "family"),
+        ("ortho-export", {"family": JACOBI_FAMILY, "set": {"kind": "interval", "a": -1, "b": True}}, "set"),
     ],
     ids=["degree-string", "negative-k", "negative-poly-degree", "nan-lp-order", "seed-string",
          "seed-float", "seed-bool", "budget-zero", "budget-float", "schur-off-unit-interval",
@@ -327,7 +346,10 @@ TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees":
          "fit-window-number", "output-list", "output-missing-dir", "ortho-output-object",
          "ortho-output-directory", "verify-suite-list", "qms-m-nan", "qms-s-infinite",
          "schur-alpha-infinite", "taylor-r-nan", "interval-infinite", "interval-width-overflow",
-         "jacobi-alpha-nan", "union-point-nan"],
+         "jacobi-alpha-nan", "union-point-nan", "deriv-k-fraction", "hop-exponent-fraction",
+         "dirop-bool", "qms-s-fraction", "lp-s-bool", "interval-a-bool", "union-point-bool",
+         "circle-points-fraction", "jacobi-alpha-bool", "lebesgue-a-string", "ortho-alpha-bool",
+         "ortho-beta-huge", "ortho-interval-b-bool"],
 )
 def test_malformed_config_names_field(tmp_path, monkeypatch, capsys, command, config, field):
     # relative paths in a case resolve in tmp_path, which holds the tables of _TABLES

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as npcheb
+from numpy.polynomial import legendre as npleg
 
 from markovlab import (
     ChebSeries,
@@ -23,11 +25,14 @@ from markovlab import (
     UnionSet,
     asymptotic_exponent,
     bernstein_schur_check,
+    chebyshev_measure,
     disk_boundary,
+    domains,
     factor_table,
     family_exponent,
     fit_exponent,
     fit_power_law,
+    jacobi_measure,
     jacobi_system,
     laplacian_vs_gradient_check,
     lebesgue_measure,
@@ -37,6 +42,7 @@ from markovlab import (
     spectral_exponent_floor,
 )
 from markovlab.chebseries import chebyshev_t, deriv_matrix
+from markovlab.domains import Measure
 from markovlab.exponents import (
     DEFAULT_SEED,
     _BatchedRatio,
@@ -46,7 +52,6 @@ from markovlab.exponents import (
     _coef_matrix,
     _ratio,
     _ratios,
-    derivative_operator_matrix,
     operator_from_json,
     read_table_csv,
 )
@@ -74,7 +79,7 @@ class TestMarkovFactorL2:
         res = markov_factor_l2(2, 1, MU)
         assert res.factor == pytest.approx(math.sqrt(15.0), abs=1e-8)
         # brute force: no random unit coefficient vector beats the factor
-        D = derivative_operator_matrix(res.system, 2, 1)
+        D = res.system.deriv_matrix(2, 1)
         V = rng.standard_normal((3, 10_000))
         V /= np.linalg.norm(V, axis=0)
         ratios = np.linalg.norm(D @ V, axis=0)
@@ -82,7 +87,7 @@ class TestMarkovFactorL2:
 
     def test_rayleigh_quotient_of_witness(self):
         res = markov_factor_l2(8, 2, MU)
-        D = derivative_operator_matrix(res.system, 8, 2)
+        D = res.system.deriv_matrix(8, 2)
         v = res.witness_coeffs
         assert np.linalg.norm(D @ v) / np.linalg.norm(v) == pytest.approx(
             res.factor, rel=1e-9
@@ -116,6 +121,31 @@ class TestMarkovFactorL2:
         sys_ = jacobi_system(0.0, 0.0, 4)
         with pytest.raises(ValueError):
             markov_factor_l2(8, 1, MU, sys=sys_)
+
+    @pytest.mark.parametrize("n", [128, 200, 256])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["legendre", "chebyshev"])
+    def test_matches_closed_form_matrix(self, family, n, k):
+        # reference: d^k on the orthonormal Legendre / Chebyshev basis, column j
+        # the scaled P_j or T_j differentiated by numpy's closed-form map
+        if family == "legendre":
+            mu, der, scale = MU, npleg.legder, np.sqrt(2.0 * np.arange(n + 1) + 1.0)
+        else:
+            mu, der, scale = chebyshev_measure(), npcheb.chebder, np.r_[1.0, np.full(n, math.sqrt(2.0))]
+        ref = der(np.diag(scale), k, axis=0) / scale[: n + 1 - k, None]
+        want = np.linalg.svd(ref, compute_uv=False)[0]
+        assert markov_factor_l2(n, k, mu).factor == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("mu", [lebesgue_measure(), jacobi_measure(0.7, -0.3),
+                                    lebesgue_measure(0.5, 4.0)],
+                             ids=["lebesgue", "jacobi", "shifted"])
+    def test_needs_no_quadrature(self, monkeypatch, mu):
+        def fail(*args, **kwargs):
+            raise AssertionError("the L2 path asked for a Gauss rule")
+
+        monkeypatch.setattr(domains, "gauss_jacobi", fail)
+        monkeypatch.setattr(Measure, "rule_for_degree", fail)
+        assert markov_factor_l2(64, 2, mu).factor > 0.0
 
 
 class TestMarkovFactorSearch:
@@ -344,11 +374,13 @@ class TestFamilyExponent:
         sys_ = jacobi_system(-0.5, -0.5, 256)
         fit = family_exponent(sys_, unit_interval, 1, (1, 256))
         assert fit.slope_ls == pytest.approx(2.0, abs=0.15)
-        # oracle: the ratio at n is exactly T_n'(1) = n^2
+        # oracle: the ratio at n is exactly T_n^(k)(1) = prod_{j<k} (n^2 - j^2)/(2j + 1)
         base = sys_.sup_table(unit_interval, 0)
-        der = sys_.sup_table(unit_interval, 1)
-        for n in (4, 64, 256):
-            assert der[n] / base[n] == pytest.approx(n * n, rel=1e-10)
+        for k in (1, 2, 3):
+            der = sys_.sup_table(unit_interval, k)
+            for n in (4, 64, 256):
+                want = math.prod((n * n - j * j) / (2 * j + 1) for j in range(k))
+                assert der[n] / base[n] == pytest.approx(want, rel=1e-10)
 
     def test_legendre_family(self, unit_interval):
         sys_ = jacobi_system(0.0, 0.0, 128)

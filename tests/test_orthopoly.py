@@ -138,6 +138,37 @@ class TestExpand:
     def test_degree_guard(self, legendre64):
         with pytest.raises(ValueError):
             expand(UniPoly((0.0,) * 65 + (1.0,)), legendre64)
+        # one coefficient per Q_0..Q_nmax: more would be dropped, not summed
+        with pytest.raises(ValueError):
+            reconstruct([0.0] * 9 + [5.0], jacobi_system(0.0, 0.0, 8))
+
+
+class TestDerivMatrix:
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.3, -0.2), (-0.5, 1.5)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_columns_are_derivatives(self, alpha, beta, k):
+        # column j, summed over Q_0..Q_n, is Q_j^(k)
+        sys_ = jacobi_system(alpha, beta, 16)
+        D = sys_.deriv_matrix(16, k)
+        xs = np.linspace(-1.0, 1.0, 9)
+        for j in range(17):
+            want = sys_.polys[j].deriv(k)(xs)
+            got = reconstruct(D[:, j], sys_)(xs)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * max(1.0, np.max(np.abs(want))))
+
+    def test_leading_block_and_order_zero(self, legendre64):
+        D = legendre64.deriv_matrix(64, 2)
+        np.testing.assert_array_equal(legendre64.deriv_matrix(8, 0), np.eye(9))
+        np.testing.assert_allclose(legendre64.deriv_matrix(8, 2), D[:9, :9], rtol=1e-15, atol=0)
+        assert not np.any(np.tril(D, 1))  # each order lowers the degree
+
+    def test_bad_order_or_degree(self, legendre64, unit_interval):
+        with pytest.raises(ValueError):
+            legendre64.deriv_matrix(8, -1)
+        with pytest.raises(ValueError):
+            legendre64.deriv_matrix(65, 1)
+        with pytest.raises(ValueError):
+            legendre64.sup_table(unit_interval, -1)
 
 
 class TestGrowthExponent:
