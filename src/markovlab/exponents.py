@@ -440,8 +440,7 @@ def family_exponent(family, E, k: int, n_range: tuple) -> ExponentFit:
     if isinstance(family, OrthoSystem):
         if hi > family.nmax:
             raise ValueError(f"range top {hi} exceeds system nmax {family.nmax}")
-        base = family.sup_table(E, 0)
-        der = family.sup_table(E, k)
+        base, der = family.sup_tables(E, (0, k))
         ratios = der[lo : hi + 1] / base[lo : hi + 1]
     else:
         ratios = []

@@ -303,15 +303,16 @@ def _qms_blocks(p: MultiPoly, s: int) -> dict:
     return blocks
 
 
-def _seminorm_block_exact(block, s: int) -> Fraction:
-    """Sum over the block's terms c_i x^i of |p^(i)(0)| / (i mod s)! =
-    |c_i| i! / (i mod s)!, for exact real coefficients."""
+def _seminorm_block_exact(r: int, block, s: int) -> tuple:
+    """((rs)!, t) for block r, whose seminorm, the sum over its terms c_i x^i
+    of |p^(i)(0)| / (i mod s)! = |c_i| i! / (i mod s)!, is (rs)! * t: with
+    j = i mod s, i!/j! = (rs)! C(i, j).  Needs exact real coefficients."""
     total = Fraction(0)
     for i, c in block:
         if not isinstance(c, (Fraction, int)):
             raise TypeError("exact qms evaluation needs int/Fraction coefficients")
-        total += abs(Fraction(c)) * Fraction(math.factorial(i), math.factorial(i % s))
-    return total
+        total += abs(Fraction(c)) * math.comb(i, i - r * s)
+    return math.factorial(r * s), total
 
 
 def qms_seminorm_terms(p: MultiPoly, s: int) -> dict:
@@ -321,7 +322,8 @@ def qms_seminorm_terms(p: MultiPoly, s: int) -> dict:
     equality of these maps certifies the norm equality for every rational m
     at once, without evaluating irrational factorial powers.
     """
-    return {r: _seminorm_block_exact(block, s) for r, block in _qms_blocks(p, s).items()}
+    return {r: math.prod(_seminorm_block_exact(r, block, s))
+            for r, block in _qms_blocks(p, s).items()}
 
 
 def _log_fraction(q: Fraction) -> float:
@@ -349,8 +351,9 @@ def qms_log_norm(p: MultiPoly, m, s: int) -> float:
     exact = all(isinstance(c, (int, Fraction)) for c in p.terms.values())
     for r, block in blocks.items():
         if exact:
-            log_term = _log_fraction(_seminorm_block_exact(block, s))
-            log_fact = math.log(math.factorial(r * s)) if r * s else 0.0
+            fact, t = _seminorm_block_exact(r, block, s)
+            log_term = _log_fraction(fact * t)
+            log_fact = math.log(fact)
         else:
             pieces = []
             for i, c in block:
@@ -383,8 +386,9 @@ def qms_norm_exact(p: MultiPoly, m: int, s: int) -> Fraction:
     if not isinstance(m, int) or m < 0:
         raise ValueError("exact qms values are rational only for integer m >= 0")
     total = Fraction(0)
-    for r, term in qms_seminorm_terms(p, s).items():
-        total += term / Fraction(math.factorial(r * s)) ** m
+    for r, block in _qms_blocks(p, s).items():
+        fact, t = _seminorm_block_exact(r, block, s)
+        total += t * Fraction(fact) ** (1 - m)
     return total
 
 

@@ -130,11 +130,16 @@ class OrthoSystem:
         real points in one variable, is sampled where an unrefined sup of
         degree nmax samples it, endpoints included, so endpoint extrema are exact;
         derivatives there are ``deriv_matrix(nmax, k)`` applied to the values."""
+        return self.sup_tables(E, (k,))[0]
+
+    def sup_tables(self, E: CompactSet, orders) -> list:
+        """``sup_table(E, k)`` for each k in orders, from one evaluation of the
+        recurrence on E's points."""
         if E.nvars != 1 or np.iscomplexobj(E.samples[0]):
             raise ValueError(f"sup tables need a set of real points in one variable, not {E!r}")
-        pts = sup_points(E, self.nmax)
-        vals = self.deriv_matrix(self.nmax, k).T @ self.values(pts) if k else self.values(pts)
-        return np.max(np.abs(vals), axis=1)
+        values = self.values(sup_points(E, self.nmax))
+        return [np.max(np.abs(self.deriv_matrix(self.nmax, k).T @ values if k else values), axis=1)
+                for k in orders]
 
     def export_csv(self, path, E: Optional[CompactSet] = None, meta: Optional[dict] = None):
         """Write rows n, a_n, b_n, supnorm_E (sup column empty without E)."""

@@ -3,11 +3,12 @@
 Float mode uses plain ``int | float | complex`` scalars.  Exact mode uses
 ``int | Fraction | RationalComplex``; all ring operations stay exact, which is
 what the identity checks and the factorial-weighted golden values rely on.
+An exact ``MultiPoly`` takes these values in and gives them back, but stores
+and multiplies their parts as integers.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -22,6 +23,10 @@ class RationalComplex:
 
     def __setattr__(self, *_):
         raise AttributeError("RationalComplex is immutable")
+
+    # the numbers-protocol names, as int and Fraction have them
+    real = property(lambda self: self.re)
+    imag = property(lambda self: self.im)
 
     @staticmethod
     def _coerce(x) -> "RationalComplex | None":
@@ -81,9 +86,6 @@ class RationalComplex:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
@@ -112,9 +114,3 @@ EXACT_TYPES = (int, Fraction, RationalComplex)
 def is_exact(x) -> bool:
     return isinstance(x, EXACT_TYPES)
 
-
-def magnitude(x) -> float:
-    """|x| as a float, for residual and scale measurements."""
-    if isinstance(x, RationalComplex):
-        return math.sqrt(float(x.abs2()))
-    return abs(float(x.real)) if isinstance(x, (int, Fraction)) else abs(x)
