@@ -211,6 +211,8 @@ def deriv_matrix(n: int, k: int) -> np.ndarray:
 
 def chebval_columns(x: np.ndarray, C: np.ndarray) -> np.ndarray:
     """The series in column i of C at x[i], for every i, by one Clenshaw pass.
+    C's axes after the first broadcast against x's: C of shape (n, m, 1)
+    evaluates column i at every point of row i of an (m, k) array x.
 
     Zero rows at the bottom of C (padding to a common length) leave every
     value bitwise as the unpadded series gives it.

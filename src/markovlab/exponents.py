@@ -328,9 +328,9 @@ def markov_factor_search(
     taylor_disk and multivariate-operator searches take one polynomial at a
     time.  Either way the finalists (the best candidate and its ascent) are
     certified in one refined pass: ``_ratios`` evaluates every finalist's
-    norm and operator images together, with one golden-section loop over all
-    their sup terms.  Where NaN ratios (a norm that overflowed) leave no
-    finite one, at the screen or at the certification, it raises
+    norm and operator images together, with one zoom loop over the brackets
+    of all their sup terms.  Where NaN ratios (a norm that overflowed) leave
+    no finite one, at the screen or at the certification, it raises
     ``PrecisionOverflowError``.
     """
     if budget < 1:

@@ -14,10 +14,12 @@ optional Schur weight on the samples, and an optional L^p part.
 the same table into one sampling matrix for a batch of Chebyshev series.
 
 Sup norms on intervals are sampled at 8*(deg+1) Chebyshev-Lobatto points and
-locally refined by golden-section iterations, so every reported sup value is a
-certified under-estimate; certificates built from them are lower bounds.
-The refinement works on a list of polynomials: each keeps its own grid and
-brackets, and the brackets of all of them go through one golden-section loop.
+every near-maximal bracket of that grid is refined by a zoom: 33 equispaced
+samples per stage, then the two neighbours of the best one, until the bracket
+is 1e-12 wide.  Every reported sup value is a sampled value, a certified
+under-estimate; certificates built from them are lower bounds.  The
+refinement works on a list of polynomials: each keeps its own grid and
+brackets, and the brackets of all of them go through one zoom loop.
 ``evaluate_norm`` refines every sup term of its table that way (all deg+1
 derivative orders of taylor_disk in one pass), and ``_evaluate_norms`` does
 the same for many polynomials, which is how the Markov search certifies all
@@ -55,8 +57,10 @@ from .errors import DimensionMismatchError, PrecisionOverflowError
 from .fitting import max_pairwise_slope
 from .polynomials import NEG_INF, MultiPoly
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_TOL = 1e-12
+# Sup refinement: samples per bracket and stage (odd, so the best sample is the
+# next bracket's midpoint) and the bracket width that ends it.
+_ZOOM_POINTS = 33
+_REFINE_TOL = 1e-12
 # Root-split L^p: largest Gauss-Jacobi rule per piece (its dense Jacobi matrix
 # is 2 MB) and the relative agreement of two estimates that ends the doubling.
 _LP_MAX_NODES = 512
@@ -67,34 +71,29 @@ def _degree_int(p) -> int:
     return 0 if p.is_zero else int(p.degree)
 
 
-def _golden_max_multi(g, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
-    """Golden-section maxima over many brackets at once.
+def _zoom_max(g, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Largest sample of ``g(x, owner)[i]``, the function numbered ``owner[i]``,
+    in each bracket [lo[i], hi[i]], for many brackets at once.
 
-    Bracket i maximizes ``g(x, owner)[i]``, the function numbered ``owner[i]``
-    (nondecreasing).  Each owner's brackets stop moving once its own widest
-    bracket is at most ``_GOLDEN_TOL``, so every owner takes the iterations
-    it would take alone.
+    Every stage samples each live bracket at ``_ZOOM_POINTS`` equispaced
+    points, ends included, and shrinks it to the two neighbours of its best
+    sample (1/16 of its width), whose midpoint, or end, is that sample again
+    up to rounding.  A bracket stops once it is at most ``_REFINE_TOL`` wide or
+    stops shrinking (float resolution); its path depends on its own data only.
     """
-    lo = lo.astype(float).copy()
-    hi = hi.astype(float).copy()
-    first = np.r_[True, owner[1:] != owner[:-1]]
-    starts, group = np.flatnonzero(first), np.cumsum(first) - 1
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = np.split(g(np.concatenate([x1, x2]), np.concatenate([owner, owner])), 2)
-    for _ in range(100):
-        moving = (np.maximum.reduceat(hi - lo, starts) > _GOLDEN_TOL)[group]
-        if not moving.any():
-            break
-        move_lo = f1 < f2
-        lo = np.where(moving & move_lo, x1, lo)
-        hi = np.where(moving & ~move_lo, x2, hi)
-        x1 = hi - _INVPHI * (hi - lo)  # a bracket that stopped keeps its points
-        x2 = lo + _INVPHI * (hi - lo)
-        i = np.flatnonzero(moving)
-        both = np.concatenate([x1[i], x2[i]]), np.concatenate([owner[i], owner[i]])
-        f1[i], f2[i] = np.split(g(*both), 2)
-    return np.maximum(f1, f2)
+    t = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+    best = np.full(lo.shape, -np.inf)
+    live = np.arange(lo.size)
+    while live.size:
+        x = lo[:, None] * (1.0 - t) + hi[:, None] * t
+        v = g(x, owner)
+        rows, j = np.arange(live.size), np.argmax(v, axis=1)
+        best[live] = np.maximum(best[live], v[rows, j])
+        width = hi - lo
+        lo, hi = x[rows, np.maximum(j - 1, 0)], x[rows, np.minimum(j + 1, _ZOOM_POINTS - 1)]
+        keep = (hi - lo > _REFINE_TOL) & (hi - lo < width)
+        live, lo, hi, owner = live[keep], lo[keep], hi[keep], owner[keep]
+    return best
 
 
 def _schur_weight(alpha: float, *coords) -> np.ndarray:
@@ -106,7 +105,7 @@ def _schur_weight(alpha: float, *coords) -> np.ndarray:
 
 
 def _bracket_values(polys, weight):
-    """g(x, owner) = |p(x)| * weight(x) with p = polys[owner], elementwise.
+    """g(x, owner) = |p(x)| * weight(x) with p = polys[owner[i]] on row x[i].
 
     The series are evaluated together from their zero-padded coefficient
     columns, bitwise as ``p(x)`` gives each value.
@@ -119,7 +118,7 @@ def _bracket_values(polys, weight):
         C[: p.coef.size, j] = p.coef
 
     def values(x, owner):
-        return np.abs(chebval_columns(x, C[:, owner]))
+        return np.abs(chebval_columns(x, C[:, owner, None]))
 
     if weight is None:
         return values
@@ -129,11 +128,11 @@ def _bracket_values(polys, weight):
 def _weighted_sup_on_interval(polys, iv: Interval, weight=None, refine=True) -> list:
     """max of |p(x)|*weight(x) over the interval iv, for each p in polys.
 
-    Each p is sampled on its own 8*(deg+1)-point grid.  Refinement
-    golden-sections every near-maximal bracket of that grid (not just the
-    best one): under-refining a competing local maximum is what would let
-    ratio estimates drift above true extremal ratios.  The brackets of all
-    polys go through one ``_golden_max_multi`` loop.
+    Each p is sampled on its own 8*(deg+1)-point grid.  Refinement zooms
+    into every near-maximal bracket of that grid (not just the best one):
+    under-refining a competing local maximum is what would let ratio
+    estimates drift above true extremal ratios.  The brackets of all polys
+    go through one ``_zoom_max`` loop.
     """
     best, lo, hi, counts = [], [], [], []
     for p in polys:
@@ -159,7 +158,7 @@ def _weighted_sup_on_interval(polys, iv: Interval, weight=None, refine=True) -> 
             counts.append(keys.size)
     if counts:
         owner = np.repeat(np.arange(len(counts)), counts)
-        refined = _golden_max_multi(
+        refined = _zoom_max(
             _bracket_values(polys, weight), np.concatenate(lo), np.concatenate(hi), owner
         )
         for j, seg in enumerate(np.split(refined, np.cumsum(counts)[:-1])):

@@ -55,8 +55,10 @@ MU = lebesgue_measure()
 
 def _one_at_a_time_sup(p, a, b, alpha):
     """Reference: the refined sup of |p| (times (1 - x^2)^alpha) on [a, b] for
-    one polynomial alone, with its own grid, near-top brackets and
-    golden-section loop, stopping once its widest bracket is <= 1e-12."""
+    one polynomial alone, with its own grid and near-top brackets, each
+    bracket zoomed by itself: 33 equispaced samples a stage, ends included,
+    then the two neighbours of the best one, until the bracket is at most
+    1e-12 wide or stops shrinking."""
 
     def g(x):
         v = np.abs(p(x))
@@ -70,18 +72,18 @@ def _one_at_a_time_sup(p, a, b, alpha):
     peaks = [j for j in range(1, last)
              if vals[j] >= max(vals[j - 1], vals[j + 1]) and vals[j] >= 0.9 * vals[i]]
     brackets = sorted({(j - 1, j + 1) for j in peaks} | {(max(i - 1, 0), min(i + 1, last))})
-    lo, hi = pts[[l for l, _ in brackets]], pts[[r for _, r in brackets]]
-    c = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - c * (hi - lo), lo + c * (hi - lo)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(100):
-        if np.max(hi - lo) <= 1e-12:
-            break
-        move = f1 < f2
-        lo, hi = np.where(move, x1, lo), np.where(move, hi, x2)
-        x1, x2 = hi - c * (hi - lo), lo + c * (hi - lo)
-        f1, f2 = g(x1), g(x2)
-    return max(float(vals[i]), float(np.max(np.maximum(f1, f2))))
+    best, t = float(vals[i]), np.linspace(0.0, 1.0, 33)
+    for left, right in brackets:
+        lo, hi = pts[left], pts[right]
+        while True:
+            x = lo * (1.0 - t) + hi * t
+            v = g(x)
+            j = int(np.argmax(v))
+            best = max(best, float(v[j]))
+            width, lo, hi = hi - lo, x[max(j - 1, 0)], x[min(j + 1, 32)]
+            if not width > hi - lo > 1e-12:
+                break
+    return best
 
 
 class TestSupNorm:
@@ -126,14 +128,66 @@ class TestSupNorm:
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     @pytest.mark.parametrize("E", [E, Interval(0.0, 3.0)], ids=["[-1,1]", "[0,3]"])
     def test_batched_refinement_matches_one_at_a_time(self, rng, E, alpha):
-        # one golden-section pass over all brackets gives each polynomial
-        # exactly the value it gets alone
+        # one zoom pass over all brackets gives each polynomial exactly the
+        # value it gets alone: every bracket stops on its own width
         polys = [ChebSeries(rng.standard_normal(n + 1)) for n in (0, 1, 8, 40)]
         polys += [ChebSeries([0.0]), chebyshev_t(8), ChebSeries(rng.standard_normal(9))]
         batched = _sup(polys, E, True, alpha)
         assert batched == [_sup([p], E, True, alpha)[0] for p in polys]
         assert batched == [_one_at_a_time_sup(p, E.a, E.b, alpha) for p in polys]
         assert all(r >= c for r, c in zip(batched, _sup(polys, E, False, alpha)))
+
+
+class TestSupRefinementOracles:
+    """Refined sups against closed forms, and a floor under earlier values."""
+
+    def test_schur_half_on_chebyshev_u(self):
+        # sqrt(1 - x^2) * U_{n-1}(x) = sin(n * theta) at x = cos(theta): sup 1
+        for n in range(1, 129):
+            got = evaluate_norm(SchurSpec(0.5), chebyshev_u(n - 1))
+            assert abs(got - 1.0) <= 1e-12, n
+
+    @pytest.mark.parametrize("x0", [1 / math.pi, -0.3141, 0.7777, 2 / 3])
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 3.0), (-2.0, 2.0)])
+    def test_off_grid_quadratic_peak(self, a, b, x0):
+        # 1 - ((y - y0) / (b - a))^2 peaks at y0, between grid points, with value 1
+        y0, w = (a + b) / 2 + (b - a) / 2 * x0, b - a
+        p = UniPoly((1.0 - (y0 / w) ** 2, 2.0 * y0 / w**2, -1.0 / w**2))
+        assert abs(sup_norm(p, Interval(a, b)) - 1.0) <= 4e-15
+
+    def test_chebyshev_t_unit_sup(self):
+        for n in range(1, 129):
+            assert abs(sup_norm(chebyshev_t(n), E) - 1.0) <= 1e-13, n
+
+    # Refined values on seeded series (coefficients from default_rng(n)) as the
+    # golden-section refinement gave them; refinement may only raise them,
+    # up to rounding.
+    FLOOR = {
+        ("sup [-1,1]", 8): 6.538029852866428,
+        ("sup [0,3]", 8): 718415.0289530975,
+        ("schur", 8): 3.3010604862796535,
+        ("taylor_disk", 8): 6.589062725167464,
+        ("sup [-1,1]", 32): 9.740779501259775,
+        ("sup [0,3]", 32): 1.8359800822646182e24,
+        ("schur", 32): 9.103958381346942,
+        ("taylor_disk", 32): 15.083273746357326,
+        ("sup [-1,1]", 128): 25.133122992767884,
+        ("sup [0,3]", 128): 4.8836829709412006e97,
+        ("schur", 128): 19.421670375381996,
+        ("taylor_disk", 128): 348.7015804496345,
+    }
+    SPECS = {
+        "sup [-1,1]": SupSpec(E),
+        "sup [0,3]": SupSpec(Interval(0.0, 3.0)),
+        "schur": SchurSpec(0.5),
+        "taylor_disk": TaylorDiskSpec(E, 1e-3),
+    }
+
+    @pytest.mark.parametrize("kind, n", sorted(FLOOR))
+    def test_no_lower_than_before(self, kind, n):
+        p = ChebSeries(np.random.default_rng(n).standard_normal(n + 1))
+        got = evaluate_norm(self.SPECS[kind], p)
+        assert got >= self.FLOOR[kind, n] * (1 - 2e-15)
 
 
 class TestLpNorm:
