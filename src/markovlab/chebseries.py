@@ -189,13 +189,21 @@ def legendre_orthonormal(n: int) -> ChebSeries:
     return ChebSeries(c * np.sqrt(2 * n + 1))
 
 
+def random_units(degree: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` random unit coefficient vectors of exact degree ``degree``, as
+    the rows of one matrix drawn at once: bitwise the rows that ``count``
+    successive ``random_unit`` calls give, with ``rng`` left in the same state."""
+    C = rng.standard_normal((count, degree + 1))
+    top = np.max(np.abs(C), axis=1)
+    small = np.abs(C[:, degree]) < 1e-3 * top
+    C[small, degree] = np.where(C[small, degree] >= 0, 1e-3, -1e-3) * top[small]
+    # one norm per row: a norm along axis 1 sums in another order
+    return C / np.array([np.linalg.norm(c) for c in C])[:, None]
+
+
 def random_unit(degree: int, rng: np.random.Generator) -> ChebSeries:
     """Random unit coefficient vector of exact degree ``degree``."""
-    c = rng.standard_normal(degree + 1)
-    top = np.max(np.abs(c))
-    if abs(c[degree]) < 1e-3 * top:
-        c[degree] = 1e-3 * top if c[degree] >= 0 else -1e-3 * top
-    return ChebSeries(c / np.linalg.norm(c))
+    return ChebSeries(random_units(degree, 1, rng)[0])
 
 
 def product_2d(cx: ChebSeries, cy: ChebSeries) -> ChebSeries:

@@ -25,6 +25,7 @@ from .chebseries import (
     monomial,
     product_2d,
     random_unit,
+    random_units,
 )
 from .domains import Interval, Measure, SampledRegion2D, box_region, json_number
 from .errors import PrecisionOverflowError, SpectralityError
@@ -162,26 +163,27 @@ class SearchResult:
 
 
 def _candidates_1d(n: int, rng: np.random.Generator, budget: int):
-    cands = [
-        ("chebyshev:%d" % n, chebyshev_t(n)),
-        ("monomial:%d" % n, monomial(n)),
-        ("legendre:%d" % n, legendre_orthonormal(n)),
-    ]
-    for i in range(_N_RANDOM_CANDIDATES * budget):
-        cands.append((f"random:{i}", random_unit(n, rng)))
-    return cands
+    """Candidate names and coefficient rows: the named series of degree n,
+    then the random ones, drawn as one matrix."""
+    named = [("chebyshev:%d" % n, chebyshev_t(n)), ("monomial:%d" % n, monomial(n)),
+             ("legendre:%d" % n, legendre_orthonormal(n))]
+    count = _N_RANDOM_CANDIDATES * budget
+    names = [name for name, _ in named] + [f"random:{i}" for i in range(count)]
+    return names, np.vstack([[p.coef for _, p in named], random_units(n, count, rng)])
 
 
 def _candidates_2d(n: int, rng: np.random.Generator, budget: int):
-    cands = []
+    names, coefs = [], []
     for i in range(n + 1):
-        cands.append((f"chebprod:{i},{n - i}", product_2d(chebyshev_t(i), chebyshev_t(n - i))))
+        names.append(f"chebprod:{i},{n - i}")
+        coefs.append(product_2d(chebyshev_t(i), chebyshev_t(n - i)).coef)
     for t in range(4 * budget):
         coef = np.zeros((n + 1, n + 1))
         for i in range(n + 1):
             coef[i, : n + 1 - i] = rng.standard_normal(n + 1 - i)
-        cands.append((f"random2d:{t}", ChebSeries(coef / np.linalg.norm(coef))))
-    return cands
+        names.append(f"random2d:{t}")
+        coefs.append(coef / np.linalg.norm(coef))
+    return names, coefs
 
 
 def _quotient(best: float, denom: float) -> float:
@@ -207,22 +209,31 @@ def _ratio(op: OperatorSpec, q: NormSpec, p, refine: bool) -> float:
 class _PolyRatio:
     """Coarse ratios ``_ratio(op, q, p, refine=False)``, one polynomial at a time."""
 
+    max_block = math.inf  # trials are evaluated one by one, up to the first gain
+
     def __init__(self, op: OperatorSpec, q: NormSpec):
         self.op, self.q = op, q
 
-    def screen(self, polys) -> list:
-        return [_ratio(self.op, self.q, p, refine=False) for p in polys]
+    def screen(self, coefs) -> list:
+        """The ratio of the series with each of these coefficient arrays."""
+        return [_ratio(self.op, self.q, ChebSeries(c), refine=False) for c in coefs]
 
     def values(self, coef):
         return None
 
-    def trial(self, coef: np.ndarray, vals, i: int, step: float):
-        """coef with ``step`` added to entry i, and its ratio; vals = values(coef)."""
+    def first_gain(self, coef: np.ndarray, vals, idx, steps, floor: float):
+        """(j, ratio) for the first trial j whose ratio is above floor, or
+        None; trial j is coef with steps[j] added to entry idx[j], and
+        vals = values(coef)."""
+        for j, (i, step) in enumerate(zip(idx, steps)):
+            r = self._one_trial(coef, i, step)
+            if r > floor:
+                return j, r
+        return None
+
+    def _one_trial(self, coef: np.ndarray, i: int, step: float) -> float:
         trial = coef.copy()
         trial[i] += step
-        return trial, self._trial_ratio(trial, coef, vals, i)
-
-    def _trial_ratio(self, trial, coef, vals, i) -> float:
         return _ratio(self.op, self.q, ChebSeries(trial), refine=False)
 
 
@@ -232,21 +243,26 @@ class _BatchedRatio(_PolyRatio):
     The matrix stacks the denominator's sampling matrix over the numerator's
     times the operator's coefficient matrix, so screening is a matrix product
     (in column chunks of at most ``_SCREEN_ENTRIES`` values, which bounds the
-    memory for any budget) and an ascent trial that moves coefficient i is
-    the rank-1 update ``vals + step * matrix[:, i]`` of the current values
-    ``vals = matrix @ coef``.  A trial whose top coefficient is exactly 0 has
-    lower degree and other grids; it takes the per-polynomial path.
+    memory for any budget).  A block of ascent trials, each moving one
+    coefficient of the current vector ``coef``, is one array pass: the trial
+    moving coefficient i by d has the values ``vals + d * matrix[:, i]``,
+    where ``vals = matrix @ coef``, and one ``ratios`` call takes them all;
+    ``max_block`` keeps a block within ``_SCREEN_ENTRIES`` values too.  A
+    vector whose top coefficient is exactly 0 has lower degree and other
+    grids; it takes the per-polynomial path, at the screen and as a trial.
     """
 
     def __init__(self, op: OperatorSpec, q: NormSpec, den, num, A: np.ndarray):
         super().__init__(op, q)
         self.den, self.num = den, num
         self.split = den.matrix.shape[0]
-        # column-major: the ascent reads one column per trial; complex where the operator is
+        # column-major: trials gather columns; complex where the operator is
         self.matrix = np.empty((self.split + num.matrix.shape[0], A.shape[1]),
                                dtype=np.result_type(den.matrix, A), order="F")
         self.matrix[: self.split] = den.matrix
         self.matrix[self.split :] = num.matrix @ A
+        # the most ascent iterations in one block, at two trials each
+        self.max_block = max(1, _SCREEN_ENTRIES // (2 * self.matrix.shape[0]))
 
     def ratios(self, vals: np.ndarray) -> list:
         """The ratios of the columns of vals = matrix @ coefs, as ``_ratios``."""
@@ -254,27 +270,82 @@ class _BatchedRatio(_PolyRatio):
         images = self.num.reduce(vals[self.split :]).tolist()
         return [_quotient(max(0.0, im), d) for d, im in zip(denoms, images)]
 
-    def screen(self, polys) -> list:
-        size = self.matrix.shape[1]
-        full = [i for i, p in enumerate(polys) if p.coef.size == size]
-        out = [None if p.coef.size == size else _ratio(self.op, self.q, p, refine=False)
-               for p in polys]
+    def screen(self, coefs) -> list:
+        C = np.asarray(coefs)
+        out = [None if c[-1] != 0.0 else _ratio(self.op, self.q, ChebSeries(c), refine=False)
+               for c in C]
+        full = np.flatnonzero(C[:, -1] != 0.0)
         width = max(1, _SCREEN_ENTRIES // self.matrix.shape[0])
-        for j in range(0, len(full), width):
+        for j in range(0, full.size, width):
             chunk = full[j : j + width]
-            C = np.stack([polys[i].coef for i in chunk], axis=1)
-            for i, r in zip(chunk, self.ratios(self.values(C))):
+            block = self.values(np.ascontiguousarray(C[chunk].T))
+            for i, r in zip(chunk, self.ratios(block)):
                 out[i] = r
         return out
 
     def values(self, coef: np.ndarray) -> np.ndarray:
         return self.matrix @ coef
 
-    def _trial_ratio(self, trial, coef, vals, i) -> float:
-        if trial[-1] == 0.0:
-            return super()._trial_ratio(trial, coef, vals, i)
-        col = vals + (trial[i] - coef[i]) * self.matrix[:, i]
-        return self.ratios(col[:, None])[0]
+    def first_gain(self, coef, vals, idx, steps, floor):
+        old = coef[idx]
+        moved = old + steps
+        block = self.matrix[:, idx]
+        block *= moved - old
+        block += vals[:, None]
+        denoms = self.den.reduce(block[: self.split]).tolist()
+        images = self.num.reduce(block[self.split :]).tolist()
+        top, top_zero = coef.size - 1, coef[-1] == 0.0
+        for j, (i, m, d, im) in enumerate(zip(idx.tolist(), moved.tolist(), denoms, images)):
+            if (m == 0.0) if i == top else top_zero:  # the degree drops
+                r = self._one_trial(coef, i, steps[j])
+            else:
+                r = _quotient(max(0.0, im), d)
+            if r > floor:
+                return j, r
+        return None
+
+
+def _ascend(coarse: _PolyRatio, coef: np.ndarray, ratio: float, rounds: int):
+    """Coordinate ascent with step halving from coef, whose coarse ratio is
+    ratio; the improved coefficients, or None where no trial improved.
+
+    Iteration it tries coordinate it % coef.size by +step, then -step, keeps
+    the first trial whose ratio beats the current one by a factor 1 + 1e-14,
+    and halves the coordinate's step when neither does; a step below 1e-9 is
+    skipped.  Iterations are planned in blocks as if every trial fails, and
+    ``coarse.first_gain`` takes a block's trials together; the first
+    improving trial in iteration order is kept and the next block starts
+    after it, so the result is bitwise the one-trial-at-a-time ascent's.  A
+    block is 2 iterations after a kept trial and doubles after a block
+    without one, up to ``coarse.max_block``.
+    """
+    size = coef.size
+    steps = np.full(size, 0.25 * max(np.max(np.abs(coef)), 1e-6))
+    # iteration it visits coordinate it % size; a step planned v visits ahead
+    # is halved v times (exactly: a power of 2)
+    order = np.arange(rounds)
+    visit_col, halved = order % size, 0.5 ** (order // size)
+    vals, improved, it, block = coarse.values(coef), False, 0, 2
+    while True:
+        cols = visit_col[it:]
+        step = steps[cols] * halved[: rounds - it]
+        live = (step >= 1e-9).nonzero()[0][: min(block, coarse.max_block)]
+        if not live.size:
+            return coef if improved else None
+        idx = cols[live].repeat(2)
+        signed = step[live].repeat(2)
+        signed[1::2] *= -1.0
+        hit = coarse.first_gain(coef, vals, idx, signed, ratio * (1 + 1e-14))
+        failed = cols[live if hit is None else live[: hit[0] // 2]]
+        steps = steps * 0.5 ** np.bincount(failed, minlength=size)
+        if hit is None:
+            it, block = it + live[-1] + 1, 2 * block
+        else:
+            j, ratio = hit
+            coef = coef.copy()
+            coef[idx[j]] += signed[j]
+            vals, improved = coarse.values(coef), True
+            it, block = it + live[j // 2] + 1, 2
 
 
 def _coef_matrix(op: OperatorSpec, n: int) -> Optional[np.ndarray]:
@@ -306,6 +377,31 @@ def _no_nan(ratios, n: int) -> None:
         )
 
 
+def _coarse_finalists(n: int, op: OperatorSpec, q: NormSpec, budget: int, seed: int) -> list:
+    """The best candidate by the coarse ratio and, where the ascent improved
+    on it, the ascent's result, as (name, series) pairs; none where no
+    candidate has a ratio.  The coarse matrices go when it returns, before
+    the certification needs its own memory."""
+    rng = np.random.default_rng(seed + 7919 * n)
+    two_dim = getattr(getattr(q, "set", None), "nvars", 1) == 2
+    names, coefs = (_candidates_2d if two_dim else _candidates_1d)(n, rng, budget)
+    coarse = _PolyRatio(op, q) if two_dim else _coarse_ratio(op, q, n)
+    best, best_ratio = None, -math.inf
+    screened = coarse.screen(coefs)
+    for j, r in enumerate(screened):
+        if r > best_ratio:
+            best, best_ratio = j, r
+    if best is None:
+        _no_nan(screened, n)
+        return []
+    finalists = [(names[best], ChebSeries(coefs[best]))]
+    if not two_dim:
+        coef = _ascend(coarse, coefs[best], best_ratio, _ASCENT_ROUNDS * budget)
+        if coef is not None:
+            finalists.append((names[best] + "+ascent", ChebSeries(coef)))
+    return finalists
+
+
 def markov_factor_search(
     n: int,
     op: OperatorSpec,
@@ -320,59 +416,30 @@ def markov_factor_search(
     by coordinate-wise ascent with step halving.  Results are lower bounds by
     construction.
 
-    Screening and ascent use the coarse (``refine=False``) ratio.  On a set
-    in one variable (interval, union or circle), with a univariate operator,
-    it comes from matrices built once per call (``norms.sampled_norm`` and
-    ``_coef_matrix``): matrix products screen the candidates and each ascent
-    trial is a rank-1 update.  2D, qms, odd or non-integer L^p, large
-    taylor_disk and multivariate-operator searches take one polynomial at a
-    time.  Either way the finalists (the best candidate and its ascent) are
-    certified in one refined pass: ``_ratios`` evaluates every finalist's
-    norm and operator images together, with one zoom loop over the brackets
-    of all their sup terms.  Where NaN ratios (a norm that overflowed) leave
-    no finite one, at the screen or at the certification, it raises
-    ``PrecisionOverflowError``.
+    Screening and ascent use the coarse (``refine=False``) ratio.  The
+    random candidates are drawn as one coefficient matrix, and only the
+    winner becomes a ``ChebSeries``.  On a set in one variable (interval,
+    union or circle), with a univariate operator, the ratio comes from
+    matrices built once per call (``norms.sampled_norm`` and
+    ``_coef_matrix``): matrix products screen the candidates, and the ascent
+    (``_ascend``) takes its trials in blocks, each block one array pass of
+    rank-1 updates (``_BatchedRatio.first_gain``).  2D, qms, odd or
+    non-integer L^p, large taylor_disk and multivariate-operator searches
+    take one polynomial, and one trial, at a time.  Either way the finalists
+    (the best candidate and its ascent) are certified in one refined pass:
+    ``_ratios`` evaluates every finalist's norm and operator images
+    together, with one Clenshaw pass over the grids and one zoom loop over
+    the brackets of all their sup terms.  Where NaN ratios (a norm that
+    overflowed) leave no finite one, at the screen or at the certification,
+    it raises ``PrecisionOverflowError``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if isinstance(op, DerivOp) and op.k == 0:
         return SearchResult(1.0, "identity", None)
-    rng = np.random.default_rng(seed + 7919 * n)
-    two_dim = getattr(getattr(q, "set", None), "nvars", 1) == 2
-    cands = _candidates_2d(n, rng, budget) if two_dim else _candidates_1d(n, rng, budget)
-    coarse = _PolyRatio(op, q) if two_dim else _coarse_ratio(op, q, n)
-    best_name, best_poly, best_ratio = "", None, -math.inf
-    screened = coarse.screen([p for _, p in cands])
-    for (name, p), r in zip(cands, screened):
-        if r > best_ratio:
-            best_name, best_poly, best_ratio = name, p, r
-    if best_poly is None:
-        _no_nan(screened, n)
+    finalists = _coarse_finalists(n, op, q, budget, seed)
+    if not finalists:
         return SearchResult(0.0, "none", None)
-    finalists = [(best_name, best_poly)]
-    if not two_dim:
-        coef = np.array(best_poly.coef, dtype=float, copy=True)
-        if coef.size < n + 1:
-            coef = np.concatenate([coef, np.zeros(n + 1 - coef.size)])
-        steps = np.full(coef.size, 0.25 * max(np.max(np.abs(coef)), 1e-6))
-        cur_ratio = best_ratio
-        vals = coarse.values(coef)
-        improved = False
-        for it in range(_ASCENT_ROUNDS * budget):
-            i = it % coef.size
-            if steps[i] < 1e-9:
-                continue
-            gained = False
-            for sgn in (1.0, -1.0):
-                trial, r = coarse.trial(coef, vals, i, sgn * steps[i])
-                if r > cur_ratio * (1 + 1e-14):
-                    coef, cur_ratio, gained, improved = trial, r, True, True
-                    vals = coarse.values(coef)
-                    break
-            if not gained:
-                steps[i] /= 2.0
-        if improved:
-            finalists.append((best_name + "+ascent", ChebSeries(coef)))
     # the ascent can overfit grid-only sup estimates; certify with refinement
     final_name, final_poly, final = "", None, -math.inf
     certified = _ratios(op, q, [p for _, p in finalists], refine=True)

@@ -104,18 +104,20 @@ def _schur_weight(alpha: float, *coords) -> np.ndarray:
     return np.maximum(rest, 0.0) ** alpha
 
 
-def _bracket_values(polys, weight):
-    """g(x, owner) = |p(x)| * weight(x) with p = polys[owner[i]] on row x[i].
-
-    The series are evaluated together from their zero-padded coefficient
-    columns, bitwise as ``p(x)`` gives each value.
-    """
+def _coef_columns(polys) -> np.ndarray:
+    """The coefficients of polys as the columns of one zero-padded matrix."""
     C = np.zeros(
         (max(1, *(p.coef.size for p in polys)), len(polys)),
         dtype=np.result_type(*(p.coef for p in polys)),
     )
     for j, p in enumerate(polys):
         C[: p.coef.size, j] = p.coef
+    return C
+
+
+def _bracket_values(C: np.ndarray, weight):
+    """g(x, owner) = |p(x)| * weight(x) on row x[i], with p the series in
+    column owner[i] of C, bitwise as ``p(x)`` gives each value."""
 
     def values(x, owner):
         return np.abs(chebval_columns(x, C[:, owner, None]))
@@ -125,19 +127,33 @@ def _bracket_values(polys, weight):
     return lambda x, owner: values(x, owner) * weight(x)
 
 
+def _grid_samples(polys, grids, C: np.ndarray) -> list:
+    """p(pts) for each p in polys and its points in grids, bitwise.  Several
+    go through one Clenshaw pass over their coefficient columns C, each row
+    of points padded to the longest by repeating its last point."""
+    if len(polys) == 1:
+        return [polys[0](grids[0])]
+    X = np.empty((len(grids), max(pts.size for pts in grids)))
+    for row, pts in zip(X, grids):
+        row[: pts.size], row[pts.size :] = pts, pts[-1]
+    return [v[: pts.size] for v, pts in zip(chebval_columns(X, C[:, :, None]), grids)]
+
+
 def _weighted_sup_on_interval(polys, iv: Interval, weight=None, refine=True) -> list:
     """max of |p(x)|*weight(x) over the interval iv, for each p in polys.
 
-    Each p is sampled on its own 8*(deg+1)-point grid.  Refinement zooms
-    into every near-maximal bracket of that grid (not just the best one):
+    Each p is sampled on its own 8*(deg+1)-point grid, all of them in one
+    Clenshaw pass (``_grid_samples``).  Refinement zooms into every
+    near-maximal bracket of that grid (not just the best one):
     under-refining a competing local maximum is what would let ratio
     estimates drift above true extremal ratios.  The brackets of all polys
     go through one ``_zoom_max`` loop.
     """
+    C = _coef_columns(polys)
+    grids = [iv.grid(_degree_int(p)) for p in polys]
     best, lo, hi, counts = [], [], [], []
-    for p in polys:
-        pts = iv.grid(_degree_int(p))
-        vals = np.abs(p(pts))
+    for pts, vals in zip(grids, _grid_samples(polys, grids, C)):
+        vals = np.abs(vals)
         if weight is not None:
             vals = vals * weight(pts)
         i = int(np.argmax(vals))
@@ -159,7 +175,7 @@ def _weighted_sup_on_interval(polys, iv: Interval, weight=None, refine=True) -> 
     if counts:
         owner = np.repeat(np.arange(len(counts)), counts)
         refined = _zoom_max(
-            _bracket_values(polys, weight), np.concatenate(lo), np.concatenate(hi), owner
+            _bracket_values(C, weight), np.concatenate(lo), np.concatenate(hi), owner
         )
         for j, seg in enumerate(np.split(refined, np.cumsum(counts)[:-1])):
             best[j] = max(best[j], float(seg.max()))
@@ -535,11 +551,7 @@ def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
         return [qms_norm(_qms_poly(p), spec.m, spec.s) for p in polys]
     polys = [as_chebseries(p) for p in polys]
     tables = [spec.terms(_degree_int(p)) for p in polys]
-    images = [
-        p.partial_multi(tuple(k if j == t.axis else 0 for j in range(p.nvars))) if k else p
-        for p, t in zip(polys, tables)
-        for k, _, _ in t.sups
-    ]
+    images = [image for p, t in zip(polys, tables) for image in _sup_images(p, t)]
     if len(images) == 1 and not tables[0].alpha:
         # one plain sup is sup_norm's value; bench/tracing.py times it there
         sups = [sup_norm(images[0], tables[0].set, refine=refine)]
@@ -553,6 +565,18 @@ def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
         if t.lp is not None:
             total += lp_norm(p, *t.lp)
         out.append(float(total))
+    return out
+
+
+def _sup_images(p: ChebSeries, t: NormTerms) -> list:
+    """D^k p along ``t.axis`` for each sup term's order k (ascending), each
+    order derived from the one before: numpy's ``chebder`` of order k repeats
+    the order-1 step, so every image is bitwise p differentiated k times."""
+    out, image, order = [], p, 0
+    for k, _, _ in t.sups:
+        if k > order:
+            image, order = image.deriv(k - order, t.axis), k
+        out.append(image)
     return out
 
 

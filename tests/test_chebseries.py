@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from markovlab import ChebSeries, UniPoly, chebyshev_t, chebyshev_u, legendre_orthonormal, monomial
-from markovlab.chebseries import as_chebseries, lobatto_points, product_2d, random_unit
+from markovlab.chebseries import (
+    as_chebseries,
+    lobatto_points,
+    product_2d,
+    random_unit,
+    random_units,
+)
 
 from conftest import cheb_t_coeffs
 
@@ -72,3 +78,45 @@ def test_product_2d_values():
     dx = p.deriv(1, axis=0)
     want_dx = chebyshev_t(3).deriv(1)(xs) * chebyshev_t(2)(ys)
     assert np.allclose(dx(xs, ys), want_dx, atol=1e-13)
+
+
+def _one_draw(degree, rng):
+    """A random unit vector as it was drawn one at a time: the reference."""
+    c = rng.standard_normal(degree + 1)
+    top = np.max(np.abs(c))
+    if abs(c[degree]) < 1e-3 * top:
+        c[degree] = 1e-3 * top if c[degree] >= 0 else -1e-3 * top
+    return c / np.linalg.norm(c)
+
+
+@pytest.mark.parametrize("count", [1, 64, 128])
+@pytest.mark.parametrize("degree", [0, 1, 3, 12, 64])
+def test_random_units_match_successive_draws(degree, count):
+    rng, ref = np.random.default_rng(degree), np.random.default_rng(degree)
+    C = random_units(degree, count, rng)
+    want = np.array([_one_draw(degree, ref) for _ in range(count)])
+    assert C.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert random_unit(degree, rng).coef.tobytes() == _one_draw(degree, ref).tobytes()
+
+
+class _Draws:
+    """A stand-in generator that hands out fixed rows, whole or one by one."""
+
+    def __init__(self, rows):
+        self.rows, self.at = np.asarray(rows, dtype=float), 0
+
+    def standard_normal(self, shape):
+        count = int(np.prod(shape)) // self.rows.shape[1]
+        self.at += count
+        return self.rows[self.at - count : self.at].reshape(shape).copy()
+
+
+def test_random_units_floor_the_top_entry():
+    # |top| below 1e-3 of the row's largest entry, of either sign or zero
+    rows = [[3.0, -1.0, 1e-5], [2.0, 0.5, -1e-6], [1.0, 1.0, 0.0], [1.0, 1.0, -0.0],
+            [-4.0, 2.0, 1.0], [0.0, 1e-4, -1e-8]]
+    got = random_units(2, len(rows), _Draws(rows))
+    ref = _Draws(rows)
+    assert got.tobytes() == np.array([_one_draw(2, ref) for _ in rows]).tobytes()
+    assert np.all(np.abs(got[:, 2]) >= 1e-3 * np.max(np.abs(got), axis=1) * (1 - 1e-15))

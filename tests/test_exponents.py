@@ -45,8 +45,10 @@ from markovlab.chebseries import chebyshev_t, deriv_matrix
 from markovlab.domains import Measure
 from markovlab.exponents import (
     DEFAULT_SEED,
+    _ASCENT_ROUNDS,
     _BatchedRatio,
     _PolyRatio,
+    _ascend,
     _candidates_1d,
     _coarse_ratio,
     _coef_matrix,
@@ -204,6 +206,68 @@ PARITY_SPECS = {
 }
 
 
+def _trial(coarse, coef, vals, i, step):
+    """coef with ``step`` added to entry i, and its coarse ratio, by the
+    matrix as one rank-1 update (or by the per-polynomial path where the top
+    entry becomes 0), as trials were taken before trial blocks; vals =
+    coarse.values(coef)."""
+    trial = coef.copy()
+    trial[i] += step
+    if trial[-1] == 0.0:
+        return trial, _ratio(coarse.op, coarse.q, ChebSeries(trial), refine=False)
+    col = vals + (trial[i] - coef[i]) * coarse.matrix[:, i]
+    return trial, float(coarse.ratios(col[:, None])[0])
+
+
+def _block_of_one(coarse, coef, i, step):
+    """The coarse ratio of one trial, as the search takes it: a block of one."""
+    _, r = coarse.first_gain(coef, coarse.values(coef), np.array([i]), np.array([step]), -math.inf)
+    return r
+
+
+def _sequential_ascent(coarse, coef, cur_ratio, rounds):
+    """The coordinate ascent one trial at a time, as the search ran it before
+    trial blocks: the reference ``_ascend`` must equal bitwise.  Also counts
+    the kept trials that dropped the degree and the skipped iterations."""
+    coef = np.array(coef, dtype=float, copy=True)
+    steps = np.full(coef.size, 0.25 * max(np.max(np.abs(coef)), 1e-6))
+    vals = coarse.values(coef)
+    improved, drops, skips = False, 0, 0
+    for it in range(rounds):
+        i = it % coef.size
+        if steps[i] < 1e-9:
+            skips += 1
+            continue
+        gained = False
+        for sgn in (1.0, -1.0):
+            trial, r = _trial(coarse, coef, vals, i, sgn * steps[i])
+            if r > cur_ratio * (1 + 1e-14):
+                coef, cur_ratio, gained, improved = trial, r, True, True
+                drops += trial[-1] == 0.0
+                vals = coarse.values(coef)
+                break
+        if not gained:
+            steps[i] /= 2.0
+    return (coef if improved else None), drops, skips
+
+
+def _sequential_search(n, op, q, budget, seed):
+    """``markov_factor_search`` on a set in one variable with the sequential
+    ascent: (factor, witness id, witness coefficient bytes, skipped iterations)."""
+    rng = np.random.default_rng(seed + 7919 * n)
+    names, C = _candidates_1d(n, rng, budget)
+    coarse = _coarse_ratio(op, q, n)
+    screened = coarse.screen(C)
+    best = max(range(len(C)), key=lambda j: (screened[j], -j))
+    finalists = [(names[best], ChebSeries(C[best]))]
+    coef, _, skips = _sequential_ascent(coarse, C[best], screened[best], _ASCENT_ROUNDS * budget)
+    if coef is not None:
+        finalists.append((names[best] + "+ascent", ChebSeries(coef)))
+    certified = _ratios(op, q, [p for _, p in finalists], refine=True)
+    j = max(range(len(finalists)), key=lambda j: (certified[j], -j))
+    return float(max(certified[j], 0.0)), finalists[j][0], finalists[j][1].coef.tobytes(), skips
+
+
 class TestBatchedSearch:
     """The search's matrix path against the per-polynomial coarse ratio."""
 
@@ -211,11 +275,41 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
     def test_screen_matches_per_polynomial(self, name, k):
         q, op, n = PARITY_SPECS[name], DerivOp(k), 12
-        cands = [p for _, p in _candidates_1d(n, np.random.default_rng(5), 1)]
+        _, C = _candidates_1d(n, np.random.default_rng(5), 1)
+        cands = [ChebSeries(c) for c in C]
         coarse = _coarse_ratio(op, q, n)
         assert isinstance(coarse, _BatchedRatio)
         want = [_ratio(op, q, p, refine=False) for p in cands]
-        np.testing.assert_allclose(coarse.screen(cands), want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(coarse.screen(C), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
+    def test_search_matches_sequential_ascent(self, name, seed, budget):
+        q, skipped = PARITY_SPECS[name], 0
+        for k in (1, 2, 3):
+            for n in (3, 8, 12, 24):
+                res = markov_factor_search(n, DerivOp(k), q, budget=budget, seed=seed)
+                *want, skips = _sequential_search(n, DerivOp(k), q, budget, seed)
+                assert [res.factor, res.witness_id, res.witness.coef.tobytes()] == want
+                skipped += skips
+        # n = 3 runs 50 or 100 rounds per coordinate: steps fall below 1e-9
+        assert skipped > 0
+
+    # sup[0,3] keeps the degree drop and then skips steps below 1e-9; on
+    # [-1, 1] the top entry leaves 0 again, back onto the matrix path
+    @pytest.mark.parametrize("q, n, seed, skipped", [(SupSpec(F03), 3, 18, True),
+                                                     (SupSpec(E), 6, 4, False)],
+                             ids=["sup[0,3]", "sup[-1,1]"])
+    def test_ascent_keeps_degree_drop(self, q, n, seed, skipped):
+        # the top entry is the step: its -step trial lands on exactly 0
+        coef = np.random.default_rng(seed).standard_normal(n + 1)
+        coef[n] = 0.25 * np.max(np.abs(coef[:n]))
+        coarse = _coarse_ratio(DerivOp(1), q, n)
+        (ratio,) = coarse.ratios(coarse.values(coef)[:, None])
+        want, drops, skips = _sequential_ascent(coarse, coef, ratio, _ASCENT_ROUNDS)
+        assert drops > 0 and (skips > 0) == skipped and (want[n] == 0.0) == skipped
+        assert _ascend(coarse, coef, ratio, _ASCENT_ROUNDS).tobytes() == want.tobytes()
 
     def test_large_taylor_disk_matrix_not_built(self):
         # its sampling matrix grows like 4*deg^3; past degree 62 the search
@@ -231,7 +325,7 @@ class TestBatchedSearch:
         # T_2 at 1e200 overflows: q(p) = inf is no ratio, not best / inf = 0
         op, q = DerivOp(1), SupSpec(Interval(0.0, 1e200))
         coarse = screen(op, q, 2) if screen is _coarse_ratio else screen(op, q)
-        assert all(math.isnan(r) for r in coarse.screen([chebyshev_t(2), ChebSeries([1.0, 1.0, 1.0])]))
+        assert all(math.isnan(r) for r in coarse.screen([chebyshev_t(2).coef, [1.0, 1.0, 1.0]]))
         assert math.isnan(_ratio(op, q, chebyshev_t(2), refine=True))
         with pytest.raises(PrecisionOverflowError):
             markov_factor_search(2, op, q)
@@ -241,12 +335,23 @@ class TestBatchedSearch:
         coarse = _coarse_ratio(op, q, n)
         coef = rng.standard_normal(n + 1)
         coef[n] = 0.5
-        trial, r = coarse.trial(coef, coarse.values(coef), n, -0.5)
+        trial, r = _trial(coarse, coef, coarse.values(coef), n, -0.5)
         assert trial[n] == 0.0 and ChebSeries(trial).degree == n - 1
         assert r == _ratio(op, q, ChebSeries(trial), refine=False)
+        assert r == _block_of_one(coarse, coef, n, -0.5)
         # from a vector whose top entry is 0, every trial stays on that path
-        again, r2 = coarse.trial(trial, coarse.values(trial), 3, 0.25)
+        again, r2 = _trial(coarse, trial, coarse.values(trial), 3, 0.25)
         assert r2 == _ratio(op, q, ChebSeries(again), refine=False)
+        assert r2 == _block_of_one(coarse, trial, 3, 0.25)
+        # in a block, such trials take that path and the others the matrix:
+        # the block's first gain above any floor is the one trial at a time
+        idx, steps = np.array([n, 3, n, 3]), np.array([-0.5, 0.25, 0.125, -0.5])
+        vals = coarse.values(coef)
+        alone = [_trial(coarse, coef, vals, i, s)[1] for i, s in zip(idx, steps)]
+        assert alone[0] == r
+        for floor in [-math.inf, *alone]:
+            want = next(((j, a) for j, a in enumerate(alone) if a > floor), None)
+            assert coarse.first_gain(coef, vals, idx, steps, floor) == want
 
     @pytest.mark.parametrize("name", ["sup[-1,1]", "schur", "taylor_disk[-1,1]", "sup+l2"])
     def test_certification_matches_one_at_a_time(self, name, rng):

@@ -45,7 +45,14 @@ from markovlab import (
     taylor_disk_norm,
 )
 from markovlab.chebseries import ChebSeries, lobatto_points, random_unit
-from markovlab.norms import _qms_poly, _sup, qms_log_norm
+from markovlab.norms import (
+    _coef_columns,
+    _grid_samples,
+    _qms_poly,
+    _sup,
+    _sup_images,
+    qms_log_norm,
+)
 
 from conftest import cheb_t_coeffs
 
@@ -136,6 +143,37 @@ class TestSupNorm:
         assert batched == [_sup([p], E, True, alpha)[0] for p in polys]
         assert batched == [_one_at_a_time_sup(p, E.a, E.b, alpha) for p in polys]
         assert all(r >= c for r, c in zip(batched, _sup(polys, E, False, alpha)))
+
+
+    @staticmethod
+    def _mixed(rng):
+        # mixed degrees, complex coefficients, the zero polynomial, degree 0
+        return [ChebSeries(rng.standard_normal(13)),
+                ChebSeries(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
+                ChebSeries([0.0]), ChebSeries([-0.7]), ChebSeries(rng.standard_normal(41)),
+                chebyshev_t(1), ChebSeries(1j * rng.standard_normal(7))]
+
+    @pytest.mark.parametrize("iv", [E, Interval(0.0, 3.0), Interval(-2.0, -1.5)],
+                             ids=["[-1,1]", "[0,3]", "[-2,-1.5]"])
+    def test_grid_samples_in_one_pass_match_one_at_a_time(self, rng, iv):
+        polys = self._mixed(rng)
+        grids = [iv.grid(0 if p.is_zero else p.degree) for p in polys]
+        got = _grid_samples(polys, grids, _coef_columns(polys))
+        for p, pts, vals in zip(polys, grids, got):
+            want = p(pts)
+            assert vals.shape == pts.shape and np.array_equal(vals, want)
+            assert np.abs(vals).tobytes() == np.abs(want).tobytes()
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize(
+        "E, alpha",
+        [(Interval(0.0, 3.0), 0.0), (E, 0.5),
+         (UnionSet((Interval(-1.0, 0.0), Interval(0.5, 2.0)), (1.0, 2.5, 1.5j)), 0.0)],
+        ids=["[0,3]", "schur", "union+points"],
+    )
+    def test_batched_sup_matches_one_at_a_time(self, rng, E, alpha, refine):
+        polys = self._mixed(rng)
+        assert _sup(polys, E, refine, alpha) == [_sup([p], E, refine, alpha)[0] for p in polys]
 
 
 class TestSupRefinementOracles:
@@ -405,6 +443,16 @@ class TestTaylorDiskNorm:
         coarse = taylor_disk_norm(p, E, 0.3, refine=False)
         refined = taylor_disk_norm(p, E, 0.3, refine=True)
         assert coarse == pytest.approx(refined, rel=1e-6)
+
+
+    @pytest.mark.parametrize("n", [8, 40, 64])
+    def test_images_derive_each_order_from_the_last(self, n):
+        # each order from the one before: bitwise numpy's chebder of order k
+        c = np.random.default_rng(n).standard_normal(n + 1)
+        images = _sup_images(ChebSeries(c), TaylorDiskSpec(E, 0.5).terms(n))
+        assert len(images) == n + 1
+        for k, image in enumerate(images):
+            assert image.coef.tobytes() == np.polynomial.chebyshev.chebder(c, k).tobytes()
 
 
 class TestMixedDerivNorm:
