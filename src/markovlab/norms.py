@@ -38,6 +38,7 @@ from functools import partial
 from typing import Mapping, Optional, Sequence, Union, get_args
 
 import numpy as np
+from numpy.polynomial import chebyshev as nch
 
 from .chebseries import ChebSeries, as_chebseries, chebval_columns, deriv_matrix
 from .domains import (
@@ -61,8 +62,10 @@ from .polynomials import NEG_INF, MultiPoly
 # next bracket's midpoint) and the bracket width that ends it.
 _ZOOM_POINTS = 33
 _REFINE_TOL = 1e-12
-# Root-split L^p: largest Gauss-Jacobi rule per piece (its dense Jacobi matrix
-# is 2 MB) and the relative agreement of two estimates that ends the doubling.
+# Root-split L^p: first and largest Gauss-Jacobi rule per piece (the largest
+# one's dense Jacobi matrix is 2 MB) and the relative agreement of a piece's
+# two estimates that ends its doubling.
+_LP_FIRST_NODES = 16
 _LP_MAX_NODES = 512
 _LP_RTOL = 1e-13
 
@@ -238,67 +241,142 @@ def _lp_cuts(roots: list, mu: Measure) -> np.ndarray:
 
 
 def _root_split_integral(p, mu: Measure, s: float, cuts, roots: list, nnodes: int) -> float:
-    """integral of |p|^s dmu: on each piece between cuts an nnodes-point Gauss-Jacobi
-    rule with exponent s at a root, alpha at b, beta at a and 0 at a mesh cut;
-    all nodes in one p(x) call."""
-    root = np.isin(cuts, roots)
+    """integral of |p|^s dmu: on each piece between cuts a Gauss-Jacobi rule
+    with exponent s at a root, alpha at b, beta at a and 0 at a mesh cut.
+
+    Every piece starts with the nnodes- and 2*nnodes-point rules, sampled in
+    one p(x) call since one estimate settles nothing, and doubles its rule, up
+    to ``_LP_MAX_NODES``, while its last two estimates differ by more than
+    ``_LP_RTOL`` of its own value, or of the mean piece where that is larger:
+    a piece at the rounding floor, such as the one around the 8-fold root of
+    x^8, never settles by itself, and the floor keeps the error of the sum
+    within twice ``_LP_RTOL``.  The pieces still doubling share one p(x) call
+    per stage.  Returns the sum of the pieces' last estimates."""
+    root = np.zeros(len(cuts), dtype=bool)
+    root[np.searchsorted(cuts, roots)] = True
     e = np.where(root, float(s), 0.0)
     e[0], e[-1] = mu.beta, mu.alpha
+    keys = list(zip(e[1:].tolist(), e[:-1].tolist()))  # (exponent at hi, exponent at lo)
     lo, hi = cuts[:-1], cuts[1:]
-    keys = list(zip(e[1:], e[:-1]))  # (exponent at hi, exponent at lo)
-    t, w = (np.array(v) for v in zip(*(gauss_jacobi(nnodes, *k) for k in keys)))
-    half = (hi - lo)[:, None] / 2
-    x = (lo + hi)[:, None] / 2 + half * t
-    to_lo, to_hi = half * (1 + t), half * (1 - t)  # x - lo, hi - x without cancellation
-    vals = np.abs(p(x.ravel())).reshape(x.shape)
-    vals /= np.where(root[:-1, None], to_lo, 1.0) * np.where(root[1:, None], to_hi, 1.0)
-    g = vals**s * mu.density(x)
-    if mu.alpha:  # every piece but the last misses b
-        g[:-1] *= (cuts[-1] - hi[:-1, None] + to_hi[:-1]) ** mu.alpha
-    if mu.beta:
-        g[1:] *= (lo[1:, None] - cuts[0] + to_lo[1:]) ** mu.beta
+    mid, half, to_b, from_a = (lo + hi) / 2, (hi - lo) / 2, cuts[-1] - hi, lo - cuts[0]
     masses = np.exp([jacobi_log_mass(*k, width) for k, width in zip(keys, hi - lo)])
-    return float(masses @ np.sum(w * g, axis=1))
+    # the exponents of (b - x) and (x - a) that a piece's rule leaves out
+    ea, eb = np.where(to_b > 0, mu.alpha, 0.0), np.where(from_a > 0, mu.beta, 0.0)
+    est = np.empty(len(keys))
+    live = np.arange(len(keys))
+    sizes = (nnodes, 2 * nnodes)
+    while True:
+        rules = [np.array([gauss_jacobi(m, *keys[i]) for i in live]) for m in sizes]
+        tw = np.concatenate(rules, axis=2)  # piece, (nodes, weights), node
+        t, w, c, h = tw[:, 0], tw[:, 1], mid[live, None], half[live, None]
+        x = c + h * t
+        to_lo, to_hi = h * (1 + t), h * (1 - t)  # x - lo, hi - x without cancellation
+        vals = np.abs(p(x.ravel())).reshape(x.shape)
+        vals /= np.where(root[live, None], to_lo, 1.0) * np.where(root[live + 1, None], to_hi, 1.0)
+        g = vals**s * mu.density(x)
+        if mu.alpha:
+            g *= (to_b[live, None] + to_hi) ** ea[live, None]
+        if mu.beta:
+            g *= (from_a[live, None] + to_lo) ** eb[live, None]
+        wg, start = w * g, 0
+        for m in sizes:
+            prev, est[live] = est[live], masses[live] * np.sum(wg[:, start : start + m], axis=1)
+            start += m
+        live = live[np.abs(est[live] - prev) > _LP_RTOL * np.maximum(est[live], np.mean(est))]
+        if not live.size or sizes[-1] >= _LP_MAX_NODES:
+            return float(np.sum(est))
+        sizes = (2 * sizes[-1],)  # powers of two, so never past _LP_MAX_NODES
+
+
+def _lobatto_coef(v: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the polynomial of degree m = len(v) - 1 with
+    the values v at the points cos(j pi / m), j = 0..m: one FFT."""
+    m = len(v) - 1
+    c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / m
+    c[0] /= 2
+    c[m] /= 2
+    return c
+
+
+def _odd_power_integral(p, mu: Measure, s: int) -> float:
+    """integral of |p|^s dmu for real p, odd s and mu Lebesgue on [a, b].
+
+    Everything is read off the values of p at the m + 1 = deg*s + 1
+    Chebyshev-Lobatto points of [a, b], in t = (2x - a - b)/(b - a): every
+    s-th of them gives p's coefficients in t (on [-1, 1], p's own) and so its
+    real roots, which chebroots finds well only in the support's own
+    coordinate, and their s-th powers give the coefficients d_k of p^s.
+    p^s keeps one sign between two roots, so each piece adds the absolute
+    change across it of the antiderivative, whose coefficients are
+    (d_(k-1) - d_(k+1))/(2k) and whose values at t = cos(theta) are sums of
+    cos(k theta).
+    """
+    a, b = mu.support.a, mu.support.b
+    m = p.degree * s
+    v = p((a + b) / 2 + (b - a) / 2 * np.cos(np.arange(m + 1) * (np.pi / m)))
+    in_t = p if (a, b) == (-1.0, 1.0) else ChebSeries(_lobatto_coef(v[::s]))
+    roots = _real_roots_inside(in_t, -1.0, 1.0)
+    d = np.append(_lobatto_coef(v**s), (0.0, 0.0))
+    d[0] *= 2
+    k = np.arange(1, m + 2)
+    theta = np.arccos([1.0, *roots[::-1], -1.0])
+    P = np.cos(np.outer(theta, k)) @ ((d[:-2] - d[2:]) / (2 * k))
+    return float(np.sum(np.abs(np.diff(P)))) / 2
+
+
+def _check_lp_order(s) -> None:
+    """The order of an L^p norm: a finite number >= 1."""
+    if not math.isfinite(s) or s < 1:
+        raise ValueError("lp order s must be a finite number >= 1")
 
 
 def lp_norm(p, mu: Measure, s: float) -> float:
     """(integral of |p|^s dmu)^(1/s).
 
+    p is first scaled by the power of two that brings its largest
+    coefficient into [0.5, 1), and the norm scaled back, so no finite
+    coefficients overflow |p|^s; a constant c gives |c| directly.
+
     Even integer s: one Gauss rule matched to the weight, exact for the
-    polynomial |p|^s.  Every other s: the support is cut at the real roots of
-    p, and each piece gets a Gauss-Jacobi rule whose exponent is s at a root
-    and the measure's own exponent at an end of the support, so what is left
-    of the integrand is smooth on the piece (``_lp_cuts`` adds the cuts that
-    keep it so near a singular end).  The node count per piece doubles, up to
-    512, until two estimates agree to 1e-13 relative, and the last estimate is
-    returned.  Odd s under a Lebesgue measure with real p needs no check: the
-    integrand is then a polynomial and the first rule is exact.
+    polynomial |p|^s.  Odd s under a Lebesgue measure with real p: no
+    quadrature, p^s keeps one sign between two real roots of p, so each piece
+    adds the change of an antiderivative of p^s across it
+    (``_odd_power_integral``).  Every other case cuts the support at the real
+    roots of p and gives each piece a Gauss-Jacobi rule whose exponent is s at
+    a root and the measure's own exponent at an end of the support, so what
+    is left of the integrand is smooth on the piece (``_lp_cuts`` adds the
+    cuts that keep it so near a singular end).  Each piece starts at 16 nodes
+    (fewer at low degree) and doubles them by itself, up to 512, until its
+    two estimates agree to 1e-13 of its value (or of the mean piece, where
+    that is larger); the sum of the last estimates is returned
+    (``_root_split_integral``).
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    _check_lp_order(s)
     p = as_chebseries(p)
     if p.nvars != 1:
         raise DimensionMismatchError("lp_norm takes univariate polynomials")
-    deg = _degree_int(p)
+    if p.coef.size <= 1:  # the zero polynomial or a constant; mu has mass 1
+        return float(abs(p.coef[0])) if p.coef.size else 0.0
+    parts = p.coef.view(float)  # the real and imaginary parts of complex coefficients
+    scale = math.frexp(np.max(np.abs(parts)))[1]
+    coef = np.ldexp(parts, -scale).view(p.coef.dtype)
+    deg = len(coef) - 1
     s_int = int(s) if float(s).is_integer() else None
 
     if s_int is not None and s_int % 2 == 0:
         nodes, weights = mu.rule_for_degree(deg * s_int)
-        return float(np.dot(weights, np.abs(p(nodes)) ** s_int)) ** (1.0 / s_int)
-
-    roots = _real_roots_inside(p, mu.support.a, mu.support.b)
-    cuts = _lp_cuts(roots, mu)
-    exact = s_int is not None and mu.kind == "lebesgue" and np.isrealobj(p.coef)
-    nnodes = 1 << (deg * math.ceil(s) // 2).bit_length()  # exact for a polynomial |p|^s
-    if not exact:
-        nnodes = min(nnodes, _LP_MAX_NODES)
-    total = _root_split_integral(p, mu, s, cuts, roots, nnodes)
-    while not exact and nnodes < _LP_MAX_NODES:
-        nnodes *= 2  # powers of two, so never past _LP_MAX_NODES
-        prev, total = total, _root_split_integral(p, mu, s, cuts, roots, nnodes)
-        if abs(total - prev) <= _LP_RTOL * total:
-            break
-    return float(total ** (1.0 / s))
+        total = float(np.dot(weights, np.abs(nch.chebval(nodes, coef)) ** s_int))
+    elif s_int is not None and mu.kind == "lebesgue" and np.isrealobj(coef):
+        total = _odd_power_integral(ChebSeries(coef), mu, s_int)
+    else:
+        p = ChebSeries(coef)
+        roots = _real_roots_inside(p, mu.support.a, mu.support.b)
+        nnodes = min(_LP_FIRST_NODES, 1 << (deg * math.ceil(s) // 2).bit_length())
+        total = _root_split_integral(p, mu, s, _lp_cuts(roots, mu), roots, nnodes)
+    try:
+        return math.ldexp(total ** (1.0 / s), scale)
+    except OverflowError:  # the norm itself leaves the double range
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +523,7 @@ class LpSpec:
     kind: str = field(default="lp", init=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.s) or self.s < 1:
-            raise ValueError("lp order s must be a finite number >= 1")
+        _check_lp_order(self.s)
 
     def terms(self, deg: int) -> NormTerms:
         return NormTerms(sups=(), lp=(self.measure, self.s))
@@ -460,8 +537,7 @@ class SupPlusLpSpec:
     kind: str = field(default="sup_plus_lp", init=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.s) or self.s < 1:
-            raise ValueError("lp order s must be a finite number >= 1")
+        _check_lp_order(self.s)
 
     def terms(self, deg: int) -> NormTerms:
         return NormTerms(self.set, lp=(self.measure, self.s))
