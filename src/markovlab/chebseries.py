@@ -31,6 +31,8 @@ class ChebSeries:
 
     __slots__ = ("coef",)
 
+    is_exact = False  # as ``MultiPoly.is_exact``: Chebyshev coefficients are floats
+
     def __init__(self, coef):
         c = 1.0 * np.atleast_1d(np.asarray(coef))  # a float or complex copy
         nz = np.argwhere(c)

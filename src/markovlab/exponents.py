@@ -583,6 +583,9 @@ def qms_exact_exponent(
     exact = s * m_frac * ((k + s - 1) // s)
     lo, hi = n_window
     ns = np.unique(np.geomspace(lo, hi, n_points).astype(int))
+    if len(ns) < 2:
+        raise ValueError(f"the window {n_window} with {n_points} point(s) gives "
+                         "fewer than two distinct degrees to fit a slope through")
     log_ratios = []
     log_degs = []
     for n in ns:

@@ -396,16 +396,16 @@ def _qms_blocks(p: MultiPoly, s: int) -> dict:
     return blocks
 
 
-def _seminorm_block_exact(r: int, block, s: int) -> tuple:
-    """((rs)!, t) for block r, whose seminorm, the sum over its terms c_i x^i
-    of |p^(i)(0)| / (i mod s)! = |c_i| i! / (i mod s)!, is (rs)! * t: with
+def _block_sum_exact(r: int, block, s: int) -> Fraction:
+    """t for block r, whose seminorm, the sum over its terms c_i x^i of
+    |p^(i)(0)| / (i mod s)! = |c_i| i! / (i mod s)!, is (rs)! * t: with
     j = i mod s, i!/j! = (rs)! C(i, j).  Needs exact real coefficients."""
     total = Fraction(0)
     for i, c in block:
         if not isinstance(c, (Fraction, int)):
             raise TypeError("exact qms evaluation needs int/Fraction coefficients")
         total += abs(Fraction(c)) * math.comb(i, i - r * s)
-    return math.factorial(r * s), total
+    return total
 
 
 def qms_seminorm_terms(p: MultiPoly, s: int) -> dict:
@@ -415,7 +415,7 @@ def qms_seminorm_terms(p: MultiPoly, s: int) -> dict:
     equality of these maps certifies the norm equality for every rational m
     at once, without evaluating irrational factorial powers.
     """
-    return {r: math.prod(_seminorm_block_exact(r, block, s))
+    return {r: math.factorial(r * s) * _block_sum_exact(r, block, s)
             for r, block in _qms_blocks(p, s).items()}
 
 
@@ -434,19 +434,20 @@ def _logsumexp(vals) -> float:
 def qms_log_norm(p: MultiPoly, m, s: int) -> float:
     """log of the qms norm, safe for factorial-sized magnitudes.
 
-    Int and Fraction coefficients contribute exact big-integer logs; any other
-    coefficient (float, complex) puts every block through lgamma.  Returns
-    -inf for the zero polynomial.
+    log((rs)!) comes from lgamma for every block.  With int and Fraction
+    coefficients the rest of a block's seminorm is the exact sum t of
+    ``_block_sum_exact``, whose log is taken from its numerator and
+    denominator; any other coefficient (float, complex) puts every term
+    through lgamma.  Returns -inf for the zero polynomial.
     """
     blocks = _qms_blocks(p, s)
     mf = float(m)
     logs = []
     exact = all(isinstance(c, (int, Fraction)) for c in p.terms.values())
     for r, block in blocks.items():
+        log_fact = math.lgamma(r * s + 1)
         if exact:
-            fact, t = _seminorm_block_exact(r, block, s)
-            log_term = _log_fraction(fact * t)
-            log_fact = math.log(fact)
+            log_term = log_fact + _log_fraction(_block_sum_exact(r, block, s))
         else:
             pieces = []
             for i, c in block:
@@ -457,7 +458,6 @@ def qms_log_norm(p: MultiPoly, m, s: int) -> float:
             if not pieces:
                 continue
             log_term = _logsumexp(pieces)
-            log_fact = math.lgamma(r * s + 1)
         logs.append(log_term - mf * log_fact)
     return _logsumexp(logs)
 
@@ -480,8 +480,7 @@ def qms_norm_exact(p: MultiPoly, m: int, s: int) -> Fraction:
         raise ValueError("exact qms values are rational only for integer m >= 0")
     total = Fraction(0)
     for r, block in _qms_blocks(p, s).items():
-        fact, t = _seminorm_block_exact(r, block, s)
-        total += t * Fraction(fact) ** (1 - m)
+        total += _block_sum_exact(r, block, s) * Fraction(math.factorial(r * s)) ** (1 - m)
     return total
 
 

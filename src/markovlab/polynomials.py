@@ -138,13 +138,9 @@ class MultiPoly:
         if not 0 <= axis < self.nvars:
             raise DimensionMismatchError(f"axis {axis} out of range for nvars={self.nvars}")
 
-        def d(part):
-            return {alpha[:axis] + (alpha[axis] - k,) + alpha[axis + 1:]: math.perm(alpha[axis], k) * c
-                    for alpha, c in part.items() if alpha[axis] >= k}
-
         if self._den is None:
-            return _from_terms(d(self._terms), self.nvars)
-        return _exact(self._den, d(self._re), d(self._im), self.nvars)
+            return _from_terms(_partial(self._terms, k, axis), self.nvars)
+        return _exact(self._den, _partial(self._re, k, axis), _partial(self._im, k, axis), self.nvars)
 
     def partial_multi(self, alpha: Sequence[int]) -> "MultiPoly":
         """D^alpha p for a multi-index with one entry per variable; p itself when 0."""
@@ -201,8 +197,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, s: int) -> "MultiPoly":
-        """p**s by repeated squaring (one packed big-integer power when exact);
-        float coefficients past 1e300 raise."""
+        """p**s by repeated squaring from the constant 1 of p's own backend (one
+        packed big-integer power when exact); float coefficients past 1e300 raise."""
         if self._den is not None and isinstance(s, int) and s > 1 and not self.is_zero:
             degrees, n = _degrees(self), len(self._re) + len(self._im)
             # every coefficient of p**s is at most l1(p)**s
@@ -217,7 +213,8 @@ class MultiPoly:
                 re, im = _gauss_pow(_pack(self._re, sizes, width), _pack(self._im, sizes, width), s)
                 return _exact(self._den ** s, _unpack(re, sizes, width), _unpack(im, sizes, width),
                               self.nvars)
-        out = power_by_squaring(MultiPoly.constant(1, self.nvars), self, s)
+        one = MultiPoly.constant(1 if self._den is not None else 1.0, self.nvars)
+        out = power_by_squaring(one, self, s)
         if not out.is_exact and out.max_coeff_magnitude() > _COEFF_OVERFLOW:
             raise PrecisionOverflowError(
                 "coefficient magnitude overflow in a power; use exact coefficients"
@@ -298,6 +295,12 @@ def _split(c) -> tuple:
     re, im = c.real, c.imag
     d = math.lcm(re.denominator, im.denominator)
     return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+def _partial(part: dict, k: int, axis: int) -> dict:
+    """The k-th derivative along ``axis`` of multi-index -> coefficient terms."""
+    return {alpha[:axis] + (alpha[axis] - k,) + alpha[axis + 1:]: math.perm(alpha[axis], k) * c
+            for alpha, c in part.items() if alpha[axis] >= k}
 
 
 def _scaled(part: dict, factor: int) -> dict:
@@ -430,15 +433,40 @@ def _lincomb(pairs):
     return acc
 
 
+def _exact_image(p: MultiPoly, image) -> MultiPoly:
+    """sum c*D^alpha p over the image's (c, alpha) pairs, for an exact p and
+    exact c: the numerators of each D^alpha p times those of c, summed over
+    the common denominator of the c, and one reduction at the end."""
+    splits = [_split(c) for c, _ in image]
+    lcm = math.lcm(*(d for _, _, d in splits))
+    re: dict = {}
+    im: dict = {}
+    for (_, alpha), (x, y, d) in zip(image, splits):
+        x, y = x * (lcm // d), y * (lcm // d)
+        d_re, d_im = p._re, p._im
+        for axis, k in enumerate(alpha):
+            if k:
+                d_re, d_im = _partial(d_re, k, axis), _partial(d_im, k, axis)
+        # (x + iy)(a + ib) = (xa - yb) + i(xb + ya)
+        for out, part, factor in ((re, d_re, x), (re, d_im, -y), (im, d_im, x), (im, d_re, y)):
+            if factor:
+                for key, c in part.items():
+                    out[key] = out.get(key, 0) + factor * c
+    return _exact(p._den * lcm, re, im, p.nvars)
+
+
 class _Operator:
     """A constant-coefficient operator given by ``images(nvars)``: one or more
     sums c*D^alpha, each a tuple of (c, alpha) pairs, for polynomials in
     ``nvars`` variables.  A dimension mismatch raises ValueError there."""
 
     def apply_all(self, p) -> list:
-        """The images of p, through the polynomial's ``partial_multi``."""
-        return [_lincomb((c, p.partial_multi(alpha)) for c, alpha in image)
-                for image in self.images(p.nvars)]
+        """The images of p: on its numerators when p and every c are exact
+        (``_exact_image``), else through the polynomial's ``partial_multi``."""
+        images = self.images(p.nvars)
+        if p.is_exact and all(is_exact(c) for image in images for c, _ in image):
+            return [_exact_image(p, image) for image in images]
+        return [_lincomb((c, p.partial_multi(alpha)) for c, alpha in image) for image in images]
 
 
 @dataclass(frozen=True)
@@ -522,18 +550,20 @@ def power_identity_residual(f: MultiPoly, d: DirOp, k: int) -> float:
 
     Checks (Df)^k = (1/k!) * sum_{j=0..k} (-1)^j C(k,j) f^j D^(k)(f^(k-j)),
     returning max coefficient magnitude of the difference relative to the
-    larger side.  Exact inputs yield exactly 0.0.
+    larger side.  Exact inputs yield exactly 0.0.  f^0, ..., f^k are computed
+    once each and serve as both f^j and f^(k-j).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     (df,) = d.apply_all(f)
     lhs = df ** k
+    powers = [f ** j for j in range(k + 1)]
     acc = MultiPoly.zero(f.nvars)
     for j in range(k + 1):
-        dk = f ** (k - j)
+        dk = powers[k - j]
         for _ in range(k):
             (dk,) = d.apply_all(dk)
-        term = (f ** j) * dk
+        term = powers[j] * dk
         coeff = (-1) ** j * math.comb(k, j)
         acc = acc + coeff * term
     if acc.is_exact and lhs.is_exact:

@@ -1,12 +1,13 @@
 """Exact MultiPoly arithmetic against references built here from Fractions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import markovlab.polynomials as polynomials
-from markovlab import DirOp, HomOp, MultiPoly, RationalComplex, power_identity_residual
+from markovlab import DerivOp, DirOp, HomOp, MultiPoly, RationalComplex, power_identity_residual
 
 
 def _pairs(p):
@@ -110,6 +111,56 @@ def test_results_are_in_lowest_terms():
     assert MultiPoly({(2,): Fraction(1, 2)}, 1).deriv(1).terms == {(1,): 1}
     assert (x + x).terms == {(1,): 1}
     assert (Fraction(6) * x ** 3).terms == {(3,): Fraction(3, 4)}
+
+
+def _image_reference(pairs, image):
+    """sum c*D^alpha p over (c, alpha) pairs, term by term on Fraction pairs."""
+    out = {}
+    for c, alpha in image:
+        cr, ci = Fraction(c.real), Fraction(c.imag)
+        for a, (pr, pi) in pairs.items():
+            f = math.prod(math.perm(n, k) for n, k in zip(a, alpha))
+            if f:
+                key = tuple(n - k for n, k in zip(a, alpha))
+                r, i = out.get(key, (0, 0))
+                out[key] = (r + f * (cr * pr - ci * pi), i + f * (cr * pi + ci * pr))
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def _operators(nvars):
+    unit = [tuple(2 * (i == j) for j in range(nvars)) for i in range(nvars)]
+    mixed = tuple(int(i < 2) for i in range(nvars))
+    return [
+        DirOp(tuple(RationalComplex(Fraction(j + 1, 2), Fraction(1 - 2 * j, 3)) for j in range(nvars))),
+        DirOp(tuple(Fraction(3, j + 2) if j % 2 else -j - 1 for j in range(nvars))),
+        HomOp(tuple((alpha, 1) for alpha in unit)),  # the Laplacian
+        HomOp(((unit[0], RationalComplex(Fraction(1, 7), Fraction(-2, 5))),) + ((mixed, 3),) * (nvars > 1)),
+        DerivOp(2),
+    ]
+
+
+@pytest.mark.parametrize("share", [0.0, 0.5], ids=["real", "complex"])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_exact_operator_images_match_term_reference(nvars, share):
+    rng = random.Random(f"image-{nvars}-{share}")
+    for op in _operators(nvars):
+        for _ in range(3):
+            a = _random_pairs(rng, nvars, 8, share, 10**20)
+            p = _poly(a, nvars)
+            got = op.apply_all(p)
+            want = [_poly(_image_reference(a, image), nvars) for image in op.images(nvars)]
+            assert got == want
+            # the same images, and in lowest terms, as the sums of partials
+            assert got == [polynomials._lincomb((c, p.partial_multi(alpha)) for c, alpha in image)
+                           for image in op.images(nvars)]
+            assert all(q.is_exact for q in got)
+
+
+def test_exact_poly_with_float_direction_gives_float_images():
+    p = MultiPoly({(2, 1): Fraction(1, 3), (0, 1): 2}, 2)
+    (image,) = DirOp((0.5, 1)).apply_all(p)
+    assert not image.is_exact
+    assert {a: complex(c) for a, c in image.terms.items()} == {(1, 1): 1 / 3, (2, 0): 1 / 3, (0, 0): 2}
 
 
 def _exact_identity_inputs(seed, nvars=2, deg=4):

@@ -544,6 +544,40 @@ class TestQmsExactExponent:
         rep = qms_exact_exponent(Fraction(1, 2), 3, 4)
         assert rep.exact_exponent == Fraction(3, 2) * 2  # s*m*ceil(4/3) = 3*(1/2)*2
 
+    # slopes on the default window, from log((rs)!) taken as math.log of the
+    # big integer; lgamma moves them by about 1e-12 relative at most
+    CHAIN_SLOPES = {
+        ("1/2", 2, 2): 1.0005184288697697,
+        ("1/2", 2, 3): 2.0031153921219857,
+        ("1/2", 3, 3): 1.5010369914689683,
+        ("1/2", 3, 4): 3.0051929914269135,
+        ("1/2", 4, 4): 2.0015555875013953,
+        ("1/2", 4, 5): 4.007270657850466,
+        ("1", 2, 2): 2.0010368577395394,
+        ("1", 2, 3): 4.0062307842439715,
+        ("1", 3, 3): 3.0020739829379366,
+        ("1", 3, 4): 6.01038598285269,
+        ("1", 4, 4): 4.003111175002791,
+        ("1", 4, 5): 8.014541315701363,
+        ("2", 2, 2): 4.002073715479079,
+        ("2", 2, 3): 8.012461568487943,
+        ("2", 3, 3): 6.004147965875873,
+        ("2", 3, 4): 12.020771965704244,
+        ("2", 4, 4): 8.006222350005581,
+        ("2", 4, 5): 16.02908263140319,
+    }
+
+    @pytest.mark.parametrize("m, s, k", sorted(CHAIN_SLOPES))
+    def test_chain_slopes_frozen(self, m, s, k):
+        slope = qms_exact_exponent(Fraction(m), s, k).fitted_slope
+        assert slope == pytest.approx(self.CHAIN_SLOPES[m, s, k], rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("window, points", [((256, 256), 9), ((256, 1024), 1)],
+                             ids=["one-degree-window", "one-point"])
+    def test_single_degree_window_raises(self, window, points):
+        with pytest.raises(ValueError, match="two distinct degrees"):
+            qms_exact_exponent(1, 2, 1, n_window=window, n_points=points)
+
 
 class TestLaplacianCheck:
     def test_order_two(self):

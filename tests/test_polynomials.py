@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +89,18 @@ class TestPower:
     def test_zeroth_power(self):
         assert UniPoly((5, 7)) ** 0 == UniPoly((1,))
         assert UniPoly(()) ** 0 == UniPoly((1,))
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("nvars", [1, 2])
+    def test_float_power_stays_float(self, nvars, s):
+        f = MultiPoly({(1,) * nvars: 0.5 + 1j, (0,) * nvars: -0.25}, nvars)
+        p = f ** s
+        assert not p.is_exact
+        assert not any(isinstance(c, (int, Fraction, RationalComplex)) for c in p.terms.values())
+
+    def test_float_zeroth_power_is_float_one(self):
+        p = MultiPoly({(1,): 0.5 + 1j}, 1) ** 0
+        assert p.terms == {(0,): 1.0} and type(p.terms[(0,)]) is float
 
     def test_sup_of_chebyshev_square_is_one(self, unit_interval):
         # sup norm is spectral; dense-sampling oracle for sup of T_3^2
@@ -211,6 +224,62 @@ class TestPowerIdentity:
         # f = x, v = 1: both sides are the constant 1 (symbolic expansion)
         f = MultiPoly({(1,): Fraction(1)}, 1)
         assert power_identity_residual(f, DirOp((Fraction(1),)), 2) == 0.0
+
+
+def _reference_residual(f, d, k):
+    # the identity loop that computes each power of f twice, once as f^j and
+    # once as f^(k-j); power_identity_residual must match it bitwise
+    (df,) = d.apply_all(f)
+    lhs = df ** k
+    acc = MultiPoly.zero(f.nvars)
+    for j in range(k + 1):
+        dk = f ** (k - j)
+        for _ in range(k):
+            (dk,) = d.apply_all(dk)
+        term = (f ** j) * dk
+        coeff = (-1) ** j * math.comb(k, j)
+        acc = acc + coeff * term
+    if acc.is_exact and lhs.is_exact:
+        rhs = Fraction(1, math.factorial(k)) * acc
+    else:
+        rhs = (1.0 / math.factorial(k)) * acc
+    diff = lhs - rhs
+    scale = max(lhs.max_coeff_magnitude(), rhs.max_coeff_magnitude())
+    if diff.is_zero:
+        return 0.0
+    if scale == 0.0:
+        return diff.max_coeff_magnitude()
+    return diff.max_coeff_magnitude() / scale
+
+
+def _identity_case(nvars, deg, k, exact):
+    # f of total degree deg on a seeded support with x1^deg present, and a direction
+    rng = np.random.default_rng([nvars, deg, k, int(exact)])
+    terms = {}
+    for alpha in np.ndindex(*(deg + 1,) * nvars):
+        if sum(alpha) <= deg and (alpha[0] == deg or rng.random() < 0.6):
+            if exact:
+                terms[alpha] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+            else:
+                terms[alpha] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    if exact:
+        v = tuple(RationalComplex(Fraction(int(rng.integers(1, 6)), 2),
+                                  Fraction(int(rng.integers(-5, 6)), 3)) for _ in range(nvars))
+    else:
+        v = tuple(complex(rng.uniform(0.1, 1), rng.uniform(-1, 1)) for _ in range(nvars))
+    return MultiPoly(terms, nvars), DirOp(v)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("deg", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_power_identity_matches_reference_loop_bitwise(nvars, deg, k, exact):
+    f, d = _identity_case(nvars, deg, k, exact)
+    got, want = power_identity_residual(f, d, k), _reference_residual(f, d, k)
+    assert got.hex() == want.hex()
+    if exact:
+        assert got == 0.0
 
 
 @st.composite
