@@ -68,6 +68,16 @@ _REFINE_TOL = 1e-12
 _LP_FIRST_NODES = 16
 _LP_MAX_NODES = 512
 _LP_RTOL = 1e-13
+# Real roots (``_real_roots_inside``): above this degree a real series is
+# searched on a grid of _GRID_CELLS cells per unit of degree in theta, and a
+# flagged cell is split _GRID_SPLIT ways; more than _GRID_MAX_FLAGGED flagged
+# cells at one level, or any left after _GRID_MAX_LEVELS splits, send the
+# series back to the eigenvalue solve.
+_EIG_MAX_DEGREE = 64
+_GRID_CELLS = 64
+_GRID_SPLIT = 16
+_GRID_MAX_FLAGGED = 32
+_GRID_MAX_LEVELS = 8
 
 
 def _degree_int(p) -> int:
@@ -213,13 +223,176 @@ def sup_norm(p, E: CompactSet, refine: bool = True) -> float:
 # L^p norms
 
 
-def _real_roots_inside(p: ChebSeries, a: float, b: float) -> list:
-    """Sorted real roots of p in (a, b); one within 1e-12 of the last kept is dropped."""
+def _cos_sums(c: np.ndarray, theta: np.ndarray) -> tuple:
+    """g(theta) = sum_k c_k cos(k theta), that is p(cos theta) for the
+    Chebyshev series c, and g'(theta), at each theta."""
+    k = np.arange(c.size)
+    K = np.outer(theta, k)
+    return np.cos(K) @ c, np.sin(K) @ (-k * c)
+
+
+def _cubic_range(A, B, C, D) -> tuple:
+    """The least and the largest value over s in [0, 1] of A s^3 + B s^2 +
+    C s + D, elementwise: at an end or at a critical point inside."""
+    disc = B * B - 3 * A * C
+    root = np.sqrt(np.maximum(disc, 0.0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # where A = 0 the first two are not finite and -C/2B is the one
+        crit = ((-B - root) / (3 * A), (-B + root) / (3 * A), -C / (2 * B))
+    v = np.array([((A * s + B) * s + C) * s + D for s in
+                  (0.0, 1.0, *(np.where((disc >= 0) & (0 < s) & (s < 1), s, 0.0) for s in crit))])
+    return v.min(axis=0), v.max(axis=0)
+
+
+def _flagged(cells, n: int, G: float, floor: float, dfloor: float) -> np.ndarray:
+    """The cells (lo, hi, g(lo), g(hi), g'(lo), g'(hi)) of ``_grid_roots``
+    that may hold two roots or more as far as its tests can tell.
+
+    The cheap test goes first, on the end values alone: two roots without a
+    sign change need both |g| at most (nh)^2 G / 2, three with one at most
+    (nh)^3 G / 6.  The cells it leaves take the cubic H of g and g' at both
+    ends: those where neither H nor H' keeps one sign by more than its error
+    are flagged."""
+    lo, hi, glo, ghi, dlo, dhi = cells
+    nh = n * (hi - lo)
+    change = (glo > 0) != (ghi > 0)
+    flagged = np.maximum(np.abs(glo), np.abs(ghi)) <= np.where(change, nh, 1.0) * nh**2 * G + floor
+    i = np.flatnonzero(flagged)
+    h, glo = hi[i] - lo[i], glo[i]
+    # H(s) = A s^3 + B s^2 + C s + glo for theta = lo + s h; the errors add
+    # what rounding g and g' moves H and H' by
+    C, D = h * dlo[i], h * dhi[i]
+    A, B = 2 * (glo - ghi[i]) + C + D, 3 * (ghi[i] - glo) - 2 * C - D
+    err = (n * h) ** 4 * G / 384 + floor + h * dfloor / 3
+    derr = h * ((n * h) ** 3 * n * G / 24 + 2 * dfloor) + 3 * floor  # for H' = h g'
+    low, high = _cubic_range(A, B, C, glo)
+    dlow, dhigh = _cubic_range(np.zeros_like(A), 3 * A, 2 * B, C)
+    flagged[i] = ~((low > err) | (high < -err) | (dlow > derr) | (dhigh < -derr))
+    return flagged
+
+
+def _grid_roots(c: np.ndarray) -> Optional[np.ndarray]:
+    """The real roots of the real Chebyshev series c on [-1, 1], and a cut at
+    each tangency, from a certified search in theta, where g(theta) =
+    p(cos theta) = sum_k c_k cos(k theta); None where the search gives up.
+
+    Two rffts give g and g' on the M + 1 angles j pi / M, M = ``_GRID_CELLS``
+    * n, and every sign change of g there brackets a root.  By Ehlich and
+    Zeller, G = max |g_j| / cos(n pi / 2M) bounds |g|, and by Bernstein
+    |g^(k)| <= n^k G.  Most cells pass a test on their end values alone
+    (``_flagged``).  On a cell of width h the cubic H matching g and g' at
+    both ends is then within (nh)^4 G / 384 of g, and H' within (nh)^3 n G / 24
+    of g' (g' - H' has three zeros in the cell).  Where H keeps one sign by
+    more than that, the cell holds no root; where H' does, g is monotone
+    there and holds one root if its end values differ in sign, else none.
+    Every other cell is flagged and split ``_GRID_SPLIT`` ways, where the
+    tests repeat.  A flagged cell whose end values are both within four
+    rounding floors (eps sum (64 + pi k) |c_k|) of 0 is not split: a run of
+    them is a tangency, one cut at its middle, or, where the run's ends
+    differ in sign, one more bracket.  More than ``_GRID_MAX_FLAGGED``
+    flagged cells at one level, or any still flagged after
+    ``_GRID_MAX_LEVELS`` splits, give None: a polynomial tiny on a long
+    stretch, such as x^n, flags thousands.  ``_newton_roots`` polishes every
+    bracket.
+    """
+    n = c.size - 1
+    M = _GRID_CELLS * n
+    k = np.arange(c.size)
+    g, dg = np.fft.rfft(c, 2 * M).real, np.fft.rfft(k * c, 2 * M).imag
+    # rounding: 64 eps |c_k| for the FFT, pi k eps |c_k| for k theta in a direct sum
+    floor = np.finfo(float).eps * float(np.sum((64 + np.pi * k) * np.abs(c)))
+    dfloor = np.finfo(float).eps * float(np.sum((64 + np.pi * k) * k * np.abs(c)))
+    G = (float(np.max(np.abs(g))) + floor) / math.cos(n * math.pi / (2 * M))
+    theta = np.arange(M + 1) * (math.pi / M)
+    cells = [theta[:-1], theta[1:], g[:-1], g[1:], dg[:-1], dg[1:]]
+    t = np.linspace(0.0, 1.0, _GRID_SPLIT + 1)
+    brackets, at_floor = [], [np.zeros((4, 0))]
+    for level in range(_GRID_MAX_LEVELS + 1):
+        lo, hi, glo, ghi, dlo, dhi = cells
+        flagged = _flagged(cells, n, G, floor, dfloor)
+        keep = ((glo > 0) != (ghi > 0)) & ~flagged
+        brackets.append((lo[keep], hi[keep], glo[keep], ghi[keep]))
+        idx = np.flatnonzero(flagged)
+        if not idx.size:
+            break
+        if idx.size > _GRID_MAX_FLAGGED or level == _GRID_MAX_LEVELS:
+            return None
+        tangent = np.maximum(np.abs(glo[idx]), np.abs(ghi[idx])) <= 4 * floor
+        at_floor.append(np.stack([lo, hi, glo, ghi])[:, idx[tangent]])
+        idx = idx[~tangent]
+        x = lo[idx, None] + (hi - lo)[idx, None] * t
+        x[:, -1] = hi[idx]  # so neighbouring cells share their end exactly
+        v, dv = np.empty_like(x), np.empty_like(x)
+        v[:, 0], v[:, -1], dv[:, 0], dv[:, -1] = glo[idx], ghi[idx], dlo[idx], dhi[idx]
+        inner = _cos_sums(c, x[:, 1:-1].ravel())
+        v[:, 1:-1], dv[:, 1:-1] = (u.reshape(idx.size, _GRID_SPLIT - 1) for u in inner)
+        split = (x[:, :-1], x[:, 1:], v[:, :-1], v[:, 1:], dv[:, :-1], dv[:, 1:])
+        cells = [a.ravel() for a in split]
+    flat = np.concatenate(at_floor, axis=1)
+    flat = flat[:, np.argsort(flat[0])]
+    first = flat[0] != np.r_[np.nan, flat[1, :-1]]  # a cell that does not touch the one before
+    last = np.roll(first, -1)
+    lo, hi, glo, ghi = flat[0, first], flat[1, last], flat[2, first], flat[3, last]
+    change = (glo > 0) != (ghi > 0)
+    brackets.append((lo[change], hi[change], glo[change], ghi[change]))
+    roots = _newton_roots(c, *(np.concatenate(part) for part in zip(*brackets)), n * n * G)
+    return np.cos(np.concatenate([roots, (lo[~change] + hi[~change]) / 2]))
+
+
+def _newton_roots(c, lo, hi, glo, ghi, curvature: float) -> np.ndarray:
+    """A root of g(theta) = sum_k c_k cos(k theta) in each bracket [lo, hi]
+    whose end values glo and ghi differ in sign, all brackets at once.
+
+    Each starts at its secant point.  Every step shrinks the bracket to the
+    sign change at the current point and takes the Newton step, unless that
+    leaves the bracket or is not half as long as the step before, where it
+    bisects instead; so the steps halve or the bracket does, and each bracket
+    ends.  It is done once g is 0, its bracket is two ulps wide, or Newton's
+    error bound curvature / |g'| * step^2, with curvature >= |g''|, says the
+    next step would move it by at most one ulp; the last step is taken.
+    """
+    x = lo - glo * (hi - lo) / (ghi - glo)
+    last = hi - lo
+    out = np.empty(lo.size)
+    live = np.arange(lo.size)
+    while live.size:
+        g, dg = _cos_sums(c, x)
+        right = (g > 0) == (glo > 0)  # the sign change lies right of x
+        lo, glo, hi = np.where(right, x, lo), np.where(right, g, glo), np.where(right, hi, x)
+        # |step| < |last| / 2, and no division where the step is not taken
+        newton = 2 * np.abs(g) < np.abs(dg * last)
+        new = x - g / np.where(newton, dg, np.inf)
+        newton &= (lo <= new) & (new <= hi)
+        new = np.where(newton, new, (lo + hi) / 2)
+        step = new - x
+        done = (g == 0) | (hi - lo <= 2 * np.spacing(hi)) | ~np.isfinite(g)
+        done |= newton & (curvature * step**2 <= np.abs(dg) * np.spacing(new))
+        out[live[done]] = np.where(g == 0, x, new)[done]
+        keep = ~done
+        live, x, last = live[keep], new[keep], step[keep]
+        lo, hi, glo = lo[keep], hi[keep], glo[keep]
+    return out
+
+
+def _real_roots_inside(p: ChebSeries) -> list:
+    """Sorted real roots of p in (-1, 1), the support's own coordinate; one
+    within 1e-12 of the last kept is dropped.
+
+    A real series of degree above ``_EIG_MAX_DEGREE`` goes through the
+    certified grid search ``_grid_roots``, which also cuts at tangencies (a
+    double root, or a root pair too close to resolve).  Lower degrees, where
+    LAPACK is faster than any numpy pass, complex series and the series the
+    grid search gives up on take the eigenvalues of the colleague matrix
+    (``chebroots``) whose imaginary part is below 1e-9.
+    """
     if p.degree in (NEG_INF, 0):
         return []
-    roots = np.atleast_1d(np.polynomial.chebyshev.chebroots(p.coef))
+    roots = _grid_roots(p.coef) if p.degree > _EIG_MAX_DEGREE and np.isrealobj(p.coef) else None
+    if roots is None:
+        z = np.atleast_1d(nch.chebroots(p.coef))
+        roots = z.real[np.abs(z.imag) < 1e-9]
     merged = []
-    for r in sorted(float(z.real) for z in roots if abs(z.imag) < 1e-9 and a < z.real < b):
+    for r in sorted(float(x) for x in roots if -1.0 < x < 1.0):
         if not merged or r - merged[-1] > 1e-12:
             merged.append(r)
     return merged
@@ -288,14 +461,35 @@ def _root_split_integral(p, mu: Measure, s: float, cuts, roots: list, nnodes: in
         sizes = (2 * sizes[-1],)  # powers of two, so never past _LP_MAX_NODES
 
 
+def _lobatto_points(a: float, b: float, m: int) -> np.ndarray:
+    """The m + 1 Chebyshev-Lobatto points (a + b)/2 + (b - a)/2 cos(j pi / m) of [a, b]."""
+    return (a + b) / 2 + (b - a) / 2 * np.cos(np.arange(m + 1) * (np.pi / m))
+
+
 def _lobatto_coef(v: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of the polynomial of degree m = len(v) - 1 with
-    the values v at the points cos(j pi / m), j = 0..m: one FFT."""
+    the values v at the points cos(j pi / m), j = 0..m: one FFT, two for
+    complex v."""
     m = len(v) - 1
-    c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / m
+
+    def cosine_sums(u):
+        return np.fft.rfft(np.concatenate([u, u[-2:0:-1]])).real / m
+
+    c = cosine_sums(v) if np.isrealobj(v) else cosine_sums(v.real) + 1j * cosine_sums(v.imag)
     c[0] /= 2
     c[m] /= 2
     return c
+
+
+def _support_series(p: ChebSeries, a: float, b: float, v=None) -> ChebSeries:
+    """p in the support's coordinate t = (2x - a - b)/(b - a): p itself on
+    [-1, 1], else the series read off v, p's values at the deg + 1
+    Chebyshev-Lobatto points of [a, b] (taken here when None).  Coefficients
+    in x that keep p of size one beyond [-1, 1] are graded, and the roots
+    found from them drift near the far end."""
+    if (a, b) == (-1.0, 1.0):
+        return p
+    return ChebSeries(_lobatto_coef(p(_lobatto_points(a, b, p.degree)) if v is None else v))
 
 
 def _odd_power_integral(p, mu: Measure, s: int) -> float:
@@ -303,9 +497,9 @@ def _odd_power_integral(p, mu: Measure, s: int) -> float:
 
     Everything is read off the values of p at the m + 1 = deg*s + 1
     Chebyshev-Lobatto points of [a, b], in t = (2x - a - b)/(b - a): every
-    s-th of them gives p's coefficients in t (on [-1, 1], p's own) and so its
-    real roots, which chebroots finds well only in the support's own
-    coordinate, and their s-th powers give the coefficients d_k of p^s.
+    s-th of them gives p's coefficients in t (``_support_series``) and so its
+    real roots (``_real_roots_inside``), and their s-th powers give the
+    coefficients d_k of p^s.
     p^s keeps one sign between two roots, so each piece adds the absolute
     change across it of the antiderivative, whose coefficients are
     (d_(k-1) - d_(k+1))/(2k) and whose values at t = cos(theta) are sums of
@@ -313,9 +507,8 @@ def _odd_power_integral(p, mu: Measure, s: int) -> float:
     """
     a, b = mu.support.a, mu.support.b
     m = p.degree * s
-    v = p((a + b) / 2 + (b - a) / 2 * np.cos(np.arange(m + 1) * (np.pi / m)))
-    in_t = p if (a, b) == (-1.0, 1.0) else ChebSeries(_lobatto_coef(v[::s]))
-    roots = _real_roots_inside(in_t, -1.0, 1.0)
+    v = p(_lobatto_points(a, b, m))
+    roots = _real_roots_inside(_support_series(p, a, b, v[::s]))
     d = np.append(_lobatto_coef(v**s), (0.0, 0.0))
     d[0] *= 2
     k = np.arange(1, m + 2)
@@ -350,6 +543,12 @@ def lp_norm(p, mu: Measure, s: float) -> float:
     two estimates agree to 1e-13 of its value (or of the mean piece, where
     that is larger); the sum of the last estimates is returned
     (``_root_split_integral``).
+
+    Both root-cutting paths find the roots from p's coefficients in the
+    support's coordinate, read off its values at Chebyshev points of the
+    support (``_support_series``), by ``_real_roots_inside``: eigenvalues up
+    to degree 64 and for complex p, a certified grid search in theta =
+    arccos(t) with Newton polishing above it.
     """
     _check_lp_order(s)
     p = as_chebseries(p)
@@ -369,8 +568,9 @@ def lp_norm(p, mu: Measure, s: float) -> float:
     elif s_int is not None and mu.kind == "lebesgue" and np.isrealobj(coef):
         total = _odd_power_integral(ChebSeries(coef), mu, s_int)
     else:
-        p = ChebSeries(coef)
-        roots = _real_roots_inside(p, mu.support.a, mu.support.b)
+        p, a, b = ChebSeries(coef), mu.support.a, mu.support.b
+        t = np.array(_real_roots_inside(_support_series(p, a, b)))
+        roots = [x for x in ((a + b) / 2 + (b - a) / 2 * t).tolist() if a < x < b]
         nnodes = min(_LP_FIRST_NODES, 1 << (deg * math.ceil(s) // 2).bit_length())
         total = _root_split_integral(p, mu, s, _lp_cuts(roots, mu), roots, nnodes)
     try:

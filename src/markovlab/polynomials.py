@@ -156,8 +156,9 @@ class MultiPoly:
         if self.nvars != other.nvars:
             raise DimensionMismatchError("mixed nvars in addition")
         if self._den is None or other._den is None:
-            out = dict(self.terms)
-            for alpha, c in other.terms.items():
+            # a float sum: the exact operand's coefficients become floats too
+            out = dict(self.terms) if self._den is None else _inexact_terms(self)
+            for alpha, c in (other.terms if other._den is None else _inexact_terms(other)).items():
                 out[alpha] = out.get(alpha, 0) + c
             return _from_terms(out, self.nvars)
         den = math.lcm(self._den, other._den)
@@ -248,6 +249,11 @@ def _inexact(c):
     """c as a float, or as a complex where its imaginary part is nonzero."""
     z = complex(c)
     return z if z.imag else z.real
+
+
+def _inexact_terms(p: MultiPoly) -> dict:
+    """The terms of an exact p with float (or complex) coefficients."""
+    return {a: _inexact(c) for a, c in p.terms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,12 @@ from markovlab import (
 from markovlab.chebseries import ChebSeries, lobatto_points, random_unit
 from markovlab.norms import (
     _coef_columns,
+    _grid_roots,
     _grid_samples,
+    _lp_cuts,
     _qms_poly,
+    _real_roots_inside,
+    _root_split_integral,
     _sup,
     _sup_images,
     qms_log_norm,
@@ -410,14 +414,17 @@ def _lp_reference(n: int, support: str, kind: str) -> dict:
 
 
 def _lp_known_fault(n: int, support: str, kind: str, s: float):
-    """Cases the root split gets wrong beyond 1e-12 (ROADMAP.md, item 11)."""
-    shifted = support in ("lebesgue[0,3]", "lebesgue[1,5.5]")
-    if kind == "complex" and not shifted and n >= 64:
-        return "roots of complex p lie within ~1e-5 of the support and cut nothing"
-    misplaced = s in (1.5, 2.5) if kind == "real" else n == 128 and s <= 1.5
-    if shifted and n >= 128 and misplaced:
-        return "chebroots in x misplaces roots of a degree >= 128 polynomial beyond [-1, 1]"
-    return None
+    """Cases the root split gets wrong beyond 1e-12 (ROADMAP.md, item 11):
+    complex p, whose roots near the support cut nothing.  They lie about
+    1e-5 off [-1, 1] at n >= 64, and about 0.01 (in t) off the shifted
+    supports at n = 128, where s <= 1.5 still feels them."""
+    if kind != "complex":
+        return None
+    if support in ("lebesgue[0,3]", "lebesgue[1,5.5]"):
+        near = n == 128 and s <= 1.5
+    else:
+        near = n >= 64
+    return "roots of complex p near the support cut nothing" if near else None
 
 
 def _lp_grid():
@@ -497,6 +504,131 @@ class TestLpPiecesAndAntiderivative:
             LpSpec(MU, s)
         with pytest.raises(ValueError, match=message):
             SupPlusLpSpec(E, MU, s)
+
+
+# ---------------------------------------------------------------------------
+# Real roots above degree 64: the certified grid search in theta
+
+_CHEBROOTS = np.polynomial.chebyshev.chebroots
+
+
+def _eig_roots(c) -> np.ndarray:
+    """The real roots in (-1, 1) by the colleague matrix's eigenvalues."""
+    z = np.atleast_1d(_CHEBROOTS(c))
+    return np.sort(z.real[(np.abs(z.imag) < 1e-9) & (np.abs(z.real) < 1)])
+
+
+@pytest.fixture
+def chebroots_calls(monkeypatch):
+    """The degrees of the series chebroots is called on, while the test runs."""
+    calls = []
+
+    def counted(c):
+        calls.append(len(c) - 1)
+        return _CHEBROOTS(c)
+
+    monkeypatch.setattr(np.polynomial.chebyshev, "chebroots", counted)
+    return calls
+
+
+def _with_roots(roots, q: ChebSeries) -> ChebSeries:
+    """q times the monic polynomial with these roots."""
+    cheb = np.polynomial.chebyshev
+    return ChebSeries(cheb.chebmul(cheb.chebfromroots(roots), q.coef))
+
+
+class TestGridRoots:
+    """``_real_roots_inside`` above degree 64, where no eigenvalue is solved
+    unless the grid search gives up.  pyproject turns every RuntimeWarning
+    into an error, and errstate(all="raise") checks numpy's own too."""
+
+    def test_chebyshev_t_roots_on_grid_points(self, chebroots_calls):
+        # cos((2j - 1) pi / 2n) lie on the grid of angles j pi / 64n
+        with np.errstate(all="raise"):
+            for n in range(65, 257):
+                got = _real_roots_inside(chebyshev_t(n))
+                want = np.cos((2 * np.arange(n, 0, -1) - 1) * np.pi / (2 * n))
+                assert len(got) == n
+                assert np.max(np.abs(np.array(got) - want)) <= 2e-15
+        assert chebroots_calls == []
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_legendre_roots_are_gauss_nodes(self, n, chebroots_calls):
+        c = np.polynomial.Legendre.basis(n).convert(kind=np.polynomial.Chebyshev).coef
+        got = _real_roots_inside(ChebSeries(c))
+        assert np.max(np.abs(np.array(got) - np.polynomial.legendre.leggauss(n)[0])) <= 2e-15
+        assert chebroots_calls == []
+
+    def test_random_series_match_chebroots(self, chebroots_calls):
+        rng = np.random.default_rng(65256)
+        with np.errstate(all="raise"):
+            for _ in range(20):
+                p = random_unit(int(rng.integers(65, 257)), rng)
+                got, want = np.array(_real_roots_inside(p)), _eig_roots(p.coef)
+                assert got.size == want.size
+                assert np.max(np.abs(got - want)) <= 1e-13
+        assert chebroots_calls == []
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 3.0])
+    def test_no_eigensolve_at_degree_128(self, s, chebroots_calls):
+        # a silent fallback to chebroots would only show as time; on [0, 3]
+        # the coefficients are damped as in _lp_grid_coef, so that p stays
+        # of size one there
+        rng = np.random.default_rng(128)
+        damp = np.cosh(np.arange(129) * math.acosh(3.0))
+        for _ in range(10):
+            p = random_unit(128, rng)
+            _real_roots_inside(p)
+            lp_norm(p, MU, s)
+            lp_norm(p, chebyshev_measure(), s)
+            lp_norm(ChebSeries(p.coef / damp), lebesgue_measure(0.0, 3.0), s)
+        assert chebroots_calls == []
+
+    @pytest.mark.parametrize("delta", [1e-7, 1e-10, 0.0], ids=["1e-7", "1e-10", "double"])
+    def test_close_pair_gives_one_cut(self, delta, chebroots_calls):
+        # the pair's values stay below the rounding floor: a tangency, cut once
+        r, q = 0.3141, random_unit(126, np.random.default_rng(5))
+        with np.errstate(all="raise"):
+            got = _real_roots_inside(_with_roots([r, r + delta], q))
+        near = [x for x in got if abs(x - r) < 1e-5]
+        assert len(near) == 1 and abs(near[0] - r) < 1e-6
+        rest = np.array([x for x in got if abs(x - r) >= 1e-5])
+        want = _eig_roots(q.coef)
+        assert rest.size == want.size and np.max(np.abs(rest - want)) <= 1e-12
+        assert chebroots_calls == []
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.5])
+    def test_double_root_lp_matches_the_exact_cut(self, s):
+        r, q = 0.3141, random_unit(126, np.random.default_rng(5))
+        p = _with_roots([r, r], q)
+        scale = 2.0 ** -math.frexp(np.max(np.abs(p.coef)))[1]
+        roots = sorted([r, *_eig_roots(q.coef).tolist()])
+        total = _root_split_integral(scale * p, MU, s, _lp_cuts(roots, MU), roots, 16)
+        assert lp_norm(p, MU, s) == pytest.approx(total ** (1 / s) / scale, rel=1e-13)
+
+    def test_three_roots_in_one_cell(self, chebroots_calls):
+        # a sign change over a cell that holds three roots 2e-4 apart
+        n = 65
+        h = np.pi / (64 * n)
+        mid = (64 * n // 2 + 3.5) * h
+        roots = np.cos(mid) + np.array([-2e-4, 0.0, 2e-4])
+        assert len(set((np.arccos(roots) // h).tolist())) == 1
+        got = _real_roots_inside(_with_roots(roots, random_unit(n - 3, np.random.default_rng(1))))
+        near = np.array([x for x in got if abs(x - roots[1]) < 1e-3])
+        assert near.size == 3 and np.max(np.abs(near - roots)) <= 1e-6
+        assert chebroots_calls == []
+
+    @pytest.mark.parametrize("n", [65, 128, 256])
+    def test_monomial_falls_back_to_chebroots(self, n, chebroots_calls):
+        # x^n is below the rounding floor on most of the grid
+        assert _grid_roots(monomial(n).coef) is None
+        _real_roots_inside(monomial(n))
+        assert chebroots_calls == [n]
+
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_low_degree_keeps_chebroots(self, n, chebroots_calls):
+        _real_roots_inside(random_unit(n, np.random.default_rng(n)))
+        assert chebroots_calls == [n]
 
 
 class TestSchurNorm:

@@ -102,6 +102,25 @@ class TestPower:
         p = MultiPoly({(1,): 0.5 + 1j}, 1) ** 0
         assert p.terms == {(0,): 1.0} and type(p.terms[(0,)]) is float
 
+    @staticmethod
+    def _float_only(p):
+        return not p.is_exact and all(type(c) in (float, complex) for c in p.terms.values())
+
+    def test_mixed_sum_is_float(self):
+        # a float summand makes the sum float: no Fraction survives into it
+        mixed = MultiPoly({(1,): Fraction(1, 3)}, 1) + MultiPoly({(0,): 0.5}, 1)
+        assert mixed.terms == {(1,): 1 / 3, (0,): 0.5}
+        assert self._float_only(mixed) and self._float_only(mixed * mixed)
+        assert (mixed * mixed).terms[(2,)] == (1 / 3) ** 2
+        flipped = MultiPoly({(0,): 0.5}, 1) + MultiPoly({(1,): RationalComplex(Fraction(1, 3), 2)}, 1)
+        assert self._float_only(flipped) and flipped.terms[(1,)] == complex(1 / 3, 2)
+
+    def test_float_operator_image_of_exact_p_is_float(self):
+        p = MultiPoly({(2, 1): Fraction(1, 3), (0, 1): 2, (1, 0): Fraction(-5, 7)}, 2)
+        (image,) = DirOp((0.5, 1)).apply_all(p)
+        assert self._float_only(image)
+        assert image.terms == {(1, 1): 1 / 3, (0, 0): 0.5 * Fraction(-5, 7) + 2.0, (2, 0): 1 / 3}
+
     def test_sup_of_chebyshev_square_is_one(self, unit_interval):
         # sup norm is spectral; dense-sampling oracle for sup of T_3^2
         t3 = UniPoly([float(c) for c in cheb_t_coeffs(3)])
