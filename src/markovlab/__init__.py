@@ -38,6 +38,7 @@ from .errors import (
     SpectralityError,
 )
 from .exponents import (
+    Bound,
     MarkovTable,
     asymptotic_exponent,
     bernstein_schur_check,

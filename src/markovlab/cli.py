@@ -24,12 +24,13 @@ from .domains import json_number, measure_from_json, set_from_json
 from .errors import ConfigError, MarkovLabError, PrecisionOverflowError, QuadratureBudgetError
 from .exponents import (
     DEFAULT_SEED,
+    exact_l2,
     factor_table,
     operator_from_json,
     read_table_csv,
 )
 from .fitting import fit_power_law
-from .norms import LpSpec, QmsSpec, evaluate_norm, qms_norm_exact, spec_from_json
+from .norms import QmsSpec, evaluate_norm, qms_norm_exact, spec_from_json
 from .orthopoly import NMAX_HARD_CAP, jacobi_system, stieltjes_orthonormalize
 from .polynomials import UniPoly
 from .verify import SUITES, run_suite
@@ -214,7 +215,7 @@ def cmd_factor_table(args) -> int:
     degrees = [int(n) for n in degrees]
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ConfigError("degrees", "must be strictly increasing")
-    if isinstance(spec, LpSpec) and spec.s == 2 and degrees[-1] > NMAX_HARD_CAP:
+    if exact_l2(spec, op) and degrees[-1] > NMAX_HARD_CAP:
         raise ConfigError("degrees", f"L2 factor tables stop at degree {NMAX_HARD_CAP}")
     out_path = _path(args.out, cfg, "output")
     budget = cfg.get("budget", 1)

@@ -3,14 +3,15 @@
 Factor values are exact (largest singular value) in L2 settings and certified
 lower bounds everywhere else: sup-norm maximization is itself sampled, and the
 candidate-plus-ascent search can only under-shoot the true extremal ratio.
-Tables record which of the two certifications applies to every row.
+Every factor is a ``Bound`` row that records its own method, ``Exact`` or
+``LowerBound``, with the witness it was read from.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -76,18 +77,24 @@ def operator_from_json(obj: dict) -> OperatorSpec:
 
 
 @dataclass(frozen=True)
-class TableRow:
+class Bound:
+    """One Markov factor row: M(n) = factor if method is "Exact", M(n) >= factor
+    if "LowerBound".  ``witness`` is the polynomial ``witness_id`` names: a
+    ``ChebSeries`` for a search row (None for the identity or where no ratio
+    exists), for an L2 row the coefficient vector ``markov_factor_l2`` gives."""
+
     n: int
     factor: float
-    witness: str
+    witness_id: str
+    witness: object
+    method: str  # "Exact" | "LowerBound"
 
 
 @dataclass(frozen=True)
 class MarkovTable:
     op: str
     normspec: NormSpec
-    rows: tuple
-    certification: str  # "Exact" | "LowerBound"
+    rows: tuple  # of Bound
 
     def degrees(self):
         return [row.n for row in self.rows]
@@ -105,8 +112,8 @@ class MarkovTable:
             for row in self.rows:
                 log_n = repr(math.log(row.n)) if row.n > 0 else ""
                 log_f = repr(math.log(row.factor)) if row.factor > 0 else ""
-                writer.writerow([self.op, row.n, repr(float(row.factor)), self.certification,
-                                 row.witness, log_n, log_f])
+                writer.writerow([self.op, row.n, repr(float(row.factor)), row.method,
+                                 row.witness_id, log_n, log_f])
 
 
 def read_table_csv(path):
@@ -122,13 +129,6 @@ def read_table_csv(path):
     return meta, [(int(rec["n"]), float(rec["factor"])) for rec in csv.DictReader(data)]
 
 
-@dataclass(frozen=True)
-class L2Factor:
-    factor: float
-    witness_coeffs: np.ndarray
-    system: OrthoSystem
-
-
 def _system_for_measure(mu: Measure, nmax: int) -> OrthoSystem:
     """Stieltjes for a tabulated weight, else the closed-form Jacobi system on [-1, 1]."""
     nmax = max(nmax, 1)
@@ -137,13 +137,20 @@ def _system_for_measure(mu: Measure, nmax: int) -> OrthoSystem:
     return jacobi_system(mu.alpha, mu.beta, nmax)
 
 
-def markov_factor_l2(n: int, k: int, mu: Measure, sys: Optional[OrthoSystem] = None) -> L2Factor:
+def exact_l2(q: NormSpec, op: OperatorSpec) -> bool:
+    """Whether ``factor_table`` takes M(n) from ``markov_factor_l2``: an L2
+    norm and a derivative of order k >= 1."""
+    return isinstance(q, LpSpec) and float(q.s) == 2.0 and isinstance(op, DerivOp) and op.k >= 1
+
+
+def markov_factor_l2(n: int, k: int, mu: Measure, sys: Optional[OrthoSystem] = None) -> Bound:
     """Exact max of ||p^(k)||_2 / ||p||_2 over deg p <= n, with its maximizer.
 
     The value is the largest singular value of the k-th derivative operator
     restricted to degree <= n in the orthonormal basis ``sys`` (by default
     ``_system_for_measure``), taken from its differentiation matrix and scaled
-    from sys's support to mu's.
+    from sys's support to mu's.  The witness is the top right singular vector,
+    the maximizer's coefficients in sys's orthonormal basis on sys's support.
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
@@ -152,14 +159,7 @@ def markov_factor_l2(n: int, k: int, mu: Measure, sys: Optional[OrthoSystem] = N
     U, S, Vh = np.linalg.svd(sys.deriv_matrix(n, k))
     # the affine map between the supports is an L2 isometry; d^k/dx^k scales by (2/(b - a))^k
     scale = (sys.measure.support.width / mu.support.width) ** k
-    return L2Factor(scale * float(S[0]), Vh[0].copy(), sys)
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    factor: float
-    witness_id: str
-    witness: object
+    return Bound(n, scale * float(S[0]), "l2-extremal", Vh[0].copy(), "Exact")
 
 
 def _candidates_1d(n: int, rng: np.random.Generator, budget: int):
@@ -408,7 +408,7 @@ def markov_factor_search(
     q: NormSpec,
     budget: int = 1,
     seed: int = DEFAULT_SEED,
-) -> SearchResult:
+) -> Bound:
     """Certified lower bound for M(n; q) by candidate max plus coordinate ascent.
 
     The candidate set is fixed and seeded (Chebyshev, monomial, orthonormal
@@ -436,10 +436,10 @@ def markov_factor_search(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if isinstance(op, DerivOp) and op.k == 0:
-        return SearchResult(1.0, "identity", None)
+        return Bound(n, 1.0, "identity", None, "LowerBound")
     finalists = _coarse_finalists(n, op, q, budget, seed)
     if not finalists:
-        return SearchResult(0.0, "none", None)
+        return Bound(n, 0.0, "none", None, "LowerBound")
     # the ascent can overfit grid-only sup estimates; certify with refinement
     final_name, final_poly, final = "", None, -math.inf
     certified = _ratios(op, q, [p for _, p in finalists], refine=True)
@@ -448,7 +448,7 @@ def markov_factor_search(
             final_name, final_poly, final = name, p, r
     if final_poly is None:
         _no_nan(certified, n)
-    return SearchResult(float(max(final, 0.0)), final_name, final_poly)
+    return Bound(n, float(max(final, 0.0)), final_name, final_poly, "LowerBound")
 
 
 def factor_table(
@@ -458,30 +458,25 @@ def factor_table(
     seed: int = DEFAULT_SEED,
     budget: int = 1,
 ) -> MarkovTable:
-    """One factor row per degree; exact singular values in L2, search otherwise."""
+    """One ``Bound`` row per degree: exact singular values where ``exact_l2``,
+    search lower bounds otherwise."""
     degrees = sorted(set(int(n) for n in degrees))
     if not degrees:
         raise ValueError("degree list must be nonempty")
-    exact = isinstance(q, LpSpec) and float(q.s) == 2.0 and isinstance(op, DerivOp)
-    rows = []
-    if exact and op.k >= 1:
+    if exact_l2(q, op):
         sys = _system_for_measure(q.measure, max(degrees))
-        for n in degrees:
-            res = markov_factor_l2(n, op.k, q.measure, sys=sys)
-            rows.append(TableRow(n, res.factor, "l2-extremal"))
-        cert = "Exact"
-    else:
-        # M_k(n) never decreases in n: a row below the best so far repeats that
-        best = (-math.inf, "")  # (factor, witness id prefixed by its degree)
-        for n in degrees:
-            res = markov_factor_search(n, op, q, budget=budget, seed=seed)
-            if res.factor < best[0]:
-                rows.append(TableRow(n, *best))
-            else:
-                rows.append(TableRow(n, res.factor, res.witness_id))
-                best = (res.factor, f"n={n}:{res.witness_id}")
-        cert = "LowerBound"
-    return MarkovTable(op.label, q, tuple(rows), cert)
+        return MarkovTable(op.label, q, tuple(markov_factor_l2(n, op.k, q.measure, sys=sys)
+                                              for n in degrees))
+    # M_k(n) never decreases in n: a row below the best so far repeats that
+    rows, best = [], None  # best: the best row so far, its id prefixed by its degree
+    for n in degrees:
+        row = markov_factor_search(n, op, q, budget=budget, seed=seed)
+        if best is not None and row.factor < best.factor:
+            row = replace(best, n=n)
+        else:
+            best = replace(row, witness_id=f"n={n}:{row.witness_id}")
+        rows.append(row)
+    return MarkovTable(op.label, q, tuple(rows))
 
 
 def fit_exponent(table: MarkovTable, window: Optional[tuple] = None) -> ExponentFit:
@@ -523,14 +518,14 @@ def family_exponent(family, E, k: int, n_range: tuple) -> ExponentFit:
 
 
 def asymptotic_exponent(
-    fits: Mapping[int, Union[ExponentFit, float]], k_range: Optional[tuple] = None
+    fits: Mapping[int, float], k_range: Optional[tuple] = None
 ) -> AsymptoticTrend:
-    """Trend of m_k/k from per-order exponent fits (see AsymptoticTrend)."""
+    """Trend of m_k/k from per-order exponents m_k (see AsymptoticTrend)."""
     table = {}
-    for k, fit in fits.items():
+    for k, m_k in fits.items():
         if k_range is not None and not (k_range[0] <= k <= k_range[1]):
             continue
-        table[int(k)] = fit.slope_ls if isinstance(fit, ExponentFit) else float(fit)
+        table[int(k)] = float(m_k)
     return asymptotic_trend(table)
 
 
@@ -545,7 +540,7 @@ def norm_exponent_trend(
     fits = {}
     for k in range(1, kmax + 1):
         table = factor_table(q, DerivOp(k), degrees, seed=seed, budget=budget)
-        fits[k] = fit_exponent(table)
+        fits[k] = fit_exponent(table).slope_ls
     return asymptotic_exponent(fits)
 
 

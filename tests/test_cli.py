@@ -414,6 +414,22 @@ def test_l2_table_is_exact_on_any_interval(tmp_path, capsys, a, b, degrees):
         assert float(row["factor"]) == 2.0 / (b - a) * unit
 
 
+@pytest.mark.parametrize("k, code", [(0, 0), (1, 2)], ids=["identity", "deriv"])
+def test_l2_degree_cap_only_on_the_exact_path(tmp_path, capsys, k, code):
+    # the degree cap is the exact L2 path's; k = 0 is the identity row 1.0 at any degree
+    out = tmp_path / "tab.csv"
+    cfg = write_config(tmp_path, "c.json", {"normspec": {"kind": "lp", "measure": {"kind": "lebesgue"}, "s": 2},
+                                            "operator": {"kind": "deriv", "k": k},
+                                            "degrees": [4, 300], "output": str(out)})
+    assert main(["factor-table", "--config", cfg]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "config field 'degrees'" in captured.err and not out.exists()
+    else:
+        rows = list(csv.DictReader(ln for ln in out.read_text().splitlines() if not ln.startswith("#")))
+        assert [(int(row["n"]), float(row["factor"])) for row in rows] == [(4, 1.0), (300, 1.0)]
+
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy is a test-only reference
     code = "import sys, markovlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

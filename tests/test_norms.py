@@ -180,6 +180,13 @@ class TestSupNorm:
         polys = self._mixed(rng)
         assert _sup(polys, E, refine, alpha) == [_sup([p], E, refine, alpha)[0] for p in polys]
 
+    # ROADMAP item 1, step 2: the circle samples Chebyshev series on |z| = 1,
+    # where T_k grows like (1 + sqrt 2)^k and the terms of z^n cancel
+    @pytest.mark.parametrize("n", [16, *(pytest.param(n, marks=pytest.mark.xfail(
+        strict=True, reason="Chebyshev terms cancel on the circle")) for n in (64, 100, 128))])
+    def test_monomial_on_the_circle(self, n):
+        assert sup_norm(monomial(n), disk_boundary()) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestSupRefinementOracles:
     """Refined sups against closed forms, and a floor under earlier values."""
