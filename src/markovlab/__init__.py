@@ -65,18 +65,14 @@ from .norms import (
     evaluate_norm,
     fit_nikolskii,
     lp_norm,
-    mixed_deriv_norm,
     qms_log_norm,
     qms_norm,
     qms_norm_exact,
     qms_seminorm_terms,
-    schur_norm,
     spec_from_json,
     spec_to_json,
     spectral_norm_estimate,
     sup_norm,
-    sup_plus_lp_norm,
-    taylor_disk_norm,
 )
 from .orthopoly import (
     OrthoSystem,

@@ -1,8 +1,9 @@
 """Finite-degree Markov factors M_k(n; q) and exponent estimation.
 
-Factor values are exact (largest singular value) in L2 settings and certified
-lower bounds everywhere else: sup-norm maximization is itself sampled, and the
-candidate-plus-ascent search can only under-shoot the true extremal ratio.
+Factor values are exact in L2 settings (largest singular value) and for the
+identity (M_0(n) = 1), and certified lower bounds everywhere else: sup-norm
+maximization is itself sampled, and the candidate-plus-ascent search can only
+under-shoot the true extremal ratio.
 Every factor is a ``Bound`` row that records its own method, ``Exact`` or
 ``LowerBound``, with the witness it was read from.
 """
@@ -226,19 +227,16 @@ class _PolyRatio:
         None; trial j is coef with steps[j] added to entry idx[j], and
         vals = values(coef)."""
         for j, (i, step) in enumerate(zip(idx, steps)):
-            r = self._one_trial(coef, i, step)
+            trial = coef.copy()
+            trial[i] += step
+            r = _ratio(self.op, self.q, ChebSeries(trial), refine=False)
             if r > floor:
                 return j, r
         return None
 
-    def _one_trial(self, coef: np.ndarray, i: int, step: float) -> float:
-        trial = coef.copy()
-        trial[i] += step
-        return _ratio(self.op, self.q, ChebSeries(trial), refine=False)
 
-
-class _BatchedRatio(_PolyRatio):
-    """The same ratios for real series of exact degree n, through one matrix.
+class _BatchedRatio:
+    """The same ratios for real series of degree at most n, through one matrix.
 
     The matrix stacks the denominator's sampling matrix over the numerator's
     times the operator's coefficient matrix, so screening is a matrix product
@@ -248,12 +246,11 @@ class _BatchedRatio(_PolyRatio):
     moving coefficient i by d has the values ``vals + d * matrix[:, i]``,
     where ``vals = matrix @ coef``, and one ``ratios`` call takes them all;
     ``max_block`` keeps a block within ``_SCREEN_ENTRIES`` values too.  A
-    vector whose top coefficient is exactly 0 has lower degree and other
-    grids; it takes the per-polynomial path, at the screen and as a trial.
+    vector whose top coefficient is 0 is sampled at the degree-n points and
+    rule, at least as fine as its own, so it takes the same matrix.
     """
 
-    def __init__(self, op: OperatorSpec, q: NormSpec, den, num, A: np.ndarray):
-        super().__init__(op, q)
+    def __init__(self, den, num, A: np.ndarray):
         self.den, self.num = den, num
         self.split = den.matrix.shape[0]
         # column-major: trials gather columns; complex where the operator is
@@ -271,41 +268,26 @@ class _BatchedRatio(_PolyRatio):
         return [_quotient(max(0.0, im), d) for d, im in zip(denoms, images)]
 
     def screen(self, coefs) -> list:
+        """The ratio of the series with each row of coefs as coefficients."""
         C = np.asarray(coefs)
-        out = [None if c[-1] != 0.0 else _ratio(self.op, self.q, ChebSeries(c), refine=False)
-               for c in C]
-        full = np.flatnonzero(C[:, -1] != 0.0)
-        width = max(1, _SCREEN_ENTRIES // self.matrix.shape[0])
-        for j in range(0, full.size, width):
-            chunk = full[j : j + width]
-            block = self.values(np.ascontiguousarray(C[chunk].T))
-            for i, r in zip(chunk, self.ratios(block)):
-                out[i] = r
+        width, out = max(1, _SCREEN_ENTRIES // self.matrix.shape[0]), []
+        for j in range(0, len(C), width):
+            out += self.ratios(self.values(np.ascontiguousarray(C[j : j + width].T)))
         return out
 
     def values(self, coef: np.ndarray) -> np.ndarray:
         return self.matrix @ coef
 
     def first_gain(self, coef, vals, idx, steps, floor):
+        """As ``_PolyRatio.first_gain``, from one rank-1 update per trial."""
         old = coef[idx]
-        moved = old + steps
         block = self.matrix[:, idx]
-        block *= moved - old
+        block *= (old + steps) - old
         block += vals[:, None]
-        denoms = self.den.reduce(block[: self.split]).tolist()
-        images = self.num.reduce(block[self.split :]).tolist()
-        top, top_zero = coef.size - 1, coef[-1] == 0.0
-        for j, (i, m, d, im) in enumerate(zip(idx.tolist(), moved.tolist(), denoms, images)):
-            if (m == 0.0) if i == top else top_zero:  # the degree drops
-                r = self._one_trial(coef, i, steps[j])
-            else:
-                r = _quotient(max(0.0, im), d)
-            if r > floor:
-                return j, r
-        return None
+        return next(((j, r) for j, r in enumerate(self.ratios(block)) if r > floor), None)
 
 
-def _ascend(coarse: _PolyRatio, coef: np.ndarray, ratio: float, rounds: int):
+def _ascend(coarse, coef: np.ndarray, ratio: float, rounds: int):
     """Coordinate ascent with step halving from coef, whose coarse ratio is
     ratio; the improved coefficients, or None where no trial improved.
 
@@ -358,7 +340,7 @@ def _coef_matrix(op: OperatorSpec, n: int) -> Optional[np.ndarray]:
     return _lincomb((c, deriv_matrix(n, k)) for c, (k,) in image)
 
 
-def _coarse_ratio(op: OperatorSpec, q: NormSpec, n: int) -> _PolyRatio:
+def _coarse_ratio(op: OperatorSpec, q: NormSpec, n: int):
     """The batched evaluator where both the operator and the norm have
     matrices at degree n, the per-polynomial one elsewhere."""
     A = _coef_matrix(op, n)
@@ -366,7 +348,7 @@ def _coarse_ratio(op: OperatorSpec, q: NormSpec, n: int) -> _PolyRatio:
     num = sampled_norm(q, A.shape[0] - 1) if den is not None else None
     if num is None:
         return _PolyRatio(op, q)
-    return _BatchedRatio(op, q, den, num, A)
+    return _BatchedRatio(den, num, A)
 
 
 def _no_nan(ratios, n: int) -> None:
@@ -424,19 +406,19 @@ def markov_factor_search(
     ``_coef_matrix``): matrix products screen the candidates, and the ascent
     (``_ascend``) takes its trials in blocks, each block one array pass of
     rank-1 updates (``_BatchedRatio.first_gain``).  2D, qms, odd or
-    non-integer L^p, large taylor_disk and multivariate-operator searches
-    take one polynomial, and one trial, at a time.  Either way the finalists
-    (the best candidate and its ascent) are certified in one refined pass:
-    ``_ratios`` evaluates every finalist's norm and operator images
-    together, with one Clenshaw pass over the grids and one zoom loop over
-    the brackets of all their sup terms.  Where NaN ratios (a norm that
+    non-integer L^p and large taylor_disk searches take one polynomial, and
+    one trial, at a time.  Either way the finalists (the best candidate and
+    its ascent) are certified in one refined pass: ``_ratios`` evaluates
+    every finalist's norm and operator images together, with one Clenshaw
+    pass over the grids and one zoom loop over the brackets of all their sup
+    terms.  Where NaN ratios (a norm that
     overflowed) leave no finite one, at the screen or at the certification,
     it raises ``PrecisionOverflowError``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if isinstance(op, DerivOp) and op.k == 0:
-        return Bound(n, 1.0, "identity", None, "LowerBound")
+        return Bound(n, 1.0, "identity", None, "Exact")
     finalists = _coarse_finalists(n, op, q, budget, seed)
     if not finalists:
         return Bound(n, 0.0, "none", None, "LowerBound")

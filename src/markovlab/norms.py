@@ -4,14 +4,17 @@ The public entry points (``evaluate_norm`` and ``_evaluate_norms``,
 ``sup_norm``, ``lp_norm``, ``spectral_norm_estimate``) accept a ``ChebSeries``
 or a ``MultiPoly`` and turn it into a ``ChebSeries`` once, by
 ``as_chebseries``; everything below them evaluates Chebyshev series only.
-The qms norms are the exception: they read power-basis terms, so
-``_qms_poly`` turns a ``ChebSeries`` into a ``MultiPoly``.
+The qms norms are the exception: they read power-basis terms of the
+polynomial as given, so ``_qms_poly`` turns a ``ChebSeries`` into a
+``MultiPoly`` and exact coefficients stay exact.
 
-Each norm except qms is defined once, by its spec's ``terms(deg)`` table
+Each norm is defined once, by its spec's ``terms(deg)`` table
 (``NormTerms``): sups of derivatives over a set with their weights, an
-optional Schur weight on the samples, and an optional L^p part.
-``evaluate_norm`` sums that table for one polynomial; ``sampled_norm`` turns
-the same table into one sampling matrix for a batch of Chebyshev series.
+optional Schur weight on the samples, an optional L^p part, and for qms its
+(m, s) entry.  ``evaluate_norm`` sums that table for one polynomial;
+``sampled_norm`` turns the same table into one sampling matrix for a batch
+of Chebyshev series, and declines the tables it cannot sample (qms among
+them).
 
 Sup norms on intervals are sampled at 8*(deg+1) Chebyshev-Lobatto points and
 every near-maximal bracket of that grid is refined by a zoom: 33 equispaced
@@ -696,7 +699,9 @@ class NormTerms:
     ``sup|D^k p| * scale / divisor`` over ``set`` (the two factors apart, so
     a term rounds as sup * r^k / k!), D differentiating along variable
     ``axis``; with ``alpha > 0`` the sup samples carry the Schur weight
-    (1 - |x|^2)^alpha.  ``lp = (mu, s)`` adds the L^s(mu) norm of p.
+    (1 - |x|^2)^alpha.  ``lp = (mu, s)`` adds the L^s(mu) norm of p, and
+    ``qms = (m, s)`` adds ``qms_norm(p, m, s)`` of p as given (not its
+    Chebyshev copy, so exact coefficients stay exact).
     """
 
     set: Optional[CompactSet] = None
@@ -704,6 +709,7 @@ class NormTerms:
     alpha: float = 0.0
     axis: int = 0
     lp: Optional[tuple] = None
+    qms: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -773,6 +779,9 @@ class QmsSpec:
         if not 0 < float(self.m) < math.inf or self.s < 1:
             raise ValueError("qms needs a finite m > 0 and a positive integer s")
 
+    def terms(self, deg: int) -> NormTerms:
+        return NormTerms(sups=(), qms=(self.m, self.s))
+
 
 @dataclass(frozen=True)
 class TaylorDiskSpec:
@@ -815,17 +824,17 @@ NormSpec = Union[
 
 
 def evaluate_norm(spec: NormSpec, p, refine: bool = True) -> float:
-    """q(p): the sum of the spec's ``terms`` table (qms: ``qms_norm``)."""
+    """q(p): the sum of the spec's ``terms`` table."""
     return _evaluate_norms(spec, [p], refine)[0]
 
 
 def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
     """``evaluate_norm`` of each of polys, with the sup terms of all of them
-    (every derivative order of every polynomial) in one ``_sup`` call."""
-    if isinstance(spec, QmsSpec):
-        return [qms_norm(_qms_poly(p), spec.m, spec.s) for p in polys]
-    polys = [as_chebseries(p) for p in polys]
+    (every derivative order of every polynomial) in one ``_sup`` call.  A
+    qms table reads each polynomial as given; every other one its
+    ``as_chebseries``."""
     tables = [spec.terms(_degree_int(p)) for p in polys]
+    polys = [p if t.qms else as_chebseries(p) for p, t in zip(polys, tables)]
     images = [image for p, t in zip(polys, tables) for image in _sup_images(p, t)]
     if len(images) == 1 and not tables[0].alpha:
         # one plain sup is sup_norm's value; bench/tracing.py times it there
@@ -839,6 +848,8 @@ def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
             total += next(sups) * scale / divisor
         if t.lp is not None:
             total += lp_norm(p, *t.lp)
+        if t.qms is not None:
+            total += qms_norm(_qms_poly(p), *t.qms)
         out.append(float(total))
     return out
 
@@ -862,25 +873,6 @@ def _qms_poly(p) -> MultiPoly:
     if p.nvars != 1:
         raise DimensionMismatchError(f"qms norms take one variable, not {p.nvars}")
     return p.to_unipoly() if isinstance(p, ChebSeries) else p
-
-
-def schur_norm(p, alpha: float, E: Optional[CompactSet] = None, refine: bool = True) -> float:
-    """sup of |p(x)| * (1 - x^2)^alpha over [-1, 1] (or (1-|x|^2)^alpha on a ball)."""
-    return evaluate_norm(SchurSpec(alpha, E), p, refine=refine)
-
-
-def taylor_disk_norm(p, E: CompactSet, r: float, refine: bool = True) -> float:
-    """sum_k sup|p^(k)|_E * r^k / k! (finite: terms vanish past deg p)."""
-    return evaluate_norm(TaylorDiskSpec(E, r), p, refine=refine)
-
-
-def mixed_deriv_norm(p, E: CompactSet, axis: int = 0, refine: bool = True) -> float:
-    """sup|p|_E + sup|d p / d x_axis|_E."""
-    return evaluate_norm(MixedDerivSpec(E, axis), p, refine=refine)
-
-
-def sup_plus_lp_norm(p, E: CompactSet, mu: Measure, s: float, refine: bool = True) -> float:
-    return evaluate_norm(SupPlusLpSpec(E, mu, s), p, refine=refine)
 
 
 # ---------------------------------------------------------------------------
@@ -931,13 +923,11 @@ def sampled_norm(spec: NormSpec, deg: int) -> Optional[SampledNorm]:
     sup term, on the points the per-polynomial path samples (the grids of
     every piece of the set, then its fixed samples, real or complex), then
     the Gauss nodes of an even-s L^p part.  Returns None for a set in two
-    variables, for qms and odd or non-integer s, and past
+    variables, for a qms entry and odd or non-integer s, and past
     ``_SAMPLED_MAX_ENTRIES``; those keep the per-polynomial path.
     """
-    if isinstance(spec, QmsSpec):
-        return None
     t, rule = spec.terms(deg), None
-    if t.sups and t.set.nvars != 1:
+    if t.qms or t.sups and t.set.nvars != 1:
         return None
     if t.lp is not None:
         mu, s = t.lp

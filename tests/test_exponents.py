@@ -169,6 +169,14 @@ class TestMarkovFactorSearch:
         assert res.factor >= 4.0 * (1 - 1e-12)
         assert res.factor == pytest.approx(4.0, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_box_attains_markov_in_each_variable(self, n):
+        # the search in two variables: Markov's inequality in each variable
+        # bounds both partials by n^2 on the square, and T_n(y) attains it
+        res = markov_factor_search(n, DerivOp(1), SupSpec(domains.box_region()))
+        assert res.factor == pytest.approx(n * n, rel=1e-12)
+        assert res.witness_id == f"chebprod:0,{n}"
+
     def test_directional_operator_univariate(self):
         res = markov_factor_search(2, DirOp((2.0,)), SupSpec(E))
         assert res.factor == pytest.approx(8.0, rel=1e-9)
@@ -218,13 +226,10 @@ PARITY_SPECS = {
 
 def _trial(coarse, coef, vals, i, step):
     """coef with ``step`` added to entry i, and its coarse ratio, by the
-    matrix as one rank-1 update (or by the per-polynomial path where the top
-    entry becomes 0), as trials were taken before trial blocks; vals =
-    coarse.values(coef)."""
+    matrix as one rank-1 update, as trials were taken before trial blocks;
+    vals = coarse.values(coef)."""
     trial = coef.copy()
     trial[i] += step
-    if trial[-1] == 0.0:
-        return trial, _ratio(coarse.op, coarse.q, ChebSeries(trial), refine=False)
     col = vals + (trial[i] - coef[i]) * coarse.matrix[:, i]
     return trial, float(coarse.ratios(col[:, None])[0])
 
@@ -238,11 +243,11 @@ def _block_of_one(coarse, coef, i, step):
 def _sequential_ascent(coarse, coef, cur_ratio, rounds):
     """The coordinate ascent one trial at a time, as the search ran it before
     trial blocks: the reference ``_ascend`` must equal bitwise.  Also counts
-    the kept trials that dropped the degree and the skipped iterations."""
+    the skipped iterations."""
     coef = np.array(coef, dtype=float, copy=True)
     steps = np.full(coef.size, 0.25 * max(np.max(np.abs(coef)), 1e-6))
     vals = coarse.values(coef)
-    improved, drops, skips = False, 0, 0
+    improved, skips = False, 0
     for it in range(rounds):
         i = it % coef.size
         if steps[i] < 1e-9:
@@ -253,12 +258,11 @@ def _sequential_ascent(coarse, coef, cur_ratio, rounds):
             trial, r = _trial(coarse, coef, vals, i, sgn * steps[i])
             if r > cur_ratio * (1 + 1e-14):
                 coef, cur_ratio, gained, improved = trial, r, True, True
-                drops += trial[-1] == 0.0
                 vals = coarse.values(coef)
                 break
         if not gained:
             steps[i] /= 2.0
-    return (coef if improved else None), drops, skips
+    return (coef if improved else None), skips
 
 
 def _sequential_search(n, op, q, budget, seed):
@@ -270,7 +274,7 @@ def _sequential_search(n, op, q, budget, seed):
     screened = coarse.screen(C)
     best = max(range(len(C)), key=lambda j: (screened[j], -j))
     finalists = [(names[best], ChebSeries(C[best]))]
-    coef, _, skips = _sequential_ascent(coarse, C[best], screened[best], _ASCENT_ROUNDS * budget)
+    coef, skips = _sequential_ascent(coarse, C[best], screened[best], _ASCENT_ROUNDS * budget)
     if coef is not None:
         finalists.append((names[best] + "+ascent", ChebSeries(coef)))
     certified = _ratios(op, q, [p for _, p in finalists], refine=True)
@@ -306,21 +310,6 @@ class TestBatchedSearch:
         # n = 3 runs 50 or 100 rounds per coordinate: steps fall below 1e-9
         assert skipped > 0
 
-    # sup[0,3] keeps the degree drop and then skips steps below 1e-9; on
-    # [-1, 1] the top entry leaves 0 again, back onto the matrix path
-    @pytest.mark.parametrize("q, n, seed, skipped", [(SupSpec(F03), 3, 18, True),
-                                                     (SupSpec(E), 6, 4, False)],
-                             ids=["sup[0,3]", "sup[-1,1]"])
-    def test_ascent_keeps_degree_drop(self, q, n, seed, skipped):
-        # the top entry is the step: its -step trial lands on exactly 0
-        coef = np.random.default_rng(seed).standard_normal(n + 1)
-        coef[n] = 0.25 * np.max(np.abs(coef[:n]))
-        coarse = _coarse_ratio(DerivOp(1), q, n)
-        (ratio,) = coarse.ratios(coarse.values(coef)[:, None])
-        want, drops, skips = _sequential_ascent(coarse, coef, ratio, _ASCENT_ROUNDS)
-        assert drops > 0 and (skips > 0) == skipped and (want[n] == 0.0) == skipped
-        assert _ascend(coarse, coef, ratio, _ASCENT_ROUNDS).tobytes() == want.tobytes()
-
     def test_large_taylor_disk_matrix_not_built(self):
         # its sampling matrix grows like 4*deg^3; past degree 62 the search
         # keeps the per-polynomial path
@@ -340,28 +329,31 @@ class TestBatchedSearch:
         with pytest.raises(PrecisionOverflowError):
             markov_factor_search(2, op, q)
 
-    def test_degree_drop_takes_per_polynomial_path(self, rng):
-        op, q, n = DerivOp(1), SupSpec(F03), 10
+    @pytest.mark.parametrize("q", [SupSpec(F03), SupSpec(E)], ids=["sup[0,3]", "sup[-1,1]"])
+    def test_degree_drop_stays_on_the_matrix(self, q, rng):
+        # a vector whose top entry is 0 is sampled at the degree-n points,
+        # as any other: its ratio is the matrix's, alone and inside a block
+        op, n = DerivOp(1), 10
         coarse = _coarse_ratio(op, q, n)
         coef = rng.standard_normal(n + 1)
         coef[n] = 0.5
-        trial, r = _trial(coarse, coef, coarse.values(coef), n, -0.5)
-        assert trial[n] == 0.0 and ChebSeries(trial).degree == n - 1
-        assert r == _ratio(op, q, ChebSeries(trial), refine=False)
+        drop, r = _trial(coarse, coef, coarse.values(coef), n, -0.5)
+        assert drop[n] == 0.0 and ChebSeries(drop).degree == n - 1
         assert r == _block_of_one(coarse, coef, n, -0.5)
-        # from a vector whose top entry is 0, every trial stays on that path
-        again, r2 = _trial(coarse, trial, coarse.values(trial), 3, 0.25)
-        assert r2 == _ratio(op, q, ChebSeries(again), refine=False)
-        assert r2 == _block_of_one(coarse, trial, 3, 0.25)
-        # in a block, such trials take that path and the others the matrix:
-        # the block's first gain above any floor is the one trial at a time
-        idx, steps = np.array([n, 3, n, 3]), np.array([-0.5, 0.25, 0.125, -0.5])
-        vals = coarse.values(coef)
-        alone = [_trial(coarse, coef, vals, i, s)[1] for i, s in zip(idx, steps)]
-        assert alone[0] == r
-        for floor in [-math.inf, *alone]:
-            want = next(((j, a) for j, a in enumerate(alone) if a > floor), None)
-            assert coarse.first_gain(coef, vals, idx, steps, floor) == want
+        assert r == pytest.approx(coarse.ratios(coarse.values(drop)[:, None])[0], rel=1e-12)
+        # trials from a vector whose top entry is 0, the top one included
+        for start, idx in ((coef, [n, 3, n, 3]), (drop, [3, n, 3, n])):
+            vals, steps = coarse.values(start), np.array([-0.5, 0.25, 0.125, -0.5])
+            alone = [_trial(coarse, start, vals, i, step)[1] for i, step in zip(idx, steps)]
+            assert alone == [_block_of_one(coarse, start, i, step) for i, step in zip(idx, steps)]
+            for floor in [-math.inf, *alone]:
+                want = next(((j, a) for j, a in enumerate(alone) if a > floor), None)
+                assert coarse.first_gain(start, vals, np.array(idx), steps, floor) == want
+        # an ascent whose -step trial on the top entry lands on exactly 0
+        coef[n] = 0.25 * np.max(np.abs(coef[:n]))
+        (ratio,) = coarse.ratios(coarse.values(coef)[:, None])
+        want, _ = _sequential_ascent(coarse, coef, ratio, _ASCENT_ROUNDS)
+        assert _ascend(coarse, coef, ratio, _ASCENT_ROUNDS).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", ["sup[-1,1]", "schur", "taylor_disk[-1,1]", "sup+l2"])
     def test_certification_matches_one_at_a_time(self, name, rng):
@@ -426,7 +418,7 @@ class TestFactorTable:
 
     @pytest.mark.parametrize(
         "q, op, method",
-        [(LpSpec(MU, 2.0), DerivOp(2), "Exact"), (LpSpec(MU, 2.0), DerivOp(0), "LowerBound"),
+        [(LpSpec(MU, 2.0), DerivOp(2), "Exact"), (LpSpec(MU, 2.0), DerivOp(0), "Exact"),
          (SupSpec(E), DerivOp(1), "LowerBound"), (SchurSpec(0.5), DirOp((2.0,)), "LowerBound")],
         ids=["l2", "l2-identity", "sup", "schur-dirop"],
     )
@@ -446,7 +438,7 @@ class TestFactorTable:
         assert type(l2) is Bound and (l2.n, l2.method, l2.witness_id) == (6, "Exact", "l2-extremal")
         assert l2.witness.shape == (7,)
         ident = markov_factor_search(6, DerivOp(0), SupSpec(E))
-        assert ident == Bound(6, 1.0, "identity", None, "LowerBound")
+        assert ident == Bound(6, 1.0, "identity", None, "Exact")
         res = markov_factor_search(6, DerivOp(1), SupSpec(E))
         assert type(res) is Bound and (res.n, res.method) == (6, "LowerBound")
         assert type(res.witness) is ChebSeries

@@ -32,21 +32,18 @@ from markovlab import (
     jacobi_measure,
     lebesgue_measure,
     lp_norm,
-    mixed_deriv_norm,
     monomial,
     qms_norm,
     qms_norm_exact,
     qms_seminorm_terms,
-    schur_norm,
     spec_from_json,
     spec_to_json,
     spectral_norm_estimate,
     sup_norm,
-    sup_plus_lp_norm,
-    taylor_disk_norm,
 )
 from markovlab.chebseries import ChebSeries, lobatto_points, random_unit
 from markovlab.norms import (
+    NormTerms,
     _coef_columns,
     _grid_roots,
     _grid_samples,
@@ -57,6 +54,7 @@ from markovlab.norms import (
     _sup,
     _sup_images,
     qms_log_norm,
+    sampled_norm,
 )
 
 from conftest import cheb_t_coeffs
@@ -640,13 +638,13 @@ class TestGridRoots:
 
 class TestSchurNorm:
     def test_constant(self):
-        assert schur_norm(UniPoly((1.0,)), 0.5) == pytest.approx(1.0, abs=1e-12)
+        assert evaluate_norm(SchurSpec(0.5), UniPoly((1.0,))) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear(self):
         # oracle: max |x| sqrt(1-x^2) on a dense grid, attained at 1/sqrt(2)
         xs = np.linspace(-1, 1, 200001)
         oracle = np.max(np.abs(xs) * np.sqrt(1 - xs**2))
-        got = schur_norm(UniPoly((0.0, 1.0)), 0.5)
+        got = evaluate_norm(SchurSpec(0.5), UniPoly((0.0, 1.0)))
         assert got == pytest.approx(0.5, abs=1e-12)
         assert got >= oracle - 1e-9
 
@@ -654,24 +652,24 @@ class TestSchurNorm:
         for _ in range(15):
             n = int(rng.integers(1, 33))
             p = random_unit(n, rng)
-            w = schur_norm(p, 0.5)
+            w = evaluate_norm(SchurSpec(0.5), p)
             s = sup_norm(p, E)
             assert w <= s * (1 + 1e-10)
             assert s <= (n + 1) * w * (1 + 1e-10)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            schur_norm(UniPoly((1.0,)), 0.0)
+            SchurSpec(0.0)
 
     def test_ball_variant_on_point_cloud(self):
         # weight (1 - |x|^2)^alpha clips to zero outside the unit ball, so a
         # box cloud covering the ball is a valid carrier
         cloud = box_region(grid=81)
         one = MultiPoly({(0, 0): 1.0}, 2)
-        assert schur_norm(one, 0.5, cloud) == pytest.approx(1.0, abs=1e-12)
+        assert evaluate_norm(SchurSpec(0.5, cloud), one) == pytest.approx(1.0, abs=1e-12)
         x1 = MultiPoly({(1, 0): 1.0}, 2)
         # max |x| sqrt(1 - x^2 - y^2) = 1/2 on the y = 0 slice
-        assert schur_norm(x1, 0.5, cloud) == pytest.approx(0.5, abs=1e-3)
+        assert evaluate_norm(SchurSpec(0.5, cloud), x1) == pytest.approx(0.5, abs=1e-3)
 
 
 class TestQmsNorm:
@@ -753,13 +751,35 @@ class TestQmsNorm:
         p = UniPoly((0.5j, 0.0, 1j, -2.0))
         assert qms_norm(p, 1, 1) == pytest.approx(3.5, rel=1e-12)
 
+    @pytest.mark.parametrize("m, s", [(1, 2), (2.5, 3)])
+    @pytest.mark.parametrize(
+        "p",
+        [UniPoly((Fraction(1, 3), 0, Fraction(-5, 7), Fraction(2, 9))),
+         UniPoly((0.5, -1.25, 0.0, 3.0)),
+         ChebSeries([0.25, -1.5, 0.5, 0.75])],
+        ids=["exact", "float", "ChebSeries"],
+    )
+    def test_evaluate_norm_is_the_table_entry(self, p, m, s):
+        spec = QmsSpec(m, s)
+        assert spec.terms(3) == NormTerms(sups=(), qms=(m, s))
+        power = p.to_unipoly() if isinstance(p, ChebSeries) else p
+        assert evaluate_norm(spec, p) == qms_norm(power, m, s)
+
+    def test_reads_the_polynomial_as_given(self):
+        # 10^400 has no double, so no Chebyshev copy of p exists
+        p = UniPoly.monomial(300, 10**400)
+        assert evaluate_norm(QmsSpec(2, 1), p) == qms_norm(p, 2, 1) > 0.0
+
+    def test_not_sampled(self):
+        assert sampled_norm(QmsSpec(1, 2), 8) is None
+
 
 class TestTaylorDiskNorm:
     def test_constant(self):
-        assert taylor_disk_norm(UniPoly((1.0,)), E, 0.7) == 1.0
+        assert evaluate_norm(TaylorDiskSpec(E, 0.7), UniPoly((1.0,))) == 1.0
 
     def test_linear_two_terms(self):
-        assert taylor_disk_norm(UniPoly((0.0, 1.0)), E, 1.0) == pytest.approx(2.0)
+        assert evaluate_norm(TaylorDiskSpec(E, 1.0), UniPoly((0.0, 1.0))) == pytest.approx(2.0)
 
     def test_sandwich_with_shifted_sup(self, rng):
         # q_sigma oracle: max over a disk-boundary grid of sup |p(x + zeta)|
@@ -768,7 +788,7 @@ class TestTaylorDiskNorm:
         for _ in range(8):
             n = int(rng.integers(1, 9))
             p = random_unit(n, rng)
-            q = taylor_disk_norm(p, E, 0.5)
+            q = evaluate_norm(TaylorDiskSpec(E, 0.5), p)
             grid = xs[None, :] + 0.5 * zetas[:, None]
             q_sigma = float(np.max(np.abs(p(grid))))
             assert q_sigma <= q * (1 + 1e-9)
@@ -776,8 +796,8 @@ class TestTaylorDiskNorm:
 
     def test_coarse_matches_refined(self):
         p = chebyshev_t(9)
-        coarse = taylor_disk_norm(p, E, 0.3, refine=False)
-        refined = taylor_disk_norm(p, E, 0.3, refine=True)
+        coarse = evaluate_norm(TaylorDiskSpec(E, 0.3), p, refine=False)
+        refined = evaluate_norm(TaylorDiskSpec(E, 0.3), p, refine=True)
         assert coarse == pytest.approx(refined, rel=1e-6)
 
 
@@ -795,17 +815,17 @@ class TestMixedDerivNorm:
     def test_constant(self):
         box = box_region(grid=33)
         p = MultiPoly({(0, 0): -3.0}, 2)
-        assert mixed_deriv_norm(p, box, 0) == pytest.approx(3.0)
+        assert evaluate_norm(MixedDerivSpec(box, 0), p) == pytest.approx(3.0)
 
     def test_coordinate_on_box(self):
         box = box_region(grid=33)
         p = MultiPoly({(1, 0): 1.0}, 2)
-        assert mixed_deriv_norm(p, box, 0) == pytest.approx(2.0)
+        assert evaluate_norm(MixedDerivSpec(box, 0), p) == pytest.approx(2.0)
 
     def test_univariate_union_variant(self):
         u = UnionSet((Interval(-1.0, 1.0),), (2.0,))
         p = UniPoly((0.0, 0.0, 1.0))  # x^2: sup 4 at the point, sup|2x| = 4
-        assert mixed_deriv_norm(p, u) == pytest.approx(8.0)
+        assert evaluate_norm(MixedDerivSpec(u), p) == pytest.approx(8.0)
 
     def test_cusp_bound(self, rng):
         # first-partial growth on the cusp set stays under 2*(deg)^2
@@ -827,10 +847,10 @@ class TestMixedDerivNorm:
 
 class TestSupPlusLp:
     def test_constant(self):
-        assert sup_plus_lp_norm(UniPoly((1.0,)), E, MU, 2) == pytest.approx(2.0)
+        assert evaluate_norm(SupPlusLpSpec(E, MU, 2), UniPoly((1.0,))) == pytest.approx(2.0)
 
     def test_linear(self):
-        got = sup_plus_lp_norm(UniPoly((0.0, 1.0)), E, MU, 2)
+        got = evaluate_norm(SupPlusLpSpec(E, MU, 2), UniPoly((0.0, 1.0)))
         assert got == pytest.approx(1.0 + 1.0 / math.sqrt(3.0), rel=1e-12)
 
 
@@ -958,7 +978,7 @@ class TestNormSpecJson:
 
     def test_taylor_disk_weight_overflow(self):
         with pytest.raises(PrecisionOverflowError):
-            taylor_disk_norm(chebyshev_t(4), E, 1e300)
+            evaluate_norm(TaylorDiskSpec(E, 1e300), chebyshev_t(4))
 
 
 # ---------------------------------------------------------------------------
@@ -1066,10 +1086,10 @@ _CONTRACT = {  # each public entry point that takes one polynomial
     "sup[0,3]": lambda p: sup_norm(p, Interval(0.0, 3.0)),
     "sup-union": lambda p: sup_norm(p, _UNION),
     "sup-circle": lambda p: sup_norm(p, disk_boundary()),
-    "schur": lambda p: schur_norm(p, 0.5),
-    "taylor_disk": lambda p: taylor_disk_norm(p, E, 0.5),
-    "mixed_deriv": lambda p: mixed_deriv_norm(p, E),
-    "sup+L2": lambda p: sup_plus_lp_norm(p, E, MU, 2.0),
+    "schur": lambda p: evaluate_norm(SchurSpec(0.5), p),
+    "taylor_disk": lambda p: evaluate_norm(TaylorDiskSpec(E, 0.5), p),
+    "mixed_deriv": lambda p: evaluate_norm(MixedDerivSpec(E), p),
+    "sup+L2": lambda p: evaluate_norm(SupPlusLpSpec(E, MU, 2.0), p),
     **{f"L^{s:g}": (lambda p, s=s: lp_norm(p, MU, s)) for s in (1.0, 1.5, 2.0, 3.0)},
     "qms(1,1)": lambda p: evaluate_norm(QmsSpec(1, 1), p),
     "qms(2,2)": lambda p: evaluate_norm(QmsSpec(2, 2), p),
