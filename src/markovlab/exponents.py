@@ -29,7 +29,7 @@ from .chebseries import (
     random_unit,
     random_units,
 )
-from .domains import Interval, Measure, SampledRegion2D, box_region, json_number
+from .domains import Interval, Measure, box_region, json_number
 from .errors import PrecisionOverflowError, SpectralityError
 from .fitting import AsymptoticTrend, ExponentFit, asymptotic_trend, fit_power_law
 from .norms import (
@@ -41,7 +41,6 @@ from .norms import (
     evaluate_norm,
     qms_log_norm,
     sampled_norm,
-    sup_norm,
 )
 from .orthopoly import OrthoSystem, jacobi_system, stieltjes_orthonormalize
 from .polynomials import DerivOp, DirOp, HomOp, UniPoly, _lincomb
@@ -50,6 +49,9 @@ DEFAULT_SEED = 1729
 _ASCENT_ROUNDS = 200
 _N_RANDOM_CANDIDATES = 64
 _SCREEN_ENTRIES = 1 << 15  # sampled values per screening product (256 kB)
+_LAPLACIAN_DEGMAX = 24  # laplacian_vs_gradient_check's corpus: degrees 1..24
+_FLOOR_DEGREES = (2, 16)  # spectral_exponent_floor's table and fit window
+_RANDOMS_PER_DEGREE = 2  # bernstein_schur_check's random polynomials per degree
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +477,8 @@ def family_exponent(family, E, k: int, n_range: tuple) -> ExponentFit:
 
     ``family`` is either an OrthoSystem (values by the recurrence, derivatives
     by its differentiation matrix: the only usable path at high degree) or a
-    sequence of polynomials with
-    deg family[n] = n.
+    sequence of polynomials with deg family[n] = n, whose sups, with those
+    of their k-th derivatives, are taken in one refined pass.
     """
     lo, hi = int(n_range[0]), int(n_range[1])
     lo = max(lo, 1)
@@ -487,28 +489,19 @@ def family_exponent(family, E, k: int, n_range: tuple) -> ExponentFit:
         base, der = family.sup_tables(E, (0, k))
         ratios = der[lo : hi + 1] / base[lo : hi + 1]
     else:
-        ratios = []
-        for n in ns:
-            p = family[n]
-            denom = sup_norm(p, E)
-            if denom == 0.0:
-                raise ValueError(f"family member {n} has zero norm")
-            ratios.append(sup_norm(p.deriv(k), E) / denom)
-        ratios = np.asarray(ratios)
+        members = [family[n] for n in ns]
+        sups = _evaluate_norms(SupSpec(E), [*members, *(p.deriv(k) for p in members)])
+        denoms = np.array(sups[: ns.size])
+        if not denoms.all():
+            raise ValueError(f"family member {ns[np.flatnonzero(denoms == 0.0)[0]]} has zero norm")
+        ratios = np.array(sups[ns.size :]) / denoms
     window = (max(lo, hi // 4), hi)
     return fit_power_law(ns, ratios, window=window)
 
 
-def asymptotic_exponent(
-    fits: Mapping[int, float], k_range: Optional[tuple] = None
-) -> AsymptoticTrend:
+def asymptotic_exponent(fits: Mapping[int, float]) -> AsymptoticTrend:
     """Trend of m_k/k from per-order exponents m_k (see AsymptoticTrend)."""
-    table = {}
-    for k, m_k in fits.items():
-        if k_range is not None and not (k_range[0] <= k <= k_range[1]):
-            continue
-        table[int(k)] = float(m_k)
-    return asymptotic_trend(table)
+    return asymptotic_trend({int(k): float(m_k) for k, m_k in fits.items()})
 
 
 def norm_exponent_trend(
@@ -596,21 +589,19 @@ class LaplacianReport:
     predicted_ratio: float
 
 
-def laplacian_vs_gradient_check(
-    E: Optional[SampledRegion2D] = None, degmax: int = 24, l: int = 1
-) -> LaplacianReport:
+def laplacian_vs_gradient_check(l: int = 1) -> LaplacianReport:
     """Compare fitted exponents of sum_j d^2l/dx_j^2l against the gradient.
 
     A first-derivative bound with exponent m is equivalent to an order-2l
     bound with exponent 2l*m, so the ratio of fitted exponents should sit
-    near 2l.  Runs on a product-Chebyshev corpus over a 2D box by default.
+    near 2l.  Runs on a product-Chebyshev corpus over the box [-1, 1]^2
+    (``box_region()``), degrees 1 to ``_LAPLACIAN_DEGMAX``.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    E = E if E is not None else box_region()
-    q = SupSpec(E)
+    q = SupSpec(box_region())
     grad, lap = DerivOp(1), HomOp((((2 * l, 0), 1.0), ((0, 2 * l), 1.0)))
-    ns = list(range(1, degmax + 1))
+    ns = list(range(1, _LAPLACIAN_DEGMAX + 1))
     grad_rows, op_rows = [], []
     for n in ns:
         corpus = [product_2d(chebyshev_t(i), chebyshev_t(n - i)) for i in range(n + 1)]
@@ -635,13 +626,9 @@ class FloorReport:
     spectral_defect: float
 
 
-def spectral_exponent_floor(
-    q: NormSpec,
-    n_range: tuple = (2, 16),
-    k: int = 1,
-    seed: int = DEFAULT_SEED,
-) -> FloorReport:
-    """Check that a spectral norm's fitted Markov exponent is >= 1 - 0.05.
+def spectral_exponent_floor(q: NormSpec, k: int = 1, seed: int = DEFAULT_SEED) -> FloorReport:
+    """Check that a spectral norm's fitted Markov exponent, over the degrees
+    in ``_FLOOR_DEGREES``, is >= 1 - 0.05.
 
     Preconditions the norm by certifying spectrality on monomial powers
     (q(p^t) = q(p)^t within 1e-8 relative); non-spectral norms raise
@@ -659,9 +646,9 @@ def spectral_exponent_floor(
         raise SpectralityError(
             f"norm is not spectral on monomials (defect {defect:.3e})"
         )
-    degrees = list(range(n_range[0], n_range[1] + 1))
-    table = factor_table(q, DerivOp(k), degrees, seed=seed)
-    fit = fit_exponent(table, window=(n_range[0], n_range[1]))
+    lo, hi = _FLOOR_DEGREES
+    table = factor_table(q, DerivOp(k), range(lo, hi + 1), seed=seed)
+    fit = fit_exponent(table, window=_FLOOR_DEGREES)
     return FloorReport(
         slope=fit.slope_ls,
         floor=1.0 - 0.05,
@@ -684,9 +671,7 @@ class BernsteinSchurReport:
         return self.bernstein_violations + self.schur_violations + self.combined_violations
 
 
-def bernstein_schur_check(
-    nmax: int = 64, seed: int = DEFAULT_SEED, randoms_per_degree: int = 2
-) -> BernsteinSchurReport:
+def bernstein_schur_check(nmax: int = 64, seed: int = DEFAULT_SEED) -> BernsteinSchurReport:
     """Check the weighted derivative/sup inequalities and fit their exponent.
 
     For every corpus polynomial of degree n the three chained inequalities
@@ -698,13 +683,14 @@ def bernstein_schur_check(
     are tested with a 1e-9 relative numeric slack.  The corpus is both
     Chebyshev kinds plus seeded random polynomials; the second kind is the
     near-extremal family for the weighted Markov factor, which is what makes
-    the fitted exponent land at 2.
+    the fitted exponent land at 2; ``_RANDOMS_PER_DEGREE`` random ones per
+    degree.
     """
     rng = np.random.default_rng(seed)
     corpus = []  # (n, name, p), in the order the seeded draws are made
     for n in range(1, nmax + 1):
         corpus += [(n, "T", chebyshev_t(n)), (n, "U", chebyshev_u(n))]
-        corpus += [(n, "rnd", random_unit(n, rng)) for _ in range(randoms_per_degree)]
+        corpus += [(n, "rnd", random_unit(n, rng)) for _ in range(_RANDOMS_PER_DEGREE)]
     polys = [p for _, _, p in corpus]
     # one refined pass per norm; each polynomial still gets the value it gets alone
     sups = _evaluate_norms(SupSpec(Interval(-1.0, 1.0)), polys)

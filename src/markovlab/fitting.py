@@ -16,6 +16,8 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+_MIN_FIT_POINTS = 4  # usable rows a power-law fit needs inside its window
+
 
 @dataclass(frozen=True)
 class ExponentFit:
@@ -64,13 +66,12 @@ def fit_power_law(
     degrees: Sequence[int],
     values: Sequence[float],
     window: Optional[tuple] = None,
-    min_points: int = 4,
 ) -> ExponentFit:
     """Fit values ~ C * n^slope on a degree window.
 
     Nonpositive rows (factor 0, e.g. annihilated constants) are excluded from
-    the fit with a logged count; a fit needs at least ``min_points`` usable
-    rows inside the window.
+    the fit with a logged count; a fit needs at least ``_MIN_FIT_POINTS``
+    usable rows inside the window.
     """
     ns = np.asarray(degrees, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -85,9 +86,9 @@ def fit_power_law(
     if excluded:
         log.debug("excluded %d nonpositive rows from exponent fit", excluded)
     keep = in_window & positive
-    if int(keep.sum()) < min_points:
+    if int(keep.sum()) < _MIN_FIT_POINTS:
         raise ValueError(
-            f"need at least {min_points} usable rows in window {window}, "
+            f"need at least {_MIN_FIT_POINTS} usable rows in window {window}, "
             f"got {int(keep.sum())}"
         )
     x = np.log(ns[keep])

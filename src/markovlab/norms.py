@@ -20,9 +20,10 @@ Sup norms on intervals are sampled at 8*(deg+1) Chebyshev-Lobatto points and
 every near-maximal bracket of that grid is refined by a zoom: 33 equispaced
 samples per stage, then the two neighbours of the best one, until the bracket
 is 1e-12 wide.  Every reported sup value is a sampled value, a certified
-under-estimate; certificates built from them are lower bounds.  The
-refinement works on a list of polynomials: each keeps its own grid and
-brackets, and the brackets of all of them go through one zoom loop.
+under-estimate; certificates built from them are lower bounds.  One ``_sup``
+call is one pass over every piece of every polynomial it is given: each
+(polynomial, piece) pair keeps its own grid and brackets, all grids go
+through one Clenshaw pass and all brackets through one zoom loop.
 ``evaluate_norm`` refines every sup term of its table that way (all deg+1
 derivative orders of taylor_disk in one pass), and ``_evaluate_norms`` does
 the same for many polynomials, which is how the Markov search certifies all
@@ -143,65 +144,31 @@ def _bracket_values(C: np.ndarray, weight):
     return lambda x, owner: values(x, owner) * weight(x)
 
 
-def _grid_samples(polys, grids, C: np.ndarray) -> list:
-    """p(pts) for each p in polys and its points in grids, bitwise.  Several
-    go through one Clenshaw pass over their coefficient columns C, each row
-    of points padded to the longest by repeating its last point."""
-    if len(polys) == 1:
-        return [polys[0](grids[0])]
+def _grid_samples(grids, C: np.ndarray) -> tuple:
+    """(X, V): row i of X holds the points grids[i] and row i of V the series
+    in column i of C at them, bitwise ``p(pts)``, all in one Clenshaw pass.
+    A row is padded to the longest by repeating its last point, so its value
+    there too."""
     X = np.empty((len(grids), max(pts.size for pts in grids)))
     for row, pts in zip(X, grids):
         row[: pts.size], row[pts.size :] = pts, pts[-1]
-    return [v[: pts.size] for v, pts in zip(chebval_columns(X, C[:, :, None]), grids)]
-
-
-def _weighted_sup_on_interval(polys, iv: Interval, weight=None, refine=True) -> list:
-    """max of |p(x)|*weight(x) over the interval iv, for each p in polys.
-
-    Each p is sampled on its own 8*(deg+1)-point grid, all of them in one
-    Clenshaw pass (``_grid_samples``).  Refinement zooms into every
-    near-maximal bracket of that grid (not just the best one):
-    under-refining a competing local maximum is what would let ratio
-    estimates drift above true extremal ratios.  The brackets of all polys
-    go through one ``_zoom_max`` loop.
-    """
-    C = _coef_columns(polys)
-    grids = [iv.grid(_degree_int(p)) for p in polys]
-    best, lo, hi, counts = [], [], [], []
-    for pts, vals in zip(grids, _grid_samples(polys, grids, C)):
-        vals = np.abs(vals)
-        if weight is not None:
-            vals = vals * weight(pts)
-        i = int(np.argmax(vals))
-        best.append(float(vals[i]))
-        npts = len(pts)
-        if refine:
-            interior = np.arange(1, npts - 1)
-            local_max = (vals[interior] >= vals[interior - 1]) & (
-                vals[interior] >= vals[interior + 1]
-            )
-            near_top = vals[interior] >= 0.9 * best[-1]
-            idx = interior[local_max & near_top]
-            # brackets (left, right) of grid indices, sorted, as keys left*npts + right
-            top = max(i - 1, 0) * npts + min(i + 1, npts - 1)
-            keys = np.unique(np.r_[(idx - 1) * npts + idx + 1, top])
-            lo.append(pts[keys // npts])
-            hi.append(pts[keys % npts])
-            counts.append(keys.size)
-    if counts:
-        owner = np.repeat(np.arange(len(counts)), counts)
-        refined = _zoom_max(
-            _bracket_values(C, weight), np.concatenate(lo), np.concatenate(hi), owner
-        )
-        for j, seg in enumerate(np.split(refined, np.cumsum(counts)[:-1])):
-            best[j] = max(best[j], float(seg.max()))
-    return best
+    return X, chebval_columns(X, C[:, :, None])
 
 
 def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
     """max over E of |p| for each p in polys, times the Schur weight when
-    alpha > 0: every piece of ``E.intervals`` in one refinement pass for all
-    polys, then the fixed ``E.samples``.  A NaN anywhere is the result."""
+    alpha > 0, in one pass over the cells, the (polynomial, piece of
+    ``E.intervals``) pairs, then the fixed ``E.samples``.
+
+    Each cell is sampled on its piece's 8*(deg+1)-point grid, all cells in
+    one Clenshaw pass (``_grid_samples``).  Refinement zooms into a bracket
+    around every interior local maximum of a cell's grid within 0.9 of the
+    cell's best sample (not just the best one: under-refining a competing
+    local maximum is what would let ratio estimates drift above true
+    extremal ratios), and around the best sample where it is an end of the
+    piece; the brackets of all cells go through one ``_zoom_max`` loop.
+    Everything folds in by np.maximum, so a NaN anywhere is the result.
+    """
     for p in polys:
         if p.nvars != E.nvars:
             raise DimensionMismatchError(
@@ -209,8 +176,29 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
             )
     weight = partial(_schur_weight, alpha) if alpha else None
     best = np.full(len(polys), -np.inf)
-    for iv in E.intervals:
-        best = np.maximum(best, _weighted_sup_on_interval(polys, iv, weight, refine))
+    if E.intervals:
+        C = _coef_columns(polys)
+        grids = [iv.grid(_degree_int(p)) for iv in E.intervals for p in polys]
+        owner = np.arange(len(grids)) % len(polys)
+        X, V = _grid_samples(grids, C[:, owner])
+        V = np.abs(V)
+        if weight is not None:
+            V = V * weight(X)
+        top = np.argmax(V, axis=1)
+        cell_best = V[np.arange(len(grids)), top]
+        np.maximum.at(best, owner, cell_best)
+        if refine:
+            last = np.array([pts.size - 1 for pts in grids])
+            mid = V[:, 1:-1]
+            peak = (mid >= V[:, :-2]) & (mid >= V[:, 2:]) & (mid >= 0.9 * cell_best[:, None])
+            # a peak at index c + 1 of its cell's own grid (not the padding) gets (c, c + 2)
+            r, c = np.nonzero(peak & (np.arange(1, V.shape[1] - 1) < last[:, None]))
+            end = np.flatnonzero((top == 0) | (top == last))
+            left = np.r_[c, np.maximum(top[end] - 1, 0)]
+            right = np.r_[c + 2, np.minimum(top[end] + 1, last[end])]
+            r = np.r_[r, end]
+            refined = _zoom_max(_bracket_values(C, weight), X[r, left], X[r, right], owner[r])
+            np.maximum.at(best, owner[r], refined)
     if E.samples[0].size:
         w = weight(*E.samples) if weight else 1.0
         best = np.maximum(best, [np.max(np.abs(p(*E.samples)) * w) for p in polys])
@@ -893,7 +881,9 @@ class SampledNorm:
     per derivative order, then the Gauss nodes of an L^p part.  ``reduce``
     turns the sampled values of k columns into their k norm values: the block
     maxima (times ``row_weight``, the Schur weight) summed with ``coeffs``,
-    plus the L^p power sum.
+    plus the L^p power sum.  Both sums run over the rows in order
+    (``np.add.accumulate``), so a column's value does not depend on how many
+    columns come with it.
     """
 
     matrix: np.ndarray
@@ -910,9 +900,11 @@ class SampledNorm:
             sup = np.abs(vals[:nsup])
             if self.row_weight is not None:
                 sup *= self.row_weight[:, None]
-            total = self.coeffs @ np.maximum.reduceat(sup, self.starts, axis=0)
+            maxima = np.maximum.reduceat(sup, self.starts, axis=0)
+            total = np.add.accumulate(self.coeffs[:, None] * maxima)[-1]
         if self.lp_weights is not None:
-            total = total + (self.lp_weights @ np.abs(vals[nsup:]) ** self.s) ** (1.0 / self.s)
+            power = self.lp_weights[:, None] * np.abs(vals[nsup:]) ** self.s
+            total = total + np.add.accumulate(power)[-1] ** (1.0 / self.s)
         return total
 
 

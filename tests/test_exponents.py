@@ -329,6 +329,23 @@ class TestBatchedSearch:
         with pytest.raises(PrecisionOverflowError):
             markov_factor_search(2, op, q)
 
+    @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
+    def test_block_ratio_independent_of_width(self, name, rng):
+        # each trial of a block, of any width, gets bitwise the ratio a block
+        # of one gives it: the reduction sums its rows in one order
+        op, n = DerivOp(1), 24
+        coarse = _coarse_ratio(op, PARITY_SPECS[name], n)
+        coef = rng.standard_normal(n + 1)
+        idx, steps = rng.integers(0, n + 1, 39), rng.standard_normal(39) / 4
+        alone = [_block_of_one(coarse, coef, i, step) for i, step in zip(idx, steps)]
+        seen, ratios = [], coarse.ratios
+        coarse.ratios = lambda block: seen.append(ratios(block)) or seen[-1]
+        vals = coarse.values(coef)
+        for width in (2, 7, 16, 39):
+            assert coarse.first_gain(coef, vals, idx[:width], steps[:width], math.inf) is None
+        assert [len(block) for block in seen] == [2, 7, 16, 39]
+        assert all(block == alone[: len(block)] for block in seen)
+
     @pytest.mark.parametrize("q", [SupSpec(F03), SupSpec(E)], ids=["sup[0,3]", "sup[-1,1]"])
     def test_degree_drop_stays_on_the_matrix(self, q, rng):
         # a vector whose top entry is 0 is sampled at the degree-n points,

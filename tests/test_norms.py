@@ -33,6 +33,7 @@ from markovlab import (
     lebesgue_measure,
     lp_norm,
     monomial,
+    norms,
     qms_norm,
     qms_norm_exact,
     qms_seminorm_terms,
@@ -161,11 +162,12 @@ class TestSupNorm:
     def test_grid_samples_in_one_pass_match_one_at_a_time(self, rng, iv):
         polys = self._mixed(rng)
         grids = [iv.grid(0 if p.is_zero else p.degree) for p in polys]
-        got = _grid_samples(polys, grids, _coef_columns(polys))
-        for p, pts, vals in zip(polys, grids, got):
+        X, V = _grid_samples(grids, _coef_columns(polys))
+        for p, pts, x, vals in zip(polys, grids, X, V):
             want = p(pts)
-            assert vals.shape == pts.shape and np.array_equal(vals, want)
-            assert np.abs(vals).tobytes() == np.abs(want).tobytes()
+            assert np.array_equal(x[: pts.size], pts) and np.all(x[pts.size :] == pts[-1])
+            assert np.array_equal(vals[: pts.size], want) and np.all(vals[pts.size :] == want[-1])
+            assert np.abs(vals[: pts.size]).tobytes() == np.abs(want).tobytes()
 
     @pytest.mark.parametrize("refine", [False, True])
     @pytest.mark.parametrize(
@@ -177,6 +179,41 @@ class TestSupNorm:
     def test_batched_sup_matches_one_at_a_time(self, rng, E, alpha, refine):
         polys = self._mixed(rng)
         assert _sup(polys, E, refine, alpha) == [_sup([p], E, refine, alpha)[0] for p in polys]
+
+    @pytest.mark.parametrize(
+        "E, c, K",
+        [(UnionSet((Interval(-1.0, 0.0), Interval(0.5, 2.0)), (1.0, 2.5, 1.5j)), 1.999, 0.05),
+         (UnionSet((Interval(-1.0, -0.5), Interval(0.5, 1.0))), 0.999, 0.25)],
+        ids=["union+points", "gap"],
+    )
+    def test_union_matches_reference_per_piece(self, rng, E, c, K):
+        # every piece of every polynomial in one pass, against the reference
+        # that zooms each piece by itself.  The last polynomial, 1 - K(x - c)^2,
+        # peaks at c, inside the last grid cell of the last piece, whose right
+        # end is the best grid sample: only the end bracket finds the sup
+        peak = ChebSeries([1.0 - K * c * c - K / 2, 2.0 * K * c, -K / 2])
+        polys = [*self._mixed(rng), peak]
+        pts = E.intervals[-1].grid(2)
+        assert pts[-2] < c < pts[-1] and np.argmax(np.abs(peak(pts))) == pts.size - 1
+        got = _sup(polys, E, True)
+        for p, value in zip(polys, got):
+            want = max(_one_at_a_time_sup(p, piece.a, piece.b, 0.0) for piece in E.intervals)
+            if E.points:
+                want = max(want, float(np.max(np.abs(p(np.array(E.points))))))
+            assert value == want
+        assert got[-1] == pytest.approx(1.0, abs=1e-15) and got[-1] > abs(peak(pts[-1]))
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_one_pass_per_call(self, rng, monkeypatch, refine):
+        # every piece of every polynomial: one Clenshaw pass over the grids,
+        # and one zoom over the brackets
+        calls = []
+        for name in ("_grid_samples", "_zoom_max"):
+            monkeypatch.setattr(norms, name, lambda *args, name=name, run=getattr(norms, name):
+                                calls.append(name) or run(*args))
+        E = UnionSet((Interval(-1.0, 0.0), Interval(0.5, 2.0), Interval(3.0, 4.0)), (1.5j,))
+        _sup(self._mixed(rng), E, refine)
+        assert calls == ["_grid_samples", "_zoom_max"][: 1 + refine]
 
     # ROADMAP item 1, step 2: the circle samples Chebyshev series on |z| = 1,
     # where T_k grows like (1 + sqrt 2)^k and the terms of z^n cancel
