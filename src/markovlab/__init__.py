@@ -40,7 +40,6 @@ from .errors import (
 from .exponents import (
     Bound,
     MarkovTable,
-    asymptotic_exponent,
     bernstein_schur_check,
     factor_table,
     family_exponent,
@@ -52,7 +51,7 @@ from .exponents import (
     qms_exact_exponent,
     spectral_exponent_floor,
 )
-from .fitting import AsymptoticTrend, ExponentFit, fit_power_law
+from .fitting import AsymptoticTrend, ExponentFit, asymptotic_exponent, fit_power_law
 from .norms import (
     LpSpec,
     MixedDerivSpec,

@@ -44,12 +44,14 @@ class Interval:
     def intervals(self) -> tuple:
         return (self,)
 
+    def at(self, t):
+        """The point (a + b)/2 + (b - a)/2 * t of [a, b] for each t of [-1, 1]."""
+        return (self.a + self.b) / 2 + self.width / 2 * t
+
     def grid(self, deg: int) -> np.ndarray:
         """The 8*(deg+1) Chebyshev-Lobatto points of [a, b] a degree-deg sup samples."""
         pts = lobatto_points(8 * (deg + 1))
-        if (self.a, self.b) == (-1.0, 1.0):
-            return pts
-        return (self.a + self.b) / 2 + self.width / 2 * pts
+        return pts if (self.a, self.b) == (-1.0, 1.0) else self.at(pts)
 
 
 @dataclass(frozen=True)
@@ -332,10 +334,9 @@ class Measure:
         """gauss_jacobi(nnodes, alpha, beta) mapped affinely onto the support;
         on [-1, 1], the cached read-only arrays themselves."""
         x, w = gauss_jacobi(nnodes, self.alpha, self.beta)
-        a, b = self.support.a, self.support.b
-        if (a, b) == (-1.0, 1.0):
+        if (self.support.a, self.support.b) == (-1.0, 1.0):
             return x, w
-        return (a + b) / 2 + self.support.width / 2 * x, w
+        return self.support.at(x), w
 
     def _tabulated_rule(self, nnodes: int):
         """Gauss-Legendre nodes on the support; weights dx times the weight function."""

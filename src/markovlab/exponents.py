@@ -14,9 +14,10 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
 from .chebseries import (
     ChebSeries,
@@ -29,18 +30,18 @@ from .chebseries import (
     random_unit,
     random_units,
 )
-from .domains import Interval, Measure, box_region, json_number
+from .domains import Interval, Measure, box_region, json_number, sup_points
 from .errors import PrecisionOverflowError, SpectralityError
-from .fitting import AsymptoticTrend, ExponentFit, asymptotic_trend, fit_power_law
+from .fitting import AsymptoticTrend, ExponentFit, asymptotic_exponent, fit_power_law
 from .norms import (
     LpSpec,
     NormSpec,
     SchurSpec,
     SupSpec,
     _evaluate_norms,
+    _schur_weight,
     evaluate_norm,
     qms_log_norm,
-    sampled_norm,
 )
 from .orthopoly import OrthoSystem, jacobi_system, stieltjes_orthonormalize
 from .polynomials import DerivOp, DirOp, HomOp, UniPoly, _lincomb
@@ -237,36 +238,108 @@ class _PolyRatio:
         return None
 
 
+# Largest sampling matrix built for a search's denominator (entries, 8 MB).
+# Only taylor_disk, whose matrix grows like 4*deg^3, passes it (past degree
+# 62); it then keeps the per-polynomial path, which needs no memory beyond one
+# polynomial's samples.
+_SAMPLED_MAX_ENTRIES = 1 << 20
+
+
+def _sampled_side(q: NormSpec, deg: int):
+    """(table, grids, rule): q's ``terms`` table at degree deg, the points at
+    which ``evaluate_norm(q, p, refine=False)`` samples each sup term of a
+    real series p of degree deg (the grids of every piece of the set, then
+    its fixed samples, real or complex), and the Gauss rule of an even-s L^p
+    part (None without one).  None for the tables no matrix takes: a set in
+    two variables, a qms entry, odd or non-integer s."""
+    t, rule = q.terms(deg), None
+    if t.qms or t.sups and t.set.nvars != 1:
+        return None
+    if t.lp is not None:
+        mu, s = t.lp
+        if not float(s).is_integer() or int(s) % 2:
+            return None
+        rule = mu.rule_for_degree(deg * int(s))
+    return t, [sup_points(t.set, max(deg - k, 0)) for k, _, _ in t.sups], rule
+
+
+def _sampling_matrix(deg: int, t, grids, rule) -> np.ndarray:
+    """The values at a ``_sampled_side``'s points of real series of degree
+    deg, from their coefficients: one block per sup term, then the rule."""
+    blocks, power = [], np.eye(deg + 1)
+    step = np.zeros((deg + 1, deg + 1))  # d/dx, padded to a square
+    if len(grids) > 1:
+        step[:deg] = deriv_matrix(deg, 1)[:deg]
+    for (k, _, _), grid in zip(t.sups, grids):  # orders run 0, 1, 2, ...: power is D^k
+        dk = max(deg - k, 0)
+        vander = chebvander(grid, dk)
+        blocks.append(vander @ power[: dk + 1] if k else vander)
+        power = step @ power
+    if rule:
+        blocks.append(chebvander(rule[0], deg))
+    return np.vstack(blocks)
+
+
 class _BatchedRatio:
     """The same ratios for real series of degree at most n, through one matrix.
 
-    The matrix stacks the denominator's sampling matrix over the numerator's
-    times the operator's coefficient matrix, so screening is a matrix product
-    (in column chunks of at most ``_SCREEN_ENTRIES`` values, which bounds the
-    memory for any budget).  A block of ascent trials, each moving one
-    coefficient of the current vector ``coef``, is one array pass: the trial
-    moving coefficient i by d has the values ``vals + d * matrix[:, i]``,
-    where ``vals = matrix @ coef``, and one ``ratios`` call takes them all;
+    Built from den and num, the ``_sampled_side`` of q at degree n and at the
+    operator's image degree, and A, the operator's coefficient matrix, the
+    matrix takes coefficient vectors (as columns) to exactly the values the
+    coarse ratio samples: the sup blocks of q(p), then those of q(Ap), then
+    the L^p Gauss nodes of both.  Screening is a matrix product (in column
+    chunks of at most ``_SCREEN_ENTRIES`` values, which bounds the memory for
+    any budget).  A block of ascent trials, each moving one coefficient of
+    the current vector ``coef``, is one array pass: the trial moving
+    coefficient i by d has the values ``vals + d * matrix[:, i]``, where
+    ``vals = matrix @ coef``, and one ``ratios`` call takes them all;
     ``max_block`` keeps a block within ``_SCREEN_ENTRIES`` values too.  A
     vector whose top coefficient is 0 is sampled at the degree-n points and
     rule, at least as fine as its own, so it takes the same matrix.
     """
 
     def __init__(self, den, num, A: np.ndarray):
-        self.den, self.num = den, num
-        self.split = den.matrix.shape[0]
+        (t, grids, rule), (num_t, num_grids, num_rule) = den, num
+        dense = [_sampling_matrix(A.shape[1] - 1, *den),
+                 _sampling_matrix(A.shape[0] - 1, *num) @ A]
+        sup_rows = [sum(g.size for g in grids), sum(g.size for g in num_grids)]
         # column-major: trials gather columns; complex where the operator is
-        self.matrix = np.empty((self.split + num.matrix.shape[0], A.shape[1]),
-                               dtype=np.result_type(den.matrix, A), order="F")
-        self.matrix[: self.split] = den.matrix
-        self.matrix[self.split :] = num.matrix @ A
+        self.matrix = np.empty((sum(M.shape[0] for M in dense), A.shape[1]),
+                               dtype=np.result_type(*dense), order="F")
+        np.concatenate([M[:r] for M, r in zip(dense, sup_rows)]
+                       + [M[r:] for M, r in zip(dense, sup_rows)], out=self.matrix)
+        grids = grids + num_grids
+        self.nsup, self.split = sum(sup_rows), len(t.sups)  # the denominator's blocks
+        self.starts = np.cumsum([0] + [g.size for g in grids[:-1]])
+        self.coeffs = np.asarray([scale / divisor for table in (t, num_t)
+                                  for _, scale, divisor in table.sups], dtype=float)
+        self.row_weight = _schur_weight(t.alpha, np.concatenate(grids)) if t.alpha else None
+        # the Gauss weights of both sides, the denominator's count, and s
+        self.lp = (np.concatenate([rule[1], num_rule[1]]), rule[1].size, int(t.lp[1])) if rule else None
         # the most ascent iterations in one block, at two trials each
         self.max_block = max(1, _SCREEN_ENTRIES // (2 * self.matrix.shape[0]))
 
     def ratios(self, vals: np.ndarray) -> list:
-        """The ratios of the columns of vals = matrix @ coefs, as ``_ratios``."""
-        denoms = self.den.reduce(vals[: self.split]).tolist()
-        images = self.num.reduce(vals[self.split :]).tolist()
+        """The ratios of the columns of vals = matrix @ coefs, as ``_ratios``:
+        the maxima of every sup block of both sides in one reduction (times
+        ``row_weight``, the Schur weight), each side's maxima summed with
+        ``coeffs``, plus its L^p power sum.  Both sums run over a side's rows
+        in order (``np.add.accumulate``), so a column's ratio does not depend
+        on how many columns come with it."""
+        vals = np.abs(vals)
+        sides = [0.0, 0.0]
+        if self.nsup:
+            sup = vals[: self.nsup]
+            if self.row_weight is not None:
+                sup *= self.row_weight[:, None]
+            terms = self.coeffs[:, None] * np.maximum.reduceat(sup, self.starts, axis=0)
+            sides = [np.add.accumulate(part)[-1] for part in np.split(terms, [self.split])]
+        if self.lp is not None:
+            weights, split, s = self.lp
+            power = np.split(weights[:, None] * vals[self.nsup :] ** s, [split])
+            sides = [side + np.add.accumulate(part)[-1] ** (1.0 / s)
+                     for side, part in zip(sides, power)]
+        denoms, images = (side.tolist() for side in sides)
         return [_quotient(max(0.0, im), d) for d, im in zip(denoms, images)]
 
     def screen(self, coefs) -> list:
@@ -343,14 +416,18 @@ def _coef_matrix(op: OperatorSpec, n: int) -> Optional[np.ndarray]:
 
 
 def _coarse_ratio(op: OperatorSpec, q: NormSpec, n: int):
-    """The batched evaluator where both the operator and the norm have
-    matrices at degree n, the per-polynomial one elsewhere."""
+    """The batched evaluator where the operator has a matrix at degree n and
+    q's table a sampling matrix of at most ``_SAMPLED_MAX_ENTRIES`` entries
+    there; the per-polynomial one elsewhere (sets in two variables among
+    them)."""
     A = _coef_matrix(op, n)
-    den = sampled_norm(q, n) if A is not None else None
-    num = sampled_norm(q, A.shape[0] - 1) if den is not None else None
-    if num is None:
-        return _PolyRatio(op, q)
-    return _BatchedRatio(den, num, A)
+    den = None if A is None else _sampled_side(q, n)
+    if den is not None:
+        _, grids, rule = den
+        rows = sum(g.size for g in grids) + (rule[0].size if rule else 0)
+        if rows * (n + 1) <= _SAMPLED_MAX_ENTRIES:
+            return _BatchedRatio(den, _sampled_side(q, A.shape[0] - 1), A)
+    return _PolyRatio(op, q)
 
 
 def _no_nan(ratios, n: int) -> None:
@@ -369,7 +446,7 @@ def _coarse_finalists(n: int, op: OperatorSpec, q: NormSpec, budget: int, seed: 
     rng = np.random.default_rng(seed + 7919 * n)
     two_dim = getattr(getattr(q, "set", None), "nvars", 1) == 2
     names, coefs = (_candidates_2d if two_dim else _candidates_1d)(n, rng, budget)
-    coarse = _PolyRatio(op, q) if two_dim else _coarse_ratio(op, q, n)
+    coarse = _coarse_ratio(op, q, n)
     best, best_ratio = None, -math.inf
     screened = coarse.screen(coefs)
     for j, r in enumerate(screened):
@@ -403,17 +480,17 @@ def markov_factor_search(
     Screening and ascent use the coarse (``refine=False``) ratio.  The
     random candidates are drawn as one coefficient matrix, and only the
     winner becomes a ``ChebSeries``.  On a set in one variable (interval,
-    union or circle), with a univariate operator, the ratio comes from
-    matrices built once per call (``norms.sampled_norm`` and
-    ``_coef_matrix``): matrix products screen the candidates, and the ascent
-    (``_ascend``) takes its trials in blocks, each block one array pass of
-    rank-1 updates (``_BatchedRatio.first_gain``).  2D, qms, odd or
-    non-integer L^p and large taylor_disk searches take one polynomial, and
-    one trial, at a time.  Either way the finalists (the best candidate and
-    its ascent) are certified in one refined pass: ``_ratios`` evaluates
-    every finalist's norm and operator images together, with one Clenshaw
-    pass over the grids and one zoom loop over the brackets of all their sup
-    terms.  Where NaN ratios (a norm that
+    union or circle), with a univariate operator, the ratio comes from one
+    matrix built once per call (``_BatchedRatio``, from the norm's ``terms``
+    tables and ``_coef_matrix``): matrix products screen the candidates, and
+    the ascent (``_ascend``) takes its trials in blocks, each block one array
+    pass of rank-1 updates and one reduction (``_BatchedRatio.first_gain``).
+    2D, qms, odd or non-integer L^p and large taylor_disk searches take one
+    polynomial, and one trial, at a time.  Either way the finalists (the
+    best candidate and its ascent) are certified in one refined pass:
+    ``_ratios`` evaluates every finalist's norm and operator images
+    together, with one Clenshaw pass over the grids and one zoom loop over
+    the brackets of all their sup terms.  Where NaN ratios (a norm that
     overflowed) leave no finite one, at the screen or at the certification,
     it raises ``PrecisionOverflowError``.
     """
@@ -497,11 +574,6 @@ def family_exponent(family, E, k: int, n_range: tuple) -> ExponentFit:
         ratios = np.array(sups[ns.size :]) / denoms
     window = (max(lo, hi // 4), hi)
     return fit_power_law(ns, ratios, window=window)
-
-
-def asymptotic_exponent(fits: Mapping[int, float]) -> AsymptoticTrend:
-    """Trend of m_k/k from per-order exponents m_k (see AsymptoticTrend)."""
-    return asymptotic_trend({int(k): float(m_k) for k, m_k in fits.items()})
 
 
 def norm_exponent_trend(

@@ -129,12 +129,13 @@ class AsymptoticTrend:
         return list(zip(self.ks, self.exponents, self.ratios))
 
 
-def asymptotic_trend(exponents_by_k: Mapping[int, float]) -> AsymptoticTrend:
-    """Estimate lim_k m_k/k from finitely many order-k exponents."""
-    ks = sorted(int(k) for k in exponents_by_k)
+def asymptotic_exponent(fits: Mapping[int, float]) -> AsymptoticTrend:
+    """The trend of m_k/k, and its limit estimate, from finitely many
+    order-k exponents m_k = fits[k] (see AsymptoticTrend)."""
+    ks = sorted(int(k) for k in fits)
     if len(ks) < 3:
         raise ValueError("need at least 3 orders k")
-    mks = [float(exponents_by_k[k]) for k in ks]
+    mks = [float(fits[k]) for k in ks]
     ratios = [m / k for m, k in zip(mks, ks)]
     u = np.array([1.0 / k for k in ks])
     y = np.array(ratios)

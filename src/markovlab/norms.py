@@ -11,10 +11,10 @@ polynomial as given, so ``_qms_poly`` turns a ``ChebSeries`` into a
 Each norm is defined once, by its spec's ``terms(deg)`` table
 (``NormTerms``): sups of derivatives over a set with their weights, an
 optional Schur weight on the samples, an optional L^p part, and for qms its
-(m, s) entry.  ``evaluate_norm`` sums that table for one polynomial;
-``sampled_norm`` turns the same table into one sampling matrix for a batch
-of Chebyshev series, and declines the tables it cannot sample (qms among
-them).
+(m, s) entry.  ``evaluate_norm`` sums that table for one polynomial; the
+Markov search (``exponents._BatchedRatio``) turns the same table into one
+sampling matrix for a batch of Chebyshev series, and declines the tables it
+cannot sample (qms among them).
 
 Sup norms on intervals are sampled at 8*(deg+1) Chebyshev-Lobatto points and
 every near-maximal bracket of that grid is refined by a zoom: 33 equispaced
@@ -29,8 +29,8 @@ derivative orders of taylor_disk in one pass), and ``_evaluate_norms`` does
 the same for many polynomials, which is how the Markov search certifies all
 its finalists at once.  ``refine=False`` skips the local refinement: it is
 the per-polynomial coarse evaluation.  The Markov search screens candidates
-and runs its ascent on the same samples through ``sampled_norm`` and keeps
-the per-polynomial path for the inputs ``sampled_norm`` does not cover.
+and runs its ascent on the same samples through its matrix and keeps the
+per-polynomial path for the tables the matrix declines.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Mapping, Optional, Sequence, Union, get_args
 import numpy as np
 from numpy.polynomial import chebyshev as nch
 
-from .chebseries import ChebSeries, as_chebseries, chebval_columns, deriv_matrix
+from .chebseries import ChebSeries, as_chebseries, chebval_columns
 from .domains import (
     CompactSet,
     Interval,
@@ -56,7 +56,6 @@ from .domains import (
     measure_to_json,
     set_from_json,
     set_to_json,
-    sup_points,
 )
 from .errors import DimensionMismatchError, PrecisionOverflowError
 from .fitting import max_pairwise_slope
@@ -452,9 +451,9 @@ def _root_split_integral(p, mu: Measure, s: float, cuts, roots: list, nnodes: in
         sizes = (2 * sizes[-1],)  # powers of two, so never past _LP_MAX_NODES
 
 
-def _lobatto_points(a: float, b: float, m: int) -> np.ndarray:
-    """The m + 1 Chebyshev-Lobatto points (a + b)/2 + (b - a)/2 cos(j pi / m) of [a, b]."""
-    return (a + b) / 2 + (b - a) / 2 * np.cos(np.arange(m + 1) * (np.pi / m))
+def _cos_points(m: int) -> np.ndarray:
+    """The m + 1 Chebyshev-Lobatto points cos(j pi / m) of [-1, 1], j = 0..m."""
+    return np.cos(np.arange(m + 1) * (np.pi / m))
 
 
 def _lobatto_coef(v: np.ndarray) -> np.ndarray:
@@ -472,15 +471,15 @@ def _lobatto_coef(v: np.ndarray) -> np.ndarray:
     return c
 
 
-def _support_series(p: ChebSeries, a: float, b: float, v=None) -> ChebSeries:
+def _support_series(p: ChebSeries, support: Interval, v=None) -> ChebSeries:
     """p in the support's coordinate t = (2x - a - b)/(b - a): p itself on
     [-1, 1], else the series read off v, p's values at the deg + 1
-    Chebyshev-Lobatto points of [a, b] (taken here when None).  Coefficients
-    in x that keep p of size one beyond [-1, 1] are graded, and the roots
-    found from them drift near the far end."""
-    if (a, b) == (-1.0, 1.0):
+    Chebyshev-Lobatto points ``support.at(_cos_points(deg))`` (taken here
+    when None).  Coefficients in x that keep p of size one beyond [-1, 1]
+    are graded, and the roots found from them drift near the far end."""
+    if (support.a, support.b) == (-1.0, 1.0):
         return p
-    return ChebSeries(_lobatto_coef(p(_lobatto_points(a, b, p.degree)) if v is None else v))
+    return ChebSeries(_lobatto_coef(p(support.at(_cos_points(p.degree))) if v is None else v))
 
 
 def _odd_power_integral(p, mu: Measure, s: int) -> float:
@@ -496,10 +495,9 @@ def _odd_power_integral(p, mu: Measure, s: int) -> float:
     (d_(k-1) - d_(k+1))/(2k) and whose values at t = cos(theta) are sums of
     cos(k theta).
     """
-    a, b = mu.support.a, mu.support.b
     m = p.degree * s
-    v = p(_lobatto_points(a, b, m))
-    roots = _real_roots_inside(_support_series(p, a, b, v[::s]))
+    v = p(mu.support.at(_cos_points(m)))
+    roots = _real_roots_inside(_support_series(p, mu.support, v[::s]))
     d = np.append(_lobatto_coef(v**s), (0.0, 0.0))
     d[0] *= 2
     k = np.arange(1, m + 2)
@@ -517,9 +515,12 @@ def _check_lp_order(s) -> None:
 def lp_norm(p, mu: Measure, s: float) -> float:
     """(integral of |p|^s dmu)^(1/s).
 
-    p is first scaled by the power of two that brings its largest
-    coefficient into [0.5, 1), and the norm scaled back, so no finite
-    coefficients overflow |p|^s; a constant c gives |c| directly.
+    p is first scaled by a power of two, and the norm scaled back, so that
+    |p|^s does not overflow: on [-1, 1] the one that brings its largest
+    coefficient into [0.5, 1), which bounds |p| there; on any other support
+    the one that brings its largest value at the deg + 1 Chebyshev-Lobatto
+    points of the support into [0.5, 1), and where one of those values is not
+    finite the norm is inf.  A constant c gives |c| directly.
 
     Even integer s: one Gauss rule matched to the weight, exact for the
     polynomial |p|^s.  Odd s under a Lebesgue measure with real p: no
@@ -547,10 +548,15 @@ def lp_norm(p, mu: Measure, s: float) -> float:
         raise DimensionMismatchError("lp_norm takes univariate polynomials")
     if p.coef.size <= 1:  # the zero polynomial or a constant; mu has mass 1
         return float(abs(p.coef[0])) if p.coef.size else 0.0
-    parts = p.coef.view(float)  # the real and imaginary parts of complex coefficients
-    scale = math.frexp(np.max(np.abs(parts)))[1]
-    coef = np.ldexp(parts, -scale).view(p.coef.dtype)
-    deg = len(coef) - 1
+    deg, support = p.coef.size - 1, mu.support
+    sizes = p.coef  # whose real and imaginary parts set the scale
+    if (support.a, support.b) != (-1.0, 1.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sizes = p(support.at(_cos_points(deg)))
+        if not np.isfinite(sizes).all():
+            return math.inf
+    scale = math.frexp(np.max(np.abs(sizes.view(float))))[1]
+    coef = np.ldexp(p.coef.view(float), -scale).view(p.coef.dtype)
     s_int = int(s) if float(s).is_integer() else None
 
     if s_int is not None and s_int % 2 == 0:
@@ -559,9 +565,9 @@ def lp_norm(p, mu: Measure, s: float) -> float:
     elif s_int is not None and mu.kind == "lebesgue" and np.isrealobj(coef):
         total = _odd_power_integral(ChebSeries(coef), mu, s_int)
     else:
-        p, a, b = ChebSeries(coef), mu.support.a, mu.support.b
-        t = np.array(_real_roots_inside(_support_series(p, a, b)))
-        roots = [x for x in ((a + b) / 2 + (b - a) / 2 * t).tolist() if a < x < b]
+        p, a, b = ChebSeries(coef), support.a, support.b
+        t = np.array(_real_roots_inside(_support_series(p, support)))
+        roots = [x for x in support.at(t).tolist() if a < x < b]
         nnodes = min(_LP_FIRST_NODES, 1 << (deg * math.ceil(s) // 2).bit_length())
         total = _root_split_integral(p, mu, s, _lp_cuts(roots, mu), roots, nnodes)
     try:
@@ -782,11 +788,14 @@ class TaylorDiskSpec:
             raise ValueError("disk radius must be finite and positive")
 
     def terms(self, deg: int) -> NormTerms:
-        """sup|p^(k)| * r^k / k! for k = 0..deg (the rest vanish)."""
+        """sup|p^(k)| * r^k / k! for k = 0..deg (the rest vanish); r^k and k!
+        must be doubles, which k! is up to k = 170."""
         try:
             weights = [self.r**k for k in range(deg + 1)]
+            float(math.factorial(deg))
         except OverflowError:
-            raise PrecisionOverflowError(f"taylor_disk weight r^{deg} leaves the double range")
+            raise PrecisionOverflowError(
+                f"taylor_disk weight r^{deg} or {deg}! leaves the double range")
         return NormTerms(
             self.set, sups=tuple((k, w, math.factorial(k)) for k, w in enumerate(weights))
         )
@@ -861,96 +870,6 @@ def _qms_poly(p) -> MultiPoly:
     if p.nvars != 1:
         raise DimensionMismatchError(f"qms norms take one variable, not {p.nvars}")
     return p.to_unipoly() if isinstance(p, ChebSeries) else p
-
-
-# ---------------------------------------------------------------------------
-# Sampled norms: the refine=False evaluation of a whole batch at once
-
-# Largest sampling matrix built (entries, 8 MB).  Only taylor_disk, whose matrix
-# grows like 4*deg^3, passes it (past degree 62); it then keeps the
-# per-polynomial path, which needs no memory beyond one polynomial's samples.
-_SAMPLED_MAX_ENTRIES = 1 << 20
-
-
-@dataclass(frozen=True)
-class SampledNorm:
-    """A norm on Chebyshev series of one fixed degree, as a matrix and a reduction.
-
-    ``matrix`` takes coefficient vectors (as columns) to exactly the values
-    ``evaluate_norm(spec, p, refine=False)`` samples: one block of sup samples
-    per derivative order, then the Gauss nodes of an L^p part.  ``reduce``
-    turns the sampled values of k columns into their k norm values: the block
-    maxima (times ``row_weight``, the Schur weight) summed with ``coeffs``,
-    plus the L^p power sum.  Both sums run over the rows in order
-    (``np.add.accumulate``), so a column's value does not depend on how many
-    columns come with it.
-    """
-
-    matrix: np.ndarray
-    starts: np.ndarray  # first row of each sup block
-    coeffs: np.ndarray  # weight of each block maximum in the sum
-    row_weight: Optional[np.ndarray] = None
-    lp_weights: Optional[np.ndarray] = None
-    s: int = 0
-
-    def reduce(self, vals: np.ndarray) -> np.ndarray:
-        nsup = self.matrix.shape[0] - (0 if self.lp_weights is None else self.lp_weights.size)
-        total = 0.0
-        if nsup:
-            sup = np.abs(vals[:nsup])
-            if self.row_weight is not None:
-                sup *= self.row_weight[:, None]
-            maxima = np.maximum.reduceat(sup, self.starts, axis=0)
-            total = np.add.accumulate(self.coeffs[:, None] * maxima)[-1]
-        if self.lp_weights is not None:
-            power = self.lp_weights[:, None] * np.abs(vals[nsup:]) ** self.s
-            total = total + np.add.accumulate(power)[-1] ** (1.0 / self.s)
-        return total
-
-
-def sampled_norm(spec: NormSpec, deg: int) -> Optional[SampledNorm]:
-    """``evaluate_norm(spec, ., refine=False)`` on real series of exact degree ``deg``.
-
-    Built from the same ``terms`` table: one Chebyshev-Vandermonde block per
-    sup term, on the points the per-polynomial path samples (the grids of
-    every piece of the set, then its fixed samples, real or complex), then
-    the Gauss nodes of an even-s L^p part.  Returns None for a set in two
-    variables, for a qms entry and odd or non-integer s, and past
-    ``_SAMPLED_MAX_ENTRIES``; those keep the per-polynomial path.
-    """
-    t, rule = spec.terms(deg), None
-    if t.qms or t.sups and t.set.nvars != 1:
-        return None
-    if t.lp is not None:
-        mu, s = t.lp
-        if not float(s).is_integer() or int(s) % 2:
-            return None
-        rule = mu.rule_for_degree(deg * int(s))
-    orders = [k for k, _, _ in t.sups]
-    grids = [sup_points(t.set, max(deg - k, 0)) for k in orders]
-    sizes = [g.size for g in grids]
-    if (sum(sizes) + (rule[0].size if rule else 0)) * (deg + 1) > _SAMPLED_MAX_ENTRIES:
-        return None
-    blocks, power = [], np.eye(deg + 1)
-    step = np.zeros((deg + 1, deg + 1))  # d/dx, padded to a square
-    if len(orders) > 1:
-        step[:deg] = deriv_matrix(deg, 1)[:deg]
-    for k, grid in zip(orders, grids):  # orders run 0, 1, 2, ...: power is D^k
-        dk = max(deg - k, 0)
-        vander = np.polynomial.chebyshev.chebvander(grid, dk)
-        blocks.append(vander @ power[: dk + 1] if k else vander)
-        power = step @ power
-    weight = _schur_weight(t.alpha, np.concatenate(grids)) if t.alpha else None
-    if rule:
-        blocks.append(np.polynomial.chebyshev.chebvander(rule[0], deg))
-    return SampledNorm(
-        matrix=np.vstack(blocks),
-        starts=np.cumsum([0] + sizes[:-1]),
-        coeffs=np.asarray([scale / divisor for _, scale, divisor in t.sups], dtype=float),
-        row_weight=weight,
-        lp_weights=None if rule is None else rule[1],
-        s=int(t.lp[1]) if rule else 0,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .exponents import (
     laplacian_vs_gradient_check,
     qms_exact_exponent,
     spectral_exponent_floor,
-    asymptotic_exponent,
 )
+from .fitting import asymptotic_exponent
 from .norms import (
     LpSpec,
     SupSpec,

@@ -365,6 +365,7 @@ def test_malformed_config_names_field(tmp_path, monkeypatch, capsys, command, co
 
 
 HUGE_SET = {"kind": "interval", "a": 0, "b": 1e200}
+TAYLOR_SPEC = {"kind": "taylor_disk", "set": {"kind": "interval", "a": -1, "b": 1}}
 
 
 @pytest.mark.parametrize(
@@ -378,8 +379,15 @@ HUGE_SET = {"kind": "interval", "a": 0, "b": 1e200}
         ("factor-table", {**TABLE, "normspec": {"kind": "sup", "set": HUGE_SET}, "degrees": [2]}),
         ("norm", {"normspec": {"kind": "sup", "set": {"kind": "union", "parts": [
             {"kind": "interval", "a": -2, "b": -1}, HUGE_SET]}}, "poly": "chebyshev:4"}),
+        # 171! has no double
+        ("norm", {"normspec": {**TAYLOR_SPEC, "r": 0.5}, "poly": "chebyshev:171"}),
+        ("factor-table", {**TABLE, "normspec": {**TAYLOR_SPEC, "r": 1e-6}, "degrees": [171]}),
+        # T_8 leaves the double range on [0, 1e40]
+        ("norm", {"normspec": {**LP_SPEC, "measure": {"kind": "lebesgue", "a": 0, "b": 1e40},
+                               "s": 1.5}, "poly": "chebyshev:8"}),
     ],
-    ids=["sup-nan", "l2-inf", "factor-table-nan", "factor-table-inf", "union-nan"],
+    ids=["sup-nan", "l2-inf", "factor-table-nan", "factor-table-inf", "union-nan",
+         "taylor-factorial", "factor-table-taylor-factorial", "lp-wide-inf"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_result_exits_1(tmp_path, capsys, command, config):

@@ -88,6 +88,11 @@ class TestSamplePoints:
         assert np.array_equal(Interval(-1.0, 1.0).grid(3), lobatto_points(32))
         np.testing.assert_array_equal(Interval(0.0, 3.0).grid(4), 1.5 + 1.5 * lobatto_points(40))
 
+    def test_at_maps_the_reference_interval(self):
+        # (a + b)/2 + (b - a)/2 t: its ends are a and b, 0 is the midpoint
+        assert Interval(1.0, 5.5).at(np.array([-1.0, 0.0, 1.0])).tolist() == [1.0, 3.25, 5.5]
+        assert Interval(0.0, 3.0).at(0.5) == 2.25
+
     def test_interval(self):
         E = Interval(0.0, 3.0)
         assert E.intervals == (E,)

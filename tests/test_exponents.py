@@ -54,13 +54,14 @@ from markovlab.exponents import (
     _candidates_1d,
     _coarse_ratio,
     _coef_matrix,
+    _quotient,
     _ratio,
     _ratios,
     operator_from_json,
     read_table_csv,
 )
 from markovlab.fitting import max_pairwise_slope
-from markovlab.norms import sampled_norm
+from markovlab.norms import _schur_weight
 
 from conftest import legendre_derivative_at_one
 
@@ -282,6 +283,38 @@ def _sequential_search(n, op, q, budget, seed):
     return float(max(certified[j], 0.0)), finalists[j][0], finalists[j][1].coef.tobytes(), skips
 
 
+def _two_call_ratios(q, op, n, vals):
+    """Reference: the coarse ratios of the columns of vals, one reduction per
+    side of the ratio, built from q's ``terms`` tables at degree n and at the
+    image degree.  The rows of vals are the sup blocks of the denominator,
+    then the numerator's, then the L^p Gauss nodes of both; a side's block
+    maxima (times the Schur weight) are summed with their weights in row
+    order, plus its L^p power sum."""
+    sides = []
+    for deg in (n, _coef_matrix(op, n).shape[0] - 1):
+        t = q.terms(deg)
+        grids = [domains.sup_points(t.set, max(deg - k, 0)) for k, _, _ in t.sups]
+        sides.append((t, grids, t.lp[0].rule_for_degree(deg * int(t.lp[1])) if t.lp else None))
+    nsup = [sum(g.size for g in grids) for _, grids, _ in sides]
+    sup_vals = np.split(vals[: sum(nsup)], [nsup[0]])
+    lp_vals = np.split(vals[sum(nsup) :], [sides[0][2][0].size if sides[0][2] else 0])
+    totals = []
+    for (t, grids, rule), sup, lp in zip(sides, sup_vals, lp_vals):
+        total = 0.0
+        if grids:
+            sup = np.abs(sup)
+            if t.alpha:
+                sup *= _schur_weight(t.alpha, np.concatenate(grids))[:, None]
+            maxima = np.maximum.reduceat(sup, np.cumsum([0] + [g.size for g in grids[:-1]]), axis=0)
+            coeffs = np.asarray([scale / divisor for _, scale, divisor in t.sups], dtype=float)
+            total = np.add.accumulate(coeffs[:, None] * maxima)[-1]
+        if rule:
+            s = int(t.lp[1])
+            total = total + np.add.accumulate(rule[1][:, None] * np.abs(lp) ** s)[-1] ** (1.0 / s)
+        totals.append(total.tolist())
+    return [_quotient(max(0.0, im), d) for d, im in zip(*totals)]
+
+
 class TestBatchedSearch:
     """The search's matrix path against the per-polynomial coarse ratio."""
 
@@ -314,9 +347,18 @@ class TestBatchedSearch:
         # its sampling matrix grows like 4*deg^3; past degree 62 the search
         # keeps the per-polynomial path
         q = TaylorDiskSpec(E, 1e-6)
-        assert sampled_norm(q, 62) is not None
-        assert sampled_norm(q, 63) is None
+        assert type(_coarse_ratio(DerivOp(1), q, 62)) is _BatchedRatio
         assert type(_coarse_ratio(DerivOp(1), q, 63)) is _PolyRatio
+
+    @pytest.mark.parametrize("width", [1, 7, 39])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
+    def test_ratios_match_two_call_reduction(self, name, k, width, rng):
+        # one reduction over both sides gives bitwise each side's own
+        q, op, n = PARITY_SPECS[name], DerivOp(k), 12
+        coarse = _coarse_ratio(op, q, n)
+        vals = coarse.values(rng.standard_normal((n + 1, width)))
+        assert coarse.ratios(vals) == _two_call_ratios(q, op, n, vals)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("screen", [_coarse_ratio, _PolyRatio])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovlab import (
+    DerivOp,
     DimensionMismatchError,
     Interval,
     LpSpec,
@@ -43,6 +44,7 @@ from markovlab import (
     sup_norm,
 )
 from markovlab.chebseries import ChebSeries, lobatto_points, random_unit
+from markovlab.exponents import _PolyRatio, _coarse_ratio
 from markovlab.norms import (
     NormTerms,
     _coef_columns,
@@ -55,7 +57,6 @@ from markovlab.norms import (
     _sup,
     _sup_images,
     qms_log_norm,
-    sampled_norm,
 )
 
 from conftest import cheb_t_coeffs
@@ -530,6 +531,14 @@ class TestLpPiecesAndAntiderivative:
         unit = lp_norm(ChebSeries([1.0, 1.0, 1.0]), MU, s)
         assert lp_norm(ChebSeries([c] * 3), MU, s) == pytest.approx(c * unit, rel=1e-15)
 
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0], ids=["pieces", "even", "antiderivative"])
+    @pytest.mark.parametrize("b", [1e30, 1e40, 1e300])
+    def test_wide_support_scaled_by_its_values(self, b, s):
+        # T_8 has coefficients of size one but reaches 1.28e242 on [0, 1e30],
+        # where it is 128 x^8 to 1e-60 relative, and no double on [0, 1e40]
+        want = 128 * b**8 * (8 * s + 1) ** (-1 / s) if b < 1e38 else math.inf
+        assert lp_norm(chebyshev_t(8), lebesgue_measure(0.0, b), s) == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("k", [-1000, -7, 1, 900])
     def test_binary_scaling_is_exact(self, k, s):
@@ -808,7 +817,7 @@ class TestQmsNorm:
         assert evaluate_norm(QmsSpec(2, 1), p) == qms_norm(p, 2, 1) > 0.0
 
     def test_not_sampled(self):
-        assert sampled_norm(QmsSpec(1, 2), 8) is None
+        assert type(_coarse_ratio(DerivOp(1), QmsSpec(1, 2), 8)) is _PolyRatio
 
 
 class TestTaylorDiskNorm:
@@ -1013,9 +1022,11 @@ class TestNormSpecJson:
         with pytest.raises(ValueError):
             bad()
 
-    def test_taylor_disk_weight_overflow(self):
-        with pytest.raises(PrecisionOverflowError):
-            evaluate_norm(TaylorDiskSpec(E, 1e300), chebyshev_t(4))
+    # r^2 overflows at r = 1e300; 171! has no double
+    @pytest.mark.parametrize("r, n", [(1e300, 4), (0.5, 171)])
+    def test_taylor_disk_weight_overflow(self, r, n):
+        with pytest.raises(PrecisionOverflowError, match=f"{n}!"):
+            evaluate_norm(TaylorDiskSpec(E, r), chebyshev_t(n))
 
 
 # ---------------------------------------------------------------------------
