@@ -11,6 +11,9 @@ power-basis coefficients, ``UniPoly`` included) enters the float code through
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 from numpy.polynomial import chebyshev as nch
 from numpy.polynomial import legendre as nleg
@@ -174,9 +177,12 @@ def chebyshev_u(n: int) -> ChebSeries:
 
 
 def monomial(n: int) -> ChebSeries:
+    """x^n = 2^(1-n) sum C(n, (n-k)/2) T_k over k = n, n-2, ..., with the T_0
+    term halved, each coefficient correctly rounded from the exact one."""
     c = np.zeros(n + 1)
-    c[n] = 1.0
-    return ChebSeries(nch.poly2cheb(c))
+    for k in range(n % 2, n + 1, 2):
+        c[k] = float(Fraction(math.comb(n, (n - k) // 2), 2 ** (n - 1 + (k == 0))))
+    return ChebSeries(c)
 
 
 def legendre_orthonormal(n: int) -> ChebSeries:

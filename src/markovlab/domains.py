@@ -45,8 +45,10 @@ class Interval:
         return (self,)
 
     def at(self, t):
-        """The point (a + b)/2 + (b - a)/2 * t of [a, b] for each t of [-1, 1]."""
-        return (self.a + self.b) / 2 + self.width / 2 * t
+        """The point (a + b)/2 + (b - a)/2 * t of [a, b] for each t of [-1, 1];
+        the midpoint is a/2 + b/2 where a + b overflows."""
+        mid = (self.a + self.b) / 2
+        return (mid if math.isfinite(mid) else self.a / 2 + self.b / 2) + self.width / 2 * t
 
     def grid(self, deg: int) -> np.ndarray:
         """The 8*(deg+1) Chebyshev-Lobatto points of [a, b] a degree-deg sup samples."""

@@ -17,13 +17,13 @@ sampling matrix for a batch of Chebyshev series, and declines the tables it
 cannot sample (qms among them).
 
 Sup norms on intervals are sampled at 8*(deg+1) Chebyshev-Lobatto points and
-every near-maximal bracket of that grid is refined by a zoom: 33 equispaced
-samples per stage, then the two neighbours of the best one, until the bracket
-is 1e-12 wide.  Every reported sup value is a sampled value, a certified
-under-estimate; certificates built from them are lower bounds.  One ``_sup``
-call is one pass over every piece of every polynomial it is given: each
-(polynomial, piece) pair keeps its own grid and brackets, all grids go
-through one Clenshaw pass and all brackets through one zoom loop.
+every near-maximal bracket of that grid is refined by Newton's method in
+theta = arccos t, t the piece's coordinate (``_peak_angles``, on the kernel
+``_newton_roots`` that the L^p root cuts use too).  Every reported sup value
+is a sampled value, a certified under-estimate; certificates built from them
+are lower bounds.  One ``_sup`` call is one pass over every piece of every
+polynomial it is given: all grids go through one Clenshaw pass and all
+brackets through one Newton loop.
 ``evaluate_norm`` refines every sup term of its table that way (all deg+1
 derivative orders of taylor_disk in one pass), and ``_evaluate_norms`` does
 the same for many polynomials, which is how the Markov search certifies all
@@ -61,10 +61,6 @@ from .errors import DimensionMismatchError, PrecisionOverflowError
 from .fitting import max_pairwise_slope
 from .polynomials import NEG_INF, MultiPoly
 
-# Sup refinement: samples per bracket and stage (odd, so the best sample is the
-# next bracket's midpoint) and the bracket width that ends it.
-_ZOOM_POINTS = 33
-_REFINE_TOL = 1e-12
 # Root-split L^p: first and largest Gauss-Jacobi rule per piece (the largest
 # one's dense Jacobi matrix is 2 MB) and the relative agreement of a piece's
 # two estimates that ends its doubling.
@@ -87,31 +83,6 @@ def _degree_int(p) -> int:
     return 0 if p.is_zero else int(p.degree)
 
 
-def _zoom_max(g, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """Largest sample of ``g(x, owner)[i]``, the function numbered ``owner[i]``,
-    in each bracket [lo[i], hi[i]], for many brackets at once.
-
-    Every stage samples each live bracket at ``_ZOOM_POINTS`` equispaced
-    points, ends included, and shrinks it to the two neighbours of its best
-    sample (1/16 of its width), whose midpoint, or end, is that sample again
-    up to rounding.  A bracket stops once it is at most ``_REFINE_TOL`` wide or
-    stops shrinking (float resolution); its path depends on its own data only.
-    """
-    t = np.linspace(0.0, 1.0, _ZOOM_POINTS)
-    best = np.full(lo.shape, -np.inf)
-    live = np.arange(lo.size)
-    while live.size:
-        x = lo[:, None] * (1.0 - t) + hi[:, None] * t
-        v = g(x, owner)
-        rows, j = np.arange(live.size), np.argmax(v, axis=1)
-        best[live] = np.maximum(best[live], v[rows, j])
-        width = hi - lo
-        lo, hi = x[rows, np.maximum(j - 1, 0)], x[rows, np.minimum(j + 1, _ZOOM_POINTS - 1)]
-        keep = (hi - lo > _REFINE_TOL) & (hi - lo < width)
-        live, lo, hi, owner = live[keep], lo[keep], hi[keep], owner[keep]
-    return best
-
-
 def _schur_weight(alpha: float, *coords) -> np.ndarray:
     """max(1 - sum_j |x_j|^2, 0)^alpha at the points with these coordinates."""
     rest = 1.0
@@ -131,18 +102,6 @@ def _coef_columns(polys) -> np.ndarray:
     return C
 
 
-def _bracket_values(C: np.ndarray, weight):
-    """g(x, owner) = |p(x)| * weight(x) on row x[i], with p the series in
-    column owner[i] of C, bitwise as ``p(x)`` gives each value."""
-
-    def values(x, owner):
-        return np.abs(chebval_columns(x, C[:, owner, None]))
-
-    if weight is None:
-        return values
-    return lambda x, owner: values(x, owner) * weight(x)
-
-
 def _grid_samples(grids, C: np.ndarray) -> tuple:
     """(X, V): row i of X holds the points grids[i] and row i of V the series
     in column i of C at them, bitwise ``p(pts)``, all in one Clenshaw pass.
@@ -156,52 +115,111 @@ def _grid_samples(grids, C: np.ndarray) -> tuple:
 
 def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
     """max over E of |p| for each p in polys, times the Schur weight when
-    alpha > 0, in one pass over the cells, the (polynomial, piece of
-    ``E.intervals``) pairs, then the fixed ``E.samples``.
+    alpha > 0 (ValueError on a piece other than [-1, 1]), in one pass over the
+    cells, the (polynomial, piece of ``E.intervals``) pairs, then the fixed
+    ``E.samples``.
 
     Each cell is sampled on its piece's 8*(deg+1)-point grid, all cells in
-    one Clenshaw pass (``_grid_samples``).  Refinement zooms into a bracket
-    around every interior local maximum of a cell's grid within 0.9 of the
-    cell's best sample (not just the best one: under-refining a competing
-    local maximum is what would let ratio estimates drift above true
-    extremal ratios), and around the best sample where it is an end of the
-    piece; the brackets of all cells go through one ``_zoom_max`` loop.
-    Everything folds in by np.maximum, so a NaN anywhere is the result.
+    one Clenshaw pass (``_grid_samples``).  Refinement brackets every interior
+    local maximum of a finite cell's grid within 0.9 of its best sample
+    (under-refining a competing one is what would let ratio estimates drift
+    above true extremal ratios) and the best sample at an end of the piece;
+    ``_peak_angles`` finds a maximum in every bracket, sampled in one more
+    Clenshaw pass.  A NaN anywhere is the result (np.maximum).
     """
     for p in polys:
         if p.nvars != E.nvars:
             raise DimensionMismatchError(
                 f"a set in {E.nvars} variable(s) takes polynomials in as many, not {p.nvars}"
             )
+    if alpha and any((iv.a, iv.b) != (-1.0, 1.0) for iv in E.intervals):
+        raise ValueError("the Schur weight is defined on [-1, 1], not on other intervals")
     weight = partial(_schur_weight, alpha) if alpha else None
     best = np.full(len(polys), -np.inf)
     if E.intervals:
         C = _coef_columns(polys)
-        grids = [iv.grid(_degree_int(p)) for iv in E.intervals for p in polys]
+        degs = [_degree_int(p) for p in polys]
+        grids = [iv.grid(d) for iv in E.intervals for d in degs]
         owner = np.arange(len(grids)) % len(polys)
-        X, V = _grid_samples(grids, C[:, owner])
-        V = np.abs(V)
-        if weight is not None:
-            V = V * weight(X)
+        X, P = _grid_samples(grids, C[:, owner])
+        V = np.abs(P) * weight(X) if weight else np.abs(P)
         top = np.argmax(V, axis=1)
         cell_best = V[np.arange(len(grids)), top]
         np.maximum.at(best, owner, cell_best)
         if refine:
-            last = np.array([pts.size - 1 for pts in grids])
+            m = np.array([pts.size - 1 for pts in grids])
+            finite = np.isfinite(cell_best)  # a cell with inf or NaN keeps that value
             mid = V[:, 1:-1]
             peak = (mid >= V[:, :-2]) & (mid >= V[:, 2:]) & (mid >= 0.9 * cell_best[:, None])
-            # a peak at index c + 1 of its cell's own grid (not the padding) gets (c, c + 2)
-            r, c = np.nonzero(peak & (np.arange(1, V.shape[1] - 1) < last[:, None]))
-            end = np.flatnonzero((top == 0) | (top == last))
-            left = np.r_[c, np.maximum(top[end] - 1, 0)]
-            right = np.r_[c + 2, np.minimum(top[end] + 1, last[end])]
-            r = np.r_[r, end]
-            refined = _zoom_max(_bracket_values(C, weight), X[r, left], X[r, right], owner[r])
-            np.maximum.at(best, owner[r], refined)
+            # a peak at index c + 1 of its cell's own grid (not the padding)
+            r, c = np.nonzero(peak & (np.arange(1, V.shape[1] - 1) < m[:, None]) & finite[:, None])
+            end = np.flatnonzero(((top == 0) | (top == m)) & finite)
+            r, j = np.concatenate([r, end]), np.concatenate([c + 1, top[end]])
+            # grid point j is t = cos(theta), theta = pi (m - j) / m, in the piece's
+            # coordinate t.  Bracket (j + 1, j - 1) is solved in psi = theta + pi,
+            # g(psi) = p(-cos psi), to keep the ulps of [pi, 2 pi]; at an end, about
+            # which g is even, it holds the mirror image and starts half a cell in
+            m = m[r]
+            lo, hi, start = np.pi * ((2 * m - [j + 1, j - 1, j + (j == 0) / 2 - (j == m) / 2]) / m)
+            # each cell's series of p(-t), scaled by the power of two that brings its largest
+            # grid value into [0.5, 1) so S cannot overflow: read off the grid values, except
+            # on [-1, 1], where p's own (|c_k| <= 2 max|p|) spares that FFT of length 16 deg + 14
+            cells = np.flatnonzero(np.bincount(r, minlength=len(grids)))
+            cell_of = np.searchsorted(cells, r)
+            unit = [(iv.a, iv.b) == (-1.0, 1.0) for iv in E.intervals]
+            series = []
+            for i in cells:
+                d, v, own = degs[owner[i]], P[i, : grids[i].size], unit[i // len(polys)]
+                e = math.frexp(np.max(np.abs(v.view(float))))[1]
+                v = (-1.0) ** np.arange(d + 1) * C[: d + 1, owner[i]] if own else v
+                v = np.ldexp(v.view(float), -e).view(v.dtype)
+                series.append(v if own else _lobatto_coef(v)[: d + 1])
+            x = -np.cos(_peak_angles(series, cell_of, start, lo, hi, alpha, X.size))
+            for i, iv in enumerate(E.intervals):
+                x[r // len(polys) == i] = iv.at(x[r // len(polys) == i])
+            refined = np.abs(chebval_columns(x[:, None], C[:, owner[r], None]))[:, 0]
+            np.maximum.at(best, owner[r], refined * weight(x) if weight else refined)
     if E.samples[0].size:
         w = weight(*E.samples) if weight else 1.0
         best = np.maximum(best, [np.max(np.abs(p(*E.samples)) * w) for p in polys])
     return best.tolist()
+
+
+def _peak_angles(series, cell, start, lo, hi, alpha: float, budget: int) -> np.ndarray:
+    """An angle psi of a local maximum of |g(psi)|^2 sin(theta)^(4 alpha),
+    theta = psi - pi, in each bracket [lo[i], hi[i]], g(psi) = sum_k c_k
+    cos(k psi) for c = series[cell[i]]: the zero, by ``_newton_roots`` from
+    start[i], of S = sin(theta) A + 2 alpha cos(theta) B, A = Re(conj(g) g'),
+    B = |g|^2, which has the sign of its slope; |S''| <= 4 (1 + 2 alpha)
+    (n + 1)^3 G^2, G = sum_k |c_k| (Bernstein).  Brackets go in chunks of
+    about ``budget`` terms (``_cos_sums``)."""
+    if not series:
+        return start
+    K = np.array([c.size for c in series])
+    off = np.cumsum(K) - K
+    coef = np.concatenate(series)
+    G = np.add.reduceat(np.abs(coef), off)
+    K, off, curvature = K[cell], off[cell], (4 * (1 + 2 * alpha) * K**3 * G**2)[cell]
+    out = np.empty(lo.size)
+    chunk = (np.cumsum(K) - 1) // budget
+    for idx in np.split(np.arange(lo.size), np.flatnonzero(np.diff(chunk)) + 1):
+        # term i of the chunk: k[i] and c_k[i] of the series of one bracket
+        n = K[idx]
+        seg = np.cumsum(n) - n
+        k = np.arange(seg[-1] + n[-1]) - np.repeat(seg, n)
+        c, psi = coef[np.repeat(off[idx], n) + k], start[idx]
+
+        def slope(x, live):
+            psi[live] = x
+            g, d1, d2 = _cos_sums(c, k, n, psi)
+            A, dA = (g.conj() * d1).real, (d1.conj() * d1 + g.conj() * d2).real
+            if alpha:
+                B, s, co = (g.conj() * g).real, -np.sin(psi), -np.cos(psi)
+                A, dA = s * A + 2 * alpha * co * B, (1 + 4 * alpha) * co * A + s * dA - 2 * alpha * s * B
+            return A[live], dA[live]
+
+        out[idx] = _newton_roots(slope, start[idx], lo[idx], hi[idx], curvature[idx])
+    return out
 
 
 def sup_norm(p, E: CompactSet, refine: bool = True) -> float:
@@ -213,12 +231,14 @@ def sup_norm(p, E: CompactSet, refine: bool = True) -> float:
 # L^p norms
 
 
-def _cos_sums(c: np.ndarray, theta: np.ndarray) -> tuple:
-    """g(theta) = sum_k c_k cos(k theta), that is p(cos theta) for the
-    Chebyshev series c, and g'(theta), at each theta."""
-    k = np.arange(c.size)
-    K = np.outer(theta, k)
-    return np.cos(K) @ c, np.sin(K) @ (-k * c)
+def _cos_sums(c: np.ndarray, k: np.ndarray, n: np.ndarray, theta: np.ndarray) -> list:
+    """g, g' and g'' at theta[i] of g(theta) = sum_k c_k cos(k theta), p(cos
+    theta) for a Chebyshev series c: segment i of the flat terms (k, c_k), the
+    n[i] after those of the segments before, is summed by itself."""
+    kx = k * np.repeat(theta, n)
+    seg = np.cumsum(n) - n
+    cos = np.cos(kx)
+    return [np.add.reduceat(u, seg) for u in (cos * c, np.sin(kx) * (-k * c), cos * (-k * k * c))]
 
 
 def _cubic_range(A, B, C, D) -> tuple:
@@ -278,12 +298,12 @@ def _grid_roots(c: np.ndarray) -> Optional[np.ndarray]:
     Every other cell is flagged and split ``_GRID_SPLIT`` ways, where the
     tests repeat.  A flagged cell whose end values are both within four
     rounding floors (eps sum (64 + pi k) |c_k|) of 0 is not split: a run of
-    them is a tangency, one cut at its middle, or, where the run's ends
-    differ in sign, one more bracket.  More than ``_GRID_MAX_FLAGGED``
+    them is a tangency, cut at the critical point of g inside it, or, where
+    the run's ends differ in sign, one more bracket.  More than ``_GRID_MAX_FLAGGED``
     flagged cells at one level, or any still flagged after
     ``_GRID_MAX_LEVELS`` splits, give None: a polynomial tiny on a long
     stretch, such as x^n, flags thousands.  ``_newton_roots`` polishes every
-    bracket.
+    bracket and places every tangency cut.
     """
     n = c.size - 1
     M = _GRID_CELLS * n
@@ -296,7 +316,11 @@ def _grid_roots(c: np.ndarray) -> Optional[np.ndarray]:
     theta = np.arange(M + 1) * (math.pi / M)
     cells = [theta[:-1], theta[1:], g[:-1], g[1:], dg[:-1], dg[1:]]
     t = np.linspace(0.0, 1.0, _GRID_SPLIT + 1)
-    brackets, at_floor = [], [np.zeros((4, 0))]
+
+    def sums(theta):  # g, g' and g'' at each theta
+        return _cos_sums(np.tile(c, theta.size), np.tile(k, theta.size), np.full(theta.size, c.size), theta)
+
+    brackets, at_floor = [], [np.zeros((6, 0))]
     for level in range(_GRID_MAX_LEVELS + 1):
         lo, hi, glo, ghi, dlo, dhi = cells
         flagged = _flagged(cells, n, G, floor, dfloor)
@@ -308,13 +332,13 @@ def _grid_roots(c: np.ndarray) -> Optional[np.ndarray]:
         if idx.size > _GRID_MAX_FLAGGED or level == _GRID_MAX_LEVELS:
             return None
         tangent = np.maximum(np.abs(glo[idx]), np.abs(ghi[idx])) <= 4 * floor
-        at_floor.append(np.stack([lo, hi, glo, ghi])[:, idx[tangent]])
+        at_floor.append(np.stack(cells)[:, idx[tangent]])
         idx = idx[~tangent]
         x = lo[idx, None] + (hi - lo)[idx, None] * t
         x[:, -1] = hi[idx]  # so neighbouring cells share their end exactly
         v, dv = np.empty_like(x), np.empty_like(x)
         v[:, 0], v[:, -1], dv[:, 0], dv[:, -1] = glo[idx], ghi[idx], dlo[idx], dhi[idx]
-        inner = _cos_sums(c, x[:, 1:-1].ravel())
+        inner = sums(x[:, 1:-1].ravel())[:2]
         v[:, 1:-1], dv[:, 1:-1] = (u.reshape(idx.size, _GRID_SPLIT - 1) for u in inner)
         split = (x[:, :-1], x[:, 1:], v[:, :-1], v[:, 1:], dv[:, :-1], dv[:, 1:])
         cells = [a.ravel() for a in split]
@@ -325,30 +349,36 @@ def _grid_roots(c: np.ndarray) -> Optional[np.ndarray]:
     lo, hi, glo, ghi = flat[0, first], flat[1, last], flat[2, first], flat[3, last]
     change = (glo > 0) != (ghi > 0)
     brackets.append((lo[change], hi[change], glo[change], ghi[change]))
-    roots = _newton_roots(c, *(np.concatenate(part) for part in zip(*brackets)), n * n * G)
-    return np.cos(np.concatenate([roots, (lo[~change] + hi[~change]) / 2]))
+    lo, hi, glo, ghi = (np.concatenate(part) for part in zip(*brackets))
+    sign = np.where(glo > 0, 1.0, -1.0)  # each function positive left of its zero
+    roots = _newton_roots(lambda x, live: [sign[live] * u for u in sums(x)[:2]],
+                          lo - glo * (hi - lo) / (ghi - glo), lo, hi, np.full(lo.size, n * n * G))
+    # a tangency: the critical point of g in the run, a zero of g'
+    lo, hi, sign = flat[0, first][~change], flat[1, last][~change], np.sign(flat[4, first][~change])
+    cuts = _newton_roots(lambda x, live: [sign[live] * u for u in sums(x)[1:]],
+                         (lo + hi) / 2, lo, hi, np.full(lo.size, n**3 * G))
+    return np.cos(np.concatenate([roots, cuts]))
 
 
-def _newton_roots(c, lo, hi, glo, ghi, curvature: float) -> np.ndarray:
-    """A root of g(theta) = sum_k c_k cos(k theta) in each bracket [lo, hi]
-    whose end values glo and ghi differ in sign, all brackets at once.
-
-    Each starts at its secant point.  Every step shrinks the bracket to the
-    sign change at the current point and takes the Newton step, unless that
-    leaves the bracket or is not half as long as the step before, where it
-    bisects instead; so the steps halve or the bracket does, and each bracket
-    ends.  It is done once g is 0, its bracket is two ulps wide, or Newton's
-    error bound curvature / |g'| * step^2, with curvature >= |g''|, says the
-    next step would move it by at most one ulp; the last step is taken.
+def _newton_roots(f, x, lo, hi, curvature) -> np.ndarray:
+    """A zero of f in each bracket [lo, hi] from the start x in it, all at
+    once: f(x, live) gives the values and slopes at x of the functions
+    numbered live, each positive left of its zero and not right of it, and
+    curvature[i] bounds |f''| on bracket i.  Each step shrinks the bracket to
+    the sign change at x and takes the Newton step, unless that leaves the
+    bracket (as a step with slope >= 0 does) or is not half as long as the
+    step before, where it bisects; so each bracket ends.  It is done once f
+    is 0, its bracket is two ulps wide, or Newton's error bound curvature /
+    |f'| * step^2 says the next step would move it by at most one ulp (the
+    last step is taken).  A bracket's path depends on its own values only.
     """
-    x = lo - glo * (hi - lo) / (ghi - glo)
     last = hi - lo
     out = np.empty(lo.size)
     live = np.arange(lo.size)
     while live.size:
-        g, dg = _cos_sums(c, x)
-        right = (g > 0) == (glo > 0)  # the sign change lies right of x
-        lo, glo, hi = np.where(right, x, lo), np.where(right, g, glo), np.where(right, hi, x)
+        g, dg = f(x, live)
+        right = g > 0  # the zero lies right of x
+        lo, hi = np.where(right, x, lo), np.where(right, hi, x)
         # |step| < |last| / 2, and no division where the step is not taken
         newton = 2 * np.abs(g) < np.abs(dg * last)
         new = x - g / np.where(newton, dg, np.inf)
@@ -357,10 +387,10 @@ def _newton_roots(c, lo, hi, glo, ghi, curvature: float) -> np.ndarray:
         step = new - x
         done = (g == 0) | (hi - lo <= 2 * np.spacing(hi)) | ~np.isfinite(g)
         done |= newton & (curvature * step**2 <= np.abs(dg) * np.spacing(new))
-        out[live[done]] = np.where(g == 0, x, new)[done]
-        keep = ~done
-        live, x, last = live[keep], new[keep], step[keep]
-        lo, hi, glo = lo[keep], hi[keep], glo[keep]
+        if done.any():
+            out[live[done]] = np.where(g == 0, x, new)[done]
+            live, new, step, lo, hi, curvature = (u[~done] for u in (live, new, step, lo, hi, curvature))
+        x, last = new, step
     return out
 
 

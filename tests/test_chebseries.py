@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,22 @@ def test_chebyshev_u_values():
 def test_monomial_round_trip():
     p = monomial(5)
     assert np.allclose(p.to_unipoly()(np.array([0.3])), 0.3**5)
+
+
+def test_monomial_closed_form():
+    # each coefficient is the exact one correctly rounded, the exact ones from
+    # x T_0 = T_1 and x T_k = (T_(k+1) + T_(k-1))/2 (numpy's poly2cheb rounds
+    # differently from degree 58 on)
+    exact = [Fraction(1)]
+    for n in range(129):
+        assert np.array_equal(monomial(n).coef, [float(a) for a in exact]), n
+        nxt = [Fraction(0)] * (n + 2)
+        nxt[1] += exact[0]
+        for k in range(1, n + 1):
+            nxt[k + 1] += exact[k] / 2
+            nxt[k - 1] += exact[k] / 2
+        exact = nxt
+    assert monomial(200)(0.5) == pytest.approx(0.5**200, rel=1e-12)
 
 
 def test_legendre_orthonormal_endpoint():

@@ -18,8 +18,9 @@ from markovlab import (
     markov_factor_l2,
     set_from_json,
     set_to_json,
+    sup_norm,
 )
-from markovlab.chebseries import lobatto_points
+from markovlab.chebseries import ChebSeries, lobatto_points
 from markovlab.domains import (
     DEGREE_BUDGET,
     Measure,
@@ -92,6 +93,13 @@ class TestSamplePoints:
         # (a + b)/2 + (b - a)/2 t: its ends are a and b, 0 is the midpoint
         assert Interval(1.0, 5.5).at(np.array([-1.0, 0.0, 1.0])).tolist() == [1.0, 3.25, 5.5]
         assert Interval(0.0, 3.0).at(0.5) == 2.25
+
+    def test_at_where_the_ends_sum_past_the_double_range(self):
+        # a + b overflows; a/2 + b/2 does not, and a constant's sup is itself
+        E = Interval(1e308, 1.7e308)
+        assert E.at(np.array([-1.0, 0.0, 1.0])).tolist() == [1e308, 1.35e308, 1.7e308]
+        assert np.isfinite(E.grid(4)).all()
+        assert sup_norm(ChebSeries([1.0]), E) == 1.0
 
     def test_interval(self):
         E = Interval(0.0, 3.0)

@@ -65,37 +65,40 @@ E = Interval(-1.0, 1.0)
 MU = lebesgue_measure()
 
 
-def _one_at_a_time_sup(p, a, b, alpha):
-    """Reference: the refined sup of |p| (times (1 - x^2)^alpha) on [a, b] for
-    one polynomial alone, with its own grid and near-top brackets, each
-    bracket zoomed by itself: 33 equispaced samples a stage, ends included,
-    then the two neighbours of the best one, until the bracket is at most
-    1e-12 wide or stops shrinking."""
+def _true_sup(p, a, b, alpha):
+    """Oracle: max of |p(y)| (1 - y^2)^alpha over [a, b] to 40 digits
+    (mpmath), at the ends and at every maximum that the float slope of
+    |p|^2 (1 - y^2)^(2 alpha) brackets on a dense Chebyshev grid, each
+    solved there by a bracketing root finder."""
+    mp = pytest.importorskip("mpmath")
+    if p.is_zero:
+        return 0.0
+    dc = np.polynomial.chebyshev.chebder(p.coef) if p.coef.size > 1 else np.zeros(1)
+    with mp.workdps(40):
+        c, d = ([mp.mpc(complex(v)) for v in u] for u in (p.coef, dc))
 
-    def g(x):
-        v = np.abs(p(x))
-        return v * np.maximum(1.0 - x * x, 0.0) ** alpha if alpha else v
+        def val(cs, y):
+            b1 = b2 = mp.mpc(0)
+            for ck in reversed(cs[1:]):
+                b1, b2 = 2 * y * b1 - b2 + ck, b1
+            return y * b1 - b2 + cs[0]
 
-    pts = lobatto_points(8 * (max(p.degree, 0) + 1))
-    if (a, b) != (-1.0, 1.0):
-        pts = (a + b) / 2 + (b - a) / 2 * pts
-    vals = g(pts)
-    i, last = int(np.argmax(vals)), len(pts) - 1
-    peaks = [j for j in range(1, last)
-             if vals[j] >= max(vals[j - 1], vals[j + 1]) and vals[j] >= 0.9 * vals[i]]
-    brackets = sorted({(j - 1, j + 1) for j in peaks} | {(max(i - 1, 0), min(i + 1, last))})
-    best, t = float(vals[i]), np.linspace(0.0, 1.0, 33)
-    for left, right in brackets:
-        lo, hi = pts[left], pts[right]
-        while True:
-            x = lo * (1.0 - t) + hi * t
-            v = g(x)
-            j = int(np.argmax(v))
-            best = max(best, float(v[j]))
-            width, lo, hi = hi - lo, x[max(j - 1, 0)], x[min(j + 1, 32)]
-            if not width > hi - lo > 1e-12:
-                break
-    return best
+        def F(y):
+            return abs(val(c, y)) * (1 - y * y) ** alpha
+
+        def slope(y):
+            v = val(c, y)
+            return mp.re(mp.conj(v) * val(d, y)) * (1 - y * y if alpha else 1) - 2 * alpha * y * abs(v) ** 2
+
+        ys = (a + b) / 2 + (b - a) / 2 * lobatto_points(64 * (p.coef.size + 1))
+        v, dv = p(ys), ChebSeries(dc)(ys)
+        s = (np.conj(v) * dv).real * (1.0 - ys**2 if alpha else 1.0) - 2 * alpha * ys * np.abs(v) ** 2
+        best = max(F(mp.mpf(a)), F(mp.mpf(b)))
+        for j in np.flatnonzero((s[:-1] >= 0) & (s[1:] <= 0)):
+            lo, hi = mp.mpf(ys[j]), mp.mpf(ys[j + 1])
+            if slope(lo) > 0 > slope(hi):
+                best = max(best, F(mp.findroot(slope, (lo, hi), solver="illinois", verify=False)))
+        return float(best)
 
 
 class TestSupNorm:
@@ -137,17 +140,42 @@ class TestSupNorm:
         # |x + i| on [-1, 1] peaks at the endpoints
         assert sup_norm(p, E) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    @pytest.mark.parametrize("E", [E, Interval(0.0, 3.0)], ids=["[-1,1]", "[0,3]"])
+    # the Schur weight (alpha > 0) is defined on [-1, 1] only (SchurSpec)
+    @pytest.mark.parametrize("E, alpha", [pytest.param(E, 0.0, id="[-1,1]-0.0"),
+                                          pytest.param(E, 0.5, id="[-1,1]-0.5"),
+                                          pytest.param(Interval(0.0, 3.0), 0.0, id="[0,3]-0.0")])
     def test_batched_refinement_matches_one_at_a_time(self, rng, E, alpha):
-        # one zoom pass over all brackets gives each polynomial exactly the
-        # value it gets alone: every bracket stops on its own width
+        # one Newton pass over all brackets gives each polynomial exactly the
+        # value it gets alone: every bracket's path depends on its own values;
+        # and that value is within rounding of the true maximum
         polys = [ChebSeries(rng.standard_normal(n + 1)) for n in (0, 1, 8, 40)]
         polys += [ChebSeries([0.0]), chebyshev_t(8), ChebSeries(rng.standard_normal(9))]
         batched = _sup(polys, E, True, alpha)
         assert batched == [_sup([p], E, True, alpha)[0] for p in polys]
-        assert batched == [_one_at_a_time_sup(p, E.a, E.b, alpha) for p in polys]
         assert all(r >= c for r, c in zip(batched, _sup(polys, E, False, alpha)))
+        for p, got in zip(polys, batched):
+            want = _true_sup(p, E.a, E.b, alpha)
+            assert abs(got - want) <= 4e-15 * want
+
+    def test_schur_weight_off_the_unit_interval_raises(self):
+        # the refinement solves for maxima of |p|^2 (1 - t^2)^(2 alpha) in the
+        # piece's own coordinate t, which is x on [-1, 1] only
+        for E in (Interval(0.0, 3.0), UnionSet((Interval(-1.0, 1.0), Interval(2.0, 3.0)))):
+            with pytest.raises(ValueError, match="Schur weight"):
+                _sup([chebyshev_t(3)], E, True, 0.5)
+
+    def test_huge_values_keep_their_sup(self):
+        # each cell's series comes from its grid values scaled by a power of
+        # two, so values near the top of the double range do not overflow it;
+        # a cell whose grid holds inf keeps inf, with no bracket refined
+        assert sup_norm(ChebSeries([0.0, 1e307]), Interval(0.0, 1.5)) == 1.5e307
+        assert sup_norm(ChebSeries([0.0, 1e307 + 1e307j]), Interval(0.0, 1.5)) == abs(1.5e307 + 1.5e307j)
+        assert sup_norm(ChebSeries([1e300, 0.0, -1e300]), E) == pytest.approx(2e300, rel=1e-15)
+        # 1.5e307 - 1e307 x^2 peaks at 0, between two grid points of [-1.5, 1.5]
+        assert sup_norm(ChebSeries([1e307, 0.0, -0.5e307]), Interval(-1.5, 1.5)) == 1.5e307
+        with np.errstate(over="ignore"):
+            assert sup_norm(ChebSeries([0.0, 1e308]), Interval(0.0, 3.0)) == math.inf
+            assert sup_norm(ChebSeries([0.0, 1e308, 1.0]), Interval(-3.0, 3.0)) == math.inf
 
 
     @staticmethod
@@ -188,33 +216,35 @@ class TestSupNorm:
         ids=["union+points", "gap"],
     )
     def test_union_matches_reference_per_piece(self, rng, E, c, K):
-        # every piece of every polynomial in one pass, against the reference
-        # that zooms each piece by itself.  The last polynomial, 1 - K(x - c)^2,
-        # peaks at c, inside the last grid cell of the last piece, whose right
-        # end is the best grid sample: only the end bracket finds the sup
+        # every piece of every polynomial in one pass, against the true
+        # maximum on each piece.  The last polynomial, 1 - K(x - c)^2, peaks
+        # at c, inside the last grid cell of the last piece, whose right end
+        # is the best grid sample: only the end bracket finds the sup
         peak = ChebSeries([1.0 - K * c * c - K / 2, 2.0 * K * c, -K / 2])
         polys = [*self._mixed(rng), peak]
         pts = E.intervals[-1].grid(2)
         assert pts[-2] < c < pts[-1] and np.argmax(np.abs(peak(pts))) == pts.size - 1
         got = _sup(polys, E, True)
+        assert got[-1] == pytest.approx(1.0, abs=1e-15) and got[-1] > abs(peak(pts[-1]))
         for p, value in zip(polys, got):
-            want = max(_one_at_a_time_sup(p, piece.a, piece.b, 0.0) for piece in E.intervals)
+            want = max(_true_sup(p, piece.a, piece.b, 0.0) for piece in E.intervals)
             if E.points:
                 want = max(want, float(np.max(np.abs(p(np.array(E.points))))))
-            assert value == want
-        assert got[-1] == pytest.approx(1.0, abs=1e-15) and got[-1] > abs(peak(pts[-1]))
+            assert abs(value - want) <= 4e-15 * want
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_one_pass_per_call(self, rng, monkeypatch, refine):
-        # every piece of every polynomial: one Clenshaw pass over the grids,
-        # and one zoom over the brackets
+        # every piece of every polynomial: one Clenshaw pass over the grids;
+        # refined, one Newton pass over the brackets and one Clenshaw pass
+        # over the maxima found
         calls = []
-        for name in ("_grid_samples", "_zoom_max"):
+        for name in ("chebval_columns", "_newton_roots"):
             monkeypatch.setattr(norms, name, lambda *args, name=name, run=getattr(norms, name):
                                 calls.append(name) or run(*args))
         E = UnionSet((Interval(-1.0, 0.0), Interval(0.5, 2.0), Interval(3.0, 4.0)), (1.5j,))
         _sup(self._mixed(rng), E, refine)
-        assert calls == ["_grid_samples", "_zoom_max"][: 1 + refine]
+        passes = ["chebval_columns", "_newton_roots", "chebval_columns"]
+        assert calls == (passes if refine else passes[:1])
 
     # ROADMAP item 1, step 2: the circle samples Chebyshev series on |z| = 1,
     # where T_k grows like (1 + sqrt 2)^k and the terms of z^n cancel
@@ -244,6 +274,26 @@ class TestSupRefinementOracles:
     def test_chebyshev_t_unit_sup(self):
         for n in range(1, 129):
             assert abs(sup_norm(chebyshev_t(n), E) - 1.0) <= 1e-13, n
+
+    def test_dilated_chebyshev_t_unit_sup(self):
+        # T_n(c x) with cos(pi/n) <= c < 1 reaches |T_n| = 1 at x = cos(j pi/n)/c,
+        # interior points off the grid, and stays below 1 at the ends.  Its
+        # coefficients are exact (c dyadic) by T_(n+1)(cx) = 2cx T_n(cx) -
+        # T_(n-1)(cx), with x T_0 = T_1 and x T_j = (T_(j+1) + T_(j-1))/2,
+        # then rounded once
+        c = Fraction(4095, 4096)
+        assert c >= math.cos(math.pi / 128)
+        prev, cur = [Fraction(1)], [Fraction(0), c]
+        for n in range(2, 129):
+            nxt = [-a for a in prev] + [Fraction(0)] * 2
+            nxt[1] += 2 * c * cur[0]
+            for j in range(1, n):
+                nxt[j + 1] += c * cur[j]
+                nxt[j - 1] += c * cur[j]
+            prev, cur = cur, nxt
+            p = ChebSeries([float(a) for a in cur])
+            assert abs(p(1.0)) < 1.0 - 1e-9
+            assert abs(sup_norm(p, E) - 1.0) <= 1e-13, n
 
     # Refined values on seeded series (coefficients from default_rng(n)) as the
     # golden-section refinement gave them; refinement may only raise them,
@@ -646,6 +696,15 @@ class TestGridRoots:
         rest = np.array([x for x in got if abs(x - r) >= 1e-5])
         want = _eig_roots(q.coef)
         assert rest.size == want.size and np.max(np.abs(rest - want)) <= 1e-12
+        assert chebroots_calls == []
+
+    def test_double_root_cut_at_the_critical_point(self, chebroots_calls):
+        # the tangency cut is the zero of g' inside the run at the floor
+        r, q = 0.3141, random_unit(126, np.random.default_rng(1))
+        with np.errstate(all="raise"):
+            got = _real_roots_inside(_with_roots([r, r], q))
+        near = [x for x in got if abs(x - r) < 1e-5]
+        assert len(near) == 1 and abs(near[0] - r) <= 1e-10
         assert chebroots_calls == []
 
     @pytest.mark.parametrize("s", [1.0, 1.5, 2.5])
