@@ -241,3 +241,25 @@ def lobatto_points(npts: int) -> np.ndarray:
     if npts < 2:
         return np.array([0.0])
     return np.cos(np.linspace(np.pi, 0.0, npts))
+
+
+def grid_values(C: np.ndarray, m: int) -> np.ndarray:
+    """Row l holds the series in each column of C (at most m + 1 rows) at
+    cos(pi l / m), l = 0..m, the exact angles: a DCT-I of the zero-padded
+    coefficients, one rfft of length 2m (two for complex C), each column
+    bitwise its own (Trefethen, ATAP ch. 3)."""
+    if np.iscomplexobj(C):
+        return grid_values(C.real, m) + 1j * grid_values(C.imag, m)
+    return np.fft.rfft(C, 2 * m, axis=0).real
+
+
+def lobatto_coef(V: np.ndarray) -> np.ndarray:
+    """The inverse of ``grid_values``: down each column, the Chebyshev
+    coefficients of the polynomial of degree m = len(V) - 1 >= 1 with the
+    values V[l] at cos(pi l / m)."""
+    if np.iscomplexobj(V):
+        return lobatto_coef(V.real) + 1j * lobatto_coef(V.imag)
+    m = len(V) - 1
+    c = np.fft.rfft(np.concatenate([V, V[-2:0:-1]]), axis=0).real / m
+    c[[0, m]] /= 2
+    return c

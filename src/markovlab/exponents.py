@@ -489,7 +489,7 @@ def markov_factor_search(
     polynomial, and one trial, at a time.  Either way the finalists (the
     best candidate and its ascent) are certified in one refined pass:
     ``_ratios`` evaluates every finalist's norm and operator images
-    together, with one Clenshaw pass over the grids and one Newton loop over
+    together, with one rfft per degree for the grids and one Newton loop over
     the brackets of all their sup terms.  Where NaN ratios (a norm that
     overflowed) leave no finite one, at the screen or at the certification,
     it raises ``PrecisionOverflowError``.

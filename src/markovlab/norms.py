@@ -16,14 +16,14 @@ Markov search (``exponents._BatchedRatio``) turns the same table into one
 sampling matrix for a batch of Chebyshev series, and declines the tables it
 cannot sample (qms among them).
 
-Sup norms on intervals are sampled at 8*(deg+1) Chebyshev-Lobatto points and
-every near-maximal bracket of that grid is refined by Newton's method in
-theta = arccos t, t the piece's coordinate (``_peak_angles``, on the kernel
-``_newton_roots`` that the L^p root cuts use too).  Every reported sup value
-is a sampled value, a certified under-estimate; certificates built from them
-are lower bounds.  One ``_sup`` call is one pass over every piece of every
-polynomial it is given: all grids go through one Clenshaw pass and all
-brackets through one Newton loop.
+Sup norms on intervals are read at 8*(deg+1) Chebyshev-Lobatto points of each
+piece, one rfft per degree (``grid_values``), and every near-maximal bracket
+of that grid is refined by Newton's method in theta = arccos t, t the piece's
+coordinate (``_peak_angles``, on the kernel ``_newton_roots`` that the L^p
+root cuts use too).  A reported sup is a rounded sample, which can exceed the
+true maximum by rounding (up to 1.12e-14 relative at n = 128, ROADMAP F5).
+One ``_sup`` call is one pass over every piece of every polynomial it is
+given, with one Newton loop for all brackets.
 ``evaluate_norm`` refines every sup term of its table that way (all deg+1
 derivative orders of taylor_disk in one pass), and ``_evaluate_norms`` does
 the same for many polynomials, which is how the Markov search certifies all
@@ -44,7 +44,8 @@ from typing import Mapping, Optional, Sequence, Union, get_args
 import numpy as np
 from numpy.polynomial import chebyshev as nch
 
-from .chebseries import ChebSeries, as_chebseries, chebval_columns
+from .chebseries import (ChebSeries, as_chebseries, chebval_columns, grid_values, lobatto_coef,
+                         lobatto_points)
 from .domains import (
     CompactSet,
     Interval,
@@ -102,29 +103,20 @@ def _coef_columns(polys) -> np.ndarray:
     return C
 
 
-def _grid_samples(grids, C: np.ndarray) -> tuple:
-    """(X, V): row i of X holds the points grids[i] and row i of V the series
-    in column i of C at them, bitwise ``p(pts)``, all in one Clenshaw pass.
-    A row is padded to the longest by repeating its last point, so its value
-    there too."""
-    X = np.empty((len(grids), max(pts.size for pts in grids)))
-    for row, pts in zip(X, grids):
-        row[: pts.size], row[pts.size :] = pts, pts[-1]
-    return X, chebval_columns(X, C[:, :, None])
-
-
 def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
     """max over E of |p| for each p in polys, times the Schur weight when
     alpha > 0 (ValueError on a piece other than [-1, 1]), in one pass over the
     cells, the (polynomial, piece of ``E.intervals``) pairs, then the fixed
     ``E.samples``.
 
-    Each cell is sampled on its piece's 8*(deg+1)-point grid, all cells in
-    one Clenshaw pass (``_grid_samples``).  Refinement brackets every interior
-    local maximum of a finite cell's grid within 0.9 of its best sample
-    (under-refining a competing one is what would let ratio estimates drift
-    above true extremal ratios) and the best sample at an end of the piece;
-    ``_peak_angles`` finds a maximum in every bracket, sampled in one more
+    Each cell takes its series in the piece's coordinate t once, scaled
+    (``_support_series``), and its 8*(deg+1) grid values off it, one
+    ``grid_values`` per degree; a cell with a value that is not finite has
+    that value as its sup.  Refinement brackets every interior local maximum
+    of a finite cell's grid within 0.9 of its best sample (under-refining a
+    competing one is what would let ratio estimates drift above true extremal
+    ratios) and the best sample at an end of the piece; ``_peak_angles``
+    finds a maximum in every bracket on the same series, each sampled in one
     Clenshaw pass.  A NaN anywhere is the result (np.maximum).
     """
     for p in polys:
@@ -138,43 +130,39 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
     best = np.full(len(polys), -np.inf)
     if E.intervals:
         C = _coef_columns(polys)
-        degs = [_degree_int(p) for p in polys]
-        grids = [iv.grid(d) for iv in E.intervals for d in degs]
-        owner = np.arange(len(grids)) % len(polys)
-        X, P = _grid_samples(grids, C[:, owner])
-        V = np.abs(P) * weight(X) if weight else np.abs(P)
-        top = np.argmax(V, axis=1)
-        cell_best = V[np.arange(len(grids)), top]
+        pieces = [iv for iv in E.intervals for _ in polys]
+        owner = np.arange(len(pieces)) % len(polys)
+        degs = np.array([_degree_int(p) for p in polys])[owner]
+        S, top = _support_series(C[:, owner], degs, pieces)
+        S[1::2] *= -1  # p(-t), whose value at cos(pi l / m) is p's at grid point l
+        m = 8 * degs + 7  # the 8*(deg+1) points of ``Interval.grid``
+        V = np.empty((len(pieces), m.max() + 1))  # scaled as S: only the best is scaled back
+        for d in set(degs.tolist()):
+            cells = np.flatnonzero(degs == d)
+            G = np.abs(grid_values(S[: d + 1, cells], 8 * d + 7)).T
+            G = G * weight(pieces[cells[0]].grid(d)) if weight else G
+            V[cells, : G.shape[1]], V[cells, G.shape[1] :] = G, G[:, -1:]
+        V[~np.isfinite(top)] = top[~np.isfinite(top), None]
+        at = np.argmax(V, axis=1)
+        top_v = V[np.arange(len(pieces)), at]
+        cell_best = np.ldexp(top_v, np.frexp(top)[1])
         np.maximum.at(best, owner, cell_best)
         if refine:
-            m = np.array([pts.size - 1 for pts in grids])
             finite = np.isfinite(cell_best)  # a cell with inf or NaN keeps that value
             mid = V[:, 1:-1]
-            peak = (mid >= V[:, :-2]) & (mid >= V[:, 2:]) & (mid >= 0.9 * cell_best[:, None])
+            peak = (mid >= V[:, :-2]) & (mid >= V[:, 2:]) & (mid >= 0.9 * top_v[:, None])
             # a peak at index c + 1 of its cell's own grid (not the padding)
             r, c = np.nonzero(peak & (np.arange(1, V.shape[1] - 1) < m[:, None]) & finite[:, None])
-            end = np.flatnonzero(((top == 0) | (top == m)) & finite)
-            r, j = np.concatenate([r, end]), np.concatenate([c + 1, top[end]])
+            end = np.flatnonzero(((at == 0) | (at == m)) & finite)
+            r, j = np.concatenate([r, end]), np.concatenate([c + 1, at[end]])
             # grid point j is t = cos(theta), theta = pi (m - j) / m, in the piece's
             # coordinate t.  Bracket (j + 1, j - 1) is solved in psi = theta + pi,
             # g(psi) = p(-cos psi), to keep the ulps of [pi, 2 pi]; at an end, about
             # which g is even, it holds the mirror image and starts half a cell in
             m = m[r]
             lo, hi, start = np.pi * ((2 * m - [j + 1, j - 1, j + (j == 0) / 2 - (j == m) / 2]) / m)
-            # each cell's series of p(-t), scaled by the power of two that brings its largest
-            # grid value into [0.5, 1) so S cannot overflow: read off the grid values, except
-            # on [-1, 1], where p's own (|c_k| <= 2 max|p|) spares that FFT of length 16 deg + 14
-            cells = np.flatnonzero(np.bincount(r, minlength=len(grids)))
-            cell_of = np.searchsorted(cells, r)
-            unit = [(iv.a, iv.b) == (-1.0, 1.0) for iv in E.intervals]
-            series = []
-            for i in cells:
-                d, v, own = degs[owner[i]], P[i, : grids[i].size], unit[i // len(polys)]
-                e = math.frexp(np.max(np.abs(v.view(float))))[1]
-                v = (-1.0) ** np.arange(d + 1) * C[: d + 1, owner[i]] if own else v
-                v = np.ldexp(v.view(float), -e).view(v.dtype)
-                series.append(v if own else _lobatto_coef(v)[: d + 1])
-            x = -np.cos(_peak_angles(series, cell_of, start, lo, hi, alpha, X.size))
+            series = [S[: d + 1, i] for i, d in enumerate(degs)]
+            x = -np.cos(_peak_angles(series, r, start, lo, hi, alpha, V.size))
             for i, iv in enumerate(E.intervals):
                 x[r // len(polys) == i] = iv.at(x[r // len(polys) == i])
             refined = np.abs(chebval_columns(x[:, None], C[:, owner[r], None]))[:, 0]
@@ -193,7 +181,7 @@ def _peak_angles(series, cell, start, lo, hi, alpha: float, budget: int) -> np.n
     B = |g|^2, which has the sign of its slope; |S''| <= 4 (1 + 2 alpha)
     (n + 1)^3 G^2, G = sum_k |c_k| (Bernstein).  Brackets go in chunks of
     about ``budget`` terms (``_cos_sums``)."""
-    if not series:
+    if not lo.size:
         return start
     K = np.array([c.size for c in series])
     off = np.cumsum(K) - K
@@ -223,7 +211,8 @@ def _peak_angles(series, cell, start, lo, hi, alpha: float, budget: int) -> np.n
 
 
 def sup_norm(p, E: CompactSet, refine: bool = True) -> float:
-    """Supremum norm of p over E (sampled lower estimate, see module note)."""
+    """Supremum norm of p over E: a rounded sample at the maximum found, which
+    can exceed the true one by rounding (see module note)."""
     return _sup([as_chebseries(p)], E, refine)[0]
 
 
@@ -286,10 +275,10 @@ def _grid_roots(c: np.ndarray) -> Optional[np.ndarray]:
     each tangency, from a certified search in theta, where g(theta) =
     p(cos theta) = sum_k c_k cos(k theta); None where the search gives up.
 
-    Two rffts give g and g' on the M + 1 angles j pi / M, M = ``_GRID_CELLS``
-    * n, and every sign change of g there brackets a root.  By Ehlich and
-    Zeller, G = max |g_j| / cos(n pi / 2M) bounds |g|, and by Bernstein
-    |g^(k)| <= n^k G.  Most cells pass a test on their end values alone
+    ``grid_values`` gives g, and one more rfft g', on the M + 1 angles
+    j pi / M, M = ``_GRID_CELLS`` * n, and every sign change of g there
+    brackets a root.  By Ehlich and Zeller, G = max |g_j| / cos(n pi / 2M)
+    bounds |g|, and by Bernstein |g^(k)| <= n^k G.  Most cells pass a test on their end values alone
     (``_flagged``).  On a cell of width h the cubic H matching g and g' at
     both ends is then within (nh)^4 G / 384 of g, and H' within (nh)^3 n G / 24
     of g' (g' - H' has three zeros in the cell).  Where H keeps one sign by
@@ -308,7 +297,7 @@ def _grid_roots(c: np.ndarray) -> Optional[np.ndarray]:
     n = c.size - 1
     M = _GRID_CELLS * n
     k = np.arange(c.size)
-    g, dg = np.fft.rfft(c, 2 * M).real, np.fft.rfft(k * c, 2 * M).imag
+    g, dg = grid_values(c, M), np.fft.rfft(k * c, 2 * M).imag
     # rounding: 64 eps |c_k| for the FFT, pi k eps |c_k| for k theta in a direct sum
     floor = np.finfo(float).eps * float(np.sum((64 + np.pi * k) * np.abs(c)))
     dfloor = np.finfo(float).eps * float(np.sum((64 + np.pi * k) * k * np.abs(c)))
@@ -481,54 +470,47 @@ def _root_split_integral(p, mu: Measure, s: float, cuts, roots: list, nnodes: in
         sizes = (2 * sizes[-1],)  # powers of two, so never past _LP_MAX_NODES
 
 
-def _cos_points(m: int) -> np.ndarray:
-    """The m + 1 Chebyshev-Lobatto points cos(j pi / m) of [-1, 1], j = 0..m."""
-    return np.cos(np.arange(m + 1) * (np.pi / m))
+def _support_series(C: np.ndarray, degs, pieces) -> tuple:
+    """(S, top): column j of S is column j of C, of degree degs[j], in the
+    coordinate t = (2x - a - b)/(b - a) of pieces[j], scaled by the power of
+    two that brings top[j] into [0.5, 1), and 0 where top[j] is inf or NaN.
+    top[j] is the largest real or imaginary part of p's coefficients on
+    [-1, 1], else of p's values at deg + 1 Chebyshev-Lobatto points of the
+    piece, which one Clenshaw pass takes for all columns and ``lobatto_coef``
+    inverts, one call per degree.  Coefficients in x that keep p of size one
+    beyond [-1, 1] are graded, and the roots found from them drift near the
+    far end."""
+    degs = np.asarray(degs)
+    S = C[: degs.max() + 1].copy()
+    shifted = np.flatnonzero([(iv.a, iv.b) != (-1.0, 1.0) for iv in pieces])
+    if shifted.size:
+        X = np.empty((shifted.size, degs[shifted].max() + 1))
+        for row, j in zip(X, shifted):
+            pts = pieces[j].at(lobatto_points(degs[j] + 1)[::-1])
+            row[: pts.size], row[pts.size :] = pts, pts[-1]
+        P = chebval_columns(X, C[:, shifted, None])  # rows past deg + 1 repeat the last
+        S[: X.shape[1], shifted] = np.where(np.arange(X.shape[1]) <= degs[shifted, None], P, 0).T
+    top = np.maximum(np.abs(S.real), np.abs(S.imag)).max(axis=0)
+    S[:, ~np.isfinite(top)] = 0
+    S = np.ldexp(S.view(float), -np.repeat(np.frexp(top)[1], S.itemsize // 8)).view(S.dtype)
+    for d in set(degs[shifted].tolist()) - {0}:  # a constant is its one value
+        cols = shifted[degs[shifted] == d]
+        S[: d + 1, cols] = lobatto_coef(S[: d + 1, cols])
+    return S, top
 
 
-def _lobatto_coef(v: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of the polynomial of degree m = len(v) - 1 with
-    the values v at the points cos(j pi / m), j = 0..m: one FFT, two for
-    complex v."""
-    m = len(v) - 1
-
-    def cosine_sums(u):
-        return np.fft.rfft(np.concatenate([u, u[-2:0:-1]])).real / m
-
-    c = cosine_sums(v) if np.isrealobj(v) else cosine_sums(v.real) + 1j * cosine_sums(v.imag)
-    c[0] /= 2
-    c[m] /= 2
-    return c
-
-
-def _support_series(p: ChebSeries, support: Interval, v=None) -> ChebSeries:
-    """p in the support's coordinate t = (2x - a - b)/(b - a): p itself on
-    [-1, 1], else the series read off v, p's values at the deg + 1
-    Chebyshev-Lobatto points ``support.at(_cos_points(deg))`` (taken here
-    when None).  Coefficients in x that keep p of size one beyond [-1, 1]
-    are graded, and the roots found from them drift near the far end."""
-    if (support.a, support.b) == (-1.0, 1.0):
-        return p
-    return ChebSeries(_lobatto_coef(p(support.at(_cos_points(p.degree))) if v is None else v))
-
-
-def _odd_power_integral(p, mu: Measure, s: int) -> float:
-    """integral of |p|^s dmu for real p, odd s and mu Lebesgue on [a, b].
-
-    Everything is read off the values of p at the m + 1 = deg*s + 1
-    Chebyshev-Lobatto points of [a, b], in t = (2x - a - b)/(b - a): every
-    s-th of them gives p's coefficients in t (``_support_series``) and so its
-    real roots (``_real_roots_inside``), and their s-th powers give the
-    coefficients d_k of p^s.
-    p^s keeps one sign between two roots, so each piece adds the absolute
-    change across it of the antiderivative, whose coefficients are
+def _odd_power_integral(t: ChebSeries, s: int) -> float:
+    """integral of |p|^s dmu for real p, odd s and mu Lebesgue on [a, b],
+    from p's series t in the support's coordinate: its real roots, and the
+    coefficients d_k of p^s from the s-th powers of its ``grid_values`` at
+    m = deg*s.  p^s keeps one sign between two roots, so each piece adds the
+    absolute change across it of the antiderivative, whose coefficients are
     (d_(k-1) - d_(k+1))/(2k) and whose values at t = cos(theta) are sums of
     cos(k theta).
     """
-    m = p.degree * s
-    v = p(mu.support.at(_cos_points(m)))
-    roots = _real_roots_inside(_support_series(p, mu.support, v[::s]))
-    d = np.append(_lobatto_coef(v**s), (0.0, 0.0))
+    m = t.degree * s
+    roots = _real_roots_inside(t)
+    d = np.append(lobatto_coef(grid_values(t.coef, m) ** s), (0.0, 0.0))
     d[0] *= 2
     k = np.arange(1, m + 2)
     theta = np.arccos([1.0, *roots[::-1], -1.0])
@@ -545,12 +527,10 @@ def _check_lp_order(s) -> None:
 def lp_norm(p, mu: Measure, s: float) -> float:
     """(integral of |p|^s dmu)^(1/s).
 
-    p is first scaled by a power of two, and the norm scaled back, so that
-    |p|^s does not overflow: on [-1, 1] the one that brings its largest
-    coefficient into [0.5, 1), which bounds |p| there; on any other support
-    the one that brings its largest value at the deg + 1 Chebyshev-Lobatto
-    points of the support into [0.5, 1), and where one of those values is not
-    finite the norm is inf.  A constant c gives |c| directly.
+    p is first scaled by the power of two of ``_support_series``, and the
+    norm scaled back, so that |p|^s does not overflow; where one of the
+    values that set it is not finite the norm is inf.  A constant c gives
+    |c| directly.
 
     Even integer s: one Gauss rule matched to the weight, exact for the
     polynomial |p|^s.  Odd s under a Lebesgue measure with real p: no
@@ -566,10 +546,9 @@ def lp_norm(p, mu: Measure, s: float) -> float:
     that is larger); the sum of the last estimates is returned
     (``_root_split_integral``).
 
-    Both root-cutting paths find the roots from p's coefficients in the
-    support's coordinate, read off its values at Chebyshev points of the
-    support (``_support_series``), by ``_real_roots_inside``: eigenvalues up
-    to degree 64 and for complex p, a certified grid search in theta =
+    Both root-cutting paths find the roots of p's series in the support's
+    coordinate (``_support_series``) by ``_real_roots_inside``: eigenvalues
+    up to degree 64 and for complex p, a certified grid search in theta =
     arccos(t) with Newton polishing above it.
     """
     _check_lp_order(s)
@@ -579,13 +558,11 @@ def lp_norm(p, mu: Measure, s: float) -> float:
     if p.coef.size <= 1:  # the zero polynomial or a constant; mu has mass 1
         return float(abs(p.coef[0])) if p.coef.size else 0.0
     deg, support = p.coef.size - 1, mu.support
-    sizes = p.coef  # whose real and imaginary parts set the scale
-    if (support.a, support.b) != (-1.0, 1.0):
-        with np.errstate(over="ignore", invalid="ignore"):
-            sizes = p(support.at(_cos_points(deg)))
-        if not np.isfinite(sizes).all():
-            return math.inf
-    scale = math.frexp(np.max(np.abs(sizes.view(float))))[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        S, top = _support_series(p.coef[:, None], [deg], [support])
+    if not np.isfinite(top[0]):
+        return math.inf
+    scale = math.frexp(top[0])[1]
     coef = np.ldexp(p.coef.view(float), -scale).view(p.coef.dtype)
     s_int = int(s) if float(s).is_integer() else None
 
@@ -593,13 +570,12 @@ def lp_norm(p, mu: Measure, s: float) -> float:
         nodes, weights = mu.rule_for_degree(deg * s_int)
         total = float(np.dot(weights, np.abs(nch.chebval(nodes, coef)) ** s_int))
     elif s_int is not None and mu.kind == "lebesgue" and np.isrealobj(coef):
-        total = _odd_power_integral(ChebSeries(coef), mu, s_int)
+        total = _odd_power_integral(ChebSeries(S[:, 0]), s_int)
     else:
-        p, a, b = ChebSeries(coef), support.a, support.b
-        t = np.array(_real_roots_inside(_support_series(p, support)))
+        t, a, b = np.array(_real_roots_inside(ChebSeries(S[:, 0]))), support.a, support.b
         roots = [x for x in support.at(t).tolist() if a < x < b]
         nnodes = min(_LP_FIRST_NODES, 1 << (deg * math.ceil(s) // 2).bit_length())
-        total = _root_split_integral(p, mu, s, _lp_cuts(roots, mu), roots, nnodes)
+        total = _root_split_integral(ChebSeries(coef), mu, s, _lp_cuts(roots, mu), roots, nnodes)
     try:
         return math.ldexp(total ** (1.0 / s), scale)
     except OverflowError:  # the norm itself leaves the double range

@@ -7,6 +7,8 @@ import pytest
 from markovlab import ChebSeries, UniPoly, chebyshev_t, chebyshev_u, legendre_orthonormal, monomial
 from markovlab.chebseries import (
     as_chebseries,
+    grid_values,
+    lobatto_coef,
     lobatto_points,
     product_2d,
     random_unit,
@@ -84,6 +86,50 @@ def test_lobatto_points_ordered_with_endpoints():
     pts = lobatto_points(33)
     assert pts[0] == -1.0 and pts[-1] == 1.0
     assert np.all(np.diff(pts) > 0)
+
+
+def _series(n, rng, complex_):
+    c = rng.standard_normal(n + 1)
+    return c + 1j * rng.standard_normal(n + 1) if complex_ else c
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 127, 128])
+def test_grid_values_match_clenshaw(rng, n, complex_):
+    # the DCT-I gives the values at the exact angles; Clenshaw at the rounded
+    # points cos(pi l / m) is within rounding of them
+    c = _series(n, rng, complex_)
+    for m in (max(n, 1), 8 * n + 7):
+        want = ChebSeries(c)(np.cos(np.arange(m + 1) * (np.pi / m)))
+        got = grid_values(c, m)
+        assert got.shape == (m + 1,) and np.iscomplexobj(got) == complex_
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 128])
+def test_lobatto_coef_inverts_grid_values(rng, n, complex_):
+    # at m > n, the values of the zero-padded series, whose top coefficients are 0
+    c = _series(n, rng, complex_)
+    tol = 1e-14 * np.abs(c).max() * max(n, 1)
+    for m in (max(n, 1), 8 * n + 7):
+        back = lobatto_coef(grid_values(c, m))
+        assert back.shape == (m + 1,)
+        assert np.abs(back[: n + 1] - c).max() <= tol
+        assert np.abs(back[n + 1 :]).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_pair_batches_bitwise(rng, complex_):
+    # each column of a batch is bitwise its own transform
+    for n in (0, 3, 20, 128):
+        C = np.stack([_series(n, rng, complex_) for _ in range(5)], axis=1)
+        m = 8 * n + 7
+        G = grid_values(C, m)
+        back = lobatto_coef(G)
+        for j in range(C.shape[1]):
+            assert grid_values(C[:, j], m).tobytes() == G[:, j].tobytes()
+            assert lobatto_coef(G[:, j]).tobytes() == back[:, j].tobytes()
 
 
 def test_product_2d_values():

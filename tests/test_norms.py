@@ -48,14 +48,15 @@ from markovlab.exponents import _PolyRatio, _coarse_ratio
 from markovlab.norms import (
     NormTerms,
     _coef_columns,
+    _degree_int,
     _grid_roots,
-    _grid_samples,
     _lp_cuts,
     _qms_poly,
     _real_roots_inside,
     _root_split_integral,
     _sup,
     _sup_images,
+    _support_series,
     qms_log_norm,
 )
 
@@ -188,15 +189,21 @@ class TestSupNorm:
 
     @pytest.mark.parametrize("iv", [E, Interval(0.0, 3.0), Interval(-2.0, -1.5)],
                              ids=["[-1,1]", "[0,3]", "[-2,-1.5]"])
-    def test_grid_samples_in_one_pass_match_one_at_a_time(self, rng, iv):
+    def test_support_series_in_one_pass_match_one_at_a_time(self, rng, iv):
+        # one Clenshaw pass and one inverse FFT per degree give each column
+        # bitwise the series it gets alone, zero-padded; scaled back, that
+        # series takes p's values at the piece's points
         polys = self._mixed(rng)
-        grids = [iv.grid(0 if p.is_zero else p.degree) for p in polys]
-        X, V = _grid_samples(grids, _coef_columns(polys))
-        for p, pts, x, vals in zip(polys, grids, X, V):
-            want = p(pts)
-            assert np.array_equal(x[: pts.size], pts) and np.all(x[pts.size :] == pts[-1])
-            assert np.array_equal(vals[: pts.size], want) and np.all(vals[pts.size :] == want[-1])
-            assert np.abs(vals[: pts.size]).tobytes() == np.abs(want).tobytes()
+        degs = [_degree_int(p) for p in polys]
+        S, top = _support_series(_coef_columns(polys), degs, [iv] * len(polys))
+        for j, (p, d) in enumerate(zip(polys, degs)):
+            alone, top_alone = _support_series(_coef_columns([p]), [d], [iv])
+            assert np.array_equal(S[: d + 1, j], alone[:, 0]) and not S[d + 1 :, j].any()
+            assert top[j] == top_alone[0]
+            t = lobatto_points(2 * d + 3)
+            want = p(iv.at(t))
+            got = np.ldexp(1.0, np.frexp(top[j])[1]) * ChebSeries(S[: d + 1, j])(t)
+            assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
 
     @pytest.mark.parametrize("refine", [False, True])
     @pytest.mark.parametrize(
@@ -234,9 +241,9 @@ class TestSupNorm:
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_one_pass_per_call(self, rng, monkeypatch, refine):
-        # every piece of every polynomial: one Clenshaw pass over the grids;
-        # refined, one Newton pass over the brackets and one Clenshaw pass
-        # over the maxima found
+        # every piece of every polynomial: one Clenshaw pass over the Lobatto
+        # values of the pieces (none is [-1, 1]); refined, one Newton pass over
+        # the brackets and one Clenshaw pass over the maxima found
         calls = []
         for name in ("chebval_columns", "_newton_roots"):
             monkeypatch.setattr(norms, name, lambda *args, name=name, run=getattr(norms, name):

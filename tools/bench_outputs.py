@@ -12,6 +12,10 @@ operation once, printing ``<workload> | <operation> | <repr of its output>``
   taylor_disk (r = 0.5) on [0, 3];
 - ``family | chebyshev_u k=<k> | <repr of the fit>``: ``family_exponent`` of
   the sequence U_0..U_32 on [-1, 1];
+- ``norm | <norm> n=<n> | <value>``: ``evaluate_norm`` of the standard normal
+  Chebyshev series of degree n from ``default_rng(n)``: taylor_disk
+  (r = 0.5) on [-1, 1] and on [0, 3] at n = 64 and 128, and sup on [-1, 1]
+  at n = 128 with ``refine=False`` (its grid values alone);
 - ``verify | <suite> | <its checks>``: every check of
   ``run_suite("all", seed=1729)``, one line per suite.
 
@@ -29,8 +33,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 
+import numpy as np  # noqa: E402
+
 import workloads  # noqa: E402  (bench/workloads.py)
 from markovlab import (  # noqa: E402
+    ChebSeries,
     DerivOp,
     Interval,
     LpSpec,
@@ -41,6 +48,7 @@ from markovlab import (  # noqa: E402
     UnionSet,
     chebyshev_u,
     disk_boundary,
+    evaluate_norm,
     factor_table,
     family_exponent,
     lebesgue_measure,
@@ -64,6 +72,15 @@ def _tables() -> dict:
     }
 
 
+def _norms() -> dict:
+    """name -> (spec, n, refine) of the ``norm`` lines."""
+    sets = {"[-1,1]": Interval(-1.0, 1.0), "[0,3]": Interval(0.0, 3.0)}
+    lines = {f"taylor_disk(r=0.5){name} n={n}": (TaylorDiskSpec(iv, 0.5), n, True)
+             for name, iv in sets.items() for n in (64, 128)}
+    lines["sup[-1,1] refine=False n=128"] = (SupSpec(sets["[-1,1]"]), 128, False)
+    return lines
+
+
 def _outputs(seed: int):
     """(group, name, run) for every line, in print order; run() is its output."""
     for name in sorted(workloads.WORKLOADS):
@@ -78,6 +95,9 @@ def _outputs(seed: int):
     for k in (1, 2):
         yield "family", f"chebyshev_u k={k}", lambda k=k: family_exponent(
             family, Interval(-1.0, 1.0), k, (1, 32))
+    for name, (q, n, refine) in _norms().items():
+        p = ChebSeries(np.random.default_rng(n).standard_normal(n + 1))
+        yield "norm", name, lambda q=q, p=p, refine=refine: evaluate_norm(q, p, refine=refine)
     for suite in SUITES:
         yield "verify", suite, lambda suite=suite: run_suite(suite, seed=1729).checks
 
