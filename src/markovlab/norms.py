@@ -20,8 +20,9 @@ Sup norms on intervals are read at 8*(deg+1) Chebyshev-Lobatto points of each
 piece, one rfft per degree (``grid_values``), and every near-maximal bracket
 of that grid is refined by Newton's method in theta = arccos t, t the piece's
 coordinate (``_peak_angles``, on the kernel ``_newton_roots`` that the L^p
-root cuts use too).  A reported sup is a rounded sample, which can exceed the
-true maximum by rounding (up to 1.12e-14 relative at n = 128, ROADMAP F5).
+root cuts use too).  A coarse sup is the largest grid value, an FFT value at
+the exact angle; a refined one is the larger of that and a Clenshaw sample at
+each maximum found.  Either can exceed the truth by rounding (ROADMAP F5).
 One ``_sup`` call is one pass over every piece of every polynomial it is
 given, with one Newton loop for all brackets.
 ``evaluate_norm`` refines every sup term of its table that way (all deg+1
@@ -117,7 +118,8 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
     competing one is what would let ratio estimates drift above true extremal
     ratios) and the best sample at an end of the piece; ``_peak_angles``
     finds a maximum in every bracket on the same series, each sampled in one
-    Clenshaw pass.  A NaN anywhere is the result (np.maximum).
+    Clenshaw pass; the larger of those samples and the best grid value is the
+    cell's sup.  A NaN anywhere is the result (np.maximum).
     """
     for p in polys:
         if p.nvars != E.nvars:
@@ -211,8 +213,8 @@ def _peak_angles(series, cell, start, lo, hi, alpha: float, budget: int) -> np.n
 
 
 def sup_norm(p, E: CompactSet, refine: bool = True) -> float:
-    """Supremum norm of p over E: a rounded sample at the maximum found, which
-    can exceed the true one by rounding (see module note)."""
+    """Supremum norm of p over E: a grid value by FFT or a Clenshaw sample at
+    a maximum found, either rounded (see module note)."""
     return _sup([as_chebseries(p)], E, refine)[0]
 
 
@@ -476,10 +478,9 @@ def _support_series(C: np.ndarray, degs, pieces) -> tuple:
     two that brings top[j] into [0.5, 1), and 0 where top[j] is inf or NaN.
     top[j] is the largest real or imaginary part of p's coefficients on
     [-1, 1], else of p's values at deg + 1 Chebyshev-Lobatto points of the
-    piece, which one Clenshaw pass takes for all columns and ``lobatto_coef``
-    inverts, one call per degree.  Coefficients in x that keep p of size one
-    beyond [-1, 1] are graded, and the roots found from them drift near the
-    far end."""
+    piece (one Clenshaw pass for all columns, one ``lobatto_coef`` per
+    degree): coefficients in x are graded beyond [-1, 1], and roots found
+    from them drift near the far end."""
     degs = np.asarray(degs)
     S = C[: degs.max() + 1].copy()
     shifted = np.flatnonzero([(iv.a, iv.b) != (-1.0, 1.0) for iv in pieces])
@@ -528,9 +529,9 @@ def lp_norm(p, mu: Measure, s: float) -> float:
     """(integral of |p|^s dmu)^(1/s).
 
     p is first scaled by the power of two of ``_support_series``, and the
-    norm scaled back, so that |p|^s does not overflow; where one of the
-    values that set it is not finite the norm is inf.  A constant c gives
-    |c| directly.
+    norm scaled back, so that |p|^s does not overflow; the norm is NaN where
+    a coefficient is NaN, else inf where a value that sets the scale is not
+    finite.  A constant c gives |c| directly.
 
     Even integer s: one Gauss rule matched to the weight, exact for the
     polynomial |p|^s.  Odd s under a Lebesgue measure with real p: no
@@ -561,7 +562,7 @@ def lp_norm(p, mu: Measure, s: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         S, top = _support_series(p.coef[:, None], [deg], [support])
     if not np.isfinite(top[0]):
-        return math.inf
+        return math.nan if np.isnan(p.coef).any() else math.inf
     scale = math.frexp(top[0])[1]
     coef = np.ldexp(p.coef.view(float), -scale).view(p.coef.dtype)
     s_int = int(s) if float(s).is_integer() else None

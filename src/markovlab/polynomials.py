@@ -461,27 +461,6 @@ def _exact_image(p: MultiPoly, image) -> MultiPoly:
     return _exact(p._den * lcm, re, im, p.nvars)
 
 
-def _float_image(p: MultiPoly, image) -> MultiPoly:
-    """sum c*D^alpha p over the image's (c, alpha) pairs for a float p, in one
-    dict pass and one ``_from_terms``: bitwise ``_lincomb``'s sum, which adds
-    the same products c*a in the same order, drops a product or a sum once
-    it is 0, and appends a key to the dict when it comes back."""
-    out: dict = {}
-    for i, (c, alpha) in enumerate(image):
-        for key, a in p.partial_multi(alpha).terms.items():
-            if c != 1:
-                a = c * a
-                if not a:
-                    continue
-            if i:
-                a = out.get(key, 0) + a
-                if not a:
-                    del out[key]
-                    continue
-            out[key] = a
-    return _from_terms(out, p.nvars)
-
-
 class _Operator:
     """A constant-coefficient operator given by ``images(nvars)``: one or more
     sums c*D^alpha, each a tuple of (c, alpha) pairs, for polynomials in
@@ -489,14 +468,10 @@ class _Operator:
 
     def apply_all(self, p) -> list:
         """The images of p: on its numerators when p and every c are exact
-        (``_exact_image``), in one pass over its terms when p is a float
-        ``MultiPoly`` (``_float_image``), else through the polynomial's
-        ``partial_multi``."""
+        (``_exact_image``), else through the polynomial's ``partial_multi``."""
         images = self.images(p.nvars)
         if p.is_exact and all(is_exact(c) for image in images for c, _ in image):
             return [_exact_image(p, image) for image in images]
-        if isinstance(p, MultiPoly) and not p.is_exact:
-            return [_float_image(p, image) for image in images]
         return [_lincomb((c, p.partial_multi(alpha)) for c, alpha in image) for image in images]
 
 

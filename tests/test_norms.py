@@ -597,6 +597,15 @@ class TestLpPiecesAndAntiderivative:
         assert lp_norm(chebyshev_t(8), lebesgue_measure(0.0, b), s) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0])
+    def test_nan_coefficient_gives_nan(self, s):
+        # as for sup, a NaN coefficient is the norm, which the search reads as
+        # overflow; an inf one (a value that overflows) is inf
+        for mu in (MU, lebesgue_measure(0.0, 3.0)):
+            assert math.isnan(lp_norm(ChebSeries([1.0, math.nan, 0.5]), mu, s))
+            assert math.isnan(lp_norm(ChebSeries([1.0, math.inf, math.nan]), mu, s))
+        assert lp_norm(ChebSeries([1.0, math.inf, 0.5]), MU, s) == math.inf
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("k", [-1000, -7, 1, 900])
     def test_binary_scaling_is_exact(self, k, s):
         p = random_unit(12, np.random.default_rng(12))

@@ -18,7 +18,7 @@ from markovlab import (
     sup_norm,
 )
 from markovlab.chebseries import as_chebseries
-from markovlab.polynomials import NEG_INF, _lincomb
+from markovlab.polynomials import NEG_INF
 
 from conftest import cheb_t_coeffs
 
@@ -120,29 +120,6 @@ class TestPower:
         (image,) = DirOp((0.5, 1)).apply_all(p)
         assert self._float_only(image)
         assert image.terms == {(1, 1): 1 / 3, (0, 0): 0.5 * Fraction(-5, 7) + 2.0, (2, 0): 1 / 3}
-
-    def test_float_operator_images_match_sums_of_partials(self):
-        # one dict pass gives bitwise the sum of scalar multiples of partials,
-        # terms in the same order: products that vanish are dropped, and a
-        # coefficient that cancels to 0 leaves the dict and comes back last
-        rng = np.random.default_rng(3)
-        for nvars in (1, 2, 3):
-            unit = [tuple(2 * (i == j) for j in range(nvars)) for i in range(nvars)]
-            v = tuple(float(c) for c in rng.integers(-2, 3, nvars))
-            ops = [DirOp(v if any(v) else (1.0,) * nvars),
-                   DirOp((1, -1.0, 0.0)[:nvars] if nvars > 1 else (-0.5,)),
-                   HomOp(tuple((alpha, c) for alpha, c in zip(unit, (1, -1.0, 2.5))))]
-            for _ in range(20):
-                keys = {tuple(int(a) for a in rng.integers(0, 4, nvars)) for _ in range(12)}
-                p = MultiPoly({a: float(rng.integers(-3, 4)) or 1.5j for a in keys}, nvars)
-                for op in ops:
-                    for image, got in zip(op.images(nvars), op.apply_all(p)):
-                        want = _lincomb((c, p.partial_multi(alpha)) for c, alpha in image)
-                        assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
-        # x^2 + y^2 cancels in the constant term, which z^2 brings back after 2y
-        p = MultiPoly({(2, 0, 0): 1.0, (2, 1, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}, 3)
-        (image,) = HomOp((((2, 0, 0), 1), ((0, 2, 0), -1.0), ((0, 0, 2), 2.5))).apply_all(p)
-        assert list(image.terms.items()) == [((0, 1, 0), 2.0), ((0, 0, 0), 5.0)]
 
     def test_sup_of_chebyshev_square_is_one(self, unit_interval):
         # sup norm is spectral; dense-sampling oracle for sup of T_3^2
