@@ -19,7 +19,7 @@ from numpy.polynomial import chebyshev as nch
 from numpy.polynomial import legendre as nleg
 
 from .errors import DimensionMismatchError
-from .polynomials import NEG_INF, UniPoly
+from .polynomials import NEG_INF, MultiPoly, UniPoly
 
 
 class ChebSeries:
@@ -85,13 +85,7 @@ class ChebSeries:
             return ChebSeries(np.zeros((1,) * self.nvars))
         return ChebSeries(nch.chebder(self.coef, k, axis=axis))
 
-    def partial_multi(self, alpha) -> "ChebSeries":
-        """D^alpha p for a multi-index with one entry per variable; p itself when 0."""
-        out = self
-        for axis, k in enumerate(alpha):
-            if k:
-                out = out.deriv(k, axis)
-        return out
+    partial_multi = MultiPoly.partial_multi  # one body: it calls only ``deriv``
 
     def __add__(self, other):
         if not isinstance(other, ChebSeries):

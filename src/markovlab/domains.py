@@ -51,9 +51,13 @@ class Interval:
         return (mid if math.isfinite(mid) else self.a / 2 + self.b / 2) + self.width / 2 * t
 
     def grid(self, deg: int) -> np.ndarray:
-        """The 8*(deg+1) Chebyshev-Lobatto points of [a, b] a degree-deg sup samples."""
-        pts = lobatto_points(8 * (deg + 1))
-        return pts if (self.a, self.b) == (-1.0, 1.0) else self.at(pts)
+        """The ``grid_size(deg)`` Chebyshev-Lobatto points of [a, b] a degree-deg sup samples."""
+        return self.at(lobatto_points(grid_size(deg)))
+
+
+def grid_size(deg):
+    """8*(deg+1): the points of ``Interval.grid(deg)`` (elementwise for an array)."""
+    return 8 * (deg + 1)
 
 
 @dataclass(frozen=True)

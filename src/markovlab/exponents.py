@@ -39,6 +39,7 @@ from .norms import (
     SchurSpec,
     SupSpec,
     _evaluate_norms,
+    _gauss_power_rule,
     _schur_weight,
     evaluate_norm,
     qms_log_norm,
@@ -248,18 +249,16 @@ _SAMPLED_MAX_ENTRIES = 1 << 20
 def _sampled_side(q: NormSpec, deg: int):
     """(table, grids, rule): q's ``terms`` table at degree deg, the points at
     which ``evaluate_norm(q, p, refine=False)`` samples each sup term of a
-    real series p of degree deg (the grids of every piece of the set, then
-    its fixed samples, real or complex), and the Gauss rule of an even-s L^p
-    part (None without one).  None for the tables no matrix takes: a set in
-    two variables, a qms entry, odd or non-integer s."""
-    t, rule = q.terms(deg), None
+    real series p of degree deg (every piece's grid, then the set's fixed
+    samples, real or complex), and ``lp_norm``'s Gauss rule for an L^p part
+    (None without one).  None for the tables no matrix takes: a set in two
+    variables, a qms entry, an L^p part off the Gauss path."""
+    t = q.terms(deg)
     if t.qms or t.sups and t.set.nvars != 1:
         return None
-    if t.lp is not None:
-        mu, s = t.lp
-        if not float(s).is_integer() or int(s) % 2:
-            return None
-        rule = mu.rule_for_degree(deg * int(s))
+    rule = _gauss_power_rule(*t.lp, deg) if t.lp else None
+    if t.lp and rule is None:
+        return None
     return t, [sup_points(t.set, max(deg - k, 0)) for k, _, _ in t.sups], rule
 
 

@@ -16,9 +16,9 @@ Markov search (``exponents._BatchedRatio``) turns the same table into one
 sampling matrix for a batch of Chebyshev series, and declines the tables it
 cannot sample (qms among them).
 
-Sup norms on intervals are read at 8*(deg+1) Chebyshev-Lobatto points of each
-piece, one rfft per degree (``grid_values``), and every near-maximal bracket
-of that grid is refined by Newton's method in theta = arccos t, t the piece's
+Sup norms on intervals are read on the ``Interval.grid`` of each piece, one
+rfft per degree (``grid_values``), and every near-maximal bracket of that
+grid is refined by Newton's method in theta = arccos t, t the piece's
 coordinate (``_peak_angles``, on the kernel ``_newton_roots`` that the L^p
 root cuts use too).  A coarse sup is the largest grid value, an FFT value at
 the exact angle; a refined one is the larger of that and a Clenshaw sample at
@@ -52,6 +52,7 @@ from .domains import (
     Interval,
     Measure,
     gauss_jacobi,
+    grid_size,
     jacobi_log_mass,
     json_number,
     measure_from_json,
@@ -111,7 +112,7 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
     ``E.samples``.
 
     Each cell takes its series in the piece's coordinate t once, scaled
-    (``_support_series``), and its 8*(deg+1) grid values off it, one
+    (``_support_series``), and its ``Interval.grid`` values off it, one
     ``grid_values`` per degree; a cell with a value that is not finite has
     that value as its sup.  Refinement brackets every interior local maximum
     of a finite cell's grid within 0.9 of its best sample (under-refining a
@@ -137,11 +138,11 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
         degs = np.array([_degree_int(p) for p in polys])[owner]
         S, top = _support_series(C[:, owner], degs, pieces)
         S[1::2] *= -1  # p(-t), whose value at cos(pi l / m) is p's at grid point l
-        m = 8 * degs + 7  # the 8*(deg+1) points of ``Interval.grid``
+        m = grid_size(degs) - 1  # the points of ``Interval.grid``, l = 0..m
         V = np.empty((len(pieces), m.max() + 1))  # scaled as S: only the best is scaled back
         for d in set(degs.tolist()):
             cells = np.flatnonzero(degs == d)
-            G = np.abs(grid_values(S[: d + 1, cells], 8 * d + 7)).T
+            G = np.abs(grid_values(S[: d + 1, cells], m[cells[0]])).T
             G = G * weight(pieces[cells[0]].grid(d)) if weight else G
             V[cells, : G.shape[1]], V[cells, G.shape[1] :] = G, G[:, -1:]
         V[~np.isfinite(top)] = top[~np.isfinite(top), None]
@@ -519,6 +520,13 @@ def _odd_power_integral(t: ChebSeries, s: int) -> float:
     return float(np.sum(np.abs(np.diff(P)))) / 2
 
 
+def _gauss_power_rule(mu: Measure, s: float, deg: int):
+    """mu's rule exact for |p|^s, deg p = deg, where s is an even integer (``lp_norm``'s
+    Gauss path and the Markov search's L^p nodes); None for any other s."""
+    even = float(s).is_integer() and int(s) % 2 == 0
+    return mu.rule_for_degree(deg * int(s)) if even else None
+
+
 def _check_lp_order(s) -> None:
     """The order of an L^p norm: a finite number >= 1."""
     if not math.isfinite(s) or s < 1:
@@ -559,19 +567,19 @@ def lp_norm(p, mu: Measure, s: float) -> float:
     if p.coef.size <= 1:  # the zero polynomial or a constant; mu has mass 1
         return float(abs(p.coef[0])) if p.coef.size else 0.0
     deg, support = p.coef.size - 1, mu.support
+    rule = _gauss_power_rule(mu, s, deg)
     with np.errstate(over="ignore", invalid="ignore"):
         S, top = _support_series(p.coef[:, None], [deg], [support])
     if not np.isfinite(top[0]):
         return math.nan if np.isnan(p.coef).any() else math.inf
     scale = math.frexp(top[0])[1]
     coef = np.ldexp(p.coef.view(float), -scale).view(p.coef.dtype)
-    s_int = int(s) if float(s).is_integer() else None
 
-    if s_int is not None and s_int % 2 == 0:
-        nodes, weights = mu.rule_for_degree(deg * s_int)
-        total = float(np.dot(weights, np.abs(nch.chebval(nodes, coef)) ** s_int))
-    elif s_int is not None and mu.kind == "lebesgue" and np.isrealobj(coef):
-        total = _odd_power_integral(ChebSeries(S[:, 0]), s_int)
+    if rule:
+        nodes, weights = rule
+        total = float(np.dot(weights, np.abs(nch.chebval(nodes, coef)) ** int(s)))
+    elif float(s).is_integer() and mu.kind == "lebesgue" and np.isrealobj(coef):
+        total = _odd_power_integral(ChebSeries(S[:, 0]), int(s))
     else:
         t, a, b = np.array(_real_roots_inside(ChebSeries(S[:, 0]))), support.a, support.b
         roots = [x for x in support.at(t).tolist() if a < x < b]

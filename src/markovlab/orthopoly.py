@@ -33,7 +33,6 @@ from .errors import OrthogonalityLossError, QuadratureBudgetError
 from .fitting import ExponentFit, fit_power_law
 
 NMAX_HARD_CAP = 256
-_DRIFT_CHECK_STRIDE = 16
 _DRIFT_TOL = 1e-9
 
 
@@ -117,13 +116,12 @@ class OrthoSystem:
             out.append(nxt / self.betas[n + 1])
         return tuple(ChebSeries(c) for c in out)
 
-    def gram_defect(self, upto: Optional[int] = None) -> float:
-        """max |<Q_i, Q_j> - delta_ij| over i, j <= upto, by quadrature."""
-        upto = self.nmax if upto is None else int(upto)
-        nodes, weights = self.measure.rule_for_degree(2 * upto)
-        V = self.values(nodes, upto)
-        G = (V * weights) @ V.T
-        return float(np.max(np.abs(G - np.eye(upto + 1))))
+    def gram_defects(self) -> np.ndarray:
+        """Entry d: max |<Q_i, Q_j> - delta_ij| over i, j <= d, from one Gram matrix."""
+        nodes, weights = self.measure.rule_for_degree(2 * self.nmax)
+        V = self.values(nodes)
+        D = np.abs((V * weights) @ V.T - np.eye(self.nmax + 1))
+        return np.maximum.accumulate(np.tril(np.maximum(D, D.T)).max(axis=1))
 
     def sup_table(self, E: CompactSet, k: int = 0) -> np.ndarray:
         """sup |Q_n^(k)| over E for every n <= nmax (grid estimate): E, a set of
@@ -169,9 +167,9 @@ def stieltjes_orthonormalize(mu: Measure, nmax: int = 64) -> OrthoSystem:
     """Discrete Stieltjes construction of the orthonormal recurrence.
 
     Runs on the measure's Gauss nodes (exact inner products up to the needed
-    degree) and checks orthogonality drift every 16 degrees, raising
-    OrthogonalityLossError naming the failing degree once the Gram defect
-    passes 1e-9.
+    degree), then checks the finished system's Gram matrix once: the first
+    degree d whose leading block has a defect above 1e-9 (``gram_defects``)
+    raises OrthogonalityLossError naming d, as does a nonpositive norm.
     """
     if 2 * nmax > DEGREE_BUDGET:
         raise QuadratureBudgetError(
@@ -195,17 +193,13 @@ def stieltjes_orthonormalize(mu: Measure, nmax: int = 64) -> OrthoSystem:
         b_monic[k + 1] = norm_next / norm_prev
         pi_prev, pi_cur = pi_cur, pi_next
         norm_prev = norm_next
-        degree = k + 1
-        if degree % _DRIFT_CHECK_STRIDE == 0 or degree == nmax:
-            betas_partial = np.sqrt(b_monic[: degree + 1])
-            betas_partial[0] = 0.0
-            partial = OrthoSystem(a[:degree], betas_partial, mu, degree)
-            defect = partial.gram_defect(degree)
-            if defect > _DRIFT_TOL:
-                raise OrthogonalityLossError(degree, defect)
     betas = np.sqrt(b_monic)
     betas[0] = 0.0
-    return OrthoSystem(a, betas, mu, nmax)
+    sys = OrthoSystem(a, betas, mu, nmax)
+    for degree, defect in enumerate(sys.gram_defects()):
+        if defect > _DRIFT_TOL:
+            raise OrthogonalityLossError(degree, float(defect))
+    return sys
 
 
 def expand(p, sys: OrthoSystem) -> np.ndarray:

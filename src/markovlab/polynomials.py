@@ -142,8 +142,8 @@ class MultiPoly:
             return _from_terms(_partial(self._terms, k, axis), self.nvars)
         return _exact(self._den, _partial(self._re, k, axis), _partial(self._im, k, axis), self.nvars)
 
-    def partial_multi(self, alpha: Sequence[int]) -> "MultiPoly":
-        """D^alpha p for a multi-index with one entry per variable; p itself when 0."""
+    def partial_multi(self, alpha: Sequence[int]):
+        """D^alpha p, of p's type, for a multi-index with one entry per variable; p when 0."""
         out = self
         for axis, k in enumerate(alpha):
             if k:

@@ -17,6 +17,7 @@ from markovlab import (
     reconstruct,
     stieltjes_orthonormalize,
 )
+from markovlab import orthopoly
 from markovlab.chebseries import as_chebseries
 from markovlab.domains import jacobi_measure, tabulated_measure
 
@@ -50,7 +51,7 @@ class TestJacobiSystems:
     @pytest.mark.parametrize("beta", [-0.5, 0.0, 0.5, 1.0])
     def test_gram_identity_nmax64(self, alpha, beta):
         sys_ = jacobi_system(alpha, beta, 64)
-        assert sys_.gram_defect() <= 1e-10
+        assert sys_.gram_defects()[-1] <= 1e-10
 
     def test_symmetric_weights_have_zero_centers(self):
         for alpha in (-0.5, 0.0, 1.0):
@@ -82,7 +83,7 @@ class TestStieltjes:
     def test_gram_identity(self):
         mu = tabulated_measure(lambda x: 1.0 + 0.25 * x**2)
         sys_ = stieltjes_orthonormalize(mu, 24)
-        assert sys_.gram_defect() <= 1e-10
+        assert sys_.gram_defects()[-1] <= 1e-10
 
     def test_budget_guard(self):
         with pytest.raises(QuadratureBudgetError):
@@ -95,6 +96,22 @@ class TestStieltjes:
         with pytest.raises(OrthogonalityLossError) as err:
             stieltjes_orthonormalize(mu, 32)
         assert 1 <= err.value.degree <= 32
+
+    def test_orthogonality_loss_names_the_first_failing_degree(self, monkeypatch):
+        # a tolerance between the leading-block defects of two consecutive
+        # degrees d - 1 and d, neither a multiple of 16, fails exactly at d
+        mu, nmax = tabulated_measure(lambda x: 1.0 + 0.25 * x**2), 48
+        sys_ = stieltjes_orthonormalize(mu, nmax)
+        nodes, weights = mu.rule_for_degree(2 * nmax)
+        V = sys_.values(nodes)
+        G = np.abs((V * weights) @ V.T - np.eye(nmax + 1))
+        defects = [G[: d + 1, : d + 1].max() for d in range(nmax + 1)]
+        d = next(d for d in range(2, nmax + 1) if d % 16 not in (0, 1) and defects[d] > defects[d - 1])
+        monkeypatch.setattr(orthopoly, "_DRIFT_TOL", (defects[d - 1] + defects[d]) / 2)
+        with pytest.raises(OrthogonalityLossError) as err:
+            stieltjes_orthonormalize(mu, nmax)
+        assert (err.value.degree, err.value.defect) == (d, defects[d])
+        np.testing.assert_array_equal(sys_.gram_defects(), defects)
 
 
 class TestExpand:
