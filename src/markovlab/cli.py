@@ -256,7 +256,7 @@ def cmd_verify(args) -> int:
     seed, mode = _seed_and_mode(args, cfg)
     suite = args.suite or cfg.get("suite", "all")
     try:
-        report = run_suite(suite, seed=seed, mode=mode)
+        report = run_suite(suite, seed=seed)
     except ValueError as exc:
         raise ConfigError("suite", str(exc))
     payload = report.to_json()

@@ -473,15 +473,13 @@ def _root_split_integral(p, mu: Measure, s: float, cuts, roots: list, nnodes: in
         sizes = (2 * sizes[-1],)  # powers of two, so never past _LP_MAX_NODES
 
 
-def _support_series(C: np.ndarray, degs, pieces) -> tuple:
-    """(S, top): column j of S is column j of C, of degree degs[j], in the
-    coordinate t = (2x - a - b)/(b - a) of pieces[j], scaled by the power of
-    two that brings top[j] into [0.5, 1), and 0 where top[j] is inf or NaN.
-    top[j] is the largest real or imaginary part of p's coefficients on
-    [-1, 1], else of p's values at deg + 1 Chebyshev-Lobatto points of the
-    piece (one Clenshaw pass for all columns, one ``lobatto_coef`` per
-    degree): coefficients in x are graded beyond [-1, 1], and roots found
-    from them drift near the far end."""
+def _support_top(C: np.ndarray, degs, pieces) -> tuple:
+    """(S, top): S is C cut to degree max(degs), except that a column j on a
+    piece other than [-1, 1] holds p's values at degs[j] + 1
+    Chebyshev-Lobatto points of pieces[j], in descending order, then zeros
+    (one Clenshaw pass for all such columns); top[j] is the largest real or
+    imaginary part in column j, the magnitude that sets p's scale on its
+    piece (coefficients in x are graded beyond [-1, 1])."""
     degs = np.asarray(degs)
     S = C[: degs.max() + 1].copy()
     shifted = np.flatnonzero([(iv.a, iv.b) != (-1.0, 1.0) for iv in pieces])
@@ -492,7 +490,19 @@ def _support_series(C: np.ndarray, degs, pieces) -> tuple:
             row[: pts.size], row[pts.size :] = pts, pts[-1]
         P = chebval_columns(X, C[:, shifted, None])  # rows past deg + 1 repeat the last
         S[: X.shape[1], shifted] = np.where(np.arange(X.shape[1]) <= degs[shifted, None], P, 0).T
-    top = np.maximum(np.abs(S.real), np.abs(S.imag)).max(axis=0)
+    return S, np.maximum(np.abs(S.real), np.abs(S.imag)).max(axis=0)
+
+
+def _support_series(C: np.ndarray, degs, pieces) -> tuple:
+    """(S, top): column j of S is column j of C, of degree degs[j], in the
+    coordinate t = (2x - a - b)/(b - a) of pieces[j], scaled by the power of
+    two that brings top[j] (``_support_top``) into [0.5, 1), and 0 where
+    top[j] is inf or NaN.  Off [-1, 1] it is the series through p's values
+    there, one ``lobatto_coef`` per degree: roots found from coefficients in
+    x drift near the far end."""
+    S, top = _support_top(C, degs, pieces)
+    degs = np.asarray(degs)
+    shifted = np.flatnonzero([(iv.a, iv.b) != (-1.0, 1.0) for iv in pieces])
     S[:, ~np.isfinite(top)] = 0
     S = np.ldexp(S.view(float), -np.repeat(np.frexp(top)[1], S.itemsize // 8)).view(S.dtype)
     for d in set(degs[shifted].tolist()) - {0}:  # a constant is its one value
@@ -536,7 +546,7 @@ def _check_lp_order(s) -> None:
 def lp_norm(p, mu: Measure, s: float) -> float:
     """(integral of |p|^s dmu)^(1/s).
 
-    p is first scaled by the power of two of ``_support_series``, and the
+    p is first scaled by the power of two of ``_support_top``, and the
     norm scaled back, so that |p|^s does not overflow; the norm is NaN where
     a coefficient is NaN, else inf where a value that sets the scale is not
     finite.  A constant c gives |c| directly.
@@ -568,8 +578,8 @@ def lp_norm(p, mu: Measure, s: float) -> float:
         return float(abs(p.coef[0])) if p.coef.size else 0.0
     deg, support = p.coef.size - 1, mu.support
     rule = _gauss_power_rule(mu, s, deg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        S, top = _support_series(p.coef[:, None], [deg], [support])
+    with np.errstate(over="ignore", invalid="ignore"):  # the Gauss path needs only the scale
+        S, top = (_support_top if rule else _support_series)(p.coef[:, None], [deg], [support])
     if not np.isfinite(top[0]):
         return math.nan if np.isnan(p.coef).any() else math.inf
     scale = math.frexp(top[0])[1]

@@ -57,7 +57,6 @@ class CheckResult:
 class SuiteReport:
     suite: str
     seed: int
-    mode: str
     checks: List[CheckResult] = field(default_factory=list)
 
     @property
@@ -116,7 +115,7 @@ def _multi_indices(nvars: int, deg: int):
     return [(a, b) for a in range(deg + 1) for b in range(deg + 1 - a)]
 
 
-def suite_power_identity(seed: int = DEFAULT_SEED, mode: str = "float", trials: int = 200) -> SuiteReport:
+def suite_power_identity(seed: int = DEFAULT_SEED, trials: int = 200) -> SuiteReport:
     """Residual sweep of the identity expanding (Df)^k by binomial powers of f."""
     rng = np.random.default_rng(seed)
     worst_float = 0.0
@@ -141,7 +140,7 @@ def suite_power_identity(seed: int = DEFAULT_SEED, mode: str = "float", trials: 
             v_exact = (RationalComplex(1, 0),) * nvars
         if power_identity_residual(f_exact, DirOp(v_exact), k) != 0.0:
             exact_nonzero += 1
-    report = SuiteReport("di", seed, mode)
+    report = SuiteReport("di", seed)
     report.checks.append(_check_le("float-relative-residual", worst_float, 1e-9))
     report.checks.append(_check_eq_count("exact-nonzero-residuals", exact_nonzero))
     return report
@@ -151,8 +150,8 @@ def suite_power_identity(seed: int = DEFAULT_SEED, mode: str = "float", trials: 
 # qms: factorial-jet norm golden values, chain slopes, and the m* separation
 
 
-def suite_qms(seed: int = DEFAULT_SEED, mode: str = "exact") -> SuiteReport:
-    report = SuiteReport("qms", seed, mode)
+def suite_qms(seed: int = DEFAULT_SEED) -> SuiteReport:
+    report = SuiteReport("qms", seed)
     term_failures = 0
     value_failures = 0
     for s in (2, 3, 4):
@@ -199,7 +198,7 @@ def suite_qms(seed: int = DEFAULT_SEED, mode: str = "exact") -> SuiteReport:
 # nikolskii: two-sided sup vs L^p sandwich with the explicit factor
 
 
-def suite_nikolskii(seed: int = DEFAULT_SEED, mode: str = "float", count: int = 100) -> SuiteReport:
+def suite_nikolskii(seed: int = DEFAULT_SEED, count: int = 100) -> SuiteReport:
     rng = np.random.default_rng(seed)
     mu = lebesgue_measure()
     E = Interval(-1.0, 1.0)
@@ -215,7 +214,7 @@ def suite_nikolskii(seed: int = DEFAULT_SEED, mode: str = "float", count: int = 
             factor = (2.0 * (s + 1) * n * n) ** (1.0 / s)
             if sup > factor * lp * (1 + slack) + 1e-14:
                 violations += 1
-    report = SuiteReport("nikolskii", seed, mode)
+    report = SuiteReport("nikolskii", seed)
     report.checks.append(_check_eq_count("sandwich-violations", violations))
     return report
 
@@ -224,9 +223,9 @@ def suite_nikolskii(seed: int = DEFAULT_SEED, mode: str = "float", count: int = 
 # bernstein-schur, laplacian, floor
 
 
-def suite_bernstein_schur(seed: int = DEFAULT_SEED, mode: str = "float") -> SuiteReport:
+def suite_bernstein_schur(seed: int = DEFAULT_SEED) -> SuiteReport:
     rep = bernstein_schur_check(nmax=64, seed=seed)
-    report = SuiteReport("bernstein-schur", seed, mode)
+    report = SuiteReport("bernstein-schur", seed)
     report.checks.append(_check_eq_count("bernstein-violations", rep.bernstein_violations))
     report.checks.append(_check_eq_count("schur-violations", rep.schur_violations))
     report.checks.append(_check_eq_count("combined-violations", rep.combined_violations))
@@ -239,8 +238,8 @@ def suite_bernstein_schur(seed: int = DEFAULT_SEED, mode: str = "float") -> Suit
     return report
 
 
-def suite_laplacian(seed: int = DEFAULT_SEED, mode: str = "float") -> SuiteReport:
-    report = SuiteReport("laplacian", seed, mode)
+def suite_laplacian(seed: int = DEFAULT_SEED) -> SuiteReport:
+    report = SuiteReport("laplacian", seed)
     for l in (1, 2):
         rep = laplacian_vs_gradient_check(l=l)
         report.checks.append(
@@ -251,8 +250,8 @@ def suite_laplacian(seed: int = DEFAULT_SEED, mode: str = "float") -> SuiteRepor
     return report
 
 
-def suite_floor(seed: int = DEFAULT_SEED, mode: str = "float") -> SuiteReport:
-    report = SuiteReport("floor", seed, mode)
+def suite_floor(seed: int = DEFAULT_SEED) -> SuiteReport:
+    report = SuiteReport("floor", seed)
     sets = (("interval-sup-floor", Interval(-1.0, 1.0)), ("disk-sup-floor", disk_boundary()))
     for name, E in sets:
         floor = spectral_exponent_floor(SupSpec(E), seed=seed)
@@ -279,14 +278,14 @@ SUITES: Dict[str, Callable[..., SuiteReport]] = {
 }
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED, mode: str = "float") -> SuiteReport:
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Run one named suite, or all of them aggregated under the name "all"."""
     if name == "all":
-        combined = SuiteReport("all", seed, mode)
+        combined = SuiteReport("all", seed)
         for sub in SUITES:
-            rep = run_suite(sub, seed=seed, mode=mode)
+            rep = run_suite(sub, seed=seed)
             combined.checks += [replace(check, name=f"{sub}/{check.name}") for check in rep.checks]
         return combined
     if not isinstance(name, str) or name not in SUITES:
         raise ValueError(f"unknown suite name {name!r}")
-    return SUITES[name](seed=seed, mode=mode)
+    return SUITES[name](seed=seed)

@@ -155,8 +155,8 @@ class TestVerifyCommand:
         from markovlab.verify import CheckResult, SuiteReport
 
         def fake(name, status):
-            def suite(seed, mode):
-                rep = SuiteReport(name, seed, mode)
+            def suite(seed):
+                rep = SuiteReport(name, seed)
                 rep.checks.append(CheckResult("only", status, 0.0, 0.0, 0.0))
                 return rep
 
@@ -171,8 +171,8 @@ class TestVerifyCommand:
         import markovlab.verify as verify
         from markovlab.verify import CheckResult, SuiteReport
 
-        def failing(seed, mode):
-            rep = SuiteReport("synthetic", seed, mode)
+        def failing(seed):
+            rep = SuiteReport("synthetic", seed)
             rep.checks.append(CheckResult("broken", "fail", 1.0, 0.0, 0.0))
             return rep
 

@@ -44,7 +44,8 @@ from markovlab import (
     sup_norm,
 )
 from markovlab.chebseries import ChebSeries, lobatto_points, random_unit
-from markovlab.exponents import _PolyRatio, _coarse_ratio
+from markovlab.domains import Measure, tabulated_measure
+from markovlab.exponents import _PolyRatio, _coarse_ratio, _sampled_side
 from markovlab.norms import (
     NormTerms,
     _coef_columns,
@@ -259,6 +260,41 @@ class TestSupNorm:
         strict=True, reason="Chebyshev terms cancel on the circle")) for n in (64, 100, 128))])
     def test_monomial_on_the_circle(self, n):
         assert sup_norm(monomial(n), disk_boundary()) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRulesSharedWithTheSearch:
+    """The search samples where the evaluation does: each piece's
+    ``Interval.grid`` and the Gauss rule of ``lp_norm``'s even-s path."""
+
+    @pytest.mark.parametrize("piece", [Interval(-1.0, 1.0), Interval(0.0, 3.0),
+                                       Interval(-1.0, -0.5), Interval(0.5, 1.0)],
+                             ids=["[-1,1]", "[0,3]", "E_0.5-left", "E_0.5-right"])
+    def test_coarse_sup_is_the_largest_grid_value(self, piece):
+        rng = np.random.default_rng(27)
+        for d in range(65):
+            p = ChebSeries(rng.standard_normal(d + 1))
+            grid = piece.grid(d)
+            want = float(np.max(np.abs(p(grid))))  # Clenshaw at every grid point
+            assert sup_norm(p, piece, refine=False) == pytest.approx(want, rel=1e-12, abs=0)
+            _, grids, rule = _sampled_side(SupSpec(piece), d)
+            assert rule is None and len(grids) == 1 and np.array_equal(grids[0], grid)
+
+    @pytest.mark.parametrize("mu", [lebesgue_measure(), lebesgue_measure(0.0, 3.0), jacobi_measure(0.3, -0.4),
+                                    tabulated_measure(lambda x: 1.0 + 0.25 * x**2)],
+                             ids=["lebesgue", "lebesgue[0,3]", "jacobi", "tabulated"])
+    @pytest.mark.parametrize("s", [1, 1.5, 2, 3, 4, 6])
+    def test_search_declines_lp_exactly_off_the_gauss_path(self, monkeypatch, mu, s):
+        asked, rule_for_degree = [], Measure.rule_for_degree
+        monkeypatch.setattr(Measure, "rule_for_degree",
+                            lambda self, degree: asked.append(rule_for_degree(self, degree)) or asked[-1])
+        for d in (1, 8, 24):
+            side = _sampled_side(LpSpec(mu, s), d)
+            assert (side is None) == (s not in (2, 4, 6))
+            asked.clear()
+            lp_norm(random_unit(d, np.random.default_rng(d)), mu, s)
+            assert len(asked) == (side is not None)  # lp_norm asks for a rule on its Gauss path only
+            if side is not None:
+                assert all(np.array_equal(a, b) for a, b in zip(side[2], asked[0]))
 
 
 class TestSupRefinementOracles:

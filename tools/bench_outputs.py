@@ -16,6 +16,10 @@ operation once, printing ``<workload> | <operation> | <repr of its output>``
   Chebyshev series of degree n from ``default_rng(n)``: taylor_disk
   (r = 0.5) on [-1, 1] and on [0, 3] at n = 64 and 128, and sup on [-1, 1]
   at n = 128 with ``refine=False`` (its grid values alone);
+- ``stieltjes | <weight> nmax=<n> | <(sha256, b_nmax)>``: the recurrence of
+  ``stieltjes_orthonormalize`` for the Lebesgue, Jacobi(-0.9, 0.3) and
+  tabulated 1 + x^2/4 weights at nmax = 24, 64 and 128, as the sha256 of
+  ``alphas.tobytes() + betas.tobytes()`` and the last beta;
 - ``verify | <suite> | <its checks>``: every check of
   ``run_suite("all", seed=1729)``, one line per suite.
 
@@ -28,6 +32,7 @@ refactor's "bitwise equal" is a ``diff``:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 
@@ -51,9 +56,12 @@ from markovlab import (  # noqa: E402
     evaluate_norm,
     factor_table,
     family_exponent,
+    jacobi_measure,
     lebesgue_measure,
     run_suite,
+    stieltjes_orthonormalize,
 )
+from markovlab.domains import tabulated_measure  # noqa: E402
 from markovlab.verify import SUITES  # noqa: E402
 
 
@@ -81,6 +89,12 @@ def _norms() -> dict:
     return lines
 
 
+def _stieltjes(mu, nmax: int) -> tuple:
+    sys_ = stieltjes_orthonormalize(mu, nmax)
+    digest = hashlib.sha256(sys_.alphas.tobytes() + sys_.betas.tobytes()).hexdigest()
+    return digest, float(sys_.betas[-1])
+
+
 def _outputs(seed: int):
     """(group, name, run) for every line, in print order; run() is its output."""
     for name in sorted(workloads.WORKLOADS):
@@ -98,6 +112,11 @@ def _outputs(seed: int):
     for name, (q, n, refine) in _norms().items():
         p = ChebSeries(np.random.default_rng(n).standard_normal(n + 1))
         yield "norm", name, lambda q=q, p=p, refine=refine: evaluate_norm(q, p, refine=refine)
+    weights = {"lebesgue": lebesgue_measure(), "jacobi(-0.9,0.3)": jacobi_measure(-0.9, 0.3),
+               "1+x^2/4": tabulated_measure(lambda x: 1.0 + 0.25 * x**2)}
+    for name, mu in weights.items():
+        for nmax in (24, 64, 128):
+            yield "stieltjes", f"{name} nmax={nmax}", lambda mu=mu, nmax=nmax: _stieltjes(mu, nmax)
     for suite in SUITES:
         yield "verify", suite, lambda suite=suite: run_suite(suite, seed=1729).checks
 
