@@ -199,8 +199,8 @@ def random_units(degree: int, count: int, rng: np.random.Generator) -> np.ndarra
     top = np.max(np.abs(C), axis=1)
     small = np.abs(C[:, degree]) < 1e-3 * top
     C[small, degree] = np.where(C[small, degree] >= 0, 1e-3, -1e-3) * top[small]
-    # one norm per row: a norm along axis 1 sums in another order
-    return C / np.array([np.linalg.norm(c) for c in C])[:, None]
+    # one norm per row, np.linalg.norm's sqrt(c . c): a norm along axis 1 sums in another order
+    return C / np.sqrt([c.dot(c) for c in C])[:, None]
 
 
 def random_unit(degree: int, rng: np.random.Generator) -> ChebSeries:

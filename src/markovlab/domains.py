@@ -356,9 +356,9 @@ class Measure:
             return self._mapped_rule(nnodes)
         nodes, weights = self._tabulated_rule(nnodes)
         total = weights.sum()
-        # self-consistency: a doubled rule must agree to 1e-8 relative
+        # self-consistency: a doubled rule must agree to 1e-8 relative (NaN fails)
         total2 = self._tabulated_rule(2 * nnodes)[1].sum()
-        if abs(total - total2) > 1e-8 * abs(total2):
+        if not abs(total - total2) <= 1e-8 * abs(total2):
             raise QuadratureBudgetError(
                 "tabulated weight fails quadrature self-consistency; "
                 "increase the node count"

@@ -308,37 +308,50 @@ class _BatchedRatio:
         np.concatenate([M[:r] for M, r in zip(dense, sup_rows)]
                        + [M[r:] for M, r in zip(dense, sup_rows)], out=self.matrix)
         grids = grids + num_grids
-        self.nsup, self.split = sum(sup_rows), len(t.sups)  # the denominator's blocks
+        self.nsup = sum(sup_rows)
         self.starts = np.cumsum([0] + [g.size for g in grids[:-1]])
         self.coeffs = np.asarray([scale / divisor for table in (t, num_t)
                                   for _, scale, divisor in table.sups], dtype=float)
         self.row_weight = _schur_weight(t.alpha, np.concatenate(grids)) if t.alpha else None
-        # the Gauss weights of both sides, the denominator's count, and s
-        self.lp = (np.concatenate([rule[1], num_rule[1]]), rule[1].size, int(t.lp[1])) if rule else None
+        # the Gauss weights of both sides, and s
+        self.lp = (np.concatenate([rule[1], num_rule[1]]), int(t.lp[1])) if rule else None
+        # the terms summed into each side, in parts: the sup terms of the
+        # denominator and of the numerator, then (with an L^p part) their Gauss
+        # nodes; term r of part c is row r of line c of a table zero-padded
+        # to the longest part, at ``slots`` (None where no part is shorter)
+        counts = [len(t.sups), len(num_t.sups)] + ([rule[1].size, num_rule[1].size] if rule else [])
+        self.shape = (len(counts), max(counts))
+        self.slots = None if min(counts) == max(counts) else np.concatenate(
+            [np.arange(n) + c * self.shape[1] for c, n in enumerate(counts)])
         # the most ascent iterations in one block, at two trials each
         self.max_block = max(1, _SCREEN_ENTRIES // (2 * self.matrix.shape[0]))
 
     def ratios(self, vals: np.ndarray) -> list:
         """The ratios of the columns of vals = matrix @ coefs, as ``_ratios``:
         the maxima of every sup block of both sides in one reduction (times
-        ``row_weight``, the Schur weight), each side's maxima summed with
-        ``coeffs``, plus its L^p power sum.  Both sums run over a side's rows
-        in order (``np.add.accumulate``), so a column's ratio does not depend
-        on how many columns come with it."""
+        ``row_weight``, the Schur weight), times ``coeffs``, then the L^p
+        powers of both sides, set into one table by ``slots``, whose lines
+        one ``np.add.accumulate`` sums in row order, so a column's ratio does
+        not depend on how many columns come with it."""
         vals = np.abs(vals)
-        sides = [0.0, 0.0]
+        terms = []
         if self.nsup:
             sup = vals[: self.nsup]
             if self.row_weight is not None:
                 sup *= self.row_weight[:, None]
-            terms = self.coeffs[:, None] * np.maximum.reduceat(sup, self.starts, axis=0)
-            sides = [np.add.accumulate(part)[-1] for part in np.split(terms, [self.split])]
+            terms.append(self.coeffs[:, None] * np.maximum.reduceat(sup, self.starts, axis=0))
         if self.lp is not None:
-            weights, split, s = self.lp
-            power = np.split(weights[:, None] * vals[self.nsup :] ** s, [split])
-            sides = [side + np.add.accumulate(part)[-1] ** (1.0 / s)
-                     for side, part in zip(sides, power)]
-        denoms, images = (side.tolist() for side in sides)
+            weights, s = self.lp
+            terms.append(weights[:, None] * vals[self.nsup :] ** s)
+        terms = terms[0] if len(terms) == 1 else np.concatenate(terms)
+        if self.slots is not None:
+            table = np.zeros((self.shape[0] * self.shape[1], vals.shape[1]))
+            table[self.slots] = terms
+            terms = table
+        sums = np.add.accumulate(terms.reshape(*self.shape, -1), axis=1)[:, -1]
+        if self.lp is not None:
+            sums = sums[:2] + sums[2:] ** (1.0 / s)
+        denoms, images = sums.tolist()
         return [_quotient(max(0.0, im), d) for d, im in zip(denoms, images)]
 
     def screen(self, coefs) -> list:
@@ -355,10 +368,10 @@ class _BatchedRatio:
     def first_gain(self, coef, vals, idx, steps, floor):
         """As ``_PolyRatio.first_gain``, from one rank-1 update per trial."""
         old = coef[idx]
-        block = self.matrix[:, idx]
-        block *= (old + steps) - old
-        block += vals[:, None]
-        return next(((j, r) for j, r in enumerate(self.ratios(block)) if r > floor), None)
+        block = self.matrix.T.take(idx, axis=0)  # one contiguous row per trial
+        block *= ((old + steps) - old)[:, None]
+        block += vals
+        return next(((j, r) for j, r in enumerate(self.ratios(block.T)) if r > floor), None)
 
 
 def _ascend(coarse, coef: np.ndarray, ratio: float, rounds: int):
@@ -368,40 +381,40 @@ def _ascend(coarse, coef: np.ndarray, ratio: float, rounds: int):
     Iteration it tries coordinate it % coef.size by +step, then -step, keeps
     the first trial whose ratio beats the current one by a factor 1 + 1e-14,
     and halves the coordinate's step when neither does; a step below 1e-9 is
-    skipped.  Iterations are planned in blocks as if every trial fails, and
-    ``coarse.first_gain`` takes a block's trials together; the first
-    improving trial in iteration order is kept and the next block starts
-    after it, so the result is bitwise the one-trial-at-a-time ascent's.  A
-    block is 2 iterations after a kept trial and doubles after a block
-    without one, up to ``coarse.max_block``.
+    skipped.  Iterations are planned in blocks, on Python floats, as if every
+    trial fails, and ``coarse.first_gain`` takes a block's trials together;
+    the first improving trial in iteration order is kept and the next block
+    starts after it, so the result is bitwise the one-trial-at-a-time
+    ascent's.  A block is 2 iterations after a kept trial and doubles after
+    a block without one, up to ``coarse.max_block``.
     """
     size = coef.size
-    steps = np.full(size, 0.25 * max(np.max(np.abs(coef)), 1e-6))
-    # iteration it visits coordinate it % size; a step planned v visits ahead
-    # is halved v times (exactly: a power of 2)
-    order = np.arange(rounds)
-    visit_col, halved = order % size, 0.5 ** (order // size)
+    steps = [0.25 * max(float(np.max(np.abs(coef))), 1e-6)] * size
     vals, improved, it, block = coarse.values(coef), False, 0, 2
     while True:
-        cols = visit_col[it:]
-        step = steps[cols] * halved[: rounds - it]
-        live = (step >= 1e-9).nonzero()[0][: min(block, coarse.max_block)]
-        if not live.size:
+        # a step planned v visits ahead is halved v times (exactly: a power of 2)
+        plan, width = [], min(block, coarse.max_block)
+        for t in range(it, rounds):
+            step = steps[t % size] * 0.5 ** ((t - it) // size)
+            if step >= 1e-9:
+                plan.append((t, step))
+                if len(plan) == width:
+                    break
+        if not plan:
             return coef if improved else None
-        idx = cols[live].repeat(2)
-        signed = step[live].repeat(2)
-        signed[1::2] *= -1.0
+        idx = np.array([t % size for t, _ in plan]).repeat(2)
+        signed = [x for _, step in plan for x in (step, -step)]
         hit = coarse.first_gain(coef, vals, idx, signed, ratio * (1 + 1e-14))
-        failed = cols[live if hit is None else live[: hit[0] // 2]]
-        steps = steps * 0.5 ** np.bincount(failed, minlength=size)
+        for t, _ in plan[: len(plan) if hit is None else hit[0] // 2]:  # both trials failed
+            steps[t % size] *= 0.5
         if hit is None:
-            it, block = it + live[-1] + 1, 2 * block
+            it, block = plan[-1][0] + 1, 2 * block
         else:
             j, ratio = hit
             coef = coef.copy()
             coef[idx[j]] += signed[j]
             vals, improved = coarse.values(coef), True
-            it, block = it + live[j // 2] + 1, 2
+            it, block = plan[j // 2][0] + 1, 2
 
 
 def _coef_matrix(op: OperatorSpec, n: int) -> Optional[np.ndarray]:

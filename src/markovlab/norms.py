@@ -172,8 +172,21 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
             np.maximum.at(best, owner[r], refined * weight(x) if weight else refined)
     if E.samples[0].size:
         w = weight(*E.samples) if weight else 1.0
-        best = np.maximum(best, [np.max(np.abs(p(*E.samples)) * w) for p in polys])
+        best = np.maximum(best, [np.max(np.abs(v) * w) for v in _sample_values(polys, E.samples)])
     return best.tolist()
+
+
+def _sample_values(polys, samples) -> list:
+    """The values of each of polys at the fixed points ``samples``: by
+    ``chebval`` in one variable; in two, through one pair of Chebyshev
+    Vandermonde matrices Vx, Vy for all of them, p's values being the row
+    sums of (Vx[:, :a] @ p.coef) * Vy[:, :b] for p.coef of shape (a, b)
+    (taken transposed: chebvander's rows T_i at every point are contiguous)."""
+    if len(samples) == 1:
+        return [p(*samples) for p in polys]
+    Vx, Vy = (nch.chebvander(x, max(1, *(p.coef.shape[axis] for p in polys)) - 1).T
+              for axis, x in enumerate(samples))
+    return [((p.coef.T @ Vx[: p.coef.shape[0]]) * Vy[: p.coef.shape[1]]).sum(axis=0) for p in polys]
 
 
 def _peak_angles(series, cell, start, lo, hi, alpha: float, budget: int) -> np.ndarray:

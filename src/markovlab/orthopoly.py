@@ -169,7 +169,8 @@ def stieltjes_orthonormalize(mu: Measure, nmax: int = 64) -> OrthoSystem:
     Runs on the measure's Gauss nodes (exact inner products up to the needed
     degree), then checks the finished system's Gram matrix once: the first
     degree d whose leading block has a defect above 1e-9 (``gram_defects``)
-    raises OrthogonalityLossError naming d, as does a nonpositive norm.
+    raises OrthogonalityLossError naming d, as does a nonpositive norm; a NaN
+    defect or norm fails its test too.
     """
     if 2 * nmax > DEGREE_BUDGET:
         raise QuadratureBudgetError(
@@ -187,7 +188,7 @@ def stieltjes_orthonormalize(mu: Measure, nmax: int = 64) -> OrthoSystem:
         ak = float(np.dot(weights, nodes * pi_cur * pi_cur) / norm_prev)
         pi_next = (nodes - ak) * pi_cur - (b_monic[k] if k else 0.0) * pi_prev
         norm_next = float(np.dot(weights, pi_next * pi_next))
-        if norm_next <= 0.0:
+        if not norm_next > 0.0:  # NaN fails
             raise OrthogonalityLossError(k + 1, float("inf"))
         a[k] = ak
         b_monic[k + 1] = norm_next / norm_prev
@@ -197,7 +198,7 @@ def stieltjes_orthonormalize(mu: Measure, nmax: int = 64) -> OrthoSystem:
     betas[0] = 0.0
     sys = OrthoSystem(a, betas, mu, nmax)
     for degree, defect in enumerate(sys.gram_defects()):
-        if defect > _DRIFT_TOL:
+        if not defect <= _DRIFT_TOL:
             raise OrthogonalityLossError(degree, float(defect))
     return sys
 

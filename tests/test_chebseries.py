@@ -163,6 +163,14 @@ def test_random_units_match_successive_draws(degree, count):
     assert random_unit(degree, rng).coef.tobytes() == _one_draw(degree, ref).tobytes()
 
 
+def test_random_units_rows_are_the_linalg_norm_rows():
+    # sqrt(c . c) per row is bitwise np.linalg.norm(c), at every degree 3..128
+    for degree in range(3, 129):
+        rng, ref = np.random.default_rng(degree), np.random.default_rng(degree)
+        want = np.array([_one_draw(degree, ref) for _ in range(4)])
+        assert random_units(degree, 4, rng).tobytes() == want.tobytes()
+
+
 class _Draws:
     """A stand-in generator that hands out fixed rows, whole or one by one."""
 

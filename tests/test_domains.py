@@ -224,6 +224,14 @@ class TestMeasures:
         nodes, weights = mu.gauss_rule(64)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_tabulated_weight_not_finite_fails_self_consistency(self, bad):
+        # NaN or inf totals compare false both ways: the test must still fail
+        mu = tabulated_measure(lambda x: np.where(x > 0.5, bad, 1.0))
+        with pytest.raises(QuadratureBudgetError, match="self-consistency"):
+            mu.gauss_rule(64)
+
     def test_measure_json_round_trip(self):
         for mu in (lebesgue_measure(-2.0, 3.0), jacobi_measure(0.5, 0.5)):
             back = measure_from_json(measure_to_json(mu))

@@ -446,6 +446,67 @@ class TestBatchedSearch:
         assert res.witness_id == witness
 
 
+def _ascent_start(n, op, q, seed):
+    """The coarse evaluator, start vector and ratio of a search's ascent."""
+    _, C = _candidates_1d(n, np.random.default_rng(seed + 7919 * n), 1)
+    coarse = _coarse_ratio(op, q, n)
+    screened = coarse.screen(C)
+    best = max(range(len(C)), key=lambda j: (screened[j], -j))
+    return coarse, C[best], screened[best]
+
+
+class TestAscentKernel:
+    """``_ascend``'s blocks, planned on floats, against one trial at a time."""
+
+    @pytest.mark.parametrize("k, F", [(1, F03), (2, F03), (1, Interval(-2.0, 2.0))],
+                             ids=["[0,3] k=1", "[0,3] k=2", "[-2,2] k=1"])
+    def test_acceptance_heavy_rows(self, k, F):
+        # the F1 rows: nearly every block keeps a trial
+        coarse, coef, ratio = _ascent_start(16, DerivOp(k), SupSpec(F), DEFAULT_SEED)
+        blocks, kept, first_gain = [0], [0], coarse.first_gain
+
+        def counted(*args):
+            hit = first_gain(*args)
+            blocks[0], kept[0] = blocks[0] + 1, kept[0] + (hit is not None)
+            return hit
+
+        coarse.first_gain = counted
+        got = _ascend(coarse, coef, ratio, _ASCENT_ROUNDS)
+        want, _ = _sequential_ascent(coarse, coef, ratio, _ASCENT_ROUNDS)
+        assert got.tobytes() == want.tobytes()
+        assert kept[0] > 0.8 * blocks[0]
+
+    @pytest.mark.parametrize("v", [(1j,), (1.0 - 2.0j,)], ids=["1j", "1-2j"])
+    def test_complex_dirop(self, v):
+        coarse, coef, ratio = _ascent_start(12, DirOp(v), SupSpec(F03), 7)
+        assert np.iscomplexobj(coarse.matrix)
+        got = _ascend(coarse, coef, ratio, _ASCENT_ROUNDS)
+        want, _ = _sequential_ascent(coarse, coef, ratio, _ASCENT_ROUNDS)
+        assert got.tobytes() == want.tobytes()
+
+    def test_per_polynomial_evaluator(self):
+        # the same _ascend drives the per-polynomial ratio (odd s: no matrix)
+        op, q, n, rounds = DerivOp(1), LpSpec(MU, 3.0), 6, 60
+        coarse, coef, ratio = _ascent_start(n, op, q, 3)
+        assert type(coarse) is _PolyRatio
+        got = _ascend(coarse, coef, ratio, rounds)
+        steps = np.full(n + 1, 0.25 * max(np.max(np.abs(coef)), 1e-6))
+        for it in range(rounds):  # one trial at a time
+            i = it % (n + 1)
+            if steps[i] < 1e-9:
+                continue
+            for step in (steps[i], -steps[i]):
+                trial = coef.copy()
+                trial[i] += step
+                r = _ratio(op, q, ChebSeries(trial), refine=False)
+                if r > ratio * (1 + 1e-14):
+                    coef, ratio = trial, r
+                    break
+            else:
+                steps[i] /= 2.0
+        assert got.tobytes() == coef.tobytes()
+
+
 class TestFactorTable:
     def test_l2_rows_exact(self):
         tab = factor_table(LpSpec(MU, 2.0), DerivOp(1), [1, 2])

@@ -254,6 +254,21 @@ class TestSupNorm:
         passes = ["chebval_columns", "_newton_roots", "chebval_columns"]
         assert calls == (passes if refine else passes[:1])
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("E", [box_region(), cusp_region()], ids=["box", "cusp"])
+    def test_plane_region_matches_chebval2d(self, E, alpha):
+        # one Vandermonde pair for the whole call, each series at its own shape
+        rng = np.random.default_rng(11)
+        polys = [ChebSeries(rng.standard_normal((a, b))) for a in range(1, 14, 3) for b in range(1, 14, 2)]
+        polys += [ChebSeries(np.zeros((1, 1))), ChebSeries([[-2.5]]),
+                  ChebSeries(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))]
+        w = norms._schur_weight(alpha, *E.samples) if alpha else 1.0
+        want = [float(np.max(np.abs(np.polynomial.chebyshev.chebval2d(*E.samples, p.coef)) * w))
+                if p.coef.size else 0.0 for p in polys]
+        got = _sup(polys, E, refine=False, alpha=alpha)
+        assert got[-3:-1] == [0.0, 2.5 * float(np.max(w))]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
     # ROADMAP item 1, step 2: the circle samples Chebyshev series on |z| = 1,
     # where T_k grows like (1 + sqrt 2)^k and the terms of z^n cancel
     @pytest.mark.parametrize("n", [16, *(pytest.param(n, marks=pytest.mark.xfail(

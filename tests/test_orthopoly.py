@@ -19,7 +19,7 @@ from markovlab import (
 )
 from markovlab import orthopoly
 from markovlab.chebseries import as_chebseries
-from markovlab.domains import jacobi_measure, tabulated_measure
+from markovlab.domains import Measure, jacobi_measure, tabulated_measure
 
 from conftest import cheb_t_coeffs
 
@@ -112,6 +112,27 @@ class TestStieltjes:
             stieltjes_orthonormalize(mu, nmax)
         assert (err.value.degree, err.value.defect) == (d, defects[d])
         np.testing.assert_array_equal(sys_.gram_defects(), defects)
+
+
+    def test_nan_weight_raises(self):
+        mu = tabulated_measure(lambda x: np.where(x > 0.5, np.nan, 1.0))
+        with pytest.raises(QuadratureBudgetError, match="self-consistency"):
+            stieltjes_orthonormalize(mu, 16)
+
+    @pytest.mark.parametrize("at_degree", [33, 32], ids=["norm", "gram"])
+    def test_nan_rule_fails_the_norm_and_gram_tests(self, monkeypatch, at_degree):
+        # a NaN weight in the Stieltjes rule (degree 2 nmax + 1) is a NaN norm
+        # at degree 1; in the Gram check's rule (degree 2 nmax) a NaN defect
+        mu, rule = lebesgue_measure(), Measure.rule_for_degree
+
+        def poisoned(self, degree):
+            nodes, weights = rule(self, degree)
+            return nodes, np.where(nodes > 0.5, np.nan, weights) if degree == at_degree else weights
+
+        monkeypatch.setattr(Measure, "rule_for_degree", poisoned)
+        with pytest.raises(OrthogonalityLossError) as err:
+            stieltjes_orthonormalize(mu, 16)
+        assert err.value.degree == (1 if at_degree == 33 else 0)
 
 
 class TestExpand:

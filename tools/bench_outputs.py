@@ -8,8 +8,9 @@ operation once, printing ``<workload> | <operation> | <repr of its output>``
 - ``table | <norm> k=<k> | <(n, factor, witness id) of each row>``: the
   ``factor_table`` rows at n = 4, 8, 12 and k = 1, 2 of sup, taylor_disk
   (r = 1e-6) and mixed_deriv on the gap set [-1, -0.5] U [0.5, 1], sup on
-  [-1, 0] U {1, 1.5i}, sup on the circle, Lebesgue L^3, sup+L^1 and
-  taylor_disk (r = 0.5) on [0, 3];
+  [-1, 0] U {1, 1.5i}, sup on the circle, Lebesgue L^3, sup+L^1,
+  taylor_disk (r = 0.5) on [0, 3], and sup on the plane regions
+  ``box_region()`` and ``cusp_region()``;
 - ``family | chebyshev_u k=<k> | <repr of the fit>``: ``family_exponent`` of
   the sequence U_0..U_32 on [-1, 1];
 - ``norm | <norm> n=<n> | <value>``: ``evaluate_norm`` of the standard normal
@@ -51,7 +52,9 @@ from markovlab import (  # noqa: E402
     SupSpec,
     TaylorDiskSpec,
     UnionSet,
+    box_region,
     chebyshev_u,
+    cusp_region,
     disk_boundary,
     evaluate_norm,
     factor_table,
@@ -77,6 +80,8 @@ def _tables() -> dict:
         "lebesgue-L3": LpSpec(mu, 3.0),
         "sup+L1": SupPlusLpSpec(E, mu, 1.0),
         "taylor_disk[0,3]": TaylorDiskSpec(Interval(0.0, 3.0), 0.5),
+        "sup-box": SupSpec(box_region()),
+        "sup-cusp": SupSpec(cusp_region()),
     }
 
 
