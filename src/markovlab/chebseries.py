@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import chebyshev as nch
-from numpy.polynomial import legendre as nleg
 
 from .errors import DimensionMismatchError
 from .polynomials import NEG_INF, MultiPoly, UniPoly
@@ -182,13 +181,15 @@ def monomial(n: int) -> ChebSeries:
 def legendre_orthonormal(n: int) -> ChebSeries:
     """P_n normalized against the uniform probability measure on [-1, 1].
 
-    Converted by interpolation at Chebyshev points (exact for polynomials);
-    a detour through monomial coefficients would destroy the cancellations.
+    Its Chebyshev coefficients in closed form, c_(n-2j) = (2 - [n = 2j])
+    L(j) L(n-j) sqrt(2n+1) with L(j) = C(2j, j) / 4^j, every L(j) from one
+    cumulative product (Hale & Townsend, SIAM J. Sci. Comput. 36, 2014).
     """
-    e = np.zeros(n + 1)
-    e[n] = 1.0
-    c = nch.chebinterpolate(lambda x: nleg.legval(x, e), n)
-    return ChebSeries(c * np.sqrt(2 * n + 1))
+    i, j = np.arange(1, n + 1), np.arange(n // 2 + 1)
+    lam = np.cumprod(np.append(1.0, (2 * i - 1) / (2 * i)))  # L(0), ..., L(n)
+    c = np.zeros(n + 1)
+    c[n - 2 * j] = (2.0 - (n == 2 * j)) * lam[j] * lam[n - j] * math.sqrt(2 * n + 1)
+    return ChebSeries(c)
 
 
 def random_units(degree: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -30,7 +30,7 @@ from .exponents import (
     read_table_csv,
 )
 from .fitting import fit_power_law
-from .norms import QmsSpec, evaluate_norm, qms_norm_exact, spec_from_json
+from .norms import QmsSpec, evaluate_norm, qms_norm_exact, spec_from_json, spec_nvars
 from .orthopoly import NMAX_HARD_CAP, jacobi_system, stieltjes_orthonormalize
 from .polynomials import UniPoly
 from .verify import SUITES, run_suite
@@ -206,7 +206,7 @@ def cmd_factor_table(args) -> int:
     seed, mode = _seed_and_mode(args, cfg)
     spec = _parsed("normspec", spec_from_json, _require(cfg, "normspec"))
     op = _parsed("operator", operator_from_json, _require(cfg, "operator"))
-    _parsed("operator", op.images, getattr(getattr(spec, "set", None), "nvars", 1))
+    _parsed("operator", op.images, spec_nvars(spec))
     degrees = _require(cfg, "degrees")
     if not isinstance(degrees, list) or not degrees:
         raise ConfigError("degrees", "must be a nonempty list")

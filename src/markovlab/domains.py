@@ -355,9 +355,12 @@ class Measure:
         if self.weight_fn is None:
             return self._mapped_rule(nnodes)
         nodes, weights = self._tabulated_rule(nnodes)
-        total = weights.sum()
-        # self-consistency: a doubled rule must agree to 1e-8 relative (NaN fails)
-        total2 = self._tabulated_rule(2 * nnodes)[1].sum()
+        doubled = self._tabulated_rule(2 * nnodes)[1]
+        if not (np.isfinite(weights).all() and np.isfinite(doubled).all()):
+            raise QuadratureBudgetError("tabulated weight fails quadrature self-consistency: "
+                                        "it is NaN or inf at a node")
+        # self-consistency: a doubled rule must agree to 1e-8 relative
+        total, total2 = weights.sum(), doubled.sum()
         if not abs(total - total2) <= 1e-8 * abs(total2):
             raise QuadratureBudgetError(
                 "tabulated weight fails quadrature self-consistency; "

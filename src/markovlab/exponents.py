@@ -38,11 +38,13 @@ from .norms import (
     NormSpec,
     SchurSpec,
     SupSpec,
+    _PASS_MAX_ENTRIES,
     _evaluate_norms,
     _gauss_power_rule,
     _schur_weight,
     evaluate_norm,
     qms_log_norm,
+    spec_nvars,
 )
 from .orthopoly import OrthoSystem, jacobi_system, stieltjes_orthonormalize
 from .polynomials import DerivOp, DirOp, HomOp, UniPoly, _lincomb
@@ -207,12 +209,8 @@ def _ratios(op: OperatorSpec, q: NormSpec, polys, refine: bool) -> list:
     return [_quotient(max([0.0] + [next(vals) for _ in ims]), d) for d, ims in zip(denoms, images)]
 
 
-def _ratio(op: OperatorSpec, q: NormSpec, p, refine: bool) -> float:
-    return _ratios(op, q, [p], refine)[0]
-
-
 class _PolyRatio:
-    """Coarse ratios ``_ratio(op, q, p, refine=False)``, one polynomial at a time."""
+    """Coarse ratios ``_ratios(op, q, polys, refine=False)`` of Chebyshev series."""
 
     max_block = math.inf  # trials are evaluated one by one, up to the first gain
 
@@ -220,8 +218,8 @@ class _PolyRatio:
         self.op, self.q = op, q
 
     def screen(self, coefs) -> list:
-        """The ratio of the series with each of these coefficient arrays."""
-        return [_ratio(self.op, self.q, ChebSeries(c), refine=False) for c in coefs]
+        """The ratio of the series with each of these coefficient arrays, in one evaluation."""
+        return _ratios(self.op, self.q, [ChebSeries(c) for c in coefs], refine=False)
 
     def values(self, coef):
         return None
@@ -233,17 +231,10 @@ class _PolyRatio:
         for j, (i, step) in enumerate(zip(idx, steps)):
             trial = coef.copy()
             trial[i] += step
-            r = _ratio(self.op, self.q, ChebSeries(trial), refine=False)
+            (r,) = _ratios(self.op, self.q, [ChebSeries(trial)], refine=False)
             if r > floor:
                 return j, r
         return None
-
-
-# Largest sampling matrix built for a search's denominator (entries, 8 MB).
-# Only taylor_disk, whose matrix grows like 4*deg^3, passes it (past degree
-# 62); it then keeps the per-polynomial path, which needs no memory beyond one
-# polynomial's samples.
-_SAMPLED_MAX_ENTRIES = 1 << 20
 
 
 def _sampled_side(q: NormSpec, deg: int):
@@ -252,14 +243,18 @@ def _sampled_side(q: NormSpec, deg: int):
     real series p of degree deg (every piece's grid, then the set's fixed
     samples, real or complex), and ``lp_norm``'s Gauss rule for an L^p part
     (None without one).  None for the tables no matrix takes: a set in two
-    variables, a qms entry, an L^p part off the Gauss path."""
+    variables, a qms entry, an L^p part off the Gauss path, and a sampling
+    matrix of more than ``_PASS_MAX_ENTRIES`` values (taylor_disk's, about
+    4 deg^3 of them, past degree 62)."""
     t = q.terms(deg)
     if t.qms or t.sups and t.set.nvars != 1:
         return None
     rule = _gauss_power_rule(*t.lp, deg) if t.lp else None
     if t.lp and rule is None:
         return None
-    return t, [sup_points(t.set, max(deg - k, 0)) for k, _, _ in t.sups], rule
+    grids = [sup_points(t.set, max(deg - k, 0)) for k, _, _ in t.sups]
+    rows = sum(g.size for g in grids) + (rule[0].size if rule else 0)
+    return (t, grids, rule) if rows * (deg + 1) <= _PASS_MAX_ENTRIES else None
 
 
 def _sampling_matrix(deg: int, t, grids, rule) -> np.ndarray:
@@ -429,25 +424,23 @@ def _coef_matrix(op: OperatorSpec, n: int) -> Optional[np.ndarray]:
 
 def _coarse_ratio(op: OperatorSpec, q: NormSpec, n: int):
     """The batched evaluator where the operator has a matrix at degree n and
-    q's table a sampling matrix of at most ``_SAMPLED_MAX_ENTRIES`` entries
-    there; the per-polynomial one elsewhere (sets in two variables among
-    them)."""
+    q's table a ``_sampled_side`` there; the per-polynomial one elsewhere
+    (sets in two variables among them)."""
     A = _coef_matrix(op, n)
     den = None if A is None else _sampled_side(q, n)
-    if den is not None:
-        _, grids, rule = den
-        rows = sum(g.size for g in grids) + (rule[0].size if rule else 0)
-        if rows * (n + 1) <= _SAMPLED_MAX_ENTRIES:
-            return _BatchedRatio(den, _sampled_side(q, A.shape[0] - 1), A)
-    return _PolyRatio(op, q)
+    if den is None:
+        return _PolyRatio(op, q)
+    return _BatchedRatio(den, _sampled_side(q, A.shape[0] - 1), A)
 
 
-def _no_nan(ratios, n: int) -> None:
-    """Raise where NaN ratios (a norm that overflowed) left no finite one."""
-    if any(math.isnan(r) for r in ratios):
-        raise PrecisionOverflowError(
-            f"no finite Markov ratio at degree {n}: a norm left the double range"
-        )
+def _best(ratios, n: int) -> Optional[int]:
+    """The index of the first largest ratio above -inf, or None; raises where
+    NaN ratios (a norm that overflowed) left no other."""
+    best = max((j for j, r in enumerate(ratios) if r > -math.inf), key=lambda j: (ratios[j], -j),
+               default=None)
+    if best is None and any(math.isnan(r) for r in ratios):
+        raise PrecisionOverflowError(f"no finite Markov ratio at degree {n}: a norm left the double range")
+    return best
 
 
 def _coarse_finalists(n: int, op: OperatorSpec, q: NormSpec, budget: int, seed: int) -> list:
@@ -456,20 +449,16 @@ def _coarse_finalists(n: int, op: OperatorSpec, q: NormSpec, budget: int, seed: 
     candidate has a ratio.  The coarse matrices go when it returns, before
     the certification needs its own memory."""
     rng = np.random.default_rng(seed + 7919 * n)
-    two_dim = getattr(getattr(q, "set", None), "nvars", 1) == 2
+    two_dim = spec_nvars(q) == 2
     names, coefs = (_candidates_2d if two_dim else _candidates_1d)(n, rng, budget)
     coarse = _coarse_ratio(op, q, n)
-    best, best_ratio = None, -math.inf
     screened = coarse.screen(coefs)
-    for j, r in enumerate(screened):
-        if r > best_ratio:
-            best, best_ratio = j, r
+    best = _best(screened, n)
     if best is None:
-        _no_nan(screened, n)
         return []
     finalists = [(names[best], ChebSeries(coefs[best]))]
     if not two_dim:
-        coef = _ascend(coarse, coefs[best], best_ratio, _ASCENT_ROUNDS * budget)
+        coef = _ascend(coarse, coefs[best], screened[best], _ASCENT_ROUNDS * budget)
         if coef is not None:
             finalists.append((names[best] + "+ascent", ChebSeries(coef)))
     return finalists
@@ -497,8 +486,9 @@ def markov_factor_search(
     tables and ``_coef_matrix``): matrix products screen the candidates, and
     the ascent (``_ascend``) takes its trials in blocks, each block one array
     pass of rank-1 updates and one reduction (``_BatchedRatio.first_gain``).
-    2D, qms, odd or non-integer L^p and large taylor_disk searches take one
-    polynomial, and one trial, at a time.  Either way the finalists (the
+    2D, qms, odd or non-integer L^p and large taylor_disk searches screen
+    their candidates in one ``_ratios`` evaluation (``_PolyRatio``) and take
+    their ascent trials one at a time.  Either way the finalists (the
     best candidate and its ascent) are certified in one refined pass:
     ``_ratios`` evaluates every finalist's norm and operator images
     together, with one rfft per degree for the grids and one Newton loop over
@@ -514,14 +504,11 @@ def markov_factor_search(
     if not finalists:
         return Bound(n, 0.0, "none", None, "LowerBound")
     # the ascent can overfit grid-only sup estimates; certify with refinement
-    final_name, final_poly, final = "", None, -math.inf
     certified = _ratios(op, q, [p for _, p in finalists], refine=True)
-    for (name, p), r in zip(finalists, certified):
-        if r > final:
-            final_name, final_poly, final = name, p, r
-    if final_poly is None:
-        _no_nan(certified, n)
-    return Bound(n, float(max(final, 0.0)), final_name, final_poly, "LowerBound")
+    j = _best(certified, n)
+    if j is None:
+        return Bound(n, 0.0, "", None, "LowerBound")
+    return Bound(n, float(max(certified[j], 0.0)), *finalists[j], "LowerBound")
 
 
 def factor_table(
@@ -596,11 +583,8 @@ def norm_exponent_trend(
     budget: int = 1,
 ) -> AsymptoticTrend:
     """Build factor tables for k = 1..kmax under q and fit the m_k/k trend."""
-    fits = {}
-    for k in range(1, kmax + 1):
-        table = factor_table(q, DerivOp(k), degrees, seed=seed, budget=budget)
-        fits[k] = fit_exponent(table).slope_ls
-    return asymptotic_exponent(fits)
+    tables = {k: factor_table(q, DerivOp(k), degrees, seed=seed, budget=budget) for k in range(1, kmax + 1)}
+    return asymptotic_exponent({k: fit_exponent(table).slope_ls for k, table in tables.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -640,15 +624,9 @@ def qms_exact_exponent(
     if len(ns) < 2:
         raise ValueError(f"the window {n_window} with {n_points} point(s) gives "
                          "fewer than two distinct degrees to fit a slope through")
-    log_ratios = []
-    log_degs = []
-    for n in ns:
-        base = UniPoly.monomial(int(s * n), 1)
-        deriv = base.deriv(k)
-        lr = qms_log_norm(deriv, m_frac, s) - qms_log_norm(base, m_frac, s)
-        log_ratios.append(lr)
-        log_degs.append(math.log(s * n))
-    A = np.vstack([np.asarray(log_degs), np.ones(len(ns))]).T
+    bases = [UniPoly.monomial(int(s * n), 1) for n in ns]
+    log_ratios = [qms_log_norm(b.deriv(k), m_frac, s) - qms_log_norm(b, m_frac, s) for b in bases]
+    A = np.vstack([[math.log(s * n) for n in ns], np.ones(len(ns))]).T
     (slope, _), *_ = np.linalg.lstsq(A, np.asarray(log_ratios), rcond=None)
     return QmsExponentReport(
         m=m_frac,

@@ -24,14 +24,13 @@ root cuts use too).  A coarse sup is the largest grid value, an FFT value at
 the exact angle; a refined one is the larger of that and a Clenshaw sample at
 each maximum found.  Either can exceed the truth by rounding (ROADMAP F5).
 One ``_sup`` call is one pass over every piece of every polynomial it is
-given, with one Newton loop for all brackets.
+given, with one Newton loop for all brackets, within ``_PASS_MAX_ENTRIES``.
 ``evaluate_norm`` refines every sup term of its table that way (all deg+1
 derivative orders of taylor_disk in one pass), and ``_evaluate_norms`` does
 the same for many polynomials, which is how the Markov search certifies all
-its finalists at once.  ``refine=False`` skips the local refinement: it is
-the per-polynomial coarse evaluation.  The Markov search screens candidates
-and runs its ascent on the same samples through its matrix and keeps the
-per-polynomial path for the tables the matrix declines.
+its finalists at once.  ``refine=False`` skips the local refinement.  The
+Markov search screens candidates and runs its ascent on the same samples,
+through its matrix or, for the tables it declines, by ``_evaluate_norms``.
 """
 
 from __future__ import annotations
@@ -80,6 +79,9 @@ _GRID_CELLS = 64
 _GRID_SPLIT = 16
 _GRID_MAX_FLAGGED = 32
 _GRID_MAX_LEVELS = 8
+# Values one coarse pass holds at once (8 MB): the search's sampling matrix
+# (``exponents._sampled_side``), ``_sup``'s grid array, a ``_peak_angles`` chunk.
+_PASS_MAX_ENTRIES = 1 << 20
 
 
 def _degree_int(p) -> int:
@@ -120,7 +122,8 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
     ratios) and the best sample at an end of the piece; ``_peak_angles``
     finds a maximum in every bracket on the same series, each sampled in one
     Clenshaw pass; the larger of those samples and the best grid value is the
-    cell's sup.  A NaN anywhere is the result (np.maximum).
+    cell's sup.  A NaN anywhere is the result (np.maximum).  Past
+    ``_PASS_MAX_ENTRIES`` grid values each half of polys takes its own pass.
     """
     for p in polys:
         if p.nvars != E.nvars:
@@ -129,6 +132,10 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
             )
     if alpha and any((iv.a, iv.b) != (-1.0, 1.0) for iv in E.intervals):
         raise ValueError("the Schur weight is defined on [-1, 1], not on other intervals")
+    padded = len(polys) * len(E.intervals) * grid_size(max(map(_degree_int, polys), default=0))
+    if len(polys) > 1 and padded > _PASS_MAX_ENTRIES:  # padded = V.size below
+        half = len(polys) // 2
+        return _sup(polys[:half], E, refine, alpha) + _sup(polys[half:], E, refine, alpha)
     weight = partial(_schur_weight, alpha) if alpha else None
     best = np.full(len(polys), -np.inf)
     if E.intervals:
@@ -165,7 +172,7 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
             m = m[r]
             lo, hi, start = np.pi * ((2 * m - [j + 1, j - 1, j + (j == 0) / 2 - (j == m) / 2]) / m)
             series = [S[: d + 1, i] for i, d in enumerate(degs)]
-            x = -np.cos(_peak_angles(series, r, start, lo, hi, alpha, V.size))
+            x = -np.cos(_peak_angles(series, r, start, lo, hi, alpha))
             for i, iv in enumerate(E.intervals):
                 x[r // len(polys) == i] = iv.at(x[r // len(polys) == i])
             refined = np.abs(chebval_columns(x[:, None], C[:, owner[r], None]))[:, 0]
@@ -189,14 +196,14 @@ def _sample_values(polys, samples) -> list:
     return [((p.coef.T @ Vx[: p.coef.shape[0]]) * Vy[: p.coef.shape[1]]).sum(axis=0) for p in polys]
 
 
-def _peak_angles(series, cell, start, lo, hi, alpha: float, budget: int) -> np.ndarray:
+def _peak_angles(series, cell, start, lo, hi, alpha: float) -> np.ndarray:
     """An angle psi of a local maximum of |g(psi)|^2 sin(theta)^(4 alpha),
     theta = psi - pi, in each bracket [lo[i], hi[i]], g(psi) = sum_k c_k
     cos(k psi) for c = series[cell[i]]: the zero, by ``_newton_roots`` from
     start[i], of S = sin(theta) A + 2 alpha cos(theta) B, A = Re(conj(g) g'),
     B = |g|^2, which has the sign of its slope; |S''| <= 4 (1 + 2 alpha)
     (n + 1)^3 G^2, G = sum_k |c_k| (Bernstein).  Brackets go in chunks of
-    about ``budget`` terms (``_cos_sums``)."""
+    about ``_PASS_MAX_ENTRIES`` terms (``_cos_sums``)."""
     if not lo.size:
         return start
     K = np.array([c.size for c in series])
@@ -205,7 +212,7 @@ def _peak_angles(series, cell, start, lo, hi, alpha: float, budget: int) -> np.n
     G = np.add.reduceat(np.abs(coef), off)
     K, off, curvature = K[cell], off[cell], (4 * (1 + 2 * alpha) * K**3 * G**2)[cell]
     out = np.empty(lo.size)
-    chunk = (np.cumsum(K) - 1) // budget
+    chunk = (np.cumsum(K) - 1) // _PASS_MAX_ENTRIES
     for idx in np.split(np.arange(lo.size), np.flatnonzero(np.diff(chunk)) + 1):
         # term i of the chunk: k[i] and c_k[i] of the series of one bracket
         n = K[idx]
@@ -858,6 +865,11 @@ NormSpec = Union[
 ]
 
 
+def spec_nvars(spec: NormSpec) -> int:
+    """The variables of the polynomials spec takes: its set's, else 1."""
+    return getattr(getattr(spec, "set", None), "nvars", 1)
+
+
 def evaluate_norm(spec: NormSpec, p, refine: bool = True) -> float:
     """q(p): the sum of the spec's ``terms`` table."""
     return _evaluate_norms(spec, [p], refine)[0]
@@ -983,10 +995,8 @@ def spectral_norm_estimate(p, spec: NormSpec, s_max: int) -> SpectralEstimate:
     ys = np.array([vals[s - 1] for s in tail])
     X = np.vstack([np.ones(len(tail)), 1.0 / np.array(tail, dtype=float)]).T
     coef, *_ = np.linalg.lstsq(X, ys, rcond=None)
-    diffs = np.diff(vals)
-    monotone = bool(np.all(diffs <= 1e-12 * max(abs(v) for v in vals))) or bool(
-        np.all(diffs >= -1e-12 * max(abs(v) for v in vals))
-    )
+    diffs, tol = np.diff(vals), 1e-12 * max(abs(v) for v in vals)
+    monotone = bool(np.all(diffs <= tol) or np.all(diffs >= -tol))
     return SpectralEstimate(
         values=tuple(float(v) for v in vals),
         limit=float(coef[0]),

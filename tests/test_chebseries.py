@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from markovlab import ChebSeries, UniPoly, chebyshev_t, chebyshev_u, legendre_orthonormal, monomial
+from markovlab import (ChebSeries, UniPoly, chebyshev_t, chebyshev_u, jacobi_system, legendre_orthonormal,
+                       monomial)
 from markovlab.chebseries import (
     as_chebseries,
     grid_values,
@@ -66,6 +67,21 @@ def test_monomial_closed_form():
 def test_legendre_orthonormal_endpoint():
     for n in (2, 16, 64):
         assert legendre_orthonormal(n)(1.0) == pytest.approx(math.sqrt(2 * n + 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 33, 64, 128])
+def test_legendre_orthonormal_closed_form(n):
+    # c_(n-2j) = (2 - [n = 2j]) C(2j, j) C(2n-2j, n-j) / 4^n sqrt(2n+1), from
+    # exact rationals; and the Jacobi recurrence's P_n to its own rounding
+    want = np.zeros(n + 1)
+    for j in range(n // 2 + 1):
+        exact = Fraction((2 - (n == 2 * j)) * math.comb(2 * j, j) * math.comb(2 * n - 2 * j, n - j), 4**n)
+        want[n - 2 * j] = float(exact) * math.sqrt(2 * n + 1)
+    got = legendre_orthonormal(n).coef
+    assert got.size == n + 1 and not got[(n + 1) % 2 :: 2].any()
+    assert np.abs(got - want).max() <= 2e-16 * math.sqrt(2 * n + 1)
+    rec = jacobi_system(0.0, 0.0, max(n, 1)).polys[n].coef
+    assert np.abs(got - rec).max() <= 2e-14
 
 
 def test_mul_and_pow_agree_with_unipoly():

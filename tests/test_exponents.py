@@ -18,6 +18,7 @@ from markovlab import (
     MixedDerivSpec,
     MultiPoly,
     PrecisionOverflowError,
+    QmsSpec,
     SchurSpec,
     SpectralityError,
     SupPlusLpSpec,
@@ -52,16 +53,17 @@ from markovlab.exponents import (
     _PolyRatio,
     _ascend,
     _candidates_1d,
+    _candidates_2d,
     _coarse_ratio,
     _coef_matrix,
     _quotient,
-    _ratio,
     _ratios,
+    _sampled_side,
     operator_from_json,
     read_table_csv,
 )
 from markovlab.fitting import max_pairwise_slope
-from markovlab.norms import _schur_weight
+from markovlab.norms import _schur_weight, spec_nvars
 
 from conftest import legendre_derivative_at_one
 
@@ -326,7 +328,7 @@ class TestBatchedSearch:
         cands = [ChebSeries(c) for c in C]
         coarse = _coarse_ratio(op, q, n)
         assert isinstance(coarse, _BatchedRatio)
-        want = [_ratio(op, q, p, refine=False) for p in cands]
+        want = [_ratios(op, q, [p], refine=False)[0] for p in cands]
         np.testing.assert_allclose(coarse.screen(C), want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("budget", [1, 2])
@@ -344,11 +346,13 @@ class TestBatchedSearch:
         assert skipped > 0
 
     def test_large_taylor_disk_matrix_not_built(self):
-        # its sampling matrix grows like 4*deg^3; past degree 62 the search
-        # keeps the per-polynomial path
-        q = TaylorDiskSpec(E, 1e-6)
-        assert type(_coarse_ratio(DerivOp(1), q, 62)) is _BatchedRatio
-        assert type(_coarse_ratio(DerivOp(1), q, 63)) is _PolyRatio
+        # its sampling matrix grows like 4*deg^3; past degree 62 it would pass
+        # _PASS_MAX_ENTRIES, _sampled_side declines it, and the search keeps
+        # the per-polynomial path
+        q = TaylorDiskSpec(E, 0.5)
+        for n, batched in ((62, True), (63, False)):
+            assert (_sampled_side(q, n) is not None) == batched
+            assert type(_coarse_ratio(DerivOp(1), q, n)) is (_BatchedRatio if batched else _PolyRatio)
 
     @pytest.mark.parametrize("width", [1, 7, 39])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -367,7 +371,7 @@ class TestBatchedSearch:
         op, q = DerivOp(1), SupSpec(Interval(0.0, 1e200))
         coarse = screen(op, q, 2) if screen is _coarse_ratio else screen(op, q)
         assert all(math.isnan(r) for r in coarse.screen([chebyshev_t(2).coef, [1.0, 1.0, 1.0]]))
-        assert math.isnan(_ratio(op, q, chebyshev_t(2), refine=True))
+        assert math.isnan(_ratios(op, q, [chebyshev_t(2)], refine=True)[0])
         with pytest.raises(PrecisionOverflowError):
             markov_factor_search(2, op, q)
 
@@ -420,7 +424,7 @@ class TestBatchedSearch:
         q, op = PARITY_SPECS[name], DerivOp(2)
         finalists = [ChebSeries(rng.standard_normal(n + 1)) for n in (3, 12, 12, 20)]
         finalists.append(chebyshev_t(12))
-        want = [_ratio(op, q, p, refine=True) for p in finalists]
+        want = [_ratios(op, q, [p], refine=True)[0] for p in finalists]
         assert _ratios(op, q, finalists, refine=True) == want
 
     @pytest.mark.parametrize(
@@ -444,6 +448,26 @@ class TestBatchedSearch:
         res = markov_factor_search(n, op, q, seed=DEFAULT_SEED)
         assert res.factor == pytest.approx(factor, rel=1e-12)
         assert res.witness_id == witness
+
+
+class TestPolyRatioScreen:
+    """The per-polynomial evaluator screens every candidate in one evaluation."""
+
+    @pytest.mark.parametrize(
+        "q, n",
+        [(SupSpec(domains.box_region()), 4), (SupSpec(domains.box_region()), 8),
+         (SupSpec(domains.cusp_region()), 4), (SupSpec(domains.cusp_region()), 8),
+         (QmsSpec(1, 2), 12), (LpSpec(chebyshev_measure(), 3.0), 16),
+         (SupPlusLpSpec(E, MU, 1.0), 8), (TaylorDiskSpec(E, 0.5), 63)],
+        ids=["box-4", "box-8", "cusp-4", "cusp-8", "qms", "chebyshev-L3", "sup+L1", "taylor_disk-63"],
+    )
+    def test_screen_matches_one_at_a_time(self, q, n):
+        op, rng = DerivOp(1), np.random.default_rng(DEFAULT_SEED + 7919 * n)
+        _, C = (_candidates_2d if spec_nvars(q) == 2 else _candidates_1d)(n, rng, 1)
+        coarse = _coarse_ratio(op, q, n)
+        assert type(coarse) is _PolyRatio
+        want = [_ratios(op, q, [ChebSeries(c)], refine=False)[0] for c in C]
+        assert np.array(coarse.screen(C)).tobytes() == np.array(want).tobytes()
 
 
 def _ascent_start(n, op, q, seed):
@@ -498,7 +522,7 @@ class TestAscentKernel:
             for step in (steps[i], -steps[i]):
                 trial = coef.copy()
                 trial[i] += step
-                r = _ratio(op, q, ChebSeries(trial), refine=False)
+                r = _ratios(op, q, [ChebSeries(trial)], refine=False)[0]
                 if r > ratio * (1 + 1e-14):
                     coef, ratio = trial, r
                     break

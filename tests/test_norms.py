@@ -217,6 +217,27 @@ class TestSupNorm:
         polys = self._mixed(rng)
         assert _sup(polys, E, refine, alpha) == [_sup([p], E, refine, alpha)[0] for p in polys]
 
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize(
+        "E, alpha",
+        [(E, 0.0), (Interval(0.0, 3.0), 0.0), (E, 0.5),
+         (UnionSet((Interval(-1.0, -0.5), Interval(0.5, 1.0)), (0.0,)), 0.0)],
+        ids=["[-1,1]", "[0,3]", "schur", "E_0.5+point"],
+    )
+    def test_memory_bound_splits_without_moving_values(self, rng, monkeypatch, E, alpha, refine):
+        # past _PASS_MAX_ENTRIES padded grid values a call halves its
+        # polynomials, and past it in cosine terms the Newton pass goes in
+        # chunks: every value stays bitwise the one a polynomial gets alone
+        polys = [*self._mixed(rng), *(ChebSeries(rng.standard_normal(n + 1)) for n in (2, 8, 24, 24))]
+        whole = _sup(polys, E, refine, alpha)
+        calls, sup = [], norms._sup
+        monkeypatch.setattr(norms, "_sup", lambda *args: calls.append(len(args[0])) or sup(*args))
+        monkeypatch.setattr(norms, "_PASS_MAX_ENTRIES", 300)
+        split = norms._sup(polys, E, refine, alpha)
+        alone = [norms._sup([p], E, refine, alpha)[0] for p in polys]
+        assert calls[:3] == [len(polys), len(polys) // 2, len(polys) // 4]  # halved, and again
+        assert np.array(split).tobytes() == np.array(alone).tobytes() == np.array(whole).tobytes()
+
     @pytest.mark.parametrize(
         "E, c, K",
         [(UnionSet((Interval(-1.0, 0.0), Interval(0.5, 2.0)), (1.0, 2.5, 1.5j)), 1.999, 0.05),

@@ -11,6 +11,11 @@ operation once, printing ``<workload> | <operation> | <repr of its output>``
   [-1, 0] U {1, 1.5i}, sup on the circle, Lebesgue L^3, sup+L^1,
   taylor_disk (r = 0.5) on [0, 3], and sup on the plane regions
   ``box_region()`` and ``cusp_region()``;
+- ``search | <norm> k=<k> n=<n> | <(factor, witness id, sha256 of the
+  witness's coefficient bytes)>``: ``markov_factor_search`` on rows without a
+  sampling matrix (``_PolyRatio``) that the benchmark does not run:
+  qms(1, 2) and Lebesgue L^1 at k = 1, n = 8, and taylor_disk (r = 0.5) on
+  [-1, 1] at k = 1, n = 63, the first degree past the sampling-matrix bound;
 - ``family | chebyshev_u k=<k> | <repr of the fit>``: ``family_exponent`` of
   the sequence U_0..U_32 on [-1, 1];
 - ``norm | <norm> n=<n> | <value>``: ``evaluate_norm`` of the standard normal
@@ -48,6 +53,7 @@ from markovlab import (  # noqa: E402
     Interval,
     LpSpec,
     MixedDerivSpec,
+    QmsSpec,
     SupPlusLpSpec,
     SupSpec,
     TaylorDiskSpec,
@@ -61,6 +67,7 @@ from markovlab import (  # noqa: E402
     family_exponent,
     jacobi_measure,
     lebesgue_measure,
+    markov_factor_search,
     run_suite,
     stieltjes_orthonormalize,
 )
@@ -83,6 +90,18 @@ def _tables() -> dict:
         "sup-box": SupSpec(box_region()),
         "sup-cusp": SupSpec(cusp_region()),
     }
+
+
+def _searches() -> dict:
+    """name -> (spec, k, n) of the ``search`` lines."""
+    return {"qms(1,2) k=1 n=8": (QmsSpec(1, 2), 1, 8),
+            "lebesgue-L1 k=1 n=8": (LpSpec(lebesgue_measure(), 1.0), 1, 8),
+            "taylor_disk(r=0.5)[-1,1] k=1 n=63": (TaylorDiskSpec(Interval(-1.0, 1.0), 0.5), 1, 63)}
+
+
+def _search(q, k: int, n: int) -> tuple:
+    row = markov_factor_search(n, DerivOp(k), q)
+    return row.factor, row.witness_id, hashlib.sha256(row.witness.coef.tobytes()).hexdigest()
 
 
 def _norms() -> dict:
@@ -110,6 +129,8 @@ def _outputs(seed: int):
             yield "table", f"{name} k={k}", lambda q=q, k=k: [
                 (row.n, row.factor, row.witness_id)
                 for row in factor_table(q, DerivOp(k), [4, 8, 12]).rows]
+    for name, (q, k, n) in _searches().items():
+        yield "search", name, lambda q=q, k=k, n=n: _search(q, k, n)
     family = [chebyshev_u(n) for n in range(33)]
     for k in (1, 2):
         yield "family", f"chebyshev_u k={k}", lambda k=k: family_exponent(

@@ -8,9 +8,11 @@ the median wall time of each over ``--reps`` runs in one process:
 - ``cand``: the candidate coefficients (``_candidates_1d`` or ``_candidates_2d``);
 - ``build``: the coarse evaluator (``_coarse_ratio``: the sampling matrix of
   ``_BatchedRatio``, or the per-polynomial ``_PolyRatio``);
-- ``screen``: the coarse ratio of every candidate and the best of them;
+- ``screen``: the coarse ratio of every candidate and the best of them, in
+  one pass either way (``_PolyRatio`` in one ``_ratios`` evaluation);
 - ``ascent``: the coordinate ascent from the best candidate (``_ascend``;
-  none on a set in two variables);
+  none on a set in two variables), ``_PolyRatio`` taking its trials one at
+  a time;
 - ``cert``: the refined ratios of the finalists (``_ratios``).
 
 The row's factor and witness must be the ones ``markov_factor_search`` gives;
@@ -36,7 +38,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402  (bench/workloads.py)
-from markovlab import exponents  # noqa: E402
+from markovlab import exponents, norms  # noqa: E402
 from markovlab.chebseries import ChebSeries  # noqa: E402
 
 PHASES = ("cand", "build", "screen", "ascent", "cert")
@@ -70,7 +72,7 @@ def phases(q, op, n: int, seed: int) -> tuple:
     by the steps of ``markov_factor_search`` at budget 1."""
     t = [time.perf_counter()]
     rng = np.random.default_rng(seed + 7919 * n)
-    two_dim = getattr(getattr(q, "set", None), "nvars", 1) == 2
+    two_dim = norms.spec_nvars(q) == 2
     names, coefs = (exponents._candidates_2d if two_dim else exponents._candidates_1d)(n, rng, 1)
     t.append(time.perf_counter())
     coarse = exponents._coarse_ratio(op, q, n)
