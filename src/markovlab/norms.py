@@ -24,11 +24,12 @@ root cuts use too).  A coarse sup is the largest grid value, an FFT value at
 the exact angle; a refined one is the larger of that and a Clenshaw sample at
 each maximum found.  Either can exceed the truth by rounding (ROADMAP F5).
 One ``_sup`` call is one pass over every piece of every polynomial it is
-given, with one Newton loop for all brackets, within ``_PASS_MAX_ENTRIES``.
-``evaluate_norm`` refines every sup term of its table that way (all deg+1
-derivative orders of taylor_disk in one pass), and ``_evaluate_norms`` does
-the same for many polynomials, which is how the Markov search certifies all
-its finalists at once.  ``refine=False`` skips the local refinement.  The
+given, with one Newton loop for all brackets, within ``_PASS_MAX_ENTRIES``
+values in all its arrays.  ``evaluate_norm`` refines every sup term of its
+table that way (all deg+1 derivative orders of taylor_disk in one pass), and
+``_evaluate_norms`` does the same for many polynomials, in as few passes as
+that bound allows, which is how the Markov search certifies all its
+finalists at once.  ``refine=False`` skips the local refinement.  The
 Markov search screens candidates and runs its ascent on the same samples,
 through its matrix or, for the tables it declines, by ``_evaluate_norms``.
 """
@@ -80,8 +81,13 @@ _GRID_SPLIT = 16
 _GRID_MAX_FLAGGED = 32
 _GRID_MAX_LEVELS = 8
 # Values one coarse pass holds at once (8 MB): the search's sampling matrix
-# (``exponents._sampled_side``), ``_sup``'s grid array, a ``_peak_angles`` chunk.
+# (``exponents._sampled_side``), a ``_sup`` pass in all its arrays
+# (``_sup_entries``), a ``_peak_angles`` chunk.
 _PASS_MAX_ENTRIES = 1 << 20
+# The values a ``_sup`` pass holds per padded grid value: the grid array V,
+# and where one degree fills the pass its rfft's zero-padded input (2m rows
+# for m + 1 values), complex output (two) and absolute values.
+_SUP_ARRAYS = 6
 
 
 def _degree_int(p) -> int:
@@ -122,8 +128,9 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
     ratios) and the best sample at an end of the piece; ``_peak_angles``
     finds a maximum in every bracket on the same series, each sampled in one
     Clenshaw pass; the larger of those samples and the best grid value is the
-    cell's sup.  A NaN anywhere is the result (np.maximum).  Past
-    ``_PASS_MAX_ENTRIES`` grid values each half of polys takes its own pass.
+    cell's sup.  A NaN anywhere is the result (np.maximum).  Where the pass
+    would hold more than ``_PASS_MAX_ENTRIES`` values (``_sup_entries``),
+    each half of polys takes its own pass.
     """
     for p in polys:
         if p.nvars != E.nvars:
@@ -132,8 +139,7 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
             )
     if alpha and any((iv.a, iv.b) != (-1.0, 1.0) for iv in E.intervals):
         raise ValueError("the Schur weight is defined on [-1, 1], not on other intervals")
-    padded = len(polys) * len(E.intervals) * grid_size(max(map(_degree_int, polys), default=0))
-    if len(polys) > 1 and padded > _PASS_MAX_ENTRIES:  # padded = V.size below
+    if len(polys) > 1 and _sup_entries(len(polys), E, max(map(_degree_int, polys))) > _PASS_MAX_ENTRIES:
         half = len(polys) // 2
         return _sup(polys[:half], E, refine, alpha) + _sup(polys[half:], E, refine, alpha)
     weight = partial(_schur_weight, alpha) if alpha else None
@@ -181,6 +187,12 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
         w = weight(*E.samples) if weight else 1.0
         best = np.maximum(best, [np.max(np.abs(v) * w) for v in _sample_values(polys, E.samples)])
     return best.tolist()
+
+
+def _sup_entries(count: int, E: CompactSet, deg: int) -> int:
+    """The values a ``_sup`` pass over count polynomials of degree at most
+    deg on E holds at once, ``_SUP_ARRAYS`` per padded grid value (V)."""
+    return _SUP_ARRAYS * count * len(E.intervals) * grid_size(deg)
 
 
 def _sample_values(polys, samples) -> list:
@@ -877,17 +889,22 @@ def evaluate_norm(spec: NormSpec, p, refine: bool = True) -> float:
 
 def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
     """``evaluate_norm`` of each of polys, with the sup terms of all of them
-    (every derivative order of every polynomial) in one ``_sup`` call.  A
+    (every derivative order of every polynomial) in as few ``_sup`` passes
+    as ``_PASS_MAX_ENTRIES`` allows: consecutive groups of polys
+    (``_sup_groups``), each group's images built only for its own pass.  A
     qms table reads each polynomial as given; every other one its
     ``as_chebseries``."""
-    tables = [spec.terms(_degree_int(p)) for p in polys]
+    degs = [_degree_int(p) for p in polys]
+    tables = [spec.terms(d) for d in degs]
     polys = [p if t.qms else as_chebseries(p) for p, t in zip(polys, tables)]
-    images = [image for p, t in zip(polys, tables) for image in _sup_images(p, t)]
-    if len(images) == 1 and not tables[0].alpha:
-        # one plain sup is sup_norm's value; bench/tracing.py times it there
-        sups = [sup_norm(images[0], tables[0].set, refine=refine)]
-    else:
-        sups = _sup(images, tables[0].set, refine, tables[0].alpha) if images else []
+    sups = []
+    for group in _sup_groups(degs, tables):
+        images = [image for p, t in zip(polys[group], tables[group]) for image in _sup_images(p, t)]
+        if len(images) == 1 and not tables[0].alpha:
+            # one plain sup is sup_norm's value; bench/tracing.py times it there
+            sups.append(sup_norm(images[0], tables[0].set, refine=refine))
+        elif images:
+            sups += _sup(images, tables[0].set, refine, tables[0].alpha)
     sups, out = iter(sups), []
     for p, t in zip(polys, tables):
         total = 0.0
@@ -899,6 +916,22 @@ def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
             total += qms_norm(_qms_poly(p), *t.qms)
         out.append(float(total))
     return out
+
+
+def _sup_groups(degs, tables) -> list:
+    """Consecutive slices of the polynomials of these degrees and ``terms``
+    tables, one polynomial or more each, whose sup images take one ``_sup``
+    pass of at most ``_PASS_MAX_ENTRIES`` values: all of them where they fit."""
+    counts = [len(t.sups) for t in tables]
+    if not any(counts) or _sup_entries(sum(counts), tables[0].set, max(degs)) <= _PASS_MAX_ENTRIES:
+        return [slice(0, len(degs))]
+    groups, start, count, deg = [], 0, 0, 0
+    for i, (c, d) in enumerate(zip(counts, degs)):
+        if count and _sup_entries(count + c, tables[0].set, max(deg, d)) > _PASS_MAX_ENTRIES:
+            groups.append(slice(start, i))
+            start, count, deg = i, 0, 0
+        count, deg = count + c, max(deg, d)
+    return groups + [slice(start, len(degs))]
 
 
 def _sup_images(p: ChebSeries, t: NormTerms) -> list:

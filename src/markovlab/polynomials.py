@@ -474,6 +474,31 @@ class _Operator:
             return [_exact_image(p, image) for image in images]
         return [_lincomb((c, p.partial_multi(alpha)) for c, alpha in image) for image in images]
 
+    def power(self, k: int, nvars: int) -> "_Operator":
+        """This operator applied k >= 1 times, for one with one image in
+        ``nvars`` variables: the ``HomOp`` whose symbol is the k-th power of
+        the image's symbol sum c*x^alpha, one ``MultiPoly`` power (on integer
+        numerators when every c is exact), since partial derivatives with
+        constant coefficients commute.  The first power, and every power of
+        the identity ``DerivOp(0)``, is the operator itself."""
+        if k < 1:
+            raise ValueError(f"operator power k must be >= 1, got {k}")
+        images = self.images(nvars)
+        if len(images) != 1:
+            raise ValueError(
+                f"{self.label} has {len(images)} images in {nvars} variables; "
+                "only an operator with one image has powers"
+            )
+        if k == 1:
+            return self
+        symbol: dict = {}
+        for c, alpha in images[0]:
+            symbol[alpha] = symbol[alpha] + c if alpha in symbol else c
+        symbol = _from_terms(symbol, nvars) ** k
+        if symbol.degree == 0:
+            return self
+        return HomOp(tuple(symbol.terms.items()))
+
 
 @dataclass(frozen=True)
 class DerivOp(_Operator):
@@ -551,36 +576,65 @@ class HomOp(_Operator):
         return [tuple((c, tuple(alpha)) for alpha, c in self.terms)]
 
 
-def power_identity_residual(f: MultiPoly, d: DirOp, k: int) -> float:
+def power_identity_residual(f: MultiPoly, d: _Operator, k: int) -> float:
     """Relative residual of the binomial identity linking (Df)^k to powers of f.
 
-    Checks (Df)^k = (1/k!) * sum_{j=0..k} (-1)^j C(k,j) f^j D^(k)(f^(k-j)),
-    returning max coefficient magnitude of the difference relative to the
-    larger side.  Exact inputs yield exactly 0.0.  f^0, ..., f^k are computed
-    once each and serve as both f^j and f^(k-j).
+    Checks (Df)^k = (1/k!) * sum_{j=0..k} (-1)^j C(k,j) f^j D^k(f^(k-j)) for
+    an operator D with one image in f's variables (a ``DirOp``, ``HomOp`` or
+    one-variable ``DerivOp``), returning the largest coefficient magnitude of
+    the difference relative to the larger side's.  f^0, ..., f^k are computed
+    once each and serve as both f^j and f^(k-j), and D^k is one operator,
+    ``d.power(k, f.nvars)``, applied once to each power.  Exact inputs yield
+    exactly 0.0 (``_relative_residual``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    dk = d.power(k, f.nvars)
     (df,) = d.apply_all(f)
     lhs = df ** k
     powers = [f ** j for j in range(k + 1)]
     acc = MultiPoly.zero(f.nvars)
     for j in range(k + 1):
-        dk = powers[k - j]
-        for _ in range(k):
-            (dk,) = d.apply_all(dk)
-        term = powers[j] * dk
+        (image,) = dk.apply_all(powers[k - j])
+        term = powers[j] * image
         coeff = (-1) ** j * math.comb(k, j)
         acc = acc + coeff * term
+    return _relative_residual(lhs, acc, k)
+
+
+def _relative_residual(lhs: MultiPoly, acc: MultiPoly, k: int) -> float:
+    """The largest coefficient magnitude of lhs - rhs, rhs = acc/k!, relative
+    to the larger side's: exactly 0.0 for an exact zero difference, and for
+    a nonzero exact one the exact ratio rounded once (``_exact_relative``),
+    so coefficients past the double range do not overflow."""
     if acc.is_exact and lhs.is_exact:
         rhs = Fraction(1, math.factorial(k)) * acc
     else:
         rhs = (1.0 / math.factorial(k)) * acc
     diff = lhs - rhs
-    scale = max(lhs.max_coeff_magnitude(), rhs.max_coeff_magnitude())
     if diff.is_zero:
         return 0.0
+    if diff.is_exact:
+        return _exact_relative(diff, lhs, rhs)
+    scale = max(lhs.max_coeff_magnitude(), rhs.max_coeff_magnitude())
     if scale == 0.0:
         return diff.max_coeff_magnitude()
     return diff.max_coeff_magnitude() / scale
 
+
+def _max_abs_squared(p: MultiPoly) -> Fraction:
+    """The largest |c|^2 over the coefficients c of an exact p."""
+    re, im = p._re, p._im
+    top = max((re.get(a, 0) ** 2 + im.get(a, 0) ** 2 for a in {**re, **im}), default=0)
+    return Fraction(top, p._den ** 2)
+
+
+def _exact_relative(diff: MultiPoly, lhs: MultiPoly, rhs: MultiPoly) -> float:
+    """max|coefficient of diff| / max|coefficient of lhs or rhs| for exact
+    polynomials, diff nonzero: the square root of the exact ratio of squared
+    magnitudes, taken on integers to 64 bits or more and rounded to a float
+    once.  It is at most 2 when diff = lhs - rhs."""
+    ratio = _max_abs_squared(diff) / max(_max_abs_squared(lhs), _max_abs_squared(rhs))
+    num, den = ratio.numerator, ratio.denominator
+    shift = max(0, (130 - num.bit_length() + den.bit_length()) // 2)
+    return float(Fraction(math.isqrt((num << 2 * shift) // den), 1 << shift))

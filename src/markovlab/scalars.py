@@ -12,8 +12,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# operands that make a float result, as Fraction's do: RationalComplex
+# arithmetic with them is Python complex arithmetic on complex(self) (sums
+# and products of complex numbers commute bitwise, so __radd__ and __rmul__
+# are __add__ and __mul__)
+_INEXACT = (float, complex)
+
+
 class RationalComplex:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
+
+    ``+``, ``-`` and ``*`` with a float or complex operand give a Python
+    complex, as ``Fraction`` gives a float."""
 
     __slots__ = ("re", "im")
 
@@ -37,6 +47,8 @@ class RationalComplex:
         return None
 
     def __add__(self, other):
+        if isinstance(other, _INEXACT):
+            return complex(self) + other
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -45,18 +57,24 @@ class RationalComplex:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, _INEXACT):
+            return complex(self) - other
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return RationalComplex(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
+        if isinstance(other, _INEXACT):
+            return other - complex(self)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, _INEXACT):
+            return complex(self) * other
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -190,6 +190,10 @@ class _Perturbed:
             image = image + MultiPoly.constant(self.eps, p.nvars)
         return [image]
 
+    def power(self, k, nvars):
+        # D^k on the right-hand side is the unperturbed operator's
+        return self.d.power(k, nvars)
+
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_perturbed_exact_identity_is_nonzero(k):
@@ -198,6 +202,19 @@ def test_perturbed_exact_identity_is_nonzero(k):
     assert power_identity_residual(f, _Perturbed(d, Fraction(1, 10**30)), k) > 0.0
     # a second-order operator is no derivation, so the identity fails for it
     assert power_identity_residual(f, HomOp((((1, 1), Fraction(1)),)), k) > 0.0
+
+
+def test_exact_residual_past_the_double_range():
+    # 10^200 x: both sides have coefficients with no double, and the exact
+    # zero residual takes no float magnitude
+    f = MultiPoly({(1,): Fraction(10**200)}, 1)
+    assert power_identity_residual(f, DirOp((Fraction(1),)), 2) == 0.0
+    # 10^200 x^2 with Df + 1 on the left: the difference is 4e200 x + 1
+    # against 4e400 x^2, a ratio of exactly 1e-200, rounded once
+    f = MultiPoly({(2,): Fraction(10**200)}, 1)
+    residual = power_identity_residual(f, _Perturbed(DirOp((Fraction(1),)), Fraction(1)), 2)
+    assert 0.0 < residual < math.inf
+    assert residual == float(Fraction(1, 10**200))
 
 
 def test_exact_identity_needs_no_rational_complex_arithmetic(monkeypatch):

@@ -238,6 +238,25 @@ class TestSupNorm:
         assert calls[:3] == [len(polys), len(polys) // 2, len(polys) // 4]  # halved, and again
         assert np.array(split).tobytes() == np.array(alone).tobytes() == np.array(whole).tobytes()
 
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_evaluations_go_in_passes_within_the_bound(self, rng, monkeypatch, refine):
+        # _evaluate_norms builds the images of one group of consecutive
+        # polynomials at a time, each group one _sup pass within the bound;
+        # every value stays bitwise its own
+        spec = TaylorDiskSpec(Interval(-1.0, 1.0), 0.5)
+        degs = (3, 9, 4, 12, 2, 7, 7)
+        polys = [ChebSeries(rng.standard_normal(n + 1)) for n in degs]
+        whole = norms._evaluate_norms(spec, polys, refine)
+        passes, sup = [], norms._sup
+        monkeypatch.setattr(norms, "_sup", lambda images, *args: passes.append(images) or sup(images, *args))
+        monkeypatch.setattr(norms, "_PASS_MAX_ENTRIES", 10_000)
+        split = norms._evaluate_norms(spec, polys, refine)
+        assert np.array(split).tobytes() == np.array(whole).tobytes()
+        # n + 1 images each (orders 0..n): degrees (3, 9, 4), (12, 2), (7, 7)
+        assert [len(images) for images in passes] == [4 + 10 + 5, 13 + 3, 8 + 8]
+        assert all(norms._sup_entries(len(images), spec.set, max(map(_degree_int, images))) <= 10_000
+                   for images in passes)
+
     @pytest.mark.parametrize(
         "E, c, K",
         [(UnionSet((Interval(-1.0, 0.0), Interval(0.5, 2.0)), (1.0, 2.5, 1.5j)), 1.999, 0.05),

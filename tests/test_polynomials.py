@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovlab import (
+    DerivOp,
     DimensionMismatchError,
     DirOp,
     HomOp,
@@ -234,6 +235,62 @@ class TestHdop:
             HomOp((((2, 0), 1), ((1, 0), 1)))
 
 
+def _operator_case(kind, exact, nvars, k):
+    # an operator of this kind and p of total degree order*k + 2 on a seeded
+    # support, both exact or both float; p's D^k keeps terms of every order
+    rng = np.random.default_rng([len(kind), int(exact), nvars, k])
+
+    def scalar(cplx):
+        if exact:
+            x, y = (Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))) for _ in range(2))
+            return RationalComplex(x, y) if cplx and y else x
+        return complex(*rng.uniform(-1, 1, 2)) if cplx else float(rng.uniform(-1, 1))
+
+    if kind == "deriv":
+        op, order = DerivOp(2), 2
+    elif kind == "hom":
+        op, order = HomOp(tuple((alpha, scalar(True)) for alpha in np.ndindex(*(3,) * nvars)
+                                if sum(alpha) == 2)), 2
+    else:
+        op, order = DirOp(tuple(scalar(kind == "dir-complex") or 1 for _ in range(nvars))), 1
+    deg = order * k + 2
+    terms = {alpha: scalar(True) for alpha in np.ndindex(*(deg + 1,) * nvars)
+             if sum(alpha) <= deg and (alpha[0] == deg or rng.random() < 0.5)}
+    return op, MultiPoly(terms, nvars)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "kind, nvars",
+    [("dir-real", n) for n in (1, 2, 3)] + [("dir-complex", n) for n in (1, 2, 3)]
+    + [("hom", n) for n in (1, 2, 3)] + [("deriv", 1)],
+)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_operator_power_is_repeated_application(exact, kind, nvars, k):
+    op, p = _operator_case(kind, exact, nvars, k)
+    (got,) = op.power(k, nvars).apply_all(p)
+    want = p
+    for _ in range(k):
+        (want,) = op.apply_all(want)
+    assert got.is_exact == want.is_exact == exact
+    if exact:
+        assert got == want
+    else:
+        tol = 1e-13 * want.max_coeff_magnitude()
+        assert all(abs(complex(got.terms.get(a, 0)) - complex(want.terms.get(a, 0))) <= tol
+                   for a in {**got.terms, **want.terms})
+
+
+def test_operator_power_needs_one_image_and_k_at_least_1():
+    with pytest.raises(ValueError, match="deriv:1 has 2 images in 2 variables"):
+        DerivOp(1).power(2, 2)
+    with pytest.raises(ValueError, match="deriv:1 has 2 images"):
+        power_identity_residual(MultiPoly({(1, 1): 1.0}, 2), DerivOp(1), 2)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="power k must be >= 1"):
+            DirOp((1.0,)).power(k, 1)
+
+
 class TestPowerIdentity:
     def test_k1_always_zero(self):
         f = MultiPoly({(2, 1): 1.5, (0, 1): -2.0}, 2)
@@ -247,14 +304,14 @@ class TestPowerIdentity:
 
 def _reference_residual(f, d, k):
     # the identity loop that computes each power of f twice, once as f^j and
-    # once as f^(k-j); power_identity_residual must match it bitwise
+    # once as f^(k-j), with D^k as the one operator d.power(k, nvars);
+    # power_identity_residual must match it bitwise
     (df,) = d.apply_all(f)
     lhs = df ** k
+    dk_op = d.power(k, f.nvars)
     acc = MultiPoly.zero(f.nvars)
     for j in range(k + 1):
-        dk = f ** (k - j)
-        for _ in range(k):
-            (dk,) = d.apply_all(dk)
+        (dk,) = dk_op.apply_all(f ** (k - j))
         term = (f ** j) * dk
         coeff = (-1) ** j * math.comb(k, j)
         acc = acc + coeff * term
@@ -402,6 +459,22 @@ def test_unipoly_product_degree_additive(a, b):
 def test_derivative_linear_exact(a, b, c, k):
     p, q = UniPoly([Fraction(x) for x in a]), UniPoly([Fraction(x) for x in b])
     assert (p + c * q).deriv(k) == p.deriv(k) + c * q.deriv(k)
+
+
+def test_rational_complex_with_floats_is_complex_arithmetic():
+    # as Fraction with a float: the float value of z, then Python's complex
+    # arithmetic, so an exact direction gives bitwise the float one's image
+    z = RationalComplex(Fraction(1, 2), Fraction(1, 3))
+    for x in (0.5, 0.5 + 0.25j, -3.0j):
+        for got, want in ((z + x, complex(z) + x), (x + z, x + complex(z)), (z - x, complex(z) - x),
+                          (x - z, x - complex(z)), (z * x, complex(z) * x), (x * z, x * complex(z))):
+            assert type(got) is complex and got.real.hex() == want.real.hex()
+            assert got.imag.hex() == want.imag.hex()
+    p = MultiPoly({(1,): 0.5 + 0.25j, (2,): 1.5}, 1)
+    (got,) = DirOp((z,)).apply_all(p)
+    (want,) = DirOp((complex(z),)).apply_all(p)
+    assert {a: (c.real.hex(), c.imag.hex()) for a, c in got.terms.items()} == \
+        {a: (c.real.hex(), c.imag.hex()) for a, c in want.terms.items()}
 
 
 def test_rational_complex_arithmetic():

@@ -1,4 +1,4 @@
-"""Time the benchmark's ``rational`` operations by kind.
+"""Time the benchmark's ``rational`` operations by kind, and the identity ones by phase.
 
 It builds the ``rational`` round of ``bench/workloads.py`` for one seed, runs
 one untimed round, then times every operation once per round.  For each kind
@@ -6,6 +6,16 @@ one untimed round, then times every operation once per round.  For each kind
 reports the number of operations, the median of their per-op medians, and
 the sum of those medians, which is the kind's share of one round.  Times are
 raw wall times, not scaled by the benchmark's calibration kernels.
+
+Each round also takes every identity operation apart into the phases of
+``power_identity_residual`` (``identity_phases``): the powers of f and of Df,
+the operator images, the products and sums of the binomial sum, and the
+final scale (``polynomials._relative_residual``).  Each phase is reported as
+the sum over a kind's operations of its per-op medians.  ``--images loop``
+takes the images as D applied k times to each power of f, the way the
+identity was checked before operator powers, for comparison; the default,
+``power``, is the library's way, and its residual must be bitwise the one
+the operation returns.
 
 Run from a checkout (BLAS pinned to one thread, as the benchmark does):
 
@@ -16,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import statistics
@@ -25,6 +36,9 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 
 import workloads  # noqa: E402  (bench/workloads.py)
+from markovlab import polynomials  # noqa: E402
+
+PHASES = ("powers", "images", "products and sums", "scale")
 
 
 def kind(name: str) -> str:
@@ -35,35 +49,94 @@ def kind(name: str) -> str:
     return " ".join(name.split()[:2])
 
 
-def measure(seed: int, rounds: int) -> list:
+def identity_phases(f, d, k: int, loop: bool = False) -> tuple:
+    """(residual, seconds by phase) of ``power_identity_residual(f, d, k)``,
+    step by step as it takes them; with ``loop`` each image is D applied k
+    times instead of ``d.power(k, nvars)`` applied once."""
+    spent = dict.fromkeys(PHASES, 0.0)
+    t0 = time.perf_counter()
+    dk = None if loop else d.power(k, f.nvars)
+    (df,) = d.apply_all(f)
+    t1 = time.perf_counter()
+    lhs = df ** k
+    powers = [f ** j for j in range(k + 1)]
+    t2 = time.perf_counter()
+    spent["images"] += t1 - t0
+    spent["powers"] += t2 - t1
+    acc = polynomials.MultiPoly.zero(f.nvars)
+    for j in range(k + 1):
+        t0 = time.perf_counter()
+        if loop:
+            image = powers[k - j]
+            for _ in range(k):
+                (image,) = d.apply_all(image)
+        else:
+            (image,) = dk.apply_all(powers[k - j])
+        t1 = time.perf_counter()
+        acc = acc + (-1) ** j * math.comb(k, j) * (powers[j] * image)
+        t2 = time.perf_counter()
+        spent["images"] += t1 - t0
+        spent["products and sums"] += t2 - t1
+    t0 = time.perf_counter()
+    residual = polynomials._relative_residual(lhs, acc, k)
+    spent["scale"] += time.perf_counter() - t0
+    return residual, spent
+
+
+def measure(seed: int, rounds: int, loop: bool = False) -> list:
     ops = workloads.build_rational(seed)
+    # an identity op is a lambda that binds its inputs f, d and k as defaults
+    inputs = {op.name: op.run.__defaults__ for op in ops if op.name.startswith("identity")}
     for op in ops:
-        op.run()
+        got = op.run()
+        if op.name in inputs and not loop:
+            want = identity_phases(*inputs[op.name])[0]
+            if got.hex() != want.hex():
+                raise AssertionError(f"{op.name}: phases give {want!r}, the operation {got!r}")
     samples = {op.name: [] for op in ops}
+    phases = {name: {p: [] for p in PHASES} for name in inputs}
     for _ in range(rounds):
         for op in ops:
             t0 = time.perf_counter()
             op.run()
             samples[op.name].append(time.perf_counter() - t0)
+        for name, args in inputs.items():
+            for p, s in identity_phases(*args, loop=loop)[1].items():
+                phases[name][p].append(s)
     by_kind: dict = {}
     for op in ops:
-        by_kind.setdefault(kind(op.name), []).append(1e3 * statistics.median(samples[op.name]))
-    return [{"kind": k, "ops": len(v), "median_op_ms": round(statistics.median(v), 3),
-             "round_ms": round(sum(v), 2)} for k, v in by_kind.items()]
+        by_kind.setdefault(kind(op.name), []).append(op.name)
+    rows = []
+    for k, names in by_kind.items():
+        medians = [1e3 * statistics.median(samples[n]) for n in names]
+        row = {"kind": k, "ops": len(names), "median_op_ms": round(statistics.median(medians), 3),
+               "round_ms": round(sum(medians), 2)}
+        if names[0] in phases:
+            row["phases_ms"] = {p: round(sum(1e3 * statistics.median(phases[n][p]) for n in names), 2)
+                                for p in PHASES}
+        rows.append(row)
+    return rows
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     parser.add_argument("--rounds", type=int, default=9, help="timed rounds")
+    parser.add_argument("--images", choices=("power", "loop"), default="power",
+                        help="phase images by the operator power, or by D applied k times")
     parser.add_argument("--out", help="write the rows as JSON here")
     args = parser.parse_args()
-    rows = measure(args.seed, args.rounds)
+    rows = measure(args.seed, args.rounds, loop=args.images == "loop")
     for r in rows:
         print(f"{r['kind']:>24} {r['ops']:3d} ops  median {r['median_op_ms']:8.3f} ms  "
               f"round {r['round_ms']:8.2f} ms")
     print(f"{'total':>24} {sum(r['ops'] for r in rows):3d} ops  "
           f"round {sum(r['round_ms'] for r in rows):8.2f} ms")
+    print(f"\nidentity phases, ms per round ({args.images} images)")
+    print(f"{'':>24} " + "".join(f"{p:>18}" for p in PHASES))
+    for r in rows:
+        if "phases_ms" in r:
+            print(f"{r['kind']:>24} " + "".join(f"{r['phases_ms'][p]:18.2f}" for p in PHASES))
     if args.out:
         with open(args.out, "w") as f:
             json.dump(rows, f, indent=1)
