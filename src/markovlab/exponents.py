@@ -1,9 +1,10 @@
 """Finite-degree Markov factors M_k(n; q) and exponent estimation.
 
-Factor values are exact in L2 settings (largest singular value) and for the
-identity (M_0(n) = 1), and certified lower bounds everywhere else: sup-norm
-maximization is itself sampled, and the candidate-plus-ascent search can only
-under-shoot the true extremal ratio.
+Factor values are exact in L2 settings (largest singular value), for the
+identity (M_0(n) = 1) and for the qms norms (the largest column ratio of
+D^k under their monomial weights), and certified lower bounds everywhere
+else: sup-norm maximization is itself sampled, and the candidate-plus-ascent
+search can only under-shoot the true extremal ratio.
 Every factor is a ``Bound`` row that records its own method, ``Exact`` or
 ``LowerBound``, with the witness it was read from.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -41,6 +43,7 @@ from .norms import (
     _PASS_MAX_ENTRIES,
     _evaluate_norms,
     _gauss_power_rule,
+    _qms_weights,
     _schur_weight,
     evaluate_norm,
     qms_log_norm,
@@ -464,6 +467,29 @@ def _coarse_finalists(n: int, op: OperatorSpec, q: NormSpec, budget: int, seed: 
     return finalists
 
 
+def _qms_row(n: int, op: OperatorSpec, m, s: int) -> Bound:
+    """M(n) under qms(m, s), the weighted l^1 norm sum_i w_i |c_i|.  In one
+    variable op is c D^k, sending x^i to c perm(i, k) x^(i-k), so M(n) is the
+    largest column ratio |c| perm(i, k) w_(i-k) / w_i over k <= i <= n (0 for
+    n < k), attained by x^i for the first maximising i: rational for integer m
+    and rounded once, else taken in logs; PrecisionOverflowError past the
+    double range."""
+    (image,) = op.images(1)
+    k, c = image[0][1][0], sum(c for c, _ in image)
+    exact = float(m).is_integer()
+    w = _qms_weights(range(n + 1), m, s, log=not exact)
+    if exact:
+        cols = [math.perm(i, k) * w[i - k] / w[i] if i >= k else 0 for i in range(n + 1)]
+    else:
+        cols = [math.log(math.perm(i, k)) + w[i - k] - w[i] if i >= k else -math.inf for i in range(n + 1)]
+    i = cols.index(max(cols))
+    mag = abs(c) if isinstance(c, (int, Fraction)) else abs(complex(c))
+    factor = Fraction(mag) * cols[i] if exact else mag * math.exp(cols[i])
+    if factor > sys.float_info.max:
+        raise PrecisionOverflowError(f"the qms Markov factor at degree {n} leaves the double range")
+    return Bound(n, float(factor), f"monomial:{i}", monomial(i), "Exact")
+
+
 def markov_factor_search(
     n: int,
     op: OperatorSpec,
@@ -471,35 +497,28 @@ def markov_factor_search(
     budget: int = 1,
     seed: int = DEFAULT_SEED,
 ) -> Bound:
-    """Certified lower bound for M(n; q) by candidate max plus coordinate ascent.
+    """Certified lower bound for M(n; q) by candidate max plus coordinate ascent;
+    an ``Exact`` row for the identity (k = 0) and for a qms norm (``_qms_row``).
 
     The candidate set is fixed and seeded (Chebyshev, monomial, orthonormal
     Legendre, random unit coefficient vectors); the best candidate is refined
-    by coordinate-wise ascent with step halving.  Results are lower bounds by
-    construction.
-
-    Screening and ascent use the coarse (``refine=False``) ratio.  The
-    random candidates are drawn as one coefficient matrix, and only the
-    winner becomes a ``ChebSeries``.  On a set in one variable (interval,
-    union or circle), with a univariate operator, the ratio comes from one
-    matrix built once per call (``_BatchedRatio``, from the norm's ``terms``
-    tables and ``_coef_matrix``): matrix products screen the candidates, and
-    the ascent (``_ascend``) takes its trials in blocks, each block one array
-    pass of rank-1 updates and one reduction (``_BatchedRatio.first_gain``).
-    2D, qms, odd or non-integer L^p and large taylor_disk searches screen
-    their candidates in one ``_ratios`` evaluation (``_PolyRatio``) and take
-    their ascent trials one at a time.  Either way the finalists (the
-    best candidate and its ascent) are certified in one refined pass:
-    ``_ratios`` evaluates every finalist's norm and operator images
-    together, with one rfft per degree for the grids and one Newton loop over
-    the brackets of all their sup terms.  Where NaN ratios (a norm that
-    overflowed) leave no finite one, at the screen or at the certification,
-    it raises ``PrecisionOverflowError``.
+    by coordinate-wise ascent with step halving (``_ascend``), both on the
+    coarse (``refine=False``) ratio: through one matrix (``_BatchedRatio``) on
+    a set in one variable with a univariate operator, else one ``_ratios``
+    evaluation per screen or trial (``_PolyRatio``: sets in two variables,
+    odd or non-integer L^p, large taylor_disk).  The finalists (the best
+    candidate and its ascent) are certified together in one refined
+    ``_ratios`` pass.  Where NaN ratios (a norm that overflowed) leave no
+    finite one, at the screen or at the certification, it raises
+    ``PrecisionOverflowError``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if isinstance(op, DerivOp) and op.k == 0:
         return Bound(n, 1.0, "identity", None, "Exact")
+    qms = q.terms(n).qms
+    if qms is not None:
+        return _qms_row(n, op, *qms)
     finalists = _coarse_finalists(n, op, q, budget, seed)
     if not finalists:
         return Bound(n, 0.0, "none", None, "LowerBound")
@@ -519,7 +538,7 @@ def factor_table(
     budget: int = 1,
 ) -> MarkovTable:
     """One ``Bound`` row per degree: exact singular values where ``exact_l2``,
-    search lower bounds otherwise."""
+    ``markov_factor_search``'s rows otherwise (exact for qms)."""
     degrees = sorted(set(int(n) for n in degrees))
     if not degrees:
         raise ValueError("degree list must be nonempty")

@@ -2,36 +2,28 @@
 
 The public entry points (``evaluate_norm`` and ``_evaluate_norms``,
 ``sup_norm``, ``lp_norm``, ``spectral_norm_estimate``) accept a ``ChebSeries``
-or a ``MultiPoly`` and turn it into a ``ChebSeries`` once, by
-``as_chebseries``; everything below them evaluates Chebyshev series only.
-The qms norms are the exception: they read power-basis terms of the
-polynomial as given, so ``_qms_poly`` turns a ``ChebSeries`` into a
-``MultiPoly`` and exact coefficients stay exact.
+or a ``MultiPoly`` and evaluate its ``as_chebseries`` copy, except for the
+qms norms, which read the power coefficients as given (``_qms_poly``), so
+exact coefficients stay exact.
 
 Each norm is defined once, by its spec's ``terms(deg)`` table
 (``NormTerms``): sups of derivatives over a set with their weights, an
 optional Schur weight on the samples, an optional L^p part, and for qms its
 (m, s) entry.  ``evaluate_norm`` sums that table for one polynomial; the
 Markov search (``exponents._BatchedRatio``) turns the same table into one
-sampling matrix for a batch of Chebyshev series, and declines the tables it
-cannot sample (qms among them).
+sampling matrix for a batch of Chebyshev series.
 
 Sup norms on intervals are read on the ``Interval.grid`` of each piece, one
 rfft per degree (``grid_values``), and every near-maximal bracket of that
 grid is refined by Newton's method in theta = arccos t, t the piece's
 coordinate (``_peak_angles``, on the kernel ``_newton_roots`` that the L^p
-root cuts use too).  A coarse sup is the largest grid value, an FFT value at
-the exact angle; a refined one is the larger of that and a Clenshaw sample at
-each maximum found.  Either can exceed the truth by rounding (ROADMAP F5).
-One ``_sup`` call is one pass over every piece of every polynomial it is
-given, with one Newton loop for all brackets, within ``_PASS_MAX_ENTRIES``
-values in all its arrays.  ``evaluate_norm`` refines every sup term of its
-table that way (all deg+1 derivative orders of taylor_disk in one pass), and
-``_evaluate_norms`` does the same for many polynomials, in as few passes as
-that bound allows, which is how the Markov search certifies all its
-finalists at once.  ``refine=False`` skips the local refinement.  The
-Markov search screens candidates and runs its ascent on the same samples,
-through its matrix or, for the tables it declines, by ``_evaluate_norms``.
+root cuts use too).  A coarse sup (``refine=False``) is the largest grid
+value, an FFT value at the exact angle; a refined one is the larger of that
+and a Clenshaw sample at each maximum found.  Either can exceed the truth by
+rounding (ROADMAP F5).  One ``_sup`` call is one pass over every piece of
+every polynomial it is given, with one Newton loop for all brackets, within
+``_PASS_MAX_ENTRIES`` values in all its arrays; ``_evaluate_norms`` takes the
+sup terms of many polynomials in as few passes as that bound allows.
 """
 
 from __future__ import annotations
@@ -86,7 +78,8 @@ _GRID_MAX_LEVELS = 8
 _PASS_MAX_ENTRIES = 1 << 20
 # The values a ``_sup`` pass holds per padded grid value: the grid array V,
 # and where one degree fills the pass its rfft's zero-padded input (2m rows
-# for m + 1 values), complex output (two) and absolute values.
+# for m + 1 values), complex output (two) and absolute values; twice that for
+# complex series, whose real and imaginary parts take an rfft each.
 _SUP_ARRAYS = 6
 
 
@@ -139,7 +132,8 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
             )
     if alpha and any((iv.a, iv.b) != (-1.0, 1.0) for iv in E.intervals):
         raise ValueError("the Schur weight is defined on [-1, 1], not on other intervals")
-    if len(polys) > 1 and _sup_entries(len(polys), E, max(map(_degree_int, polys))) > _PASS_MAX_ENTRIES:
+    cplx = any(np.iscomplexobj(p.coef) for p in polys)
+    if len(polys) > 1 and _sup_entries(len(polys), E, max(map(_degree_int, polys)), cplx) > _PASS_MAX_ENTRIES:
         half = len(polys) // 2
         return _sup(polys[:half], E, refine, alpha) + _sup(polys[half:], E, refine, alpha)
     weight = partial(_schur_weight, alpha) if alpha else None
@@ -189,10 +183,11 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
     return best.tolist()
 
 
-def _sup_entries(count: int, E: CompactSet, deg: int) -> int:
+def _sup_entries(count: int, E: CompactSet, deg: int, cplx: bool = False) -> int:
     """The values a ``_sup`` pass over count polynomials of degree at most
-    deg on E holds at once, ``_SUP_ARRAYS`` per padded grid value (V)."""
-    return _SUP_ARRAYS * count * len(E.intervals) * grid_size(deg)
+    deg on E holds at once, ``_SUP_ARRAYS`` per padded grid value (V), twice
+    that where cplx (complex series)."""
+    return _SUP_ARRAYS * (1 + cplx) * count * len(E.intervals) * grid_size(deg)
 
 
 def _sample_values(polys, samples) -> list:
@@ -634,47 +629,59 @@ def lp_norm(p, mu: Measure, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Factorial-weighted jet norms qms(m, s)
+# Factorial-weighted jet norms qms(m, s): block r sums |p^(i)(0)| / j! =
+# |c_i| i!/j! over i = rs + j, 0 <= j < s, weighted by ((rs)!)^(-m); as
+# i!/j! = C(i, j) (rs)!, the norm is sum_i w_i |c_i|, w_i = C(i, j) ((i - j)!)^(1-m)
 
 
-def _qms_blocks(p: MultiPoly, s: int) -> dict:
-    """The terms of p by block: r -> [(i, c_i) for r*s <= i < (r+1)*s], over
-    the nonzero c_i, in ascending r and i."""
+def _qms_terms(p: MultiPoly, s: int, exact: bool = False) -> list:
+    """(i, c_i) over the nonzero power coefficients of p, in ascending i, with
+    ``exact`` each an int or ``Fraction`` (else TypeError)."""
     if s < 1:
         raise ValueError("s must be a positive integer")
     if p.nvars != 1:
         raise DimensionMismatchError(f"qms norms take one variable, not {p.nvars}")
-    blocks: dict = {}
-    for (i,), c in sorted(p.terms.items()):
-        blocks.setdefault(i // s, []).append((i, c))
-    return blocks
+    terms = sorted((i, c) for (i,), c in p.terms.items())
+    if exact and not all(isinstance(c, (int, Fraction)) for _, c in terms):
+        raise TypeError("exact qms evaluation needs int/Fraction coefficients")
+    return terms
 
 
-def _block_sum_exact(r: int, block, s: int) -> Fraction:
-    """t for block r, whose seminorm, the sum over its terms c_i x^i of
-    |p^(i)(0)| / (i mod s)! = |c_i| i! / (i mod s)!, is (rs)! * t: with
-    j = i mod s, i!/j! = (rs)! C(i, j).  Needs exact real coefficients."""
-    total = Fraction(0)
-    for i, c in block:
-        if not isinstance(c, (Fraction, int)):
-            raise TypeError("exact qms evaluation needs int/Fraction coefficients")
-        total += abs(Fraction(c)) * math.comb(i, i - r * s)
-    return total
+def _qms_weights(degrees, m, s: int, log: bool = False) -> list:
+    """w_i for the ascending degrees i, one factorial per block: exact for an
+    integer m, and with ``log`` log w_i from ``lgamma`` for any m."""
+    out, block, scale = [], None, None
+    for i in degrees:
+        j = i % s
+        if i - j != block:
+            block = i - j
+            if log:
+                scale = (1 - float(m)) * math.lgamma(block + 1)
+            else:
+                scale = Fraction(math.factorial(block)) ** (1 - int(m))
+        out.append(math.log(math.comb(i, j)) + scale if log else math.comb(i, j) * scale)
+    return out
 
 
 def qms_seminorm_terms(p: MultiPoly, s: int) -> dict:
-    """Exact map r -> seminorm of p^(rs), the m-independent part of the norm.
+    """Exact map r -> seminorm of p^(rs), the m-independent part of the norm:
+    block r's sum of w_i |c_i| at m = 0.
 
     The norm value for any exponent m is sum_r terms[r] * ((r*s)!)^(-m), so
     equality of these maps certifies the norm equality for every rational m
     at once, without evaluating irrational factorial powers.
     """
-    return {r: math.factorial(r * s) * _block_sum_exact(r, block, s)
-            for r, block in _qms_blocks(p, s).items()}
+    terms, out = _qms_terms(p, s, exact=True), {}
+    for (i, c), w in zip(terms, _qms_weights([i for i, _ in terms], 0, s)):
+        out[i // s] = out.get(i // s, 0) + abs(c) * w
+    return out
 
 
-def _log_fraction(q: Fraction) -> float:
-    return math.log(q.numerator) - math.log(q.denominator)
+def _log_abs(c) -> float:
+    """log|c| for a nonzero c, an exact one's from its numerator and denominator."""
+    if isinstance(c, (int, Fraction)):
+        return math.log(abs(c.numerator)) - math.log(c.denominator)
+    return math.log(abs(complex(c)))
 
 
 def _logsumexp(vals) -> float:
@@ -686,34 +693,12 @@ def _logsumexp(vals) -> float:
 
 
 def qms_log_norm(p: MultiPoly, m, s: int) -> float:
-    """log of the qms norm, safe for factorial-sized magnitudes.
-
-    log((rs)!) comes from lgamma for every block.  With int and Fraction
-    coefficients the rest of a block's seminorm is the exact sum t of
-    ``_block_sum_exact``, whose log is taken from its numerator and
-    denominator; any other coefficient (float, complex) puts every term
-    through lgamma.  Returns -inf for the zero polynomial.
-    """
-    blocks = _qms_blocks(p, s)
-    mf = float(m)
-    logs = []
-    exact = all(isinstance(c, (int, Fraction)) for c in p.terms.values())
-    for r, block in blocks.items():
-        log_fact = math.lgamma(r * s + 1)
-        if exact:
-            log_term = log_fact + _log_fraction(_block_sum_exact(r, block, s))
-        else:
-            pieces = []
-            for i, c in block:
-                mag = abs(complex(c))
-                if mag == 0.0:
-                    continue
-                pieces.append(math.log(mag) + math.lgamma(i + 1) - math.lgamma(i % s + 1))
-            if not pieces:
-                continue
-            log_term = _logsumexp(pieces)
-        logs.append(log_term - mf * log_fact)
-    return _logsumexp(logs)
+    """log of the qms norm, safe for factorial-sized magnitudes: the log-sum-exp
+    of log|c_i| + log w_i, with no factorial built (at degree 4096 one costs
+    about 1 ms).  Returns -inf for the zero polynomial."""
+    terms = _qms_terms(p, s)
+    logs = _qms_weights([i for i, _ in terms], m, s, log=True)
+    return _logsumexp([_log_abs(c) + w for (_, c), w in zip(terms, logs)])
 
 
 def qms_norm(p: MultiPoly, m, s: int) -> float:
@@ -729,13 +714,12 @@ def qms_norm(p: MultiPoly, m, s: int) -> float:
 
 
 def qms_norm_exact(p: MultiPoly, m: int, s: int) -> Fraction:
-    """Exact rational norm value; needs an integer exponent m >= 0."""
+    """Exact rational norm value sum_i w_i |c_i|; needs an integer exponent m >= 0."""
     if not isinstance(m, int) or m < 0:
         raise ValueError("exact qms values are rational only for integer m >= 0")
-    total = Fraction(0)
-    for r, block in _qms_blocks(p, s).items():
-        total += _block_sum_exact(r, block, s) * Fraction(math.factorial(r * s)) ** (1 - m)
-    return total
+    terms = _qms_terms(p, s, exact=True)
+    return sum((abs(c) * w for (_, c), w in zip(terms, _qms_weights([i for i, _ in terms], m, s))),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -897,8 +881,8 @@ def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
     degs = [_degree_int(p) for p in polys]
     tables = [spec.terms(d) for d in degs]
     polys = [p if t.qms else as_chebseries(p) for p, t in zip(polys, tables)]
-    sups = []
-    for group in _sup_groups(degs, tables):
+    sups, cplx = [], any(np.iscomplexobj(p.coef) for p, t in zip(polys, tables) if t.sups)
+    for group in _sup_groups(degs, tables, cplx):
         images = [image for p, t in zip(polys[group], tables[group]) for image in _sup_images(p, t)]
         if len(images) == 1 and not tables[0].alpha:
             # one plain sup is sup_norm's value; bench/tracing.py times it there
@@ -918,16 +902,16 @@ def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
     return out
 
 
-def _sup_groups(degs, tables) -> list:
+def _sup_groups(degs, tables, cplx: bool) -> list:
     """Consecutive slices of the polynomials of these degrees and ``terms``
-    tables, one polynomial or more each, whose sup images take one ``_sup``
+    tables (complex series where cplx), whose sup images take one ``_sup``
     pass of at most ``_PASS_MAX_ENTRIES`` values: all of them where they fit."""
     counts = [len(t.sups) for t in tables]
-    if not any(counts) or _sup_entries(sum(counts), tables[0].set, max(degs)) <= _PASS_MAX_ENTRIES:
+    if not any(counts) or _sup_entries(sum(counts), tables[0].set, max(degs), cplx) <= _PASS_MAX_ENTRIES:
         return [slice(0, len(degs))]
     groups, start, count, deg = [], 0, 0, 0
     for i, (c, d) in enumerate(zip(counts, degs)):
-        if count and _sup_entries(count + c, tables[0].set, max(deg, d)) > _PASS_MAX_ENTRIES:
+        if count and _sup_entries(count + c, tables[0].set, max(deg, d), cplx) > _PASS_MAX_ENTRIES:
             groups.append(slice(start, i))
             start, count, deg = i, 0, 0
         count, deg = count + c, max(deg, d)
@@ -1013,17 +997,10 @@ def spectral_norm_estimate(p, spec: NormSpec, s_max: int) -> SpectralEstimate:
     """
     if s_max < 4:
         raise ValueError("s_max must be at least 4")
-    use_qms = isinstance(spec, QmsSpec)
-    if not use_qms:
-        p = as_chebseries(p)
-    vals = []
-    for s in range(1, s_max + 1):
-        ps = p**s
-        if use_qms:
-            lv = qms_log_norm(_qms_poly(ps), spec.m, spec.s)
-            vals.append(math.exp(lv / s) if lv != NEG_INF else 0.0)
-        else:
-            vals.append(evaluate_norm(spec, ps) ** (1.0 / s))
+    qms = spec.terms(0).qms  # taken in logs: q(p^s) leaves the double range
+    p = p if qms else as_chebseries(p)
+    vals = [math.exp(qms_log_norm(_qms_poly(p**s), *qms) / s) if qms
+            else evaluate_norm(spec, p**s) ** (1.0 / s) for s in range(1, s_max + 1)]
     tail = list(range(max(1, s_max // 2), s_max + 1))
     ys = np.array([vals[s - 1] for s in tail])
     X = np.vstack([np.ones(len(tail)), 1.0 / np.array(tail, dtype=float)]).T

@@ -223,14 +223,10 @@ class MultiPoly:
         return out
 
     def max_coeff_magnitude(self) -> float:
+        """The largest |c|, an exact one rounded once (inf past the double range)."""
         if self._den is None:
             return max((abs(complex(c)) for c in self._terms.values()), default=0.0)
-        den, re, im = self._den, self._re, self._im
-        if im:
-            den2 = den * den
-            return max(math.sqrt((re.get(a, 0) ** 2 + im.get(a, 0) ** 2) / den2)
-                       for a in {**re, **im})
-        return max((abs(c) / den for c in re.values()), default=0.0)
+        return _sqrt_float(_max_abs_squared(self))
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -629,12 +625,20 @@ def _max_abs_squared(p: MultiPoly) -> Fraction:
     return Fraction(top, p._den ** 2)
 
 
+def _sqrt_float(q: Fraction) -> float:
+    """sqrt(q) for an exact q >= 0 on integers (65 bits or more, the last one
+    sticky), rounded to a float once; inf past the double range."""
+    num, den = q.numerator, q.denominator
+    shift = max(0, (130 - num.bit_length() + den.bit_length()) // 2)
+    root = math.isqrt((num << 2 * shift) // den)
+    root |= root * root * den != num << 2 * shift
+    try:
+        return float(Fraction(root, 1 << shift))
+    except OverflowError:
+        return math.inf
+
+
 def _exact_relative(diff: MultiPoly, lhs: MultiPoly, rhs: MultiPoly) -> float:
     """max|coefficient of diff| / max|coefficient of lhs or rhs| for exact
-    polynomials, diff nonzero: the square root of the exact ratio of squared
-    magnitudes, taken on integers to 64 bits or more and rounded to a float
-    once.  It is at most 2 when diff = lhs - rhs."""
-    ratio = _max_abs_squared(diff) / max(_max_abs_squared(lhs), _max_abs_squared(rhs))
-    num, den = ratio.numerator, ratio.denominator
-    shift = max(0, (130 - num.bit_length() + den.bit_length()) // 2)
-    return float(Fraction(math.isqrt((num << 2 * shift) // den), 1 << shift))
+    polynomials, diff nonzero, from the exact squares; at most 2 for lhs - rhs."""
+    return _sqrt_float(_max_abs_squared(diff) / max(_max_abs_squared(lhs), _max_abs_squared(rhs)))

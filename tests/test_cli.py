@@ -101,6 +101,22 @@ class TestFactorTableCommand:
         assert main(["factor-table", "--config", cfg, "--out", str(tmp_path / "tab2.csv")]) == 0
         assert (tmp_path / "tab2.csv").read_bytes() == first
 
+    def test_qms_rows_are_exact(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "qms.json", {
+            "normspec": {"kind": "qms", "m": 2, "s": 3}, "operator": {"kind": "deriv", "k": 1},
+            "degrees": [4, 16], "output": str(tmp_path / "qms.csv")})
+        assert main(["factor-table", "--config", cfg]) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "qms.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert [row[1:5] for row in rows] == [["4", "18.0", "Exact", "monomial:3"],
+                                              ["16", "3726450.0", "Exact", "monomial:15"]]
+        # a factor past the double range is an error, not a traceback
+        over = write_config(tmp_path, "over.json", {
+            "normspec": {"kind": "qms", "m": 2, "s": 3}, "operator": {"kind": "dirop", "v": [1e308]},
+            "degrees": [8], "output": str(tmp_path / "over.csv")})
+        assert main(["factor-table", "--config", over]) == 1
+        assert "leaves the double range" in capsys.readouterr().err
+
     def test_degrees_must_increase(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -217,6 +217,21 @@ def test_exact_residual_past_the_double_range():
     assert residual == float(Fraction(1, 10**200))
 
 
+@pytest.mark.parametrize("c, want", [
+    (Fraction(10**400), math.inf),
+    (RationalComplex(Fraction(10**400), Fraction(1, 3)), math.inf),
+    (RationalComplex(Fraction(3, 5), Fraction(-4, 5)), 1.0),
+    (RationalComplex(1, 1), math.sqrt(2.0)),
+    (Fraction(10**300, 7), 10**300 / 7),
+    (Fraction(-1, 3), 1 / 3),
+], ids=["real-past-range", "complex-past-range", "complex-3-4-5", "complex-sqrt2", "real-large",
+                            "real"])
+def test_exact_max_coeff_magnitude_is_rounded_once(c, want):
+    # |c| from the exact |c|^2, rounded to a float once; inf past the double range
+    p = MultiPoly({(1,): c, (0,): Fraction(1, 5)}, 1)
+    assert p.max_coeff_magnitude() == want
+
+
 def test_exact_identity_needs_no_rational_complex_arithmetic(monkeypatch):
     f, d = _exact_identity_inputs(11)
 

@@ -11,6 +11,7 @@ from markovlab import (
     Bound,
     ChebSeries,
     DerivOp,
+    DimensionMismatchError,
     DirOp,
     HomOp,
     Interval,
@@ -42,9 +43,12 @@ from markovlab import (
     markov_factor_l2,
     markov_factor_search,
     qms_exact_exponent,
+    qms_log_norm,
+    qms_norm_exact,
     spectral_exponent_floor,
 )
-from markovlab.chebseries import chebyshev_t, deriv_matrix
+from markovlab import exponents
+from markovlab.chebseries import chebyshev_t, deriv_matrix, monomial
 from markovlab.domains import Measure
 from markovlab.exponents import (
     DEFAULT_SEED,
@@ -54,6 +58,7 @@ from markovlab.exponents import (
     _ascend,
     _candidates_1d,
     _candidates_2d,
+    _coarse_finalists,
     _coarse_ratio,
     _coef_matrix,
     _quotient,
@@ -155,6 +160,15 @@ class TestMarkovFactorL2:
         monkeypatch.setattr(domains, "gauss_jacobi", fail)
         monkeypatch.setattr(Measure, "rule_for_degree", fail)
         assert markov_factor_l2(64, 2, mu).factor > 0.0
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 3.0)])
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_unit_tabulated_weight_is_lebesgue(self, a, b, n, k):
+        # a tabulated weight takes the Stieltjes system; weight 1 is Lebesgue
+        got = markov_factor_l2(n, k, domains.tabulated_measure(np.ones_like, a, b)).factor
+        want = markov_factor_l2(n, k, lebesgue_measure(a, b)).factor
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestMarkovFactorSearch:
@@ -696,6 +710,86 @@ class TestAsymptoticTrend:
     def test_needs_three_orders(self):
         with pytest.raises(ValueError):
             asymptotic_exponent({1: 2.0, 2: 4.0})
+
+
+class TestQmsRows:
+    M_VALUES = (Fraction(1, 2), 1, 2, 3)
+
+    @pytest.mark.parametrize("k, want", [(1, (18, 7200, 871200, 3726450)),
+                                         (2, (36, 14400, 1742400, 7452900))])
+    def test_qms_2_3_rows(self, k, want):
+        table = factor_table(QmsSpec(2, 3), DerivOp(k), [4, 8, 12, 16])
+        assert [row.factor for row in table.rows] == list(want)
+        assert {row.method for row in table.rows} == {"Exact"}
+        if k == 1:
+            assert [row.witness_id for row in table.rows] == [
+                "monomial:3", "monomial:6", "monomial:12", "monomial:15"]
+        for row in table.rows:
+            i = int(row.witness_id.split(":")[1])
+            assert row.witness.coef.tobytes() == monomial(i).coef.tobytes()
+
+    @pytest.mark.parametrize("m", M_VALUES, ids=str)
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_are_the_best_monomial_ratio(self, m, s, k):
+        # the largest q(D^k x^i) / q(x^i) over i <= n, by the exact norm for
+        # integer m and in logs for m = 1/2; attained first by the witness
+        ratios = []
+        for i in range(17):
+            x_i = UniPoly.monomial(i, 1)
+            if m == int(m):
+                ratios.append(qms_norm_exact(x_i.deriv(k), int(m), s) / qms_norm_exact(x_i, int(m), s))
+            else:
+                ratios.append(math.exp(qms_log_norm(x_i.deriv(k), m, s) - qms_log_norm(x_i, m, s)))
+        for n in range(17):
+            row = markov_factor_search(n, DerivOp(k), QmsSpec(m, s))
+            best = max(ratios[: n + 1])
+            assert row.method == "Exact"
+            if m == int(m):
+                assert row.factor == float(best)
+                assert row.witness_id == f"monomial:{ratios.index(best)}"
+            else:
+                assert row.factor == pytest.approx(best, rel=1e-12, abs=0)
+                assert ratios[int(row.witness_id.split(":")[1])] == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("m", M_VALUES, ids=str)
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_no_candidate_exceeds_the_row(self, m, s):
+        n = 16
+        names, coefs = _candidates_1d(n, np.random.default_rng(DEFAULT_SEED + 7919 * n), 1)
+        for k in (1, 2, 3):
+            row = markov_factor_search(n, DerivOp(k), QmsSpec(m, s)).factor
+            assert max(_coarse_ratio(DerivOp(k), QmsSpec(m, s), n).screen(coefs)) <= row * (1 + 1e-12)
+
+    @pytest.mark.parametrize("m, s, k", [(Fraction(1, 2), 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 1)])
+    def test_no_search_finalist_exceeds_the_row(self, m, s, k):
+        n, op, q = 16, DerivOp(k), QmsSpec(m, s)
+        finalists = _coarse_finalists(n, op, q, 1, DEFAULT_SEED)
+        certified = _ratios(op, q, [p for _, p in finalists], refine=True)
+        assert 0 < max(certified) <= markov_factor_search(n, op, q).factor * (1 + 1e-12)
+
+    @pytest.mark.parametrize("m", [2, 2.0, Fraction(1, 2)], ids=str)
+    def test_every_one_variable_operator_is_c_times_d_k(self, m):
+        q, n = QmsSpec(m, 3), 10
+        d1, d2 = (markov_factor_search(n, DerivOp(k), q) for k in (1, 2))
+        for op, c, base in [(DirOp((-3.0,)), 3.0, d1), (DirOp((Fraction(1, 3),)), Fraction(1, 3), d1),
+                            (DirOp((1j,)), 1.0, d1), (HomOp((((2,), 2.0), ((2,), 0.5))), 2.5, d2)]:
+            row = markov_factor_search(n, op, q)
+            assert (row.witness_id, row.method) == (base.witness_id, "Exact")
+            assert row.factor == pytest.approx(float(c) * base.factor, rel=1e-15, abs=0)
+        assert markov_factor_search(n, DerivOp(0), q).factor == 1.0
+        with pytest.raises(PrecisionOverflowError, match="leaves the double range"):
+            markov_factor_search(n, DirOp((1e308,)), q)
+        with pytest.raises(DimensionMismatchError):
+            markov_factor_search(n, DirOp((1.0, 1.0)), q)
+
+    def test_rows_never_call_the_search(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a qms row ran the search")
+
+        monkeypatch.setattr(exponents, "_coarse_finalists", fail)
+        rows = factor_table(QmsSpec(Fraction(1, 2), 2), DerivOp(1), [0, 1, 8]).rows
+        assert [(row.factor, row.witness_id) for row in rows[:2]] == [(0.0, "monomial:0"), (1.0, "monomial:1")]
 
 
 class TestQmsExactExponent:

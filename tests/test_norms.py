@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -237,6 +238,23 @@ class TestSupNorm:
         alone = [norms._sup([p], E, refine, alpha)[0] for p in polys]
         assert calls[:3] == [len(polys), len(polys) // 2, len(polys) // 4]  # halved, and again
         assert np.array(split).tobytes() == np.array(alone).tobytes() == np.array(whole).tobytes()
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_pass_at_the_bound_holds_at_most_the_bound(self, rng, refine, cplx):
+        # as many series of degree 128 as one real pass at the bound holds:
+        # a complex pass counts twice, so each pass's traced peak stays
+        # within _PASS_MAX_ENTRIES values (1.3 times it when counted once)
+        count = norms._PASS_MAX_ENTRIES // norms._sup_entries(1, E, 128)
+        polys = [ChebSeries(rng.standard_normal(129) + (1j * rng.standard_normal(129) if cplx else 0.0))
+                 for _ in range(count)]
+        tracemalloc.start()
+        try:
+            _sup(polys, E, refine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * norms._PASS_MAX_ENTRIES
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_evaluations_go_in_passes_within_the_bound(self, rng, monkeypatch, refine):

@@ -10,7 +10,8 @@ operation once, printing ``<workload> | <operation> | <repr of its output>``
   (r = 1e-6) and mixed_deriv on the gap set [-1, -0.5] U [0.5, 1], sup on
   [-1, 0] U {1, 1.5i}, sup on the circle, Lebesgue L^3, sup+L^1,
   taylor_disk (r = 0.5) on [0, 3], and sup on the plane regions
-  ``box_region()`` and ``cusp_region()``;
+  ``box_region()`` and ``cusp_region()``; and at n = 4, 8, 12, 16 and
+  k = 1, 2 of qms(2, 3), whose rows are exact;
 - ``search | <norm> k=<k> n=<n> | <(factor, witness id, sha256 of the
   witness's coefficient bytes)>``: ``markov_factor_search`` on rows without a
   sampling matrix (``_PolyRatio``) that the benchmark does not run:
@@ -129,6 +130,10 @@ def _outputs(seed: int):
             yield "table", f"{name} k={k}", lambda q=q, k=k: [
                 (row.n, row.factor, row.witness_id)
                 for row in factor_table(q, DerivOp(k), [4, 8, 12]).rows]
+    for k in (1, 2):
+        yield "table", f"qms(2,3) k={k}", lambda k=k: [
+            (row.n, row.factor, row.witness_id)
+            for row in factor_table(QmsSpec(2, 3), DerivOp(k), [4, 8, 12, 16]).rows]
     for name, (q, k, n) in _searches().items():
         yield "search", name, lambda q=q, k=k, n=n: _search(q, k, n)
     family = [chebyshev_u(n) for n in range(33)]

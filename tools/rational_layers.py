@@ -11,11 +11,8 @@ Each round also takes every identity operation apart into the phases of
 ``power_identity_residual`` (``identity_phases``): the powers of f and of Df,
 the operator images, the products and sums of the binomial sum, and the
 final scale (``polynomials._relative_residual``).  Each phase is reported as
-the sum over a kind's operations of its per-op medians.  ``--images loop``
-takes the images as D applied k times to each power of f, the way the
-identity was checked before operator powers, for comparison; the default,
-``power``, is the library's way, and its residual must be bitwise the one
-the operation returns.
+the sum over a kind's operations of its per-op medians, and the phases'
+residual must be bitwise the one the operation returns.
 
 Run from a checkout (BLAS pinned to one thread, as the benchmark does):
 
@@ -49,13 +46,12 @@ def kind(name: str) -> str:
     return " ".join(name.split()[:2])
 
 
-def identity_phases(f, d, k: int, loop: bool = False) -> tuple:
+def identity_phases(f, d, k: int) -> tuple:
     """(residual, seconds by phase) of ``power_identity_residual(f, d, k)``,
-    step by step as it takes them; with ``loop`` each image is D applied k
-    times instead of ``d.power(k, nvars)`` applied once."""
+    step by step as it takes them."""
     spent = dict.fromkeys(PHASES, 0.0)
     t0 = time.perf_counter()
-    dk = None if loop else d.power(k, f.nvars)
+    dk = d.power(k, f.nvars)
     (df,) = d.apply_all(f)
     t1 = time.perf_counter()
     lhs = df ** k
@@ -66,12 +62,7 @@ def identity_phases(f, d, k: int, loop: bool = False) -> tuple:
     acc = polynomials.MultiPoly.zero(f.nvars)
     for j in range(k + 1):
         t0 = time.perf_counter()
-        if loop:
-            image = powers[k - j]
-            for _ in range(k):
-                (image,) = d.apply_all(image)
-        else:
-            (image,) = dk.apply_all(powers[k - j])
+        (image,) = dk.apply_all(powers[k - j])
         t1 = time.perf_counter()
         acc = acc + (-1) ** j * math.comb(k, j) * (powers[j] * image)
         t2 = time.perf_counter()
@@ -83,13 +74,13 @@ def identity_phases(f, d, k: int, loop: bool = False) -> tuple:
     return residual, spent
 
 
-def measure(seed: int, rounds: int, loop: bool = False) -> list:
+def measure(seed: int, rounds: int) -> list:
     ops = workloads.build_rational(seed)
     # an identity op is a lambda that binds its inputs f, d and k as defaults
     inputs = {op.name: op.run.__defaults__ for op in ops if op.name.startswith("identity")}
     for op in ops:
         got = op.run()
-        if op.name in inputs and not loop:
+        if op.name in inputs:
             want = identity_phases(*inputs[op.name])[0]
             if got.hex() != want.hex():
                 raise AssertionError(f"{op.name}: phases give {want!r}, the operation {got!r}")
@@ -101,7 +92,7 @@ def measure(seed: int, rounds: int, loop: bool = False) -> list:
             op.run()
             samples[op.name].append(time.perf_counter() - t0)
         for name, args in inputs.items():
-            for p, s in identity_phases(*args, loop=loop)[1].items():
+            for p, s in identity_phases(*args)[1].items():
                 phases[name][p].append(s)
     by_kind: dict = {}
     for op in ops:
@@ -122,17 +113,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     parser.add_argument("--rounds", type=int, default=9, help="timed rounds")
-    parser.add_argument("--images", choices=("power", "loop"), default="power",
-                        help="phase images by the operator power, or by D applied k times")
     parser.add_argument("--out", help="write the rows as JSON here")
     args = parser.parse_args()
-    rows = measure(args.seed, args.rounds, loop=args.images == "loop")
+    rows = measure(args.seed, args.rounds)
     for r in rows:
         print(f"{r['kind']:>24} {r['ops']:3d} ops  median {r['median_op_ms']:8.3f} ms  "
               f"round {r['round_ms']:8.2f} ms")
     print(f"{'total':>24} {sum(r['ops'] for r in rows):3d} ops  "
           f"round {sum(r['round_ms'] for r in rows):8.2f} ms")
-    print(f"\nidentity phases, ms per round ({args.images} images)")
+    print("\nidentity phases, ms per round")
     print(f"{'':>24} " + "".join(f"{p:>18}" for p in PHASES))
     for r in rows:
         if "phases_ms" in r:
