@@ -12,13 +12,13 @@ power-basis coefficients, ``UniPoly`` included) enters the float code through
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import chebyshev as nch
 
 from .errors import DimensionMismatchError
-from .polynomials import NEG_INF, MultiPoly, UniPoly
+from .polynomials import NEG_INF, MultiPoly, UniPoly, _inexact
+from .scalars import is_exact
 
 
 class ChebSeries:
@@ -106,7 +106,7 @@ class ChebSeries:
             if self.is_zero or other.is_zero:
                 return ChebSeries([0.0])
             return ChebSeries(nch.chebmul(self.coef, other.coef))
-        return ChebSeries(self.coef * other)
+        return ChebSeries(self.coef * (_inexact(other) if is_exact(other) else other))
 
     __rmul__ = __mul__
 
@@ -171,10 +171,12 @@ def chebyshev_u(n: int) -> ChebSeries:
 
 def monomial(n: int) -> ChebSeries:
     """x^n = 2^(1-n) sum C(n, (n-k)/2) T_k over k = n, n-2, ..., with the T_0
-    term halved, each coefficient correctly rounded from the exact one."""
-    c = np.zeros(n + 1)
-    for k in range(n % 2, n + 1, 2):
-        c[k] = float(Fraction(math.comb(n, (n - k) // 2), 2 ** (n - 1 + (k == 0))))
+    term halved: C(n, j) from C(n, j - 1) by one big-integer product, and
+    each coefficient correctly rounded by one integer division."""
+    c, binom = np.zeros(n + 1), 1
+    for j in range(n // 2 + 1):
+        c[n - 2 * j] = binom / (1 << (n - 1 + (2 * j == n)))
+        binom = binom * (n - j) // (j + 1)
     return ChebSeries(c)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -50,7 +49,7 @@ from .norms import (
     spec_nvars,
 )
 from .orthopoly import OrthoSystem, jacobi_system, stieltjes_orthonormalize
-from .polynomials import DerivOp, DirOp, HomOp, UniPoly, _lincomb
+from .polynomials import DerivOp, DirOp, HomOp, UniPoly
 
 DEFAULT_SEED = 1729
 _ASCENT_ROUNDS = 200
@@ -147,10 +146,30 @@ def _system_for_measure(mu: Measure, nmax: int) -> OrthoSystem:
     return jacobi_system(mu.alpha, mu.beta, nmax)
 
 
+def _as_derivative(op: OperatorSpec, q: NormSpec) -> tuple:
+    """(c, D) with op = c*D: D = ``DerivOp(k)`` on a set in one variable, where
+    every operator is c*D^k (``scaled_derivative``), else D = op and c = 1."""
+    if spec_nvars(q) == 2:
+        return 1, op
+    c, k = op.scaled_derivative()
+    return c, DerivOp(k)
+
+
+def _scaled(row: Bound, c) -> Bound:
+    """row, that of D, as the row of c*D: |c| times its factor (float or exact)
+    rounded once; PrecisionOverflowError past the double range."""
+    try:
+        mag = abs(c.real) if not c.imag else abs(complex(c))
+        factor = float(Fraction(mag) * Fraction(row.factor))
+    except OverflowError:
+        raise PrecisionOverflowError(f"the Markov factor at degree {row.n} leaves the double range") from None
+    return replace(row, factor=factor)
+
+
 def exact_l2(q: NormSpec, op: OperatorSpec) -> bool:
     """Whether ``factor_table`` takes M(n) from ``markov_factor_l2``: an L2
-    norm and a derivative of order k >= 1."""
-    return isinstance(q, LpSpec) and float(q.s) == 2.0 and isinstance(op, DerivOp) and op.k >= 1
+    norm and an operator c*D^k of order k >= 1."""
+    return isinstance(q, LpSpec) and float(q.s) == 2.0 and _as_derivative(op, q)[1].k >= 1
 
 
 def markov_factor_l2(n: int, k: int, mu: Measure, sys: Optional[OrthoSystem] = None) -> Bound:
@@ -281,7 +300,7 @@ class _BatchedRatio:
     """The same ratios for real series of degree at most n, through one matrix.
 
     Built from den and num, the ``_sampled_side`` of q at degree n and at the
-    operator's image degree, and A, the operator's coefficient matrix, the
+    image degree, and A, the matrix of D^k on Chebyshev coefficients, the
     matrix takes coefficient vectors (as columns) to exactly the values the
     coarse ratio samples: the sup blocks of q(p), then those of q(Ap), then
     the L^p Gauss nodes of both.  Screening is a matrix product (in column
@@ -300,7 +319,7 @@ class _BatchedRatio:
         dense = [_sampling_matrix(A.shape[1] - 1, *den),
                  _sampling_matrix(A.shape[0] - 1, *num) @ A]
         sup_rows = [sum(g.size for g in grids), sum(g.size for g in num_grids)]
-        # column-major: trials gather columns; complex where the operator is
+        # column-major: trials gather columns; complex where the set's samples are
         self.matrix = np.empty((sum(M.shape[0] for M in dense), A.shape[1]),
                                dtype=np.result_type(*dense), order="F")
         np.concatenate([M[:r] for M, r in zip(dense, sup_rows)]
@@ -415,24 +434,14 @@ def _ascend(coarse, coef: np.ndarray, ratio: float, rounds: int):
             it, block = plan[j // 2][0] + 1, 2
 
 
-def _coef_matrix(op: OperatorSpec, n: int) -> Optional[np.ndarray]:
-    """op on Chebyshev coefficients of degree <= n; None unless univariate."""
-    try:
-        (image,) = op.images(1)
-    except ValueError:
-        return None
-    # homogeneous in one variable: every term has the same k, hence one shape
-    return _lincomb((c, deriv_matrix(n, k)) for c, (k,) in image)
-
-
 def _coarse_ratio(op: OperatorSpec, q: NormSpec, n: int):
-    """The batched evaluator where the operator has a matrix at degree n and
-    q's table a ``_sampled_side`` there; the per-polynomial one elsewhere
-    (sets in two variables among them)."""
-    A = _coef_matrix(op, n)
-    den = None if A is None else _sampled_side(q, n)
+    """The batched evaluator where q's table has a ``_sampled_side`` at
+    degree n, on a set in one variable, where op is a ``DerivOp``; the
+    per-polynomial one elsewhere (sets in two variables among them)."""
+    den = _sampled_side(q, n)
     if den is None:
         return _PolyRatio(op, q)
+    A = deriv_matrix(n, op.k)
     return _BatchedRatio(den, _sampled_side(q, A.shape[0] - 1), A)
 
 
@@ -467,15 +476,12 @@ def _coarse_finalists(n: int, op: OperatorSpec, q: NormSpec, budget: int, seed: 
     return finalists
 
 
-def _qms_row(n: int, op: OperatorSpec, m, s: int) -> Bound:
-    """M(n) under qms(m, s), the weighted l^1 norm sum_i w_i |c_i|.  In one
-    variable op is c D^k, sending x^i to c perm(i, k) x^(i-k), so M(n) is the
-    largest column ratio |c| perm(i, k) w_(i-k) / w_i over k <= i <= n (0 for
-    n < k), attained by x^i for the first maximising i: rational for integer m
-    and rounded once, else taken in logs; PrecisionOverflowError past the
-    double range."""
-    (image,) = op.images(1)
-    k, c = image[0][1][0], sum(c for c, _ in image)
+def _qms_row(n: int, k: int, m, s: int) -> Bound:
+    """M_k(n) under qms(m, s), the weighted l^1 norm sum_i w_i |c_i|.  D^k
+    sends x^i to perm(i, k) x^(i-k), so M_k(n) is the largest column ratio
+    perm(i, k) w_(i-k) / w_i over k <= i <= n (0 for n < k), attained by x^i
+    for the first maximising i: a rational for integer m, left exact for
+    ``_scaled`` to round once, else taken in logs."""
     exact = float(m).is_integer()
     w = _qms_weights(range(n + 1), m, s, log=not exact)
     if exact:
@@ -483,11 +489,11 @@ def _qms_row(n: int, op: OperatorSpec, m, s: int) -> Bound:
     else:
         cols = [math.log(math.perm(i, k)) + w[i - k] - w[i] if i >= k else -math.inf for i in range(n + 1)]
     i = cols.index(max(cols))
-    mag = abs(c) if isinstance(c, (int, Fraction)) else abs(complex(c))
-    factor = Fraction(mag) * cols[i] if exact else mag * math.exp(cols[i])
-    if factor > sys.float_info.max:
-        raise PrecisionOverflowError(f"the qms Markov factor at degree {n} leaves the double range")
-    return Bound(n, float(factor), f"monomial:{i}", monomial(i), "Exact")
+    try:
+        factor = cols[i] if exact else math.exp(cols[i])
+    except OverflowError:  # past the double range, which _scaled reports
+        factor = math.inf
+    return Bound(n, factor, f"monomial:{i}", monomial(i), "Exact")
 
 
 def markov_factor_search(
@@ -500,11 +506,15 @@ def markov_factor_search(
     """Certified lower bound for M(n; q) by candidate max plus coordinate ascent;
     an ``Exact`` row for the identity (k = 0) and for a qms norm (``_qms_row``).
 
+    On a set in one variable op is c*D^k (``_as_derivative``), and the row is
+    that of ``DerivOp(k)`` with |c| times its factor (``_scaled``; past the
+    double range ``PrecisionOverflowError``); on a set in two op is as given.
+
     The candidate set is fixed and seeded (Chebyshev, monomial, orthonormal
     Legendre, random unit coefficient vectors); the best candidate is refined
     by coordinate-wise ascent with step halving (``_ascend``), both on the
     coarse (``refine=False``) ratio: through one matrix (``_BatchedRatio``) on
-    a set in one variable with a univariate operator, else one ``_ratios``
+    a set in one variable, else one ``_ratios``
     evaluation per screen or trial (``_PolyRatio``: sets in two variables,
     odd or non-integer L^p, large taylor_disk).  The finalists (the best
     candidate and its ascent) are certified together in one refined
@@ -514,11 +524,12 @@ def markov_factor_search(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if isinstance(op, DerivOp) and op.k == 0:
+    c, op = _as_derivative(op, q)
+    if op == DerivOp(0):  # 1*D^0: this row, and those of factor 0 below, need no |c|
         return Bound(n, 1.0, "identity", None, "Exact")
     qms = q.terms(n).qms
     if qms is not None:
-        return _qms_row(n, op, *qms)
+        return _scaled(_qms_row(n, op.k, *qms), c)
     finalists = _coarse_finalists(n, op, q, budget, seed)
     if not finalists:
         return Bound(n, 0.0, "none", None, "LowerBound")
@@ -527,7 +538,7 @@ def markov_factor_search(
     j = _best(certified, n)
     if j is None:
         return Bound(n, 0.0, "", None, "LowerBound")
-    return Bound(n, float(max(certified[j], 0.0)), *finalists[j], "LowerBound")
+    return _scaled(Bound(n, float(max(certified[j], 0.0)), *finalists[j], "LowerBound"), c)
 
 
 def factor_table(
@@ -537,14 +548,15 @@ def factor_table(
     seed: int = DEFAULT_SEED,
     budget: int = 1,
 ) -> MarkovTable:
-    """One ``Bound`` row per degree: exact singular values where ``exact_l2``,
-    ``markov_factor_search``'s rows otherwise (exact for qms)."""
+    """One ``Bound`` row per degree: exact singular values (of D^k, times |c|)
+    where ``exact_l2``, ``markov_factor_search``'s rows otherwise (exact for qms)."""
     degrees = sorted(set(int(n) for n in degrees))
     if not degrees:
         raise ValueError("degree list must be nonempty")
     if exact_l2(q, op):
+        c, d = _as_derivative(op, q)
         sys = _system_for_measure(q.measure, max(degrees))
-        return MarkovTable(op.label, q, tuple(markov_factor_l2(n, op.k, q.measure, sys=sys)
+        return MarkovTable(op.label, q, tuple(_scaled(markov_factor_l2(n, d.k, q.measure, sys=sys), c)
                                               for n in degrees))
     # M_k(n) never decreases in n: a row below the best so far repeats that
     rows, best = [], None  # best: the best row so far, its id prefixed by its degree

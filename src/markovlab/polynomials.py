@@ -22,6 +22,7 @@ without special-casing -1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -495,6 +496,12 @@ class _Operator:
             return self
         return HomOp(tuple(symbol.terms.items()))
 
+    def scaled_derivative(self) -> tuple:
+        """(c, k) with this operator c*D^k in one variable, c exact where its
+        coefficients are; DimensionMismatchError for one in more variables."""
+        (image,) = self.images(1)
+        return sum(c for c, _ in image), image[0][1][0]
+
 
 @dataclass(frozen=True)
 class DerivOp(_Operator):
@@ -524,11 +531,14 @@ class DirOp(_Operator):
         v = tuple(self.v)
         if not any(v):
             raise ValueError("direction vector must be nonzero")
+        if not all(is_exact(c) or cmath.isfinite(c) for c in v):  # exact ones are finite
+            raise ValueError(f"direction v has a component that is not finite: {v}")
         object.__setattr__(self, "v", v)
 
     @property
     def label(self) -> str:
-        parts = (complex(c) for c in self.v)
+        # a component past 1e300 is written as it is: complex() overflows on an exact one past 1.8e308
+        parts = (complex(c) if abs(c.real) + abs(c.imag) < 1e300 else c for c in self.v)
         return "dirop:" + ",".join(repr(z) if z.imag else repr(z.real) for z in parts)
 
     def images(self, nvars: int) -> list:
@@ -554,6 +564,8 @@ class HomOp(_Operator):
             raise ValueError("operator terms must be homogeneous of degree >= 1")
         if not any(c for _, c in self.terms):
             raise ValueError("operator terms must not all be zero")
+        if not all(is_exact(c) or cmath.isfinite(c) for _, c in self.terms):
+            raise ValueError(f"operator H has a component that is not finite: {self.terms}")
 
     @property
     def order(self) -> int:

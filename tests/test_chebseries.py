@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from markovlab import (ChebSeries, UniPoly, chebyshev_t, chebyshev_u, jacobi_system, legendre_orthonormal,
-                       monomial)
+from markovlab import (ChebSeries, Interval, RationalComplex, SupSpec, UniPoly, chebyshev_t, chebyshev_u,
+                       evaluate_norm, jacobi_system, legendre_orthonormal, monomial)
 from markovlab.chebseries import (
     as_chebseries,
     grid_values,
@@ -64,6 +64,18 @@ def test_monomial_closed_form():
     assert monomial(200)(0.5) == pytest.approx(0.5**200, rel=1e-12)
 
 
+@pytest.mark.parametrize("ns", [range(400), (1023, 1024, 4095, 4096)], ids=["0-399", "2^10-2^12"])
+def test_monomial_matches_fraction_form(ns):
+    # the running binomials and integer divisions give bitwise each
+    # coefficient rounded from its own Fraction (past degree 1075 the top
+    # ones underflow to 0 and are trimmed alike)
+    for n in ns:
+        want = np.zeros(n + 1)
+        for k in range(n % 2, n + 1, 2):
+            want[k] = float(Fraction(math.comb(n, (n - k) // 2), 2 ** (n - 1 + (k == 0))))
+        assert monomial(n).coef.tobytes() == ChebSeries(want).coef.tobytes(), n
+
+
 def test_legendre_orthonormal_endpoint():
     for n in (2, 16, 64):
         assert legendre_orthonormal(n)(1.0) == pytest.approx(math.sqrt(2 * n + 1), rel=1e-12)
@@ -90,6 +102,23 @@ def test_mul_and_pow_agree_with_unipoly():
     xs = np.linspace(-1, 1, 17)
     assert np.allclose((a * b)(xs), a(xs) * b(xs), atol=1e-13)
     assert np.allclose((a**3)(xs), a(xs) ** 3, atol=1e-12)
+
+
+def test_exact_scalar_multiple():
+    # an exact scalar enters as a float or complex one; float and complex
+    # scalars multiply the coefficients as they are
+    p = chebyshev_t(3)
+    for c, want in [(Fraction(1, 3), 1 / 3), (RationalComplex(1, 1), 1 + 1j), (RationalComplex(2, 0), 2.0),
+                    (3, 3.0)]:
+        got = p * c
+        assert got.coef.dtype == np.asarray(want).dtype
+        assert got.coef.tobytes() == ChebSeries(p.coef * want).coef.tobytes()
+        assert (c * p).coef.tobytes() == got.coef.tobytes()
+    for c in (2.5, -1j, 2 + 0j):
+        assert (p * c).coef.tobytes() == ChebSeries(p.coef * c).coef.tobytes()
+    sup = SupSpec(Interval(-1.0, 1.0))
+    assert evaluate_norm(sup, p * Fraction(1, 3)) == evaluate_norm(sup, p * (1 / 3))
+    assert evaluate_norm(sup, p * RationalComplex(1, 1)) == evaluate_norm(sup, p * (1 + 1j))
 
 
 def test_random_unit_degree_and_norm(rng):

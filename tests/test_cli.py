@@ -401,9 +401,15 @@ TAYLOR_SPEC = {"kind": "taylor_disk", "set": {"kind": "interval", "a": -1, "b": 
         # T_8 leaves the double range on [0, 1e40]
         ("norm", {"normspec": {**LP_SPEC, "measure": {"kind": "lebesgue", "a": 0, "b": 1e40},
                                "s": 1.5}, "poly": "chebyshev:8"}),
+        # 1e308 times a row of d/dx: a search row and an L2 row past the double range
+        ("factor-table", {**TABLE, "operator": {"kind": "dirop", "v": [1e308]}}),
+        ("factor-table", {**TABLE, "normspec": LP_SPEC, "operator": {"kind": "dirop", "v": [1e308]}}),
+        # a qms row taken in logs, M_1(2000) = 2000^100.5 for s = 1
+        ("factor-table", {**TABLE, "normspec": {"kind": "qms", "m": 100.5, "s": 1}, "degrees": [2000]}),
     ],
     ids=["sup-nan", "l2-inf", "factor-table-nan", "factor-table-inf", "union-nan",
-         "taylor-factorial", "factor-table-taylor-factorial", "lp-wide-inf"],
+         "taylor-factorial", "factor-table-taylor-factorial", "lp-wide-inf", "dirop-1e308-sup",
+         "dirop-1e308-l2", "qms-log"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_result_exits_1(tmp_path, capsys, command, config):
@@ -438,12 +444,16 @@ def test_l2_table_is_exact_on_any_interval(tmp_path, capsys, a, b, degrees):
         assert float(row["factor"]) == 2.0 / (b - a) * unit
 
 
-@pytest.mark.parametrize("k, code", [(0, 0), (1, 2)], ids=["identity", "deriv"])
-def test_l2_degree_cap_only_on_the_exact_path(tmp_path, capsys, k, code):
-    # the degree cap is the exact L2 path's; k = 0 is the identity row 1.0 at any degree
+@pytest.mark.parametrize("operator, code", [({"kind": "deriv", "k": 0}, 0), ({"kind": "deriv", "k": 1}, 2),
+                                            ({"kind": "dirop", "v": [-2]}, 2),
+                                            ({"kind": "hop", "H": [[[2], 1.5]]}, 2)],
+                         ids=["identity", "deriv", "dirop", "hop"])
+def test_l2_degree_cap_only_on_the_exact_path(tmp_path, capsys, operator, code):
+    # the degree cap is the exact L2 path's, which every operator of order
+    # k >= 1 takes; k = 0 is the identity row 1.0 at any degree
     out = tmp_path / "tab.csv"
     cfg = write_config(tmp_path, "c.json", {"normspec": {"kind": "lp", "measure": {"kind": "lebesgue"}, "s": 2},
-                                            "operator": {"kind": "deriv", "k": k},
+                                            "operator": operator,
                                             "degrees": [4, 300], "output": str(out)})
     assert main(["factor-table", "--config", cfg]) == code
     captured = capsys.readouterr()
@@ -452,6 +462,21 @@ def test_l2_degree_cap_only_on_the_exact_path(tmp_path, capsys, k, code):
     else:
         rows = list(csv.DictReader(ln for ln in out.read_text().splitlines() if not ln.startswith("#")))
         assert [(int(row["n"]), float(row["factor"])) for row in rows] == [(4, 1.0), (300, 1.0)]
+
+
+def test_l2_table_of_c_times_d_is_exact(tmp_path, capsys):
+    # D_(-2) = -2 d/dx: twice the singular values of d/dx, with their witness
+    out = tmp_path / "tab.csv"
+    cfg = write_config(tmp_path, "c.json", {"normspec": LP_SPEC, "operator": {"kind": "dirop", "v": [-2]},
+                                            "degrees": [4, 8], "output": str(out)})
+    assert main(["factor-table", "--config", cfg]) == 0
+    rows = list(csv.DictReader(ln for ln in out.read_text().splitlines() if not ln.startswith("#")))
+    assert [(row["op"], row["factor"], row["certification"], row["witness_id"]) for row in rows] == [
+        ("dirop:-2.0", "19.49961875292266", "Exact", "l2-extremal"),
+        ("dirop:-2.0", "57.787940006334615", "Exact", "l2-extremal")]
+    for row in rows:
+        unit = markovlab.markov_factor_l2(int(row["n"]), 1, markovlab.lebesgue_measure()).factor
+        assert float(row["factor"]) == 2.0 * unit
 
 
 def test_import_loads_no_scipy():

@@ -20,6 +20,7 @@ from markovlab import (
     MultiPoly,
     PrecisionOverflowError,
     QmsSpec,
+    RationalComplex,
     SchurSpec,
     SpectralityError,
     SupPlusLpSpec,
@@ -48,7 +49,7 @@ from markovlab import (
     spectral_exponent_floor,
 )
 from markovlab import exponents
-from markovlab.chebseries import chebyshev_t, deriv_matrix, monomial
+from markovlab.chebseries import chebyshev_t, monomial
 from markovlab.domains import Measure
 from markovlab.exponents import (
     DEFAULT_SEED,
@@ -60,7 +61,6 @@ from markovlab.exponents import (
     _candidates_2d,
     _coarse_finalists,
     _coarse_ratio,
-    _coef_matrix,
     _quotient,
     _ratios,
     _sampled_side,
@@ -299,7 +299,7 @@ def _sequential_search(n, op, q, budget, seed):
     return float(max(certified[j], 0.0)), finalists[j][0], finalists[j][1].coef.tobytes(), skips
 
 
-def _two_call_ratios(q, op, n, vals):
+def _two_call_ratios(q, order, n, vals):
     """Reference: the coarse ratios of the columns of vals, one reduction per
     side of the ratio, built from q's ``terms`` tables at degree n and at the
     image degree.  The rows of vals are the sup blocks of the denominator,
@@ -307,7 +307,7 @@ def _two_call_ratios(q, op, n, vals):
     maxima (times the Schur weight) are summed with their weights in row
     order, plus its L^p power sum."""
     sides = []
-    for deg in (n, _coef_matrix(op, n).shape[0] - 1):
+    for deg in (n, max(n - order, 0)):
         t = q.terms(deg)
         grids = [domains.sup_points(t.set, max(deg - k, 0)) for k, _, _ in t.sups]
         sides.append((t, grids, t.lp[0].rule_for_degree(deg * int(t.lp[1])) if t.lp else None))
@@ -376,7 +376,7 @@ class TestBatchedSearch:
         q, op, n = PARITY_SPECS[name], DerivOp(k), 12
         coarse = _coarse_ratio(op, q, n)
         vals = coarse.values(rng.standard_normal((n + 1, width)))
-        assert coarse.ratios(vals) == _two_call_ratios(q, op, n, vals)
+        assert coarse.ratios(vals) == _two_call_ratios(q, k, n, vals)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("screen", [_coarse_ratio, _PolyRatio])
@@ -514,9 +514,11 @@ class TestAscentKernel:
         assert got.tobytes() == want.tobytes()
         assert kept[0] > 0.8 * blocks[0]
 
-    @pytest.mark.parametrize("v", [(1j,), (1.0 - 2.0j,)], ids=["1j", "1-2j"])
-    def test_complex_dirop(self, v):
-        coarse, coef, ratio = _ascent_start(12, DirOp(v), SupSpec(F03), 7)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_complex_matrix(self, k):
+        # the union's point 1.5i makes the sampling matrix complex
+        q = SupSpec(UnionSet((Interval(-1.0, 0.0),), (1.0, 1.5j)))
+        coarse, coef, ratio = _ascent_start(12, DerivOp(k), q, 7)
         assert np.iscomplexobj(coarse.matrix)
         got = _ascend(coarse, coef, ratio, _ASCENT_ROUNDS)
         want, _ = _sequential_ascent(coarse, coef, ratio, _ASCENT_ROUNDS)
@@ -768,20 +770,33 @@ class TestQmsRows:
         certified = _ratios(op, q, [p for _, p in finalists], refine=True)
         assert 0 < max(certified) <= markov_factor_search(n, op, q).factor * (1 + 1e-12)
 
-    @pytest.mark.parametrize("m", [2, 2.0, Fraction(1, 2)], ids=str)
-    def test_every_one_variable_operator_is_c_times_d_k(self, m):
-        q, n = QmsSpec(m, 3), 10
-        d1, d2 = (markov_factor_search(n, DerivOp(k), q) for k in (1, 2))
-        for op, c, base in [(DirOp((-3.0,)), 3.0, d1), (DirOp((Fraction(1, 3),)), Fraction(1, 3), d1),
-                            (DirOp((1j,)), 1.0, d1), (HomOp((((2,), 2.0), ((2,), 0.5))), 2.5, d2)]:
-            row = markov_factor_search(n, op, q)
-            assert (row.witness_id, row.method) == (base.witness_id, "Exact")
-            assert row.factor == pytest.approx(float(c) * base.factor, rel=1e-15, abs=0)
+    ONE_VARIABLE_NORMS = {"2": QmsSpec(2, 3), "2.0": QmsSpec(2.0, 3), "1/2": QmsSpec(Fraction(1, 2), 3),
+                          "sup": SupSpec(E), "taylor_disk": TaylorDiskSpec(E, 0.5),
+                          "sup+l2": SupPlusLpSpec(E, MU, 2.0), "schur": SchurSpec(0.5), "l2": LpSpec(MU, 2.0)}
+
+    @pytest.mark.parametrize("name", list(ONE_VARIABLE_NORMS))
+    def test_every_one_variable_operator_is_c_times_d_k(self, name):
+        # the row of c*D^k is the row of D^k with |c| times its factor, under
+        # every norm (the search, the L2 path and the qms rule alike)
+        q, n = self.ONE_VARIABLE_NORMS[name], 10
+        d1, d2 = (factor_table(q, DerivOp(k), [n]).rows[0] for k in (1, 2))
+        for op, c, base in [(DirOp((-3.0,)), 3.0, d1), (DirOp((2.0,)), 2.0, d1), (DirOp((-2.0,)), 2.0, d1),
+                            (DirOp((Fraction(1, 3),)), 1 / 3, d1), (DirOp((1j,)), 1.0, d1),
+                            (DirOp((RationalComplex(1, 1),)), math.sqrt(2.0), d1),
+                            (HomOp((((2,), 2.0), ((2,), 0.5))), 2.5, d2)]:
+            (row,) = factor_table(q, op, [n]).rows
+            assert (row.n, row.witness_id, row.method) == (n, base.witness_id, base.method)
+            assert np.array_equal(getattr(row.witness, "coef", row.witness),
+                                  getattr(base.witness, "coef", base.witness))
+            if c in (1.0, 2.0):  # exact in binary: bitwise
+                assert row.factor == c * base.factor
+            assert row.factor == pytest.approx(c * base.factor, rel=1e-15, abs=0)
         assert markov_factor_search(n, DerivOp(0), q).factor == 1.0
-        with pytest.raises(PrecisionOverflowError, match="leaves the double range"):
-            markov_factor_search(n, DirOp((1e308,)), q)
+        for big in (1e308, Fraction(10**400, 3), RationalComplex(1, 10**400)):
+            with pytest.raises(PrecisionOverflowError, match="leaves the double range"):
+                factor_table(q, DirOp((big,)), [n])
         with pytest.raises(DimensionMismatchError):
-            markov_factor_search(n, DirOp((1.0, 1.0)), q)
+            factor_table(q, DirOp((1.0, 1.0)), [n])
 
     def test_rows_never_call_the_search(self, monkeypatch):
         def fail(*args):
@@ -913,14 +928,15 @@ class TestApplyAll:
         (lap,) = self.LAPLACIAN.apply_all(f)
         assert lap == MultiPoly({(1, 1): 12, (0, 0): 2, (1, 0): -6, (0, 2): 12}, 2)
 
-    def test_coef_matrix(self):
-        n = 7
-        np.testing.assert_array_equal(_coef_matrix(DerivOp(2), n), deriv_matrix(n, 2))
-        np.testing.assert_array_equal(_coef_matrix(DirOp((1.5,)), n), 1.5 * deriv_matrix(n, 1))
-        hop = HomOp((((3,), -2.0),))
-        np.testing.assert_array_equal(_coef_matrix(hop, n), -2.0 * deriv_matrix(n, 3))
-        assert _coef_matrix(DirOp((1.0, 2.0)), n) is None
-        assert _coef_matrix(self.LAPLACIAN, n) is None
+    def test_scaled_derivative(self):
+        # in one variable every operator is c*D^k; c is exact where the coefficients are
+        assert DerivOp(2).scaled_derivative() == (1, 2)
+        assert DirOp((1.5,)).scaled_derivative() == (1.5, 1)
+        assert HomOp((((3,), -2.0),)).scaled_derivative() == (-2.0, 3)
+        assert HomOp((((2,), Fraction(1, 3)), ((2,), 1))).scaled_derivative() == (Fraction(4, 3), 2)
+        for op in (DirOp((1.0, 2.0)), self.LAPLACIAN):
+            with pytest.raises(DimensionMismatchError):
+                op.scaled_derivative()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -234,6 +234,25 @@ class TestHdop:
         with pytest.raises(ValueError):
             HomOp((((2, 0), 1), ((1, 0), 1)))
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(math.inf, 0.0)],
+                             ids=["nan", "inf", "-inf", "1+nanj", "inf+0j"])
+    def test_non_finite_coefficients_rejected(self, c):
+        with pytest.raises(ValueError, match="direction v"):
+            DirOp((c,))
+        with pytest.raises(ValueError, match="direction v"):
+            DirOp((1.0, c))
+        with pytest.raises(ValueError, match="operator H"):
+            HomOp((((1,), c),))
+        with pytest.raises(ValueError, match="operator H"):
+            HomOp((((2, 0), 1.0), ((0, 2), c)))
+
+    def test_exact_coefficients_past_the_double_range_accepted(self):
+        # exact components are finite as they are: none is rounded to a float
+        big = Fraction(10**400, 3)
+        assert DirOp((big,)).v == (big,)
+        assert DirOp((big, 1)).label == f"dirop:{big!r},1.0"
+        assert HomOp((((2,), RationalComplex(big, -big)),)).scaled_derivative() == (RationalComplex(big, -big), 2)
+
 
 def _operator_case(kind, exact, nvars, k):
     # an operator of this kind and p of total degree order*k + 2 on a seeded

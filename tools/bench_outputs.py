@@ -10,8 +10,13 @@ operation once, printing ``<workload> | <operation> | <repr of its output>``
   (r = 1e-6) and mixed_deriv on the gap set [-1, -0.5] U [0.5, 1], sup on
   [-1, 0] U {1, 1.5i}, sup on the circle, Lebesgue L^3, sup+L^1,
   taylor_disk (r = 0.5) on [0, 3], and sup on the plane regions
-  ``box_region()`` and ``cusp_region()``; and at n = 4, 8, 12, 16 and
+  ``box_region()`` and ``cusp_region()``; at n = 4, 8, 12, 16 and
   k = 1, 2 of qms(2, 3), whose rows are exact;
+- ``table | <norm> <operator label> | <(n, factor, witness id, method) of
+  each row>``: the ``factor_table`` rows at n = 4, 8, 12 of operators c*D^k,
+  whose rows are those of D^k with |c| times the factor: ``DirOp((-2.0,))``
+  under sup and taylor_disk (r = 0.5) on [-1, 1] and Lebesgue L^2 (exact
+  rows), and ``HomOp`` 2.0*D^2 + 0.5*D^2 under sup on [-1, 1];
 - ``search | <norm> k=<k> n=<n> | <(factor, witness id, sha256 of the
   witness's coefficient bytes)>``: ``markov_factor_search`` on rows without a
   sampling matrix (``_PolyRatio``) that the benchmark does not run:
@@ -51,6 +56,8 @@ import workloads  # noqa: E402  (bench/workloads.py)
 from markovlab import (  # noqa: E402
     ChebSeries,
     DerivOp,
+    DirOp,
+    HomOp,
     Interval,
     LpSpec,
     MixedDerivSpec,
@@ -91,6 +98,15 @@ def _tables() -> dict:
         "sup-box": SupSpec(box_region()),
         "sup-cusp": SupSpec(cusp_region()),
     }
+
+
+def _scaled_tables() -> list:
+    """(norm name, spec, operator) of the c*D^k ``table`` lines."""
+    E, minus_two = Interval(-1.0, 1.0), DirOp((-2.0,))
+    return [("sup[-1,1]", SupSpec(E), minus_two),
+            ("taylor_disk(r=0.5)[-1,1]", TaylorDiskSpec(E, 0.5), minus_two),
+            ("lebesgue-L2", LpSpec(lebesgue_measure(), 2.0), minus_two),
+            ("sup[-1,1]", SupSpec(E), HomOp((((2,), 2.0), ((2,), 0.5))))]
 
 
 def _searches() -> dict:
@@ -134,6 +150,9 @@ def _outputs(seed: int):
         yield "table", f"qms(2,3) k={k}", lambda k=k: [
             (row.n, row.factor, row.witness_id)
             for row in factor_table(QmsSpec(2, 3), DerivOp(k), [4, 8, 12, 16]).rows]
+    for name, q, op in _scaled_tables():
+        yield "table", f"{name} {op.label}", lambda q=q, op=op: [
+            (row.n, row.factor, row.witness_id, row.method) for row in factor_table(q, op, [4, 8, 12]).rows]
     for name, (q, k, n) in _searches().items():
         yield "search", name, lambda q=q, k=k, n=n: _search(q, k, n)
     family = [chebyshev_u(n) for n in range(33)]
