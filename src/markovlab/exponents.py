@@ -1,10 +1,11 @@
 """Finite-degree Markov factors M_k(n; q) and exponent estimation.
 
 Factor values are exact in L2 settings (largest singular value), for the
-identity (M_0(n) = 1) and for the qms norms (the largest column ratio of
-D^k under their monomial weights), and certified lower bounds everywhere
-else: sup-norm maximization is itself sampled, and the candidate-plus-ascent
-search can only under-shoot the true extremal ratio.
+identity (M_0(n) = 1), for the qms norms (the largest column ratio of D^k
+under their monomial weights) and for the plain sup over one interval
+[a, b] (V. Markov's T_n^(k)(1) (2/(b - a))^k), and certified lower bounds
+everywhere else: sup-norm maximization is itself sampled, and the
+candidate-plus-ascent search can only under-shoot the true extremal ratio.
 Every factor is a ``Bound`` row that records its own method, ``Exact`` or
 ``LowerBound``, with the witness it was read from.
 """
@@ -90,7 +91,10 @@ class Bound:
     """One Markov factor row: M(n) = factor if method is "Exact", M(n) >= factor
     if "LowerBound".  ``witness`` is the polynomial ``witness_id`` names: a
     ``ChebSeries`` for a search row (None for the identity or where no ratio
-    exists), for an L2 row the coefficient vector ``markov_factor_l2`` gives."""
+    exists), T_n as a ``ChebSeries`` in the interval's reference coordinate
+    t = (2x - a - b)/(b - a) for a sup row on one interval [a, b], the
+    power-basis x^i (a ``MultiPoly``) for a qms row, and for an L2 row the
+    coefficient vector ``markov_factor_l2`` gives."""
 
     n: int
     factor: float
@@ -157,10 +161,14 @@ def _as_derivative(op: OperatorSpec, q: NormSpec) -> tuple:
 
 def _scaled(row: Bound, c) -> Bound:
     """row, that of D, as the row of c*D: |c| times its factor (float or exact)
-    rounded once; PrecisionOverflowError past the double range."""
+    rounded once; PrecisionOverflowError where the product leaves the double
+    range, above it or (nonzero, rounding to 0.0) below it."""
     try:
         mag = abs(c.real) if not c.imag else abs(complex(c))
-        factor = float(Fraction(mag) * Fraction(row.factor))
+        exact = Fraction(mag) * Fraction(row.factor)
+        factor = float(exact)
+        if exact and not factor:
+            raise OverflowError
     except OverflowError:
         raise PrecisionOverflowError(f"the Markov factor at degree {row.n} leaves the double range") from None
     return replace(row, factor=factor)
@@ -493,7 +501,44 @@ def _qms_row(n: int, k: int, m, s: int) -> Bound:
         factor = cols[i] if exact else math.exp(cols[i])
     except OverflowError:  # past the double range, which _scaled reports
         factor = math.inf
-    return Bound(n, factor, f"monomial:{i}", monomial(i), "Exact")
+    return Bound(n, factor, f"monomial:{i}", UniPoly.monomial(i), "Exact")
+
+
+def _sup_interval(t) -> Optional[Interval]:
+    """The piece [a, b] where the ``terms`` table t is the plain sup over a
+    set of exactly that one interval (one unweighted order-0 sup term, no
+    L^p or qms part, no fixed samples), else None."""
+    E = t.set
+    if len(t.sups) != 1 or t.sups[0][0] or t.alpha or t.lp or t.qms:
+        return None
+    return E.intervals[0] if len(E.intervals) == 1 and not E.samples[0].size else None
+
+
+def _v_markov_row(n: int, k: int, iv: Interval) -> Bound:
+    """M_k(n) under the sup over [a, b]: V. Markov's T_n^(k)(1) (2/(b - a))^k,
+    with T_n^(k)(1) = prod over j < k of (n^2 - j^2)/(2j + 1) (0 for k > n),
+    attained by T_n in the coordinate t = (2x - a - b)/(b - a); left exact,
+    from the exact endpoints, for ``_scaled`` to round once.  It holds for
+    complex p too: at the point where |p^(k)| is largest, V. Markov bounds
+    Re(e^(i phi) p) for the phi that makes its k-th derivative real there."""
+    factor = (2 / (Fraction(iv.b) - Fraction(iv.a))) ** k
+    for j in range(k):
+        factor *= Fraction(n * n - j * j, 2 * j + 1)
+    return Bound(n, factor, f"chebyshev:{n}", chebyshev_t(n), "Exact")
+
+
+def _search_row(n: int, op: OperatorSpec, q: NormSpec, budget: int, seed: int) -> Bound:
+    """The certified ``LowerBound`` row of the candidate-plus-ascent search
+    (``markov_factor_search`` describes it), op as given."""
+    finalists = _coarse_finalists(n, op, q, budget, seed)
+    if not finalists:
+        return Bound(n, 0.0, "none", None, "LowerBound")
+    # the ascent can overfit grid-only sup estimates; certify with refinement
+    certified = _ratios(op, q, [p for _, p in finalists], refine=True)
+    j = _best(certified, n)
+    if j is None:
+        return Bound(n, 0.0, "", None, "LowerBound")
+    return Bound(n, float(max(certified[j], 0.0)), *finalists[j], "LowerBound")
 
 
 def markov_factor_search(
@@ -504,13 +549,18 @@ def markov_factor_search(
     seed: int = DEFAULT_SEED,
 ) -> Bound:
     """Certified lower bound for M(n; q) by candidate max plus coordinate ascent;
-    an ``Exact`` row for the identity (k = 0) and for a qms norm (``_qms_row``).
+    an ``Exact`` row, which no budget or seed changes, for the identity
+    (k = 0), for a qms norm (``_qms_row``) and for the plain sup over one
+    interval (``_sup_interval``, ``_v_markov_row``), each read off q's
+    ``terms`` table at degree n.
 
     On a set in one variable op is c*D^k (``_as_derivative``), and the row is
     that of ``DerivOp(k)`` with |c| times its factor (``_scaled``; past the
-    double range ``PrecisionOverflowError``); on a set in two op is as given.
+    double range, either way, ``PrecisionOverflowError``); on a set in two op
+    is as given.
 
-    The candidate set is fixed and seeded (Chebyshev, monomial, orthonormal
+    Every other row is the search's (``_search_row``).  The candidate set is
+    fixed and seeded (Chebyshev, monomial, orthonormal
     Legendre, random unit coefficient vectors); the best candidate is refined
     by coordinate-wise ascent with step halving (``_ascend``), both on the
     coarse (``refine=False``) ratio: through one matrix (``_BatchedRatio``) on
@@ -525,20 +575,15 @@ def markov_factor_search(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     c, op = _as_derivative(op, q)
-    if op == DerivOp(0):  # 1*D^0: this row, and those of factor 0 below, need no |c|
+    if op == DerivOp(0):  # 1*D^0: this row needs no |c|
         return Bound(n, 1.0, "identity", None, "Exact")
-    qms = q.terms(n).qms
-    if qms is not None:
-        return _scaled(_qms_row(n, op.k, *qms), c)
-    finalists = _coarse_finalists(n, op, q, budget, seed)
-    if not finalists:
-        return Bound(n, 0.0, "none", None, "LowerBound")
-    # the ascent can overfit grid-only sup estimates; certify with refinement
-    certified = _ratios(op, q, [p for _, p in finalists], refine=True)
-    j = _best(certified, n)
-    if j is None:
-        return Bound(n, 0.0, "", None, "LowerBound")
-    return _scaled(Bound(n, float(max(certified[j], 0.0)), *finalists[j], "LowerBound"), c)
+    t = q.terms(n)
+    if t.qms is not None:
+        return _scaled(_qms_row(n, op.k, *t.qms), c)
+    iv = _sup_interval(t)
+    if iv is not None:
+        return _scaled(_v_markov_row(n, op.k, iv), c)
+    return _scaled(_search_row(n, op, q, budget, seed), c)
 
 
 def factor_table(
@@ -549,7 +594,8 @@ def factor_table(
     budget: int = 1,
 ) -> MarkovTable:
     """One ``Bound`` row per degree: exact singular values (of D^k, times |c|)
-    where ``exact_l2``, ``markov_factor_search``'s rows otherwise (exact for qms)."""
+    where ``exact_l2``, ``markov_factor_search``'s rows otherwise (exact for
+    qms and for the plain sup over one interval)."""
     degrees = sorted(set(int(n) for n in degrees))
     if not degrees:
         raise ValueError("degree list must be nonempty")

@@ -381,6 +381,7 @@ def test_malformed_config_names_field(tmp_path, monkeypatch, capsys, command, co
 
 
 HUGE_SET = {"kind": "interval", "a": 0, "b": 1e200}
+HUGE_MIXED = {"kind": "mixed_deriv", "set": HUGE_SET}  # sup|p| + sup|p'|: a search row
 TAYLOR_SPEC = {"kind": "taylor_disk", "set": {"kind": "interval", "a": -1, "b": 1}}
 
 
@@ -390,9 +391,12 @@ TAYLOR_SPEC = {"kind": "taylor_disk", "set": {"kind": "interval", "a": -1, "b": 
         ("norm", {"normspec": {"kind": "sup", "set": HUGE_SET}, "poly": "chebyshev:4"}),
         ("norm", {"normspec": {**LP_SPEC, "measure": {"kind": "lebesgue", "a": 0, "b": 1e300}},
                   "poly": [1, 1e200]}),
-        ("factor-table", {**TABLE, "normspec": {"kind": "sup", "set": HUGE_SET}, "degrees": [2, 3]}),
+        ("factor-table", {**TABLE, "normspec": HUGE_MIXED, "degrees": [2, 3]}),
         # every denominator overflows to inf while no numerator does
-        ("factor-table", {**TABLE, "normspec": {"kind": "sup", "set": HUGE_SET}, "degrees": [2]}),
+        ("factor-table", {**TABLE, "normspec": HUGE_MIXED, "degrees": [2]}),
+        # V. Markov's exact 3.2e-398 rounds to 0.0
+        ("factor-table", {**TABLE, "normspec": {"kind": "sup", "set": HUGE_SET},
+                          "operator": {"kind": "deriv", "k": 2}, "degrees": [4]}),
         ("norm", {"normspec": {"kind": "sup", "set": {"kind": "union", "parts": [
             {"kind": "interval", "a": -2, "b": -1}, HUGE_SET]}}, "poly": "chebyshev:4"}),
         # 171! has no double
@@ -407,7 +411,7 @@ TAYLOR_SPEC = {"kind": "taylor_disk", "set": {"kind": "interval", "a": -1, "b": 
         # a qms row taken in logs, M_1(2000) = 2000^100.5 for s = 1
         ("factor-table", {**TABLE, "normspec": {"kind": "qms", "m": 100.5, "s": 1}, "degrees": [2000]}),
     ],
-    ids=["sup-nan", "l2-inf", "factor-table-nan", "factor-table-inf", "union-nan",
+    ids=["sup-nan", "l2-inf", "factor-table-nan", "factor-table-inf", "factor-table-underflow", "union-nan",
          "taylor-factorial", "factor-table-taylor-factorial", "lp-wide-inf", "dirop-1e308-sup",
          "dirop-1e308-l2", "qms-log"],
 )
@@ -422,6 +426,17 @@ def test_non_finite_result_exits_1(tmp_path, capsys, command, config):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not artifact.exists()
+
+
+def test_sup_table_on_a_huge_interval_is_exact(tmp_path, capsys):
+    # V. Markov's rows need no sample of p: 4 * 2e-200 and 9 * 2e-200
+    out = tmp_path / "tab.csv"
+    cfg = write_config(tmp_path, "c.json", {**TABLE, "normspec": {"kind": "sup", "set": HUGE_SET},
+                                            "degrees": [2, 3], "output": str(out)})
+    assert main(["factor-table", "--config", cfg]) == 0
+    rows = list(csv.DictReader(ln for ln in out.read_text().splitlines() if not ln.startswith("#")))
+    assert [(row["factor"], row["certification"], row["witness_id"]) for row in rows] == [
+        ("8e-200", "Exact", "chebyshev:2"), ("1.8e-199", "Exact", "chebyshev:3")]
 
 
 @pytest.mark.parametrize(

@@ -49,7 +49,7 @@ from markovlab import (
     spectral_exponent_floor,
 )
 from markovlab import exponents
-from markovlab.chebseries import chebyshev_t, monomial
+from markovlab.chebseries import chebyshev_t
 from markovlab.domains import Measure
 from markovlab.exponents import (
     DEFAULT_SEED,
@@ -64,6 +64,7 @@ from markovlab.exponents import (
     _quotient,
     _ratios,
     _sampled_side,
+    _search_row,
     operator_from_json,
     read_table_csv,
 )
@@ -349,10 +350,11 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("seed", [7, 11])
     @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
     def test_search_matches_sequential_ascent(self, name, seed, budget):
+        # the search entry itself: sup on one interval has a closed-form row
         q, skipped = PARITY_SPECS[name], 0
         for k in (1, 2, 3):
             for n in (3, 8, 12, 24):
-                res = markov_factor_search(n, DerivOp(k), q, budget=budget, seed=seed)
+                res = _search_row(n, DerivOp(k), q, budget, seed)
                 *want, skips = _sequential_search(n, DerivOp(k), q, budget, seed)
                 assert [res.factor, res.witness_id, res.witness.coef.tobytes()] == want
                 skipped += skips
@@ -387,7 +389,7 @@ class TestBatchedSearch:
         assert all(math.isnan(r) for r in coarse.screen([chebyshev_t(2).coef, [1.0, 1.0, 1.0]]))
         assert math.isnan(_ratios(op, q, [chebyshev_t(2)], refine=True)[0])
         with pytest.raises(PrecisionOverflowError):
-            markov_factor_search(2, op, q)
+            _search_row(2, op, q, 1, DEFAULT_SEED)
 
     @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
     def test_block_ratio_independent_of_width(self, name, rng):
@@ -459,7 +461,7 @@ class TestBatchedSearch:
              "sup-circle", "mixed_deriv-gap"],
     )
     def test_rows_unchanged(self, n, op, q, factor, witness):
-        res = markov_factor_search(n, op, q, seed=DEFAULT_SEED)
+        res = _search_row(n, op, q, 1, DEFAULT_SEED)
         assert res.factor == pytest.approx(factor, rel=1e-12)
         assert res.witness_id == witness
 
@@ -559,8 +561,10 @@ class TestFactorTable:
         assert all(r.factor == 1.0 for r in tab.rows)
 
     def test_sup_rows_at_least_n_squared(self):
+        # the search entry: factor_table's sup rows on [-1, 1] are V. Markov's n^2
         tab = factor_table(SupSpec(E), DerivOp(1), list(range(1, 9)))
-        for row in tab.rows:
+        assert [(row.factor, row.method) for row in tab.rows] == [(n * n, "Exact") for n in range(1, 9)]
+        for row in (_search_row(n, DerivOp(1), SupSpec(E), 1, DEFAULT_SEED) for n in range(1, 9)):
             assert row.factor >= row.n**2 * (1 - 1e-8)
             assert row.method == "LowerBound"
 
@@ -579,8 +583,9 @@ class TestFactorTable:
     @pytest.mark.parametrize(
         "q, op, method",
         [(LpSpec(MU, 2.0), DerivOp(2), "Exact"), (LpSpec(MU, 2.0), DerivOp(0), "Exact"),
-         (SupSpec(E), DerivOp(1), "LowerBound"), (SchurSpec(0.5), DirOp((2.0,)), "LowerBound")],
-        ids=["l2", "l2-identity", "sup", "schur-dirop"],
+         (SupSpec(GAP), DerivOp(1), "LowerBound"), (SupSpec(E), DerivOp(1), "Exact"),
+         (SchurSpec(0.5), DirOp((2.0,)), "LowerBound")],
+        ids=["l2", "l2-identity", "sup", "sup[-1,1]", "schur-dirop"],
     )
     def test_every_row_is_a_bound(self, q, op, method, tmp_path):
         tab = factor_table(q, op, [2, 5, 8])
@@ -599,9 +604,12 @@ class TestFactorTable:
         assert l2.witness.shape == (7,)
         ident = markov_factor_search(6, DerivOp(0), SupSpec(E))
         assert ident == Bound(6, 1.0, "identity", None, "Exact")
-        res = markov_factor_search(6, DerivOp(1), SupSpec(E))
+        res = _search_row(6, DerivOp(1), SupSpec(E), 1, DEFAULT_SEED)
         assert type(res) is Bound and (res.n, res.method) == (6, "LowerBound")
         assert type(res.witness) is ChebSeries
+        exact = markov_factor_search(6, DerivOp(1), SupSpec(E))
+        assert type(exact) is Bound and (exact.n, exact.method, exact.factor) == (6, "Exact", 36.0)
+        assert type(exact.witness) is ChebSeries
 
     def test_deterministic_given_seed(self):
         t1 = factor_table(SupSpec(E), DerivOp(1), [2, 4, 6], seed=99)
@@ -629,6 +637,99 @@ class TestFactorTable:
         from_csv = fit_power_law([n for n, _ in rows], [v for _, v in rows])
         assert from_csv.slope_ls == direct.slope_ls
         assert from_csv.slope_envelope == direct.slope_envelope
+
+
+def _cheb_deriv_at_one(nmax, k):
+    """T_n^(k)(1) for n = 0..nmax, exact: the integer power coefficients of
+    T_n from the bare recurrence, differentiated k times at x = 1."""
+    out, prev, cur = [], [1], [0, 1]
+    for _ in range(nmax + 1):
+        out.append(sum(c * math.perm(j, k) for j, c in enumerate(prev)))
+        prev, cur = cur, [a - b for a, b in zip([0] + [2 * c for c in cur], prev + [0, 0])]
+    return out
+
+
+V_MARKOV_SETS = {"[-1,1]": E, "[0,3]": F03, "[-2,2]": Interval(-2.0, 2.0), "[0,1]": Interval(0.0, 1.0)}
+
+
+class TestVMarkovRows:
+    """Sup rows on one interval: V. Markov's T_n^(k)(1) (2/(b - a))^k."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(V_MARKOV_SETS))
+    def test_rows_are_v_markov(self, name, k):
+        iv, nmax = V_MARKOV_SETS[name], 256
+        rows = factor_table(SupSpec(iv), DerivOp(k), range(nmax + 1)).rows
+        scale = (2 / (Fraction(iv.b) - Fraction(iv.a))) ** k
+        assert [row.factor for row in rows] == [float(d * scale) for d in _cheb_deriv_at_one(nmax, k)]
+        assert {row.method for row in rows} == {"Exact"}
+        assert [row.witness_id for row in rows] == [f"chebyshev:{n}" for n in range(nmax + 1)]
+        assert all(row.witness.coef.tobytes() == chebyshev_t(row.n).coef.tobytes() for row in rows)
+        assert rows[k - 1].factor == 0.0 and rows[k].factor > 0.0
+
+    @pytest.mark.parametrize("a, b", [(0.0, 3.0), (-2.0, 2.0), (0.0, 1.0), (-1e6, 1e6), (1e-3, 1.001e-3)])
+    def test_rows_scale_from_the_unit_interval(self, a, b):
+        # M_k(n; sup_[a,b]) = (2/(b - a))^k M_k(n; sup_[-1,1])
+        for k in (1, 2, 3):
+            unit = factor_table(SupSpec(E), DerivOp(k), [4, 9, 64]).rows
+            rows = factor_table(SupSpec(Interval(a, b)), DerivOp(k), [4, 9, 64]).rows
+            for row, base in zip(rows, unit):
+                assert row.factor == pytest.approx((2 / (b - a)) ** k * base.factor, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("name", ["[0,3]", "[-2,2]"])
+    def test_witness_attains_the_row_in_the_reference_coordinate(self, name):
+        # T_n(t), t = (2x - a - b)/(b - a): sup 1 on [a, b], and its k-th derivative is the row at x = b
+        iv = V_MARKOV_SETS[name]
+        for n, k in ((8, 1), (12, 2), (16, 3)):
+            row = markov_factor_search(n, DerivOp(k), SupSpec(iv))
+            p = npcheb.Chebyshev(row.witness.coef, domain=[iv.a, iv.b])
+            assert np.max(np.abs(p(np.linspace(iv.a, iv.b, 2001)))) == pytest.approx(1.0, rel=1e-12)
+            assert p.deriv(k)(iv.b) == pytest.approx(row.factor, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_bound_the_search(self, k):
+        # the search's certified rows never pass V. Markov's, and come within 1e-12 of them
+        for n in range(25):
+            row = markov_factor_search(n, DerivOp(k), SupSpec(E))
+            found = _search_row(n, DerivOp(k), SupSpec(E), 1, DEFAULT_SEED)
+            assert found.method == "LowerBound"
+            assert found.factor <= row.factor
+            assert found.factor == pytest.approx(row.factor, rel=1e-12, abs=0)
+
+    def test_only_a_plain_sup_on_one_interval(self, monkeypatch):
+        # a set with fixed samples or two pieces, a weight, an L^p part or a
+        # second order keeps the search; budget and seed leave exact rows alone
+        calls = []
+        search = exponents._search_row
+        monkeypatch.setattr(exponents, "_search_row", lambda *args: calls.append(args) or search(*args))
+        # taylor_disk at degree 0 is sup|p| alone
+        for q, n in ((SupSpec(F03), 8), (SupSpec(UnionSet((F03,))), 8), (TaylorDiskSpec(F03, 0.5), 0)):
+            assert markov_factor_search(n, DerivOp(1), q).method == "Exact"
+        rows = [markov_factor_search(8, DerivOp(1), SupSpec(E), **kw) for kw in ({}, {"budget": 3, "seed": 5})]
+        assert len({(row.factor, row.witness_id, row.method, row.witness.coef.tobytes()) for row in rows}) == 1
+        assert not calls
+        searched = [SupSpec(GAP), SupSpec(UnionSet((E,), (1.5,))), SchurSpec(0.5), SupPlusLpSpec(E, MU, 4.0),
+                    TaylorDiskSpec(E, 1e-6), MixedDerivSpec(E), SupSpec(disk_boundary())]
+        for q in searched:
+            assert markov_factor_search(4, DerivOp(1), q).method == "LowerBound"
+        assert len(calls) == len(searched)
+
+    def test_a_row_below_the_double_range_raises(self):
+        # 3.2e-398 exactly: a nonzero factor that rounds to 0.0 is no row
+        with pytest.raises(PrecisionOverflowError, match="leaves the double range"):
+            factor_table(SupSpec(Interval(0.0, 1e200)), DerivOp(2), [4])
+        assert factor_table(SupSpec(Interval(0.0, 1e200)), DerivOp(1), [2, 3]).factors() == [8e-200, 1.8e-199]
+        # a search row too, and |c| times a zero row stays 0
+        with pytest.raises(PrecisionOverflowError, match="leaves the double range"):
+            factor_table(SchurSpec(0.5), DirOp((Fraction(1, 10**400),)), [4])
+        assert markov_factor_search(0, DirOp((Fraction(1, 10**400),)), SupSpec(E)).factor == 0.0
+
+    @pytest.mark.xfail(strict=True, reason="F1: the search works in Chebyshev coefficients on [-1, 1] "
+                                           "(ROADMAP item 1, step 1)")
+    def test_taylor_disk_off_the_unit_interval_reaches_v_markov(self):
+        # T_16 in the coordinate of [0, 3] gives 170.645; the search gives 24.62
+        (row,) = factor_table(TaylorDiskSpec(F03, 1e-6), DerivOp(1), [16]).rows
+        assert row.factor >= 170.47
 
 
 class TestFitExponent:
@@ -727,8 +828,17 @@ class TestQmsRows:
             assert [row.witness_id for row in table.rows] == [
                 "monomial:3", "monomial:6", "monomial:12", "monomial:15"]
         for row in table.rows:
+            # the witness is the power-basis x^i the qms norms read, and attains the row
             i = int(row.witness_id.split(":")[1])
-            assert row.witness.coef.tobytes() == monomial(i).coef.tobytes()
+            assert row.witness == UniPoly.monomial(i)
+            ratio = qms_norm_exact(row.witness.deriv(k), 2, 3) / qms_norm_exact(row.witness, 2, 3)
+            assert float(ratio) == row.factor
+
+    def test_witness_keeps_its_degree_past_the_float_series(self):
+        # x^4095 as a Chebyshev series loses its underflowed top coefficients
+        row = markov_factor_search(4096, DerivOp(1), QmsSpec(0.5, 3))
+        assert row.witness_id == "monomial:4095"
+        assert row.witness == UniPoly.monomial(4095) and row.witness.degree == 4095
 
     @pytest.mark.parametrize("m", M_VALUES, ids=str)
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
@@ -771,7 +881,7 @@ class TestQmsRows:
         assert 0 < max(certified) <= markov_factor_search(n, op, q).factor * (1 + 1e-12)
 
     ONE_VARIABLE_NORMS = {"2": QmsSpec(2, 3), "2.0": QmsSpec(2.0, 3), "1/2": QmsSpec(Fraction(1, 2), 3),
-                          "sup": SupSpec(E), "taylor_disk": TaylorDiskSpec(E, 0.5),
+                          "sup": SupSpec(E), "sup[0,3]": SupSpec(F03), "taylor_disk": TaylorDiskSpec(E, 0.5),
                           "sup+l2": SupPlusLpSpec(E, MU, 2.0), "schur": SchurSpec(0.5), "l2": LpSpec(MU, 2.0)}
 
     @pytest.mark.parametrize("name", list(ONE_VARIABLE_NORMS))

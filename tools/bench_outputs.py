@@ -12,13 +12,16 @@ operation once, printing ``<workload> | <operation> | <repr of its output>``
   taylor_disk (r = 0.5) on [0, 3], and sup on the plane regions
   ``box_region()`` and ``cusp_region()``; at n = 4, 8, 12, 16 and
   k = 1, 2 of qms(2, 3), whose rows are exact;
+- ``table | sup[0,3] k=<k>`` and ``table | sup[-2,2] k=<k>``: the same,
+  with each row's method, at n = 4, 8, 12 and k = 1, 2: V. Markov's exact
+  rows;
 - ``table | <norm> <operator label> | <(n, factor, witness id, method) of
   each row>``: the ``factor_table`` rows at n = 4, 8, 12 of operators c*D^k,
   whose rows are those of D^k with |c| times the factor: ``DirOp((-2.0,))``
   under sup and taylor_disk (r = 0.5) on [-1, 1] and Lebesgue L^2 (exact
   rows), and ``HomOp`` 2.0*D^2 + 0.5*D^2 under sup on [-1, 1];
 - ``search | <norm> k=<k> n=<n> | <(factor, witness id, sha256 of the
-  witness's coefficient bytes)>``: ``markov_factor_search`` on rows without a
+  witness's Chebyshev coefficient bytes)>``: ``markov_factor_search`` on rows without a
   sampling matrix (``_PolyRatio``) that the benchmark does not run:
   qms(1, 2) and Lebesgue L^1 at k = 1, n = 8, and taylor_disk (r = 0.5) on
   [-1, 1] at k = 1, n = 63, the first degree past the sampling-matrix bound;
@@ -79,6 +82,7 @@ from markovlab import (  # noqa: E402
     run_suite,
     stieltjes_orthonormalize,
 )
+from markovlab.chebseries import as_chebseries  # noqa: E402
 from markovlab.domains import tabulated_measure  # noqa: E402
 from markovlab.verify import SUITES  # noqa: E402
 
@@ -118,7 +122,7 @@ def _searches() -> dict:
 
 def _search(q, k: int, n: int) -> tuple:
     row = markov_factor_search(n, DerivOp(k), q)
-    return row.factor, row.witness_id, hashlib.sha256(row.witness.coef.tobytes()).hexdigest()
+    return row.factor, row.witness_id, hashlib.sha256(as_chebseries(row.witness).coef.tobytes()).hexdigest()
 
 
 def _norms() -> dict:
@@ -146,6 +150,11 @@ def _outputs(seed: int):
             yield "table", f"{name} k={k}", lambda q=q, k=k: [
                 (row.n, row.factor, row.witness_id)
                 for row in factor_table(q, DerivOp(k), [4, 8, 12]).rows]
+    for name, iv in (("sup[0,3]", Interval(0.0, 3.0)), ("sup[-2,2]", Interval(-2.0, 2.0))):
+        for k in (1, 2):
+            yield "table", f"{name} k={k}", lambda iv=iv, k=k: [
+                (row.n, row.factor, row.witness_id, row.method)
+                for row in factor_table(SupSpec(iv), DerivOp(k), [4, 8, 12]).rows]
     for k in (1, 2):
         yield "table", f"qms(2,3) k={k}", lambda k=k: [
             (row.n, row.factor, row.witness_id)

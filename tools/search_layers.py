@@ -15,9 +15,12 @@ the median wall time of each over ``--reps`` runs in one process:
   a time;
 - ``cert``: the refined ratios of the finalists (``_ratios``).
 
-The row's factor and witness must be the ones ``markov_factor_search`` gives;
-a row where they are not is marked ``MISMATCH``.  One untimed run per row
-comes first.
+The row's factor and witness must be the ones the search entry
+``exponents._search_row`` gives; a row where they are not is marked
+``MISMATCH``.  A row that ``markov_factor_search`` reads off a closed form
+(method ``Exact``: V. Markov's sup rows on one interval) runs no search: it
+is reported as ``exact``, timed as one ``markov_factor_search`` call.  One
+untimed run per row comes first.
 
 Run from a checkout (BLAS pinned to one thread, as the benchmark does):
 
@@ -92,6 +95,10 @@ def phases(q, op, n: int, seed: int) -> tuple:
     return np.diff(t), (float(max(certified[j], 0.0)), finalists[j][0])
 
 
+def _median_ms(times) -> list:
+    return [round(1e3 * statistics.median(col), 3) for col in np.array(times).T]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
@@ -101,16 +108,26 @@ def main() -> None:
     out = []
     print(f"{'row':<28}" + "".join(f"{p:>9}" for p in PHASES) + f"{'total':>9}  ms")
     for label, q, op, n, seed in search_rows(args.seed):
+        if exponents.markov_factor_search(n, op, q, seed=seed).method == "Exact":
+            times = []
+            for _ in range(args.reps):
+                t = time.perf_counter()
+                exponents.markov_factor_search(n, op, q, seed=seed)
+                times.append([time.perf_counter() - t])
+            (ms,) = _median_ms(times)
+            out.append({"row": label, "exact": ms, "total": ms, "match": True})
+            print(f"{label:<28}{'exact':>{9 * len(PHASES)}}{ms:9.3f}")
+            continue
         _, found = phases(q, op, n, seed)
-        row = exponents.markov_factor_search(n, op, q, seed=seed)
+        row = exponents._search_row(n, op, q, 1, seed)
         ok = found == (row.factor, row.witness_id)
-        times = np.array([phases(q, op, n, seed)[0] for _ in range(args.reps)])
-        ms = [round(1e3 * statistics.median(col), 3) for col in times.T]
+        ms = _median_ms([phases(q, op, n, seed)[0] for _ in range(args.reps)])
         out.append({"row": label, **dict(zip(PHASES, ms)), "total": round(sum(ms), 3), "match": ok})
         print(f"{label:<28}" + "".join(f"{m:9.3f}" for m in ms) + f"{sum(ms):9.3f}"
               + ("" if ok else "  MISMATCH"))
-    totals = [sum(r[p] for r in out) for p in PHASES]
-    print(f"{'all rows':<28}" + "".join(f"{m:9.3f}" for m in totals) + f"{sum(totals):9.3f}")
+    totals = [sum(r.get(p, 0.0) for r in out) for p in (*PHASES, "exact")]
+    print(f"{'search rows':<28}" + "".join(f"{m:9.3f}" for m in totals[:-1]) + f"{sum(totals[:-1]):9.3f}")
+    print(f"{'exact rows':<28}{totals[-1]:{9 * len(PHASES) + 9}.3f}")
     if args.out:
         with open(args.out, "w") as f:
             json.dump(out, f, indent=1)
