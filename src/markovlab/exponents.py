@@ -1,11 +1,12 @@
 """Finite-degree Markov factors M_k(n; q) and exponent estimation.
 
 Factor values are exact in L2 settings (largest singular value), for the
-identity (M_0(n) = 1), for the qms norms (the largest column ratio of D^k
-under their monomial weights) and for the plain sup over one interval
-[a, b] (V. Markov's T_n^(k)(1) (2/(b - a))^k), and certified lower bounds
-everywhere else: sup-norm maximization is itself sampled, and the
-candidate-plus-ascent search can only under-shoot the true extremal ratio.
+identity (M_0(n) = 1) and n < k in one variable (0), for the qms norms (the
+largest column ratio of D^k under their monomial weights) and for the plain
+sup over one interval [a, b] (V. Markov's T_n^(k)(1) (2/(b - a))^k), and
+certified lower bounds everywhere else: sup-norm maximization is itself
+sampled, and the candidate-plus-ascent search can only under-shoot the true
+extremal ratio.
 Every factor is a ``Bound`` row that records its own method, ``Exact`` or
 ``LowerBound``, with the witness it was read from.
 """
@@ -200,10 +201,11 @@ def markov_factor_l2(n: int, k: int, mu: Measure, sys: Optional[OrthoSystem] = N
 
 
 def _candidates_1d(n: int, rng: np.random.Generator, budget: int):
-    """Candidate names and coefficient rows: the named series of degree n,
-    then the random ones, drawn as one matrix."""
-    named = [("chebyshev:%d" % n, chebyshev_t(n)), ("monomial:%d" % n, monomial(n)),
-             ("legendre:%d" % n, legendre_orthonormal(n))]
+    """Candidate names and coefficient rows: the named series of degree n (not
+    x^n past n = 1075, where its top coefficients underflow), then the random
+    ones, drawn as one matrix."""
+    named = [(name, p) for name, p in (("chebyshev:%d" % n, chebyshev_t(n)), ("monomial:%d" % n, monomial(n)),
+                                       ("legendre:%d" % n, legendre_orthonormal(n))) if p.degree == n]
     count = _N_RANDOM_CANDIDATES * budget
     names = [name for name, _ in named] + [f"random:{i}" for i in range(count)]
     return names, np.vstack([[p.coef for _, p in named], random_units(n, count, rng)])
@@ -273,9 +275,9 @@ def _sampled_side(q: NormSpec, deg: int):
     real series p of degree deg (every piece's grid, then the set's fixed
     samples, real or complex), and ``lp_norm``'s Gauss rule for an L^p part
     (None without one).  None for the tables no matrix takes: a set in two
-    variables, a qms entry, an L^p part off the Gauss path, and a sampling
-    matrix of more than ``_PASS_MAX_ENTRIES`` values (taylor_disk's, about
-    4 deg^3 of them, past degree 62)."""
+    variables, a qms entry, an L^p part off the Gauss path, and a side whose
+    points times deg + 1 pass ``_PASS_MAX_ENTRIES`` values (taylor_disk's,
+    about 4 deg^3 of them, past degree 62)."""
     t = q.terms(deg)
     if t.qms or t.sups and t.set.nvars != 1:
         return None
@@ -287,57 +289,65 @@ def _sampled_side(q: NormSpec, deg: int):
     return (t, grids, rule) if rows * (deg + 1) <= _PASS_MAX_ENTRIES else None
 
 
-def _sampling_matrix(deg: int, t, grids, rule) -> np.ndarray:
-    """The values at a ``_sampled_side``'s points of real series of degree
-    deg, from their coefficients: one block per sup term, then the rule."""
-    blocks, power = [], np.eye(deg + 1)
+def _sampling_blocks(deg: int, orders, vanders) -> list:
+    """The matrices from the coefficients of real series p of degree deg to
+    D^o p at the points whose Chebyshev-Vandermonde rows (to degree deg or
+    more) are vanders, for each of the ascending orders o."""
+    blocks, power, order = [], np.eye(deg + 1), 0
     step = np.zeros((deg + 1, deg + 1))  # d/dx, padded to a square
-    if len(grids) > 1:
+    if max(orders, default=0):
         step[:deg] = deriv_matrix(deg, 1)[:deg]
-    for (k, _, _), grid in zip(t.sups, grids):  # orders run 0, 1, 2, ...: power is D^k
-        dk = max(deg - k, 0)
-        vander = chebvander(grid, dk)
-        blocks.append(vander @ power[: dk + 1] if k else vander)
-        power = step @ power
-    if rule:
-        blocks.append(chebvander(rule[0], deg))
-    return np.vstack(blocks)
+    for o, vander in zip(orders, vanders):
+        for _ in range(o - order):
+            power = step @ power
+        d, order = max(deg - o, 0), o
+        blocks.append(vander[:, : d + 1] @ power[: d + 1] if o else vander[:, : deg + 1])
+    return blocks
 
 
 class _BatchedRatio:
     """The same ratios for real series of degree at most n, through one matrix.
 
     Built from den and num, the ``_sampled_side`` of q at degree n and at the
-    image degree, and A, the matrix of D^k on Chebyshev coefficients, the
-    matrix takes coefficient vectors (as columns) to exactly the values the
-    coarse ratio samples: the sup blocks of q(p), then those of q(Ap), then
-    the L^p Gauss nodes of both.  Screening is a matrix product (in column
-    chunks of at most ``_SCREEN_ENTRIES`` values, which bounds the memory for
-    any budget).  A block of ascent trials, each moving one coefficient of
-    the current vector ``coef``, is one array pass: the trial moving
-    coefficient i by d has the values ``vals + d * matrix[:, i]``, where
-    ``vals = matrix @ coef``, and one ``ratios`` call takes them all;
+    image degree n - k, the matrix takes coefficient vectors (as columns) to
+    exactly the values the coarse ratio samples: one block per order o of
+    p^(o) either side reads, at ``sup_points(E, n - o)`` (the numerator's term
+    j reads p^(j + k), so a taylor_disk matrix holds each order once), then
+    the L^p Gauss nodes of both sides.  Screening is a matrix product (in
+    column chunks of at most ``_SCREEN_ENTRIES`` values, which bounds the
+    memory for any budget).  A block of ascent trials, each moving one
+    coefficient of the current vector ``coef``, is one array pass: the trial
+    moving coefficient i by d has the values ``vals + d * matrix[:, i]``,
+    where ``vals = matrix @ coef``, and one ``ratios`` call takes them all;
     ``max_block`` keeps a block within ``_SCREEN_ENTRIES`` values too.  A
     vector whose top coefficient is 0 is sampled at the degree-n points and
     rule, at least as fine as its own, so it takes the same matrix.
     """
 
-    def __init__(self, den, num, A: np.ndarray):
+    def __init__(self, den, num, n: int, k: int):
         (t, grids, rule), (num_t, num_grids, num_rule) = den, num
-        dense = [_sampling_matrix(A.shape[1] - 1, *den),
-                 _sampling_matrix(A.shape[0] - 1, *num) @ A]
-        sup_rows = [sum(g.size for g in grids), sum(g.size for g in num_grids)]
+        # orders run 0, 1, ...: the denominator's terms read blocks 0 to nd - 1,
+        # the numerator's term j block j + k, its own from own.start on
+        nd, nk, own = len(grids), max(n - k, 0), range(max(len(grids) - k, 0), len(num_grids))
+        orders = [*range(nd), *(j + k for j in own)]
+        nodes = grids + num_grids[own.start :] + ([rule[0], num_rule[0]] if rule else [])
+        sizes, nb = [x.size for x in nodes], len(orders)
+        V = np.split(chebvander(np.concatenate(nodes), n), np.cumsum(sizes[:-1]))  # each bitwise its own
+        # the numerator's own blocks and nodes are D^j at degree n - k, then D^k in one
+        # product, as its own matrix had them: a sup, Schur or sup+L^p matrix is as it was
+        image = _sampling_blocks(nk, own, V[nd:nb]) + [v[:, : nk + 1] for v in V[nb + 1 :]]
+        if image:
+            ends = np.cumsum([b.shape[0] for b in image[:-1]])
+            image = np.split(np.concatenate(image) @ deriv_matrix(n, k), ends)
         # column-major: trials gather columns; complex where the set's samples are
-        self.matrix = np.empty((sum(M.shape[0] for M in dense), A.shape[1]),
-                               dtype=np.result_type(*dense), order="F")
-        np.concatenate([M[:r] for M, r in zip(dense, sup_rows)]
-                       + [M[r:] for M, r in zip(dense, sup_rows)], out=self.matrix)
-        grids = grids + num_grids
-        self.nsup = sum(sup_rows)
-        self.starts = np.cumsum([0] + [g.size for g in grids[:-1]])
+        self.matrix = np.empty((sum(sizes), n + 1), dtype=V[0].dtype, order="F")
+        blocks = _sampling_blocks(n, range(nd), V[:nd]) + image[: len(own)]
+        np.concatenate(blocks + V[nb : nb + 1] + image[len(own) :], out=self.matrix)
+        self.nsup, self.starts = sum(sizes[:nb]), np.cumsum([0] + sizes[: nb - 1])
+        self.reads = np.searchsorted(orders, [*range(nd), *(j + k for j in range(len(num_grids)))])
         self.coeffs = np.asarray([scale / divisor for table in (t, num_t)
                                   for _, scale, divisor in table.sups], dtype=float)
-        self.row_weight = _schur_weight(t.alpha, np.concatenate(grids)) if t.alpha else None
+        self.row_weight = _schur_weight(t.alpha, np.concatenate(nodes[:nb])) if t.alpha else None
         # the Gauss weights of both sides, and s
         self.lp = (np.concatenate([rule[1], num_rule[1]]), int(t.lp[1])) if rule else None
         # the terms summed into each side, in parts: the sup terms of the
@@ -364,7 +374,7 @@ class _BatchedRatio:
             sup = vals[: self.nsup]
             if self.row_weight is not None:
                 sup *= self.row_weight[:, None]
-            terms.append(self.coeffs[:, None] * np.maximum.reduceat(sup, self.starts, axis=0))
+            terms.append(self.coeffs[:, None] * np.maximum.reduceat(sup, self.starts, axis=0)[self.reads])
         if self.lp is not None:
             weights, s = self.lp
             terms.append(weights[:, None] * vals[self.nsup :] ** s)
@@ -449,8 +459,7 @@ def _coarse_ratio(op: OperatorSpec, q: NormSpec, n: int):
     den = _sampled_side(q, n)
     if den is None:
         return _PolyRatio(op, q)
-    A = deriv_matrix(n, op.k)
-    return _BatchedRatio(den, _sampled_side(q, A.shape[0] - 1), A)
+    return _BatchedRatio(den, _sampled_side(q, max(n - op.k, 0)), n, op.k)
 
 
 def _best(ratios, n: int) -> Optional[int]:
@@ -552,7 +561,7 @@ def markov_factor_search(
     an ``Exact`` row, which no budget or seed changes, for the identity
     (k = 0), for a qms norm (``_qms_row``) and for the plain sup over one
     interval (``_sup_interval``, ``_v_markov_row``), each read off q's
-    ``terms`` table at degree n.
+    ``terms`` table at degree n, and for n < k in one variable (0, witness T_n).
 
     On a set in one variable op is c*D^k (``_as_derivative``), and the row is
     that of ``DerivOp(k)`` with |c| times its factor (``_scaled``; past the
@@ -583,6 +592,8 @@ def markov_factor_search(
     iv = _sup_interval(t)
     if iv is not None:
         return _scaled(_v_markov_row(n, op.k, iv), c)
+    if spec_nvars(q) == 1 and n < op.k:  # D^k sends every polynomial of degree < k to 0
+        return Bound(n, 0.0, f"chebyshev:{n}", chebyshev_t(n), "Exact")
     return _scaled(_search_row(n, op, q, budget, seed), c)
 
 

@@ -81,6 +81,7 @@ _PASS_MAX_ENTRIES = 1 << 20
 # for m + 1 values), complex output (two) and absolute values; twice that for
 # complex series, whose real and imaginary parts take an rfft each.
 _SUP_ARRAYS = 6
+_STACK_COLUMNS = 4  # the fewest columns ``_image_columns`` derives in one chebder call
 
 
 def _degree_int(p) -> int:
@@ -96,21 +97,26 @@ def _schur_weight(alpha: float, *coords) -> np.ndarray:
 
 
 def _coef_columns(polys) -> np.ndarray:
-    """The coefficients of polys as the columns of one zero-padded matrix."""
-    C = np.zeros(
-        (max(1, *(p.coef.size for p in polys)), len(polys)),
-        dtype=np.result_type(*(p.coef for p in polys)),
-    )
+    """The coefficients of polys along the last axis of one zero-padded array."""
+    shape = [max(1, *sizes) for sizes in zip(*(p.coef.shape for p in polys))]
+    C = np.zeros((*shape, len(polys)), dtype=np.result_type(*(p.coef for p in polys)))
     for j, p in enumerate(polys):
-        C[: p.coef.size, j] = p.coef
+        C[(*map(slice, p.coef.shape), j)] = p.coef
     return C
 
 
 def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
-    """max over E of |p| for each p in polys, times the Schur weight when
-    alpha > 0 (ValueError on a piece other than [-1, 1]), in one pass over the
-    cells, the (polynomial, piece of ``E.intervals``) pairs, then the fixed
-    ``E.samples``.
+    """``_sup_columns`` of the coefficients of polys, series on E."""
+    return _sup_columns(_coef_columns(polys), E, refine, alpha)
+
+
+def _sup_columns(C: np.ndarray, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
+    """max over E of |p| for the series p in each column (last axis) of C,
+    times the Schur weight when alpha > 0 (ValueError on a piece other than
+    [-1, 1]): on a plane region at its fixed samples, through one pair of
+    Chebyshev-Vandermonde matrices, and in one variable in one pass over the
+    fixed ``E.samples`` and the cells, the (column, piece of ``E.intervals``)
+    pairs, a column of the degree of its last nonzero row.
 
     Each cell takes its series in the piece's coordinate t once, scaled
     (``_support_series``), and its ``Interval.grid`` values off it, one
@@ -123,26 +129,37 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
     Clenshaw pass; the larger of those samples and the best grid value is the
     cell's sup.  A NaN anywhere is the result (np.maximum).  Where the pass
     would hold more than ``_PASS_MAX_ENTRIES`` values (``_sup_entries``),
-    each half of polys takes its own pass.
+    each half of the columns takes its own pass.
     """
-    for p in polys:
-        if p.nvars != E.nvars:
-            raise DimensionMismatchError(
-                f"a set in {E.nvars} variable(s) takes polynomials in as many, not {p.nvars}"
-            )
+    if C.ndim - 1 != E.nvars:
+        raise DimensionMismatchError(
+            f"a set in {E.nvars} variable(s) takes polynomials in as many, not {C.ndim - 1}")
     if alpha and any((iv.a, iv.b) != (-1.0, 1.0) for iv in E.intervals):
         raise ValueError("the Schur weight is defined on [-1, 1], not on other intervals")
-    cplx = any(np.iscomplexobj(p.coef) for p in polys)
-    if len(polys) > 1 and _sup_entries(len(polys), E, max(map(_degree_int, polys)), cplx) > _PASS_MAX_ENTRIES:
-        half = len(polys) // 2
-        return _sup(polys[:half], E, refine, alpha) + _sup(polys[half:], E, refine, alpha)
+    if E.nvars == 2:  # p's values: the row sums of (Vx[:, :a] @ p.coef) * Vy[:, :b], p.coef of shape (a, b)
+        w = _schur_weight(alpha, *E.samples) if alpha else 1.0
+        Vx, Vy = (nch.chebvander(x, C.shape[axis] - 1).T for axis, x in enumerate(E.samples))  # row i: T_i
+        nz = C != 0  # each column cut to its own shape (a, b), as a ChebSeries of it is
+        a, b = (np.where(m.any(0), len(m) - np.argmax(m[::-1], axis=0), 0) for m in (nz.any(1), nz.any(0)))
+        values = [((np.ascontiguousarray(C[:i, :j, c]).T @ Vx[:i]) * Vy[:j]).sum(axis=0)
+                  for c, (i, j) in enumerate(zip(a, b))]
+        return [float(np.max(np.abs(v) * w)) for v in values]
+    count, nonzero = C.shape[1], C != 0
+    nonzero[0] = True  # a zero column has degree 0
+    degs = len(C) - 1 - np.argmax(nonzero[::-1], axis=0)
+    if count > 1 and _sup_entries(count, E, degs.max(), np.iscomplexobj(C)) > _PASS_MAX_ENTRIES:
+        half = count // 2
+        return _sup_columns(C[:, :half], E, refine, alpha) + _sup_columns(C[:, half:], E, refine, alpha)
     weight = partial(_schur_weight, alpha) if alpha else None
-    best = np.full(len(polys), -np.inf)
+    best = np.full(count, -np.inf)
+    if E.samples[0].size:
+        w = weight(*E.samples) if weight else 1.0
+        best = np.array([np.max(np.abs(nch.chebval(E.samples[0], C[: d + 1, j])) * w)
+                         for j, d in enumerate(degs)])
     if E.intervals:
-        C = _coef_columns(polys)
-        pieces = [iv for iv in E.intervals for _ in polys]
-        owner = np.arange(len(pieces)) % len(polys)
-        degs = np.array([_degree_int(p) for p in polys])[owner]
+        pieces = [iv for iv in E.intervals for _ in range(count)]
+        owner = np.arange(len(pieces)) % count
+        degs = degs[owner]
         S, top = _support_series(C[:, owner], degs, pieces)
         S[1::2] *= -1  # p(-t), whose value at cos(pi l / m) is p's at grid point l
         m = grid_size(degs) - 1  # the points of ``Interval.grid``, l = 0..m
@@ -174,12 +191,9 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
             series = [S[: d + 1, i] for i, d in enumerate(degs)]
             x = -np.cos(_peak_angles(series, r, start, lo, hi, alpha))
             for i, iv in enumerate(E.intervals):
-                x[r // len(polys) == i] = iv.at(x[r // len(polys) == i])
+                x[r // count == i] = iv.at(x[r // count == i])
             refined = np.abs(chebval_columns(x[:, None], C[:, owner[r], None]))[:, 0]
             np.maximum.at(best, owner[r], refined * weight(x) if weight else refined)
-    if E.samples[0].size:
-        w = weight(*E.samples) if weight else 1.0
-        best = np.maximum(best, [np.max(np.abs(v) * w) for v in _sample_values(polys, E.samples)])
     return best.tolist()
 
 
@@ -188,19 +202,6 @@ def _sup_entries(count: int, E: CompactSet, deg: int, cplx: bool = False) -> int
     deg on E holds at once, ``_SUP_ARRAYS`` per padded grid value (V), twice
     that where cplx (complex series)."""
     return _SUP_ARRAYS * (1 + cplx) * count * len(E.intervals) * grid_size(deg)
-
-
-def _sample_values(polys, samples) -> list:
-    """The values of each of polys at the fixed points ``samples``: by
-    ``chebval`` in one variable; in two, through one pair of Chebyshev
-    Vandermonde matrices Vx, Vy for all of them, p's values being the row
-    sums of (Vx[:, :a] @ p.coef) * Vy[:, :b] for p.coef of shape (a, b)
-    (taken transposed: chebvander's rows T_i at every point are contiguous)."""
-    if len(samples) == 1:
-        return [p(*samples) for p in polys]
-    Vx, Vy = (nch.chebvander(x, max(1, *(p.coef.shape[axis] for p in polys)) - 1).T
-              for axis, x in enumerate(samples))
-    return [((p.coef.T @ Vx[: p.coef.shape[0]]) * Vy[: p.coef.shape[1]]).sum(axis=0) for p in polys]
 
 
 def _peak_angles(series, cell, start, lo, hi, alpha: float) -> np.ndarray:
@@ -730,9 +731,9 @@ def qms_norm_exact(p: MultiPoly, m: int, s: int) -> Fraction:
 class NormTerms:
     """A norm as a sum of terms: the one definition both evaluation paths read.
 
-    Each entry ``(k, scale, divisor)`` of ``sups`` adds
-    ``sup|D^k p| * scale / divisor`` over ``set`` (the two factors apart, so
-    a term rounds as sup * r^k / k!), D differentiating along variable
+    Each entry ``(k, scale, divisor)`` of ``sups``, in orders k = 0, 1, 2, ...,
+    adds ``sup|D^k p| * scale / divisor`` over ``set`` (the two factors apart,
+    so a term rounds as sup * r^k / k!), D differentiating along variable
     ``axis``; with ``alpha > 0`` the sup samples carry the Schur weight
     (1 - |x|^2)^alpha.  ``lp = (mu, s)`` adds the L^s(mu) norm of p, and
     ``qms = (m, s)`` adds ``qms_norm(p, m, s)`` of p as given (not its
@@ -875,20 +876,20 @@ def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
     """``evaluate_norm`` of each of polys, with the sup terms of all of them
     (every derivative order of every polynomial) in as few ``_sup`` passes
     as ``_PASS_MAX_ENTRIES`` allows: consecutive groups of polys
-    (``_sup_groups``), each group's images built only for its own pass.  A
-    qms table reads each polynomial as given; every other one its
-    ``as_chebseries``."""
+    (``_sup_groups``), each group's images built only for its own pass, as
+    the columns of one array (``_image_columns``).  A qms table reads each
+    polynomial as given; every other one its ``as_chebseries``."""
     degs = [_degree_int(p) for p in polys]
     tables = [spec.terms(d) for d in degs]
     polys = [p if t.qms else as_chebseries(p) for p, t in zip(polys, tables)]
     sups, cplx = [], any(np.iscomplexobj(p.coef) for p, t in zip(polys, tables) if t.sups)
     for group in _sup_groups(degs, tables, cplx):
-        images = [image for p, t in zip(polys[group], tables[group]) for image in _sup_images(p, t)]
-        if len(images) == 1 and not tables[0].alpha:
+        E, alpha = tables[0].set, tables[0].alpha
+        if len(polys[group]) == len(tables[group.start].sups) == 1 and not alpha:
             # one plain sup is sup_norm's value; bench/tracing.py times it there
-            sups.append(sup_norm(images[0], tables[0].set, refine=refine))
-        elif images:
-            sups += _sup(images, tables[0].set, refine, tables[0].alpha)
+            sups.append(sup_norm(polys[group.start], E, refine=refine))
+        else:
+            sups += _sup_columns(_image_columns(polys[group], tables[group]), E, refine, alpha)
     sups, out = iter(sups), []
     for p, t in zip(polys, tables):
         total = 0.0
@@ -905,28 +906,38 @@ def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
 def _sup_groups(degs, tables, cplx: bool) -> list:
     """Consecutive slices of the polynomials of these degrees and ``terms``
     tables (complex series where cplx), whose sup images take one ``_sup``
-    pass of at most ``_PASS_MAX_ENTRIES`` values: all of them where they fit."""
-    counts = [len(t.sups) for t in tables]
-    if not any(counts) or _sup_entries(sum(counts), tables[0].set, max(degs), cplx) <= _PASS_MAX_ENTRIES:
-        return [slice(0, len(degs))]
+    pass of at most ``_PASS_MAX_ENTRIES`` values: all of them where they
+    fit, none where no table has a sup term."""
     groups, start, count, deg = [], 0, 0, 0
-    for i, (c, d) in enumerate(zip(counts, degs)):
-        if count and _sup_entries(count + c, tables[0].set, max(deg, d), cplx) > _PASS_MAX_ENTRIES:
+    for i, (t, d) in enumerate(zip(tables, degs)):
+        if count and _sup_entries(count + len(t.sups), t.set, max(deg, d), cplx) > _PASS_MAX_ENTRIES:
             groups.append(slice(start, i))
             start, count, deg = i, 0, 0
-        count, deg = count + c, max(deg, d)
-    return groups + [slice(start, len(degs))]
+        count, deg = count + len(t.sups), max(deg, d)
+    return groups + [slice(start, len(degs))] if count else groups
 
 
-def _sup_images(p: ChebSeries, t: NormTerms) -> list:
-    """D^k p along ``t.axis`` for each sup term's order k (ascending), each
-    order derived from the one before: numpy's ``chebder`` of order k repeats
-    the order-1 step, so every image is bitwise p differentiated k times."""
-    out, image, order = [], p, 0
-    for k, _, _ in t.sups:
-        if k > order:
-            image, order = image.deriv(k - order, t.axis), k
-        out.append(image)
+def _image_columns(polys, tables) -> np.ndarray:
+    """D^k p along ``t.axis`` for each sup term k = 0, 1, ... of each p's
+    table t, p by p, as the columns (last axis) of one zero-padded array.
+    Each order step is one ``chebder`` over the columns of one dtype (numpy
+    divides complex by real through a reciprocal), or one per column below
+    ``_STACK_COLUMNS``: ``chebder`` steps row by row, so each image is
+    bitwise p's own chain (``ChebSeries.deriv``)."""
+    counts, C, axis = np.array([len(t.sups) for t in tables]), _coef_columns(polys), tables[0].axis
+    if counts.sum() == len(polys):  # each table reads order 0 alone: the images are polys
+        return C
+    first, cplx = np.cumsum(counts) - counts, np.array([np.iscomplexobj(p.coef) for p in polys])
+    out = np.zeros((*C.shape[:-1], counts.sum()), dtype=C.dtype)
+    for own in (np.flatnonzero(~cplx), np.flatnonzero(cplx)):
+        image = C[..., own] if cplx[own].any() else C[..., own].real
+        for o in range(counts[own].max(initial=0)):
+            if o and own.size >= _STACK_COLUMNS:
+                image = nch.chebder(image, 1, axis=axis)
+            elif o:
+                image = np.stack([nch.chebder(c, 1, axis=axis) for c in np.moveaxis(image, -1, 0)], -1)
+            live = np.flatnonzero(counts[own] > o)
+            out[(*map(slice, image.shape[:-1]), first[own[live]] + o)] = image[..., live]
     return out
 
 

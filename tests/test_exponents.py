@@ -48,7 +48,7 @@ from markovlab import (
     qms_norm_exact,
     spectral_exponent_floor,
 )
-from markovlab import exponents
+from markovlab import exponents, norms
 from markovlab.chebseries import chebyshev_t
 from markovlab.domains import Measure
 from markovlab.exponents import (
@@ -300,35 +300,67 @@ def _sequential_search(n, op, q, budget, seed):
     return float(max(certified[j], 0.0)), finalists[j][0], finalists[j][1].coef.tobytes(), skips
 
 
-def _two_call_ratios(q, order, n, vals):
-    """Reference: the coarse ratios of the columns of vals, one reduction per
-    side of the ratio, built from q's ``terms`` tables at degree n and at the
-    image degree.  The rows of vals are the sup blocks of the denominator,
-    then the numerator's, then the L^p Gauss nodes of both; a side's block
-    maxima (times the Schur weight) are summed with their weights in row
-    order, plus its L^p power sum."""
+def _sides(q, order, n):
+    """(table, grids, rule) of each side of the ratio: q's ``terms`` table at
+    degree n and at the image degree, the sup points of each of its terms
+    and its L^p Gauss rule (None without an L^p part)."""
     sides = []
     for deg in (n, max(n - order, 0)):
         t = q.terms(deg)
         grids = [domains.sup_points(t.set, max(deg - k, 0)) for k, _, _ in t.sups]
         sides.append((t, grids, t.lp[0].rule_for_degree(deg * int(t.lp[1])) if t.lp else None))
-    nsup = [sum(g.size for g in grids) for _, grids, _ in sides]
-    sup_vals = np.split(vals[: sum(nsup)], [nsup[0]])
-    lp_vals = np.split(vals[sum(nsup) :], [sides[0][2][0].size if sides[0][2] else 0])
-    totals = []
-    for (t, grids, rule), sup, lp in zip(sides, sup_vals, lp_vals):
-        total = 0.0
-        if grids:
-            sup = np.abs(sup)
-            if t.alpha:
-                sup *= _schur_weight(t.alpha, np.concatenate(grids))[:, None]
-            maxima = np.maximum.reduceat(sup, np.cumsum([0] + [g.size for g in grids[:-1]]), axis=0)
-            coeffs = np.asarray([scale / divisor for _, scale, divisor in t.sups], dtype=float)
-            total = np.add.accumulate(coeffs[:, None] * maxima)[-1]
-        if rule:
-            s = int(t.lp[1])
-            total = total + np.add.accumulate(rule[1][:, None] * np.abs(lp) ** s)[-1] ** (1.0 / s)
-        totals.append(total.tolist())
+    return sides
+
+
+def _side_totals(t, grids, sup, rule, lp):
+    """One side's sums, one per column: the maxima of its sup blocks ``sup``
+    (one per term, times the Schur weight) with their weights, in row
+    order, plus its L^p power sum at the values ``lp`` on its rule."""
+    total = 0.0
+    if grids:
+        sup = [np.abs(v) * (_schur_weight(t.alpha, g)[:, None] if t.alpha else 1.0) for v, g in zip(sup, grids)]
+        coeffs = np.asarray([scale / divisor for _, scale, divisor in t.sups], dtype=float)
+        total = np.add.accumulate(coeffs[:, None] * np.array([v.max(axis=0) for v in sup]))[-1]
+    if rule:
+        s = int(t.lp[1])
+        total = total + np.add.accumulate(rule[1][:, None] * np.abs(lp) ** s)[-1] ** (1.0 / s)
+    return total.tolist()
+
+
+def _two_call_ratios(q, order, n, vals):
+    """Reference: the coarse ratios of the columns of vals, one reduction per
+    side of the ratio.  The rows of vals are one block per derivative order o
+    either side reads, p^(o) at the sup points of degree n - o in ascending
+    o, then the L^p Gauss nodes of both sides; the denominator's term of
+    order i reads block i and the numerator's term of order j block j +
+    order."""
+    sides = _sides(q, order, n)
+    reads = [[k for k, _, _ in sides[0][0].sups], [j + order for j, _, _ in sides[1][0].sups]]
+    points = {o: g for (_, grids, _), ks in zip(sides, reads) for o, g in zip(ks, grids)}
+    ends = np.cumsum([points[o].size for o in sorted(points)])
+    block = dict(zip(sorted(points), np.split(vals[: ends[-1] if points else 0], ends[:-1])))
+    lp_vals = np.split(vals[ends[-1] if points else 0 :], [sides[0][2][0].size if sides[0][2] else 0])
+    totals = [_side_totals(t, grids, [block[o] for o in ks], rule, lp)
+              for (t, grids, rule), ks, lp in zip(sides, reads, lp_vals)]
+    return [_quotient(max(0.0, im), d) for d, im in zip(*totals)]
+
+
+def _two_matrix_ratios(q, order, n, X):
+    """Reference: the coarse ratios of the coefficient columns X from two
+    matrices, one per side of the ratio, each term's values from its own
+    derivative (``chebder``) at its own degree: the numerator's term j is
+    (D^order p)^(j)."""
+    (t, grids, rule), (num_t, num_grids, num_rule) = _sides(q, order, n)
+    A = npcheb.chebder(np.eye(n + 1), order)
+    nk = A.shape[0] - 1
+
+    def values(x, deg, k, C):  # the k-th derivative at x of the series of degree deg in C's columns
+        return npcheb.chebvander(x, max(deg - k, 0)) @ npcheb.chebder(C, k)
+
+    den = [values(g, n, k, X) for (k, _, _), g in zip(t.sups, grids)]
+    num = [values(g, nk, j, A @ X) for (j, _, _), g in zip(num_t.sups, num_grids)]
+    lp = [npcheb.chebvander(r[0], d) @ C for r, d, C in ((rule, n, X), (num_rule, nk, A @ X))] if rule else [0, 0]
+    totals = [_side_totals(t, grids, den, rule, lp[0]), _side_totals(num_t, num_grids, num, num_rule, lp[1])]
     return [_quotient(max(0.0, im), d) for d, im in zip(*totals)]
 
 
@@ -362,13 +394,38 @@ class TestBatchedSearch:
         assert skipped > 0
 
     def test_large_taylor_disk_matrix_not_built(self):
-        # its sampling matrix grows like 4*deg^3; past degree 62 it would pass
-        # _PASS_MAX_ENTRIES, _sampled_side declines it, and the search keeps
-        # the per-polynomial path
+        # its denominator's points grow like 4*deg^3 values; past degree 62
+        # they pass _PASS_MAX_ENTRIES, _sampled_side declines them, and the
+        # search keeps the per-polynomial path.  The numerator reads the
+        # denominator's blocks, so at degree 62 the matrix holds no more
         q = TaylorDiskSpec(E, 0.5)
         for n, batched in ((62, True), (63, False)):
             assert (_sampled_side(q, n) is not None) == batched
-            assert type(_coarse_ratio(DerivOp(1), q, n)) is (_BatchedRatio if batched else _PolyRatio)
+            coarse = _coarse_ratio(DerivOp(1), q, n)
+            assert type(coarse) is (_BatchedRatio if batched else _PolyRatio)
+        assert _coarse_ratio(DerivOp(1), q, 62).matrix.size <= norms._PASS_MAX_ENTRIES
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 8, 20, 40])
+    @pytest.mark.parametrize("q", [TaylorDiskSpec(E, 0.5), TaylorDiskSpec(F03, 0.5), TaylorDiskSpec(GAP, 0.5),
+                                   MixedDerivSpec(E)],
+                             ids=["taylor_disk[-1,1]", "taylor_disk[0,3]", "taylor_disk-gap", "mixed_deriv"])
+    def test_shared_blocks_match_two_matrices(self, q, n, k, rng):
+        # each derivative order is sampled once, and the numerator's term j
+        # reads the block of order j + k: every screened and every trial
+        # ratio is that of two matrices, one per side, within 1e-13
+        coarse = _coarse_ratio(DerivOp(k), q, n)
+        orders = {o for o, _, _ in q.terms(n).sups} | {j + k for j, _, _ in q.terms(max(n - k, 0)).sups}
+        assert coarse.starts.size == len(orders)
+        X = rng.standard_normal((9, n + 1))
+        np.testing.assert_allclose(coarse.screen(X), _two_matrix_ratios(q, k, n, X.T), rtol=1e-13, atol=0)
+        coef, idx, steps = X[0], rng.integers(0, n + 1, 12), rng.standard_normal(12) / 4
+        seen, ratios = [], coarse.ratios
+        coarse.ratios = lambda block: seen.append(ratios(block)) or seen[-1]
+        assert coarse.first_gain(coef, coarse.values(coef), idx, steps, math.inf) is None
+        trials = np.tile(coef, (12, 1))
+        trials[np.arange(12), idx] += steps
+        np.testing.assert_allclose(seen[0], _two_matrix_ratios(q, k, n, trials.T), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("width", [1, 7, 39])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -550,6 +607,30 @@ class TestAscentKernel:
 
 
 class TestFactorTable:
+    @pytest.mark.parametrize("q", [SchurSpec(0.5), SupPlusLpSpec(E, MU, 2.0), LpSpec(MU, 3.0), MixedDerivSpec(E),
+                                   SupSpec(GAP), TaylorDiskSpec(F03, 0.5)],
+                             ids=["schur", "sup+l2", "l3", "mixed_deriv", "sup-gap", "taylor_disk[0,3]"])
+    def test_rows_below_the_order_are_exact_zeros(self, q, monkeypatch):
+        # D^k sends every polynomial of degree < k to 0: no search runs, and
+        # the row carries V. Markov's witness T_n
+        calls, search = [], exponents._search_row
+        monkeypatch.setattr(exponents, "_search_row", lambda *args: calls.append(args) or search(*args))
+        for k in (1, 2, 3):
+            for row in [*factor_table(q, DerivOp(k), range(k)).rows, markov_factor_search(0, DirOp((-2.0,)), q)]:
+                assert (row.factor, row.method, row.witness_id) == (0.0, "Exact", f"chebyshev:{row.n}")
+                assert row.witness.coef.tobytes() == chebyshev_t(row.n).coef.tobytes()
+        assert not calls
+        assert markov_factor_search(1, DerivOp(1), q).method == "LowerBound" and len(calls) == 1
+
+    def test_candidates_drop_an_underflowed_monomial(self):
+        # past n = 1075 the top coefficients of x^n, 2^(1-n), underflow to 0:
+        # the monomial candidate goes, every other keeps degree n
+        for n, monomial_kept in ((1075, True), (1076, False)):
+            names, C = _candidates_1d(n, np.random.default_rng(0), 1)
+            assert (f"monomial:{n}" in names) == monomial_kept
+            assert C.shape == (len(names), n + 1) and C[:, n].all()
+            assert names[:2] == [f"chebyshev:{n}", f"monomial:{n}" if monomial_kept else f"legendre:{n}"]
+
     def test_l2_rows_exact(self):
         tab = factor_table(LpSpec(MU, 2.0), DerivOp(1), [1, 2])
         assert [row.method for row in tab.rows] == ["Exact", "Exact"]

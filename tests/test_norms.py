@@ -56,8 +56,8 @@ from markovlab.norms import (
     _qms_poly,
     _real_roots_inside,
     _root_split_integral,
+    _image_columns,
     _sup,
-    _sup_images,
     _support_series,
     qms_log_norm,
 )
@@ -231,8 +231,8 @@ class TestSupNorm:
         # chunks: every value stays bitwise the one a polynomial gets alone
         polys = [*self._mixed(rng), *(ChebSeries(rng.standard_normal(n + 1)) for n in (2, 8, 24, 24))]
         whole = _sup(polys, E, refine, alpha)
-        calls, sup = [], norms._sup
-        monkeypatch.setattr(norms, "_sup", lambda *args: calls.append(len(args[0])) or sup(*args))
+        calls, sup = [], norms._sup_columns
+        monkeypatch.setattr(norms, "_sup_columns", lambda *args: calls.append(args[0].shape[1]) or sup(*args))
         monkeypatch.setattr(norms, "_PASS_MAX_ENTRIES", 300)
         split = norms._sup(polys, E, refine, alpha)
         alone = [norms._sup([p], E, refine, alpha)[0] for p in polys]
@@ -265,15 +265,14 @@ class TestSupNorm:
         degs = (3, 9, 4, 12, 2, 7, 7)
         polys = [ChebSeries(rng.standard_normal(n + 1)) for n in degs]
         whole = norms._evaluate_norms(spec, polys, refine)
-        passes, sup = [], norms._sup
-        monkeypatch.setattr(norms, "_sup", lambda images, *args: passes.append(images) or sup(images, *args))
+        passes, sup = [], norms._sup_columns
+        monkeypatch.setattr(norms, "_sup_columns", lambda C, *args: passes.append(C) or sup(C, *args))
         monkeypatch.setattr(norms, "_PASS_MAX_ENTRIES", 10_000)
         split = norms._evaluate_norms(spec, polys, refine)
         assert np.array(split).tobytes() == np.array(whole).tobytes()
         # n + 1 images each (orders 0..n): degrees (3, 9, 4), (12, 2), (7, 7)
-        assert [len(images) for images in passes] == [4 + 10 + 5, 13 + 3, 8 + 8]
-        assert all(norms._sup_entries(len(images), spec.set, max(map(_degree_int, images))) <= 10_000
-                   for images in passes)
+        assert [images.shape[1] for images in passes] == [4 + 10 + 5, 13 + 3, 8 + 8]
+        assert all(norms._sup_entries(images.shape[1], spec.set, len(images) - 1) <= 10_000 for images in passes)
 
     @pytest.mark.parametrize(
         "E, c, K",
@@ -1035,10 +1034,36 @@ class TestTaylorDiskNorm:
     def test_images_derive_each_order_from_the_last(self, n):
         # each order from the one before: bitwise numpy's chebder of order k
         c = np.random.default_rng(n).standard_normal(n + 1)
-        images = _sup_images(ChebSeries(c), TaylorDiskSpec(E, 0.5).terms(n))
-        assert len(images) == n + 1
-        for k, image in enumerate(images):
-            assert image.coef.tobytes() == np.polynomial.chebyshev.chebder(c, k).tobytes()
+        images = _image_columns([ChebSeries(c)], [TaylorDiskSpec(E, 0.5).terms(n)])
+        assert images.shape[1] == n + 1
+        for k, image in enumerate(images.T):
+            assert image[: n + 1 - k].tobytes() == np.polynomial.chebyshev.chebder(c, k).tobytes()
+            assert not image[n + 1 - k :].any()
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["one variable", "plane, axis 1"])
+    def test_image_columns_are_each_polynomials_own_chain(self, rng, axis):
+        # one chebder per order step over all columns of a dtype: each image is
+        # bitwise its polynomial's own ChebSeries.deriv chain, for real and
+        # complex columns of mixed degrees, and 0 past a column's degree
+        # the real columns take one chebder per step, the complex ones one each
+        if axis:
+            shapes = [(5, 9), (3, 2), (7, 4), (1, 6), (2, 2), (4, 1), (6, 6)]
+            tables = [MixedDerivSpec(box_region(grid=33), axis=1).terms(0)] * len(shapes)
+        else:
+            shapes = [(13,), (5,), (2,), (0,), (9,), (4,), (1,), (7,)]
+            tables = [NormTerms(E, sups=tuple((k, 1.0, 1) for k in range(4)))] * len(shapes)
+        polys = [ChebSeries(rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if i % 3 == 1 else 0.0))
+                 for i, shape in enumerate(shapes)]
+        real = sum(np.isrealobj(p.coef) for p in polys)
+        assert real >= norms._STACK_COLUMNS > len(polys) - real
+        C = _image_columns(polys, tables)
+        images = [p.deriv(k, axis) for p in polys for k, _, _ in tables[0].sups]
+        assert C.shape[-1] == len(images) and np.iscomplexobj(C)
+        for j, image in enumerate(images):
+            want = image.coef.astype(C.dtype)
+            got = C[(*map(slice, want.shape), j)]
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(ChebSeries(C[..., j]).coef, image.coef)
 
 
 class TestMixedDerivNorm:

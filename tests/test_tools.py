@@ -51,4 +51,7 @@ def test_search_layers_matches_the_search_entry(tmp_path):
     assert exact == [row["row"] for row in rows if row["row"].startswith("sup[")] and len(exact) == 15
     for row in rows:
         if "exact" not in row:
-            assert set(row) == {"row", "cand", "build", "screen", "ascent", "cert", "total", "match"}
+            assert set(row) == {"row", "cand", "build", "screen", "ascent", "cert", "total", "match",
+                                "matrix_rows", "chebder_calls"}
+            # the box rows take the per-polynomial path, every other one the matrix
+            assert (row["matrix_rows"] > 0) != row["row"].startswith("sup_box2d") and row["chebder_calls"] > 0

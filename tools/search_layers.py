@@ -17,10 +17,13 @@ the median wall time of each over ``--reps`` runs in one process:
 
 The row's factor and witness must be the ones the search entry
 ``exponents._search_row`` gives; a row where they are not is marked
-``MISMATCH``.  A row that ``markov_factor_search`` reads off a closed form
-(method ``Exact``: V. Markov's sup rows on one interval) runs no search: it
-is reported as ``exact``, timed as one ``markov_factor_search`` call.  One
-untimed run per row comes first.
+``MISMATCH``.  Two deterministic counters go with each searched row:
+``matrix_rows``, the rows of its ``_BatchedRatio`` sampling matrix (0 on the
+per-polynomial path), and ``chebder_calls``, the numpy ``chebder`` calls of
+one ``_search_row``.  A row that ``markov_factor_search`` reads off a closed
+form (method ``Exact``: V. Markov's sup rows on one interval) runs no
+search: it is reported as ``exact``, timed as one ``markov_factor_search``
+call.  One untimed run per row comes first.
 
 Run from a checkout (BLAS pinned to one thread, as the benchmark does):
 
@@ -39,6 +42,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 
 import numpy as np  # noqa: E402
+from numpy.polynomial import chebyshev as nch  # noqa: E402
 
 import workloads  # noqa: E402  (bench/workloads.py)
 from markovlab import exponents, norms  # noqa: E402
@@ -95,6 +99,21 @@ def phases(q, op, n: int, seed: int) -> tuple:
     return np.diff(t), (float(max(certified[j], 0.0)), finalists[j][0])
 
 
+def counters(q, op, n: int, seed: int) -> tuple:
+    """(matrix_rows, chebder_calls) of a searched row, and its ``_search_row``:
+    the rows of its coarse evaluator's matrix (0 for ``_PolyRatio``), and the
+    numpy ``chebder`` calls of one ``_search_row`` run."""
+    coarse = exponents._coarse_ratio(op, q, n)
+    rows = coarse.matrix.shape[0] if hasattr(coarse, "matrix") else 0
+    calls, chebder = [], nch.chebder
+    nch.chebder = lambda *args, **kw: calls.append(1) or chebder(*args, **kw)
+    try:
+        row = exponents._search_row(n, op, q, 1, seed)
+    finally:
+        nch.chebder = chebder
+    return rows, len(calls), row
+
+
 def _median_ms(times) -> list:
     return [round(1e3 * statistics.median(col), 3) for col in np.array(times).T]
 
@@ -106,7 +125,7 @@ def main() -> None:
     parser.add_argument("--out", help="write the rows as JSON here")
     args = parser.parse_args()
     out = []
-    print(f"{'row':<28}" + "".join(f"{p:>9}" for p in PHASES) + f"{'total':>9}  ms")
+    print(f"{'row':<28}" + "".join(f"{p:>9}" for p in PHASES) + f"{'total':>9}  ms  {'rows':>6} {'chebder':>7}")
     for label, q, op, n, seed in search_rows(args.seed):
         if exponents.markov_factor_search(n, op, q, seed=seed).method == "Exact":
             times = []
@@ -119,12 +138,13 @@ def main() -> None:
             print(f"{label:<28}{'exact':>{9 * len(PHASES)}}{ms:9.3f}")
             continue
         _, found = phases(q, op, n, seed)
-        row = exponents._search_row(n, op, q, 1, seed)
+        rows, chebder_calls, row = counters(q, op, n, seed)
         ok = found == (row.factor, row.witness_id)
         ms = _median_ms([phases(q, op, n, seed)[0] for _ in range(args.reps)])
-        out.append({"row": label, **dict(zip(PHASES, ms)), "total": round(sum(ms), 3), "match": ok})
+        out.append({"row": label, **dict(zip(PHASES, ms)), "total": round(sum(ms), 3), "match": ok,
+                    "matrix_rows": rows, "chebder_calls": chebder_calls})
         print(f"{label:<28}" + "".join(f"{m:9.3f}" for m in ms) + f"{sum(ms):9.3f}"
-              + ("" if ok else "  MISMATCH"))
+              + f"      {rows:6d} {chebder_calls:7d}" + ("" if ok else "  MISMATCH"))
     totals = [sum(r.get(p, 0.0) for r in out) for p in (*PHASES, "exact")]
     print(f"{'search rows':<28}" + "".join(f"{m:9.3f}" for m in totals[:-1]) + f"{sum(totals[:-1]):9.3f}")
     print(f"{'exact rows':<28}{totals[-1]:{9 * len(PHASES) + 9}.3f}")
