@@ -89,11 +89,7 @@ class ChebSeries:
     def __add__(self, other):
         if not isinstance(other, ChebSeries):
             return NotImplemented
-        a, b = self.coef, other.coef
-        out = np.zeros(np.maximum(a.shape, b.shape), dtype=np.result_type(a, b))
-        out[tuple(map(slice, a.shape))] += a
-        out[tuple(map(slice, b.shape))] += b
-        return ChebSeries(out)
+        return ChebSeries(padded_sum(self.coef, other.coef))
 
     def __sub__(self, other):
         if not isinstance(other, ChebSeries):
@@ -127,6 +123,15 @@ class ChebSeries:
 
     def __repr__(self):
         return f"ChebSeries(deg={self.degree}, nvars={self.nvars})"
+
+
+def padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, each zero-padded to the larger shape: the coefficients of the
+    sum of two series (or of two stacks of series along a last axis)."""
+    out = np.zeros(np.maximum(a.shape, b.shape), dtype=np.result_type(a, b))
+    out[tuple(map(slice, a.shape))] += a
+    out[tuple(map(slice, b.shape))] += b
+    return out
 
 
 def _one_variable(*series: ChebSeries) -> None:

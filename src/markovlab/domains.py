@@ -95,9 +95,14 @@ class SampledRegion2D:
     ``as_complex`` interprets each (x, y) as the complex number x + iy, which
     is how circle/disk sets for univariate polynomials are represented; the
     samples are then ``(x + iy,)``, and ``(x, y)`` for a plane region.
+
+    A plane region is a masked tensor grid: ``axes`` holds the distinct x and
+    the distinct y of its points, ascending, and ``index`` each point's place
+    in the row-major grid of axes[0] x axes[1] (None for a complex point set),
+    so a polynomial's values at the points are read off its grid values.
     """
 
-    __slots__ = ("points", "descriptor", "as_complex", "samples", "nvars")
+    __slots__ = ("points", "descriptor", "as_complex", "samples", "nvars", "axes", "index")
     intervals = ()
 
     def __init__(self, points: np.ndarray, descriptor: dict, as_complex: bool = False):
@@ -109,6 +114,10 @@ class SampledRegion2D:
         self.as_complex = bool(as_complex)
         self.samples = (self.complex_points,) if self.as_complex else tuple(pts.T)
         self.nvars = len(self.samples)  # 1 for a complex point set, 2 for a plane region
+        self.axes = self.index = None
+        if not self.as_complex:
+            (xs, ix), (ys, iy) = (np.unique(x, return_inverse=True) for x in self.samples)
+            self.axes, self.index = (xs, ys), ix * ys.size + iy
 
     @property
     def complex_points(self) -> np.ndarray:
@@ -118,6 +127,9 @@ class SampledRegion2D:
         if not isinstance(other, SampledRegion2D):
             return NotImplemented
         return self.descriptor == other.descriptor and self.as_complex == other.as_complex
+
+    def __hash__(self):
+        return hash((tuple(sorted(self.descriptor.items())), self.as_complex))
 
     def __repr__(self):
         return f"SampledRegion2D({self.descriptor!r}, n={len(self.points)})"
@@ -132,12 +144,31 @@ def sup_points(E: CompactSet, deg: int) -> np.ndarray:
     return np.concatenate([iv.grid(deg) for iv in E.intervals] + [E.samples[0]])
 
 
+# The largest grid side of a region generator: its tensor of 1024^2 values is
+# what one norms pass holds (``norms._PASS_MAX_ENTRIES``).
+MAX_GRID = 1024
+
+
+def _check_grid(grid: int) -> None:
+    if not 0 < grid <= MAX_GRID:
+        raise ValueError(f"grid must be in [1, {MAX_GRID}], got {grid!r}")
+
+
+def _grid_region(pts: np.ndarray, descriptor: dict) -> SampledRegion2D:
+    """The plane region of the points a generator's grid gave, where that grid
+    gives the 100 points a region needs."""
+    if len(pts) < 100:
+        raise ValueError(f"grid {descriptor['grid']} gives {len(pts)} points; a region needs at least 100")
+    return SampledRegion2D(pts, descriptor)
+
+
 def cusp_region(grid: int = 401) -> SampledRegion2D:
     """|y| <= exp(-1/(1-|x|)) for |x| < 1, plus the boundary points (+-1, 0).
 
     The bound of interest is attained near the cusp tips, so those two points
     are always included explicitly rather than left to the grid.
     """
+    _check_grid(grid)
     xs = np.linspace(-1.0, 1.0, grid)
     ys = np.linspace(-1.0, 1.0, grid)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -147,7 +178,14 @@ def cusp_region(grid: int = 401) -> SampledRegion2D:
     mask = inside & (np.abs(Y) <= bound)
     pts = np.column_stack([X[mask], Y[mask]])
     pts = np.vstack([pts, [[-1.0, 0.0], [1.0, 0.0]]])
-    return SampledRegion2D(pts, {"predicate": "cusp_exp", "grid": grid})
+    return _grid_region(pts, {"predicate": "cusp_exp", "grid": grid})
+
+
+def _box_side(lo: float, hi: float, lo_name: str, hi_name: str) -> Interval:
+    try:
+        return Interval(lo, hi)
+    except ValueError:
+        raise ValueError(f"box {lo_name} < {hi_name} must be finite, got {lo_name}={lo!r}, {hi_name}={hi!r}") from None
 
 
 def box_region(
@@ -158,9 +196,10 @@ def box_region(
     grid: int = 65,
 ) -> SampledRegion2D:
     """Tensor Chebyshev-Lobatto grid over a rectangle (corners included)."""
-    tx = lobatto_points(grid)
-    xs = (xmin + xmax) / 2 + (xmax - xmin) / 2 * tx
-    ys = (ymin + ymax) / 2 + (ymax - ymin) / 2 * tx
+    _check_grid(grid)
+    t = lobatto_points(grid)
+    xs = _box_side(xmin, xmax, "xmin", "xmax").at(t)
+    ys = _box_side(ymin, ymax, "ymin", "ymax").at(t)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
     desc = {
@@ -171,7 +210,7 @@ def box_region(
         "ymin": ymin,
         "ymax": ymax,
     }
-    return SampledRegion2D(pts, desc)
+    return _grid_region(pts, desc)
 
 
 def disk_boundary(npoints: int = 2048) -> SampledRegion2D:

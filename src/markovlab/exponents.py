@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial import chebyshev as nch
 
 from .chebseries import (
     ChebSeries,
@@ -29,6 +29,7 @@ from .chebseries import (
     deriv_matrix,
     legendre_orthonormal,
     monomial,
+    padded_sum,
     product_2d,
     random_unit,
     random_units,
@@ -42,8 +43,10 @@ from .norms import (
     SchurSpec,
     SupSpec,
     _PASS_MAX_ENTRIES,
+    _coef_columns,
     _evaluate_norms,
     _gauss_power_rule,
+    _plane_norms,
     _qms_weights,
     _schur_weight,
     evaluate_norm,
@@ -51,7 +54,8 @@ from .norms import (
     spec_nvars,
 )
 from .orthopoly import OrthoSystem, jacobi_system, stieltjes_orthonormalize
-from .polynomials import DerivOp, DirOp, HomOp, UniPoly
+from .polynomials import DerivOp, DirOp, HomOp, UniPoly, _inexact
+from .scalars import is_exact
 
 DEFAULT_SEED = 1729
 _ASCENT_ROUNDS = 200
@@ -269,17 +273,66 @@ class _PolyRatio:
         return None
 
 
+class _PlaneRatio:
+    """The same ratios for series in two variables, every candidate in one
+    stacked array: each D^alpha an image reads by one ``chebder`` per (axis,
+    order) over the stack (axis 0 first, as ``partial_multi`` takes them),
+    each image summed as ``_lincomb`` sums it, and the norms of both sides in
+    one ``_plane_norms``; so every ratio is bitwise the one ``_ratios`` gives
+    the candidate alone."""
+
+    def __init__(self, op: OperatorSpec, q: NormSpec):
+        self.images, self.q = op.images(2), q
+
+    def screen(self, coefs) -> list:
+        """The ratio of the series with each of these coefficient arrays: the
+        real series in one stack, the complex ones in another."""
+        polys, out = [ChebSeries(c) for c in coefs], [None] * len(coefs)
+        cplx = np.array([np.iscomplexobj(p.coef) for p in polys], dtype=bool)
+        for own in (np.flatnonzero(~cplx), np.flatnonzero(cplx)):
+            if own.size:
+                for j, r in zip(own, self._stack_ratios(_coef_columns([polys[j] for j in own]))):
+                    out[j] = r
+        return out
+
+    def _stack_ratios(self, P: np.ndarray) -> list:
+        """The ratios of the series in the columns of P, of one dtype."""
+        partials = {(0, 0): P}
+
+        def partial(alpha):  # D^alpha P, from the partial one step before it
+            if alpha not in partials:
+                i, j = alpha
+                partials[alpha] = nch.chebder(partial((i, j - 1) if j else (i - 1, 0)), 1, axis=1 if j else 0)
+            return partials[alpha]
+
+        images = []
+        for image in self.images:
+            acc = None
+            for c, alpha in image:
+                x = partial(alpha) if c == 1 else partial(alpha) * (_inexact(c) if is_exact(c) else c)
+                acc = x if acc is None else padded_sum(acc, x)
+            images.append(acc)
+        cols = [P, *images]
+        shape = np.max([c.shape for c in cols], axis=0)
+        stack = np.concatenate([np.pad(c, [(0, s - m) for s, m in zip(shape, c.shape)]) for c in cols], axis=-1)
+        vals = np.array(_plane_norms(self.q, stack)).reshape(len(cols), -1)
+        best = np.zeros(P.shape[-1])
+        for v in vals[1:]:  # as max([0.0, *v]): the first largest, never a NaN
+            best = np.where(v > best, v, best)
+        return [_quotient(b, d) for b, d in zip(best.tolist(), vals[0].tolist())]
+
+
 def _sampled_side(q: NormSpec, deg: int):
     """(table, grids, rule): q's ``terms`` table at degree deg, the points at
     which ``evaluate_norm(q, p, refine=False)`` samples each sup term of a
     real series p of degree deg (every piece's grid, then the set's fixed
     samples, real or complex), and ``lp_norm``'s Gauss rule for an L^p part
-    (None without one).  None for the tables no matrix takes: a set in two
-    variables, a qms entry, an L^p part off the Gauss path, and a side whose
+    (None without one), for q on a set in one variable.  None for the tables
+    no matrix takes: a qms entry, an L^p part off the Gauss path, and a side whose
     points times deg + 1 pass ``_PASS_MAX_ENTRIES`` values (taylor_disk's,
     about 4 deg^3 of them, past degree 62)."""
     t = q.terms(deg)
-    if t.qms or t.sups and t.set.nvars != 1:
+    if t.qms:
         return None
     rule = _gauss_power_rule(*t.lp, deg) if t.lp else None
     if t.lp and rule is None:
@@ -332,7 +385,7 @@ class _BatchedRatio:
         orders = [*range(nd), *(j + k for j in own)]
         nodes = grids + num_grids[own.start :] + ([rule[0], num_rule[0]] if rule else [])
         sizes, nb = [x.size for x in nodes], len(orders)
-        V = np.split(chebvander(np.concatenate(nodes), n), np.cumsum(sizes[:-1]))  # each bitwise its own
+        V = np.split(nch.chebvander(np.concatenate(nodes), n), np.cumsum(sizes[:-1]))  # each bitwise its own
         # the numerator's own blocks and nodes are D^j at degree n - k, then D^k in one
         # product, as its own matrix had them: a sup, Schur or sup+L^p matrix is as it was
         image = _sampling_blocks(nk, own, V[nd:nb]) + [v[:, : nk + 1] for v in V[nb + 1 :]]
@@ -453,9 +506,11 @@ def _ascend(coarse, coef: np.ndarray, ratio: float, rounds: int):
 
 
 def _coarse_ratio(op: OperatorSpec, q: NormSpec, n: int):
-    """The batched evaluator where q's table has a ``_sampled_side`` at
-    degree n, on a set in one variable, where op is a ``DerivOp``; the
-    per-polynomial one elsewhere (sets in two variables among them)."""
+    """The stacked screen ``_PlaneRatio`` on a set in two variables; in one,
+    the batched evaluator where q's table has a ``_sampled_side`` at degree
+    n, op a ``DerivOp``, and the per-polynomial one elsewhere."""
+    if spec_nvars(q) == 2:
+        return _PlaneRatio(op, q)
     den = _sampled_side(q, n)
     if den is None:
         return _PolyRatio(op, q)
@@ -573,9 +628,10 @@ def markov_factor_search(
     Legendre, random unit coefficient vectors); the best candidate is refined
     by coordinate-wise ascent with step halving (``_ascend``), both on the
     coarse (``refine=False``) ratio: through one matrix (``_BatchedRatio``) on
-    a set in one variable, else one ``_ratios``
-    evaluation per screen or trial (``_PolyRatio``: sets in two variables,
-    odd or non-integer L^p, large taylor_disk).  The finalists (the best
+    a set in one variable, else one ``_ratios`` evaluation per screen or
+    trial (``_PolyRatio``: odd or non-integer L^p, large taylor_disk); on a
+    set in two variables the candidates are screened in one stacked array
+    (``_PlaneRatio``) and not ascended.  The finalists (the best
     candidate and its ascent) are certified together in one refined
     ``_ratios`` pass.  Where NaN ratios (a norm that overflowed) leave no
     finite one, at the screen or at the certification, it raises
@@ -744,8 +800,9 @@ def laplacian_vs_gradient_check(l: int = 1) -> LaplacianReport:
 
     A first-derivative bound with exponent m is equivalent to an order-2l
     bound with exponent 2l*m, so the ratio of fitted exponents should sit
-    near 2l.  Runs on a product-Chebyshev corpus over the box [-1, 1]^2
-    (``box_region()``), degrees 1 to ``_LAPLACIAN_DEGMAX``.
+    near 2l.  Screens a product-Chebyshev corpus over the box [-1, 1]^2
+    (``box_region()``), degrees 1 to ``_LAPLACIAN_DEGMAX``, by the coarse
+    ratio of the Markov search (``_PlaneRatio``).
     """
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -754,9 +811,9 @@ def laplacian_vs_gradient_check(l: int = 1) -> LaplacianReport:
     ns = list(range(1, _LAPLACIAN_DEGMAX + 1))
     grad_rows, op_rows = [], []
     for n in ns:
-        corpus = [product_2d(chebyshev_t(i), chebyshev_t(n - i)) for i in range(n + 1)]
-        grad_rows.append(max(0.0, *_ratios(grad, q, corpus, refine=False)))
-        op_rows.append(max(0.0, *_ratios(lap, q, corpus, refine=False)))
+        corpus = [product_2d(chebyshev_t(i), chebyshev_t(n - i)).coef for i in range(n + 1)]
+        grad_rows.append(max(0.0, *_coarse_ratio(grad, q, n).screen(corpus)))
+        op_rows.append(max(0.0, *_coarse_ratio(lap, q, n).screen(corpus)))
     grad_fit = fit_power_law(ns, grad_rows)
     op_fit = fit_power_law(ns, op_rows)
     return LaplacianReport(

@@ -24,6 +24,12 @@ rounding (ROADMAP F5).  One ``_sup`` call is one pass over every piece of
 every polynomial it is given, with one Newton loop for all brackets, within
 ``_PASS_MAX_ENTRIES`` values in all its arrays; ``_evaluate_norms`` takes the
 sup terms of many polynomials in as few passes as that bound allows.
+
+A plane region is a masked tensor grid (``SampledRegion2D.axes`` and
+``index``): a sup over it reads each series' values on the grid, Vx C Vy^T,
+by two matrix products and takes them at the region's points
+(``_plane_sup``), and ``_plane_norms`` evaluates a norm's whole table for a
+stack of series in one such pass.
 """
 
 from __future__ import annotations
@@ -113,9 +119,9 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
 def _sup_columns(C: np.ndarray, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
     """max over E of |p| for the series p in each column (last axis) of C,
     times the Schur weight when alpha > 0 (ValueError on a piece other than
-    [-1, 1]): on a plane region at its fixed samples, through one pair of
-    Chebyshev-Vandermonde matrices, and in one variable in one pass over the
-    fixed ``E.samples`` and the cells, the (column, piece of ``E.intervals``)
+    [-1, 1]): on a plane region off its tensor grid (``_plane_sup``; refine
+    changes nothing there), and in one variable in one pass over the fixed
+    ``E.samples`` and the cells, the (column, piece of ``E.intervals``)
     pairs, a column of the degree of its last nonzero row.
 
     Each cell takes its series in the piece's coordinate t once, scaled
@@ -136,14 +142,8 @@ def _sup_columns(C: np.ndarray, E: CompactSet, refine: bool, alpha: float = 0.0)
             f"a set in {E.nvars} variable(s) takes polynomials in as many, not {C.ndim - 1}")
     if alpha and any((iv.a, iv.b) != (-1.0, 1.0) for iv in E.intervals):
         raise ValueError("the Schur weight is defined on [-1, 1], not on other intervals")
-    if E.nvars == 2:  # p's values: the row sums of (Vx[:, :a] @ p.coef) * Vy[:, :b], p.coef of shape (a, b)
-        w = _schur_weight(alpha, *E.samples) if alpha else 1.0
-        Vx, Vy = (nch.chebvander(x, C.shape[axis] - 1).T for axis, x in enumerate(E.samples))  # row i: T_i
-        nz = C != 0  # each column cut to its own shape (a, b), as a ChebSeries of it is
-        a, b = (np.where(m.any(0), len(m) - np.argmax(m[::-1], axis=0), 0) for m in (nz.any(1), nz.any(0)))
-        values = [((np.ascontiguousarray(C[:i, :j, c]).T @ Vx[:i]) * Vy[:j]).sum(axis=0)
-                  for c, (i, j) in enumerate(zip(a, b))]
-        return [float(np.max(np.abs(v) * w)) for v in values]
+    if E.nvars == 2:
+        return _plane_sup(C, E, alpha).tolist()
     count, nonzero = C.shape[1], C != 0
     nonzero[0] = True  # a zero column has degree 0
     degs = len(C) - 1 - np.argmax(nonzero[::-1], axis=0)
@@ -195,6 +195,40 @@ def _sup_columns(C: np.ndarray, E: CompactSet, refine: bool, alpha: float = 0.0)
             refined = np.abs(chebval_columns(x[:, None], C[:, owner[r], None]))[:, 0]
             np.maximum.at(best, owner[r], refined * weight(x) if weight else refined)
     return best.tolist()
+
+
+def _plane_sup(C: np.ndarray, E: CompactSet, alpha: float = 0.0) -> np.ndarray:
+    """max over the points of the plane region E of |p|, times the Schur
+    weight where alpha > 0, for the two-variable series p in each column
+    (last axis) of C.
+
+    A column cut to its own shape (a, b), its last nonzero row and column,
+    takes its values on E's tensor grid by two matrix products, Vx C Vy^T
+    with Vx and Vy the Chebyshev-Vandermonde matrices of ``E.axes``, and
+    reads them at E's points (``E.index``).  Columns go in groups of one
+    shape and one kind, complex where an imaginary part is nonzero, each
+    product one BLAS call per column, and a group in chunks of at most
+    ``_PASS_MAX_ENTRIES`` grid values; so a column's value is the one it has
+    alone, whatever columns come with it.  A zero column gives 0."""
+    count, nz = C.shape[-1], C != 0
+    a, b = (np.where(m.any(0), len(m) - np.argmax(m[::-1], axis=0), 0) for m in (nz.any(1), nz.any(0)))
+    cplx = (C.imag != 0).any(axis=(0, 1))
+    w = _schur_weight(alpha, *E.samples) if alpha else 1.0
+    X, Y = (nch.chebvander(x, max(size - 1, 0)) for x, size in zip(E.axes, C.shape))
+    C = np.moveaxis(C, -1, 0)
+    out = np.zeros(count)
+    key = (a * (C.shape[2] + 1) + b) * 2 + cplx
+    for k in np.unique(key[(a > 0) & (b > 0)]):
+        cols = np.flatnonzero(key == k)
+        i, j, c = a[cols[0]], b[cols[0]], cplx[cols[0]]
+        Xi, Yj = np.ascontiguousarray(X[:, :i]), np.ascontiguousarray(Y[:, :j].T)
+        width = max(1, _PASS_MAX_ENTRIES // (len(X) * len(Y) * (1 + c)))
+        for start in range(0, cols.size, width):
+            part = cols[start : start + width]
+            block = np.ascontiguousarray(C[part, :i, :j] if c else C[part, :i, :j].real)
+            grid = (Xi @ block @ Yj).reshape(part.size, -1)
+            out[part] = np.max(np.abs(np.take(grid, E.index, axis=1)) * w, axis=1)
+    return out
 
 
 def _sup_entries(count: int, E: CompactSet, deg: int, cplx: bool = False) -> int:
@@ -877,8 +911,11 @@ def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
     (every derivative order of every polynomial) in as few ``_sup`` passes
     as ``_PASS_MAX_ENTRIES`` allows: consecutive groups of polys
     (``_sup_groups``), each group's images built only for its own pass, as
-    the columns of one array (``_image_columns``).  A qms table reads each
-    polynomial as given; every other one its ``as_chebseries``."""
+    the columns of one array (``_image_columns``); on a plane region, one
+    ``_plane_norms`` for all of them.  A qms table reads each polynomial as
+    given; every other one its ``as_chebseries``."""
+    if polys and spec_nvars(spec) == 2:
+        return _plane_norms(spec, _coef_columns([as_chebseries(p) for p in polys]))
     degs = [_degree_int(p) for p in polys]
     tables = [spec.terms(d) for d in degs]
     polys = [p if t.qms else as_chebseries(p) for p, t in zip(polys, tables)]
@@ -919,15 +956,24 @@ def _sup_groups(degs, tables, cplx: bool) -> list:
 
 def _image_columns(polys, tables) -> np.ndarray:
     """D^k p along ``t.axis`` for each sup term k = 0, 1, ... of each p's
-    table t, p by p, as the columns (last axis) of one zero-padded array.
-    Each order step is one ``chebder`` over the columns of one dtype (numpy
-    divides complex by real through a reciprocal), or one per column below
-    ``_STACK_COLUMNS``: ``chebder`` steps row by row, so each image is
-    bitwise p's own chain (``ChebSeries.deriv``)."""
-    counts, C, axis = np.array([len(t.sups) for t in tables]), _coef_columns(polys), tables[0].axis
-    if counts.sum() == len(polys):  # each table reads order 0 alone: the images are polys
+    table t, p by p, as the columns (last axis) of one zero-padded array
+    (``_derived_columns``; a complex p's images by complex arithmetic)."""
+    counts = np.array([len(t.sups) for t in tables])
+    cplx = np.array([np.iscomplexobj(p.coef) for p in polys])
+    return _derived_columns(_coef_columns(polys), counts, cplx, tables[0].axis)
+
+
+def _derived_columns(C: np.ndarray, counts, cplx, axis: int) -> np.ndarray:
+    """D^o along ``axis`` of the series in column j of C for o < counts[j],
+    column by column, as the columns of one zero-padded array.  Each order
+    step is one ``chebder`` over the real columns (cplx[j] False, their real
+    parts) and one over the complex ones (numpy divides complex by real
+    through a reciprocal), or one per column below ``_STACK_COLUMNS``:
+    ``chebder`` steps row by row, so each image is bitwise its column's own
+    chain (``ChebSeries.deriv``)."""
+    if (counts == 1).all():  # each column is its one image
         return C
-    first, cplx = np.cumsum(counts) - counts, np.array([np.iscomplexobj(p.coef) for p in polys])
+    first = np.cumsum(counts) - counts
     out = np.zeros((*C.shape[:-1], counts.sum()), dtype=C.dtype)
     for own in (np.flatnonzero(~cplx), np.flatnonzero(cplx)):
         image = C[..., own] if cplx[own].any() else C[..., own].real
@@ -939,6 +985,32 @@ def _image_columns(polys, tables) -> np.ndarray:
             live = np.flatnonzero(counts[own] > o)
             out[(*map(slice, image.shape[:-1]), first[own[live]] + o)] = image[..., live]
     return out
+
+
+def _plane_norms(spec: NormSpec, C: np.ndarray) -> list:
+    """``evaluate_norm`` of the two-variable series in each column (last
+    axis) of C: each column's ``terms`` table at its total degree, the
+    images of every sup term of every column in one ``_derived_columns``
+    stack (complex where an imaginary part is nonzero) and their sups in one
+    ``_plane_sup``, summed per column as ``_evaluate_norms`` sums a table.
+    A column's value does not depend on the columns that come with it."""
+    if C.ndim != 3:
+        raise DimensionMismatchError(f"a set in 2 variable(s) takes polynomials in as many, not {C.ndim - 1}")
+    count, nz = C.shape[-1], C != 0
+    degs = np.where(nz, np.add.outer(*map(np.arange, C.shape[:2]))[..., None], 0).max(axis=(0, 1))
+    tables = {d: spec.terms(d) for d in set(degs.tolist())}
+    t = next(iter(tables.values()))
+    if t.lp or t.qms:
+        raise DimensionMismatchError("L^p and qms norms take one variable, not 2")
+    counts = np.array([len(tables[d].sups) for d in degs.tolist()])
+    cplx = (C.imag != 0).any(axis=(0, 1))
+    sups = _plane_sup(_derived_columns(C, counts, cplx, t.axis), t.set, t.alpha)
+    first, total = np.cumsum(counts) - counts, np.zeros(count)
+    for o in range(counts.max()):
+        live = np.flatnonzero(counts > o)
+        scale, divisor = np.array([[float(x) for x in tables[d].sups[o][1:]] for d in degs[live].tolist()]).T
+        total[live] += sups[first[live] + o] * scale / divisor
+    return total.tolist()
 
 
 def _qms_poly(p) -> MultiPoly:

@@ -380,6 +380,28 @@ def test_malformed_config_names_field(tmp_path, monkeypatch, capsys, command, co
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "fields, named",
+    [({"xmax": math.nan}, "xmax"), ({"xmin": 1, "xmax": 1}, "xmax"), ({"xmin": 2, "xmax": 1}, "xmin"),
+     ({"ymin": -math.inf}, "ymin"), ({"grid": 100000}, "grid"), ({"grid": 5}, "grid"),
+     ({"predicate": "cusp_exp", "grid": 2000}, "grid"), ({"predicate": "cusp_exp", "grid": 20}, "grid")],
+    ids=["xmax-nan", "segment", "mirrored", "ymin-infinite", "grid-huge", "grid-small", "cusp-grid-huge",
+         "cusp-grid-small"],
+)
+@pytest.mark.filterwarnings("error")
+def test_malformed_plane_region_names_its_field(tmp_path, capsys, fields, named):
+    # a plane region is checked where it is built: exit 2 naming the field,
+    # no warning and no traceback (a segment is no region: x - 1 vanishes on it)
+    region = {"kind": "region2d", "predicate": "box", **fields}
+    cfg = write_config(tmp_path, "c.json", {**TABLE, "normspec": {"kind": "sup", "set": region},
+                                            "output": str(tmp_path / "x.csv")})
+    assert main(["factor-table", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "config field 'normspec'" in captured.err and named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not (tmp_path / "x.csv").exists()
+
+
 HUGE_SET = {"kind": "interval", "a": 0, "b": 1e200}
 HUGE_MIXED = {"kind": "mixed_deriv", "set": HUGE_SET}  # sup|p| + sup|p'|: a search row
 TAYLOR_SPEC = {"kind": "taylor_disk", "set": {"kind": "interval", "a": -1, "b": 1}}

@@ -7,6 +7,8 @@ from scipy.integrate import quad
 
 from markovlab import (
     Interval,
+    MixedDerivSpec,
+    SupSpec,
     QuadratureBudgetError,
     UnionSet,
     box_region,
@@ -80,6 +82,40 @@ class TestRegions:
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         E = box_region(-1.0, 2.0, -3.0, 1.0, grid=grid)
         assert np.array_equal(E.points, np.column_stack([X.ravel(), Y.ravel()]))
+
+
+    @pytest.mark.parametrize("grid", [27, 101, 400, 401])
+    def test_cusp_region_points_unchanged(self, grid):
+        # the mask of the linspace grid in row-major order, then the two tips
+        xs = np.linspace(-1.0, 1.0, grid)
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        inside = np.abs(X) < 1.0
+        with np.errstate(divide="ignore"):
+            bound = np.where(inside, np.exp(-1.0 / np.maximum(1.0 - np.abs(X), 1e-300)), 0.0)
+        mask = inside & (np.abs(Y) <= bound)
+        tips = [[-1.0, 0.0], [1.0, 0.0]]
+        E = cusp_region(grid)
+        assert np.array_equal(E.points, np.vstack([np.column_stack([X[mask], Y[mask]]), tips]))
+        assert np.array_equal(E.points[-2:], tips)
+
+    @pytest.mark.parametrize("E", [box_region(-1.0, 2.0, -3.0, 1.0, grid=33), cusp_region(101), cusp_region(400)],
+                             ids=["box", "cusp", "cusp-even-grid"])
+    def test_plane_region_is_a_masked_tensor_grid(self, E):
+        # each point is bitwise its grid point; on an even cusp grid y = 0
+        # is on the axis for the tips alone
+        xs, ys = E.axes
+        assert (np.diff(xs) > 0).all() and (np.diff(ys) > 0).all()
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        assert np.array_equal(np.column_stack([X.ravel()[E.index], Y.ravel()[E.index]]), E.points)
+        assert np.unique(E.index).size == len(E.points)
+
+    def test_plane_region_specs_hash(self):
+        # equal regions (one descriptor) hash alike, so their specs key a dict
+        box = box_region()
+        assert hash(SupSpec(box)) == hash(SupSpec(box_region())) == hash(SupSpec(set_from_json(set_to_json(box))))
+        specs = {SupSpec(box): 1, SupSpec(box_region()): 2, SupSpec(cusp_region(101)): 3,
+                 MixedDerivSpec(box, 1): 4, SupSpec(disk_boundary(128)): 5}
+        assert list(specs.values()) == [2, 3, 4, 5]
 
 
 class TestSamplePoints:

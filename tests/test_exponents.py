@@ -55,6 +55,7 @@ from markovlab.exponents import (
     DEFAULT_SEED,
     _ASCENT_ROUNDS,
     _BatchedRatio,
+    _PlaneRatio,
     _PolyRatio,
     _ascend,
     _candidates_1d,
@@ -523,8 +524,12 @@ class TestBatchedSearch:
         assert res.witness_id == witness
 
 
+BOX81 = domains.box_region(grid=81)
+
+
 class TestPolyRatioScreen:
-    """The per-polynomial evaluator screens every candidate in one evaluation."""
+    """The per-polynomial evaluator, and on a plane region the stacked
+    screen, take every candidate in one evaluation."""
 
     @pytest.mark.parametrize(
         "q, n",
@@ -538,7 +543,27 @@ class TestPolyRatioScreen:
         op, rng = DerivOp(1), np.random.default_rng(DEFAULT_SEED + 7919 * n)
         _, C = (_candidates_2d if spec_nvars(q) == 2 else _candidates_1d)(n, rng, 1)
         coarse = _coarse_ratio(op, q, n)
-        assert type(coarse) is _PolyRatio
+        assert type(coarse) is (_PlaneRatio if spec_nvars(q) == 2 else _PolyRatio)
+        want = [_ratios(op, q, [ChebSeries(c)], refine=False)[0] for c in C]
+        assert np.array(coarse.screen(C)).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "op, q",
+        [(DerivOp(2), SupSpec(BOX81)), (DirOp((0.6, -0.8)), SupSpec(BOX81)),
+         (DirOp((Fraction(1, 3), 1j)), SupSpec(BOX81)), (HomOp((((2, 0), 1.0), ((0, 2), 1.0))), SupSpec(BOX81)),
+         (HomOp((((1, 1), 2.0), ((2, 0), -1.0))), SupSpec(BOX81)), (DerivOp(1), MixedDerivSpec(BOX81, 1)),
+         (DerivOp(1), SchurSpec(0.5, BOX81)), (DerivOp(1), TaylorDiskSpec(BOX81, 0.5))],
+        ids=["deriv-2", "dirop", "dirop-exact-complex", "laplacian", "hop-mixed", "mixed_deriv", "schur",
+             "taylor_disk"],
+    )
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_plane_screen_matches_one_at_a_time(self, op, q, n):
+        # every operator kind and every plane norm: the stacked images and
+        # their norms are bitwise each candidate's own, complex ones and
+        # candidates of other shapes in the same screen included
+        _, C = _candidates_2d(n, np.random.default_rng(DEFAULT_SEED + 7919 * n), 1)
+        C = [*C, C[-1][: n // 2 + 1, :2], C[0] + 0.5j * C[-1], np.zeros((n + 1, n + 1))]
+        coarse = _coarse_ratio(op, q, n)
         want = [_ratios(op, q, [ChebSeries(c)], refine=False)[0] for c in C]
         assert np.array(coarse.screen(C)).tobytes() == np.array(want).tobytes()
 

@@ -326,6 +326,22 @@ class TestSupNorm:
         assert got[-3:-1] == [0.0, 2.5 * float(np.max(w))]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("E", [box_region(), cusp_region()], ids=["box", "cusp"])
+    def test_plane_sup_does_not_depend_on_its_batch(self, rng, monkeypatch, E, alpha):
+        # a column's sup is bitwise the same alone, in a chunk of 7 columns of
+        # its shape, and with every other column: 20 of one shape, others of
+        # other shapes, complex ones and one real column in a complex array
+        polys = [ChebSeries(rng.standard_normal((5, 6))) for _ in range(20)]
+        polys += [ChebSeries(rng.standard_normal(shape)) for shape in ((1, 9), (9, 1), (5, 6), (12, 3))]
+        polys += [ChebSeries(rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))) for _ in range(9)]
+        polys += [ChebSeries(rng.standard_normal((5, 6)).astype(complex))]
+        whole = _sup(polys, E, False, alpha)
+        alone = [_sup([p], E, False, alpha)[0] for p in polys]
+        monkeypatch.setattr(norms, "_PASS_MAX_ENTRIES", 7 * E.axes[0].size * E.axes[1].size)
+        chunked = norms._sup(polys, E, False, alpha)
+        assert np.array(chunked).tobytes() == np.array(alone).tobytes() == np.array(whole).tobytes()
+
     # ROADMAP item 1, step 2: the circle samples Chebyshev series on |z| = 1,
     # where T_k grows like (1 + sqrt 2)^k and the terms of z^n cancel
     @pytest.mark.parametrize("n", [16, *(pytest.param(n, marks=pytest.mark.xfail(

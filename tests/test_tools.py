@@ -52,6 +52,23 @@ def test_search_layers_matches_the_search_entry(tmp_path):
     for row in rows:
         if "exact" not in row:
             assert set(row) == {"row", "cand", "build", "screen", "ascent", "cert", "total", "match",
-                                "matrix_rows", "chebder_calls"}
-            # the box rows take the per-polynomial path, every other one the matrix
-            assert (row["matrix_rows"] > 0) != row["row"].startswith("sup_box2d") and row["chebder_calls"] > 0
+                                "path", "matrix_rows", "chebder_calls"}
+            # the box rows take the stacked plane screen, every other one the matrix
+            plane = row["row"].startswith("sup_box2d")
+            assert row["path"] == ("plane" if plane else "matrix") and row["chebder_calls"] > 0
+            assert (row["matrix_rows"] > 0) != plane
+
+
+def test_suite_times_reports_each_suite_with_versions(tmp_path):
+    # one timed run of two suites: each row has its median and its checks,
+    # which every run repeats, and the report names the versions it ran on
+    out = tmp_path / "suites.json"
+    proc = _run_tool("suite_times.py", out, "--reps", "1", "--suite", "qms", "--suite", "laplacian")
+    report = json.loads(out.read_text())
+    assert report["versions"]["blas_threads"] == "OPENBLAS_NUM_THREADS=1"
+    assert set(report["versions"]) == {"python", "numpy", "blas_threads"} and report["seed"] == 1
+    assert [row["suite"] for row in report["suites"]] == ["qms", "laplacian"]
+    for row in report["suites"]:
+        assert row["median_s"] > 0 and row["passed"] and row["same_checks"] and row["checks"]
+        assert row["suite"] in proc.stdout
+    assert "CHANGED" not in proc.stdout

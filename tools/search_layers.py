@@ -7,9 +7,10 @@ the median wall time of each over ``--reps`` runs in one process:
 
 - ``cand``: the candidate coefficients (``_candidates_1d`` or ``_candidates_2d``);
 - ``build``: the coarse evaluator (``_coarse_ratio``: the sampling matrix of
-  ``_BatchedRatio``, or the per-polynomial ``_PolyRatio``);
+  ``_BatchedRatio``, the stacked screen ``_PlaneRatio`` on a set in two
+  variables, or the per-polynomial ``_PolyRatio``);
 - ``screen``: the coarse ratio of every candidate and the best of them, in
-  one pass either way (``_PolyRatio`` in one ``_ratios`` evaluation);
+  one pass each way (``_PolyRatio`` in one ``_ratios`` evaluation);
 - ``ascent``: the coordinate ascent from the best candidate (``_ascend``;
   none on a set in two variables), ``_PolyRatio`` taking its trials one at
   a time;
@@ -17,10 +18,11 @@ the median wall time of each over ``--reps`` runs in one process:
 
 The row's factor and witness must be the ones the search entry
 ``exponents._search_row`` gives; a row where they are not is marked
-``MISMATCH``.  Two deterministic counters go with each searched row:
-``matrix_rows``, the rows of its ``_BatchedRatio`` sampling matrix (0 on the
-per-polynomial path), and ``chebder_calls``, the numpy ``chebder`` calls of
-one ``_search_row``.  A row that ``markov_factor_search`` reads off a closed
+``MISMATCH``.  Each searched row names its coarse ``path`` (``matrix``,
+``plane`` or ``poly``, for the three evaluators above), and two
+deterministic counters go with it: ``matrix_rows``, the rows of its
+``_BatchedRatio`` sampling matrix (0 on the other paths), and
+``chebder_calls``, the numpy ``chebder`` calls of one ``_search_row``.  A row that ``markov_factor_search`` reads off a closed
 form (method ``Exact``: V. Markov's sup rows on one interval) runs no
 search: it is reported as ``exact``, timed as one ``markov_factor_search``
 call.  One untimed run per row comes first.
@@ -99,19 +101,24 @@ def phases(q, op, n: int, seed: int) -> tuple:
     return np.diff(t), (float(max(certified[j], 0.0)), finalists[j][0])
 
 
+PATHS = {"_BatchedRatio": "matrix", "_PlaneRatio": "plane", "_PolyRatio": "poly"}
+
+
 def counters(q, op, n: int, seed: int) -> tuple:
-    """(matrix_rows, chebder_calls) of a searched row, and its ``_search_row``:
-    the rows of its coarse evaluator's matrix (0 for ``_PolyRatio``), and the
-    numpy ``chebder`` calls of one ``_search_row`` run."""
+    """(path, matrix_rows, chebder_calls) of a searched row, and its
+    ``_search_row``: the ``PATHS`` name of its coarse evaluator, the rows of
+    that evaluator's matrix (0 but on the matrix path), and the numpy
+    ``chebder`` calls of one ``_search_row`` run."""
     coarse = exponents._coarse_ratio(op, q, n)
-    rows = coarse.matrix.shape[0] if hasattr(coarse, "matrix") else 0
+    path = PATHS[type(coarse).__name__]
+    rows = coarse.matrix.shape[0] if path == "matrix" else 0
     calls, chebder = [], nch.chebder
     nch.chebder = lambda *args, **kw: calls.append(1) or chebder(*args, **kw)
     try:
         row = exponents._search_row(n, op, q, 1, seed)
     finally:
         nch.chebder = chebder
-    return rows, len(calls), row
+    return path, rows, len(calls), row
 
 
 def _median_ms(times) -> list:
@@ -125,7 +132,8 @@ def main() -> None:
     parser.add_argument("--out", help="write the rows as JSON here")
     args = parser.parse_args()
     out = []
-    print(f"{'row':<28}" + "".join(f"{p:>9}" for p in PHASES) + f"{'total':>9}  ms  {'rows':>6} {'chebder':>7}")
+    print(f"{'row':<28}" + "".join(f"{p:>9}" for p in PHASES)
+          + f"{'total':>9}  ms  {'path':>6} {'rows':>6} {'chebder':>7}")
     for label, q, op, n, seed in search_rows(args.seed):
         if exponents.markov_factor_search(n, op, q, seed=seed).method == "Exact":
             times = []
@@ -138,13 +146,13 @@ def main() -> None:
             print(f"{label:<28}{'exact':>{9 * len(PHASES)}}{ms:9.3f}")
             continue
         _, found = phases(q, op, n, seed)
-        rows, chebder_calls, row = counters(q, op, n, seed)
+        path, rows, chebder_calls, row = counters(q, op, n, seed)
         ok = found == (row.factor, row.witness_id)
         ms = _median_ms([phases(q, op, n, seed)[0] for _ in range(args.reps)])
         out.append({"row": label, **dict(zip(PHASES, ms)), "total": round(sum(ms), 3), "match": ok,
-                    "matrix_rows": rows, "chebder_calls": chebder_calls})
+                    "path": path, "matrix_rows": rows, "chebder_calls": chebder_calls})
         print(f"{label:<28}" + "".join(f"{m:9.3f}" for m in ms) + f"{sum(ms):9.3f}"
-              + f"      {rows:6d} {chebder_calls:7d}" + ("" if ok else "  MISMATCH"))
+              + f"      {path:>6} {rows:6d} {chebder_calls:7d}" + ("" if ok else "  MISMATCH"))
     totals = [sum(r.get(p, 0.0) for r in out) for p in (*PHASES, "exact")]
     print(f"{'search rows':<28}" + "".join(f"{m:9.3f}" for m in totals[:-1]) + f"{sum(totals[:-1]):9.3f}")
     print(f"{'exact rows':<28}{totals[-1]:{9 * len(PHASES) + 9}.3f}")
