@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as nch
 
 from .errors import DimensionMismatchError
-from .polynomials import NEG_INF, MultiPoly, UniPoly, _inexact
+from .polynomials import NEG_INF, MultiPoly, UniPoly, _float_coef, _inexact, padded_sum
 from .scalars import is_exact
 
 
@@ -125,15 +125,6 @@ class ChebSeries:
         return f"ChebSeries(deg={self.degree}, nvars={self.nvars})"
 
 
-def padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b, each zero-padded to the larger shape: the coefficients of the
-    sum of two series (or of two stacks of series along a last axis)."""
-    out = np.zeros(np.maximum(a.shape, b.shape), dtype=np.result_type(a, b))
-    out[tuple(map(slice, a.shape))] += a
-    out[tuple(map(slice, b.shape))] += b
-    return out
-
-
 def _one_variable(*series: ChebSeries) -> None:
     if any(p.nvars != 1 for p in series):
         raise DimensionMismatchError("products and powers take one-variable series")
@@ -141,21 +132,20 @@ def _one_variable(*series: ChebSeries) -> None:
 
 def as_chebseries(p) -> ChebSeries:
     """p as a ChebSeries: a ChebSeries itself, or the Chebyshev coefficients of
-    a ``MultiPoly`` in one or two variables, complex where any coefficient has
-    a nonzero imaginary part."""
+    a ``MultiPoly`` in one or two variables from its coefficient array (a
+    float polynomial's own, an exact one's rounded once), complex where any
+    coefficient has a nonzero imaginary part."""
     if isinstance(p, ChebSeries):
         return p
-    terms, nvars = p.terms, p.nvars
-    if nvars > 2:
-        raise DimensionMismatchError(f"a ChebSeries has 1 or 2 variables, not {nvars}")
-    a = np.zeros([1 + max((alpha[i] for alpha in terms), default=0) for i in range(nvars)],
-                 dtype=complex)
-    for alpha, c in terms.items():
-        a[alpha] = complex(c)
-    if not a.imag.any():
+    if p.nvars > 2:
+        raise DimensionMismatchError(f"a ChebSeries has 1 or 2 variables, not {p.nvars}")
+    if p.is_zero:
+        return ChebSeries(np.zeros((0,) * p.nvars))
+    a = _float_coef(p)
+    if np.iscomplexobj(a) and not a.imag.any():
         a = a.real
     # power basis to Chebyshev along each variable; poly2cheb trims, so pad back
-    for axis in range(nvars):
+    for axis in range(p.nvars):
         a = np.apply_along_axis(lambda v: np.pad(nch.poly2cheb(v), (0, v.size))[: v.size], axis, a)
     return ChebSeries(a)
 

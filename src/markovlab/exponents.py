@@ -216,14 +216,17 @@ def _candidates_1d(n: int, rng: np.random.Generator, budget: int):
 
 
 def _candidates_2d(n: int, rng: np.random.Generator, budget: int):
-    names, coefs = [], []
-    for i in range(n + 1):
-        names.append(f"chebprod:{i},{n - i}")
-        coefs.append(product_2d(chebyshev_t(i), chebyshev_t(n - i)).coef)
-    for t in range(4 * budget):
-        coef = np.zeros((n + 1, n + 1))
-        for i in range(n + 1):
-            coef[i, : n + 1 - i] = rng.standard_normal(n + 1 - i)
+    """The plane candidates of degree n: each T_i(x) T_(n-i)(y), then 4 *
+    budget random ones on the triangle i + j <= n, drawn in one call (the
+    stream of row-by-row draws) and each scaled by its own norm."""
+    names = [f"chebprod:{i},{n - i}" for i in range(n + 1)]
+    coefs = [np.zeros((i + 1, n - i + 1)) for i in range(n + 1)]
+    for i, coef in enumerate(coefs):
+        coef[i, n - i] = 1.0
+    triangle = np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n
+    random = np.zeros((4 * budget, n + 1, n + 1))
+    random[:, triangle] = rng.standard_normal((4 * budget, np.count_nonzero(triangle)))
+    for t, coef in enumerate(random):
         names.append(f"random2d:{t}")
         coefs.append(coef / np.linalg.norm(coef))
     return names, coefs

@@ -1,6 +1,6 @@
 """The power-basis polynomial type ``MultiPoly`` and differential operators.
 
-``MultiPoly`` holds sparse power-basis coefficients in 1 to 4 variables;
+``MultiPoly`` holds power-basis coefficients in 1 to 4 variables;
 ``UniPoly`` only builds one-variable ones from dense coefficients.
 Coefficients may come from either backend in :mod:`markovlab.scalars`; every
 arithmetic operation preserves the backend of its inputs (no silent float
@@ -13,7 +13,16 @@ Products and powers multiply these by Kronecker substitution: each part is
 packed into one big integer, one slot per multi-index in the product's
 degree box, and the product of two polynomials is at most four big-integer
 products.  ``terms`` builds ``Fraction``/``RationalComplex`` values only when
-read.  A float polynomial is a dict of coefficients and multiplies pairwise.
+read.
+
+A float polynomial is one float or complex ndarray over its degree box, one
+axis per variable, trimmed of trailing zero slices; ``terms`` builds Python
+``float``/``complex`` values from it only when read.  A product is the same
+Kronecker substitution on arrays: each factor is zero-padded along every
+axis but the first to the product's box and ravelled, and the product is one
+``np.convolve``, truncated and reshaped.  Sums, scalar multiples and partial
+derivatives are padded array operations; an exact operand or scalar enters
+them rounded once (``_inexact``).
 
 The zero polynomial carries the degree sentinel ``-inf`` so that degree
 formulas like ``deg(p*q) = deg p + deg q`` and ``max(deg p - k, -inf)`` hold
@@ -23,12 +32,15 @@ without special-casing -1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import add, mul
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatchError, PrecisionOverflowError
 from .scalars import RationalComplex, is_exact, power_by_squaring
@@ -43,18 +55,25 @@ TOTAL_DEGREE_MAX = 32
 
 _COEFF_OVERFLOW = 1e300
 
+#: The most slots a float polynomial's coefficient array may hold (32 MiB of
+#: doubles): above the 33^4 box of any polynomial within the caps above.
+_FLOAT_SLOTS_MAX = 1 << 22
+
 
 class MultiPoly:
     """Power-basis polynomial in 1 to ``NVARS_MAX`` variables, exact or float.
 
     ``terms`` maps each multi-index with a nonzero coefficient to that
-    coefficient.  The interface is ``ChebSeries``': ``degree`` (total, -inf
-    for zero), ``p(*x)``, ``deriv(k, axis)``, ``partial_multi`` and
-    ``+ - * **``.
+    coefficient.  An exact polynomial keeps integer numerators over one
+    denominator; a float one keeps one dense float or complex array over its
+    degree box, ``coef[alpha]`` the coefficient of x^alpha, and multiplies
+    by one ``np.convolve`` (``_float_product``).  The interface is
+    ``ChebSeries``': ``degree`` (total, -inf for zero), ``p(*x)``,
+    ``deriv(k, axis)``, ``partial_multi`` and ``+ - * **``.
     """
 
-    # nvars; exact: _den, _re, _im (and _terms once read); float: _terms only
-    __slots__ = ("nvars", "_den", "_re", "_im", "_terms")
+    # nvars; exact: _den, _re, _im; float: _coef; both: _terms once read
+    __slots__ = ("nvars", "_den", "_re", "_im", "_coef", "_terms")
 
     def __init__(self, terms: dict, nvars: int, _unchecked: bool = False):
         if nvars < 1:
@@ -90,10 +109,14 @@ class MultiPoly:
     @property
     def terms(self) -> dict:
         """Multi-index -> coefficient: ``Fraction`` for an exact real polynomial,
-        ``RationalComplex`` for an exact complex one."""
+        ``RationalComplex`` for an exact complex one, Python ``float`` or
+        ``complex`` (the array's type) for a float one."""
         if self._terms is None:
             den, re, im = self._den, self._re, self._im
-            if im:
+            if den is None:
+                idx = np.nonzero(self._coef)
+                out = dict(zip(zip(*(i.tolist() for i in idx)), self._coef[idx].tolist()))
+            elif im:
                 out = {a: RationalComplex(Fraction(re.get(a, 0), den), Fraction(im.get(a, 0), den))
                        for a in {**re, **im}}
             else:
@@ -104,12 +127,14 @@ class MultiPoly:
     @property
     def degree(self):
         """The total degree; -inf for the zero polynomial."""
-        keys = self._terms if self._den is None else {**self._re, **self._im}
-        return max((sum(a) for a in keys), default=NEG_INF)
+        if self._den is None:
+            idx = np.nonzero(self._coef)
+            return int(sum(idx).max()) if idx[0].size else NEG_INF
+        return max((sum(a) for a in {**self._re, **self._im}), default=NEG_INF)
 
     @property
     def is_zero(self) -> bool:
-        return not (self._terms if self._den is None else self._re or self._im)
+        return not self._coef.size if self._den is None else not (self._re or self._im)
 
     @property
     def is_exact(self) -> bool:
@@ -140,7 +165,7 @@ class MultiPoly:
             raise DimensionMismatchError(f"axis {axis} out of range for nvars={self.nvars}")
 
         if self._den is None:
-            return _from_terms(_partial(self._terms, k, axis), self.nvars)
+            return _float(_partial_coef(self._coef, _unit(axis, k, self.nvars)), self.nvars)
         return _exact(self._den, _partial(self._re, k, axis), _partial(self._im, k, axis), self.nvars)
 
     def partial_multi(self, alpha: Sequence[int]):
@@ -158,10 +183,7 @@ class MultiPoly:
             raise DimensionMismatchError("mixed nvars in addition")
         if self._den is None or other._den is None:
             # a float sum: the exact operand's coefficients become floats too
-            out = dict(self.terms) if self._den is None else _inexact_terms(self)
-            for alpha, c in (other.terms if other._den is None else _inexact_terms(other)).items():
-                out[alpha] = out.get(alpha, 0) + c
-            return _from_terms(out, self.nvars)
+            return _float(padded_sum(_float_coef(self), _float_coef(other)), self.nvars)
         den = math.lcm(self._den, other._den)
         s, t = den // self._den, den // other._den
         re, im = _scaled(self._re, s), _scaled(self._im, s)
@@ -179,12 +201,7 @@ class MultiPoly:
                 raise DimensionMismatchError("mixed nvars in product")
             if self._den is not None and other._den is not None:
                 return _exact_product(self, other)
-            out: dict = {}
-            for a, ca in self.terms.items():
-                for b, cb in other.terms.items():
-                    key = tuple(map(add, a, b))
-                    out[key] = out.get(key, 0) + ca * cb
-            return _from_terms(out, self.nvars)
+            return _float(_float_product(_float_coef(self), _float_coef(other)), self.nvars)
         if self._den is not None and is_exact(other):
             x, y, d = _split(other)
             re, im = self._re, self._im
@@ -194,13 +211,14 @@ class MultiPoly:
                     for alpha, c in extra.items():
                         part[alpha] = part.get(alpha, 0) + sign * c
             return _exact(self._den * d, new_re, new_im, self.nvars)
-        return _from_terms({a: other * c for a, c in self.terms.items()}, self.nvars)
+        return _float(_float_coef(self) * (_inexact(other) if is_exact(other) else other), self.nvars)
 
     __rmul__ = __mul__
 
     def __pow__(self, s: int) -> "MultiPoly":
-        """p**s by repeated squaring from the constant 1 of p's own backend (one
-        packed big-integer power when exact); float coefficients past 1e300 raise."""
+        """p**s by repeated squaring: from the exact constant 1 (or one packed
+        big-integer power) when exact, as p * p**(s-1) when float, where a
+        coefficient past 1e300, or NaN, raises."""
         if self._den is not None and isinstance(s, int) and s > 1 and not self.is_zero:
             degrees, n = _degrees(self), len(self._re) + len(self._im)
             # every coefficient of p**s is at most l1(p)**s
@@ -215,18 +233,22 @@ class MultiPoly:
                 re, im = _gauss_pow(_pack(self._re, sizes, width), _pack(self._im, sizes, width), s)
                 return _exact(self._den ** s, _unpack(re, sizes, width), _unpack(im, sizes, width),
                               self.nvars)
-        one = MultiPoly.constant(1 if self._den is not None else 1.0, self.nvars)
-        out = power_by_squaring(one, self, s)
-        if not out.is_exact and out.max_coeff_magnitude() > _COEFF_OVERFLOW:
+        if self._den is not None:
+            return power_by_squaring(MultiPoly.constant(1, self.nvars), self, s)
+        if s == 0:  # the float 1 (power_by_squaring raises for a float 0.0)
+            return power_by_squaring(_float(np.ones((1,) * self.nvars), self.nvars), self, s)
+        out = power_by_squaring(self, self, s - 1)  # no product by the constant 1
+        if not out.max_coeff_magnitude() <= _COEFF_OVERFLOW:
             raise PrecisionOverflowError(
-                "coefficient magnitude overflow in a power; use exact coefficients"
+                "coefficient magnitude overflow (or NaN) in a power; use exact coefficients"
             )
         return out
 
     def max_coeff_magnitude(self) -> float:
-        """The largest |c|, an exact one rounded once (inf past the double range)."""
+        """The largest |c|, an exact one rounded once (inf past the double
+        range); NaN where any coefficient is NaN."""
         if self._den is None:
-            return max((abs(complex(c)) for c in self._terms.values()), default=0.0)
+            return float(np.abs(self._coef).max()) if self._coef.size else 0.0
         return _sqrt_float(_max_abs_squared(self))
 
     def __eq__(self, other):
@@ -248,19 +270,109 @@ def _inexact(c):
     return z if z.imag else z.real
 
 
-def _inexact_terms(p: MultiPoly) -> dict:
-    """The terms of an exact p with float (or complex) coefficients."""
-    return {a: _inexact(c) for a, c in p.terms.items()}
+# ---------------------------------------------------------------------------
+# Building MultiPolys, and float products on arrays
+
+
+def _build(obj, nvars, den, re, im, coef) -> MultiPoly:
+    for name, value in (("nvars", nvars), ("_den", den), ("_re", re), ("_im", im), ("_coef", coef),
+                        ("_terms", None)):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _check_box(shape) -> None:
+    """ValueError for a float coefficient array of this shape past ``_FLOAT_SLOTS_MAX``."""
+    if math.prod(shape) > _FLOAT_SLOTS_MAX:
+        box = "x".join(str(int(n)) for n in shape)
+        raise ValueError(f"a float coefficient box {box} has more than {_FLOAT_SLOTS_MAX} slots")
+
+
+def _float(coef: np.ndarray, nvars: int, obj=None) -> MultiPoly:
+    """The float MultiPoly of this float or complex coefficient array (never
+    written in place after), trimmed of trailing zero slices: the zero
+    polynomial's array is empty."""
+    if not np.count_nonzero(coef):
+        coef = np.zeros((0,) * nvars, coef.dtype)
+    for axis in range(nvars):
+        head, n = (slice(None),) * axis, coef.shape[axis]
+        while n and not np.count_nonzero(coef[head + (n - 1,)]):
+            n -= 1
+        if n < coef.shape[axis]:
+            coef = coef[head + (slice(n),)]
+    return _build(object.__new__(MultiPoly) if obj is None else obj, nvars, None, None, None, coef)
+
+
+def _dense(terms: dict, nvars: int) -> np.ndarray:
+    """The float or complex array over their box of multi-index ->
+    coefficient terms, each exact one rounded once (``_inexact``)."""
+    if not terms:
+        return np.zeros((0,) * nvars)
+    values = np.array([_inexact(c) if is_exact(c) else c for c in terms.values()])
+    idx = np.array(list(terms), dtype=np.intp)
+    shape = idx.max(axis=0) + 1
+    _check_box(shape)
+    out = np.zeros(shape, dtype=complex if values.dtype.kind == "c" else float)
+    out[tuple(idx.T)] = values
+    return out
+
+
+def _float_coef(p: MultiPoly) -> np.ndarray:
+    """p's coefficient array: a float p's own, an exact p's rounded once."""
+    return p._coef if p._den is None else _dense(p.terms, p.nvars)
+
+
+def _padded(a: np.ndarray, shape) -> np.ndarray:
+    """a zero-padded to this shape, no smaller than a's along any axis."""
+    out = np.zeros(shape, dtype=a.dtype)
+    out[tuple(map(slice, a.shape))] = a
+    return out
+
+
+def padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, each zero-padded to the larger shape: the coefficients of the
+    sum of two polynomials (or of two stacks of series along a last axis)."""
+    out = np.zeros(tuple(map(max, a.shape, b.shape)), dtype=np.result_type(a, b))
+    out[tuple(map(slice, a.shape))] += a
+    out[tuple(map(slice, b.shape))] += b
+    return out
+
+
+def _partial_coef(c: np.ndarray, alpha) -> np.ndarray:
+    """The coefficient array of D^alpha of the polynomial with array c, one
+    axis at a time from the first: each a slice times the falling factorials
+    j!/(j-k)!, j = k, k+1, ..., along that axis."""
+    for axis, k in enumerate(alpha):
+        if k:
+            w = _falling_factorials(c.shape[axis], k).reshape((-1,) + (1,) * (c.ndim - axis - 1))
+            c = c[(slice(None),) * axis + (slice(k, None),)] * w
+    return c
+
+
+@functools.lru_cache(maxsize=256)
+def _falling_factorials(n: int, k: int) -> np.ndarray:
+    """j!/(j-k)! for j = k, ..., n - 1, as floats, read-only (it is shared)."""
+    w = np.array([math.perm(j, k) for j in range(k, n)], dtype=float)
+    w.flags.writeable = False
+    return w
+
+
+def _float_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coefficients of the product of the polynomials with coefficient
+    arrays a and b, by Kronecker substitution: padded along every axis but
+    the first to the product's box, each ravels to the coefficients of a
+    one-variable polynomial whose product is one ``np.convolve``."""
+    if not a.size or not b.size:
+        return np.zeros((0,) * a.ndim, dtype=np.result_type(a, b))
+    shape = [m + n - 1 for m, n in zip(a.shape, b.shape)]
+    _check_box(shape)
+    if a.ndim > 1:
+        a, b = (_padded(x, (x.shape[0], *shape[1:])).ravel() for x in (a, b))
+    return np.convolve(a, b)[: math.prod(shape)].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
-# Building MultiPolys, and exact products on integers
-
-
-def _build(obj, nvars, den, re, im, terms) -> MultiPoly:
-    for name, value in zip(MultiPoly.__slots__, (nvars, den, re, im, terms)):
-        object.__setattr__(obj, name, value)
-    return obj
+# Exact MultiPolys from terms, and exact products on integers
 
 
 def _from_terms(terms: dict, nvars: int, obj=None) -> MultiPoly:
@@ -269,7 +381,7 @@ def _from_terms(terms: dict, nvars: int, obj=None) -> MultiPoly:
     terms = {a: c for a, c in terms.items() if c}
     obj = object.__new__(MultiPoly) if obj is None else obj
     if not all(is_exact(c) for c in terms.values()):
-        return _build(obj, nvars, None, None, None, terms)
+        return _float(_dense(terms, nvars), nvars, obj)
     parts = {a: _split(c) for a, c in terms.items()}
     den = math.lcm(*(d for _, _, d in parts.values()))
     # over the lcm of reduced denominators the numerators have no common factor
@@ -405,12 +517,17 @@ def _exact_product(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
 class UniPoly(MultiPoly):
     """A one-variable MultiPoly from dense coefficients, ``coeffs[j]`` that of
-    x^j.  Like arithmetic results it skips the construction degree cap."""
+    x^j: a float or complex ndarray is a float polynomial's array as it is.
+    Like arithmetic results it skips the construction degree cap."""
 
     __slots__ = ()
 
     def __init__(self, coeffs: Iterable):
-        super().__init__({(j,): c for j, c in enumerate(coeffs)}, 1, _unchecked=True)
+        if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1 and coeffs.dtype.kind in "fc":
+            _check_box(coeffs.shape)
+            _float(np.array(coeffs, dtype=complex if coeffs.dtype.kind == "c" else float), 1, self)
+        else:
+            super().__init__({(j,): c for j, c in enumerate(coeffs)}, 1, _unchecked=True)
 
     @staticmethod
     def monomial(n: int, coeff=1) -> MultiPoly:
@@ -434,6 +551,19 @@ def _lincomb(pairs):
         x = x if c == 1 else x * c
         acc = x if acc is None else acc + x
     return acc
+
+
+def _float_image(p: MultiPoly, image) -> MultiPoly:
+    """sum c*D^alpha p over the image's (c, alpha) pairs, for a float p or
+    some float c, on coefficient arrays as ``_lincomb`` sums it: each D^alpha
+    p by ``_partial_coef``, or exactly and then rounded once for an exact p."""
+    acc = None
+    for c, alpha in image:
+        x = _float_coef(p.partial_multi(alpha)) if p.is_exact else _partial_coef(p._coef, alpha)
+        if c != 1:
+            x = x * (_inexact(c) if is_exact(c) else c)
+        acc = x if acc is None else padded_sum(acc, x)
+    return _float(acc, p.nvars)
 
 
 def _exact_image(p: MultiPoly, image) -> MultiPoly:
@@ -465,11 +595,15 @@ class _Operator:
 
     def apply_all(self, p) -> list:
         """The images of p: on its numerators when p and every c are exact
-        (``_exact_image``), else through the polynomial's ``partial_multi``."""
+        (``_exact_image``), else of a ``MultiPoly`` on coefficient arrays
+        (``_float_image``), and of a ``ChebSeries`` through its
+        ``partial_multi``."""
         images = self.images(p.nvars)
+        if not isinstance(p, MultiPoly):
+            return [_lincomb((c, p.partial_multi(alpha)) for c, alpha in image) for image in images]
         if p.is_exact and all(is_exact(c) for image in images for c, _ in image):
             return [_exact_image(p, image) for image in images]
-        return [_lincomb((c, p.partial_multi(alpha)) for c, alpha in image) for image in images]
+        return [_float_image(p, image) for image in images]
 
     def power(self, k: int, nvars: int) -> "_Operator":
         """This operator applied k >= 1 times, for one with one image in
@@ -597,17 +731,19 @@ def power_identity_residual(f: MultiPoly, d: _Operator, k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    dk = d.power(k, f.nvars)
-    (df,) = d.apply_all(f)
-    lhs = df ** k
-    powers = [f ** j for j in range(k + 1)]
-    acc = MultiPoly.zero(f.nvars)
-    for j in range(k + 1):
-        (image,) = dk.apply_all(powers[k - j])
-        term = powers[j] * image
-        coeff = (-1) ** j * math.comb(k, j)
-        acc = acc + coeff * term
-    return _relative_residual(lhs, acc, k)
+    # float coefficients past the double range are inf (or NaN), unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        dk = d.power(k, f.nvars)
+        (df,) = d.apply_all(f)
+        lhs = df ** k
+        powers = [f ** j for j in range(k + 1)]
+        acc = MultiPoly.zero(f.nvars)
+        for j in range(k + 1):
+            (image,) = dk.apply_all(powers[k - j])
+            term = powers[j] * image
+            coeff = (-1) ** j * math.comb(k, j)
+            acc = acc + coeff * term
+        return _relative_residual(lhs, acc, k)
 
 
 def _relative_residual(lhs: MultiPoly, acc: MultiPoly, k: int) -> float:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ class TestPower:
         assert UniPoly(()) ** 0 == UniPoly((1,))
 
     @pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
-    @pytest.mark.parametrize("nvars", [1, 2])
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
     def test_float_power_stays_float(self, nvars, s):
         f = MultiPoly({(1,) * nvars: 0.5 + 1j, (0,) * nvars: -0.25}, nvars)
         p = f ** s
@@ -135,6 +136,11 @@ class TestPower:
     def test_float_overflow_raises(self):
         with pytest.raises(PrecisionOverflowError):
             UniPoly((1e50, 1e50)) ** 8
+
+    def test_float_overflow_to_nan_raises(self):
+        # the middle coefficient of the square is 2ac + b^2 = -inf + inf
+        with pytest.raises(PrecisionOverflowError):
+            UniPoly((1e200, 1e200, -1e200)) ** 2
 
     def test_exact_never_overflows(self):
         p = UniPoly((Fraction(10) ** 50, Fraction(1))) ** 8
@@ -181,6 +187,108 @@ def test_interface_matches_chebseries(nvars, kind):
             for k in range(4):
                 a, b = _padded(as_chebseries(f.deriv(k, axis)).coef, cf.deriv(k, axis).coef)
                 assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(b), initial=0.0))
+
+
+def _pairwise_product(p: dict, q: dict) -> dict:
+    # the product of two multi-index -> coefficient dicts term pair by term
+    # pair, as float polynomials multiplied before they were dense arrays
+    out: dict = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            key = tuple(map(add, a, b))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def _float_case(seed, nvars, cplx):
+    # total degree <= 4 (3 in four variables) on a seeded support, x1^deg present
+    rng = np.random.default_rng([seed, nvars, int(cplx)])
+    deg = 4 if nvars < 4 else 3
+    terms = {alpha: complex(*rng.uniform(-1, 1, 2)) if cplx else float(rng.uniform(-1, 1))
+             for alpha in np.ndindex(*(deg + 1,) * nvars)
+             if sum(alpha) <= deg and (alpha[0] == deg or rng.random() < 0.5)}
+    return MultiPoly(terms, nvars)
+
+
+def _assert_terms_close(got: MultiPoly, want: dict, scale: float):
+    assert not got.is_exact
+    assert all(type(c) in (float, complex) and c for c in got.terms.values())
+    keys = {**got.terms, **want}
+    assert max(abs(got.terms.get(a, 0) - want.get(a, 0)) for a in keys) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+class TestDenseFloat:
+    """Float arithmetic on dense arrays against the pairwise dict loop."""
+
+    def test_product_and_power(self, nvars, cplx):
+        p, q = _float_case(1, nvars, cplx), _float_case(2, nvars, cplx)
+        absolute = {a: abs(c) for a, c in p.terms.items()}
+        scale = max(_pairwise_product(absolute, {a: abs(c) for a, c in q.terms.items()}).values())
+        _assert_terms_close(p * q, _pairwise_product(p.terms, q.terms), scale)
+        want, bound = p.terms, absolute
+        for s in range(2, 5):
+            want, bound = _pairwise_product(want, p.terms), _pairwise_product(bound, absolute)
+            _assert_terms_close(p ** s, want, max(bound.values()))
+            assert (p ** s).degree == s * p.degree
+
+    def test_partials_sums_and_scalar_multiples(self, nvars, cplx):
+        p, q = _float_case(3, nvars, cplx), _float_case(4, nvars, cplx)
+        for axis in range(nvars):
+            for k in range(4):
+                want = {a[:axis] + (a[axis] - k,) + a[axis + 1:]: math.perm(a[axis], k) * c
+                        for a, c in p.terms.items() if a[axis] >= k}
+                assert p.deriv(k, axis).terms == want
+        total = dict(p.terms)
+        for a, c in q.terms.items():
+            total[a] = total.get(a, 0) + c
+        assert (p + q).terms == {a: c for a, c in total.items() if c}
+        assert (p - p).is_zero and (p - p).degree == NEG_INF and not (p - p).is_exact
+        for c in (-2.5, 0.5 + 0.25j, Fraction(1, 3), 3):
+            # an exact scalar is rounded once, as it met each float before
+            assert (c * p).terms == {a: v * c for a, v in p.terms.items()}
+        assert (0.0 * p).is_zero
+
+    def test_terms_are_python_scalars(self, nvars, cplx):
+        p = _float_case(5, nvars, cplx)
+        assert all(type(c) is (complex if cplx else float) for c in p.terms.values())
+        assert all(type(c) is (complex if cplx else float) for c in (p * p).deriv(1).terms.values())
+
+
+class TestFloatBox:
+    # x1^32 + ... + x4^32: the construction caps' largest box, 33^4 slots
+    AT_CAPS = {alpha: 1.0 for alpha in ((32, 0, 0, 0), (0, 32, 0, 0), (0, 0, 32, 0), (0, 0, 0, 32))}
+
+    def test_a_polynomial_at_the_caps_builds(self):
+        p = MultiPoly(self.AT_CAPS, 4)
+        assert p.degree == 32 and p.max_coeff_magnitude() == 1.0 and p.terms == self.AT_CAPS
+
+    def test_a_product_past_the_bound_raises_naming_its_box(self):
+        # its square fills a 65^4 box, past 2^22 slots
+        p = MultiPoly(self.AT_CAPS, 4)
+        with pytest.raises(ValueError, match="box 65x65x65x65 has more than 4194304 slots"):
+            p * p
+        with pytest.raises(ValueError, match="box 4194305 has more than"):
+            UniPoly.monomial(1 << 22, 1.0)
+        with pytest.raises(ValueError, match="box 4194305 has more than"):
+            UniPoly(np.ones((1 << 22) + 1))
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "nan-last"])
+def test_max_coeff_magnitude_is_nan_in_any_term_order(nvars, nan_first):
+    pairs = [((1,) * nvars, math.nan), ((0,) * nvars, 1.0)]
+    p = MultiPoly(dict(pairs if nan_first else pairs[::-1]), nvars)
+    assert math.isnan(p.max_coeff_magnitude())
+
+
+def test_unipoly_takes_a_float_array_as_it_is():
+    c = np.array([0.5, -1.0, 0.0, 2.0, 0.0])
+    p = UniPoly(c)
+    c[0] = 7.0  # the polynomial holds its own copy
+    assert p.terms == {(0,): 0.5, (1,): -1.0, (3,): 2.0} == UniPoly([0.5, -1.0, 0.0, 2.0]).terms
+    assert UniPoly(np.array([1j, 0.0])).terms == {(0,): 1j} and UniPoly(np.zeros(3)).is_zero
 
 
 class TestMultiPoly:
@@ -281,7 +389,7 @@ def _operator_case(kind, exact, nvars, k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize(
     "kind, nvars",
-    [("dir-real", n) for n in (1, 2, 3)] + [("dir-complex", n) for n in (1, 2, 3)]
+    [("dir-real", n) for n in (1, 2, 3, 4)] + [("dir-complex", n) for n in (1, 2, 3)]
     + [("hom", n) for n in (1, 2, 3)] + [("deriv", 1)],
 )
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])

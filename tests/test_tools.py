@@ -27,7 +27,10 @@ def test_rational_layers_reports_every_kind_and_phase(tmp_path):
     # against every identity operation's own, so a drift fails it too
     out = tmp_path / "layers.json"
     proc = _run_tool("rational_layers.py", out, "--rounds", "1")
-    rows = {row["kind"]: row for row in json.loads(out.read_text())}
+    report = json.loads(out.read_text())
+    assert report["versions"]["blas_threads"] == "OPENBLAS_NUM_THREADS=1"
+    assert set(report["versions"]) == {"python", "numpy", "blas_threads"}
+    rows = {row["kind"]: row for row in report["rows"]}
     identity = [f"identity {mode} nvars={n}" for mode in ("exact", "float") for n in (1, 2)]
     assert sorted(rows) == sorted([*identity, "qms golden", "qms chain"])
     for name in identity:

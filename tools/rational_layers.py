@@ -12,7 +12,9 @@ Each round also takes every identity operation apart into the phases of
 the operator images, the products and sums of the binomial sum, and the
 final scale (``polynomials._relative_residual``).  Each phase is reported as
 the sum over a kind's operations of its per-op medians, and the phases'
-residual must be bitwise the one the operation returns.
+residual must be bitwise the one the operation returns.  The Python and
+numpy versions and the BLAS thread count are printed first; ``--out``
+writes them with the rows, as ``{"versions": ..., "rows": [...]}``.
 
 Run from a checkout (BLAS pinned to one thread, as the benchmark does):
 
@@ -34,6 +36,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import workloads  # noqa: E402  (bench/workloads.py)
 from markovlab import polynomials  # noqa: E402
+from suite_times import versions  # noqa: E402  (tools/suite_times.py)
 
 PHASES = ("powers", "images", "products and sums", "scale")
 
@@ -115,6 +118,8 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=9, help="timed rounds")
     parser.add_argument("--out", help="write the rows as JSON here")
     args = parser.parse_args()
+    ran_on = versions()
+    print("  ".join(f"{k} {v}" for k, v in ran_on.items()))
     rows = measure(args.seed, args.rounds)
     for r in rows:
         print(f"{r['kind']:>24} {r['ops']:3d} ops  median {r['median_op_ms']:8.3f} ms  "
@@ -128,7 +133,7 @@ def main() -> None:
             print(f"{r['kind']:>24} " + "".join(f"{r['phases_ms'][p]:18.2f}" for p in PHASES))
     if args.out:
         with open(args.out, "w") as f:
-            json.dump(rows, f, indent=1)
+            json.dump({"versions": ran_on, "rows": rows}, f, indent=1)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,11 @@ def blas_threads() -> str:
     return next((f"{name}={os.environ[name]}" for name in _BLAS_VARIABLES if name in os.environ), "default")
 
 
+def versions() -> dict:
+    """The Python and numpy versions and the BLAS thread count of this run."""
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas_threads": blas_threads()}
+
+
 def time_suite(name: str, seed: int, reps: int) -> dict:
     """The median wall time of ``reps`` runs of suite ``name``, in seconds,
     and whether every run gave the checks of the untimed first one."""
@@ -54,8 +59,8 @@ def main() -> None:
     parser.add_argument("--suite", action="append", choices=list(SUITES), help="a suite to time (default: all)")
     parser.add_argument("--out", help="write the report as JSON here")
     args = parser.parse_args()
-    versions = {"python": platform.python_version(), "numpy": np.__version__, "blas_threads": blas_threads()}
-    print("  ".join(f"{k} {v}" for k, v in versions.items()))
+    ran_on = versions()
+    print("  ".join(f"{k} {v}" for k, v in ran_on.items()))
     rows = []
     for name in args.suite or list(SUITES):
         row = time_suite(name, args.seed, args.reps)
@@ -65,7 +70,7 @@ def main() -> None:
               + ("" if row["passed"] else "  FAIL") + flag)
     if args.out:
         with open(args.out, "w") as f:
-            json.dump({"versions": versions, "seed": args.seed, "reps": args.reps, "suites": rows}, f, indent=1)
+            json.dump({"versions": ran_on, "seed": args.seed, "reps": args.reps, "suites": rows}, f, indent=1)
 
 
 if __name__ == "__main__":
