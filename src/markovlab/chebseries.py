@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as nch
 
 from .errors import DimensionMismatchError
-from .polynomials import NEG_INF, MultiPoly, UniPoly, _float_coef, _inexact, padded_sum
+from .polynomials import NEG_INF, MultiPoly, UniPoly, _float_coef, _inexact, padded_sum, trimmed
 from .scalars import is_exact
 
 
@@ -37,12 +37,7 @@ class ChebSeries:
 
     def __init__(self, coef):
         c = 1.0 * np.atleast_1d(np.asarray(coef))  # a float or complex copy
-        nz = np.argwhere(c)
-        if nz.size:
-            c = c[tuple(slice(m + 1) for m in nz.max(axis=0))]
-        else:
-            c = np.zeros((0,) * c.ndim)
-        object.__setattr__(self, "coef", c)
+        object.__setattr__(self, "coef", trimmed(c))
 
     def __setattr__(self, *_):
         raise AttributeError("ChebSeries is immutable")

@@ -30,7 +30,6 @@ from .chebseries import (
     legendre_orthonormal,
     monomial,
     padded_sum,
-    product_2d,
     random_unit,
     random_units,
 )
@@ -215,14 +214,22 @@ def _candidates_1d(n: int, rng: np.random.Generator, budget: int):
     return names, np.vstack([[p.coef for _, p in named], random_units(n, count, rng)])
 
 
-def _candidates_2d(n: int, rng: np.random.Generator, budget: int):
-    """The plane candidates of degree n: each T_i(x) T_(n-i)(y), then 4 *
-    budget random ones on the triangle i + j <= n, drawn in one call (the
-    stream of row-by-row draws) and each scaled by its own norm."""
-    names = [f"chebprod:{i},{n - i}" for i in range(n + 1)]
+def _chebprod_corpus(n: int) -> list:
+    """The coefficient arrays of T_i(x) T_(n-i)(y), i = 0, ..., n: each the
+    unit matrix with its one 1 at (i, n - i)."""
     coefs = [np.zeros((i + 1, n - i + 1)) for i in range(n + 1)]
     for i, coef in enumerate(coefs):
         coef[i, n - i] = 1.0
+    return coefs
+
+
+def _candidates_2d(n: int, rng: np.random.Generator, budget: int):
+    """The plane candidates of degree n: each T_i(x) T_(n-i)(y)
+    (``chebprod:i,n-i``), then 4 * budget random ones on the triangle
+    i + j <= n, drawn in one call (the stream of row-by-row draws) and each
+    scaled by its own norm."""
+    names = [f"chebprod:{i},{n - i}" for i in range(n + 1)]
+    coefs = _chebprod_corpus(n)
     triangle = np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n
     random = np.zeros((4 * budget, n + 1, n + 1))
     random[:, triangle] = rng.standard_normal((4 * budget, np.count_nonzero(triangle)))
@@ -814,7 +821,7 @@ def laplacian_vs_gradient_check(l: int = 1) -> LaplacianReport:
     ns = list(range(1, _LAPLACIAN_DEGMAX + 1))
     grad_rows, op_rows = [], []
     for n in ns:
-        corpus = [product_2d(chebyshev_t(i), chebyshev_t(n - i)).coef for i in range(n + 1)]
+        corpus = _chebprod_corpus(n)
         grad_rows.append(max(0.0, *_coarse_ratio(grad, q, n).screen(corpus)))
         op_rows.append(max(0.0, *_coarse_ratio(lap, q, n).screen(corpus)))
     grad_fit = fit_power_law(ns, grad_rows)

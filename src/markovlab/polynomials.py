@@ -32,7 +32,6 @@ without special-casing -1.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -216,9 +215,9 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, s: int) -> "MultiPoly":
-        """p**s by repeated squaring: from the exact constant 1 (or one packed
-        big-integer power) when exact, as p * p**(s-1) when float, where a
-        coefficient past 1e300, or NaN, raises."""
+        """p**s by repeated squaring from the constant 1 of p's own backend (one
+        packed big-integer power when exact); a float coefficient past 1e300,
+        or NaN, raises."""
         if self._den is not None and isinstance(s, int) and s > 1 and not self.is_zero:
             degrees, n = _degrees(self), len(self._re) + len(self._im)
             # every coefficient of p**s is at most l1(p)**s
@@ -233,12 +232,10 @@ class MultiPoly:
                 re, im = _gauss_pow(_pack(self._re, sizes, width), _pack(self._im, sizes, width), s)
                 return _exact(self._den ** s, _unpack(re, sizes, width), _unpack(im, sizes, width),
                               self.nvars)
-        if self._den is not None:
-            return power_by_squaring(MultiPoly.constant(1, self.nvars), self, s)
-        if s == 0:  # the float 1 (power_by_squaring raises for a float 0.0)
-            return power_by_squaring(_float(np.ones((1,) * self.nvars), self.nvars), self, s)
-        out = power_by_squaring(self, self, s - 1)  # no product by the constant 1
-        if not out.max_coeff_magnitude() <= _COEFF_OVERFLOW:
+        one = MultiPoly.constant(1, self.nvars) if self._den is not None else _float(
+            np.ones((1,) * self.nvars), self.nvars)
+        out = power_by_squaring(one, self, s)
+        if not out.is_exact and not out.max_coeff_magnitude() <= _COEFF_OVERFLOW:
             raise PrecisionOverflowError(
                 "coefficient magnitude overflow (or NaN) in a power; use exact coefficients"
             )
@@ -290,17 +287,27 @@ def _check_box(shape) -> None:
 
 def _float(coef: np.ndarray, nvars: int, obj=None) -> MultiPoly:
     """The float MultiPoly of this float or complex coefficient array (never
-    written in place after), trimmed of trailing zero slices: the zero
-    polynomial's array is empty."""
-    if not np.count_nonzero(coef):
-        coef = np.zeros((0,) * nvars, coef.dtype)
-    for axis in range(nvars):
-        head, n = (slice(None),) * axis, coef.shape[axis]
-        while n and not np.count_nonzero(coef[head + (n - 1,)]):
+    written in place after), ``trimmed``."""
+    return _build(object.__new__(MultiPoly) if obj is None else obj, nvars, None, None, None,
+                  trimmed(coef))
+
+
+def trimmed(c: np.ndarray) -> np.ndarray:
+    """c without its trailing zero slices along every axis: the coefficients
+    of a polynomial (or series) over its own box.  The zero polynomial's array
+    is empty and real."""
+    if c.ndim == 1:
+        nz = np.flatnonzero(c)
+        return c[: nz[-1] + 1] if nz.size else np.zeros(0)
+    if not np.count_nonzero(c):
+        return np.zeros((0,) * c.ndim)
+    for axis in range(c.ndim):
+        head, n = (slice(None),) * axis, c.shape[axis]
+        while not np.count_nonzero(c[head + (n - 1,)]):
             n -= 1
-        if n < coef.shape[axis]:
-            coef = coef[head + (slice(n),)]
-    return _build(object.__new__(MultiPoly) if obj is None else obj, nvars, None, None, None, coef)
+        if n < c.shape[axis]:
+            c = c[head + (slice(n),)]
+    return c
 
 
 def _dense(terms: dict, nvars: int) -> np.ndarray:
@@ -344,17 +351,10 @@ def _partial_coef(c: np.ndarray, alpha) -> np.ndarray:
     j!/(j-k)!, j = k, k+1, ..., along that axis."""
     for axis, k in enumerate(alpha):
         if k:
-            w = _falling_factorials(c.shape[axis], k).reshape((-1,) + (1,) * (c.ndim - axis - 1))
+            w = np.array([math.perm(j, k) for j in range(k, c.shape[axis])], dtype=float)
+            w = w.reshape((-1,) + (1,) * (c.ndim - axis - 1))
             c = c[(slice(None),) * axis + (slice(k, None),)] * w
     return c
-
-
-@functools.lru_cache(maxsize=256)
-def _falling_factorials(n: int, k: int) -> np.ndarray:
-    """j!/(j-k)! for j = k, ..., n - 1, as floats, read-only (it is shared)."""
-    w = np.array([math.perm(j, k) for j in range(k, n)], dtype=float)
-    w.flags.writeable = False
-    return w
 
 
 def _float_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

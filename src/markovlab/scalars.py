@@ -112,18 +112,19 @@ class RationalComplex:
 
 
 def power_by_squaring(one, base, n: int):
-    """base**n as one times base**(2^i) over the set bits i of n, squaring
-    base only while higher bits remain."""
+    """base**n as the product of base**(2^i) over the set bits i of n, from
+    the lowest, squaring base only while higher bits remain; ``one`` for
+    n = 0 (it is never multiplied)."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    out = one
+    out = None
     while n:
         if n & 1:
-            out = out * base
+            out = base if out is None else out * base
         n >>= 1
         if n:
             base = base * base
-    return out
+    return one if out is None else out
 
 
 EXACT_TYPES = (int, Fraction, RationalComplex)

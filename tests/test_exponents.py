@@ -49,7 +49,7 @@ from markovlab import (
     spectral_exponent_floor,
 )
 from markovlab import exponents, norms
-from markovlab.chebseries import chebyshev_t
+from markovlab.chebseries import chebyshev_t, product_2d
 from markovlab.domains import Measure
 from markovlab.exponents import (
     DEFAULT_SEED,
@@ -60,6 +60,7 @@ from markovlab.exponents import (
     _ascend,
     _candidates_1d,
     _candidates_2d,
+    _chebprod_corpus,
     _coarse_finalists,
     _coarse_ratio,
     _quotient,
@@ -195,6 +196,17 @@ class TestMarkovFactorSearch:
         res = markov_factor_search(n, DerivOp(1), SupSpec(domains.box_region()))
         assert res.factor == pytest.approx(n * n, rel=1e-12)
         assert res.witness_id == f"chebprod:0,{n}"
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_chebprod_corpus_is_the_product_of_chebyshev_series(self, n):
+        # T_i(x) T_(n-i)(y): bitwise product_2d's coefficients, shapes included
+        want = [product_2d(chebyshev_t(i), chebyshev_t(n - i)).coef for i in range(n + 1)]
+        got = _chebprod_corpus(n)
+        assert [c.shape for c in got] == [c.shape for c in want]
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        names, coefs = _candidates_2d(n, np.random.default_rng(1), 1)
+        assert names[: n + 1] == [f"chebprod:{i},{n - i}" for i in range(n + 1)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(coefs, got))
 
     def test_directional_operator_univariate(self):
         res = markov_factor_search(2, DirOp((2.0,)), SupSpec(E))

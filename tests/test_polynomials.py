@@ -21,6 +21,7 @@ from markovlab import (
 )
 from markovlab.chebseries import as_chebseries
 from markovlab.polynomials import NEG_INF
+from markovlab.scalars import power_by_squaring
 
 from conftest import cheb_t_coeffs
 
@@ -99,6 +100,21 @@ class TestPower:
         p = f ** s
         assert not p.is_exact
         assert not any(isinstance(c, (int, Fraction, RationalComplex)) for c in p.terms.values())
+
+    @pytest.mark.parametrize("s, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (6, 3), (7, 4)])
+    def test_power_by_squaring_never_multiplies_the_one(self, s, products):
+        # each squaring and each set bit past the lowest is one product
+        count = []
+
+        class Counted(int):
+            def __mul__(self, other):
+                count.append(1)
+                return Counted(int(self) * int(other))
+
+        one = object()
+        out = power_by_squaring(one, Counted(3), s)
+        assert (out is one) if s == 0 else out == 3 ** s
+        assert len(count) == products
 
     def test_float_zeroth_power_is_float_one(self):
         p = MultiPoly({(1,): 0.5 + 1j}, 1) ** 0
@@ -281,6 +297,15 @@ def test_max_coeff_magnitude_is_nan_in_any_term_order(nvars, nan_first):
     pairs = [((1,) * nvars, math.nan), ((0,) * nvars, 1.0)]
     p = MultiPoly(dict(pairs if nan_first else pairs[::-1]), nvars)
     assert math.isnan(p.max_coeff_magnitude())
+
+
+def test_a_cancelled_complex_polynomial_is_a_real_zero():
+    # as a dict of terms would have it: no complex type outlives the cancellation
+    p = MultiPoly({(1, 0): 0.5 + 1j, (0, 2): -2j}, 2)
+    zero = p - p
+    assert zero.is_zero and zero == MultiPoly.zero(2) and zero.max_coeff_magnitude() == 0.0
+    total = zero + MultiPoly({(0, 1): 2.0}, 2)
+    assert total.terms == {(0, 1): 2.0} and type(total.terms[(0, 1)]) is float
 
 
 def test_unipoly_takes_a_float_array_as_it_is():
