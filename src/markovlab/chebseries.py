@@ -26,7 +26,8 @@ class ChebSeries:
 
     ``coef[i]`` (one variable) or ``coef[i, j]`` (two) is the coefficient of
     T_i(x) or T_i(x) T_j(y); trailing zero slices are trimmed, so the zero
-    polynomial has an empty array.  Coefficients stay complex when given so.
+    polynomial has an empty array.  Coefficients stay complex where an
+    imaginary part is nonzero; an all-zero imaginary part is dropped.
     Sums, scalar multiples and derivatives take either rank; products, powers
     and ``to_unipoly`` take one variable.
     """
@@ -37,6 +38,7 @@ class ChebSeries:
 
     def __init__(self, coef):
         c = 1.0 * np.atleast_1d(np.asarray(coef))  # a float or complex copy
+        c = c.real.copy() if np.iscomplexobj(c) and not c.imag.any() else c
         object.__setattr__(self, "coef", trimmed(c))
 
     def __setattr__(self, *_):
@@ -137,8 +139,6 @@ def as_chebseries(p) -> ChebSeries:
     if p.is_zero:
         return ChebSeries(np.zeros((0,) * p.nvars))
     a = _float_coef(p)
-    if np.iscomplexobj(a) and not a.imag.any():
-        a = a.real
     # power basis to Chebyshev along each variable; poly2cheb trims, so pad back
     for axis in range(p.nvars):
         a = np.apply_along_axis(lambda v: np.pad(nch.poly2cheb(v), (0, v.size))[: v.size], axis, a)

@@ -29,7 +29,6 @@ from .chebseries import (
     deriv_matrix,
     legendre_orthonormal,
     monomial,
-    padded_sum,
     random_unit,
     random_units,
 )
@@ -43,9 +42,9 @@ from .norms import (
     SupSpec,
     _PASS_MAX_ENTRIES,
     _coef_columns,
+    _column_norms,
     _evaluate_norms,
     _gauss_power_rule,
-    _plane_norms,
     _qms_weights,
     _schur_weight,
     evaluate_norm,
@@ -53,8 +52,7 @@ from .norms import (
     spec_nvars,
 )
 from .orthopoly import OrthoSystem, jacobi_system, stieltjes_orthonormalize
-from .polynomials import DerivOp, DirOp, HomOp, UniPoly, _inexact
-from .scalars import is_exact
+from .polynomials import DerivOp, DirOp, HomOp, UniPoly, chebyshev_partials, image_arrays
 
 DEFAULT_SEED = 1729
 _ASCENT_ROUNDS = 200
@@ -247,12 +245,27 @@ def _quotient(best: float, denom: float) -> float:
 
 
 def _ratios(op: OperatorSpec, q: NormSpec, polys, refine: bool) -> list:
-    """max over the images of q(image) / q(p) for each p in polys, by
-    ``_quotient``; the norms of every p and every image in one evaluation."""
-    images = [op.apply_all(p) for p in polys]
-    vals = iter(_evaluate_norms(q, [*polys, *(im for ims in images for im in ims)], refine))
-    denoms = [next(vals) for _ in polys]
-    return [_quotient(max([0.0] + [next(vals) for _ in ims]), d) for d, ims in zip(denoms, images)]
+    """max over the images of q(image) / q(p) for each Chebyshev series p in
+    polys, by ``_quotient``: the real series in one stack and the complex
+    ones in another, so that each is derived in its own arithmetic, every
+    image of a stack by one ``image_arrays``, and the norms of every p and
+    every image as the columns of one ``_column_norms``."""
+    if not polys:
+        return []
+    count, images = len(polys), op.images(polys[0].nvars)
+    cplx, stacks = np.array([np.iscomplexobj(p.coef) for p in polys]), []
+    for own in (np.flatnonzero(~cplx), np.flatnonzero(cplx)):
+        if own.size:
+            P = _coef_columns([polys[j] for j in own])
+            arrays = [P, *image_arrays(images, chebyshev_partials(P))]
+            stacks += [(b * count + own, X) for b, X in enumerate(arrays)]
+    shape = np.max([X.shape[:-1] for _, X in stacks], axis=0)
+    S = np.zeros((*shape, (1 + len(images)) * count), dtype=np.result_type(*(X for _, X in stacks)))
+    for cols, X in stacks:
+        S[(*map(slice, X.shape[:-1]), cols)] = X
+    vals = _column_norms(q, S, refine, None)
+    # the largest image value, never a NaN (NaN > x is false), and 0.0 without one
+    return [_quotient(max([0.0, *vals[count + j :: count]]), vals[j]) for j in range(count)]
 
 
 class _PolyRatio:
@@ -281,55 +294,6 @@ class _PolyRatio:
             if r > floor:
                 return j, r
         return None
-
-
-class _PlaneRatio:
-    """The same ratios for series in two variables, every candidate in one
-    stacked array: each D^alpha an image reads by one ``chebder`` per (axis,
-    order) over the stack (axis 0 first, as ``partial_multi`` takes them),
-    each image summed as ``_lincomb`` sums it, and the norms of both sides in
-    one ``_plane_norms``; so every ratio is bitwise the one ``_ratios`` gives
-    the candidate alone."""
-
-    def __init__(self, op: OperatorSpec, q: NormSpec):
-        self.images, self.q = op.images(2), q
-
-    def screen(self, coefs) -> list:
-        """The ratio of the series with each of these coefficient arrays: the
-        real series in one stack, the complex ones in another."""
-        polys, out = [ChebSeries(c) for c in coefs], [None] * len(coefs)
-        cplx = np.array([np.iscomplexobj(p.coef) for p in polys], dtype=bool)
-        for own in (np.flatnonzero(~cplx), np.flatnonzero(cplx)):
-            if own.size:
-                for j, r in zip(own, self._stack_ratios(_coef_columns([polys[j] for j in own]))):
-                    out[j] = r
-        return out
-
-    def _stack_ratios(self, P: np.ndarray) -> list:
-        """The ratios of the series in the columns of P, of one dtype."""
-        partials = {(0, 0): P}
-
-        def partial(alpha):  # D^alpha P, from the partial one step before it
-            if alpha not in partials:
-                i, j = alpha
-                partials[alpha] = nch.chebder(partial((i, j - 1) if j else (i - 1, 0)), 1, axis=1 if j else 0)
-            return partials[alpha]
-
-        images = []
-        for image in self.images:
-            acc = None
-            for c, alpha in image:
-                x = partial(alpha) if c == 1 else partial(alpha) * (_inexact(c) if is_exact(c) else c)
-                acc = x if acc is None else padded_sum(acc, x)
-            images.append(acc)
-        cols = [P, *images]
-        shape = np.max([c.shape for c in cols], axis=0)
-        stack = np.concatenate([np.pad(c, [(0, s - m) for s, m in zip(shape, c.shape)]) for c in cols], axis=-1)
-        vals = np.array(_plane_norms(self.q, stack)).reshape(len(cols), -1)
-        best = np.zeros(P.shape[-1])
-        for v in vals[1:]:  # as max([0.0, *v]): the first largest, never a NaN
-            best = np.where(v > best, v, best)
-        return [_quotient(b, d) for b, d in zip(best.tolist(), vals[0].tolist())]
 
 
 def _sampled_side(q: NormSpec, deg: int):
@@ -516,12 +480,10 @@ def _ascend(coarse, coef: np.ndarray, ratio: float, rounds: int):
 
 
 def _coarse_ratio(op: OperatorSpec, q: NormSpec, n: int):
-    """The stacked screen ``_PlaneRatio`` on a set in two variables; in one,
-    the batched evaluator where q's table has a ``_sampled_side`` at degree
-    n, op a ``DerivOp``, and the per-polynomial one elsewhere."""
-    if spec_nvars(q) == 2:
-        return _PlaneRatio(op, q)
-    den = _sampled_side(q, n)
+    """The batched evaluator where q, on a set in one variable, has a
+    ``_sampled_side`` at degree n (op a ``DerivOp``), and the per-polynomial
+    one elsewhere, planes included."""
+    den = _sampled_side(q, n) if spec_nvars(q) == 1 else None
     if den is None:
         return _PolyRatio(op, q)
     return _BatchedRatio(den, _sampled_side(q, max(n - op.k, 0)), n, op.k)
@@ -639,13 +601,12 @@ def markov_factor_search(
     by coordinate-wise ascent with step halving (``_ascend``), both on the
     coarse (``refine=False``) ratio: through one matrix (``_BatchedRatio``) on
     a set in one variable, else one ``_ratios`` evaluation per screen or
-    trial (``_PolyRatio``: odd or non-integer L^p, large taylor_disk); on a
-    set in two variables the candidates are screened in one stacked array
-    (``_PlaneRatio``) and not ascended.  The finalists (the best
-    candidate and its ascent) are certified together in one refined
-    ``_ratios`` pass.  Where NaN ratios (a norm that overflowed) leave no
-    finite one, at the screen or at the certification, it raises
-    ``PrecisionOverflowError``.
+    trial (``_PolyRatio``: odd or non-integer L^p, large taylor_disk, and
+    planes, whose candidates are screened in one stacked evaluation and not
+    ascended).  The finalists (the best candidate and its ascent) are
+    certified together in one refined ``_ratios`` pass.  Where NaN ratios (a
+    norm that overflowed) leave no finite one, at the screen or at the
+    certification, it raises ``PrecisionOverflowError``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -812,7 +773,7 @@ def laplacian_vs_gradient_check(l: int = 1) -> LaplacianReport:
     bound with exponent 2l*m, so the ratio of fitted exponents should sit
     near 2l.  Screens a product-Chebyshev corpus over the box [-1, 1]^2
     (``box_region()``), degrees 1 to ``_LAPLACIAN_DEGMAX``, by the coarse
-    ratio of the Markov search (``_PlaneRatio``).
+    ratio of the Markov search (``_PolyRatio.screen``).
     """
     if l < 1:
         raise ValueError("l must be >= 1")

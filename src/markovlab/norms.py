@@ -9,9 +9,12 @@ exact coefficients stay exact.
 Each norm is defined once, by its spec's ``terms(deg)`` table
 (``NormTerms``): sups of derivatives over a set with their weights, an
 optional Schur weight on the samples, an optional L^p part, and for qms its
-(m, s) entry.  ``evaluate_norm`` sums that table for one polynomial; the
-Markov search (``exponents._BatchedRatio``) turns the same table into one
-sampling matrix for a batch of Chebyshev series.
+(m, s) entry.  ``_column_norms`` sums that table for every Chebyshev series
+of a coefficient stack (one per column, last axis), on a set in one variable
+or two: ``evaluate_norm`` is its one-column case and the Markov search's
+ratios (``exponents._ratios``) stack both sides of every ratio; the batched
+search (``exponents._BatchedRatio``) turns the same table into one sampling
+matrix for a batch of series.
 
 Sup norms on intervals are read on the ``Interval.grid`` of each piece, one
 rfft per degree (``grid_values``), and every near-maximal bracket of that
@@ -28,8 +31,7 @@ sup terms of many polynomials in as few passes as that bound allows.
 A plane region is a masked tensor grid (``SampledRegion2D.axes`` and
 ``index``): a sup over it reads each series' values on the grid, Vx C Vy^T,
 by two matrix products and takes them at the region's points
-(``_plane_sup``), and ``_plane_norms`` evaluates a norm's whole table for a
-stack of series in one such pass.
+(``_plane_sup``, which ``_sup_columns`` calls for every plane sup).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import Mapping, Optional, Sequence, Union, get_args
 
 import numpy as np
@@ -60,7 +62,7 @@ from .domains import (
 )
 from .errors import DimensionMismatchError, PrecisionOverflowError
 from .fitting import max_pairwise_slope
-from .polynomials import NEG_INF, MultiPoly
+from .polynomials import NEG_INF, MultiPoly, chebder_columns
 
 # Root-split L^p: first and largest Gauss-Jacobi rule per piece (the largest
 # one's dense Jacobi matrix is 2 MB) and the relative agreement of a piece's
@@ -87,11 +89,6 @@ _PASS_MAX_ENTRIES = 1 << 20
 # for m + 1 values), complex output (two) and absolute values; twice that for
 # complex series, whose real and imaginary parts take an rfft each.
 _SUP_ARRAYS = 6
-_STACK_COLUMNS = 4  # the fewest columns ``_image_columns`` derives in one chebder call
-
-
-def _degree_int(p) -> int:
-    return 0 if p.is_zero else int(p.degree)
 
 
 def _schur_weight(alpha: float, *coords) -> np.ndarray:
@@ -103,7 +100,10 @@ def _schur_weight(alpha: float, *coords) -> np.ndarray:
 
 
 def _coef_columns(polys) -> np.ndarray:
-    """The coefficients of polys along the last axis of one zero-padded array."""
+    """The coefficients of polys along the last axis of one zero-padded array
+    (one nonempty polynomial's own array, as its one column)."""
+    if len(polys) == 1 and polys[0].coef.size:
+        return polys[0].coef[..., None]
     shape = [max(1, *sizes) for sizes in zip(*(p.coef.shape for p in polys))]
     C = np.zeros((*shape, len(polys)), dtype=np.result_type(*(p.coef for p in polys)))
     for j, p in enumerate(polys):
@@ -813,6 +813,8 @@ class SupPlusLpSpec:
 
     def __post_init__(self):
         _check_lp_order(self.s)
+        if self.set.nvars != 1:
+            raise ValueError(f"sup+L^p takes a set in one variable, not {self.set.nvars}")
 
     def terms(self, deg: int) -> NormTerms:
         return NormTerms(self.set, lp=(self.measure, self.s))
@@ -907,35 +909,56 @@ def evaluate_norm(spec: NormSpec, p, refine: bool = True) -> float:
 
 
 def _evaluate_norms(spec: NormSpec, polys, refine: bool = True) -> list:
-    """``evaluate_norm`` of each of polys, with the sup terms of all of them
-    (every derivative order of every polynomial) in as few ``_sup`` passes
-    as ``_PASS_MAX_ENTRIES`` allows: consecutive groups of polys
-    (``_sup_groups``), each group's images built only for its own pass, as
-    the columns of one array (``_image_columns``); on a plane region, one
-    ``_plane_norms`` for all of them.  A qms table reads each polynomial as
-    given; every other one its ``as_chebseries``."""
-    if polys and spec_nvars(spec) == 2:
-        return _plane_norms(spec, _coef_columns([as_chebseries(p) for p in polys]))
-    degs = [_degree_int(p) for p in polys]
-    tables = [spec.terms(d) for d in degs]
-    polys = [p if t.qms else as_chebseries(p) for p, t in zip(polys, tables)]
-    sups, cplx = [], any(np.iscomplexobj(p.coef) for p, t in zip(polys, tables) if t.sups)
-    for group in _sup_groups(degs, tables, cplx):
-        E, alpha = tables[0].set, tables[0].alpha
-        if len(polys[group]) == len(tables[group.start].sups) == 1 and not alpha:
+    """``evaluate_norm`` of each of polys: a table without sup terms (L^p,
+    qms) reads each polynomial by itself (``_part``); every other one takes
+    their ``as_chebseries`` as the columns of one stack (``_column_norms``)."""
+    t = spec.terms(0)
+    if not t.sups:
+        return [_part(t, p) for p in polys]
+    polys = [as_chebseries(p) for p in polys]
+    return _column_norms(spec, _coef_columns(polys), refine, polys) if polys else []
+
+
+def _part(t: NormTerms, p) -> float:
+    """The L^p or qms entry of the ``terms`` table t at p, qms of p as given (0.0 without one)."""
+    if t.lp is not None:
+        return lp_norm(p, *t.lp)
+    return 0.0 if t.qms is None else qms_norm(_qms_poly(p), *t.qms)
+
+
+def _column_norms(spec: NormSpec, C: np.ndarray, refine: bool, polys) -> list:
+    """``evaluate_norm`` of the series in each column (last axis) of C, on a
+    set in one variable or two: each column's ``terms`` table at its total
+    degree; the sup terms of all of them in as few ``_sup_columns`` passes as
+    ``_PASS_MAX_ENTRIES`` allows, in consecutive groups of columns
+    (``_sup_groups``), each group cut to its own degree and its images built
+    only for its own pass (``_derived_columns``, complex where an imaginary
+    part is nonzero); and an L^p or qms part of polys[j], column j's
+    polynomial, or with polys None of the column's ``ChebSeries``.  A
+    column's value does not depend on the columns that come with it."""
+    count, nv = C.shape[-1], C.ndim - 1
+    degs = np.where(C != 0, reduce(np.add.outer, map(np.arange, C.shape[:-1]))[..., None], 0)
+    degs = degs.reshape(-1, count).max(axis=0).tolist()
+    tables = {d: spec.terms(d) for d in set(degs)}
+    tables = [tables[d] for d in degs]
+    cplx = (C.imag != 0).reshape(-1, count).any(axis=0) if np.iscomplexobj(C) else np.zeros(count, bool)
+    sups = []
+    for group in _sup_groups(degs, tables, cplx.any()):
+        t = tables[group.start]
+        if polys is not None and group.stop - group.start == len(t.sups) == 1 and not t.alpha:
             # one plain sup is sup_norm's value; bench/tracing.py times it there
-            sups.append(sup_norm(polys[group.start], E, refine=refine))
+            sups.append(sup_norm(polys[group.start], t.set, refine=refine))
         else:
-            sups += _sup_columns(_image_columns(polys[group], tables[group]), E, refine, alpha)
+            G = C[(slice(max(degs[group]) + 1),) * nv + (group,)]
+            counts = np.array([len(u.sups) for u in tables[group]])
+            sups += _sup_columns(_derived_columns(G, counts, cplx[group], t.axis), t.set, refine, t.alpha)
     sups, out = iter(sups), []
-    for p, t in zip(polys, tables):
+    for j, t in enumerate(tables):
         total = 0.0
         for _, scale, divisor in t.sups:
             total += next(sups) * scale / divisor
-        if t.lp is not None:
-            total += lp_norm(p, *t.lp)
-        if t.qms is not None:
-            total += qms_norm(_qms_poly(p), *t.qms)
+        if t.lp is not None or t.qms is not None:
+            total += _part(t, polys[j] if polys is not None else ChebSeries(C[..., j]))
         out.append(float(total))
     return out
 
@@ -954,22 +977,12 @@ def _sup_groups(degs, tables, cplx: bool) -> list:
     return groups + [slice(start, len(degs))] if count else groups
 
 
-def _image_columns(polys, tables) -> np.ndarray:
-    """D^k p along ``t.axis`` for each sup term k = 0, 1, ... of each p's
-    table t, p by p, as the columns (last axis) of one zero-padded array
-    (``_derived_columns``; a complex p's images by complex arithmetic)."""
-    counts = np.array([len(t.sups) for t in tables])
-    cplx = np.array([np.iscomplexobj(p.coef) for p in polys])
-    return _derived_columns(_coef_columns(polys), counts, cplx, tables[0].axis)
-
-
 def _derived_columns(C: np.ndarray, counts, cplx, axis: int) -> np.ndarray:
     """D^o along ``axis`` of the series in column j of C for o < counts[j],
     column by column, as the columns of one zero-padded array.  Each order
-    step is one ``chebder`` over the real columns (cplx[j] False, their real
-    parts) and one over the complex ones (numpy divides complex by real
-    through a reciprocal), or one per column below ``_STACK_COLUMNS``:
-    ``chebder`` steps row by row, so each image is bitwise its column's own
+    step is one ``chebder_columns`` over the real columns (cplx[j] False,
+    their real parts) and one over the complex ones (numpy divides complex
+    by real through a reciprocal), so each image is bitwise its column's own
     chain (``ChebSeries.deriv``)."""
     if (counts == 1).all():  # each column is its one image
         return C
@@ -978,39 +991,11 @@ def _derived_columns(C: np.ndarray, counts, cplx, axis: int) -> np.ndarray:
     for own in (np.flatnonzero(~cplx), np.flatnonzero(cplx)):
         image = C[..., own] if cplx[own].any() else C[..., own].real
         for o in range(counts[own].max(initial=0)):
-            if o and own.size >= _STACK_COLUMNS:
-                image = nch.chebder(image, 1, axis=axis)
-            elif o:
-                image = np.stack([nch.chebder(c, 1, axis=axis) for c in np.moveaxis(image, -1, 0)], -1)
+            if o:
+                image = chebder_columns(image, axis)
             live = np.flatnonzero(counts[own] > o)
             out[(*map(slice, image.shape[:-1]), first[own[live]] + o)] = image[..., live]
     return out
-
-
-def _plane_norms(spec: NormSpec, C: np.ndarray) -> list:
-    """``evaluate_norm`` of the two-variable series in each column (last
-    axis) of C: each column's ``terms`` table at its total degree, the
-    images of every sup term of every column in one ``_derived_columns``
-    stack (complex where an imaginary part is nonzero) and their sups in one
-    ``_plane_sup``, summed per column as ``_evaluate_norms`` sums a table.
-    A column's value does not depend on the columns that come with it."""
-    if C.ndim != 3:
-        raise DimensionMismatchError(f"a set in 2 variable(s) takes polynomials in as many, not {C.ndim - 1}")
-    count, nz = C.shape[-1], C != 0
-    degs = np.where(nz, np.add.outer(*map(np.arange, C.shape[:2]))[..., None], 0).max(axis=(0, 1))
-    tables = {d: spec.terms(d) for d in set(degs.tolist())}
-    t = next(iter(tables.values()))
-    if t.lp or t.qms:
-        raise DimensionMismatchError("L^p and qms norms take one variable, not 2")
-    counts = np.array([len(tables[d].sups) for d in degs.tolist()])
-    cplx = (C.imag != 0).any(axis=(0, 1))
-    sups = _plane_sup(_derived_columns(C, counts, cplx, t.axis), t.set, t.alpha)
-    first, total = np.cumsum(counts) - counts, np.zeros(count)
-    for o in range(counts.max()):
-        live = np.flatnonzero(counts > o)
-        scale, divisor = np.array([[float(x) for x in tables[d].sups[o][1:]] for d in degs[live].tolist()]).T
-        total[live] += sups[first[live] + o] * scale / divisor
-    return total.tolist()
 
 
 def _qms_poly(p) -> MultiPoly:

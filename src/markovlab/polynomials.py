@@ -35,11 +35,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from operator import add, mul
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.polynomial import chebyshev as nch
 
 from .errors import DimensionMismatchError, PrecisionOverflowError
 from .scalars import RationalComplex, is_exact, power_by_squaring
@@ -57,6 +59,8 @@ _COEFF_OVERFLOW = 1e300
 #: The most slots a float polynomial's coefficient array may hold (32 MiB of
 #: doubles): above the 33^4 box of any polynomial within the caps above.
 _FLOAT_SLOTS_MAX = 1 << 22
+
+_STACK_COLUMNS = 4  # the fewest series ``chebder_columns`` derives in one chebder call
 
 
 class MultiPoly:
@@ -543,27 +547,44 @@ def _unit(j: int, k: int, nvars: int) -> tuple:
     return tuple(k if i == j else 0 for i in range(nvars))
 
 
-def _lincomb(pairs):
-    """The sum of c*x over (c, x) pairs; x itself where c == 1.  The product
-    is x's own (x * c), so exact scalars meet exact polynomials on integers."""
-    acc = None
-    for c, x in pairs:
-        x = x if c == 1 else x * c
-        acc = x if acc is None else acc + x
-    return acc
+def image_arrays(images, partial) -> list:
+    """The coefficient arrays of sum c*D^alpha over each image's (c, alpha)
+    pairs, partial(alpha) the array of D^alpha: x*c only where c != 1 (an
+    exact c rounded once), the terms summed in image order by ``padded_sum``."""
+
+    def term(c, alpha):
+        return partial(alpha) if c == 1 else partial(alpha) * (_inexact(c) if is_exact(c) else c)
+
+    return [reduce(padded_sum, (term(c, alpha) for c, alpha in image)) for image in images]
 
 
-def _float_image(p: MultiPoly, image) -> MultiPoly:
-    """sum c*D^alpha p over the image's (c, alpha) pairs, for a float p or
-    some float c, on coefficient arrays as ``_lincomb`` sums it: each D^alpha
-    p by ``_partial_coef``, or exactly and then rounded once for an exact p."""
-    acc = None
-    for c, alpha in image:
-        x = _float_coef(p.partial_multi(alpha)) if p.is_exact else _partial_coef(p._coef, alpha)
-        if c != 1:
-            x = x * (_inexact(c) if is_exact(c) else c)
-        acc = x if acc is None else padded_sum(acc, x)
-    return _float(acc, p.nvars)
+def chebyshev_partials(C: np.ndarray):
+    """alpha -> the array of D^alpha of each Chebyshev series of the stack
+    along C's last axis: from the partial one step before it by one
+    ``chebder_columns`` (axis 0 first, as ``partial_multi`` takes them),
+    each computed once."""
+    partials = {(0,) * (C.ndim - 1): C}
+
+    def partial(alpha):
+        if alpha not in partials:
+            axis = max(i for i, k in enumerate(alpha) if k)
+            prev = partial(alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1 :])
+            partials[alpha] = chebder_columns(prev, axis)
+        return partials[alpha]
+
+    return partial
+
+
+def chebder_columns(X: np.ndarray, axis: int) -> np.ndarray:
+    """d/dx along ``axis`` of each Chebyshev series of the stack along X's
+    last axis, bitwise its own (``chebder`` steps row by row): one ``chebder``
+    over the stack, or one per series below ``_STACK_COLUMNS``; 0 for a stack
+    constant along the axis, as ``ChebSeries.deriv`` gives (not NaN for inf)."""
+    if X.shape[axis] <= 1:
+        return np.zeros_like(X[(slice(None),) * axis + (slice(1),)])
+    if X.shape[-1] >= _STACK_COLUMNS:
+        return nch.chebder(X, 1, axis=axis)
+    return np.stack([nch.chebder(X[..., j], 1, axis=axis) for j in range(X.shape[-1])], -1)
 
 
 def _exact_image(p: MultiPoly, image) -> MultiPoly:
@@ -595,15 +616,18 @@ class _Operator:
 
     def apply_all(self, p) -> list:
         """The images of p: on its numerators when p and every c are exact
-        (``_exact_image``), else of a ``MultiPoly`` on coefficient arrays
-        (``_float_image``), and of a ``ChebSeries`` through its
-        ``partial_multi``."""
+        (``_exact_image``), else on coefficient arrays (``image_arrays``): a
+        float ``MultiPoly``'s by ``_partial_coef``, an exact one's partials
+        taken exactly and rounded once, a ``ChebSeries``' by
+        ``chebyshev_partials``."""
         images = self.images(p.nvars)
-        if not isinstance(p, MultiPoly):
-            return [_lincomb((c, p.partial_multi(alpha)) for c, alpha in image) for image in images]
         if p.is_exact and all(is_exact(c) for image in images for c, _ in image):
             return [_exact_image(p, image) for image in images]
-        return [_float_image(p, image) for image in images]
+        if not isinstance(p, MultiPoly):
+            return [type(p)(x[..., 0]) for x in image_arrays(images, chebyshev_partials(p.coef[..., None]))]
+        partial = (lambda alpha: _float_coef(p.partial_multi(alpha))) if p.is_exact else (
+            lambda alpha: _partial_coef(p._coef, alpha))
+        return [_float(x, p.nvars) for x in image_arrays(images, partial)]
 
     def power(self, k: int, nvars: int) -> "_Operator":
         """This operator applied k >= 1 times, for one with one image in

@@ -402,6 +402,21 @@ def test_malformed_plane_region_names_its_field(tmp_path, capsys, fields, named)
     assert captured.out == "" and not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["norm", "factor-table"])
+def test_sup_plus_lp_on_a_plane_region_names_normspec(tmp_path, capsys, command):
+    # the L^p part takes one variable: a plane region is refused where the
+    # spec is built, exit 2 naming the field
+    spec = {"kind": "sup_plus_lp", "set": {"kind": "region2d", "predicate": "box"}, "measure": LP_SPEC["measure"],
+            "s": 2}
+    config = ({**TABLE, "normspec": spec, "output": str(tmp_path / "x.csv")} if command == "factor-table"
+              else {"normspec": spec, "poly": "chebyshev:4"})
+    assert main([command, "--config", write_config(tmp_path, "c.json", config)]) == 2
+    captured = capsys.readouterr()
+    assert "config field 'normspec'" in captured.err and "one variable, not 2" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not (tmp_path / "x.csv").exists()
+
+
 HUGE_SET = {"kind": "interval", "a": 0, "b": 1e200}
 HUGE_MIXED = {"kind": "mixed_deriv", "set": HUGE_SET}  # sup|p| + sup|p'|: a search row
 TAYLOR_SPEC = {"kind": "taylor_disk", "set": {"kind": "interval", "a": -1, "b": 1}}

@@ -1,6 +1,8 @@
 import csv
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -55,7 +57,6 @@ from markovlab.exponents import (
     DEFAULT_SEED,
     _ASCENT_ROUNDS,
     _BatchedRatio,
-    _PlaneRatio,
     _PolyRatio,
     _ascend,
     _candidates_1d,
@@ -71,7 +72,7 @@ from markovlab.exponents import (
     read_table_csv,
 )
 from markovlab.fitting import max_pairwise_slope
-from markovlab.norms import _schur_weight, spec_nvars
+from markovlab.norms import _schur_weight, evaluate_norm, spec_nvars
 
 from conftest import legendre_derivative_at_one
 
@@ -539,9 +540,19 @@ class TestBatchedSearch:
 BOX81 = domains.box_region(grid=81)
 
 
+def _plane_ratio_alone(op, q, coef):
+    """The coarse ratio of the series coef alone, by none of the stacked
+    code: its images as sums of ``ChebSeries.partial_multi`` times c, and each
+    norm by its own ``evaluate_norm``."""
+    p = ChebSeries(coef)
+    images = [reduce(add, (p.partial_multi(alpha) * c for c, alpha in image)) for image in op.images(2)]
+    best = max([0.0, *(evaluate_norm(q, image, refine=False) for image in images)])
+    return _quotient(best, evaluate_norm(q, p, refine=False))
+
+
 class TestPolyRatioScreen:
-    """The per-polynomial evaluator, and on a plane region the stacked
-    screen, take every candidate in one evaluation."""
+    """The per-polynomial evaluator takes every candidate in one evaluation,
+    on a set in one variable or two."""
 
     @pytest.mark.parametrize(
         "q, n",
@@ -555,7 +566,7 @@ class TestPolyRatioScreen:
         op, rng = DerivOp(1), np.random.default_rng(DEFAULT_SEED + 7919 * n)
         _, C = (_candidates_2d if spec_nvars(q) == 2 else _candidates_1d)(n, rng, 1)
         coarse = _coarse_ratio(op, q, n)
-        assert type(coarse) is (_PlaneRatio if spec_nvars(q) == 2 else _PolyRatio)
+        assert type(coarse) is _PolyRatio
         want = [_ratios(op, q, [ChebSeries(c)], refine=False)[0] for c in C]
         assert np.array(coarse.screen(C)).tobytes() == np.array(want).tobytes()
 
@@ -576,7 +587,7 @@ class TestPolyRatioScreen:
         _, C = _candidates_2d(n, np.random.default_rng(DEFAULT_SEED + 7919 * n), 1)
         C = [*C, C[-1][: n // 2 + 1, :2], C[0] + 0.5j * C[-1], np.zeros((n + 1, n + 1))]
         coarse = _coarse_ratio(op, q, n)
-        want = [_ratios(op, q, [ChebSeries(c)], refine=False)[0] for c in C]
+        want = [_plane_ratio_alone(op, q, c) for c in C]
         assert np.array(coarse.screen(C)).tobytes() == np.array(want).tobytes()
 
 

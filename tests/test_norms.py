@@ -44,22 +44,23 @@ from markovlab import (
     spectral_norm_estimate,
     sup_norm,
 )
+from markovlab import polynomials
 from markovlab.chebseries import ChebSeries, lobatto_points, random_unit
 from markovlab.domains import Measure, tabulated_measure
 from markovlab.exponents import _PolyRatio, _coarse_ratio, _sampled_side
 from markovlab.norms import (
     NormTerms,
     _coef_columns,
-    _degree_int,
     _grid_roots,
     _lp_cuts,
     _qms_poly,
     _real_roots_inside,
     _root_split_integral,
-    _image_columns,
+    _derived_columns,
     _sup,
     _support_series,
     qms_log_norm,
+    spec_nvars,
 )
 
 from conftest import cheb_t_coeffs
@@ -196,7 +197,7 @@ class TestSupNorm:
         # bitwise the series it gets alone, zero-padded; scaled back, that
         # series takes p's values at the piece's points
         polys = self._mixed(rng)
-        degs = [_degree_int(p) for p in polys]
+        degs = [0 if p.is_zero else p.degree for p in polys]
         S, top = _support_series(_coef_columns(polys), degs, [iv] * len(polys))
         for j, (p, d) in enumerate(zip(polys, degs)):
             alone, top_alone = _support_series(_coef_columns([p]), [d], [iv])
@@ -1050,7 +1051,7 @@ class TestTaylorDiskNorm:
     def test_images_derive_each_order_from_the_last(self, n):
         # each order from the one before: bitwise numpy's chebder of order k
         c = np.random.default_rng(n).standard_normal(n + 1)
-        images = _image_columns([ChebSeries(c)], [TaylorDiskSpec(E, 0.5).terms(n)])
+        images = _derived_columns(_coef_columns([ChebSeries(c)]), np.array([n + 1]), np.array([False]), 0)
         assert images.shape[1] == n + 1
         for k, image in enumerate(images.T):
             assert image[: n + 1 - k].tobytes() == np.polynomial.chebyshev.chebder(c, k).tobytes()
@@ -1071,8 +1072,10 @@ class TestTaylorDiskNorm:
         polys = [ChebSeries(rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if i % 3 == 1 else 0.0))
                  for i, shape in enumerate(shapes)]
         real = sum(np.isrealobj(p.coef) for p in polys)
-        assert real >= norms._STACK_COLUMNS > len(polys) - real
-        C = _image_columns(polys, tables)
+        assert real >= polynomials._STACK_COLUMNS > len(polys) - real
+        counts = np.array([len(t.sups) for t in tables])
+        cplx = np.array([np.iscomplexobj(p.coef) for p in polys])
+        C = _derived_columns(_coef_columns(polys), counts, cplx, tables[0].axis)
         images = [p.deriv(k, axis) for p in polys for k, _, _ in tables[0].sups]
         assert C.shape[-1] == len(images) and np.iscomplexobj(C)
         for j, image in enumerate(images):
@@ -1087,6 +1090,11 @@ class TestMixedDerivNorm:
         box = box_region(grid=33)
         p = MultiPoly({(0, 0): -3.0}, 2)
         assert evaluate_norm(MixedDerivSpec(box, 0), p) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("S", [E, Interval(0.0, 3.0)], ids=["[-1,1]", "[0,3]"])
+    def test_infinite_constant_has_a_zero_derivative(self, S):
+        # the derivative of a constant is 0, not numpy's 0 * inf = NaN: the norm is inf
+        assert evaluate_norm(MixedDerivSpec(S), ChebSeries([math.inf])) == math.inf
 
     def test_coordinate_on_box(self):
         box = box_region(grid=33)
@@ -1123,6 +1131,67 @@ class TestSupPlusLp:
     def test_linear(self):
         got = evaluate_norm(SupPlusLpSpec(E, MU, 2), UniPoly((0.0, 1.0)))
         assert got == pytest.approx(1.0 + 1.0 / math.sqrt(3.0), rel=1e-12)
+
+    def test_plane_region_is_rejected_at_construction(self):
+        # the L^p part takes one variable: a set in two is refused where the spec is built
+        with pytest.raises(ValueError, match="one variable, not 2"):
+            SupPlusLpSpec(box_region(), MU, 2.0)
+
+
+GAP = UnionSet((Interval(-1.0, -0.5), Interval(0.5, 1.0)))
+STACK_SETS = {"[-1,1]": E, "[0,3]": Interval(0.0, 3.0), "gap": GAP, "box": box_region(), "cusp": cusp_region()}
+
+
+def _stack_specs():
+    for name, S in STACK_SETS.items():
+        yield pytest.param(SupSpec(S), id=f"sup-{name}")
+        if name in ("[-1,1]", "box", "cusp"):  # the Schur weight is defined there only
+            yield pytest.param(SchurSpec(0.5, S), id=f"schur-{name}")
+        yield pytest.param(MixedDerivSpec(S, S.nvars - 1), id=f"mixed_deriv-{name}")
+        yield pytest.param(TaylorDiskSpec(S, 0.5), id=f"taylor_disk-{name}")
+
+
+class TestStackedEvaluation:
+    """One stacked evaluation gives each polynomial the norm it has alone."""
+
+    @staticmethod
+    def _batch(rng, nvars):
+        # real and complex series of several shapes, and the zero series
+        shapes = [(9,), (4,), (13,), (1,), (6,)] if nvars == 1 else [(5, 4), (2, 6), (7, 7), (1, 1), (3, 2)]
+        polys = [ChebSeries(rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if i % 2 else 0.0))
+                 for i, shape in enumerate(shapes)]
+        return [*polys[:2], ChebSeries(np.zeros((1,) * nvars)), *polys[2:]]
+
+    @pytest.mark.parametrize("low_bound", [False, True], ids=["bound", "low-bound"])
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("q", _stack_specs())
+    def test_batch_gives_each_its_own_value(self, rng, monkeypatch, q, refine, low_bound):
+        polys = self._batch(rng, spec_nvars(q))
+        assert {np.iscomplexobj(p.coef) for p in polys} == {False, True}
+        alone = [evaluate_norm(q, p, refine) for p in polys]
+        if low_bound:  # groups, halved passes and plane chunks each of a few polynomials
+            grid = 2000 if spec_nvars(q) == 1 else 3 * q.set.axes[0].size * q.set.axes[1].size
+            monkeypatch.setattr(norms, "_PASS_MAX_ENTRIES", grid)
+        got = norms._evaluate_norms(q, polys, refine)
+        assert np.array(got).tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize(
+        "q", [LpSpec(MU, 3.0), TaylorDiskSpec(E, 0.5), MixedDerivSpec(E), MixedDerivSpec(box_region(), 1),
+              TaylorDiskSpec(box_region(), 0.5)],
+        ids=["L3", "taylor_disk", "mixed_deriv", "mixed_deriv-box", "taylor_disk-box"],
+    )
+    def test_real_series_stored_as_complex_has_the_real_norm(self, q):
+        # a complex array with no imaginary part is the real series: the
+        # same coefficients and bitwise the same norm
+        rng = np.random.default_rng(38)
+        coefs = [rng.standard_normal((n + 1,) if spec_nvars(q) == 1 else (n // 3 + 1, n % 4 + 1))
+                 for n in range(1, 31)]
+        moved = [n for n, c in enumerate(coefs, 1)
+                 if evaluate_norm(q, ChebSeries(c.astype(complex))) != evaluate_norm(q, ChebSeries(c))]
+        assert not moved
+        for c in coefs:
+            stored = ChebSeries(c.astype(complex))
+            assert np.isrealobj(stored.coef) and stored.coef.tobytes() == ChebSeries(c).coef.tobytes()
 
 
 class TestSpectralEstimate:

@@ -56,9 +56,9 @@ def test_search_layers_matches_the_search_entry(tmp_path):
         if "exact" not in row:
             assert set(row) == {"row", "cand", "build", "screen", "ascent", "cert", "total", "match",
                                 "path", "matrix_rows", "chebder_calls"}
-            # the box rows take the stacked plane screen, every other one the matrix
+            # the box rows take the per-polynomial screen, every other one the matrix
             plane = row["row"].startswith("sup_box2d")
-            assert row["path"] == ("plane" if plane else "matrix") and row["chebder_calls"] > 0
+            assert row["path"] == ("poly" if plane else "matrix") and row["chebder_calls"] > 0
             assert (row["matrix_rows"] > 0) != plane
 
 

@@ -7,10 +7,10 @@ the median wall time of each over ``--reps`` runs in one process:
 
 - ``cand``: the candidate coefficients (``_candidates_1d`` or ``_candidates_2d``);
 - ``build``: the coarse evaluator (``_coarse_ratio``: the sampling matrix of
-  ``_BatchedRatio``, the stacked screen ``_PlaneRatio`` on a set in two
-  variables, or the per-polynomial ``_PolyRatio``);
+  ``_BatchedRatio``, or the per-polynomial ``_PolyRatio``, which sets in two
+  variables take);
 - ``screen``: the coarse ratio of every candidate and the best of them, in
-  one pass each way (``_PolyRatio`` in one ``_ratios`` evaluation);
+  one pass each way (``_PolyRatio`` in one stacked ``_ratios`` evaluation);
 - ``ascent``: the coordinate ascent from the best candidate (``_ascend``;
   none on a set in two variables), ``_PolyRatio`` taking its trials one at
   a time;
@@ -18,10 +18,10 @@ the median wall time of each over ``--reps`` runs in one process:
 
 The row's factor and witness must be the ones the search entry
 ``exponents._search_row`` gives; a row where they are not is marked
-``MISMATCH``.  Each searched row names its coarse ``path`` (``matrix``,
-``plane`` or ``poly``, for the three evaluators above), and two
+``MISMATCH``.  Each searched row names its coarse ``path`` (``matrix`` or
+``poly``, for the two evaluators above), and two
 deterministic counters go with it: ``matrix_rows``, the rows of its
-``_BatchedRatio`` sampling matrix (0 on the other paths), and
+``_BatchedRatio`` sampling matrix (0 on the poly path), and
 ``chebder_calls``, the numpy ``chebder`` calls of one ``_search_row``.  A row that ``markov_factor_search`` reads off a closed
 form (method ``Exact``: V. Markov's sup rows on one interval) runs no
 search: it is reported as ``exact``, timed as one ``markov_factor_search``
@@ -101,7 +101,7 @@ def phases(q, op, n: int, seed: int) -> tuple:
     return np.diff(t), (float(max(certified[j], 0.0)), finalists[j][0])
 
 
-PATHS = {"_BatchedRatio": "matrix", "_PlaneRatio": "plane", "_PolyRatio": "poly"}
+PATHS = {"_BatchedRatio": "matrix", "_PolyRatio": "poly"}
 
 
 def counters(q, op, n: int, seed: int) -> tuple:
