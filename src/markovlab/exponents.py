@@ -144,14 +144,6 @@ def read_table_csv(path):
     return meta, [(int(rec["n"]), float(rec["factor"])) for rec in csv.DictReader(data)]
 
 
-def _system_for_measure(mu: Measure, nmax: int) -> OrthoSystem:
-    """Stieltjes for a tabulated weight, else the closed-form Jacobi system on [-1, 1]."""
-    nmax = max(nmax, 1)
-    if mu.weight_fn is not None:
-        return stieltjes_orthonormalize(mu, nmax)
-    return jacobi_system(mu.alpha, mu.beta, nmax)
-
-
 def _as_derivative(op: OperatorSpec, q: NormSpec) -> tuple:
     """(c, D) with op = c*D: D = ``DerivOp(k)`` on a set in one variable, where
     every operator is c*D^k (``scaled_derivative``), else D = op and c = 1."""
@@ -177,8 +169,8 @@ def _scaled(row: Bound, c) -> Bound:
 
 
 def exact_l2(q: NormSpec, op: OperatorSpec) -> bool:
-    """Whether ``factor_table`` takes M(n) from ``markov_factor_l2``: an L2
-    norm and an operator c*D^k of order k >= 1."""
+    """Whether ``markov_factor_search`` reads M(n) off ``markov_factor_l2``:
+    an L2 norm and an operator c*D^k of order k >= 1."""
     return isinstance(q, LpSpec) and float(q.s) == 2.0 and _as_derivative(op, q)[1].k >= 1
 
 
@@ -187,14 +179,16 @@ def markov_factor_l2(n: int, k: int, mu: Measure, sys: Optional[OrthoSystem] = N
 
     The value is the largest singular value of the k-th derivative operator
     restricted to degree <= n in the orthonormal basis ``sys`` (by default
-    ``_system_for_measure``), taken from its differentiation matrix and scaled
-    from sys's support to mu's.  The witness is the top right singular vector,
-    the maximizer's coefficients in sys's orthonormal basis on sys's support.
+    mu's own to degree max(n, 1): Stieltjes for a tabulated weight, else the
+    closed-form Jacobi system), taken from its differentiation matrix and
+    scaled from sys's support to mu's.  The witness is the top right singular
+    vector, the maximizer's coefficients in sys's basis on sys's support.
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     if sys is None:
-        sys = _system_for_measure(mu, max(n, 1))
+        sys = (stieltjes_orthonormalize(mu, max(n, 1)) if mu.weight_fn is not None
+               else jacobi_system(mu.alpha, mu.beta, max(n, 1)))
     U, S, Vh = np.linalg.svd(sys.deriv_matrix(n, k))
     # the affine map between the supports is an L2 isometry; d^k/dx^k scales by (2/(b - a))^k
     scale = (sys.measure.support.width / mu.support.width) ** k
@@ -316,62 +310,49 @@ def _sampled_side(q: NormSpec, deg: int):
     return (t, grids, rule) if rows * (deg + 1) <= _PASS_MAX_ENTRIES else None
 
 
-def _sampling_blocks(deg: int, orders, vanders) -> list:
-    """The matrices from the coefficients of real series p of degree deg to
-    D^o p at the points whose Chebyshev-Vandermonde rows (to degree deg or
-    more) are vanders, for each of the ascending orders o."""
-    blocks, power, order = [], np.eye(deg + 1), 0
-    step = np.zeros((deg + 1, deg + 1))  # d/dx, padded to a square
-    if max(orders, default=0):
-        step[:deg] = deriv_matrix(deg, 1)[:deg]
-    for o, vander in zip(orders, vanders):
-        for _ in range(o - order):
-            power = step @ power
-        d, order = max(deg - o, 0), o
-        blocks.append(vander[:, : d + 1] @ power[: d + 1] if o else vander[:, : deg + 1])
-    return blocks
-
-
 class _BatchedRatio:
     """The same ratios for real series of degree at most n, through one matrix.
 
-    Built from den and num, the ``_sampled_side`` of q at degree n and at the
-    image degree n - k, the matrix takes coefficient vectors (as columns) to
-    exactly the values the coarse ratio samples: one block per order o of
-    p^(o) either side reads, at ``sup_points(E, n - o)`` (the numerator's term
-    j reads p^(j + k), so a taylor_disk matrix holds each order once), then
-    the L^p Gauss nodes of both sides.  Screening is a matrix product (in
-    column chunks of at most ``_SCREEN_ENTRIES`` values, which bounds the
-    memory for any budget).  A block of ascent trials, each moving one
-    coefficient of the current vector ``coef``, is one array pass: the trial
-    moving coefficient i by d has the values ``vals + d * matrix[:, i]``,
-    where ``vals = matrix @ coef``, and one ``ratios`` call takes them all;
-    ``max_block`` keeps a block within ``_SCREEN_ENTRIES`` values too.  A
-    vector whose top coefficient is 0 is sampled at the degree-n points and
-    rule, at least as fine as its own, so it takes the same matrix.
+    Built from den, the ``_sampled_side`` of q at degree n, and num_t, q's
+    ``terms`` table at the image degree n - k, the matrix takes coefficient
+    vectors (as columns) to exactly the values the coarse ratio samples, in
+    one list of (order o, points) blocks: the denominator's term i reads p^(i)
+    at its own grid, the numerator's term j reads p^(j + k), so each order the
+    denominator lacks gets a block at ``sup_points(E, n - o)`` (a taylor_disk
+    matrix holds each order once), then the L^p Gauss nodes of both sides,
+    at orders 0 and k.  Each block is its Chebyshev-Vandermonde rows times
+    the o-th power of the padded d/dx, one running power taken in ascending
+    o.  Screening is a matrix product (in column chunks of at most
+    ``_SCREEN_ENTRIES`` values, which bounds the memory for any budget).  A
+    block of ascent trials, each moving one coefficient of the current vector
+    ``coef``, is one array pass: the trial moving coefficient i by d has the
+    values ``vals + d * matrix[:, i]``, where ``vals = matrix @ coef``, and
+    one ``ratios`` call takes them all; ``max_block`` keeps a block within
+    ``_SCREEN_ENTRIES`` values too.  A vector whose top coefficient is 0 is
+    sampled at the degree-n points and rule, at least as fine as its own, so
+    it takes the same matrix.
     """
 
-    def __init__(self, den, num, n: int, k: int):
-        (t, grids, rule), (num_t, num_grids, num_rule) = den, num
-        # orders run 0, 1, ...: the denominator's terms read blocks 0 to nd - 1,
-        # the numerator's term j block j + k, its own from own.start on
-        nd, nk, own = len(grids), max(n - k, 0), range(max(len(grids) - k, 0), len(num_grids))
-        orders = [*range(nd), *(j + k for j in own)]
-        nodes = grids + num_grids[own.start :] + ([rule[0], num_rule[0]] if rule else [])
-        sizes, nb = [x.size for x in nodes], len(orders)
-        V = np.split(nch.chebvander(np.concatenate(nodes), n), np.cumsum(sizes[:-1]))  # each bitwise its own
-        # the numerator's own blocks and nodes are D^j at degree n - k, then D^k in one
-        # product, as its own matrix had them: a sup, Schur or sup+L^p matrix is as it was
-        image = _sampling_blocks(nk, own, V[nd:nb]) + [v[:, : nk + 1] for v in V[nb + 1 :]]
-        if image:
-            ends = np.cumsum([b.shape[0] for b in image[:-1]])
-            image = np.split(np.concatenate(image) @ deriv_matrix(n, k), ends)
+    def __init__(self, den, num_t, n: int, k: int):
+        (t, grids, rule), nd = den, len(den[1])
+        own = range(max(nd - k, 0), len(num_t.sups))  # the numerator's terms past the denominator's orders
+        num_rule = _gauss_power_rule(*num_t.lp, max(n - k, 0)) if rule else None
+        orders, nodes = zip(*enumerate(grids), *((j + k, sup_points(t.set, max(n - j - k, 0))) for j in own),
+                            *([(0, rule[0]), (k, num_rule[0])] if rule else []))
+        nb, rows = nd + len(own), np.cumsum([0, *(x.size for x in nodes)])
+        V = nch.chebvander(np.concatenate(nodes), n)  # each block's rows bitwise its own
         # column-major: trials gather columns; complex where the set's samples are
-        self.matrix = np.empty((sum(sizes), n + 1), dtype=V[0].dtype, order="F")
-        blocks = _sampling_blocks(n, range(nd), V[:nd]) + image[: len(own)]
-        np.concatenate(blocks + V[nb : nb + 1] + image[len(own) :], out=self.matrix)
-        self.nsup, self.starts = sum(sizes[:nb]), np.cumsum([0] + sizes[: nb - 1])
-        self.reads = np.searchsorted(orders, [*range(nd), *(j + k for j in range(len(num_grids)))])
+        self.matrix = np.asfortranarray(V)
+        step, power, at = np.zeros((n + 1, n + 1)), np.eye(n + 1), 0
+        step[:n] = deriv_matrix(n, 1)[:n]  # d/dx, padded to a square
+        for o, b in sorted(zip(orders, range(len(orders)))):
+            for _ in range(o - at):
+                power = step @ power
+            at, block, d = o, slice(rows[b], rows[b + 1]), max(n - o, 0) + 1
+            if o:
+                self.matrix[block] = V[block, :d] @ power[:d]
+        self.nsup, self.starts = rows[nb], rows[:nb]
+        self.reads = np.searchsorted(orders[:nb], [*range(nd), *(j + k for j in range(len(num_t.sups)))])
         self.coeffs = np.asarray([scale / divisor for table in (t, num_t)
                                   for _, scale, divisor in table.sups], dtype=float)
         self.row_weight = _schur_weight(t.alpha, np.concatenate(nodes[:nb])) if t.alpha else None
@@ -486,7 +467,7 @@ def _coarse_ratio(op: OperatorSpec, q: NormSpec, n: int):
     den = _sampled_side(q, n) if spec_nvars(q) == 1 else None
     if den is None:
         return _PolyRatio(op, q)
-    return _BatchedRatio(den, _sampled_side(q, max(n - op.k, 0)), n, op.k)
+    return _BatchedRatio(den, q.terms(max(n - op.k, 0)), n, op.k)
 
 
 def _best(ratios, n: int) -> Optional[int]:
@@ -586,9 +567,9 @@ def markov_factor_search(
 ) -> Bound:
     """Certified lower bound for M(n; q) by candidate max plus coordinate ascent;
     an ``Exact`` row, which no budget or seed changes, for the identity
-    (k = 0), for a qms norm (``_qms_row``) and for the plain sup over one
-    interval (``_sup_interval``, ``_v_markov_row``), each read off q's
-    ``terms`` table at degree n, and for n < k in one variable (0, witness T_n).
+    (k = 0), an L2 norm (``exact_l2``: ``markov_factor_l2``, to degree 256),
+    a qms norm (``_qms_row``), the plain sup over one interval
+    (``_sup_interval``, ``_v_markov_row``) and n < k in one variable (0, witness T_n).
 
     On a set in one variable op is c*D^k (``_as_derivative``), and the row is
     that of ``DerivOp(k)`` with |c| times its factor (``_scaled``; past the
@@ -613,6 +594,8 @@ def markov_factor_search(
     c, op = _as_derivative(op, q)
     if op == DerivOp(0):  # 1*D^0: this row needs no |c|
         return Bound(n, 1.0, "identity", None, "Exact")
+    if exact_l2(q, op):
+        return _scaled(markov_factor_l2(n, op.k, q.measure), c)
     t = q.terms(n)
     if t.qms is not None:
         return _scaled(_qms_row(n, op.k, *t.qms), c)
@@ -631,18 +614,12 @@ def factor_table(
     seed: int = DEFAULT_SEED,
     budget: int = 1,
 ) -> MarkovTable:
-    """One ``Bound`` row per degree: exact singular values (of D^k, times |c|)
-    where ``exact_l2``, ``markov_factor_search``'s rows otherwise (exact for
-    qms and for the plain sup over one interval)."""
+    """One ``markov_factor_search`` row per degree, ascending (exact for L2,
+    qms and the plain sup over one interval); M_k(n) never decreases in n,
+    so a row below the best so far repeats that one."""
     degrees = sorted(set(int(n) for n in degrees))
     if not degrees:
         raise ValueError("degree list must be nonempty")
-    if exact_l2(q, op):
-        c, d = _as_derivative(op, q)
-        sys = _system_for_measure(q.measure, max(degrees))
-        return MarkovTable(op.label, q, tuple(_scaled(markov_factor_l2(n, d.k, q.measure, sys=sys), c)
-                                              for n in degrees))
-    # M_k(n) never decreases in n: a row below the best so far repeats that
     rows, best = [], None  # best: the best row so far, its id prefixed by its degree
     for n in degrees:
         row = markov_factor_search(n, op, q, budget=budget, seed=seed)

@@ -119,7 +119,8 @@ def _sup(polys, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
 def _sup_columns(C: np.ndarray, E: CompactSet, refine: bool, alpha: float = 0.0) -> list:
     """max over E of |p| for the series p in each column (last axis) of C,
     times the Schur weight when alpha > 0 (ValueError on a piece other than
-    [-1, 1]): on a plane region off its tensor grid (``_plane_sup``; refine
+    [-1, 1]): NaN for a column with a NaN coefficient, else inf for one with
+    an inf; any other on a plane region off its tensor grid (``_plane_sup``; refine
     changes nothing there), and in one variable in one pass over the fixed
     ``E.samples`` and the cells, the (column, piece of ``E.intervals``)
     pairs, a column of the degree of its last nonzero row.
@@ -142,6 +143,11 @@ def _sup_columns(C: np.ndarray, E: CompactSet, refine: bool, alpha: float = 0.0)
             f"a set in {E.nvars} variable(s) takes polynomials in as many, not {C.ndim - 1}")
     if alpha and any((iv.a, iv.b) != (-1.0, 1.0) for iv in E.intervals):
         raise ValueError("the Schur weight is defined on [-1, 1], not on other intervals")
+    if not np.isfinite(C).all():  # as lp_norm: NaN where a coefficient is NaN, else inf
+        cols = C.reshape(-1, C.shape[-1])
+        out, finite = np.where(np.isnan(cols).any(axis=0), np.nan, np.inf), np.isfinite(cols).all(axis=0)
+        out[finite] = _sup_columns(C[..., finite], E, refine, alpha) if finite.any() else []
+        return out.tolist()
     if E.nvars == 2:
         return _plane_sup(C, E, alpha).tolist()
     count, nonzero = C.shape[1], C != 0

@@ -22,6 +22,7 @@ from markovlab import (
     MultiPoly,
     PrecisionOverflowError,
     QmsSpec,
+    QuadratureBudgetError,
     RationalComplex,
     SchurSpec,
     SpectralityError,
@@ -173,6 +174,36 @@ class TestMarkovFactorL2:
         got = markov_factor_l2(n, k, domains.tabulated_measure(np.ones_like, a, b)).factor
         want = markov_factor_l2(n, k, lebesgue_measure(a, b)).factor
         assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+L2_MEASURES = {"lebesgue": MU, "lebesgue[0,3]": lebesgue_measure(0.0, 3.0), "chebyshev": chebyshev_measure(),
+               "jacobi(0.3,-0.4)": jacobi_measure(0.3, -0.4)}
+
+
+class TestL2SearchRows:
+    """``markov_factor_search`` reads the exact L2 row itself, so
+    ``factor_table`` needs no L2 branch."""
+
+    @pytest.mark.parametrize("op, k, c", [(DerivOp(1), 1, 1.0), (DerivOp(2), 2, 1.0), (DirOp((-2.0,)), 1, 2.0)],
+                             ids=["D", "D^2", "-2D"])
+    @pytest.mark.parametrize("name", sorted(L2_MEASURES))
+    def test_search_row_is_the_exact_table_row(self, name, op, k, c):
+        mu, degrees = L2_MEASURES[name], [0, 1, 2, 8, 64]
+        q = LpSpec(mu, 2.0)
+        table = factor_table(q, op, degrees)
+        for n, want in zip(degrees, table.rows):
+            row = markov_factor_search(n, op, q)
+            assert (row.n, row.method, row.witness_id) == (n, "Exact", "l2-extremal")
+            assert (row.factor, row.witness.tobytes()) == (want.factor, want.witness.tobytes())
+            assert row.factor == c * markov_factor_l2(n, k, mu).factor
+
+    def test_past_the_hard_cap_raises_value_error(self):
+        q = LpSpec(MU, 2.0)
+        for entry in (lambda: markov_factor_search(300, DerivOp(1), q),
+                      lambda: factor_table(q, DerivOp(1), [8, 300])):
+            with pytest.raises(ValueError, match="hard cap 256") as err:
+                entry()
+            assert not isinstance(err.value, QuadratureBudgetError)
 
 
 class TestMarkovFactorSearch:
@@ -859,6 +890,52 @@ class TestVMarkovRows:
         # T_16 in the coordinate of [0, 3] gives 170.645; the search gives 24.62
         (row,) = factor_table(TaylorDiskSpec(F03, 1e-6), DerivOp(1), [16]).rows
         assert row.factor >= 170.47
+
+
+_F1 = pytest.mark.xfail(strict=True, reason="F1: the search works in Chebyshev coefficients on [-1, 1] "
+                                            "(ROADMAP item 1, step 1)")
+_F3 = pytest.mark.xfail(strict=True, reason="F3: the search misses the extremal polynomials of a union "
+                                            "(ROADMAP items 22, 13 and 2)")
+_UNION = UnionSet((Interval(-1.0, 0.0),), (1.0,))
+# (set, its image under x -> x + 2 or x -> -x): a map that leaves the set as it is is left out
+_MAPPED_SETS = {
+    "[-1,1] x+2": (E, Interval(1.0, 3.0)),
+    "E_0.5 x+2": (GAP, UnionSet((Interval(1.0, 1.5), Interval(2.5, 3.0)))),
+    "[-1,0]+{1} x+2": (_UNION, UnionSet((Interval(1.0, 2.0),), (3.0,))),
+    "[-1,0]+{1} -x": (_UNION, UnionSet((Interval(0.0, 1.0),), (-1.0,))),
+}
+_SET_NORMS = {"sup": SupSpec, "taylor_disk": lambda S: TaylorDiskSpec(S, 0.5), "mixed_deriv": MixedDerivSpec}
+# each a norm on [a, b] with Lebesgue measure on [a, b]
+_MEASURE_NORMS = {"sup+L2": lambda a, b: SupPlusLpSpec(Interval(a, b), lebesgue_measure(a, b), 2.0),
+                  "L3": lambda a, b: LpSpec(lebesgue_measure(a, b), 3.0),
+                  "L4": lambda a, b: LpSpec(lebesgue_measure(a, b), 4.0),
+                  "L2": lambda a, b: LpSpec(lebesgue_measure(a, b), 2.0)}
+_PASSING = {"[-1,1] x+2 sup", "[-1,1] x+2 L2"}
+
+
+def _metamorphic_pairs():
+    """(q on E, q on phi(E)) for affine maps phi of slope +-1, whose rows
+    must agree: M_k(n; q on phi(E)) = |slope|^k M_k(n; q on E)."""
+    for name, (S, T) in _MAPPED_SETS.items():
+        for norm, make in _SET_NORMS.items():
+            case = f"{name} {norm}"
+            marks = [] if case in _PASSING else [_F3 if name.endswith("-x") else _F1]
+            yield pytest.param(make(S), make(T), id=case, marks=marks)
+    for norm, make in _MEASURE_NORMS.items():
+        case = f"[-1,1] x+2 {norm}"
+        yield pytest.param(make(-1.0, 1.0), make(1.0, 3.0), id=case, marks=[] if case in _PASSING else [_F1])
+
+
+class TestMetamorphicRows:
+    """Rows that no oracle gives must still obey the affine covariance of
+    M_k: a translation or a reflection of the set (with its measure) keeps
+    every row at k = 1."""
+
+    @pytest.mark.parametrize("q, mapped", _metamorphic_pairs())
+    def test_affine_image_keeps_the_row(self, q, mapped):
+        row, image = (markov_factor_search(8, DerivOp(1), spec) for spec in (q, mapped))
+        exact = row.method == image.method == "Exact"
+        assert image.factor == pytest.approx(row.factor, rel=1e-12 if exact else 1e-6, abs=0)
 
 
 class TestFitExponent:

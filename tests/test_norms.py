@@ -1194,6 +1194,44 @@ class TestStackedEvaluation:
             assert np.isrealobj(stored.coef) and stored.coef.tobytes() == ChebSeries(c).coef.tobytes()
 
 
+NONFINITE_SETS = {
+    "[-1,1]": E,
+    "[0,3]": Interval(0.0, 3.0),
+    "E_0.5": UnionSet((Interval(-1.0, -0.5), Interval(0.5, 1.0))),
+    "[-1,0]+{1,1.5i}": UnionSet((Interval(-1.0, 0.0),), (1.0, 1.5j)),
+    "circle": disk_boundary(),
+    "box": box_region(),
+    "cusp": cusp_region(),
+}
+
+
+class TestNonFiniteCoefficients:
+    """A sup is NaN where a coefficient is NaN, else inf where one is
+    infinite (``lp_norm``'s rule), on every set, with no numpy warning
+    (which the test filters make an error)."""
+
+    @pytest.mark.parametrize("top", [False, True], ids=["constant", "top"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("norm", ["sup", "mixed_deriv", "taylor_disk"])
+    @pytest.mark.parametrize("name", sorted(NONFINITE_SETS))
+    def test_nan_wins_then_inf(self, name, norm, bad, top):
+        S = NONFINITE_SETS[name]
+        q = {"sup": SupSpec(S), "mixed_deriv": MixedDerivSpec(S), "taylor_disk": TaylorDiskSpec(S, 0.5)}[norm]
+        coef = np.array([1.0, bad] if top else [bad, 1.0])  # 1 + bad T_1 or bad + T_1
+        for c in [coef] if S.nvars == 1 else [coef[None, :], coef[:, None]]:  # in y, then in x
+            got = evaluate_norm(q, ChebSeries(c))
+            assert math.isnan(got) if math.isnan(bad) else got == math.inf
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_finite_columns_keep_their_own_values(self, refine):
+        gap = NONFINITE_SETS["E_0.5"]
+        polys = [ChebSeries([1.0, 2.0, -0.5]), ChebSeries([math.nan, 1.0]), ChebSeries([3.0, math.inf]),
+                 ChebSeries([0.25, -1.0, 0.5, 2.0])]
+        got = _sup(polys, gap, refine)
+        assert math.isnan(got[1]) and got[2] == math.inf
+        assert [got[0], got[3]] == [sup_norm(polys[j], gap, refine) for j in (0, 3)]
+
+
 class TestSpectralEstimate:
     def test_sup_norm_is_spectral(self):
         est = spectral_norm_estimate(chebyshev_t(3), SupSpec(E), 8)

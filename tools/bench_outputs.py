@@ -20,6 +20,13 @@ operation once, printing ``<workload> | <operation> | <repr of its output>``
   whose rows are those of D^k with |c| times the factor: ``DirOp((-2.0,))``
   under sup and taylor_disk (r = 0.5) on [-1, 1] and Lebesgue L^2 (exact
   rows), and ``HomOp`` 2.0*D^2 + 0.5*D^2 under sup on [-1, 1];
+- ``l2 | table <measure> <operator label> | <(n, factor, witness id,
+  method) of each row>`` and ``l2 | search <measure> <operator label> |
+  <the same of each row>``: the L2 rows of ``factor_table`` and those of
+  ``markov_factor_search`` one degree at a time, at n = 0, 1, 2, 8, 16, 64
+  and 128, of D, D^2 and ``DirOp((-2.0,))`` under Lebesgue measure on
+  [-1, 1] and [0, 3], the Chebyshev and Jacobi(0.3, -0.4) measures and the
+  tabulated 1 + x^2/4 weight: exact rows, the same on both lines;
 - ``search | <norm> k=<k> n=<n> | <(factor, witness id, sha256 of the
   witness's Chebyshev coefficient bytes)>``: ``markov_factor_search`` on rows without a
   sampling matrix (``_PolyRatio``) that the benchmark does not run:
@@ -70,6 +77,7 @@ from markovlab import (  # noqa: E402
     TaylorDiskSpec,
     UnionSet,
     box_region,
+    chebyshev_measure,
     chebyshev_u,
     cusp_region,
     disk_boundary,
@@ -111,6 +119,16 @@ def _scaled_tables() -> list:
             ("taylor_disk(r=0.5)[-1,1]", TaylorDiskSpec(E, 0.5), minus_two),
             ("lebesgue-L2", LpSpec(lebesgue_measure(), 2.0), minus_two),
             ("sup[-1,1]", SupSpec(E), HomOp((((2,), 2.0), ((2,), 0.5))))]
+
+
+def _l2_measures() -> dict:
+    """name -> measure of the ``l2`` lines."""
+    return {"lebesgue[-1,1]": lebesgue_measure(), "lebesgue[0,3]": lebesgue_measure(0.0, 3.0),
+            "chebyshev": chebyshev_measure(), "jacobi(0.3,-0.4)": jacobi_measure(0.3, -0.4),
+            "1+x^2/4": tabulated_measure(lambda x: 1.0 + 0.25 * x**2)}
+
+
+L2_DEGREES = (0, 1, 2, 8, 16, 64, 128)
 
 
 def _searches() -> dict:
@@ -162,6 +180,14 @@ def _outputs(seed: int):
     for name, q, op in _scaled_tables():
         yield "table", f"{name} {op.label}", lambda q=q, op=op: [
             (row.n, row.factor, row.witness_id, row.method) for row in factor_table(q, op, [4, 8, 12]).rows]
+    for name, mu in _l2_measures().items():
+        q = LpSpec(mu, 2.0)
+        for op in (DerivOp(1), DerivOp(2), DirOp((-2.0,))):
+            yield "l2", f"table {name} {op.label}", lambda q=q, op=op: [
+                (row.n, row.factor, row.witness_id, row.method) for row in factor_table(q, op, L2_DEGREES).rows]
+            yield "l2", f"search {name} {op.label}", lambda q=q, op=op: [
+                (row.n, row.factor, row.witness_id, row.method)
+                for row in (markov_factor_search(n, op, q) for n in L2_DEGREES)]
     for name, (q, k, n) in _searches().items():
         yield "search", name, lambda q=q, k=k, n=n: _search(q, k, n)
     family = [chebyshev_u(n) for n in range(33)]
