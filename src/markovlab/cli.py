@@ -30,7 +30,7 @@ from .exponents import (
     read_table_csv,
 )
 from .fitting import fit_power_law
-from .norms import QmsSpec, evaluate_norm, qms_norm_exact, spec_from_json, spec_nvars
+from .norms import evaluate_norm, qms_norm_exact, spec_from_json, spec_nvars
 from .orthopoly import NMAX_HARD_CAP, jacobi_system, stieltjes_orthonormalize
 from .polynomials import UniPoly
 from .verify import SUITES, run_suite
@@ -179,11 +179,12 @@ def cmd_norm(args) -> int:
     spec = _parsed("normspec", spec_from_json, spec_json)
     poly = _parse_poly(_require(cfg, "poly"), mode)
     if mode == "exact":
-        if not isinstance(spec, QmsSpec):
+        qms = spec.terms(0).qms
+        if qms is None:
             raise ConfigError("mode", "exact mode is defined for qms norms")
-        if not float(spec.m).is_integer():
+        if not float(qms[0]).is_integer():
             raise ConfigError("normspec", "exact qms values need an integer m")
-        value = qms_norm_exact(poly, int(spec.m), spec.s)
+        value = qms_norm_exact(poly, int(qms[0]), qms[1])
         printed = f"{value.numerator}/{value.denominator}"
         payload_value: object = printed
     else:

@@ -36,7 +36,6 @@ from .domains import Interval, Measure, box_region, json_number, sup_points
 from .errors import PrecisionOverflowError, SpectralityError
 from .fitting import AsymptoticTrend, ExponentFit, asymptotic_exponent, fit_power_law
 from .norms import (
-    LpSpec,
     NormSpec,
     SchurSpec,
     SupSpec,
@@ -169,26 +168,26 @@ def _scaled(row: Bound, c) -> Bound:
 
 
 def exact_l2(q: NormSpec, op: OperatorSpec) -> bool:
-    """Whether ``markov_factor_search`` reads M(n) off ``markov_factor_l2``:
-    an L2 norm and an operator c*D^k of order k >= 1."""
-    return isinstance(q, LpSpec) and float(q.s) == 2.0 and _as_derivative(op, q)[1].k >= 1
+    """Whether ``markov_factor_search`` reads M(n) off ``markov_factor_l2``: a
+    ``terms`` table of one L^2 part and no sups, and an operator c*D^k, k >= 1."""
+    t = q.terms(0)
+    return not t.sups and t.lp is not None and t.lp[1] == 2.0 and _as_derivative(op, q)[1].k >= 1
 
 
-def markov_factor_l2(n: int, k: int, mu: Measure, sys: Optional[OrthoSystem] = None) -> Bound:
+def markov_factor_l2(n: int, k: int, mu: Measure) -> Bound:
     """Exact max of ||p^(k)||_2 / ||p||_2 over deg p <= n, with its maximizer.
 
-    The value is the largest singular value of the k-th derivative operator
-    restricted to degree <= n in the orthonormal basis ``sys`` (by default
-    mu's own to degree max(n, 1): Stieltjes for a tabulated weight, else the
-    closed-form Jacobi system), taken from its differentiation matrix and
-    scaled from sys's support to mu's.  The witness is the top right singular
-    vector, the maximizer's coefficients in sys's basis on sys's support.
-    """
+    The value is the top singular value of d^k/dx^k restricted to degree <= n
+    in mu's own orthonormal system (Stieltjes for a tabulated weight, else
+    closed-form Jacobi), built to the least power of two >= max(n, 1) so that
+    a table builds one system per octave, scaled from its support to mu's.
+    The witness is the top right singular vector, the maximizer's
+    coefficients in that basis on the system's support."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
-    if sys is None:
-        sys = (stieltjes_orthonormalize(mu, max(n, 1)) if mu.weight_fn is not None
-               else jacobi_system(mu.alpha, mu.beta, max(n, 1)))
+    nmax = 1 << (max(n, 1) - 1).bit_length()
+    sys = (stieltjes_orthonormalize(mu, nmax) if mu.weight_fn is not None
+           else jacobi_system(mu.alpha, mu.beta, nmax))
     U, S, Vh = np.linalg.svd(sys.deriv_matrix(n, k))
     # the affine map between the supports is an L2 isometry; d^k/dx^k scales by (2/(b - a))^k
     scale = (sys.measure.support.width / mu.support.width) ** k
@@ -567,36 +566,36 @@ def markov_factor_search(
 ) -> Bound:
     """Certified lower bound for M(n; q) by candidate max plus coordinate ascent;
     an ``Exact`` row, which no budget or seed changes, for the identity
-    (k = 0), an L2 norm (``exact_l2``: ``markov_factor_l2``, to degree 256),
-    a qms norm (``_qms_row``), the plain sup over one interval
-    (``_sup_interval``, ``_v_markov_row``) and n < k in one variable (0, witness T_n).
+    (k = 0), an L2 table (``exact_l2``: ``markov_factor_l2`` of its measure,
+    to degree 256), a qms table (``_qms_row``), the plain sup over one
+    interval (``_sup_interval``, ``_v_markov_row``) and n < k in one variable
+    (0, witness T_n).  Of q it reads only its ``terms`` tables.
 
     On a set in one variable op is c*D^k (``_as_derivative``), and the row is
     that of ``DerivOp(k)`` with |c| times its factor (``_scaled``; past the
     double range, either way, ``PrecisionOverflowError``); on a set in two op
     is as given.
 
-    Every other row is the search's (``_search_row``).  The candidate set is
-    fixed and seeded (Chebyshev, monomial, orthonormal
-    Legendre, random unit coefficient vectors); the best candidate is refined
-    by coordinate-wise ascent with step halving (``_ascend``), both on the
-    coarse (``refine=False``) ratio: through one matrix (``_BatchedRatio``) on
-    a set in one variable, else one ``_ratios`` evaluation per screen or
-    trial (``_PolyRatio``: odd or non-integer L^p, large taylor_disk, and
-    planes, whose candidates are screened in one stacked evaluation and not
-    ascended).  The finalists (the best candidate and its ascent) are
-    certified together in one refined ``_ratios`` pass.  Where NaN ratios (a
-    norm that overflowed) leave no finite one, at the screen or at the
-    certification, it raises ``PrecisionOverflowError``.
+    Every other row is the search's (``_search_row``): fixed seeded candidates
+    (Chebyshev, monomial, orthonormal Legendre, random unit coefficient
+    vectors), the best refined by coordinate-wise ascent with step halving
+    (``_ascend``), both on the coarse (``refine=False``) ratio: through one
+    matrix (``_BatchedRatio``) on a set in one variable, else one ``_ratios``
+    evaluation per screen or trial (``_PolyRatio``: odd or non-integer L^p,
+    large taylor_disk, and planes, whose candidates are screened in one
+    stacked evaluation and not ascended).  The finalists (the best candidate
+    and its ascent) are certified together in one refined ``_ratios`` pass.
+    Where NaN ratios (a norm that overflowed) leave no finite one, at the
+    screen or at the certification, it raises ``PrecisionOverflowError``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     c, op = _as_derivative(op, q)
     if op == DerivOp(0):  # 1*D^0: this row needs no |c|
         return Bound(n, 1.0, "identity", None, "Exact")
-    if exact_l2(q, op):
-        return _scaled(markov_factor_l2(n, op.k, q.measure), c)
     t = q.terms(n)
+    if exact_l2(q, op):
+        return _scaled(markov_factor_l2(n, op.k, t.lp[0]), c)
     if t.qms is not None:
         return _scaled(_qms_row(n, op.k, *t.qms), c)
     iv = _sup_interval(t)

@@ -905,8 +905,8 @@ NormSpec = Union[
 
 
 def spec_nvars(spec: NormSpec) -> int:
-    """The variables of the polynomials spec takes: its set's, else 1."""
-    return getattr(getattr(spec, "set", None), "nvars", 1)
+    """The variables of the polynomials spec takes: its ``terms`` set's, else 1."""
+    return getattr(spec.terms(0).set, "nvars", 1)
 
 
 def evaluate_norm(spec: NormSpec, p, refine: bool = True) -> float:

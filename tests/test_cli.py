@@ -349,6 +349,11 @@ TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees":
         ("ortho-export", {"family": {**JACOBI_FAMILY, "alpha": True}}, "family"),
         ("ortho-export", {"family": {**JACOBI_FAMILY, "beta": 10**400}}, "family"),
         ("ortho-export", {"family": JACOBI_FAMILY, "set": {"kind": "interval", "a": -1, "b": True}}, "set"),
+        # exact mode reads (m, s) off the norm's terms table: a table with no qms
+        # part, or a qms part with a fractional m, has no exact value
+        ("norm", {"normspec": SUP_SPEC, "poly": "monomial:4", "mode": "exact"}, "mode"),
+        ("norm", {"normspec": {"kind": "qms", "m": 1.5, "s": 3}, "poly": "monomial:4", "mode": "exact"},
+         "normspec"),
     ],
     ids=["degree-string", "negative-k", "negative-poly-degree", "nan-lp-order", "seed-string",
          "seed-float", "seed-bool", "budget-zero", "budget-float", "schur-off-unit-interval",
@@ -365,7 +370,7 @@ TABLE = {"normspec": SUP_SPEC, "operator": {"kind": "deriv", "k": 1}, "degrees":
          "jacobi-alpha-nan", "union-point-nan", "deriv-k-fraction", "hop-exponent-fraction",
          "dirop-bool", "qms-s-fraction", "lp-s-bool", "interval-a-bool", "union-point-bool",
          "circle-points-fraction", "jacobi-alpha-bool", "lebesgue-a-string", "ortho-alpha-bool",
-         "ortho-beta-huge", "ortho-interval-b-bool"],
+         "ortho-beta-huge", "ortho-interval-b-bool", "exact-mode-sup", "exact-qms-m-fraction"],
 )
 def test_malformed_config_names_field(tmp_path, monkeypatch, capsys, command, config, field):
     # relative paths in a case resolve in tmp_path, which holds the tables of _TABLES

@@ -74,6 +74,7 @@ from markovlab.exponents import (
 )
 from markovlab.fitting import max_pairwise_slope
 from markovlab.norms import _schur_weight, evaluate_norm, spec_nvars
+from markovlab.orthopoly import stieltjes_orthonormalize
 
 from conftest import legendre_derivative_at_one
 
@@ -94,7 +95,7 @@ class TestMarkovFactorL2:
 
     def test_degree_two_sqrt15(self, rng):
         sys_ = jacobi_system(0.0, 0.0, 2)
-        res = markov_factor_l2(2, 1, MU, sys=sys_)
+        res = markov_factor_l2(2, 1, MU)
         assert res.factor == pytest.approx(math.sqrt(15.0), abs=1e-8)
         # brute force: no random unit coefficient vector beats the factor
         D = sys_.deriv_matrix(2, 1)
@@ -105,7 +106,7 @@ class TestMarkovFactorL2:
 
     def test_rayleigh_quotient_of_witness(self):
         sys_ = jacobi_system(0.0, 0.0, 8)
-        res = markov_factor_l2(8, 2, MU, sys=sys_)
+        res = markov_factor_l2(8, 2, MU)
         D = sys_.deriv_matrix(8, 2)
         v = res.witness
         assert np.linalg.norm(D @ v) / np.linalg.norm(v) == pytest.approx(
@@ -136,11 +137,6 @@ class TestMarkovFactorL2:
         want = (2.0 / (b - a)) ** k * markov_factor_l2(n, k, MU).factor
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
-    def test_degree_beyond_system(self):
-        sys_ = jacobi_system(0.0, 0.0, 4)
-        with pytest.raises(ValueError):
-            markov_factor_l2(8, 1, MU, sys=sys_)
-
     @pytest.mark.parametrize("n", [128, 200, 256])
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("family", ["legendre", "chebyshev"])
@@ -165,6 +161,37 @@ class TestMarkovFactorL2:
         monkeypatch.setattr(domains, "gauss_jacobi", fail)
         monkeypatch.setattr(Measure, "rule_for_degree", fail)
         assert markov_factor_l2(64, 2, mu).factor > 0.0
+
+    @pytest.mark.parametrize("mu, alpha, beta, a, b",
+                             [(MU, 0.0, 0.0, -1.0, 1.0), (lebesgue_measure(0.0, 3.0), 0.0, 0.0, 0.0, 3.0),
+                              (chebyshev_measure(), -0.5, -0.5, -1.0, 1.0),
+                              (jacobi_measure(0.3, -0.4), 0.3, -0.4, -1.0, 1.0)],
+                             ids=["lebesgue", "lebesgue[0,3]", "chebyshev", "jacobi(0.3,-0.4)"])
+    @pytest.mark.parametrize("n", [3, 24, 100, 200])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_row_is_the_top_singular_value_of_its_own_degree(self, mu, alpha, beta, a, b, n, k):
+        # the row takes a system to the least power of two >= n; a Jacobi
+        # system's leading block does not depend on its size, so the row is
+        # bitwise that of the system of degree n
+        _, S, Vh = np.linalg.svd(jacobi_system(alpha, beta, n).deriv_matrix(n, k))
+        row = markov_factor_l2(n, k, mu)
+        assert row.factor == (2.0 / (b - a)) ** k * float(S[0])
+        assert row.witness.tobytes() == Vh[0].tobytes()
+
+    def test_tabulated_table_builds_one_system_per_power_of_two(self, monkeypatch):
+        # a Stieltjes system of a new size asks for a Gauss rule of a new size:
+        # a table over 1..128 builds 8 of them, not 128
+        seen = []
+
+        def counted(mu, nmax):
+            seen.append(nmax)
+            return stieltjes_orthonormalize(mu, nmax)
+
+        monkeypatch.setattr(exponents, "stieltjes_orthonormalize", counted)
+        q = LpSpec(domains.tabulated_measure(lambda x: 1 + x**2 / 4), 2.0)
+        table = factor_table(q, DerivOp(1), range(1, 129))
+        assert len(table.rows) == len(seen) == 128
+        assert set(seen) == {2**i for i in range(8)}
 
     @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 3.0)])
     @pytest.mark.parametrize("n", [8, 32, 64])
@@ -204,6 +231,52 @@ class TestL2SearchRows:
             with pytest.raises(ValueError, match="hard cap 256") as err:
                 entry()
             assert not isinstance(err.value, QuadratureBudgetError)
+
+
+class _TermsOnly:
+    """A norm that exposes only its ``terms`` table."""
+
+    def __init__(self, spec):
+        self.terms = spec.terms
+
+
+TERMS_SPECS = {
+    "sup[-1,1]": SupSpec(E),
+    "taylor_disk[-1,1]": TaylorDiskSpec(E, 0.5),
+    "mixed_deriv-gap": MixedDerivSpec(UnionSet((Interval(-1.0, -0.5), Interval(0.5, 1.0)))),
+    "l2[0,3]": LpSpec(lebesgue_measure(0.0, 3.0), 2.0),
+    "l2-tabulated": LpSpec(domains.tabulated_measure(lambda x: 1 + x**2 / 4), 2.0),
+    "l3": LpSpec(MU, 3.0),
+    "qms(2,3)": QmsSpec(2, 3),
+    "schur": SchurSpec(0.5),
+}
+
+
+class TestTermsTableEntry:
+    """The search and the table read a norm only through ``terms(deg)``: a
+    wrapper that exposes nothing else gives the spec's rows bitwise."""
+
+    @staticmethod
+    def _same_rows(q, op, degrees):
+        want = factor_table(q, op, degrees).rows
+        got = factor_table(_TermsOnly(q), op, degrees).rows
+        assert [(r.n, r.factor, r.witness_id, r.method) for r in got] == \
+            [(r.n, r.factor, r.witness_id, r.method) for r in want]
+        n = degrees[-1]
+        row, ref = markov_factor_search(n, op, _TermsOnly(q)), markov_factor_search(n, op, q)
+        assert (row.factor, row.witness_id, row.method) == (ref.factor, ref.witness_id, ref.method)
+        return ref
+
+    @pytest.mark.parametrize("op", [DerivOp(1), DirOp((-2.0,))], ids=["D", "-2D"])
+    @pytest.mark.parametrize("name", list(TERMS_SPECS))
+    def test_one_variable(self, name, op):
+        q = TERMS_SPECS[name]
+        ref = self._same_rows(q, op, [2, 9, 16])
+        if name.startswith("l2"):
+            assert (ref.method, ref.witness_id) == ("Exact", "l2-extremal")
+
+    def test_box(self):
+        self._same_rows(SupSpec(domains.box_region()), DerivOp(1), [2, 4])
 
 
 class TestMarkovFactorSearch:

@@ -27,6 +27,10 @@ operation once, printing ``<workload> | <operation> | <repr of its output>``
   and 128, of D, D^2 and ``DirOp((-2.0,))`` under Lebesgue measure on
   [-1, 1] and [0, 3], the Chebyshev and Jacobi(0.3, -0.4) measures and the
   tabulated 1 + x^2/4 weight: exact rows, the same on both lines;
+- ``l2 | table 1+x^2/4 <operator label> off powers of two | <the same of
+  each row>``: the tabulated weight's rows of D and D^2 at n = 3, 24, 50,
+  100 and 127, where a row's Stieltjes system runs to the next power of two
+  (``markov_factor_l2``), so a change of that rule shows here;
 - ``search | <norm> k=<k> n=<n> | <(factor, witness id, sha256 of the
   witness's Chebyshev coefficient bytes)>``: ``markov_factor_search`` on rows without a
   sampling matrix (``_PolyRatio``) that the benchmark does not run:
@@ -129,6 +133,7 @@ def _l2_measures() -> dict:
 
 
 L2_DEGREES = (0, 1, 2, 8, 16, 64, 128)
+L2_TABULATED_DEGREES = (3, 24, 50, 100, 127)
 
 
 def _searches() -> dict:
@@ -188,6 +193,11 @@ def _outputs(seed: int):
             yield "l2", f"search {name} {op.label}", lambda q=q, op=op: [
                 (row.n, row.factor, row.witness_id, row.method)
                 for row in (markov_factor_search(n, op, q) for n in L2_DEGREES)]
+    tabulated = LpSpec(_l2_measures()["1+x^2/4"], 2.0)
+    for op in (DerivOp(1), DerivOp(2)):
+        yield "l2", f"table 1+x^2/4 {op.label} off powers of two", lambda op=op: [
+            (row.n, row.factor, row.witness_id, row.method)
+            for row in factor_table(tabulated, op, L2_TABULATED_DEGREES).rows]
     for name, (q, k, n) in _searches().items():
         yield "search", name, lambda q=q, k=k, n=n: _search(q, k, n)
     family = [chebyshev_u(n) for n in range(33)]
