@@ -35,7 +35,6 @@ from .errors import (
     OrthogonalityLossError,
     PrecisionOverflowError,
     QuadratureBudgetError,
-    SpectralityError,
 )
 from .exponents import (
     Bound,
@@ -47,22 +46,20 @@ from .exponents import (
     laplacian_vs_gradient_check,
     markov_factor_l2,
     markov_factor_search,
+    nikolskii_l2,
     norm_exponent_trend,
     qms_exact_exponent,
-    spectral_exponent_floor,
 )
 from .fitting import AsymptoticTrend, ExponentFit, asymptotic_exponent, fit_power_law
 from .norms import (
     LpSpec,
     MixedDerivSpec,
-    NikolskiiCertificate,
     QmsSpec,
     SchurSpec,
     SupPlusLpSpec,
     SupSpec,
     TaylorDiskSpec,
     evaluate_norm,
-    fit_nikolskii,
     lp_norm,
     qms_log_norm,
     qms_norm,

@@ -28,10 +28,6 @@ class OrthogonalityLossError(MarkovLabError, ArithmeticError):
         )
 
 
-class SpectralityError(MarkovLabError, ValueError):
-    """Norm failed the spectrality certificate required by the operation."""
-
-
 class ConfigError(MarkovLabError, ValueError):
     """Invalid or incomplete experiment configuration."""
 

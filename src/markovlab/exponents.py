@@ -8,7 +8,8 @@ certified lower bounds everywhere else: sup-norm maximization is itself
 sampled, and the candidate-plus-ascent search can only under-shoot the true
 extremal ratio.
 Every factor is a ``Bound`` row that records its own method, ``Exact`` or
-``LowerBound``, with the witness it was read from.
+``LowerBound``, with the witness it was read from; ``nikolskii_l2``'s rows of
+sup|p| / ||p||_2 are ``Bound`` rows too.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .chebseries import (
     random_units,
 )
 from .domains import Interval, Measure, box_region, json_number, sup_points
-from .errors import PrecisionOverflowError, SpectralityError
+from .errors import PrecisionOverflowError
 from .fitting import AsymptoticTrend, ExponentFit, asymptotic_exponent, fit_power_law
 from .norms import (
     NormSpec,
@@ -58,7 +59,6 @@ _ASCENT_ROUNDS = 200
 _N_RANDOM_CANDIDATES = 64
 _SCREEN_ENTRIES = 1 << 15  # sampled values per screening product (256 kB)
 _LAPLACIAN_DEGMAX = 24  # laplacian_vs_gradient_check's corpus: degrees 1..24
-_FLOOR_DEGREES = (2, 16)  # spectral_exponent_floor's table and fit window
 _RANDOMS_PER_DEGREE = 2  # bernstein_schur_check's random polynomials per degree
 
 
@@ -95,7 +95,7 @@ class Bound:
     exists), T_n as a ``ChebSeries`` in the interval's reference coordinate
     t = (2x - a - b)/(b - a) for a sup row on one interval [a, b], the
     power-basis x^i (a ``MultiPoly``) for a qms row, and for an L2 row the
-    coefficient vector ``markov_factor_l2`` gives."""
+    coefficient vector ``markov_factor_l2`` or ``nikolskii_l2`` gives."""
 
     n: int
     factor: float
@@ -174,24 +174,49 @@ def exact_l2(q: NormSpec, op: OperatorSpec) -> bool:
     return not t.sups and t.lp is not None and t.lp[1] == 2.0 and _as_derivative(op, q)[1].k >= 1
 
 
+def _l2_system(mu: Measure, n: int) -> OrthoSystem:
+    """mu's own orthonormal system (Stieltjes for a tabulated weight, else
+    closed-form Jacobi), built to the least power of two >= max(n, 1) so that
+    a table builds one system per octave."""
+    nmax = 1 << (max(n, 1) - 1).bit_length()
+    return (stieltjes_orthonormalize(mu, nmax) if mu.weight_fn is not None
+            else jacobi_system(mu.alpha, mu.beta, nmax))
+
+
 def markov_factor_l2(n: int, k: int, mu: Measure) -> Bound:
     """Exact max of ||p^(k)||_2 / ||p||_2 over deg p <= n, with its maximizer.
 
     The value is the top singular value of d^k/dx^k restricted to degree <= n
-    in mu's own orthonormal system (Stieltjes for a tabulated weight, else
-    closed-form Jacobi), built to the least power of two >= max(n, 1) so that
-    a table builds one system per octave, scaled from its support to mu's.
+    in mu's ``_l2_system``, scaled from its support to mu's.
     The witness is the top right singular vector, the maximizer's
     coefficients in that basis on the system's support."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
-    nmax = 1 << (max(n, 1) - 1).bit_length()
-    sys = (stieltjes_orthonormalize(mu, nmax) if mu.weight_fn is not None
-           else jacobi_system(mu.alpha, mu.beta, nmax))
+    sys = _l2_system(mu, n)
     U, S, Vh = np.linalg.svd(sys.deriv_matrix(n, k))
     # the affine map between the supports is an L2 isometry; d^k/dx^k scales by (2/(b - a))^k
     scale = (sys.measure.support.width / mu.support.width) ** k
     return Bound(n, scale * float(S[0]), "l2-extremal", Vh[0].copy(), "Exact")
+
+
+def nikolskii_l2(mu: Measure, n: int) -> Bound:
+    """Nikolskii's constant max sup|p| / ||p||_2 over deg p <= n, the sup on
+    mu's support: max_x K_n(x, x)^(1/2), where K_n(x, x) = sum_{j<=n} Q_j(x)^2
+    inverts mu's Christoffel function (Nevai 1986).
+
+    K_n(x, x) is read on the support's grid of degree 2n, endpoints included,
+    in mu's ``_l2_system``.  The kernel polynomial K_n(., x0) at its largest
+    value x0 attains the ratio there, so the row is a lower end.  Its witness
+    is (Q_j(x0))_{j<=n}, that polynomial's coefficients in the basis on the
+    system's support; its id names x0 on mu's support."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    sys = _l2_system(mu, n)
+    Q = sys.values(sys.measure.support.grid(2 * n), n)
+    K = np.einsum("ji,ji->i", Q, Q)
+    i = int(np.argmax(K))
+    x0 = float(mu.support.grid(2 * n)[i])
+    return Bound(n, math.sqrt(K[i]), f"christoffel:x={x0!r}", Q[:, i].copy(), "LowerBound")
 
 
 def _candidates_1d(n: int, rng: np.random.Generator, budget: int):
@@ -769,45 +794,6 @@ def laplacian_vs_gradient_check(l: int = 1) -> LaplacianReport:
         operator_fit=op_fit,
         exponent_ratio=op_fit.slope_ls / grad_fit.slope_ls,
         predicted_ratio=2.0 * l,
-    )
-
-
-@dataclass(frozen=True)
-class FloorReport:
-    slope: float
-    floor: float
-    passed: bool
-    spectral_defect: float
-
-
-def spectral_exponent_floor(q: NormSpec, k: int = 1, seed: int = DEFAULT_SEED) -> FloorReport:
-    """Check that a spectral norm's fitted Markov exponent, over the degrees
-    in ``_FLOOR_DEGREES``, is >= 1 - 0.05.
-
-    Preconditions the norm by certifying spectrality on monomial powers
-    (q(p^t) = q(p)^t within 1e-8 relative); non-spectral norms raise
-    SpectralityError since the floor argument does not apply to them.
-    """
-    if k == 0:
-        return FloorReport(slope=0.0, floor=0.95, passed=True, spectral_defect=0.0)
-    p = monomial(1)
-    base = evaluate_norm(q, p)
-    defect = 0.0
-    for t in (2, 3, 4):
-        vt = evaluate_norm(q, p**t)
-        defect = max(defect, abs(vt - base**t) / max(base**t, 1e-300))
-    if defect > 1e-8:
-        raise SpectralityError(
-            f"norm is not spectral on monomials (defect {defect:.3e})"
-        )
-    lo, hi = _FLOOR_DEGREES
-    table = factor_table(q, DerivOp(k), range(lo, hi + 1), seed=seed)
-    fit = fit_exponent(table, window=_FLOOR_DEGREES)
-    return FloorReport(
-        slope=fit.slope_ls,
-        floor=1.0 - 0.05,
-        passed=fit.slope_ls >= 1.0 - 0.05,
-        spectral_defect=defect,
     )
 
 

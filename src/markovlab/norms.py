@@ -1,4 +1,4 @@
-"""Norm families on polynomial spaces, their evaluators, and equivalence fits.
+"""Norm families on polynomial spaces and their evaluators.
 
 The public entry points (``evaluate_norm`` and ``_evaluate_norms``,
 ``sup_norm``, ``lp_norm``, ``spectral_norm_estimate``) accept a ``ChebSeries``
@@ -40,7 +40,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import partial, reduce
-from typing import Mapping, Optional, Sequence, Union, get_args
+from typing import Optional, Union, get_args
 
 import numpy as np
 from numpy.polynomial import chebyshev as nch
@@ -61,7 +61,6 @@ from .domains import (
     set_to_json,
 )
 from .errors import DimensionMismatchError, PrecisionOverflowError
-from .fitting import max_pairwise_slope
 from .polynomials import NEG_INF, MultiPoly, chebder_columns
 
 # Root-split L^p: first and largest Gauss-Jacobi rule per piece (the largest
@@ -1087,72 +1086,3 @@ def spectral_norm_estimate(p, spec: NormSpec, s_max: int) -> SpectralEstimate:
         plain_tail=float(vals[-1]),
         monotone=monotone,
     )
-
-
-# ---------------------------------------------------------------------------
-# Two-sided norm-equivalence certificates
-
-
-@dataclass(frozen=True)
-class NikolskiiCertificate:
-    """Fitted two-sided degree-power equivalence between two norms.
-
-    Certifies q1(p) <= A * n^a * q2(p) and q2(p) <= B * n^b * q1(p) at every
-    tested degree on the corpus (with ``slack`` the worst margin, >= 0 when
-    status is "certified").
-    """
-
-    A: float
-    a: float
-    B: float
-    b: float
-    degree_range: tuple
-    slack: float
-    status: str
-    witness_forward: str = ""
-    witness_reverse: str = ""
-
-
-def fit_nikolskii(
-    q1: NormSpec,
-    q2: NormSpec,
-    corpus: Mapping[int, Sequence],
-    deg_range: Optional[tuple] = None,
-) -> NikolskiiCertificate:
-    """Fit the smallest degree-power slopes relating two norms on a corpus."""
-    degrees = sorted(n for n in corpus if n >= 1)
-    if deg_range is not None:
-        degrees = [n for n in degrees if deg_range[0] <= n <= deg_range[1]]
-    if not degrees:
-        raise ValueError("corpus has no degrees >= 1 in range")
-    fwd, rev, wit_f, wit_r = [], [], [], []
-    for n in degrees:
-        best_f, best_r, bf_w, br_w = 0.0, 0.0, "", ""
-        values = zip(_evaluate_norms(q1, corpus[n]), _evaluate_norms(q2, corpus[n]))
-        for idx, (v1, v2) in enumerate(values):
-            if v2 == 0.0 and v1 > 0.0 or v1 == 0.0 and v2 > 0.0:
-                return NikolskiiCertificate(
-                    math.inf, math.inf, math.inf, math.inf, (degrees[0], degrees[-1]), -math.inf,
-                    "failed", witness_forward=f"deg{n}#{idx}")
-            if v1 == 0.0 and v2 == 0.0:
-                continue
-            if v1 / v2 > best_f:
-                best_f, bf_w = v1 / v2, f"deg{n}#{idx}"
-            if v2 / v1 > best_r:
-                best_r, br_w = v2 / v1, f"deg{n}#{idx}"
-        fwd.append(best_f)
-        rev.append(best_r)
-        wit_f.append(bf_w)
-        wit_r.append(br_w)
-    logn = np.log(np.array(degrees, dtype=float))
-    a = max(0.0, max_pairwise_slope(logn, np.log(np.maximum(fwd, 1e-300))))
-    b = max(0.0, max_pairwise_slope(logn, np.log(np.maximum(rev, 1e-300))))
-    A = max(f / n**a for f, n in zip(fwd, degrees))
-    B = max(r / n**b for r, n in zip(rev, degrees))
-    slack = min(
-        min(A * n**a - f for f, n in zip(fwd, degrees)),
-        min(B * n**b - r for r, n in zip(rev, degrees)),
-    )
-    return NikolskiiCertificate(
-        float(A), float(a), float(B), float(b), (degrees[0], degrees[-1]), float(slack),
-        "certified", wit_f[int(np.argmax(fwd))], wit_r[int(np.argmax(rev))])

@@ -15,18 +15,16 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from .chebseries import random_unit
-from .domains import Interval, disk_boundary, lebesgue_measure
-from .errors import SpectralityError
+from .domains import Interval, chebyshev_measure, lebesgue_measure
 from .exponents import (
     DEFAULT_SEED,
     bernstein_schur_check,
     laplacian_vs_gradient_check,
+    nikolskii_l2,
     qms_exact_exponent,
-    spectral_exponent_floor,
 )
 from .fitting import asymptotic_exponent
 from .norms import (
-    LpSpec,
     SupSpec,
     _evaluate_norms,
     lp_norm,
@@ -195,7 +193,8 @@ def suite_qms(seed: int = DEFAULT_SEED) -> SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# nikolskii: two-sided sup vs L^p sandwich with the explicit factor
+# nikolskii: two-sided sup vs L^p sandwich with the explicit factor, and the
+# L2 constants max_x K_n(x, x)^(1/2) where they have a closed form
 
 
 def suite_nikolskii(seed: int = DEFAULT_SEED, count: int = 100) -> SuiteReport:
@@ -216,11 +215,16 @@ def suite_nikolskii(seed: int = DEFAULT_SEED, count: int = 100) -> SuiteReport:
                 violations += 1
     report = SuiteReport("nikolskii", seed)
     report.checks.append(_check_eq_count("sandwich-violations", violations))
+    closed_forms = (("christoffel-lebesgue", mu, lambda n: n + 1.0),
+                    ("christoffel-chebyshev", chebyshev_measure(), lambda n: math.sqrt(2 * n + 1)))
+    for name, nu, exact in closed_forms:
+        worst = max(abs(nikolskii_l2(nu, n).factor / exact(n) - 1) for n in (8, 64, 128, 256))
+        report.checks.append(_check_le(name, worst, 1e-12))
     return report
 
 
 # ---------------------------------------------------------------------------
-# bernstein-schur, laplacian, floor
+# bernstein-schur, laplacian
 
 
 def suite_bernstein_schur(seed: int = DEFAULT_SEED) -> SuiteReport:
@@ -250,31 +254,12 @@ def suite_laplacian(seed: int = DEFAULT_SEED) -> SuiteReport:
     return report
 
 
-def suite_floor(seed: int = DEFAULT_SEED) -> SuiteReport:
-    report = SuiteReport("floor", seed)
-    sets = (("interval-sup-floor", Interval(-1.0, 1.0)), ("disk-sup-floor", disk_boundary()))
-    for name, E in sets:
-        floor = spectral_exponent_floor(SupSpec(E), seed=seed)
-        status = "pass" if floor.passed else "fail"
-        report.checks.append(CheckResult(name, status, floor.slope, floor.floor, 0.0))
-    try:
-        spectral_exponent_floor(LpSpec(lebesgue_measure(), 2.0), seed=seed)
-        rejected = 0
-    except SpectralityError:
-        rejected = 1
-    report.checks.append(
-        CheckResult("non-spectral-rejected", "pass" if rejected else "fail", float(rejected), 1.0, 0.0)
-    )
-    return report
-
-
 SUITES: Dict[str, Callable[..., SuiteReport]] = {
     "di": suite_power_identity,
     "qms": suite_qms,
     "nikolskii": suite_nikolskii,
     "bernstein-schur": suite_bernstein_schur,
     "laplacian": suite_laplacian,
-    "floor": suite_floor,
 }
 
 

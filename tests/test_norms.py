@@ -30,7 +30,6 @@ from markovlab import (
     cusp_region,
     disk_boundary,
     evaluate_norm,
-    fit_nikolskii,
     jacobi_measure,
     lebesgue_measure,
     lp_norm,
@@ -1262,36 +1261,6 @@ class TestSpectralEstimate:
     def test_requires_enough_powers(self):
         with pytest.raises(ValueError):
             spectral_norm_estimate(UniPoly((0, 1)), SupSpec(E), 3)
-
-
-class TestFitNikolskii:
-    def test_identical_norms(self):
-        corpus = {n: [chebyshev_t(n)] for n in range(1, 9)}
-        cert = fit_nikolskii(SupSpec(E), SupSpec(E), corpus)
-        assert (cert.A, cert.a, cert.B, cert.b) == (1.0, 0.0, 1.0, 0.0)
-
-    def test_sup_vs_l2_on_chebyshev(self):
-        corpus = {n: [chebyshev_t(n)] for n in range(1, 33)}
-        cert = fit_nikolskii(SupSpec(E), LpSpec(MU, 2.0), corpus)
-        assert cert.status == "certified"
-        assert cert.a <= 1.0
-
-    def test_sup_vs_schur_shows_degree_factor(self):
-        corpus = {
-            n: [chebyshev_t(n), chebyshev_u(n), monomial(n)] for n in range(1, 65)
-        }
-        cert = fit_nikolskii(SupSpec(E), SchurSpec(0.5), corpus, deg_range=(16, 64))
-        assert cert.a == pytest.approx(1.0, abs=0.15)
-        assert cert.b <= 0.2
-
-    def test_certificate_holds_on_corpus(self):
-        corpus = {n: [chebyshev_t(n), monomial(n)] for n in range(1, 17)}
-        cert = fit_nikolskii(SupSpec(E), LpSpec(MU, 2.0), corpus)
-        for n, polys in corpus.items():
-            for p in polys:
-                v1, v2 = sup_norm(p, E), lp_norm(p, MU, 2.0)
-                assert v1 <= cert.A * n**cert.a * v2 * (1 + 1e-9)
-                assert v2 <= cert.B * n**cert.b * v1 * (1 + 1e-9)
 
 
 class TestNormSpecJson:
