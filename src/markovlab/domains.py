@@ -98,8 +98,10 @@ class SampledRegion2D:
 
     A plane region is a masked tensor grid: ``axes`` holds the distinct x and
     the distinct y of its points, ascending, and ``index`` each point's place
-    in the row-major grid of axes[0] x axes[1] (None for a complex point set),
-    so a polynomial's values at the points are read off its grid values.
+    in the row-major grid of axes[0] x axes[1], so a polynomial's values at
+    the points are read off its grid values.  ``index`` is None for a complex
+    point set, and for a region whose points are its whole grid in row-major
+    order (a box), whose grid values are its values at the points.
     """
 
     __slots__ = ("points", "descriptor", "as_complex", "samples", "nvars", "axes", "index")
@@ -117,7 +119,9 @@ class SampledRegion2D:
         self.axes = self.index = None
         if not self.as_complex:
             (xs, ix), (ys, iy) = (np.unique(x, return_inverse=True) for x in self.samples)
-            self.axes, self.index = (xs, ys), ix * ys.size + iy
+            index = ix * ys.size + iy
+            full = np.array_equal(index, np.arange(xs.size * ys.size))
+            self.axes, self.index = (xs, ys), None if full else index
 
     @property
     def complex_points(self) -> np.ndarray:

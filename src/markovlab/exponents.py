@@ -504,11 +504,12 @@ def _best(ratios, n: int) -> Optional[int]:
     return best
 
 
-def _coarse_finalists(n: int, op: OperatorSpec, q: NormSpec, budget: int, seed: int) -> list:
+def _coarse_finalists(n: int, op: OperatorSpec, q: NormSpec, budget: int, seed: int) -> tuple:
     """The best candidate by the coarse ratio and, where the ascent improved
-    on it, the ascent's result, as (name, series) pairs; none where no
-    candidate has a ratio.  The coarse matrices go when it returns, before
-    the certification needs its own memory."""
+    on it, the ascent's result, as (name, series) pairs, and the best
+    candidate's coarse ratio; no pairs and None where no candidate has a
+    ratio.  The coarse matrices go when it returns, before the certification
+    needs its own memory."""
     rng = np.random.default_rng(seed + 7919 * n)
     two_dim = spec_nvars(q) == 2
     names, coefs = (_candidates_2d if two_dim else _candidates_1d)(n, rng, budget)
@@ -516,13 +517,13 @@ def _coarse_finalists(n: int, op: OperatorSpec, q: NormSpec, budget: int, seed: 
     screened = coarse.screen(coefs)
     best = _best(screened, n)
     if best is None:
-        return []
+        return [], None
     finalists = [(names[best], ChebSeries(coefs[best]))]
     if not two_dim:
         coef = _ascend(coarse, coefs[best], screened[best], _ASCENT_ROUNDS * budget)
         if coef is not None:
             finalists.append((names[best] + "+ascent", ChebSeries(coef)))
-    return finalists
+    return finalists, screened[best]
 
 
 def _qms_row(n: int, k: int, m, s: int) -> Bound:
@@ -570,12 +571,18 @@ def _v_markov_row(n: int, k: int, iv: Interval) -> Bound:
 
 def _search_row(n: int, op: OperatorSpec, q: NormSpec, budget: int, seed: int) -> Bound:
     """The certified ``LowerBound`` row of the candidate-plus-ascent search
-    (``markov_factor_search`` describes it), op as given."""
-    finalists = _coarse_finalists(n, op, q, budget, seed)
+    (``markov_factor_search`` describes it), op as given.  In one variable
+    the finalists are certified by one refined ``_ratios`` pass; on a plane
+    the one finalist's screened ratio is its certified one, since refine
+    changes no plane sup and a column's plane sup is the value it has alone
+    (``_plane_sup``)."""
+    finalists, screened = _coarse_finalists(n, op, q, budget, seed)
     if not finalists:
         return Bound(n, 0.0, "none", None, "LowerBound")
-    # the ascent can overfit grid-only sup estimates; certify with refinement
-    certified = _ratios(op, q, [p for _, p in finalists], refine=True)
+    if spec_nvars(q) == 2:
+        certified = [screened]
+    else:  # the ascent can overfit grid-only sup estimates; certify with refinement
+        certified = _ratios(op, q, [p for _, p in finalists], refine=True)
     j = _best(certified, n)
     if j is None:
         return Bound(n, 0.0, "", None, "LowerBound")
@@ -609,7 +616,9 @@ def markov_factor_search(
     evaluation per screen or trial (``_PolyRatio``: odd or non-integer L^p,
     large taylor_disk, and planes, whose candidates are screened in one
     stacked evaluation and not ascended).  The finalists (the best candidate
-    and its ascent) are certified together in one refined ``_ratios`` pass.
+    and its ascent) are certified together in one refined ``_ratios`` pass;
+    a plane row's one finalist keeps its screened ratio, which refinement
+    would give again bitwise.
     Where NaN ratios (a norm that overflowed) leave no finite one, at the
     screen or at the certification, it raises ``PrecisionOverflowError``.
     """

@@ -30,8 +30,9 @@ sup terms of many polynomials in as few passes as that bound allows.
 
 A plane region is a masked tensor grid (``SampledRegion2D.axes`` and
 ``index``): a sup over it reads each series' values on the grid, Vx C Vy^T,
-by two matrix products and takes them at the region's points
-(``_plane_sup``, which ``_sup_columns`` calls for every plane sup).
+by two matrix products and takes them at the region's points, or as they
+are where the points are the whole grid (``_plane_sup``, which
+``_sup_columns`` calls for every plane sup).
 """
 
 from __future__ import annotations
@@ -210,15 +211,18 @@ def _plane_sup(C: np.ndarray, E: CompactSet, alpha: float = 0.0) -> np.ndarray:
     A column cut to its own shape (a, b), its last nonzero row and column,
     takes its values on E's tensor grid by two matrix products, Vx C Vy^T
     with Vx and Vy the Chebyshev-Vandermonde matrices of ``E.axes``, and
-    reads them at E's points (``E.index``).  Columns go in groups of one
-    shape and one kind, complex where an imaginary part is nonzero, each
+    reads them at E's points (``E.index``; the grid values themselves where
+    it is None, E's points being its whole grid).  Columns go in groups of
+    one shape and one kind, complex where an imaginary part is nonzero, each
     product one BLAS call per column, and a group in chunks of at most
     ``_PASS_MAX_ENTRIES`` grid values; so a column's value is the one it has
-    alone, whatever columns come with it.  A zero column gives 0."""
+    alone, whatever columns come with it.  A real chunk's one grid-sized
+    array is the product itself, made absolute and weighted in place.  A
+    zero column gives 0."""
     count, nz = C.shape[-1], C != 0
     a, b = (np.where(m.any(0), len(m) - np.argmax(m[::-1], axis=0), 0) for m in (nz.any(1), nz.any(0)))
     cplx = (C.imag != 0).any(axis=(0, 1))
-    w = _schur_weight(alpha, *E.samples) if alpha else 1.0
+    w = _schur_weight(alpha, *E.samples) if alpha else None
     X, Y = (nch.chebvander(x, max(size - 1, 0)) for x, size in zip(E.axes, C.shape))
     C = np.moveaxis(C, -1, 0)
     out = np.zeros(count)
@@ -231,15 +235,21 @@ def _plane_sup(C: np.ndarray, E: CompactSet, alpha: float = 0.0) -> np.ndarray:
         for start in range(0, cols.size, width):
             part = cols[start : start + width]
             block = np.ascontiguousarray(C[part, :i, :j] if c else C[part, :i, :j].real)
-            grid = (Xi @ block @ Yj).reshape(part.size, -1)
-            out[part] = np.max(np.abs(np.take(grid, E.index, axis=1)) * w, axis=1)
+            vals = (Xi @ block @ Yj).reshape(part.size, -1)
+            vals = vals if E.index is None else np.take(vals, E.index, axis=1)
+            vals = np.abs(vals) if c else np.abs(vals, out=vals)
+            if w is not None:
+                vals *= w
+            out[part] = np.max(vals, axis=1)
     return out
 
 
 def _sup_entries(count: int, E: CompactSet, deg: int, cplx: bool = False) -> int:
     """The values a ``_sup`` pass over count polynomials of degree at most
     deg on E holds at once, ``_SUP_ARRAYS`` per padded grid value (V), twice
-    that where cplx (complex series)."""
+    that where cplx (complex series).  It counts the grids of E's intervals
+    only, so it is 0 on a plane region, whose bound is ``_plane_sup``'s own
+    chunking."""
     return _SUP_ARRAYS * (1 + cplx) * count * len(E.intervals) * grid_size(deg)
 
 
@@ -972,7 +982,12 @@ def _sup_groups(degs, tables, cplx: bool) -> list:
     """Consecutive slices of the polynomials of these degrees and ``terms``
     tables (complex series where cplx), whose sup images take one ``_sup``
     pass of at most ``_PASS_MAX_ENTRIES`` values: all of them where they
-    fit, none where no table has a sup term."""
+    fit, none where no table has a sup term.  On a set without intervals (a
+    plane region, whose ``_plane_sup`` takes its own chunks, or a point set)
+    ``_sup_entries`` is 0, so they are one group."""
+    E = next((t.set for t in tables if t.sups), None)  # a qms table has no set
+    if E is not None and not E.intervals:
+        return [slice(0, len(degs))]
     groups, start, count, deg = [], 0, 0, 0
     for i, (t, d) in enumerate(zip(tables, degs)):
         if count and _sup_entries(count + len(t.sups), t.set, max(deg, d), cplx) > _PASS_MAX_ENTRIES:

@@ -10,6 +10,7 @@ from markovlab import (
     MixedDerivSpec,
     SupSpec,
     QuadratureBudgetError,
+    SampledRegion2D,
     UnionSet,
     box_region,
     chebyshev_measure,
@@ -32,6 +33,7 @@ from markovlab.domains import (
     sup_points,
     tabulated_measure,
 )
+from markovlab.norms import _sup
 
 
 def test_interval_orientation():
@@ -102,12 +104,37 @@ class TestRegions:
                              ids=["box", "cusp", "cusp-even-grid"])
     def test_plane_region_is_a_masked_tensor_grid(self, E):
         # each point is bitwise its grid point; on an even cusp grid y = 0
-        # is on the axis for the tips alone
+        # is on the axis for the tips alone; no index means the whole grid
         xs, ys = E.axes
         assert (np.diff(xs) > 0).all() and (np.diff(ys) > 0).all()
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        assert np.array_equal(np.column_stack([X.ravel()[E.index], Y.ravel()[E.index]]), E.points)
-        assert np.unique(E.index).size == len(E.points)
+        index = np.arange(X.size) if E.index is None else E.index
+        assert np.array_equal(np.column_stack([X.ravel()[index], Y.ravel()[index]]), E.points)
+        assert np.unique(index).size == len(E.points)
+
+    @pytest.mark.parametrize("E, full", [(box_region(), True), (box_region(grid=81), True),
+                                         (box_region(-1.0, 2.0, -3.0, 1.0, grid=33), True),
+                                         (cusp_region(), False), (disk_boundary(), False)],
+                             ids=["box", "box81", "box-off-center", "cusp", "circle"])
+    def test_full_grid_is_recorded_once(self, E, full):
+        # a box's points are its whole grid in row-major order, so it keeps
+        # no index; a cusp keeps its index, and a complex point set has none
+        assert (E.index is None) == (full or E.as_complex)
+
+    def test_shuffled_box_keeps_its_gather(self, rng):
+        # the box's points in another order are a masked grid like any other,
+        # and give its sups bitwise
+        box = box_region()
+        order = rng.permutation(len(box.points))
+        E = SampledRegion2D(box.points[order], {"predicate": "shuffled_box"})
+        assert np.array_equal(E.index, order)
+        for a, b in E.axes, box.axes:
+            assert np.array_equal(a, b)
+        polys = [ChebSeries(rng.standard_normal((a, b))) for a, b in ((1, 1), (4, 6), (9, 2), (9, 9))]
+        polys.append(ChebSeries(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))))
+        for alpha in (0.0, 0.5):
+            got, want = (np.array(_sup(polys, F, False, alpha)) for F in (E, box))
+            assert got.tobytes() == want.tobytes()
 
     def test_plane_region_specs_hash(self):
         # equal regions (one descriptor) hash alike, so their specs key a dict

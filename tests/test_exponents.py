@@ -756,6 +756,26 @@ class TestPolyRatioScreen:
         want = [_plane_ratio_alone(op, q, c) for c in C]
         assert np.array(coarse.screen(C)).tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize(
+        "op, q",
+        [(DerivOp(1), SupSpec(BOX81)), (DerivOp(1), SchurSpec(0.5, BOX81)), (DerivOp(1), MixedDerivSpec(BOX81, 1)),
+         (DerivOp(1), TaylorDiskSpec(BOX81, 0.5)), (DerivOp(1), SupSpec(domains.cusp_region())),
+         (DirOp((Fraction(1, 3), 1j)), SupSpec(domains.cusp_region()))],
+        ids=["sup", "schur", "mixed_deriv", "taylor_disk", "cusp", "cusp-dirop-complex"],
+    )
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_plane_row_is_its_refined_ratio(self, op, q, n):
+        # a plane row keeps its screened ratio: refinement gives every
+        # candidate's ratio again bitwise, and the row is its witness's
+        # refined ratio
+        _, C = _candidates_2d(n, np.random.default_rng(DEFAULT_SEED + 7919 * n), 1)
+        for c in C:
+            refined, coarse = (_ratios(op, q, [ChebSeries(c)], refine) for refine in (True, False))
+            assert np.array(refined).tobytes() == np.array(coarse).tobytes()
+        row = _search_row(n, op, q, 1, DEFAULT_SEED)
+        (ratio,) = _ratios(op, q, [row.witness], refine=True)
+        assert np.float64(row.factor).tobytes() == np.float64(max(ratio, 0.0)).tobytes()
+
 
 def _ascent_start(n, op, q, seed):
     """The coarse evaluator, start vector and ratio of a search's ascent."""
@@ -1229,7 +1249,7 @@ class TestQmsRows:
     @pytest.mark.parametrize("m, s, k", [(Fraction(1, 2), 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 1)])
     def test_no_search_finalist_exceeds_the_row(self, m, s, k):
         n, op, q = 16, DerivOp(k), QmsSpec(m, s)
-        finalists = _coarse_finalists(n, op, q, 1, DEFAULT_SEED)
+        finalists, _ = _coarse_finalists(n, op, q, 1, DEFAULT_SEED)
         certified = _ratios(op, q, [p for _, p in finalists], refine=True)
         assert 0 < max(certified) <= markov_factor_search(n, op, q).factor * (1 + 1e-12)
 

@@ -55,11 +55,13 @@ def test_search_layers_matches_the_search_entry(tmp_path):
     for row in rows:
         if "exact" not in row:
             assert set(row) == {"row", "cand", "build", "screen", "ascent", "cert", "total", "match",
-                                "path", "matrix_rows", "chebder_calls"}
-            # the box rows take the per-polynomial screen, every other one the matrix
+                                "path", "matrix_rows", "chebder_calls", "minflt"}
+            # the box rows take the per-polynomial screen, every other one the
+            # matrix; a box row's screened ratio is its certified one
             plane = row["row"].startswith("sup_box2d")
             assert row["path"] == ("poly" if plane else "matrix") and row["chebder_calls"] > 0
             assert (row["matrix_rows"] > 0) != plane
+            assert (row["cert"] == 0.0) == plane and row["minflt"] >= 0
 
 
 def test_suite_times_reports_each_suite_with_versions(tmp_path):

@@ -14,7 +14,8 @@ the median wall time of each over ``--reps`` runs in one process:
 - ``ascent``: the coordinate ascent from the best candidate (``_ascend``;
   none on a set in two variables), ``_PolyRatio`` taking its trials one at
   a time;
-- ``cert``: the refined ratios of the finalists (``_ratios``).
+- ``cert``: the refined ratios of the finalists (``_ratios``); none on a
+  set in two variables, whose one finalist keeps its screened ratio.
 
 The row's factor and witness must be the ones the search entry
 ``exponents._search_row`` gives; a row where they are not is marked
@@ -22,10 +23,13 @@ The row's factor and witness must be the ones the search entry
 ``poly``, for the two evaluators above), and two
 deterministic counters go with it: ``matrix_rows``, the rows of its
 ``_BatchedRatio`` sampling matrix (0 on the poly path), and
-``chebder_calls``, the numpy ``chebder`` calls of one ``_search_row``.  A row that ``markov_factor_search`` reads off a closed
-form (method ``Exact``: V. Markov's sup rows on one interval) runs no
-search: it is reported as ``exact``, timed as one ``markov_factor_search``
-call.  One untimed run per row comes first.
+``chebder_calls``, the numpy ``chebder`` calls of one ``_search_row``.
+``minflt`` is the minor page faults of the process during one
+``_search_row`` (``ru_minflt``): a row whose temporaries glibc maps and
+unmaps on every call shows them here.  A row that ``markov_factor_search``
+reads off a closed form (method ``Exact``: V. Markov's sup rows on one
+interval) runs no search: it is reported as ``exact``, timed as one
+``markov_factor_search`` call.  One untimed run per row comes first.
 
 Run from a checkout (BLAS pinned to one thread, as the benchmark does):
 
@@ -37,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import sys
 import time
@@ -89,15 +94,16 @@ def phases(q, op, n: int, seed: int) -> tuple:
     screened = coarse.screen(coefs)
     best = max(range(len(coefs)), key=lambda j: (screened[j], -j))
     t.append(time.perf_counter())
-    finalists = [(names[best], ChebSeries(coefs[best]))]
+    finalists, certified = [(names[best], ChebSeries(coefs[best]))], [screened[best]]
     if not two_dim:
         coef = exponents._ascend(coarse, coefs[best], screened[best], exponents._ASCENT_ROUNDS)
         if coef is not None:
             finalists.append((names[best] + "+ascent", ChebSeries(coef)))
     t.append(time.perf_counter())
-    certified = exponents._ratios(op, q, [p for _, p in finalists], refine=True)
-    j = max(range(len(finalists)), key=lambda j: (certified[j], -j))
+    if not two_dim:
+        certified = exponents._ratios(op, q, [p for _, p in finalists], refine=True)
     t.append(time.perf_counter())
+    j = max(range(len(finalists)), key=lambda j: (certified[j], -j))
     return np.diff(t), (float(max(certified[j], 0.0)), finalists[j][0])
 
 
@@ -105,20 +111,22 @@ PATHS = {"_BatchedRatio": "matrix", "_PolyRatio": "poly"}
 
 
 def counters(q, op, n: int, seed: int) -> tuple:
-    """(path, matrix_rows, chebder_calls) of a searched row, and its
+    """(path, matrix_rows, chebder_calls, minflt) of a searched row, and its
     ``_search_row``: the ``PATHS`` name of its coarse evaluator, the rows of
-    that evaluator's matrix (0 but on the matrix path), and the numpy
-    ``chebder`` calls of one ``_search_row`` run."""
+    that evaluator's matrix (0 but on the matrix path), the numpy
+    ``chebder`` calls and the minor page faults of one ``_search_row`` run."""
     coarse = exponents._coarse_ratio(op, q, n)
     path = PATHS[type(coarse).__name__]
     rows = coarse.matrix.shape[0] if path == "matrix" else 0
     calls, chebder = [], nch.chebder
     nch.chebder = lambda *args, **kw: calls.append(1) or chebder(*args, **kw)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
         row = exponents._search_row(n, op, q, 1, seed)
     finally:
         nch.chebder = chebder
-    return path, rows, len(calls), row
+    minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return path, rows, len(calls), minflt, row
 
 
 def _median_ms(times) -> list:
@@ -133,7 +141,7 @@ def main() -> None:
     args = parser.parse_args()
     out = []
     print(f"{'row':<28}" + "".join(f"{p:>9}" for p in PHASES)
-          + f"{'total':>9}  ms  {'path':>6} {'rows':>6} {'chebder':>7}")
+          + f"{'total':>9}  ms  {'path':>6} {'rows':>6} {'chebder':>7} {'minflt':>6}")
     for label, q, op, n, seed in search_rows(args.seed):
         if exponents.markov_factor_search(n, op, q, seed=seed).method == "Exact":
             times = []
@@ -146,13 +154,13 @@ def main() -> None:
             print(f"{label:<28}{'exact':>{9 * len(PHASES)}}{ms:9.3f}")
             continue
         _, found = phases(q, op, n, seed)
-        path, rows, chebder_calls, row = counters(q, op, n, seed)
+        path, rows, chebder_calls, minflt, row = counters(q, op, n, seed)
         ok = found == (row.factor, row.witness_id)
         ms = _median_ms([phases(q, op, n, seed)[0] for _ in range(args.reps)])
         out.append({"row": label, **dict(zip(PHASES, ms)), "total": round(sum(ms), 3), "match": ok,
-                    "path": path, "matrix_rows": rows, "chebder_calls": chebder_calls})
+                    "path": path, "matrix_rows": rows, "chebder_calls": chebder_calls, "minflt": minflt})
         print(f"{label:<28}" + "".join(f"{m:9.3f}" for m in ms) + f"{sum(ms):9.3f}"
-              + f"      {path:>6} {rows:6d} {chebder_calls:7d}" + ("" if ok else "  MISMATCH"))
+              + f"      {path:>6} {rows:6d} {chebder_calls:7d} {minflt:6d}" + ("" if ok else "  MISMATCH"))
     totals = [sum(r.get(p, 0.0) for r in out) for p in (*PHASES, "exact")]
     print(f"{'search rows':<28}" + "".join(f"{m:9.3f}" for m in totals[:-1]) + f"{sum(totals[:-1]):9.3f}")
     print(f"{'exact rows':<28}{totals[-1]:{9 * len(PHASES) + 9}.3f}")
